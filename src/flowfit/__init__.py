@@ -9,17 +9,21 @@ from .model import (
     TRAJECTORY_NAMES,
     YearGrid,
     eval_param_trajectories,
+    eval_param_trajectories_batch,
     initialize_stocks,
     inv_logit,
+    iter_trajectories,
     logit,
     rescale_time,
     run_recurrence,
     simulate,
+    simulate_batch,
     theta_labels,
 )
 from .estimation import (
     FitOptions,
     FitResult,
+    NumericalError,
     ResidualSet,
     TrajectoryBands,
     UncertaintyResult,
@@ -31,6 +35,7 @@ from .estimation import (
     fd_hessian,
     gradient_fd,
     loss,
+    loss_batch,
     minimize_bfgs,
     numerical_hessian,
     residuals,

@@ -6,7 +6,8 @@ table), ``bands`` (uncertainty and trajectory bands), ``diagnose``
 ``synth`` (synthetic scenario generation), ``report`` (everything).
 
 Exit codes: 0 success, 1 data or configuration error, 2 numerical
-failure (no converged fit).  Defaults may be placed in a JSON config
+failure (no converged fit, or a ``NumericalError`` such as a Hessian
+without positive curvature).  Defaults may be placed in a JSON config
 file (``--config``); explicit flags win over the config file, which wins
 over built-in defaults.  The ``FLOWFIT_OUT_DIR`` environment variable
 selects the default output directory.
@@ -490,6 +491,9 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](settings)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
+    except estimation.NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

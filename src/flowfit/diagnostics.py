@@ -17,6 +17,7 @@ import numpy as np
 from .estimation import (
     FitOptions,
     FitResult,
+    NumericalError,
     default_starts,
     minimize_bfgs,
     residuals,
@@ -221,6 +222,11 @@ def rolling_origin_hindcast(
         i_next = cutoff + 1 - obs.grid.t_min
         m_obs = float(obs.m[i_next])
         p_obs = float(obs.p[i_next])
+        if not (0.0 < m_pred < math.inf and 0.0 < p_pred < math.inf):
+            raise NumericalError(
+                f"hindcast for {cutoff + 1} predicts non-positive or non-finite completions "
+                f"(master's {m_pred!r}, PhD {p_pred!r})"
+            )
         err_m = math.log(m_obs) - math.log(m_pred)
         err_p = math.log(p_obs) - math.log(p_pred)
         sq_m.append(err_m * err_m)

@@ -18,11 +18,13 @@ from .model import (
     ModelSpec,
     ObservedSeries,
     SimulationResult,
-    TRAJECTORY_NAMES,
     YearGrid,
     eval_param_trajectories,
+    eval_param_trajectories_batch,
+    iter_trajectories,
     logit,
     simulate,
+    simulate_batch,
 )
 
 # Each year with a non-positive or non-finite implied flow adds this to the
@@ -37,6 +39,14 @@ HESSIAN_REL_STEP = 1e-4
 # Eigenvalue-floor regularization of the Hessian before inversion.
 HESSIAN_COND_LIMIT = 1e12
 HESSIAN_EIG_FLOOR_REL = 1e-8
+
+
+class NumericalError(ValueError):
+    """A numerical failure, as opposed to bad data or configuration.
+
+    Raised for a non-finite Hessian, a Hessian without positive curvature
+    and a non-positive hindcast prediction; the CLI exits 2 on it.
+    """
 
 
 @dataclass
@@ -104,6 +114,25 @@ def residuals(obs: ObservedSeries, sim: SimulationResult) -> ResidualSet:
     return ResidualSet(r_m=r_m, r_p=r_p, n_eff=2 * obs.grid.n_years - 2)
 
 
+def _penalized_sse(obs: ObservedSeries, flow_m: np.ndarray, flow_p: np.ndarray) -> np.ndarray:
+    """The loss of each column of ``(n_years, B)`` implied-flow arrays.
+
+    A column's value is the squared log residuals summed over the years
+    before its first invalid (non-positive or non-finite) year, plus
+    ``PENALTY_PER_INVALID_YEAR`` per invalid year.  The first year's
+    residuals are imposed zero and never count.
+    """
+    valid = np.isfinite(flow_m) & (flow_m > 0) & np.isfinite(flow_p) & (flow_p > 0)
+    n_invalid = valid.shape[0] - np.count_nonzero(valid, axis=0)
+    counted = np.logical_and.accumulate(valid, axis=0)
+    counted[0] = False
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_m = np.where(counted, np.log(obs.m)[:, None] - np.log(flow_m), 0.0)
+        r_p = np.where(counted, np.log(obs.p)[:, None] - np.log(flow_p), 0.0)
+    sse = np.einsum("ij,ij->j", r_m, r_m) + np.einsum("ij,ij->j", r_p, r_p)
+    return sse + PENALTY_PER_INVALID_YEAR * n_invalid
+
+
 def loss(
     theta: np.ndarray,
     spec: ModelSpec,
@@ -125,36 +154,90 @@ def loss(
         theta, spec, scale_grid if scale_grid is not None else obs.grid, years=obs.grid.years
     )
     sim = simulate(obs, traj, spec)
-    flow_m = sim.flow_m
-    flow_p = sim.flow_p
-    valid = (
-        np.isfinite(flow_m) & (flow_m > 0) & np.isfinite(flow_p) & (flow_p > 0)
+    return float(_penalized_sse(obs, sim.flow_m[:, None], sim.flow_p[:, None])[0])
+
+
+def loss_batch(
+    thetas: np.ndarray,
+    spec: ModelSpec,
+    obs: ObservedSeries,
+    scale_grid: Optional[YearGrid] = None,
+) -> np.ndarray:
+    """:func:`loss` of every row of a ``(B, k)`` array, in one vectorised pass.
+
+    Agrees with :func:`loss` to round-off.  It costs a few scalar calls at
+    B=1 but little more at B=30, so it serves callers that evaluate many
+    points at once (finite-difference stencils); single points use
+    :func:`loss`.
+    """
+    traj = eval_param_trajectories_batch(
+        thetas, spec, scale_grid if scale_grid is not None else obs.grid, years=obs.grid.years
     )
-    if valid.all():
-        res = residuals(obs, sim)
-        return float(res.r_m @ res.r_m + res.r_p @ res.r_p)
-    n_invalid = int((~valid).sum())
-    first_bad = int(np.argmin(valid))
-    sse_prefix = 0.0
-    if first_bad > 1:
-        r_m = np.log(obs.m[1:first_bad]) - np.log(flow_m[1:first_bad])
-        r_p = np.log(obs.p[1:first_bad]) - np.log(flow_p[1:first_bad])
-        sse_prefix = float(r_m @ r_m + r_p @ r_p)
-    return sse_prefix + PENALTY_PER_INVALID_YEAR * n_invalid
+    return _penalized_sse(obs, *simulate_batch(obs, traj, spec))
+
+
+def _gradient_stencil(x: np.ndarray, rel_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference points (x + h_i e_i for every i, then x - h_i e_i) and steps h."""
+    n = x.size
+    h = rel_step * np.maximum(1.0, np.abs(x))
+    points = np.tile(x, (2 * n, 1))
+    axis = np.arange(n)
+    points[axis, axis] += h
+    points[n + axis, axis] -= h
+    return points, h
+
+
+def _gradient_from_stencil(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    n = h.size
+    return (values[:n] - values[n:]) / (2.0 * h)
+
+
+def _hessian_stencil(x: np.ndarray, rel_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Second-difference points and steps h.
+
+    Rows: x; the gradient stencil's 2n axial points; then, for the pairs
+    i < j in ``np.triu_indices`` order, four blocks x +/- h_i e_i +/- h_j e_j
+    with signs (+,+), (+,-), (-,+), (-,-).
+    """
+    axial, h = _gradient_stencil(x, rel_step)
+    i, j = np.triu_indices(x.size, 1)
+    pairs = np.tile(x, (4 * i.size, 1))
+    rows = np.arange(i.size)
+    for sign_i, sign_j in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+        pairs[rows, i] += sign_i * h[i]
+        pairs[rows, j] += sign_j * h[j]
+        rows = rows + i.size
+    return np.vstack([x, axial, pairs]), h
+
+
+def _hessian_from_stencil(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Central second differences, symmetrized as (H + H^T)/2; rejects non-finite entries."""
+    n = h.size
+    f0 = values[0]
+    f_plus = values[1:1 + n]
+    f_minus = values[1 + n:1 + 2 * n]
+    i, j = np.triu_indices(n, 1)
+    f_pp, f_pm, f_mp, f_mm = values[1 + 2 * n:].reshape(4, i.size)
+    hess = np.empty((n, n))
+    axis = np.arange(n)
+    hess[axis, axis] = (f_plus - 2.0 * f0 + f_minus) / (h * h)
+    off = (f_pp - f_pm - f_mp + f_mm) / (4.0 * h[i] * h[j])
+    hess[i, j] = off
+    hess[j, i] = off
+    if not np.all(np.isfinite(hess)):
+        bad = np.argwhere(~np.isfinite(hess))[0]
+        raise NumericalError(f"non-finite Hessian entry at coordinate pair ({bad[0]}, {bad[1]})")
+    return 0.5 * (hess + hess.T)
+
+
+def _on_rows(f: Callable[[np.ndarray], float], points: np.ndarray) -> np.ndarray:
+    return np.array([f(point) for point in points], dtype=float)
 
 
 def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, rel_step: float = GRADIENT_REL_STEP) -> np.ndarray:
     """Central-difference gradient with per-coordinate step rel_step*max(1, |x_i|)."""
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        h = rel_step * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return g
+    points, h = _gradient_stencil(np.asarray(x, dtype=float), rel_step)
+    return _gradient_from_stencil(_on_rows(f, points), h)
 
 
 def gradient_fd(
@@ -163,38 +246,15 @@ def gradient_fd(
     obs: ObservedSeries,
     scale_grid: Optional[YearGrid] = None,
 ) -> np.ndarray:
-    return fd_gradient(lambda th: loss(th, spec, obs, scale_grid=scale_grid), theta)
+    """Central-difference gradient of :func:`loss`; all 2k points in one batched call."""
+    points, h = _gradient_stencil(np.asarray(theta, dtype=float), GRADIENT_REL_STEP)
+    return _gradient_from_stencil(loss_batch(points, spec, obs, scale_grid), h)
 
 
 def fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray, rel_step: float = HESSIAN_REL_STEP) -> np.ndarray:
     """Central second differences, symmetrized as (H + H^T)/2."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    h = rel_step * np.maximum(1.0, np.abs(x))
-    f0 = f(x)
-    hess = np.empty((n, n))
-
-    def at(*steps) -> float:
-        z = x.copy()
-        for i, sign in steps:
-            z[i] += sign * h[i]
-        return f(z)
-
-    for i in range(n):
-        hess[i, i] = (at((i, +1)) - 2.0 * f0 + at((i, -1))) / (h[i] * h[i])
-        for j in range(i + 1, n):
-            val = (
-                at((i, +1), (j, +1))
-                - at((i, +1), (j, -1))
-                - at((i, -1), (j, +1))
-                + at((i, -1), (j, -1))
-            ) / (4.0 * h[i] * h[j])
-            hess[i, j] = val
-            hess[j, i] = val
-    if not np.all(np.isfinite(hess)):
-        bad = np.argwhere(~np.isfinite(hess))[0]
-        raise ValueError(f"non-finite Hessian entry at coordinate pair ({bad[0]}, {bad[1]})")
-    return 0.5 * (hess + hess.T)
+    points, h = _hessian_stencil(np.asarray(x, dtype=float), rel_step)
+    return _hessian_from_stencil(_on_rows(f, points), h)
 
 
 def numerical_hessian(
@@ -203,7 +263,9 @@ def numerical_hessian(
     obs: ObservedSeries,
     scale_grid: Optional[YearGrid] = None,
 ) -> np.ndarray:
-    return fd_hessian(lambda th: loss(th, spec, obs, scale_grid=scale_grid), theta_hat)
+    """Hessian of :func:`loss`; all 1 + 2k^2 stencil points in one batched call."""
+    points, h = _hessian_stencil(np.asarray(theta_hat, dtype=float), HESSIAN_REL_STEP)
+    return _hessian_from_stencil(loss_batch(points, spec, obs, scale_grid), h)
 
 
 @dataclass
@@ -330,6 +392,7 @@ def minimize_bfgs(
         raise ValueError("at least one start is required")
     opts = options or FitOptions()
     objective = lambda th: loss(th, spec, obs, scale_grid=scale_grid)
+    gradient = lambda th: gradient_fd(th, spec, obs, scale_grid=scale_grid)
     best: Optional[OptimizeOutcome] = None
     for x0 in starts:
         x0 = np.asarray(x0, dtype=float)
@@ -338,6 +401,7 @@ def minimize_bfgs(
         outcome = bfgs_minimize(
             objective,
             x0,
+            grad=gradient,
             gtol=opts.gtol,
             ftol_rel=opts.ftol_rel,
             max_iter=opts.max_iter,
@@ -382,7 +446,7 @@ def covariance(
     eigvals, eigvecs = np.linalg.eigh(0.5 * (hessian + hessian.T))
     eig_max = float(eigvals[-1])
     if eig_max <= 0:
-        raise ValueError("Hessian has no positive curvature; covariance undefined")
+        raise NumericalError("Hessian has no positive curvature; covariance undefined")
     eig_min = float(eigvals[0])
     regularize = eig_min <= 0 or eig_max / eig_min > HESSIAN_COND_LIMIT
     if regularize:
@@ -429,20 +493,18 @@ def confidence_bands(
 
     Every draw is pushed through the same clamped logistic evaluation as
     the simulation, so band values always lie strictly inside (0, 1).
+    Each trajectory is evaluated for all draws at once and reduced to its
+    percentiles before the next one is built.
     """
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 2 or draws.shape[0] < 2:
         raise ValueError("need at least two parameter draws")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be inside (0, 1)")
-    n_years = grid.n_years
-    stacks = {name: np.empty((draws.shape[0], n_years)) for name in TRAJECTORY_NAMES}
-    for i, theta in enumerate(draws):
-        traj = eval_param_trajectories(theta, spec, grid)
-        for name, vals in traj.as_dict().items():
-            stacks[name][i] = vals
     q_lo = (1.0 - level) / 2.0
     q_hi = 1.0 - q_lo
-    lower = {name: np.quantile(stack, q_lo, axis=0) for name, stack in stacks.items()}
-    upper = {name: np.quantile(stack, q_hi, axis=0) for name, stack in stacks.items()}
+    lower = {}
+    upper = {}
+    for name, values in iter_trajectories(draws, spec, grid):
+        lower[name], upper[name] = np.quantile(values, (q_lo, q_hi), axis=1)
     return TrajectoryBands(level=level, lower=lower, upper=upper)

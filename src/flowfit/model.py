@@ -13,7 +13,7 @@ vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -157,7 +157,11 @@ class ObservedSeries:
 
 @dataclass
 class ParamTrajectories:
-    """Per-year routing fractions and hazards, all strictly inside (0, 1)."""
+    """Per-year routing fractions and hazards, all strictly inside (0, 1).
+
+    For a batch of B parameter vectors each array is ``(n_years, B)`` and
+    ``lam`` is a ``(B,)`` array.
+    """
 
     rho_bm: np.ndarray
     rho_bp: np.ndarray
@@ -197,38 +201,80 @@ def logit(x):
     return np.log(x / (1.0 - x))
 
 
+def _logistic_two_branch(y: np.ndarray) -> np.ndarray:
+    """1/(1+exp(-y)) for y >= 0 and exp(y)/(1+exp(y)) otherwise, computed in ``y``'s buffer."""
+    pos = y >= 0
+    e = np.exp(np.negative(np.abs(y, out=y), out=y), out=y)
+    denom = e + 1.0
+    np.copyto(e, 1.0, where=pos)
+    return np.divide(e, denom, out=e)
+
+
 def inv_logit(y):
     """Logistic inverse 1/(1+exp(-y)), overflow-safe for large |y|.
 
     Saturating inputs are pinned at the nearest representable values
     inside (0, 1), so the result never touches the endpoints exactly.
     """
-    y = np.asarray(y, dtype=float)
-    out = np.empty_like(y)
-    pos = y >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-y[pos]))
-    ey = np.exp(y[~pos])
-    out[~pos] = ey / (1.0 + ey)
+    out = _logistic_two_branch(np.array(y, dtype=float))
     out = np.clip(out, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def split_theta(theta: np.ndarray, spec: ModelSpec):
-    """Split the flat parameter vector into (rho blocks, gamma blocks, lambda_raw)."""
+def _clamped_logistic(eta: np.ndarray) -> np.ndarray:
+    """Logistic of ``eta`` clamped to [LOGISTIC_CLAMP, 1 - LOGISTIC_CLAMP], in place."""
+    out = _logistic_two_branch(eta)
+    return np.clip(out, LOGISTIC_CLAMP, 1.0 - LOGISTIC_CLAMP, out=out)
+
+
+def _coefficient_blocks(spec: ModelSpec) -> dict[str, slice]:
+    """Slice of the parameter vector holding each trajectory's coefficients."""
+    widths = (spec.deg_rho + 1,) * 3 + (spec.deg_gamma + 1,) * 2
+    blocks = {}
+    start = 0
+    for name, width in zip(TRAJECTORY_NAMES, widths):
+        blocks[name] = slice(start, start + width)
+        start += width
+    return blocks
+
+
+def _forcing_weight(lambda_raw):
+    """exp(lambda_raw) floored at exp(LAMBDA_RAW_FLOOR), elementwise."""
+    # May overflow to inf for absurd coefficients; the loss penalty path
+    # rejects the resulting non-finite flows.
+    with np.errstate(over="ignore"):
+        return np.exp(np.maximum(lambda_raw, LAMBDA_RAW_FLOOR))
+
+
+def iter_trajectories(
+    theta: np.ndarray,
+    spec: ModelSpec,
+    grid: YearGrid,
+    years: Optional[Sequence[int]] = None,
+) -> Iterator[tuple[str, np.ndarray]]:
+    """Yield ``(name, values)`` for the five parameter trajectories, one at a time.
+
+    ``theta`` is one parameter vector (values of shape ``(n_years,)``) or a
+    ``(B, k)`` batch of them (values of shape ``(n_years, B)``, one column
+    per row of ``theta``).  Each trajectory is one Vandermonde product and
+    one clamped logistic for the whole batch; yielding them one at a time
+    lets a caller reduce each before the next is built.
+    """
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (spec.n_params,):
+    if theta.ndim not in (1, 2) or theta.shape[-1] != spec.n_params:
         raise ValueError(
-            f"theta has length {theta.size}, spec {spec.label()!r} needs {spec.n_params}"
+            f"theta has length {theta.shape[-1] if theta.ndim else 1}, "
+            f"spec {spec.label()!r} needs {spec.n_params}"
         )
-    dr = spec.deg_rho + 1
-    dg = spec.deg_gamma + 1
-    rho_blocks = [theta[i * dr:(i + 1) * dr] for i in range(3)]
-    off = 3 * dr
-    gamma_blocks = [theta[off + i * dg:off + (i + 1) * dg] for i in range(2)]
-    lambda_raw = float(theta[-1]) if spec.forcing else None
-    return rho_blocks, gamma_blocks, lambda_raw
+    s = rescale_time(grid.years if years is None else years, grid)
+    designs: dict[int, np.ndarray] = {}
+    for name, block in _coefficient_blocks(spec).items():
+        width = block.stop - block.start
+        if width not in designs:
+            designs[width] = np.vander(s, width, increasing=True)
+        yield name, _clamped_logistic(designs[width] @ theta[..., block].T)
 
 
 def eval_param_trajectories(
@@ -242,31 +288,31 @@ def eval_param_trajectories(
     ``grid`` anchors the time rescaling; ``years`` defaults to the grid
     itself but may extend beyond it (polynomial extrapolation).
     """
-    rho_blocks, gamma_blocks, lambda_raw = split_theta(theta, spec)
-    if years is None:
-        years = grid.years
-    s = rescale_time(years, grid)
-    phi_rho = np.vander(s, spec.deg_rho + 1, increasing=True)
-    phi_gamma = np.vander(s, spec.deg_gamma + 1, increasing=True)
+    if np.ndim(theta) != 1:
+        raise ValueError(f"theta must be one parameter vector, got shape {np.shape(theta)}")
+    values = dict(iter_trajectories(theta, spec, grid, years))
+    lam = float(_forcing_weight(float(theta[-1]))) if spec.forcing else 0.0
+    return ParamTrajectories(**values, lam=lam)
 
-    def logistic(phi, coeffs):
-        vals = inv_logit(phi @ coeffs)
-        return np.clip(vals, LOGISTIC_CLAMP, 1.0 - LOGISTIC_CLAMP)
 
-    lam = 0.0
-    if spec.forcing:
-        # May overflow to inf for absurd coefficients; the loss penalty
-        # path rejects the resulting non-finite flows.
-        with np.errstate(over="ignore"):
-            lam = float(np.exp(max(lambda_raw, LAMBDA_RAW_FLOOR)))
-    return ParamTrajectories(
-        rho_bm=logistic(phi_rho, rho_blocks[0]),
-        rho_bp=logistic(phi_rho, rho_blocks[1]),
-        rho_mp=logistic(phi_rho, rho_blocks[2]),
-        gamma_m=logistic(phi_gamma, gamma_blocks[0]),
-        gamma_p=logistic(phi_gamma, gamma_blocks[1]),
-        lam=lam,
-    )
+def eval_param_trajectories_batch(
+    thetas: np.ndarray,
+    spec: ModelSpec,
+    grid: YearGrid,
+    years: Optional[Sequence[int]] = None,
+) -> ParamTrajectories:
+    """Trajectories for a ``(B, k)`` batch of parameter vectors.
+
+    Each trajectory array has shape ``(n_years, B)`` and ``lam`` has shape
+    ``(B,)``; column ``j`` holds what :func:`eval_param_trajectories` gives
+    for ``thetas[j]``, up to round-off in the polynomial product.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2:
+        raise ValueError(f"thetas must be a (B, k) array, got shape {thetas.shape}")
+    values = dict(iter_trajectories(thetas, spec, grid, years))
+    lam = _forcing_weight(thetas[:, -1]) if spec.forcing else np.zeros(thetas.shape[0])
+    return ParamTrajectories(**values, lam=lam)
 
 
 def initialize_stocks(obs: ObservedSeries, traj: ParamTrajectories) -> tuple[float, float]:
@@ -343,3 +389,40 @@ def simulate(obs: ObservedSeries, traj: ParamTrajectories, spec: ModelSpec) -> S
     stock_m0, stock_p0 = initialize_stocks(obs, traj)
     p_intl = obs.p_intl if spec.forcing else None
     return run_recurrence(obs.b, traj, stock_m0, stock_p0, p_intl=p_intl)
+
+
+def simulate_batch(
+    obs: ObservedSeries, traj: ParamTrajectories, spec: ModelSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Implied master's and PhD flows, each ``(n_years, B)``, for batched trajectories.
+
+    ``traj`` comes from :func:`eval_param_trajectories_batch`.  The
+    recurrence steps through the years once with width-B vectors, in the
+    same operation order as :func:`run_recurrence`, so each column equals
+    what :func:`simulate` gives for the same trajectories.
+    """
+    if spec.forcing and obs.p_intl is None:
+        raise ValueError("forcing specification requires the p_intl series")
+    b = obs.b[:, None]
+    gm, gp, rmp = traj.gamma_m, traj.gamma_p, traj.rho_mp
+    flow_m = np.empty_like(gm)
+    flow_p = np.empty_like(gp)
+    last = len(b) - 1
+    # Overflow to inf/nan is allowed, as in the scalar path; the loss
+    # penalizes non-finite flows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        inflow_m = traj.rho_bm * b
+        inflow_p = traj.rho_bp * b
+        forcing = traj.lam * obs.p_intl[:, None] if spec.forcing else None
+        sm = float(obs.m[0]) / gm[0]
+        sp = float(obs.p[0]) / gp[0]
+        for i in range(last):
+            fm = np.multiply(gm[i], sm, out=flow_m[i])
+            fp = np.multiply(gp[i], sp, out=flow_p[i])
+            sp = sp + inflow_p[i] + rmp[i] * fm - fp
+            if forcing is not None:
+                sp += forcing[i]
+            sm = sm + inflow_m[i] - fm
+        np.multiply(gm[last], sm, out=flow_m[last])
+        np.multiply(gp[last], sp, out=flow_p[last])
+    return flow_m, flow_p

@@ -9,6 +9,7 @@ break ties).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -89,9 +90,12 @@ def run_grid(
     Forcing specifications are skipped with a recorded reason when the
     data carry no proxy series.  ``n`` overrides the observation count in
     the criteria; by default N = 2 * years, or 2 * years - 2 with
-    ``use_n_eff``.  ``jobs`` > 1 fits grid cells in parallel; results are
-    merged by grid index, so parallel and serial runs are identical.
+    ``use_n_eff``.  ``jobs`` > 1 fits grid cells in parallel, on at most
+    one worker per cell and per CPU; results are merged by grid index, so
+    parallel and serial runs are identical.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     opts = options or FitOptions()
     if n is None:
         n = 2 * obs.grid.n_years - (2 if use_n_eff else 0)
@@ -109,8 +113,11 @@ def run_grid(
         else:
             tasks.append((index, spec, obs, opts))
 
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # The pool starts all its workers up front, so never ask for more
+    # than can run at once.
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             fitted = list(pool.map(_fit_one, tasks))
     else:
         fitted = [_fit_one(t) for t in tasks]

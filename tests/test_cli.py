@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from flowfit import YearGrid, generate, run_cli, write_series
+from flowfit import YearGrid, diagnostics, estimation, generate, run_cli, write_series
 
 from _scenarios import RECOVERY_THETA, recovery_scenario
 
@@ -103,6 +103,12 @@ class TestGrid:
         assert len(lines) == 1 + 18
         assert sum("skipped" in line for line in lines) == 9
 
+    def test_jobs_below_one_exits_1(self, data_csv, tmp_path, capsys):
+        code = run_cli(["grid", "--data", str(data_csv), "--out", str(tmp_path / "g"),
+                        "--jobs", "0"])
+        assert code == 1
+        assert "jobs" in capsys.readouterr().err
+
     def test_grid_with_proxy_fits_everything(self, data_csv_intl, tmp_path):
         out = tmp_path / "grid"
         code = run_cli(["grid", "--data", str(data_csv_intl), "--out", str(out),
@@ -136,6 +142,40 @@ class TestBandsAndDiagnose:
         assert code == 0
         lines = (out / "residuals.csv").read_text().splitlines()
         assert len(lines) == 1 + 20
+
+
+class TestNumericalFailureExits2:
+    """Numerical failures past a converged fit exit 2, not 1 (data/config)."""
+
+    def test_nonfinite_hessian(self, data_csv, tmp_path, monkeypatch, capsys):
+        real = estimation.loss_batch
+
+        def nan_on_hessian_stencil(thetas, *args, **kwargs):
+            values = real(thetas, *args, **kwargs)
+            if len(thetas) > 2 * thetas.shape[1]:   # wider than a gradient stencil
+                values[:] = np.nan
+            return values
+
+        monkeypatch.setattr(estimation, "loss_batch", nan_on_hessian_stencil)
+        code = run_cli(["bands", "--data", str(data_csv), "--out", str(tmp_path / "b"),
+                        "--n-draws", "50", *FAST])
+        assert code == 2
+        assert "non-finite Hessian" in capsys.readouterr().err
+
+    def test_hessian_without_positive_curvature(self, data_csv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(estimation, "numerical_hessian",
+                            lambda theta, *args, **kwargs: -np.eye(len(theta)))
+        code = run_cli(["bands", "--data", str(data_csv), "--out", str(tmp_path / "b"),
+                        "--n-draws", "50", *FAST])
+        assert code == 2
+        assert "no positive curvature" in capsys.readouterr().err
+
+    def test_nonpositive_hindcast_prediction(self, data_csv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(diagnostics, "_predict_next_year", lambda *args: (0.0, 10.0))
+        code = run_cli(["robust", "--data", str(data_csv), "--out", str(tmp_path / "r"),
+                        "--truncation-starts", "1990", "--cutoffs", "1995", *FAST])
+        assert code == 2
+        assert "hindcast for 1996" in capsys.readouterr().err
 
 
 class TestRobust:

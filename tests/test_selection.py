@@ -13,6 +13,7 @@ from flowfit import (
     run_grid,
     select_best,
 )
+from flowfit import selection
 from flowfit.estimation import FitResult
 from flowfit.selection import GridEntry, _flag_nested_misses
 
@@ -214,3 +215,54 @@ class TestRunGrid:
             assert x.aic == y.aic
         n_eff = run_grid(small_obs_plain, quick_options, use_n_eff=True)
         assert n_eff[0].aic != default_n[0].aic
+
+
+
+class TestJobsBound:
+    @pytest.fixture
+    def requested(self, monkeypatch):
+        """max_workers of every pool run_grid asks for; the cells run in process."""
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(selection, "ProcessPoolExecutor", RecordingPool)
+        return seen
+
+    @pytest.fixture(scope="class")
+    def tiny_options(self):
+        return FitOptions(n_starts=1, max_iter=2)
+
+    def test_workers_clamped_to_cpus_and_tasks(self, requested, monkeypatch, small_obs_plain,
+                                              small_obs_with_intl, tiny_options):
+        monkeypatch.setattr(selection.os, "cpu_count", lambda: 4)
+        run_grid(small_obs_plain, tiny_options, jobs=10_000)
+        run_grid(small_obs_plain, tiny_options, jobs=3)
+        monkeypatch.setattr(selection.os, "cpu_count", lambda: 64)
+        run_grid(small_obs_plain, tiny_options, jobs=10_000)       # 9 cells to fit
+        run_grid(small_obs_with_intl, tiny_options, jobs=10_000)   # 18 cells
+        assert requested == [4, 3, 9, 18]
+
+    def test_single_worker_runs_serially(self, requested, monkeypatch, small_obs_plain,
+                                         tiny_options):
+        monkeypatch.setattr(selection.os, "cpu_count", lambda: None)
+        entries = run_grid(small_obs_plain, tiny_options, jobs=8)
+        assert requested == []
+        assert sum(e.status == "ok" for e in entries) == 9
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_jobs_below_one(self, requested, small_obs_plain, tiny_options, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_grid(small_obs_plain, tiny_options, jobs=jobs)
+        assert requested == []
