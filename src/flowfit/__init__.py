@@ -17,8 +17,10 @@ from .model import (
     rescale_time,
     run_recurrence,
     simulate,
+    simulate_adjoint,
     simulate_batch,
     theta_labels,
+    trajectories_vjp,
 )
 from .estimation import (
     FitOptions,
@@ -36,6 +38,7 @@ from .estimation import (
     gradient_fd,
     loss,
     loss_batch,
+    loss_gradient,
     minimize_bfgs,
     numerical_hessian,
     residuals,

@@ -26,7 +26,7 @@ from . import diagnostics, estimation, selection, synthetic
 from .dataio import DataError, ReportBundle, load_series, write_reports
 from .diagnostics import RobustnessReport
 from .estimation import FitOptions
-from .model import ModelSpec, eval_param_trajectories, simulate
+from .model import ModelSpec, ObservedSeries, eval_param_trajectories, simulate
 
 OUT_DIR_ENV = "FLOWFIT_OUT_DIR"
 
@@ -152,6 +152,59 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_list_of(check):
+    return lambda value: isinstance(value, list) and all(check(item) for item in value)
+
+
+_IS_OBJECT = (lambda value: isinstance(value, dict), "an object")
+_IS_INT = (_is_int, "an integer")
+_IS_NUMBER = (_is_number, "a number")
+_IS_STR = (_is_str, "a string")
+_IS_YEARS = (_is_list_of(_is_int), "a list of integers")
+
+# (check, description) of each config key's JSON value; other keys are ignored.
+_CONFIG_TYPES = {
+    "data": _IS_STR, "out": _IS_STR, "spec": _IS_STR, "scenario": _IS_STR,
+    "formats": (lambda v: _is_str(v) or _is_list_of(_is_str)(v),
+                "a string or a list of strings"),
+    "jobs": _IS_INT,
+    "use_n_eff": (lambda v: isinstance(v, bool), "true or false"),
+    "optimizer": _IS_OBJECT, "uncertainty": _IS_OBJECT, "robustness": _IS_OBJECT,
+}
+_SECTION_TYPES = {
+    "optimizer": {"n_starts": _IS_INT, "seed": _IS_INT, "gtol": _IS_NUMBER,
+                  "ftol_rel": _IS_NUMBER, "max_iter": _IS_INT},
+    "uncertainty": {"n_draws": _IS_INT, "level": _IS_NUMBER, "seed": _IS_INT},
+    "robustness": {"truncation_starts": _IS_YEARS, "cutoffs": _IS_YEARS, "rescale": _IS_STR},
+}
+
+
+def _check_types(table: dict, rules: dict, prefix: str = "") -> None:
+    for key, (check, expected) in rules.items():
+        if key in table and not check(table[key]):
+            raise CliError(f"config '{prefix}{key}' must be {expected}, "
+                           f"got {json.dumps(table[key])}")
+
+
+def _validate_config(cfg: dict) -> None:
+    """Reject config values of the wrong JSON type before anything runs."""
+    _check_types(cfg, _CONFIG_TYPES)   # sections are objects from here on
+    for section, rules in _SECTION_TYPES.items():
+        _check_types(cfg.get(section, {}), rules, f"{section}.")
+
+
 def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
@@ -164,6 +217,7 @@ def _load_config(path: Optional[str]) -> dict:
         raise CliError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise CliError("config file must contain a JSON object")
+    _validate_config(cfg)
     return cfg
 
 
@@ -182,36 +236,27 @@ class Settings:
             return self._config[name]
         return default
 
+    def _pick(self, section: str, flag: str, key: str, default):
+        """Flag > ``section.key`` in the config file > default."""
+        value = self._args.get(flag)
+        if value is not None:
+            return value
+        return self._config.get(section, {}).get(key, default)
+
     def optimizer(self) -> FitOptions:
-        section = self._config.get("optimizer", {})
-
-        def pick(flag, key, default):
-            value = self._args.get(flag)
-            if value is not None:
-                return value
-            return section.get(key, default)
-
         return FitOptions(
-            n_starts=int(pick("n_starts", "n_starts", 8)),
-            seed=int(pick("seed", "seed", 0)),
-            gtol=float(pick("gtol", "gtol", 1e-6)),
-            ftol_rel=float(pick("ftol_rel", "ftol_rel", 1e-12)),
-            max_iter=int(pick("max_iter", "max_iter", 2000)),
+            n_starts=int(self._pick("optimizer", "n_starts", "n_starts", 8)),
+            seed=int(self._pick("optimizer", "seed", "seed", 0)),
+            gtol=float(self._pick("optimizer", "gtol", "gtol", 1e-6)),
+            ftol_rel=float(self._pick("optimizer", "ftol_rel", "ftol_rel", 1e-12)),
+            max_iter=int(self._pick("optimizer", "max_iter", "max_iter", 2000)),
         )
 
     def uncertainty(self) -> tuple[int, float, int]:
-        section = self._config.get("uncertainty", {})
-
-        def pick(flag, key, default):
-            value = self._args.get(flag)
-            if value is not None:
-                return value
-            return section.get(key, default)
-
         return (
-            int(pick("n_draws", "n_draws", 4000)),
-            float(pick("level", "level", 0.95)),
-            int(pick("draw_seed", "seed", 0)),
+            int(self._pick("uncertainty", "n_draws", "n_draws", 4000)),
+            float(self._pick("uncertainty", "level", "level", 0.95)),
+            int(self._pick("uncertainty", "draw_seed", "seed", 0)),
         )
 
     def robustness(self, grid) -> tuple[list[int], list[int], str]:
@@ -282,18 +327,14 @@ def _echo(settings: Settings, command: str, opts: FitOptions, **extra) -> dict:
     return echo
 
 
-def _fit_bundle(settings: Settings, command: str) -> tuple[ReportBundle, bool]:
-    """Shared single-spec pipeline: load, fit, simulate, residuals."""
-    spec = settings.spec()
-    obs = load_series(settings.data_path())
-    opts = settings.optimizer()
-    starts = estimation.default_starts(spec, obs, n_starts=opts.n_starts, seed=opts.seed)
-    fit = estimation.minimize_bfgs(spec, obs, starts, opts)
+def _fit_bundle(settings: Settings, command: str, obs: ObservedSeries, spec: ModelSpec,
+                fit: estimation.FitResult, opts: FitOptions, **echo) -> ReportBundle:
+    """Report bundle of one fitted spec: trajectories, flows, residuals and criteria."""
     traj = eval_param_trajectories(fit.theta_hat, spec, obs.grid)
     sim = simulate(obs, traj, spec)
     bundle = ReportBundle(
         config_echo=_echo(settings, command, opts,
-                          data=str(settings.data_path()), spec=spec.label()),
+                          data=str(settings.data_path()), spec=spec.label(), **echo),
         obs=obs,
         spec=spec,
         fit=fit,
@@ -311,35 +352,45 @@ def _fit_bundle(settings: Settings, command: str) -> tuple[ReportBundle, bool]:
         )
     except ValueError:
         bundle.notes.append("perfect fit (sse = 0): information criteria undefined")
-    return bundle, fit.converged
+    return bundle
+
+
+def _fit_one_spec(settings: Settings) -> ReportBundle:
+    """Load the data and fit the one spec of ``fit``, ``diagnose`` and ``bands``."""
+    spec = settings.spec()
+    obs = load_series(settings.data_path())
+    opts = settings.optimizer()
+    starts = estimation.default_starts(spec, obs, n_starts=opts.n_starts, seed=opts.seed)
+    fit = estimation.minimize_bfgs(spec, obs, starts, opts)
+    return _fit_bundle(settings, settings.get("command"), obs, spec, fit, opts)
+
+
+def _add_bands(bundle: ReportBundle, n_draws: int, level: float, draw_seed: int) -> None:
+    """Hessian, covariance, parameter draws and trajectory bands at the bundle's fit."""
+    fit, spec, obs = bundle.fit, bundle.spec, bundle.obs
+    hess = estimation.numerical_hessian(fit.theta_hat, spec, obs)
+    bundle.uncertainty = estimation.covariance(hess, fit.sse, spec, obs.grid)
+    draws = estimation.sample_parameters(bundle.uncertainty, fit.theta_hat, n_draws, draw_seed)
+    bundle.bands = estimation.confidence_bands(draws, spec, obs.grid, level)
 
 
 def _cmd_fit(settings: Settings) -> int:
-    bundle, converged = _fit_bundle(settings, "fit")
+    """``fit`` and ``diagnose``: one fitted spec with its residual report."""
+    bundle = _fit_one_spec(settings)
     write_reports(bundle, settings.out_dir(), settings.formats())
-    return 0 if converged else 2
-
-
-def _cmd_diagnose(settings: Settings) -> int:
-    bundle, converged = _fit_bundle(settings, "diagnose")
-    write_reports(bundle, settings.out_dir(), settings.formats())
-    return 0 if converged else 2
+    return 0 if bundle.fit.converged else 2
 
 
 def _cmd_bands(settings: Settings) -> int:
-    bundle, converged = _fit_bundle(settings, "bands")
+    bundle = _fit_one_spec(settings)
     n_draws, level, draw_seed = settings.uncertainty()
     bundle.config_echo["uncertainty"] = {"n_draws": n_draws, "level": level, "seed": draw_seed}
-    if converged:
-        hess = estimation.numerical_hessian(bundle.fit.theta_hat, bundle.spec, bundle.obs)
-        unc = estimation.covariance(hess, bundle.fit.sse, bundle.spec, bundle.obs.grid)
-        draws = estimation.sample_parameters(unc, bundle.fit.theta_hat, n_draws, draw_seed)
-        bundle.uncertainty = unc
-        bundle.bands = estimation.confidence_bands(draws, bundle.spec, bundle.obs.grid, level)
+    if bundle.fit.converged:
+        _add_bands(bundle, n_draws, level, draw_seed)
     else:
         bundle.notes.append("bands skipped: fit did not converge")
     write_reports(bundle, settings.out_dir(), settings.formats())
-    return 0 if converged else 2
+    return 0 if bundle.fit.converged else 2
 
 
 def _cmd_grid(settings: Settings) -> int:
@@ -414,65 +465,41 @@ def _cmd_synth(settings: Settings) -> int:
 def _cmd_report(settings: Settings) -> int:
     obs = load_series(settings.data_path())
     opts = settings.optimizer()
+    spec = settings.spec() if settings.get("spec") is not None else None
     jobs = int(settings.get("jobs", 1))
     use_n_eff = bool(settings.get("use_n_eff", False))
     entries = selection.run_grid(obs, opts, use_n_eff=use_n_eff, jobs=jobs)
-    if settings.get("spec") is not None:
-        spec = settings.spec()
-    else:
+    if spec is None:
         try:
             spec = selection.select_best(entries, "aic").spec
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-
-    starts = estimation.default_starts(spec, obs, n_starts=opts.n_starts, seed=opts.seed)
-    fit = estimation.minimize_bfgs(spec, obs, starts, opts)
-    traj = eval_param_trajectories(fit.theta_hat, spec, obs.grid)
-    sim = simulate(obs, traj, spec)
+    # The grid has fitted every spec it could; report that fit.
+    entry = next(e for e in entries if e.spec == spec)
+    if entry.fit is None:
+        raise CliError(f"spec {spec.label()} was not fitted: {entry.reason}")
     n_draws, level, draw_seed = settings.uncertainty()
     trunc_starts, cutoffs, rescale = settings.robustness(obs.grid)
-    bundle = ReportBundle(
-        config_echo=_echo(settings, "report", opts, data=str(settings.data_path()),
-                          spec=spec.label(), jobs=jobs, use_n_eff=use_n_eff,
-                          uncertainty={"n_draws": n_draws, "level": level, "seed": draw_seed},
-                          truncation_starts=trunc_starts, cutoffs=cutoffs, rescale=rescale),
-        obs=obs,
-        spec=spec,
-        fit=fit,
-        trajectories=traj,
-        simulation=sim,
-        grid_entries=entries,
-        n=2 * obs.grid.n_years,
-    )
-    try:
-        bundle.aic, bundle.bic = selection.information_criteria(
-            fit.sse, spec.n_params, 2 * obs.grid.n_years
-        )
-    except ValueError:
-        bundle.notes.append("perfect fit (sse = 0): information criteria undefined")
-    try:
-        bundle.residual_report = diagnostics.residual_report(obs, sim)
-    except ValueError:
-        bundle.notes.append("residual report unavailable: non-positive implied flows")
-    if fit.converged:
-        hess = estimation.numerical_hessian(fit.theta_hat, spec, obs)
-        unc = estimation.covariance(hess, fit.sse, spec, obs.grid)
-        draws = estimation.sample_parameters(unc, fit.theta_hat, n_draws, draw_seed)
-        bundle.uncertainty = unc
-        bundle.bands = estimation.confidence_bands(draws, spec, obs.grid, level)
+    bundle = _fit_bundle(settings, "report", obs, spec, entry.fit, opts,
+                         jobs=jobs, use_n_eff=use_n_eff,
+                         uncertainty={"n_draws": n_draws, "level": level, "seed": draw_seed},
+                         truncation_starts=trunc_starts, cutoffs=cutoffs, rescale=rescale)
+    bundle.grid_entries = entries
+    if entry.fit.converged:
+        _add_bands(bundle, n_draws, level, draw_seed)
     rows = diagnostics.truncation_study(obs, spec, trunc_starts, opts, rescale=rescale)
     hindcast = diagnostics.rolling_origin_hindcast(obs, spec, cutoffs, opts, rescale=rescale)
     bundle.robustness = RobustnessReport(truncation_rows=rows, hindcast=hindcast)
     write_reports(bundle, settings.out_dir(), settings.formats())
-    return 0 if fit.converged else 2
+    return 0 if entry.fit.converged else 2
 
 
 _COMMANDS = {
     "fit": _cmd_fit,
     "grid": _cmd_grid,
     "bands": _cmd_bands,
-    "diagnose": _cmd_diagnose,
+    "diagnose": _cmd_fit,
     "robust": _cmd_robust,
     "synth": _cmd_synth,
     "report": _cmd_report,

@@ -27,7 +27,8 @@ from .model import (
     ObservedSeries,
     SimulationResult,
     eval_param_trajectories,
-    simulate,
+    initialize_stocks,
+    run_recurrence,
 )
 
 HISTOGRAM_EDGE = 0.12
@@ -201,8 +202,8 @@ def rolling_origin_hindcast(
 
     For each cutoff T the specification is re-estimated on [t_min, T]
     alone (the truncated series never sees later data) and the year-T+1
-    completions are predicted by advancing the stocks one step and
-    applying hazards extrapolated to T+1.  Reports per-series and pooled
+    completions are predicted by running the recurrence one year further,
+    with trajectories extrapolated to T+1.  Reports per-series and pooled
     RMSE of the one-step log errors.
     """
     if rescale not in ("window", "full"):
@@ -263,19 +264,13 @@ def _predict_next_year(
     rescale: str,
     full_grid,
 ) -> tuple[float, float]:
-    """Advance the fitted system one year past the window and read the flows."""
+    """Run the fitted recurrence one year past the window and read that year's flows."""
     scale_grid = full_grid if rescale == "full" else window.grid
-    traj = eval_param_trajectories(theta, spec, scale_grid, years=window.grid.years)
-    sim = simulate(window, traj, spec)
-    cutoff = window.grid.t_max
-    next_traj = eval_param_trajectories(theta, spec, scale_grid, years=np.array([cutoff + 1]))
-    b_last = float(window.b[-1])
-    stock_m_next = sim.stock_m[-1] + traj.rho_bm[-1] * b_last - sim.flow_m[-1]
-    stock_p_next = (
-        sim.stock_p[-1] + traj.rho_bp[-1] * b_last + traj.rho_mp[-1] * sim.flow_m[-1] - sim.flow_p[-1]
-    )
-    if spec.forcing:
-        stock_p_next += traj.lam * float(window.p_intl[-1])
-    m_pred = float(next_traj.gamma_m[0] * stock_m_next)
-    p_pred = float(next_traj.gamma_p[0] * stock_p_next)
-    return m_pred, p_pred
+    years = np.arange(window.grid.t_min, window.grid.t_max + 2)
+    traj = eval_param_trajectories(theta, spec, scale_grid, years=years)
+    stock_m0, stock_p0 = initialize_stocks(window, traj)
+    # Inputs of the year after the window never reach that year's flows.
+    b = np.append(window.b, 0.0)
+    p_intl = np.append(window.p_intl, 0.0) if spec.forcing else None
+    sim = run_recurrence(b, traj, stock_m0, stock_p0, p_intl=p_intl)
+    return float(sim.flow_m[-1]), float(sim.flow_p[-1])

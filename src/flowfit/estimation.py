@@ -3,7 +3,8 @@
 The loss is the sum of squared log-scale residuals of the implied master's
 and PhD completion flows against the observed counts.  It is minimized in
 the unconstrained transformed parameter space with a BFGS iteration using
-a backtracking (Armijo) line search and central-difference gradients.
+a backtracking (Armijo) line search and the exact gradient, which one
+reverse (adjoint) sweep computes from the line search's last forward pass.
 Parameter uncertainty comes from the numerical Hessian at the optimum.
 """
 
@@ -17,6 +18,7 @@ import numpy as np
 from .model import (
     ModelSpec,
     ObservedSeries,
+    ParamTrajectories,
     SimulationResult,
     YearGrid,
     eval_param_trajectories,
@@ -24,7 +26,9 @@ from .model import (
     iter_trajectories,
     logit,
     simulate,
+    simulate_adjoint,
     simulate_batch,
+    trajectories_vjp,
 )
 
 # Each year with a non-positive or non-finite implied flow adds this to the
@@ -114,23 +118,92 @@ def residuals(obs: ObservedSeries, sim: SimulationResult) -> ResidualSet:
     return ResidualSet(r_m=r_m, r_p=r_p, n_eff=2 * obs.grid.n_years - 2)
 
 
-def _penalized_sse(obs: ObservedSeries, flow_m: np.ndarray, flow_p: np.ndarray) -> np.ndarray:
-    """The loss of each column of ``(n_years, B)`` implied-flow arrays.
+def _valid_flows(flow_m: np.ndarray, flow_p: np.ndarray) -> np.ndarray:
+    """Years (rows) whose implied flows are both finite and positive."""
+    return np.isfinite(flow_m) & (flow_m > 0) & np.isfinite(flow_p) & (flow_p > 0)
 
-    A column's value is the squared log residuals summed over the years
-    before its first invalid (non-positive or non-finite) year, plus
-    ``PENALTY_PER_INVALID_YEAR`` per invalid year.  The first year's
-    residuals are imposed zero and never count.
+
+def _counted_residuals(
+    obs: ObservedSeries, flow_m: np.ndarray, flow_p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log residuals of ``(n_years, B)`` implied flows over their counted years.
+
+    A column's counted years are those after the first and before its
+    first invalid (non-positive or non-finite) year; its residuals are 0
+    elsewhere.  Also returns each column's number of invalid years.
     """
-    valid = np.isfinite(flow_m) & (flow_m > 0) & np.isfinite(flow_p) & (flow_p > 0)
+    valid = _valid_flows(flow_m, flow_p)
     n_invalid = valid.shape[0] - np.count_nonzero(valid, axis=0)
     counted = np.logical_and.accumulate(valid, axis=0)
     counted[0] = False
     with np.errstate(divide="ignore", invalid="ignore"):
         r_m = np.where(counted, np.log(obs.m)[:, None] - np.log(flow_m), 0.0)
         r_p = np.where(counted, np.log(obs.p)[:, None] - np.log(flow_p), 0.0)
+    return r_m, r_p, n_invalid
+
+
+def _penalized_sse(r_m: np.ndarray, r_p: np.ndarray, n_invalid: np.ndarray) -> np.ndarray:
+    """The loss of each column: counted squared residuals plus the invalid-year penalty."""
     sse = np.einsum("ij,ij->j", r_m, r_m) + np.einsum("ij,ij->j", r_p, r_p)
     return sse + PENALTY_PER_INVALID_YEAR * n_invalid
+
+
+@dataclass
+class _Forward:
+    """One scalar evaluation of :func:`loss` and the state its gradient reuses."""
+
+    theta: np.ndarray
+    value: float
+    traj: ParamTrajectories
+    sim: SimulationResult
+    r_m: np.ndarray
+    r_p: np.ndarray
+
+
+def _forward(
+    theta: np.ndarray,
+    spec: ModelSpec,
+    obs: ObservedSeries,
+    scale_grid: Optional[YearGrid] = None,
+) -> _Forward:
+    """Trajectories, simulation, counted residuals and loss at one point."""
+    theta = np.array(theta, dtype=float)
+    traj = eval_param_trajectories(
+        theta, spec, scale_grid if scale_grid is not None else obs.grid, years=obs.grid.years
+    )
+    sim = simulate(obs, traj, spec)
+    r_m, r_p, n_invalid = _counted_residuals(obs, sim.flow_m[:, None], sim.flow_p[:, None])
+    value = float(_penalized_sse(r_m, r_p, n_invalid)[0])
+    return _Forward(theta=theta, value=value, traj=traj, sim=sim, r_m=r_m[:, 0], r_p=r_p[:, 0])
+
+
+def _reverse(
+    state: _Forward,
+    spec: ModelSpec,
+    obs: ObservedSeries,
+    scale_grid: Optional[YearGrid] = None,
+) -> np.ndarray:
+    """Exact gradient of :func:`loss` at ``state.theta`` by one reverse sweep.
+
+    Only the counted years carry residuals: the sweep starts at the last
+    valid year, and the per-invalid-year penalty, a step function, adds
+    nothing.
+    """
+    sim = state.sim
+    valid = _valid_flows(sim.flow_m, sim.flow_p)
+    stop = valid.size if valid.all() else int(np.argmin(valid))
+    # d(r^2)/d(flow) = -2 r / flow, with r = log(observed) - log(flow).
+    flow_m_bar = -2.0 * state.r_m[:stop] / sim.flow_m[:stop]
+    flow_p_bar = -2.0 * state.r_p[:stop] / sim.flow_p[:stop]
+    traj_bar = simulate_adjoint(obs, state.traj, spec, sim, flow_m_bar, flow_p_bar)
+    return trajectories_vjp(
+        state.theta,
+        state.traj,
+        traj_bar,
+        spec,
+        scale_grid if scale_grid is not None else obs.grid,
+        years=obs.grid.years,
+    )
 
 
 def loss(
@@ -150,11 +223,22 @@ def loss(
     window than the data (used when refits on truncated windows should
     keep the full-sample rescaling).
     """
-    traj = eval_param_trajectories(
-        theta, spec, scale_grid if scale_grid is not None else obs.grid, years=obs.grid.years
-    )
-    sim = simulate(obs, traj, spec)
-    return float(_penalized_sse(obs, sim.flow_m[:, None], sim.flow_p[:, None])[0])
+    return _forward(theta, spec, obs, scale_grid).value
+
+
+def loss_gradient(
+    theta: np.ndarray,
+    spec: ModelSpec,
+    obs: ObservedSeries,
+    scale_grid: Optional[YearGrid] = None,
+) -> np.ndarray:
+    """Exact gradient of :func:`loss`: one forward pass, then one reverse sweep.
+
+    Where the loss is penalized only the residual prefix contributes, so
+    the gradient stays finite; its forcing entry is 0 at or below the
+    forcing floor and where the forcing weight overflows.
+    """
+    return _reverse(_forward(theta, spec, obs, scale_grid), spec, obs, scale_grid)
 
 
 def loss_batch(
@@ -173,7 +257,7 @@ def loss_batch(
     traj = eval_param_trajectories_batch(
         thetas, spec, scale_grid if scale_grid is not None else obs.grid, years=obs.grid.years
     )
-    return _penalized_sse(obs, *simulate_batch(obs, traj, spec))
+    return _penalized_sse(*_counted_residuals(obs, *simulate_batch(obs, traj, spec)))
 
 
 def _gradient_stencil(x: np.ndarray, rel_step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +330,11 @@ def gradient_fd(
     obs: ObservedSeries,
     scale_grid: Optional[YearGrid] = None,
 ) -> np.ndarray:
-    """Central-difference gradient of :func:`loss`; all 2k points in one batched call."""
+    """Central-difference gradient of :func:`loss`; all 2k points in one batched call.
+
+    The fit uses the exact gradient (:func:`loss_gradient`); this one is its
+    independent check.
+    """
     points, h = _gradient_stencil(np.asarray(theta, dtype=float), GRADIENT_REL_STEP)
     return _gradient_from_stencil(loss_batch(points, spec, obs, scale_grid), h)
 
@@ -380,6 +468,32 @@ def default_starts(
     return starts
 
 
+class _Objective:
+    """:func:`loss` and its exact gradient for one fit, sharing forward passes.
+
+    ``value`` keeps the point and forward state of its last call.
+    ``gradient`` at that point runs only the reverse sweep; at any other
+    point it runs the forward pass first.  BFGS asks for the gradient at
+    the point its line search accepted last, so each iteration's gradient
+    costs one reverse sweep.
+    """
+
+    def __init__(self, spec: ModelSpec, obs: ObservedSeries, scale_grid: Optional[YearGrid]):
+        self.spec = spec
+        self.obs = obs
+        self.scale_grid = scale_grid
+        self._last: Optional[_Forward] = None
+
+    def value(self, theta: np.ndarray) -> float:
+        self._last = _forward(theta, self.spec, self.obs, self.scale_grid)
+        return self._last.value
+
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        if self._last is None or not np.array_equal(theta, self._last.theta):
+            self.value(theta)
+        return _reverse(self._last, self.spec, self.obs, self.scale_grid)
+
+
 def minimize_bfgs(
     spec: ModelSpec,
     obs: ObservedSeries,
@@ -391,24 +505,24 @@ def minimize_bfgs(
     if len(starts) == 0:
         raise ValueError("at least one start is required")
     opts = options or FitOptions()
-    objective = lambda th: loss(th, spec, obs, scale_grid=scale_grid)
-    gradient = lambda th: gradient_fd(th, spec, obs, scale_grid=scale_grid)
+    objective = _Objective(spec, obs, scale_grid)
     best: Optional[OptimizeOutcome] = None
     for x0 in starts:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (spec.n_params,) or not np.all(np.isfinite(x0)):
             raise ValueError(f"start must be a finite vector of length {spec.n_params}")
         outcome = bfgs_minimize(
-            objective,
+            objective.value,
             x0,
-            grad=gradient,
+            grad=objective.gradient,
             gtol=opts.gtol,
             ftol_rel=opts.ftol_rel,
             max_iter=opts.max_iter,
         )
         if best is None or outcome.fun < best.fun:
             best = outcome
-    sse = objective(best.x)
+    # ``best.fun`` is the loss at ``best.x``, from the same forward pass as :func:`loss`.
+    sse = best.fun
     # A gradient that flatlines inside the penalty region is not convergence.
     converged = best.converged and sse < PENALTY_PER_INVALID_YEAR
     return FitResult(

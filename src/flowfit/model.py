@@ -12,6 +12,8 @@ vector.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -240,12 +242,52 @@ def _coefficient_blocks(spec: ModelSpec) -> dict[str, slice]:
     return blocks
 
 
+def _trajectory_designs(
+    spec: ModelSpec, grid: YearGrid, years: Optional[Sequence[int]] = None
+) -> tuple[tuple[str, slice, np.ndarray], ...]:
+    """``(name, coefficient slice, Vandermonde design)`` for each trajectory.
+
+    The design's columns are 1, s, s^2, ... up to the block's degree, at the
+    rescaled ``years`` (default: the grid's own); blocks of one width share
+    one design.  Designs are built once per (spec, grid, years) and are
+    read-only.
+    """
+    years_key = None if years is None else np.asarray(years, dtype=float).tobytes()
+    return _designs_for(spec, grid, years_key)
+
+
+@functools.lru_cache(maxsize=64)
+def _designs_for(
+    spec: ModelSpec, grid: YearGrid, years_key: Optional[bytes]
+) -> tuple[tuple[str, slice, np.ndarray], ...]:
+    s = rescale_time(grid.years if years_key is None else np.frombuffer(years_key), grid)
+    designs: dict[int, np.ndarray] = {}
+    out = []
+    for name, block in _coefficient_blocks(spec).items():
+        width = block.stop - block.start
+        if width not in designs:
+            designs[width] = np.vander(s, width, increasing=True)
+            designs[width].flags.writeable = False
+        out.append((name, block, designs[width]))
+    return tuple(out)
+
+
 def _forcing_weight(lambda_raw):
     """exp(lambda_raw) floored at exp(LAMBDA_RAW_FLOOR), elementwise."""
     # May overflow to inf for absurd coefficients; the loss penalty path
     # rejects the resulting non-finite flows.
     with np.errstate(over="ignore"):
         return np.exp(np.maximum(lambda_raw, LAMBDA_RAW_FLOOR))
+
+
+def _checked_theta(theta: np.ndarray, spec: ModelSpec) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim not in (1, 2) or theta.shape[-1] != spec.n_params:
+        raise ValueError(
+            f"theta has length {theta.shape[-1] if theta.ndim else 1}, "
+            f"spec {spec.label()!r} needs {spec.n_params}"
+        )
+    return theta
 
 
 def iter_trajectories(
@@ -262,19 +304,9 @@ def iter_trajectories(
     one clamped logistic for the whole batch; yielding them one at a time
     lets a caller reduce each before the next is built.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim not in (1, 2) or theta.shape[-1] != spec.n_params:
-        raise ValueError(
-            f"theta has length {theta.shape[-1] if theta.ndim else 1}, "
-            f"spec {spec.label()!r} needs {spec.n_params}"
-        )
-    s = rescale_time(grid.years if years is None else years, grid)
-    designs: dict[int, np.ndarray] = {}
-    for name, block in _coefficient_blocks(spec).items():
-        width = block.stop - block.start
-        if width not in designs:
-            designs[width] = np.vander(s, width, increasing=True)
-        yield name, _clamped_logistic(designs[width] @ theta[..., block].T)
+    theta = _checked_theta(theta, spec)
+    for name, block, design in _trajectory_designs(spec, grid, years):
+        yield name, _clamped_logistic(design @ theta[..., block].T)
 
 
 def eval_param_trajectories(
@@ -290,9 +322,12 @@ def eval_param_trajectories(
     """
     if np.ndim(theta) != 1:
         raise ValueError(f"theta must be one parameter vector, got shape {np.shape(theta)}")
-    values = dict(iter_trajectories(theta, spec, grid, years))
+    theta = _checked_theta(theta, spec)
+    designs = _trajectory_designs(spec, grid, years)
+    # One (5, n_years) block, so the clamped logistic runs once for all five.
+    values = _clamped_logistic(np.array([design @ theta[block] for _, block, design in designs]))
     lam = float(_forcing_weight(float(theta[-1]))) if spec.forcing else 0.0
-    return ParamTrajectories(**values, lam=lam)
+    return ParamTrajectories(**dict(zip(TRAJECTORY_NAMES, values)), lam=lam)
 
 
 def eval_param_trajectories_batch(
@@ -313,6 +348,37 @@ def eval_param_trajectories_batch(
     values = dict(iter_trajectories(thetas, spec, grid, years))
     lam = _forcing_weight(thetas[:, -1]) if spec.forcing else np.zeros(thetas.shape[0])
     return ParamTrajectories(**values, lam=lam)
+
+
+def trajectories_vjp(
+    theta: np.ndarray,
+    traj: ParamTrajectories,
+    traj_bar: ParamTrajectories,
+    spec: ModelSpec,
+    grid: YearGrid,
+    years: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """Pull adjoints of the trajectories back to the parameter vector.
+
+    ``traj`` is what :func:`eval_param_trajectories` gave for ``theta`` at
+    ``years``, and ``traj_bar`` holds the adjoint (the derivative of some
+    scalar) of each of its arrays and of ``lam``.  The clamped logistic
+    has derivative p(1-p) strictly inside the clamp and 0 where the clip is
+    active; each block then goes back through the Vandermonde design of
+    the forward product.  The forcing entry is ``lam_bar * lam`` above
+    ``LAMBDA_RAW_FLOOR`` and 0 at or below the floor or once ``lam`` has
+    overflowed.
+    """
+    p = np.array([getattr(traj, name) for name in TRAJECTORY_NAMES])
+    p_bar = np.array([getattr(traj_bar, name) for name in TRAJECTORY_NAMES])
+    inside = (p > LOGISTIC_CLAMP) & (p < 1.0 - LOGISTIC_CLAMP)
+    eta_bar = np.where(inside, p_bar * (p * (1.0 - p)), 0.0)
+    theta_bar = np.zeros(spec.n_params)
+    for row, (_, block, design) in zip(eta_bar, _trajectory_designs(spec, grid, years)):
+        theta_bar[block] = row @ design
+    if spec.forcing and float(theta[-1]) > LAMBDA_RAW_FLOOR and math.isfinite(traj.lam):
+        theta_bar[-1] = traj_bar.lam * traj.lam
+    return theta_bar
 
 
 def initialize_stocks(obs: ObservedSeries, traj: ParamTrajectories) -> tuple[float, float]:
@@ -375,6 +441,76 @@ def run_recurrence(
         stock_p=np.array(stock_p),
         flow_m=np.array(flow_m),
         flow_p=np.array(flow_p),
+    )
+
+
+def simulate_adjoint(
+    obs: ObservedSeries,
+    traj: ParamTrajectories,
+    spec: ModelSpec,
+    sim: SimulationResult,
+    flow_m_bar: Sequence[float],
+    flow_p_bar: Sequence[float],
+) -> ParamTrajectories:
+    """Reverse sweep of :func:`simulate`: trajectory adjoints from flow adjoints.
+
+    ``sim`` is what :func:`simulate` gave for ``traj``.  ``flow_m_bar`` and
+    ``flow_p_bar`` are the adjoints (derivatives of some scalar) of the
+    flows of the first ``len(flow_m_bar)`` years; later years carry none,
+    so their stocks and flows are never read.  One Python-float loop runs
+    from the last of those years back to year 0 through the annual update,
+    the forcing term and the initial stocks ``m0 / gamma_m[0]`` and
+    ``p0 / gamma_p[0]``.  The result holds the adjoint of every trajectory
+    entry (zero past the swept years) and, in ``lam``, that of the forcing
+    weight.
+    """
+    n = len(obs.b)
+    stop = len(flow_m_bar)
+    if len(flow_p_bar) != stop or stop > n:
+        raise ValueError(f"flow adjoints must cover the same leading years of the {n}-year grid")
+    b = obs.b.tolist()
+    rmp = traj.rho_mp.tolist()
+    gm = traj.gamma_m.tolist()
+    gp = traj.gamma_p.tolist()
+    sm = sim.stock_m.tolist()
+    sp = sim.stock_p.tolist()
+    fm = sim.flow_m.tolist()
+    fm_bar = np.asarray(flow_m_bar, dtype=float).tolist()
+    fp_bar = np.asarray(flow_p_bar, dtype=float).tolist()
+    p_intl = obs.p_intl.tolist() if spec.forcing else None
+
+    rbm_bar = [0.0] * n
+    rbp_bar = [0.0] * n
+    rmp_bar = [0.0] * n
+    gm_bar = [0.0] * n
+    gp_bar = [0.0] * n
+    lam_bar = 0.0
+    # Adjoints of the stocks one year ahead of year i.
+    am = 0.0
+    ap = 0.0
+    for i in range(stop - 1, -1, -1):
+        g_fm = fm_bar[i] + ap * rmp[i] - am
+        g_fp = fp_bar[i] - ap
+        rbm_bar[i] = am * b[i]
+        rbp_bar[i] = ap * b[i]
+        rmp_bar[i] = ap * fm[i]
+        if p_intl is not None:
+            lam_bar += ap * p_intl[i]
+        gm_bar[i] = g_fm * sm[i]
+        gp_bar[i] = g_fp * sp[i]
+        am += g_fm * gm[i]
+        ap += g_fp * gp[i]
+    if stop:
+        # stock_m0 = m0 / gamma_m[0], so d stock_m0 / d gamma_m[0] = -stock_m0 / gamma_m[0].
+        gm_bar[0] -= am * sm[0] / gm[0]
+        gp_bar[0] -= ap * sp[0] / gp[0]
+    return ParamTrajectories(
+        rho_bm=np.array(rbm_bar),
+        rho_bp=np.array(rbp_bar),
+        rho_mp=np.array(rmp_bar),
+        gamma_m=np.array(gm_bar),
+        gamma_p=np.array(gp_bar),
+        lam=lam_bar,
     )
 
 

@@ -1,0 +1,207 @@
+"""The exact (reverse-mode) gradient of the loss against the finite-difference one.
+
+``gradient_fd`` is the independent check: central differences of the
+same loss, with no shared derivative code.
+"""
+
+import numpy as np
+import pytest
+
+import flowfit as ff
+from flowfit import estimation
+from flowfit.model import LAMBDA_RAW_FLOOR, _coefficient_blocks
+
+from _scenarios import RECOVERY_SPEC, RECOVERY_THETA, recovery_scenario
+
+SPECS = [(0, 0), (1, 2), (2, 2)]
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / max(float(np.max(np.abs(want))), 1e-300))
+
+
+@pytest.fixture(scope="module")
+def intl_obs():
+    obs, _ = ff.generate(recovery_scenario(p_intl=True, noise_sd=0.02, seed=5))
+    return obs
+
+
+@pytest.fixture(scope="module")
+def penalty_case():
+    # The overflowing-forcing case of test_batch_kernel: the proxy is zero
+    # for twelve years, so a huge forcing weight invalidates the flows only
+    # after a residual prefix.
+    base, _ = ff.generate(recovery_scenario(p_intl=True, noise_sd=0.02, seed=3))
+    p_intl = base.p_intl.copy()
+    p_intl[:12] = 0.0
+    obs = ff.ObservedSeries(base.grid, base.b, base.m, base.p, p_intl=p_intl)
+    return obs, ff.ModelSpec(2, 2, forcing=True)
+
+
+def center(spec, obs):
+    return ff.default_starts(spec, obs, n_starts=1)[0]
+
+
+@pytest.mark.parametrize("forcing", [False, True])
+@pytest.mark.parametrize("degrees", SPECS)
+@pytest.mark.parametrize("rescaled", [False, True])
+def test_matches_gradient_fd(intl_obs, degrees, forcing, rescaled):
+    spec = ff.ModelSpec(*degrees, forcing=forcing)
+    scale_grid = ff.YearGrid(1960, 2020) if rescaled else None
+    rng = np.random.default_rng([*degrees, forcing, rescaled])
+    base = center(spec, intl_obs)
+    if forcing:
+        base[-1] = 2.0   # a forcing weight that moves the PhD flows
+    for _ in range(8):
+        theta = base + rng.normal(0.0, 0.5, spec.n_params)
+        want = ff.gradient_fd(theta, spec, intl_obs, scale_grid)
+        got = ff.loss_gradient(theta, spec, intl_obs, scale_grid)
+        assert ff.loss(theta, spec, intl_obs, scale_grid) < estimation.PENALTY_PER_INVALID_YEAR
+        assert rel_err(got, want) <= 1e-6
+
+
+def test_matches_gradient_fd_on_window_with_full_rescaling(intl_obs):
+    # The truncation and hindcast refits: a late window on the full-sample scale.
+    window = intl_obs.window(1990, 2017)
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        theta = RECOVERY_THETA + rng.normal(0.0, 0.3, RECOVERY_THETA.size)
+        want = ff.gradient_fd(theta, RECOVERY_SPEC, window, intl_obs.grid)
+        got = ff.loss_gradient(theta, RECOVERY_SPEC, window, intl_obs.grid)
+        assert rel_err(got, want) <= 1e-6
+
+
+def test_finite_in_penalty_region(penalty_case):
+    obs, spec = penalty_case
+    for raw in (-5.0, 6.0, 700.0, 705.0, 800.0):
+        theta = np.concatenate([RECOVERY_THETA, [raw]])
+        assert np.all(np.isfinite(ff.loss_gradient(theta, spec, obs))), raw
+    # At 800 the forcing weight itself overflows.
+    theta = np.concatenate([RECOVERY_THETA, [800.0]])
+    assert ff.eval_param_trajectories(theta, spec, obs.grid).lam == np.inf
+    assert ff.loss_gradient(theta, spec, obs)[-1] == 0.0
+
+
+def test_unpenalized_penalty_case_points_match_fd(penalty_case):
+    obs, spec = penalty_case
+    for raw in (-5.0, 6.0):
+        theta = np.concatenate([RECOVERY_THETA, [raw]])
+        assert ff.loss(theta, spec, obs) < estimation.PENALTY_PER_INVALID_YEAR
+        assert rel_err(ff.loss_gradient(theta, spec, obs), ff.gradient_fd(theta, spec, obs)) <= 1e-6
+
+
+def test_forcing_entry_zero_at_or_below_floor(penalty_case):
+    obs, spec = penalty_case
+    for raw in (LAMBDA_RAW_FLOOR, LAMBDA_RAW_FLOOR - 10.0):
+        theta = np.concatenate([RECOVERY_THETA, [raw]])
+        grad = ff.loss_gradient(theta, spec, obs)
+        assert grad[-1] == 0.0
+        assert np.all(np.isfinite(grad))
+
+
+def test_clamped_trajectory_has_zero_entries(intl_obs):
+    # rho_bp pinned at LOGISTIC_CLAMP in every year: its coefficients have
+    # no effect on the loss, exactly.
+    block = _coefficient_blocks(RECOVERY_SPEC)["rho_bp"]
+    theta = RECOVERY_THETA.copy()
+    theta[block] = [-60.0, 0.0, 0.0]
+    traj = ff.eval_param_trajectories(theta, RECOVERY_SPEC, intl_obs.grid)
+    assert np.all(traj.rho_bp == ff.LOGISTIC_CLAMP)
+    grad = ff.loss_gradient(theta, RECOVERY_SPEC, intl_obs)
+    assert np.all(grad[block] == 0.0)
+    assert np.any(grad != 0.0)
+    others = np.ones(theta.size, dtype=bool)
+    others[block] = False
+    want = ff.gradient_fd(theta, RECOVERY_SPEC, intl_obs)
+    assert rel_err(grad[others], want[others]) <= 1e-6
+
+
+def test_simulate_adjoint_is_transpose_of_tangent(intl_obs):
+    # <flow_bar, J v> == <J^T flow_bar, v> for a random trajectory direction v,
+    # with J v taken by central differences of simulate.
+    spec = ff.ModelSpec(2, 2, forcing=True)
+    theta = np.concatenate([RECOVERY_THETA, [2.0]])
+    traj = ff.eval_param_trajectories(theta, spec, intl_obs.grid)
+    sim = ff.simulate(intl_obs, traj, spec)
+    rng = np.random.default_rng(12)
+    n = intl_obs.grid.n_years
+    flow_m_bar = rng.normal(size=n)
+    flow_p_bar = rng.normal(size=n)
+    bar = ff.simulate_adjoint(intl_obs, traj, spec, sim, flow_m_bar, flow_p_bar)
+    direction = {name: rng.normal(size=n) for name in ff.TRAJECTORY_NAMES}
+    d_lam = rng.normal()
+    h = 1e-7
+
+    def flows(sign):
+        moved = ff.ParamTrajectories(
+            **{name: getattr(traj, name) + sign * h * direction[name] for name in direction},
+            lam=traj.lam + sign * h * d_lam,
+        )
+        out = ff.simulate(intl_obs, moved, spec)
+        return out.flow_m, out.flow_p
+
+    (m_plus, p_plus), (m_minus, p_minus) = flows(1.0), flows(-1.0)
+    tangent = (flow_m_bar @ (m_plus - m_minus) + flow_p_bar @ (p_plus - p_minus)) / (2 * h)
+    adjoint = sum(direction[name] @ getattr(bar, name) for name in direction) + d_lam * bar.lam
+    assert adjoint == pytest.approx(tangent, rel=1e-6)
+
+
+def test_simulate_adjoint_ignores_years_past_its_adjoints(intl_obs):
+    spec = ff.ModelSpec(1, 1, forcing=True)
+    theta = np.concatenate([center(spec, intl_obs)[:-1], [1.0]])
+    traj = ff.eval_param_trajectories(theta, spec, intl_obs.grid)
+    sim = ff.simulate(intl_obs, traj, spec)
+    rng = np.random.default_rng(13)
+    fm_bar, fp_bar = rng.normal(size=(2, 20))
+    bar = ff.simulate_adjoint(intl_obs, traj, spec, sim, fm_bar, fp_bar)
+    for name in ff.TRAJECTORY_NAMES:
+        assert np.all(getattr(bar, name)[20:] == 0.0)
+    # Zero adjoints on later years give the same sweep.
+    pad = np.zeros(intl_obs.grid.n_years - 20)
+    full = ff.simulate_adjoint(intl_obs, traj, spec, sim,
+                               np.concatenate([fm_bar, pad]), np.concatenate([fp_bar, pad]))
+    for name in ff.TRAJECTORY_NAMES:
+        assert np.array_equal(getattr(full, name), getattr(bar, name))
+    assert full.lam == bar.lam
+
+
+def test_fit_makes_one_forward_pass_per_loss_evaluation(intl_obs, monkeypatch):
+    forward = {"n": 0}
+    calls = {"f": 0, "grad": 0}
+    real_eval = estimation.eval_param_trajectories
+    real_bfgs = estimation.bfgs_minimize
+
+    def counting_eval(*args, **kwargs):
+        forward["n"] += 1
+        return real_eval(*args, **kwargs)
+
+    def counting_bfgs(f, x0, grad=None, **kwargs):
+        def f_counted(x):
+            calls["f"] += 1
+            return f(x)
+
+        def grad_counted(x):
+            calls["grad"] += 1
+            return grad(x)
+
+        return real_bfgs(f_counted, x0, grad=grad_counted, **kwargs)
+
+    monkeypatch.setattr(estimation, "eval_param_trajectories", counting_eval)
+    monkeypatch.setattr(estimation, "bfgs_minimize", counting_bfgs)
+    spec = ff.ModelSpec(1, 2, forcing=True)
+    starts = ff.default_starts(spec, intl_obs, n_starts=3, seed=4)
+    fit = ff.minimize_bfgs(spec, intl_obs, starts, ff.FitOptions(max_iter=40))
+    assert calls["grad"] > len(starts)
+    assert forward["n"] == calls["f"]
+    assert fit.sse == ff.loss(fit.theta_hat, spec, intl_obs)
+
+
+def test_gradient_away_from_last_value_runs_its_own_forward_pass(intl_obs):
+    objective = estimation._Objective(RECOVERY_SPEC, intl_obs, None)
+    a = RECOVERY_THETA + 0.1
+    b = RECOVERY_THETA - 0.1
+    objective.value(a)
+    assert np.array_equal(objective.gradient(b), ff.loss_gradient(b, RECOVERY_SPEC, intl_obs))
+    assert np.array_equal(objective.gradient(b), ff.loss_gradient(b, RECOVERY_SPEC, intl_obs))
+    objective.value(a)
+    assert np.array_equal(objective.gradient(a), ff.loss_gradient(a, RECOVERY_SPEC, intl_obs))

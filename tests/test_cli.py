@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -241,6 +242,26 @@ class TestConfigAndEnvironment:
         report = json.loads((out / "run_report.json").read_text())
         assert report["config"]["optimizer"]["n_starts"] == 1
 
+    @pytest.mark.parametrize("config, message", [
+        ({"optimizer": [1]}, "'optimizer' must be an object"),
+        ({"formats": 5}, "'formats' must be a string or a list of strings"),
+        ({"optimizer": {"n_starts": "8"}}, "'optimizer.n_starts' must be an integer"),
+        ({"uncertainty": {"level": None}}, "'uncertainty.level' must be a number"),
+        ({"robustness": {"cutoffs": [1995, "2000"]}}, "must be a list of integers"),
+        ({"jobs": True}, "'jobs' must be an integer"),
+    ])
+    def test_config_value_of_wrong_type_exits_1(self, data_csv, tmp_path, capsys,
+                                                config, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        code = run_cli(["fit", "--config", str(path), "--data", str(data_csv),
+                        "--out", str(tmp_path / "out"), *FAST])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_out_dir_env_default(self, data_csv, tmp_path, monkeypatch):
         monkeypatch.setenv("FLOWFIT_OUT_DIR", str(tmp_path / "from_env"))
         monkeypatch.chdir(tmp_path)
@@ -265,6 +286,30 @@ class TestReport:
         assert report["grid_summary"]["best_spec_aic"] == label
         assert (out / "grid.csv").exists()
         assert (out / "truncation.csv").exists()
+
+
+    def test_report_fit_is_the_grid_row(self, data_csv, tmp_path):
+        out = tmp_path / "report"
+        code = run_cli(["report", "--data", str(data_csv), "--out", str(out), "--seed", "3",
+                        "--n-starts", "2", "--max-iter", "200", "--n-draws", "200",
+                        "--truncation-starts", "1990", "--cutoffs", "1995"])
+        assert code in (0, 2)
+        report = json.loads((out / "run_report.json").read_text())
+        picked = report["spec"]
+        with (out / "grid.csv").open() as handle:
+            rows = list(csv.DictReader(handle))
+        (row,) = [r for r in rows
+                  if (int(r["deg_gamma"]), int(r["deg_rho"]), r["forcing"] == "intl")
+                  == (picked["deg_gamma"], picked["deg_rho"], picked["forcing"])]
+        assert report["fit"]["sse"] == float(row["sse"])
+        assert report["fit"]["converged"] == (row["converged"] == "True")
+
+    def test_report_on_unfittable_spec_exits_1_with_reason(self, data_csv, tmp_path, capsys):
+        code = run_cli(["report", "--data", str(data_csv), "--spec", "0,0,intl",
+                        "--out", str(tmp_path / "r"), "--n-starts", "1", "--max-iter", "20",
+                        "--truncation-starts", "1990", "--cutoffs", "1995"])
+        assert code == 1
+        assert "forcing requires a p_intl series" in capsys.readouterr().err
 
 
 class TestDeterminism:

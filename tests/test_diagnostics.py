@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from flowfit import (
     FitOptions,
+    ModelSpec,
     ObservedSeries,
     YearGrid,
     default_starts,
@@ -18,6 +19,7 @@ from flowfit import (
     simulate,
     truncation_study,
 )
+from flowfit import diagnostics
 
 from _reference import N_TOTAL, PREFERRED_SSE
 from _scenarios import RECOVERY_SPEC, RECOVERY_THETA, recovery_scenario
@@ -201,3 +203,35 @@ class TestRollingOriginHindcast:
         assert clean.rmse_pooled == dirty.rmse_pooled
         assert clean.predictions[0].m_pred == dirty.predictions[0].m_pred
         assert clean.predictions[0].p_pred == dirty.predictions[0].p_pred
+
+
+def hand_coded_next_year(window, spec, theta, rescale, full_grid):
+    """The one-step update written out by hand: the oracle for ``_predict_next_year``."""
+    scale_grid = full_grid if rescale == "full" else window.grid
+    traj = eval_param_trajectories(theta, spec, scale_grid, years=window.grid.years)
+    sim = simulate(window, traj, spec)
+    next_traj = eval_param_trajectories(theta, spec, scale_grid,
+                                        years=np.array([window.grid.t_max + 1]))
+    b_last = float(window.b[-1])
+    stock_m_next = sim.stock_m[-1] + traj.rho_bm[-1] * b_last - sim.flow_m[-1]
+    stock_p_next = (sim.stock_p[-1] + traj.rho_bp[-1] * b_last
+                    + traj.rho_mp[-1] * sim.flow_m[-1] - sim.flow_p[-1])
+    if spec.forcing:
+        stock_p_next += traj.lam * float(window.p_intl[-1])
+    return float(next_traj.gamma_m[0] * stock_m_next), float(next_traj.gamma_p[0] * stock_p_next)
+
+
+@pytest.mark.parametrize("forcing", [False, True])
+@pytest.mark.parametrize("rescale", ["window", "full"])
+def test_predict_next_year_is_the_recurrence_one_year_on(rescale, forcing):
+    obs, _ = generate(recovery_scenario(p_intl=True, noise_sd=0.02, seed=2))
+    spec = ModelSpec(2, 2, forcing=forcing)
+    rng = np.random.default_rng(21)
+    for cutoff in (1975, 1995, 2016):
+        window = obs.window(obs.grid.t_min, cutoff)
+        for _ in range(5):
+            theta = rng.normal(0.0, 0.5, spec.n_params)
+            theta[:RECOVERY_THETA.size] += RECOVERY_THETA
+            got = diagnostics._predict_next_year(window, spec, theta, rescale, obs.grid)
+            want = hand_coded_next_year(window, spec, theta, rescale, obs.grid)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
