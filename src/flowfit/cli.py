@@ -227,6 +227,8 @@ class Settings:
     def __init__(self, args: argparse.Namespace, config: dict):
         self._args = vars(args)
         self._config = config
+        # Every command writes reports, so the formats are checked before any runs.
+        self._formats = self._resolve_formats()
 
     def get(self, name: str, default=None):
         value = self._args.get(name)
@@ -253,13 +255,20 @@ class Settings:
         )
 
     def uncertainty(self) -> tuple[int, float, int]:
-        return (
-            int(self._pick("uncertainty", "n_draws", "n_draws", 4000)),
-            float(self._pick("uncertainty", "level", "level", 0.95)),
-            int(self._pick("uncertainty", "draw_seed", "seed", 0)),
-        )
+        n_draws = int(self._pick("uncertainty", "n_draws", "n_draws", 4000))
+        level = float(self._pick("uncertainty", "level", "level", 0.95))
+        if n_draws < 2:
+            raise CliError(f"n_draws must be at least 2, got {n_draws}")
+        if not 0.0 < level < 1.0:
+            raise CliError(f"level must lie strictly inside (0, 1), got {level}")
+        return n_draws, level, int(self._pick("uncertainty", "draw_seed", "seed", 0))
 
-    def robustness(self, grid) -> tuple[list[int], list[int], str]:
+    def robustness(self, grid, spec: Optional[ModelSpec] = None) -> tuple[list[int], list[int], str]:
+        """Truncation start years, hindcast cutoffs and rescaling, checked against ``grid``.
+
+        Without ``spec`` the start years are checked only against the grid,
+        not for leaving enough years for the spec's parameters.
+        """
         section = self._config.get("robustness", {})
         starts = self._args.get("truncation_starts")
         if starts is not None:
@@ -280,12 +289,18 @@ class Settings:
                     "no default hindcast cutoffs fall inside the data window; pass --cutoffs"
                 )
         rescale = self._args.get("rescale") or section.get("rescale", "window")
+        diagnostics.check_rescale(rescale)
+        diagnostics.check_truncation_starts(grid, starts, spec)
+        diagnostics.check_cutoffs(grid, cutoffs)
         return starts, cutoffs, rescale
 
     def out_dir(self) -> Path:
         return Path(self.get("out", os.environ.get(OUT_DIR_ENV, ".")))
 
     def formats(self) -> tuple[str, ...]:
+        return self._formats
+
+    def _resolve_formats(self) -> tuple[str, ...]:
         raw = self.get("formats")
         if raw is None:
             return ("csv", "json")
@@ -355,10 +370,17 @@ def _fit_bundle(settings: Settings, command: str, obs: ObservedSeries, spec: Mod
     return bundle
 
 
+def _check_fittable(spec: ModelSpec, obs: ObservedSeries) -> None:
+    reason = selection.unfittable_reason(spec, obs)
+    if reason is not None:
+        raise CliError(f"spec {spec.label()} cannot be fitted: {reason}")
+
+
 def _fit_one_spec(settings: Settings) -> ReportBundle:
     """Load the data and fit the one spec of ``fit``, ``diagnose`` and ``bands``."""
     spec = settings.spec()
     obs = load_series(settings.data_path())
+    _check_fittable(spec, obs)
     opts = settings.optimizer()
     starts = estimation.default_starts(spec, obs, n_starts=opts.n_starts, seed=opts.seed)
     fit = estimation.minimize_bfgs(spec, obs, starts, opts)
@@ -382,8 +404,8 @@ def _cmd_fit(settings: Settings) -> int:
 
 
 def _cmd_bands(settings: Settings) -> int:
-    bundle = _fit_one_spec(settings)
     n_draws, level, draw_seed = settings.uncertainty()
+    bundle = _fit_one_spec(settings)
     bundle.config_echo["uncertainty"] = {"n_draws": n_draws, "level": level, "seed": draw_seed}
     if bundle.fit.converged:
         _add_bands(bundle, n_draws, level, draw_seed)
@@ -413,8 +435,9 @@ def _cmd_grid(settings: Settings) -> int:
 def _cmd_robust(settings: Settings) -> int:
     spec = settings.spec()
     obs = load_series(settings.data_path())
+    _check_fittable(spec, obs)
     opts = settings.optimizer()
-    starts, cutoffs, rescale = settings.robustness(obs.grid)
+    starts, cutoffs, rescale = settings.robustness(obs.grid, spec)
     rows = diagnostics.truncation_study(obs, spec, starts, opts, rescale=rescale)
     hindcast = diagnostics.rolling_origin_hindcast(obs, spec, cutoffs, opts, rescale=rescale)
     bundle = ReportBundle(
@@ -463,9 +486,14 @@ def _cmd_synth(settings: Settings) -> int:
 
 
 def _cmd_report(settings: Settings) -> int:
-    obs = load_series(settings.data_path())
-    opts = settings.optimizer()
+    # Every setting is resolved and checked before the grid runs.
     spec = settings.spec() if settings.get("spec") is not None else None
+    n_draws, level, draw_seed = settings.uncertainty()
+    obs = load_series(settings.data_path())
+    if spec is not None:
+        _check_fittable(spec, obs)
+    opts = settings.optimizer()
+    trunc_starts, cutoffs, rescale = settings.robustness(obs.grid, spec)
     jobs = int(settings.get("jobs", 1))
     use_n_eff = bool(settings.get("use_n_eff", False))
     entries = selection.run_grid(obs, opts, use_n_eff=use_n_eff, jobs=jobs)
@@ -475,12 +503,9 @@ def _cmd_report(settings: Settings) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    # The grid has fitted every spec it could; report that fit.
+        diagnostics.check_truncation_starts(obs.grid, trunc_starts, spec)
+    # The grid has fitted every spec it could, this one included; report that fit.
     entry = next(e for e in entries if e.spec == spec)
-    if entry.fit is None:
-        raise CliError(f"spec {spec.label()} was not fitted: {entry.reason}")
-    n_draws, level, draw_seed = settings.uncertainty()
-    trunc_starts, cutoffs, rescale = settings.robustness(obs.grid)
     bundle = _fit_bundle(settings, "report", obs, spec, entry.fit, opts,
                          jobs=jobs, use_n_eff=use_n_eff,
                          uncertainty={"n_draws": n_draws, "level": level, "seed": draw_seed},

@@ -10,6 +10,7 @@ bytes.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,7 +58,11 @@ def load_series(path) -> ObservedSeries:
     path = Path(path)
     if not path.exists():
         raise DataError(f"data file not found: {path}")
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    with io.StringIO(text, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -106,9 +111,11 @@ def load_series(path) -> ObservedSeries:
     if len(rows) < 2:
         raise DataError(f"{path}: need at least two data rows, got {len(rows)}")
     years = sorted(rows)
-    gaps = [y for y in range(years[0], years[-1] + 1) if y not in rows]
+    # Missing runs between consecutive years, so a wide span costs nothing.
+    gaps = [str(a + 1) if b - a == 2 else f"{a + 1}-{b - 1}"
+            for a, b in zip(years, years[1:]) if b - a > 1]
     if gaps:
-        raise DataError(f"{path}: year grid has gaps: {', '.join(str(y) for y in gaps)}")
+        raise DataError(f"{path}: year grid has gaps: {', '.join(gaps)}")
     grid = YearGrid(years[0], years[-1])
     try:
         return ObservedSeries(

@@ -26,6 +26,7 @@ from .model import (
     ModelSpec,
     ObservedSeries,
     SimulationResult,
+    YearGrid,
     eval_param_trajectories,
     initialize_stocks,
     run_recurrence,
@@ -147,6 +148,34 @@ def _refit_window(
     return minimize_bfgs(spec, window, starts, options, scale_grid=scale_grid)
 
 
+def check_rescale(rescale: str) -> None:
+    if rescale not in ("window", "full"):
+        raise ValueError("rescale must be 'window' or 'full'")
+
+
+def check_truncation_starts(
+    grid: YearGrid, start_years: Sequence[int], spec: Optional[ModelSpec] = None
+) -> None:
+    """Reject start years outside ``grid`` or, given ``spec``, leaving too short a window."""
+    for start in start_years:
+        if start < grid.t_min or start > grid.t_max:
+            raise ValueError(f"start year {start} outside the grid")
+        n_years = grid.t_max - start + 1
+        if spec is not None and n_years < spec.n_params / 2 + 1:
+            raise ValueError(
+                f"window starting {start} has {n_years} years, too short for k={spec.n_params}"
+            )
+
+
+def check_cutoffs(grid: YearGrid, cutoffs: Sequence[int]) -> None:
+    """Reject hindcast cutoffs not strictly inside ``grid``."""
+    for cutoff in cutoffs:
+        if not grid.t_min < cutoff < grid.t_max:
+            raise ValueError(
+                f"cutoff {cutoff} must lie strictly inside ({grid.t_min}, {grid.t_max})"
+            )
+
+
 def truncation_study(
     obs: ObservedSeries,
     spec: ModelSpec,
@@ -162,18 +191,12 @@ def truncation_study(
     window (``rescale='full'`` keeps the full-sample time scaling
     instead).  Pooled log-RMSE uses N = 2 * window years.
     """
-    if rescale not in ("window", "full"):
-        raise ValueError("rescale must be 'window' or 'full'")
+    check_rescale(rescale)
+    check_truncation_starts(obs.grid, start_years, spec)
     opts = options or FitOptions()
     rows = []
     for idx, start in enumerate(start_years):
-        if start < obs.grid.t_min or start > obs.grid.t_max:
-            raise ValueError(f"start year {start} outside the grid")
         n_years = obs.grid.t_max - start + 1
-        if n_years < spec.n_params / 2 + 1:
-            raise ValueError(
-                f"window starting {start} has {n_years} years, too short for k={spec.n_params}"
-            )
         window = obs.window(start, obs.grid.t_max)
         fit = _refit_window(window, spec, opts, idx, rescale, obs.grid, warm_theta)
         rows.append(
@@ -206,17 +229,13 @@ def rolling_origin_hindcast(
     with trajectories extrapolated to T+1.  Reports per-series and pooled
     RMSE of the one-step log errors.
     """
-    if rescale not in ("window", "full"):
-        raise ValueError("rescale must be 'window' or 'full'")
+    check_rescale(rescale)
+    check_cutoffs(obs.grid, cutoffs)
     opts = options or FitOptions()
     predictions = []
     sq_m = []
     sq_p = []
     for idx, cutoff in enumerate(cutoffs):
-        if not obs.grid.t_min < cutoff < obs.grid.t_max:
-            raise ValueError(
-                f"cutoff {cutoff} must lie strictly inside ({obs.grid.t_min}, {obs.grid.t_max})"
-            )
         window = obs.window(obs.grid.t_min, cutoff)
         fit = _refit_window(window, spec, opts, idx, rescale, obs.grid, warm_theta)
         m_pred, p_pred = _predict_next_year(window, spec, fit.theta_hat, rescale, obs.grid)

@@ -10,25 +10,29 @@ Parameter uncertainty comes from the numerical Hessian at the optimum.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .model import (
+    TRAJECTORY_NAMES,
     ModelSpec,
     ObservedSeries,
     ParamTrajectories,
     SimulationResult,
     YearGrid,
+    _adjoint_sweep,
+    _annual_updates,
+    _clamped_logistic,
+    _linear_predictors,
+    _pull_back,
     eval_param_trajectories,
     eval_param_trajectories_batch,
-    iter_trajectories,
     logit,
-    simulate,
-    simulate_adjoint,
     simulate_batch,
-    trajectories_vjp,
 )
 
 # Each year with a non-positive or non-finite implied flow adds this to the
@@ -150,60 +154,119 @@ def _penalized_sse(r_m: np.ndarray, r_p: np.ndarray, n_invalid: np.ndarray) -> n
 
 @dataclass
 class _Forward:
-    """One scalar evaluation of :func:`loss` and the state its gradient reuses."""
+    """One scalar evaluation of :func:`loss` and the state its gradient reuses.
+
+    Everything but ``theta`` and ``traj`` is a Python float or a list of
+    them; the residual lists cover the counted years and year 0 (as 0).
+    """
 
     theta: np.ndarray
     value: float
     traj: ParamTrajectories
-    sim: SimulationResult
-    r_m: np.ndarray
-    r_p: np.ndarray
+    rho_mp: list[float]
+    gamma_m: list[float]
+    gamma_p: list[float]
+    stock_m: list[float]
+    stock_p: list[float]
+    flow_m: list[float]
+    flow_p: list[float]
+    r_m: list[float]
+    r_p: list[float]
 
 
-def _forward(
-    theta: np.ndarray,
-    spec: ModelSpec,
-    obs: ObservedSeries,
-    scale_grid: Optional[YearGrid] = None,
-) -> _Forward:
-    """Trajectories, simulation, counted residuals and loss at one point."""
-    theta = np.array(theta, dtype=float)
-    traj = eval_param_trajectories(
-        theta, spec, scale_grid if scale_grid is not None else obs.grid, years=obs.grid.years
-    )
-    sim = simulate(obs, traj, spec)
-    r_m, r_p, n_invalid = _counted_residuals(obs, sim.flow_m[:, None], sim.flow_p[:, None])
-    value = float(_penalized_sse(r_m, r_p, n_invalid)[0])
-    return _Forward(theta=theta, value=value, traj=traj, sim=sim, r_m=r_m[:, 0], r_p=r_p[:, 0])
+class _Objective:
+    """:func:`loss` and its exact gradient for one fit, sharing forward passes.
 
-
-def _reverse(
-    state: _Forward,
-    spec: ModelSpec,
-    obs: ObservedSeries,
-    scale_grid: Optional[YearGrid] = None,
-) -> np.ndarray:
-    """Exact gradient of :func:`loss` at ``state.theta`` by one reverse sweep.
-
-    Only the counted years carry residuals: the sweep starts at the last
-    valid year, and the per-invalid-year penalty, a step function, adds
-    nothing.
+    The per-fit data are turned into lists once.  ``value`` keeps the point
+    and forward state of its last call.  ``gradient`` at that point runs
+    only the reverse sweep; at any other point it runs the forward pass
+    first.  BFGS asks for the gradient at the point its line search
+    accepted last, so each iteration's gradient costs one reverse sweep.
     """
-    sim = state.sim
-    valid = _valid_flows(sim.flow_m, sim.flow_p)
-    stop = valid.size if valid.all() else int(np.argmin(valid))
-    # d(r^2)/d(flow) = -2 r / flow, with r = log(observed) - log(flow).
-    flow_m_bar = -2.0 * state.r_m[:stop] / sim.flow_m[:stop]
-    flow_p_bar = -2.0 * state.r_p[:stop] / sim.flow_p[:stop]
-    traj_bar = simulate_adjoint(obs, state.traj, spec, sim, flow_m_bar, flow_p_bar)
-    return trajectories_vjp(
-        state.theta,
-        state.traj,
-        traj_bar,
-        spec,
-        scale_grid if scale_grid is not None else obs.grid,
-        years=obs.grid.years,
-    )
+
+    def __init__(self, spec: ModelSpec, obs: ObservedSeries, scale_grid: Optional[YearGrid]):
+        if spec.forcing and obs.p_intl is None:
+            raise ValueError("forcing specification requires the p_intl series")
+        self.spec = spec
+        # Trajectories at the data's years on the (possibly wider) rescaling grid.
+        self.grid = obs.grid if scale_grid is None else scale_grid
+        self.years = None if scale_grid is None else obs.grid.years
+        self.b = obs.b.tolist()
+        self.log_m = np.log(obs.m).tolist()
+        self.log_p = np.log(obs.p).tolist()
+        self.m0 = float(obs.m[0])
+        self.p0 = float(obs.p[0])
+        self.p_intl = obs.p_intl.tolist() if spec.forcing else None
+        self._last: Optional[_Forward] = None
+
+    def _forward(self, theta: np.ndarray) -> _Forward:
+        """Trajectories, recurrence, counted log residuals and loss at one point."""
+        theta = np.array(theta, dtype=float)
+        traj = eval_param_trajectories(theta, self.spec, self.grid, years=self.years)
+        rho_bm, rho_bp, rho_mp, gamma_m, gamma_p = (
+            getattr(traj, name).tolist() for name in TRAJECTORY_NAMES
+        )
+        forcing = None
+        if self.p_intl is not None:
+            lam = traj.lam
+            forcing = [lam * x for x in self.p_intl]
+        stock_m, stock_p, flow_m, flow_p = _annual_updates(
+            self.b, rho_bm, rho_bp, rho_mp, gamma_m, gamma_p, forcing,
+            self.m0 / gamma_m[0], self.p0 / gamma_p[0],
+        )
+        # A year counts while both flows are finite and positive; the first
+        # invalid year ends the residual prefix, and every invalid year in
+        # the window is penalized.
+        # (The sum is nan or inf if any flow is; min() alone can miss a nan.)
+        if min(flow_m) > 0.0 and min(flow_p) > 0.0 and math.isfinite(sum(flow_m) + sum(flow_p)):
+            n_invalid = 0
+            stop = len(flow_m)
+        else:
+            valid = [0.0 < fm < math.inf and 0.0 < fp < math.inf
+                     for fm, fp in zip(flow_m, flow_p)]
+            n_invalid = valid.count(False)
+            stop = valid.index(False) if n_invalid else len(valid)
+        r_m = [0.0, *map(operator.sub, self.log_m[1:stop], map(math.log, flow_m[1:stop]))]
+        r_p = [0.0, *map(operator.sub, self.log_p[1:stop], map(math.log, flow_p[1:stop]))]
+        value = sum(map(operator.mul, r_m, r_m)) + sum(map(operator.mul, r_p, r_p))
+        return _Forward(
+            theta=theta, value=value + PENALTY_PER_INVALID_YEAR * n_invalid, traj=traj,
+            rho_mp=rho_mp, gamma_m=gamma_m, gamma_p=gamma_p,
+            stock_m=stock_m, stock_p=stock_p, flow_m=flow_m, flow_p=flow_p,
+            r_m=r_m[:stop], r_p=r_p[:stop],
+        )
+
+    def _reverse(self, state: _Forward) -> np.ndarray:
+        """Exact gradient of :func:`loss` at ``state.theta`` by one reverse sweep.
+
+        Only the counted years carry residuals: the sweep starts at the last
+        valid year, and the per-invalid-year penalty, a step function, adds
+        nothing.
+        """
+        # d(r^2)/d(flow) = -2 r / flow, with r = log(observed) - log(flow).  The
+        # sweep is linear in its flow adjoints, so it runs on r / flow and
+        # the factor -2, a power of two, is applied once at the end: exact.
+        flat_bar, lam_bar = _adjoint_sweep(
+            self.b, state.rho_mp, state.gamma_m, state.gamma_p, self.p_intl,
+            state.stock_m, state.stock_p, state.flow_m,
+            list(map(operator.truediv, state.r_m, state.flow_m)),
+            list(map(operator.truediv, state.r_p, state.flow_p)),
+        )
+        traj = state.traj
+        p = np.concatenate([getattr(traj, name) for name in TRAJECTORY_NAMES])
+        p_bar = np.fromiter(flat_bar, dtype=float, count=len(flat_bar))
+        p_bar *= -2.0
+        return _pull_back(state.theta, p, p_bar, traj.lam, -2.0 * lam_bar,
+                          self.spec, self.grid, self.years)
+
+    def value(self, theta: np.ndarray) -> float:
+        self._last = self._forward(theta)
+        return self._last.value
+
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        if self._last is None or not (theta == self._last.theta).all():
+            self.value(theta)
+        return self._reverse(self._last)
 
 
 def loss(
@@ -223,7 +286,7 @@ def loss(
     window than the data (used when refits on truncated windows should
     keep the full-sample rescaling).
     """
-    return _forward(theta, spec, obs, scale_grid).value
+    return _Objective(spec, obs, scale_grid).value(theta)
 
 
 def loss_gradient(
@@ -238,7 +301,7 @@ def loss_gradient(
     the gradient stays finite; its forcing entry is 0 at or below the
     forcing floor and where the forcing weight overflows.
     """
-    return _reverse(_forward(theta, spec, obs, scale_grid), spec, obs, scale_grid)
+    return _Objective(spec, obs, scale_grid).gradient(theta)
 
 
 def loss_batch(
@@ -389,12 +452,12 @@ def bfgs_minimize(
     h_inv = np.eye(n)
     n_iter = 0
     first_update = True
-    g_max = float(np.max(np.abs(g)))
+    g_max = float(np.abs(g).max())
     converged = g_max <= gtol
     while not converged and n_iter < max_iter:
         d = -h_inv @ g
         slope = float(g @ d)
-        if not np.isfinite(slope) or slope >= 0.0:
+        if not math.isfinite(slope) or slope >= 0.0:
             # Curvature information went bad; restart from steepest descent.
             h_inv = np.eye(n)
             d = -g
@@ -404,7 +467,7 @@ def bfgs_minimize(
         for _ in range(60):
             x_new = x + alpha * d
             f_new = f(x_new)
-            if np.isfinite(f_new) and f_new <= fx + 1e-4 * alpha * slope:
+            if math.isfinite(f_new) and f_new <= fx + 1e-4 * alpha * slope:
                 accepted = True
                 break
             alpha *= 0.5
@@ -418,17 +481,17 @@ def bfgs_minimize(
             # Scale the initial inverse Hessian before the first update.
             h_inv *= sy / float(y @ y)
             first_update = False
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        if sy > 1e-10 * math.sqrt(s @ s) * math.sqrt(y @ y):
             rho = 1.0 / sy
             hy = h_inv @ y
             yhy = float(y @ hy)
-            h_inv += np.outer(s, s) * (rho * rho * yhy + rho) - rho * (
-                np.outer(hy, s) + np.outer(s, hy)
-            )
+            # Outer products by broadcasting: np.outer's result, without its overhead.
+            s_col = s[:, None]
+            h_inv += s_col * s * (rho * rho * yhy + rho) - rho * (hy[:, None] * s + s_col * hy)
         n_iter += 1
         rel_decrease = (fx - f_new) / max(abs(fx), 1e-300)
         x, fx, g = x_new, f_new, g_new
-        g_max = float(np.max(np.abs(g)))
+        g_max = float(np.abs(g).max())
         if g_max <= gtol:
             converged = True
             break
@@ -466,32 +529,6 @@ def default_starts(
     for _ in range(n_starts - 1):
         starts.append(center + rng.normal(0.0, start_sd, size=center.size))
     return starts
-
-
-class _Objective:
-    """:func:`loss` and its exact gradient for one fit, sharing forward passes.
-
-    ``value`` keeps the point and forward state of its last call.
-    ``gradient`` at that point runs only the reverse sweep; at any other
-    point it runs the forward pass first.  BFGS asks for the gradient at
-    the point its line search accepted last, so each iteration's gradient
-    costs one reverse sweep.
-    """
-
-    def __init__(self, spec: ModelSpec, obs: ObservedSeries, scale_grid: Optional[YearGrid]):
-        self.spec = spec
-        self.obs = obs
-        self.scale_grid = scale_grid
-        self._last: Optional[_Forward] = None
-
-    def value(self, theta: np.ndarray) -> float:
-        self._last = _forward(theta, self.spec, self.obs, self.scale_grid)
-        return self._last.value
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        if self._last is None or not np.array_equal(theta, self._last.theta):
-            self.value(theta)
-        return _reverse(self._last, self.spec, self.obs, self.scale_grid)
 
 
 def minimize_bfgs(
@@ -606,9 +643,13 @@ def confidence_bands(
     """Pointwise empirical percentile bands for the parameter trajectories.
 
     Every draw is pushed through the same clamped logistic evaluation as
-    the simulation, so band values always lie strictly inside (0, 1).
-    Each trajectory is evaluated for all draws at once and reduced to its
-    percentiles before the next one is built.
+    the simulation, so band values always lie strictly inside (0, 1).  The
+    bands are ``np.quantile``'s (linear interpolation) of those values,
+    computed from order statistics: the clamped logistic never decreases,
+    so the k-th smallest trajectory value is the logistic of the k-th
+    smallest linear predictor.  Each year's predictors are sorted across
+    the draws (a vectorised sort, faster here than a partition), and only
+    the two order statistics around each quantile go through the logistic.
     """
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 2 or draws.shape[0] < 2:
@@ -616,9 +657,25 @@ def confidence_bands(
     if not 0.0 < level < 1.0:
         raise ValueError("level must be inside (0, 1)")
     q_lo = (1.0 - level) / 2.0
-    q_hi = 1.0 - q_lo
+    # np.quantile's virtual index (n - 1) q, its floor and the next order
+    # statistic (the last one when q rounds to 1), and the weight g.
+    last = draws.shape[0] - 1
+    picks = []
+    for q in (q_lo, 1.0 - q_lo):
+        h = last * q
+        below = min(math.floor(h), last)
+        picks.append((below, min(below + 1, last), h - below))
+    columns = [i for below, above, _ in picks for i in (below, above)]
     lower = {}
     upper = {}
-    for name, values in iter_trajectories(draws, spec, grid):
-        lower[name], upper[name] = np.quantile(values, (q_lo, q_hi), axis=1)
+    for name, eta in _linear_predictors(draws, spec, grid):
+        values = _clamped_logistic(np.sort(eta, axis=1)[:, columns])
+        bands = []
+        for j, (_, _, g) in enumerate(picks):
+            a = values[:, 2 * j]
+            b = values[:, 2 * j + 1]
+            d = b - a
+            # np.quantile's interpolation, which switches form at g = 0.5.
+            bands.append(b - d * (1.0 - g) if g >= 0.5 else a + d * g)
+        lower[name], upper[name] = bands
     return TrajectoryBands(level=level, lower=lower, upper=upper)

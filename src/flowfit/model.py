@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -228,7 +229,9 @@ def inv_logit(y):
 def _clamped_logistic(eta: np.ndarray) -> np.ndarray:
     """Logistic of ``eta`` clamped to [LOGISTIC_CLAMP, 1 - LOGISTIC_CLAMP], in place."""
     out = _logistic_two_branch(eta)
-    return np.clip(out, LOGISTIC_CLAMP, 1.0 - LOGISTIC_CLAMP, out=out)
+    # np.clip's result (nan stays nan), without its Python-level overhead.
+    np.maximum(out, LOGISTIC_CLAMP, out=out)
+    return np.minimum(out, 1.0 - LOGISTIC_CLAMP, out=out)
 
 
 def _coefficient_blocks(spec: ModelSpec) -> dict[str, slice]:
@@ -242,34 +245,49 @@ def _coefficient_blocks(spec: ModelSpec) -> dict[str, slice]:
     return blocks
 
 
+@dataclass(frozen=True)
+class _Designs:
+    """Vandermonde designs of one (spec, grid, years), read-only.
+
+    ``blocks`` holds ``(name, coefficient slice, design)`` for each
+    trajectory; ``stacked`` is the ``(5 n_years, k)`` block design whose
+    product with a parameter vector gives the five linear predictors one
+    after another.
+    """
+
+    blocks: tuple[tuple[str, slice, np.ndarray], ...]
+    stacked: np.ndarray
+
+
 def _trajectory_designs(
     spec: ModelSpec, grid: YearGrid, years: Optional[Sequence[int]] = None
-) -> tuple[tuple[str, slice, np.ndarray], ...]:
-    """``(name, coefficient slice, Vandermonde design)`` for each trajectory.
+) -> _Designs:
+    """Designs of the five trajectories at ``years`` (default: the grid's own).
 
     The design's columns are 1, s, s^2, ... up to the block's degree, at the
-    rescaled ``years`` (default: the grid's own); blocks of one width share
-    one design.  Designs are built once per (spec, grid, years) and are
-    read-only.
+    rescaled years; blocks of one width share one design.  Designs are built
+    once per (spec, grid, years).
     """
     years_key = None if years is None else np.asarray(years, dtype=float).tobytes()
     return _designs_for(spec, grid, years_key)
 
 
 @functools.lru_cache(maxsize=64)
-def _designs_for(
-    spec: ModelSpec, grid: YearGrid, years_key: Optional[bytes]
-) -> tuple[tuple[str, slice, np.ndarray], ...]:
+def _designs_for(spec: ModelSpec, grid: YearGrid, years_key: Optional[bytes]) -> _Designs:
     s = rescale_time(grid.years if years_key is None else np.frombuffer(years_key), grid)
+    n = s.size
     designs: dict[int, np.ndarray] = {}
-    out = []
-    for name, block in _coefficient_blocks(spec).items():
+    blocks = []
+    stacked = np.zeros((len(TRAJECTORY_NAMES) * n, spec.n_params))
+    for row, (name, block) in enumerate(_coefficient_blocks(spec).items()):
         width = block.stop - block.start
         if width not in designs:
             designs[width] = np.vander(s, width, increasing=True)
             designs[width].flags.writeable = False
-        out.append((name, block, designs[width]))
-    return tuple(out)
+        blocks.append((name, block, designs[width]))
+        stacked[row * n:(row + 1) * n, block] = designs[width]
+    stacked.flags.writeable = False
+    return _Designs(blocks=tuple(blocks), stacked=stacked)
 
 
 def _forcing_weight(lambda_raw):
@@ -290,6 +308,23 @@ def _checked_theta(theta: np.ndarray, spec: ModelSpec) -> np.ndarray:
     return theta
 
 
+def _linear_predictors(
+    theta: np.ndarray,
+    spec: ModelSpec,
+    grid: YearGrid,
+    years: Optional[Sequence[int]] = None,
+) -> Iterator[tuple[str, np.ndarray]]:
+    """Yield ``(name, eta)`` for the five trajectories before the clamped logistic.
+
+    ``theta`` is one parameter vector (``eta`` of shape ``(n_years,)``) or a
+    ``(B, k)`` batch of them (``eta`` of shape ``(n_years, B)``, one column
+    per row of ``theta``), one Vandermonde product per trajectory.
+    """
+    theta = _checked_theta(theta, spec)
+    for name, block, design in _trajectory_designs(spec, grid, years).blocks:
+        yield name, design @ theta[..., block].T
+
+
 def iter_trajectories(
     theta: np.ndarray,
     spec: ModelSpec,
@@ -298,15 +333,12 @@ def iter_trajectories(
 ) -> Iterator[tuple[str, np.ndarray]]:
     """Yield ``(name, values)`` for the five parameter trajectories, one at a time.
 
-    ``theta`` is one parameter vector (values of shape ``(n_years,)``) or a
-    ``(B, k)`` batch of them (values of shape ``(n_years, B)``, one column
-    per row of ``theta``).  Each trajectory is one Vandermonde product and
-    one clamped logistic for the whole batch; yielding them one at a time
+    Shapes as in :func:`_linear_predictors`; each trajectory is one
+    clamped logistic for the whole batch, and yielding them one at a time
     lets a caller reduce each before the next is built.
     """
-    theta = _checked_theta(theta, spec)
-    for name, block, design in _trajectory_designs(spec, grid, years):
-        yield name, _clamped_logistic(design @ theta[..., block].T)
+    for name, eta in _linear_predictors(theta, spec, grid, years):
+        yield name, _clamped_logistic(eta)
 
 
 def eval_param_trajectories(
@@ -318,16 +350,18 @@ def eval_param_trajectories(
     """Evaluate the five parameter trajectories at the given years.
 
     ``grid`` anchors the time rescaling; ``years`` defaults to the grid
-    itself but may extend beyond it (polynomial extrapolation).
+    itself but may extend beyond it (polynomial extrapolation).  The five
+    linear predictors are one product with the stacked block design, so the
+    clamped logistic runs once for all of them; an infinite coefficient
+    therefore turns the other trajectories into ``nan`` (0 * inf).
     """
     if np.ndim(theta) != 1:
         raise ValueError(f"theta must be one parameter vector, got shape {np.shape(theta)}")
     theta = _checked_theta(theta, spec)
-    designs = _trajectory_designs(spec, grid, years)
-    # One (5, n_years) block, so the clamped logistic runs once for all five.
-    values = _clamped_logistic(np.array([design @ theta[block] for _, block, design in designs]))
+    stacked = _trajectory_designs(spec, grid, years).stacked
+    values = _clamped_logistic(stacked @ theta).reshape(len(TRAJECTORY_NAMES), -1)
     lam = float(_forcing_weight(float(theta[-1]))) if spec.forcing else 0.0
-    return ParamTrajectories(**dict(zip(TRAJECTORY_NAMES, values)), lam=lam)
+    return ParamTrajectories(*values, lam=lam)
 
 
 def eval_param_trajectories_batch(
@@ -362,22 +396,36 @@ def trajectories_vjp(
 
     ``traj`` is what :func:`eval_param_trajectories` gave for ``theta`` at
     ``years``, and ``traj_bar`` holds the adjoint (the derivative of some
-    scalar) of each of its arrays and of ``lam``.  The clamped logistic
-    has derivative p(1-p) strictly inside the clamp and 0 where the clip is
-    active; each block then goes back through the Vandermonde design of
-    the forward product.  The forcing entry is ``lam_bar * lam`` above
-    ``LAMBDA_RAW_FLOOR`` and 0 at or below the floor or once ``lam`` has
-    overflowed.
+    scalar) of each of its arrays and of ``lam``.
     """
-    p = np.array([getattr(traj, name) for name in TRAJECTORY_NAMES])
-    p_bar = np.array([getattr(traj_bar, name) for name in TRAJECTORY_NAMES])
+    p, p_bar = (np.concatenate([getattr(t, name) for name in TRAJECTORY_NAMES])
+                for t in (traj, traj_bar))
+    return _pull_back(theta, p, p_bar, traj.lam, traj_bar.lam, spec, grid, years)
+
+
+def _pull_back(
+    theta: np.ndarray,
+    p: np.ndarray,
+    p_bar: np.ndarray,
+    lam: float,
+    lam_bar: float,
+    spec: ModelSpec,
+    grid: YearGrid,
+    years: Optional[Sequence[int]],
+) -> np.ndarray:
+    """:func:`trajectories_vjp` on the five trajectories stacked into ``(5 n_years,)``.
+
+    The clamped logistic has derivative p(1-p) strictly inside the clamp
+    and 0 where the clip is active; the result then goes back through the
+    stacked design of the forward product in one product.  The forcing
+    entry is ``lam_bar * lam`` above ``LAMBDA_RAW_FLOOR`` and 0 at or below
+    the floor or once ``lam`` has overflowed.
+    """
     inside = (p > LOGISTIC_CLAMP) & (p < 1.0 - LOGISTIC_CLAMP)
     eta_bar = np.where(inside, p_bar * (p * (1.0 - p)), 0.0)
-    theta_bar = np.zeros(spec.n_params)
-    for row, (_, block, design) in zip(eta_bar, _trajectory_designs(spec, grid, years)):
-        theta_bar[block] = row @ design
-    if spec.forcing and float(theta[-1]) > LAMBDA_RAW_FLOOR and math.isfinite(traj.lam):
-        theta_bar[-1] = traj_bar.lam * traj.lam
+    theta_bar = eta_bar @ _trajectory_designs(spec, grid, years).stacked
+    if spec.forcing and float(theta[-1]) > LAMBDA_RAW_FLOOR and math.isfinite(lam):
+        theta_bar[-1] = lam_bar * lam
     return theta_bar
 
 
@@ -388,6 +436,46 @@ def initialize_stocks(obs: ObservedSeries, traj: ParamTrajectories) -> tuple[flo
     if m0 <= 0 or p0 <= 0:
         raise ValueError("first-year master's and PhD completions must be positive")
     return m0 / float(traj.gamma_m[0]), p0 / float(traj.gamma_p[0])
+
+
+def _annual_updates(
+    b: list[float],
+    rho_bm: list[float],
+    rho_bp: list[float],
+    rho_mp: list[float],
+    gamma_m: list[float],
+    gamma_p: list[float],
+    forcing: Optional[list[float]],
+    stock_m0: float,
+    stock_p0: float,
+) -> tuple[list[float], list[float], list[float], list[float]]:
+    """The annual update on Python floats: stocks and flows of every year.
+
+    Every argument but the initial stocks is a list of one length;
+    ``forcing`` holds the forcing terms ``lam * p_intl`` or is None.
+    Returns the lists ``stock_m, stock_p, flow_m, flow_p``.
+    """
+    stock_m = []
+    stock_p = []
+    flow_m = []
+    flow_p = []
+    sm = stock_m0
+    sp = stock_p0
+    # The update after the last year is computed and dropped.
+    for b_i, rbm, rbp, rmp, gm, gp, f in zip(
+        b, rho_bm, rho_bp, rho_mp, gamma_m, gamma_p, repeat(None) if forcing is None else forcing
+    ):
+        fm = gm * sm
+        fp = gp * sp
+        stock_m.append(sm)
+        stock_p.append(sp)
+        flow_m.append(fm)
+        flow_p.append(fp)
+        sp = sp + rbp * b_i + rmp * fm - fp
+        if f is not None:
+            sp += f
+        sm = sm + rbm * b_i - fm
+    return stock_m, stock_p, flow_m, flow_p
 
 
 def run_recurrence(
@@ -405,43 +493,69 @@ def run_recurrence(
     (plus the forcing term when a proxy series is supplied) and loses its
     own completions.  Flows satisfy flow = hazard * stock exactly.
     """
-    n = len(b)
     # Scalar float arithmetic in the loop; numpy scalars are much slower here.
-    b_l = [float(x) for x in b]
-    rbm = traj.rho_bm.tolist()
-    rbp = traj.rho_bp.tolist()
-    rmp = traj.rho_mp.tolist()
-    gm = traj.gamma_m.tolist()
-    gp = traj.gamma_p.tolist()
-    forcing_l = None
+    forcing = None
     if p_intl is not None:
         lam = traj.lam
-        forcing_l = [lam * float(x) for x in p_intl]
-
-    stock_m = [0.0] * n
-    stock_p = [0.0] * n
-    flow_m = [0.0] * n
-    flow_p = [0.0] * n
-    sm = float(stock_m0)
-    sp = float(stock_p0)
-    for i in range(n):
-        fm = gm[i] * sm
-        fp = gp[i] * sp
-        stock_m[i] = sm
-        stock_p[i] = sp
-        flow_m[i] = fm
-        flow_p[i] = fp
-        if i + 1 < n:
-            sp = sp + rbp[i] * b_l[i] + rmp[i] * fm - fp
-            if forcing_l is not None:
-                sp += forcing_l[i]
-            sm = sm + rbm[i] * b_l[i] - fm
-    return SimulationResult(
-        stock_m=np.array(stock_m),
-        stock_p=np.array(stock_p),
-        flow_m=np.array(flow_m),
-        flow_p=np.array(flow_p),
+        forcing = [lam * float(x) for x in p_intl]
+    lists = _annual_updates(
+        [float(x) for x in b],
+        *(getattr(traj, name).tolist() for name in TRAJECTORY_NAMES),
+        forcing,
+        float(stock_m0),
+        float(stock_p0),
     )
+    return SimulationResult(*(np.array(values) for values in lists))
+
+
+def _adjoint_sweep(
+    b: list[float],
+    rho_mp: list[float],
+    gamma_m: list[float],
+    gamma_p: list[float],
+    p_intl: Optional[list[float]],
+    stock_m: list[float],
+    stock_p: list[float],
+    flow_m: list[float],
+    flow_m_bar: list[float],
+    flow_p_bar: list[float],
+) -> tuple[list[float], float]:
+    """Reverse sweep of :func:`_annual_updates` and the initial stocks, on Python floats.
+
+    The flow adjoints cover the first ``len(flow_m_bar)`` years; the sweep
+    runs from the last of them back to year 0.  Returns the adjoints of
+    the five trajectories as one flat list of ``5 n`` floats, in
+    ``TRAJECTORY_NAMES`` order and zero past the swept years, and the
+    adjoint of the forcing weight.
+    """
+    n = len(b)
+    stop = len(flow_m_bar)
+    rbm_bar = [0.0] * n
+    rbp_bar = [0.0] * n
+    rmp_bar = [0.0] * n
+    gm_bar = [0.0] * n
+    gp_bar = [0.0] * n
+    lam_bar = 0.0
+    # Adjoints of the stocks one year ahead of year i.
+    am = 0.0
+    ap = 0.0
+    for i in range(stop - 1, -1, -1):
+        g_fm = flow_m_bar[i] + ap * rho_mp[i] - am
+        g_fp = flow_p_bar[i] - ap
+        rbm_bar[i] = am * b[i]
+        rbp_bar[i] = ap * b[i]
+        rmp_bar[i] = ap * flow_m[i]
+        if p_intl is not None:
+            lam_bar += ap * p_intl[i]
+        gm_bar[i] = g_fm * stock_m[i]
+        gp_bar[i] = g_fp * stock_p[i]
+        am += g_fm * gamma_m[i]
+        ap += g_fp * gamma_p[i]
+    if stop:
+        # stock_m0 = m0 / gamma_m[0], so d stock_m0 / d gamma_m[0] = -stock_m0 / gamma_m[0].
+        gm_bar[0] -= am * stock_m[0] / gamma_m[0]
+        gp_bar[0] -= ap * stock_p[0] / gamma_p[0]
+    return rbm_bar + rbp_bar + rmp_bar + gm_bar + gp_bar, lam_bar
 
 
 def simulate_adjoint(
@@ -468,50 +582,19 @@ def simulate_adjoint(
     stop = len(flow_m_bar)
     if len(flow_p_bar) != stop or stop > n:
         raise ValueError(f"flow adjoints must cover the same leading years of the {n}-year grid")
-    b = obs.b.tolist()
-    rmp = traj.rho_mp.tolist()
-    gm = traj.gamma_m.tolist()
-    gp = traj.gamma_p.tolist()
-    sm = sim.stock_m.tolist()
-    sp = sim.stock_p.tolist()
-    fm = sim.flow_m.tolist()
-    fm_bar = np.asarray(flow_m_bar, dtype=float).tolist()
-    fp_bar = np.asarray(flow_p_bar, dtype=float).tolist()
-    p_intl = obs.p_intl.tolist() if spec.forcing else None
-
-    rbm_bar = [0.0] * n
-    rbp_bar = [0.0] * n
-    rmp_bar = [0.0] * n
-    gm_bar = [0.0] * n
-    gp_bar = [0.0] * n
-    lam_bar = 0.0
-    # Adjoints of the stocks one year ahead of year i.
-    am = 0.0
-    ap = 0.0
-    for i in range(stop - 1, -1, -1):
-        g_fm = fm_bar[i] + ap * rmp[i] - am
-        g_fp = fp_bar[i] - ap
-        rbm_bar[i] = am * b[i]
-        rbp_bar[i] = ap * b[i]
-        rmp_bar[i] = ap * fm[i]
-        if p_intl is not None:
-            lam_bar += ap * p_intl[i]
-        gm_bar[i] = g_fm * sm[i]
-        gp_bar[i] = g_fp * sp[i]
-        am += g_fm * gm[i]
-        ap += g_fp * gp[i]
-    if stop:
-        # stock_m0 = m0 / gamma_m[0], so d stock_m0 / d gamma_m[0] = -stock_m0 / gamma_m[0].
-        gm_bar[0] -= am * sm[0] / gm[0]
-        gp_bar[0] -= ap * sp[0] / gp[0]
-    return ParamTrajectories(
-        rho_bm=np.array(rbm_bar),
-        rho_bp=np.array(rbp_bar),
-        rho_mp=np.array(rmp_bar),
-        gamma_m=np.array(gm_bar),
-        gamma_p=np.array(gp_bar),
-        lam=lam_bar,
+    flat, lam_bar = _adjoint_sweep(
+        obs.b.tolist(),
+        traj.rho_mp.tolist(),
+        traj.gamma_m.tolist(),
+        traj.gamma_p.tolist(),
+        obs.p_intl.tolist() if spec.forcing else None,
+        sim.stock_m.tolist(),
+        sim.stock_p.tolist(),
+        sim.flow_m.tolist(),
+        np.asarray(flow_m_bar, dtype=float).tolist(),
+        np.asarray(flow_p_bar, dtype=float).tolist(),
     )
+    return ParamTrajectories(*np.array(flat).reshape(len(TRAJECTORY_NAMES), n), lam=lam_bar)
 
 
 def simulate(obs: ObservedSeries, traj: ParamTrajectories, spec: ModelSpec) -> SimulationResult:

@@ -78,6 +78,13 @@ def _fit_one(args) -> tuple[int, FitResult]:
     return index, minimize_bfgs(spec, obs, starts, options)
 
 
+def unfittable_reason(spec: ModelSpec, obs: ObservedSeries) -> Optional[str]:
+    """Why ``spec`` cannot be fitted to ``obs``, or None if it can."""
+    if spec.forcing and obs.p_intl is None:
+        return "forcing requires a p_intl series"
+    return None
+
+
 def run_grid(
     obs: ObservedSeries,
     options: Optional[FitOptions] = None,
@@ -103,13 +110,9 @@ def run_grid(
     entries: dict[int, GridEntry] = {}
     tasks = []
     for index, spec in enumerate(specs):
-        if spec.forcing and obs.p_intl is None:
-            entries[index] = GridEntry(
-                spec=spec,
-                k=spec.n_params,
-                status="skipped",
-                reason="forcing requires a p_intl series",
-            )
+        reason = unfittable_reason(spec, obs)
+        if reason is not None:
+            entries[index] = GridEntry(spec=spec, k=spec.n_params, status="skipped", reason=reason)
         else:
             tasks.append((index, spec, obs, opts))
 

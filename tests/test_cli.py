@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from flowfit import YearGrid, diagnostics, estimation, generate, run_cli, write_series
+from flowfit import YearGrid, diagnostics, estimation, generate, run_cli, selection, write_series
 
 from _scenarios import RECOVERY_THETA, recovery_scenario
 
@@ -310,6 +310,63 @@ class TestReport:
                         "--truncation-starts", "1990", "--cutoffs", "1995"])
         assert code == 1
         assert "forcing requires a p_intl series" in capsys.readouterr().err
+
+
+class TestSettingsCheckedBeforeFitting:
+    """A bad setting exits 1 with a message before the grid or the fit runs."""
+
+    BAD = [
+        (["--formats", "xml"], "unknown format 'xml'"),
+        (["--level", "1.5"], "level must lie strictly inside (0, 1)"),
+        (["--level", "0"], "level must lie strictly inside (0, 1)"),
+        (["--n-draws", "1"], "n_draws must be at least 2"),
+        (["--spec", "0,0,intl"], "forcing requires a p_intl series"),
+    ]
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("fitting started before the settings were checked")
+
+    @pytest.mark.parametrize("flags, message", BAD + [
+        (["--cutoffs", "1800"], "cutoff 1800 must lie strictly inside (1985, 2004)"),
+        (["--cutoffs", "2004"], "cutoff 2004 must lie strictly inside"),
+        (["--truncation-starts", "1700"], "start year 1700 outside the grid"),
+        (["--truncation-starts", "2003"], "window starting 2003 has 2 years, too short for k=15"),
+    ])
+    def test_report(self, data_csv, tmp_path, monkeypatch, capsys, flags, message):
+        monkeypatch.setattr(selection, "run_grid", self.refuse)
+        argv = ["report", "--data", str(data_csv), "--out", str(tmp_path / "r"),
+                "--spec", "2,2,none", "--truncation-starts", "1990", "--cutoffs", "1995"]
+        assert run_cli(argv + flags) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    def test_report_config_rescale(self, data_csv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(selection, "run_grid", self.refuse)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"robustness": {"rescale": "sideways"}}))
+        code = run_cli(["report", "--data", str(data_csv), "--config", str(config),
+                        "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "rescale must be 'window' or 'full'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", BAD)
+    def test_bands(self, data_csv, tmp_path, monkeypatch, capsys, flags, message):
+        monkeypatch.setattr(estimation, "minimize_bfgs", self.refuse)
+        code = run_cli(["bands", "--data", str(data_csv), "--out", str(tmp_path / "b"), *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_bad_level_on_unconverged_fit_exits_1(self, data_csv, tmp_path, capsys):
+        # Without the up-front check the bands were skipped and this exited 2.
+        code = run_cli(["bands", "--data", str(data_csv), "--out", str(tmp_path / "b"),
+                        "--n-starts", "1", "--max-iter", "0", "--level", "1.5"])
+        assert code == 1
+        assert "level must lie strictly inside (0, 1)" in capsys.readouterr().err
 
 
 class TestDeterminism:
