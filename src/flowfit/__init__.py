@@ -20,7 +20,6 @@ from .model import (
     simulate_adjoint,
     simulate_batch,
     theta_labels,
-    trajectories_vjp,
 )
 from .estimation import (
     FitOptions,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -33,6 +34,12 @@ OUT_DIR_ENV = "FLOWFIT_OUT_DIR"
 DEFAULT_SPEC = "2,2,none"
 DEFAULT_CUTOFFS = (1990, 1995, 2000, 2005, 2010, 2015)
 TRUNCATION_OFFSETS = (5, 10, 15)
+
+# Upper bounds on the work and memory one run may ask for: the bands of
+# MAX_N_DRAWS draws on 49 years take about 100 MB.
+MAX_N_DRAWS = 100_000
+MAX_N_STARTS = 1000
+MAX_ITER = 100_000
 
 _FORCING_TOKENS = {
     "none": False, "no": False, "n": False, "false": False, "0": False,
@@ -74,81 +81,76 @@ def _int_list(text: str) -> list[int]:
         raise CliError(f"expected comma-separated years, got {text!r}") from None
 
 
+# Stages of the data commands, in the order a run takes them.  ``grid``
+# fits and ranks every spec, ``fit`` fits one (or takes the grid's fit),
+# ``bands`` adds curvature-based bands and ``robust`` runs the truncation
+# and hindcast refits.
+STAGES = ("grid", "fit", "bands", "robust")
+
+# Each command's stages and help line.  ``synth`` reads a scenario, not
+# data, so it has no stages and a function of its own.
+COMMANDS = {
+    "fit": (("fit",), "fit a single specification"),
+    "grid": (("grid",), "fit and rank the 18-specification grid"),
+    "bands": (("fit", "bands"), "fit, quantify uncertainty, emit trajectory bands"),
+    "diagnose": (("fit",), "fit and report residual diagnostics"),
+    "robust": (("robust",), "start-year truncation and rolling-origin hindcast"),
+    "synth": (None, "generate synthetic data from a scenario file"),
+    "report": (STAGES, "grid, best-spec fit, bands, diagnostics, robustness"),
+}
+
+# Every data command fits, so every one takes the optimizer flags.
+_OPTIMIZER_FLAGS = (
+    ("--n-starts", dict(type=int, help="multi-start count (default 8)")),
+    ("--seed", dict(type=int, help="base seed for starts (default 0)")),
+    ("--max-iter", dict(type=int, help="iteration cap per start (default 2000)")),
+    ("--gtol", dict(type=float, help="gradient max-norm tolerance (default 1e-6)")),
+    ("--ftol-rel", dict(type=float, help="relative decrease stop (default 1e-12)")),
+)
+
+# Flags of the stages that take their own settings.
+_STAGE_FLAGS = {
+    "bands": (
+        ("--n-draws", dict(type=int, help="parameter draws for bands (default 4000)")),
+        ("--level", dict(type=float, help="band level (default 0.95)")),
+        ("--draw-seed", dict(type=int, help="seed for parameter draws (default 0)")),
+    ),
+    "robust": (
+        ("--truncation-starts",
+         dict(help="comma-separated start years (default: first year + 5, 10, 15)")),
+        ("--cutoffs",
+         dict(help="comma-separated hindcast cutoff years (default: "
+                   f"{','.join(str(c) for c in DEFAULT_CUTOFFS)} where inside the grid)")),
+        ("--rescale", dict(choices=("window", "full"),
+                           help="time rescaling for truncated refits (default window)")),
+    ),
+    "grid": (
+        ("--jobs", dict(type=int, help="parallel workers for grid cells (default 1)")),
+        ("--use-n-eff", dict(action="store_true", default=None,
+                             help="use N_eff = 2*years - 2 in the criteria instead of N = 2*years")),
+    ),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="flowfit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    def add_common(p, data=True, spec=False):
+    for command, (stages, help_line) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
         p.add_argument("--config", help="JSON config file with defaults for any option")
         p.add_argument("--out", help="output directory (default: $FLOWFIT_OUT_DIR or '.')")
         p.add_argument("--formats", help="comma-separated subset of csv,json (default both)")
-        if data:
-            p.add_argument("--data", help="input CSV: year,bachelors,masters,phd[,phd_intl]")
-        if spec:
+        if stages is None:
+            p.add_argument("--scenario", help="JSON scenario definition")
+            continue
+        p.add_argument("--data", help="input CSV: year,bachelors,masters,phd[,phd_intl]")
+        if "fit" in stages or "robust" in stages:
             p.add_argument("--spec", help=f"DEG_GAMMA,DEG_RHO,none|intl (default {DEFAULT_SPEC})")
-
-    def add_optimizer(p):
-        p.add_argument("--n-starts", type=int, help="multi-start count (default 8)")
-        p.add_argument("--seed", type=int, help="base seed for starts (default 0)")
-        p.add_argument("--max-iter", type=int, help="iteration cap per start (default 2000)")
-        p.add_argument("--gtol", type=float, help="gradient max-norm tolerance (default 1e-6)")
-        p.add_argument("--ftol-rel", type=float, help="relative decrease stop (default 1e-12)")
-
-    def add_uncertainty(p):
-        p.add_argument("--n-draws", type=int, help="parameter draws for bands (default 4000)")
-        p.add_argument("--level", type=float, help="band level (default 0.95)")
-        p.add_argument("--draw-seed", type=int, help="seed for parameter draws (default 0)")
-
-    def add_robust(p):
-        p.add_argument(
-            "--truncation-starts",
-            help="comma-separated start years (default: first year + 5, 10, 15)",
+        flags = _OPTIMIZER_FLAGS + tuple(
+            flag for stage, group in _STAGE_FLAGS.items() if stage in stages for flag in group
         )
-        p.add_argument(
-            "--cutoffs",
-            help="comma-separated hindcast cutoff years "
-            f"(default: {','.join(str(c) for c in DEFAULT_CUTOFFS)} where inside the grid)",
-        )
-        p.add_argument("--rescale", choices=("window", "full"),
-                       help="time rescaling for truncated refits (default window)")
-
-    p = sub.add_parser("fit", help="fit a single specification")
-    add_common(p, spec=True)
-    add_optimizer(p)
-
-    p = sub.add_parser("grid", help="fit and rank the 18-specification grid")
-    add_common(p)
-    add_optimizer(p)
-    p.add_argument("--jobs", type=int, help="parallel workers for grid cells (default 1)")
-    p.add_argument("--use-n-eff", action="store_true", default=None,
-                   help="use N_eff = 2*years - 2 in the criteria instead of N = 2*years")
-
-    p = sub.add_parser("bands", help="fit, quantify uncertainty, emit trajectory bands")
-    add_common(p, spec=True)
-    add_optimizer(p)
-    add_uncertainty(p)
-
-    p = sub.add_parser("diagnose", help="fit and report residual diagnostics")
-    add_common(p, spec=True)
-    add_optimizer(p)
-
-    p = sub.add_parser("robust", help="start-year truncation and rolling-origin hindcast")
-    add_common(p, spec=True)
-    add_optimizer(p)
-    add_robust(p)
-
-    p = sub.add_parser("synth", help="generate synthetic data from a scenario file")
-    add_common(p, data=False)
-    p.add_argument("--scenario", help="JSON scenario definition", required=False)
-
-    p = sub.add_parser("report", help="grid, best-spec fit, bands, diagnostics, robustness")
-    add_common(p, spec=True)
-    add_optimizer(p)
-    add_uncertainty(p)
-    add_robust(p)
-    p.add_argument("--jobs", type=int, help="parallel workers for grid cells (default 1)")
-    p.add_argument("--use-n-eff", action="store_true", default=None)
-
+        for name, kwargs in flags:
+            p.add_argument(name, **kwargs)
     return parser
 
 
@@ -221,6 +223,13 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
+def _check_range(name: str, value: int, low: int, high: int) -> None:
+    if value < low:
+        raise CliError(f"{name} must be at least {low}, got {value}")
+    if value > high:
+        raise CliError(f"{name} must be at most {high}, got {value}")
+
+
 class Settings:
     """Flag > config-file > default resolution for one invocation."""
 
@@ -246,22 +255,33 @@ class Settings:
         return self._config.get(section, {}).get(key, default)
 
     def optimizer(self) -> FitOptions:
-        return FitOptions(
+        opts = FitOptions(
             n_starts=int(self._pick("optimizer", "n_starts", "n_starts", 8)),
             seed=int(self._pick("optimizer", "seed", "seed", 0)),
             gtol=float(self._pick("optimizer", "gtol", "gtol", 1e-6)),
             ftol_rel=float(self._pick("optimizer", "ftol_rel", "ftol_rel", 1e-12)),
             max_iter=int(self._pick("optimizer", "max_iter", "max_iter", 2000)),
         )
+        _check_range("n_starts", opts.n_starts, 1, MAX_N_STARTS)
+        _check_range("max_iter", opts.max_iter, 0, MAX_ITER)
+        for name in ("gtol", "ftol_rel"):
+            value = getattr(opts, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise CliError(f"{name} must be a finite number >= 0, got {value}")
+        return opts
 
     def uncertainty(self) -> tuple[int, float, int]:
         n_draws = int(self._pick("uncertainty", "n_draws", "n_draws", 4000))
         level = float(self._pick("uncertainty", "level", "level", 0.95))
-        if n_draws < 2:
-            raise CliError(f"n_draws must be at least 2, got {n_draws}")
+        _check_range("n_draws", n_draws, 2, MAX_N_DRAWS)
         if not 0.0 < level < 1.0:
             raise CliError(f"level must lie strictly inside (0, 1), got {level}")
         return n_draws, level, int(self._pick("uncertainty", "draw_seed", "seed", 0))
+
+    def _years(self, key: str) -> Optional[list[int]]:
+        """Flag (comma-separated) > ``robustness.key`` in the config file > None."""
+        years = self._pick("robustness", key, key, None)
+        return _int_list(years) if isinstance(years, str) else years
 
     def robustness(self, grid, spec: Optional[ModelSpec] = None) -> tuple[list[int], list[int], str]:
         """Truncation start years, hindcast cutoffs and rescaling, checked against ``grid``.
@@ -269,26 +289,17 @@ class Settings:
         Without ``spec`` the start years are checked only against the grid,
         not for leaving enough years for the spec's parameters.
         """
-        section = self._config.get("robustness", {})
-        starts = self._args.get("truncation_starts")
-        if starts is not None:
-            starts = _int_list(starts)
-        elif "truncation_starts" in section:
-            starts = [int(y) for y in section["truncation_starts"]]
-        else:
+        starts = self._years("truncation_starts")
+        if starts is None:
             starts = [grid.t_min + off for off in TRUNCATION_OFFSETS if grid.t_min + off < grid.t_max]
-        cutoffs = self._args.get("cutoffs")
-        if cutoffs is not None:
-            cutoffs = _int_list(cutoffs)
-        elif "cutoffs" in section:
-            cutoffs = [int(y) for y in section["cutoffs"]]
-        else:
+        cutoffs = self._years("cutoffs")
+        if cutoffs is None:
             cutoffs = [c for c in DEFAULT_CUTOFFS if grid.t_min < c < grid.t_max]
             if not cutoffs:
                 raise CliError(
                     "no default hindcast cutoffs fall inside the data window; pass --cutoffs"
                 )
-        rescale = self._args.get("rescale") or section.get("rescale", "window")
+        rescale = self._pick("robustness", "rescale", "rescale", "window")
         diagnostics.check_rescale(rescale)
         diagnostics.check_truncation_starts(grid, starts, spec)
         diagnostics.check_cutoffs(grid, cutoffs)
@@ -325,137 +336,103 @@ class Settings:
         return str(path)
 
 
-def _echo(settings: Settings, command: str, opts: FitOptions, **extra) -> dict:
-    echo = {
-        "command": command,
-        "out": str(settings.out_dir()),
-        "formats": list(settings.formats()),
-        "optimizer": {
-            "n_starts": opts.n_starts,
-            "seed": opts.seed,
-            "gtol": opts.gtol,
-            "ftol_rel": opts.ftol_rel,
-            "max_iter": opts.max_iter,
-        },
-    }
-    echo.update(extra)
-    return echo
-
-
-def _fit_bundle(settings: Settings, command: str, obs: ObservedSeries, spec: ModelSpec,
-                fit: estimation.FitResult, opts: FitOptions, **echo) -> ReportBundle:
+def _fit_bundle(obs: ObservedSeries, spec: ModelSpec, fit: estimation.FitResult) -> ReportBundle:
     """Report bundle of one fitted spec: trajectories, flows, residuals and criteria."""
     traj = eval_param_trajectories(fit.theta_hat, spec, obs.grid)
     sim = simulate(obs, traj, spec)
-    bundle = ReportBundle(
-        config_echo=_echo(settings, command, opts,
-                          data=str(settings.data_path()), spec=spec.label(), **echo),
-        obs=obs,
-        spec=spec,
-        fit=fit,
-        trajectories=traj,
-        simulation=sim,
-        n=2 * obs.grid.n_years,
-    )
+    n = 2 * obs.grid.n_years
+    bundle = ReportBundle(obs=obs, spec=spec, fit=fit, trajectories=traj, simulation=sim, n=n)
     try:
         bundle.residual_report = diagnostics.residual_report(obs, sim)
     except ValueError:
         bundle.notes.append("residual report unavailable: non-positive implied flows")
     try:
-        bundle.aic, bundle.bic = selection.information_criteria(
-            fit.sse, spec.n_params, 2 * obs.grid.n_years
-        )
+        bundle.aic, bundle.bic = selection.information_criteria(fit.sse, spec.n_params, n)
     except ValueError:
         bundle.notes.append("perfect fit (sse = 0): information criteria undefined")
     return bundle
 
 
-def _check_fittable(spec: ModelSpec, obs: ObservedSeries) -> None:
-    reason = selection.unfittable_reason(spec, obs)
-    if reason is not None:
-        raise CliError(f"spec {spec.label()} cannot be fitted: {reason}")
+def _run_pipeline(settings: Settings) -> int:
+    """Run a data command's stages in ``STAGES`` order and write one report.
 
-
-def _fit_one_spec(settings: Settings) -> ReportBundle:
-    """Load the data and fit the one spec of ``fit``, ``diagnose`` and ``bands``."""
-    spec = settings.spec()
-    obs = load_series(settings.data_path())
-    _check_fittable(spec, obs)
+    Every setting the stages need is resolved and checked before anything
+    is fitted; the resolved settings make up the report's config echo.
+    """
+    command = settings.get("command")
+    stages = COMMANDS[command][0]
+    # A run that ranks the grid reports the grid's AIC-best spec unless one is given.
+    wants_spec = "fit" in stages or "robust" in stages
+    spec = None
+    if wants_spec and ("grid" not in stages or settings.get("spec") is not None):
+        spec = settings.spec()
     opts = settings.optimizer()
-    starts = estimation.default_starts(spec, obs, n_starts=opts.n_starts, seed=opts.seed)
-    fit = estimation.minimize_bfgs(spec, obs, starts, opts)
-    return _fit_bundle(settings, settings.get("command"), obs, spec, fit, opts)
+    echo = {"command": command, "out": str(settings.out_dir()),
+            "formats": list(settings.formats()), "data": settings.data_path(),
+            "optimizer": {key: getattr(opts, key)
+                          for key in ("n_starts", "seed", "gtol", "ftol_rel", "max_iter")}}
+    if "bands" in stages:
+        n_draws, level, draw_seed = settings.uncertainty()
+        echo["uncertainty"] = {"n_draws": n_draws, "level": level, "seed": draw_seed}
+    if "grid" in stages:
+        echo["jobs"] = int(settings.get("jobs", 1))
+        echo["use_n_eff"] = bool(settings.get("use_n_eff", False))
+    obs = load_series(echo["data"])
+    if spec is not None:
+        reason = selection.unfittable_reason(spec, obs)
+        if reason is not None:
+            raise CliError(f"spec {spec.label()} cannot be fitted: {reason}")
+    if "robust" in stages:
+        trunc_starts, cutoffs, rescale = settings.robustness(obs.grid, spec)
+        echo.update(truncation_starts=trunc_starts, cutoffs=cutoffs, rescale=rescale)
 
-
-def _add_bands(bundle: ReportBundle, n_draws: int, level: float, draw_seed: int) -> None:
-    """Hessian, covariance, parameter draws and trajectory bands at the bundle's fit."""
-    fit, spec, obs = bundle.fit, bundle.spec, bundle.obs
-    hess = estimation.numerical_hessian(fit.theta_hat, spec, obs)
-    bundle.uncertainty = estimation.covariance(hess, fit.sse, spec, obs.grid)
-    draws = estimation.sample_parameters(bundle.uncertainty, fit.theta_hat, n_draws, draw_seed)
-    bundle.bands = estimation.confidence_bands(draws, spec, obs.grid, level)
-
-
-def _cmd_fit(settings: Settings) -> int:
-    """``fit`` and ``diagnose``: one fitted spec with its residual report."""
-    bundle = _fit_one_spec(settings)
-    write_reports(bundle, settings.out_dir(), settings.formats())
-    return 0 if bundle.fit.converged else 2
-
-
-def _cmd_bands(settings: Settings) -> int:
-    n_draws, level, draw_seed = settings.uncertainty()
-    bundle = _fit_one_spec(settings)
-    bundle.config_echo["uncertainty"] = {"n_draws": n_draws, "level": level, "seed": draw_seed}
-    if bundle.fit.converged:
-        _add_bands(bundle, n_draws, level, draw_seed)
+    # ``outcomes`` are the fits whose convergence sets the exit code: the
+    # fit if there is one, else the grid's, else the robustness refits.
+    entries = fit = outcomes = None
+    if "grid" in stages:
+        entries = selection.run_grid(obs, opts, use_n_eff=echo["use_n_eff"], jobs=echo["jobs"])
+        outcomes = [e.fit for e in entries if e.fit is not None]
+        if wants_spec and spec is None:
+            try:
+                spec = selection.select_best(entries, "aic").spec
+            except ValueError as exc:   # the grid fitted no spec
+                raise estimation.NumericalError(str(exc)) from None
+            if "robust" in stages:
+                diagnostics.check_truncation_starts(obs.grid, trunc_starts, spec)
+    if "fit" in stages:
+        if entries is None:
+            starts = estimation.default_starts(spec, obs, n_starts=opts.n_starts, seed=opts.seed)
+            fit = estimation.minimize_bfgs(spec, obs, starts, opts)
+        else:   # the grid has fitted every spec it could, this one included
+            fit = next(e.fit for e in entries if e.spec == spec)
+        bundle = _fit_bundle(obs, spec, fit)
+        outcomes = [fit]
     else:
-        bundle.notes.append("bands skipped: fit did not converge")
+        bundle = ReportBundle(obs=obs, spec=spec)
+    if "bands" in stages:
+        if fit.converged:
+            hess = estimation.numerical_hessian(fit.theta_hat, spec, obs)
+            bundle.uncertainty = estimation.covariance(hess, fit.sse, spec, obs.grid)
+            draws = estimation.sample_parameters(bundle.uncertainty, fit.theta_hat,
+                                                 n_draws, draw_seed)
+            bundle.bands = estimation.confidence_bands(draws, spec, obs.grid, level)
+        else:
+            bundle.notes.append("bands skipped: fit did not converge")
+    if "robust" in stages:
+        rows = diagnostics.truncation_study(obs, spec, trunc_starts, opts, rescale=rescale)
+        hindcast = diagnostics.rolling_origin_hindcast(obs, spec, cutoffs, opts, rescale=rescale)
+        bundle.robustness = RobustnessReport(truncation_rows=rows, hindcast=hindcast)
+        if outcomes is None:
+            outcomes = rows + hindcast.predictions
+
+    if spec is not None:
+        echo["spec"] = spec.label()
+    bundle.config_echo, bundle.grid_entries = echo, entries
     write_reports(bundle, settings.out_dir(), settings.formats())
-    return 0 if bundle.fit.converged else 2
+    return 0 if any(f.converged for f in outcomes) else 2
 
 
-def _cmd_grid(settings: Settings) -> int:
-    obs = load_series(settings.data_path())
-    opts = settings.optimizer()
-    jobs = int(settings.get("jobs", 1))
-    use_n_eff = bool(settings.get("use_n_eff", False))
-    entries = selection.run_grid(obs, opts, use_n_eff=use_n_eff, jobs=jobs)
-    bundle = ReportBundle(
-        config_echo=_echo(settings, "grid", opts, data=str(settings.data_path()),
-                          jobs=jobs, use_n_eff=use_n_eff),
-        obs=obs,
-        grid_entries=entries,
-    )
-    write_reports(bundle, settings.out_dir(), settings.formats())
-    any_converged = any(e.fit is not None and e.fit.converged for e in entries)
-    return 0 if any_converged else 2
-
-
-def _cmd_robust(settings: Settings) -> int:
-    spec = settings.spec()
-    obs = load_series(settings.data_path())
-    _check_fittable(spec, obs)
-    opts = settings.optimizer()
-    starts, cutoffs, rescale = settings.robustness(obs.grid, spec)
-    rows = diagnostics.truncation_study(obs, spec, starts, opts, rescale=rescale)
-    hindcast = diagnostics.rolling_origin_hindcast(obs, spec, cutoffs, opts, rescale=rescale)
-    bundle = ReportBundle(
-        config_echo=_echo(settings, "robust", opts, data=str(settings.data_path()),
-                          spec=spec.label(), truncation_starts=starts,
-                          cutoffs=cutoffs, rescale=rescale),
-        obs=obs,
-        spec=spec,
-        robustness=RobustnessReport(truncation_rows=rows, hindcast=hindcast),
-    )
-    write_reports(bundle, settings.out_dir(), settings.formats())
-    any_converged = any(r.converged for r in rows) or any(
-        p.converged for p in hindcast.predictions
-    )
-    return 0 if any_converged else 2
-
-
-def _cmd_synth(settings: Settings) -> int:
+def _run_synth(settings: Settings) -> int:
     scenario_path = settings.get("scenario")
     if scenario_path is None:
         raise CliError("--scenario is required (or provide 'scenario' in the config file)")
@@ -485,52 +462,6 @@ def _cmd_synth(settings: Settings) -> int:
     return 0
 
 
-def _cmd_report(settings: Settings) -> int:
-    # Every setting is resolved and checked before the grid runs.
-    spec = settings.spec() if settings.get("spec") is not None else None
-    n_draws, level, draw_seed = settings.uncertainty()
-    obs = load_series(settings.data_path())
-    if spec is not None:
-        _check_fittable(spec, obs)
-    opts = settings.optimizer()
-    trunc_starts, cutoffs, rescale = settings.robustness(obs.grid, spec)
-    jobs = int(settings.get("jobs", 1))
-    use_n_eff = bool(settings.get("use_n_eff", False))
-    entries = selection.run_grid(obs, opts, use_n_eff=use_n_eff, jobs=jobs)
-    if spec is None:
-        try:
-            spec = selection.select_best(entries, "aic").spec
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        diagnostics.check_truncation_starts(obs.grid, trunc_starts, spec)
-    # The grid has fitted every spec it could, this one included; report that fit.
-    entry = next(e for e in entries if e.spec == spec)
-    bundle = _fit_bundle(settings, "report", obs, spec, entry.fit, opts,
-                         jobs=jobs, use_n_eff=use_n_eff,
-                         uncertainty={"n_draws": n_draws, "level": level, "seed": draw_seed},
-                         truncation_starts=trunc_starts, cutoffs=cutoffs, rescale=rescale)
-    bundle.grid_entries = entries
-    if entry.fit.converged:
-        _add_bands(bundle, n_draws, level, draw_seed)
-    rows = diagnostics.truncation_study(obs, spec, trunc_starts, opts, rescale=rescale)
-    hindcast = diagnostics.rolling_origin_hindcast(obs, spec, cutoffs, opts, rescale=rescale)
-    bundle.robustness = RobustnessReport(truncation_rows=rows, hindcast=hindcast)
-    write_reports(bundle, settings.out_dir(), settings.formats())
-    return 0 if entry.fit.converged else 2
-
-
-_COMMANDS = {
-    "fit": _cmd_fit,
-    "grid": _cmd_grid,
-    "bands": _cmd_bands,
-    "diagnose": _cmd_fit,
-    "robust": _cmd_robust,
-    "synth": _cmd_synth,
-    "report": _cmd_report,
-}
-
-
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -540,16 +471,15 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             return 1
         config = _load_config(getattr(args, "config", None))
         settings = Settings(args, config)
-        return _COMMANDS[args.command](settings)
+        if args.command == "synth":
+            return _run_synth(settings)
+        return _run_pipeline(settings)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except estimation.NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # DataError and CliError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -384,25 +384,6 @@ def eval_param_trajectories_batch(
     return ParamTrajectories(**values, lam=lam)
 
 
-def trajectories_vjp(
-    theta: np.ndarray,
-    traj: ParamTrajectories,
-    traj_bar: ParamTrajectories,
-    spec: ModelSpec,
-    grid: YearGrid,
-    years: Optional[Sequence[int]] = None,
-) -> np.ndarray:
-    """Pull adjoints of the trajectories back to the parameter vector.
-
-    ``traj`` is what :func:`eval_param_trajectories` gave for ``theta`` at
-    ``years``, and ``traj_bar`` holds the adjoint (the derivative of some
-    scalar) of each of its arrays and of ``lam``.
-    """
-    p, p_bar = (np.concatenate([getattr(t, name) for name in TRAJECTORY_NAMES])
-                for t in (traj, traj_bar))
-    return _pull_back(theta, p, p_bar, traj.lam, traj_bar.lam, spec, grid, years)
-
-
 def _pull_back(
     theta: np.ndarray,
     p: np.ndarray,
@@ -413,7 +394,12 @@ def _pull_back(
     grid: YearGrid,
     years: Optional[Sequence[int]],
 ) -> np.ndarray:
-    """:func:`trajectories_vjp` on the five trajectories stacked into ``(5 n_years,)``.
+    """Pull adjoints of the trajectories back to the parameter vector.
+
+    ``p`` holds the five trajectories :func:`eval_param_trajectories` gave
+    for ``theta`` at ``years``, stacked into ``(5 n_years,)``; ``p_bar`` holds
+    the adjoint (the derivative of some scalar) of each entry, stacked the
+    same way, and ``lam_bar`` that of the forcing scale ``lam``.
 
     The clamped logistic has derivative p(1-p) strictly inside the clamp
     and 0 where the clip is active; the result then goes back through the

@@ -304,6 +304,17 @@ class TestReport:
         assert report["fit"]["sse"] == float(row["sse"])
         assert report["fit"]["converged"] == (row["converged"] == "True")
 
+    def test_unconverged_report_notes_skipped_bands(self, data_csv, tmp_path):
+        out = tmp_path / "report"
+        code = run_cli(["report", "--data", str(data_csv), "--spec", "2,2,none",
+                        "--out", str(out), "--n-starts", "1", "--max-iter", "0",
+                        "--truncation-starts", "1990", "--cutoffs", "1995"])
+        assert code == 2
+        report = json.loads((out / "run_report.json").read_text())
+        assert report["fit"]["converged"] is False
+        assert "bands skipped: fit did not converge" in report["notes"]
+        assert "bands" not in report
+
     def test_report_on_unfittable_spec_exits_1_with_reason(self, data_csv, tmp_path, capsys):
         code = run_cli(["report", "--data", str(data_csv), "--spec", "0,0,intl",
                         "--out", str(tmp_path / "r"), "--n-starts", "1", "--max-iter", "20",
@@ -322,6 +333,19 @@ class TestSettingsCheckedBeforeFitting:
         (["--n-draws", "1"], "n_draws must be at least 2"),
         (["--spec", "0,0,intl"], "forcing requires a p_intl series"),
     ]
+    # Sizes and tolerances, checked before the data are loaded.
+    BOUNDS = [
+        (["--n-draws", "100001"], "n_draws must be at most 100000"),
+        (["--n-draws", "1000000000000"], "n_draws must be at most 100000"),
+        (["--n-starts", "0"], "n_starts must be at least 1"),
+        (["--n-starts", "1001"], "n_starts must be at most 1000"),
+        (["--max-iter", "-1"], "max_iter must be at least 0"),
+        (["--max-iter", "100001"], "max_iter must be at most 100000"),
+        (["--gtol", "-1"], "gtol must be a finite number >= 0"),
+        (["--gtol", "nan"], "gtol must be a finite number >= 0"),
+        (["--gtol", "inf"], "gtol must be a finite number >= 0"),
+        (["--ftol-rel", "-1"], "ftol_rel must be a finite number >= 0"),
+    ]
 
     @staticmethod
     def refuse(*args, **kwargs):
@@ -332,7 +356,7 @@ class TestSettingsCheckedBeforeFitting:
         (["--cutoffs", "2004"], "cutoff 2004 must lie strictly inside"),
         (["--truncation-starts", "1700"], "start year 1700 outside the grid"),
         (["--truncation-starts", "2003"], "window starting 2003 has 2 years, too short for k=15"),
-    ])
+    ] + BOUNDS)
     def test_report(self, data_csv, tmp_path, monkeypatch, capsys, flags, message):
         monkeypatch.setattr(selection, "run_grid", self.refuse)
         argv = ["report", "--data", str(data_csv), "--out", str(tmp_path / "r"),
@@ -352,7 +376,7 @@ class TestSettingsCheckedBeforeFitting:
         assert code == 1
         assert "rescale must be 'window' or 'full'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags, message", BAD)
+    @pytest.mark.parametrize("flags, message", BAD + BOUNDS)
     def test_bands(self, data_csv, tmp_path, monkeypatch, capsys, flags, message):
         monkeypatch.setattr(estimation, "minimize_bfgs", self.refuse)
         code = run_cli(["bands", "--data", str(data_csv), "--out", str(tmp_path / "b"), *flags])
@@ -361,12 +385,65 @@ class TestSettingsCheckedBeforeFitting:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-iter", "-1"], "max_iter must be at least 0"),
+        (["--gtol", "-1"], "gtol must be a finite number >= 0"),
+        (["--ftol-rel", "nan"], "ftol_rel must be a finite number >= 0"),
+    ])
+    def test_fit_before_loading(self, tmp_path, monkeypatch, capsys, flags, message):
+        # The data file does not exist: the setting is checked before the load.
+        monkeypatch.setattr(estimation, "minimize_bfgs", self.refuse)
+        code = run_cli(["fit", "--data", str(tmp_path / "missing.csv"),
+                        "--out", str(tmp_path / "f"), *flags])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
+
     def test_bad_level_on_unconverged_fit_exits_1(self, data_csv, tmp_path, capsys):
         # Without the up-front check the bands were skipped and this exited 2.
         code = run_cli(["bands", "--data", str(data_csv), "--out", str(tmp_path / "b"),
                         "--n-starts", "1", "--max-iter", "0", "--level", "1.5"])
         assert code == 1
         assert "level must lie strictly inside (0, 1)" in capsys.readouterr().err
+
+
+COMMON_ECHO = {"command", "out", "formats", "data", "optimizer"}
+FIT_FILES = {"run_report.json", "manifest.json", "trajectories.csv", "residuals.csv"}
+ROBUST_ECHO = {"truncation_starts", "cutoffs", "rescale"}
+ROBUST_FILES = {"truncation.csv", "hindcast.csv"}
+
+
+class TestCommandStages:
+    """Each command writes the files and echoes the settings of its stages."""
+
+    @pytest.mark.parametrize("command, files, echo", [
+        ("fit", FIT_FILES, COMMON_ECHO | {"spec"}),
+        ("diagnose", FIT_FILES, COMMON_ECHO | {"spec"}),
+        ("bands", FIT_FILES, COMMON_ECHO | {"spec", "uncertainty"}),
+        ("grid", {"run_report.json", "manifest.json", "grid.csv"},
+         COMMON_ECHO | {"jobs", "use_n_eff"}),
+        ("robust", {"run_report.json", "manifest.json"} | ROBUST_FILES,
+         COMMON_ECHO | {"spec"} | ROBUST_ECHO),
+        ("report", FIT_FILES | ROBUST_FILES | {"grid.csv"},
+         COMMON_ECHO | {"spec", "uncertainty", "jobs", "use_n_eff"} | ROBUST_ECHO),
+        ("synth", {"run_report.json", "manifest.json", "data.csv", "trajectories.csv"},
+         {"command", "out", "formats", "scenario"}),
+    ])
+    def test_files_and_config_echo(self, data_csv, tmp_path, command, files, echo):
+        out = tmp_path / command
+        if command == "synth":
+            scenario = tmp_path / "scenario.json"
+            scenario.write_text(json.dumps(SCENARIO))
+            argv = ["synth", "--scenario", str(scenario)]
+        else:
+            argv = [command, "--data", str(data_csv), "--n-starts", "1", "--max-iter", "100"]
+        if command in ("bands", "report"):
+            argv += ["--n-draws", "50"]
+        if command in ("robust", "report"):
+            argv += ["--truncation-starts", "1990", "--cutoffs", "1995"]
+        assert run_cli(argv + ["--out", str(out)]) in (0, 2)
+        assert {p.name for p in out.iterdir()} == files
+        assert set(json.loads((out / "run_report.json").read_text())["config"]) == echo
 
 
 class TestDeterminism:
