@@ -125,7 +125,7 @@ _STAGE_FLAGS = {
                            help="time rescaling for truncated refits (default window)")),
     ),
     "grid": (
-        ("--jobs", dict(type=int, help="parallel workers for grid cells (default 1)")),
+        ("--jobs", dict(type=int, help="parallel workers for the grid's lane chunks (default 1)")),
         ("--use-n-eff", dict(action="store_true", default=None,
                              help="use N_eff = 2*years - 2 in the criteria instead of N = 2*years")),
     ),
@@ -230,6 +230,12 @@ def _check_range(name: str, value: int, low: int, high: int) -> None:
         raise CliError(f"{name} must be at most {high}, got {value}")
 
 
+def _check_seed(name: str, value: int) -> None:
+    # NumPy's generators take any non-negative integer.
+    if value < 0:
+        raise CliError(f"{name} must be at least 0, got {value}")
+
+
 class Settings:
     """Flag > config-file > default resolution for one invocation."""
 
@@ -264,6 +270,7 @@ class Settings:
         )
         _check_range("n_starts", opts.n_starts, 1, MAX_N_STARTS)
         _check_range("max_iter", opts.max_iter, 0, MAX_ITER)
+        _check_seed("seed", opts.seed)
         for name in ("gtol", "ftol_rel"):
             value = getattr(opts, name)
             if not (math.isfinite(value) and value >= 0.0):
@@ -276,7 +283,9 @@ class Settings:
         _check_range("n_draws", n_draws, 2, MAX_N_DRAWS)
         if not 0.0 < level < 1.0:
             raise CliError(f"level must lie strictly inside (0, 1), got {level}")
-        return n_draws, level, int(self._pick("uncertainty", "draw_seed", "seed", 0))
+        draw_seed = int(self._pick("uncertainty", "draw_seed", "seed", 0))
+        _check_seed("draw_seed", draw_seed)
+        return n_draws, level, draw_seed
 
     def _years(self, key: str) -> Optional[list[int]]:
         """Flag (comma-separated) > ``robustness.key`` in the config file > None."""

@@ -5,7 +5,9 @@ and PhD completion flows against the observed counts.  It is minimized in
 the unconstrained transformed parameter space with a BFGS iteration using
 a backtracking (Armijo) line search and the exact gradient, which one
 reverse (adjoint) sweep computes from the line search's last forward pass.
-Parameter uncertainty comes from the numerical Hessian at the optimum.
+A fit with several starts runs them together as lanes of one batched BFGS
+on :class:`~flowfit.model.LaneKernel`.  Parameter uncertainty comes from
+the numerical Hessian at the optimum.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .model import (
+    PENALTY_PER_INVALID_YEAR,
     TRAJECTORY_NAMES,
+    LaneKernel,
     ModelSpec,
     ObservedSeries,
     ParamTrajectories,
@@ -29,17 +33,13 @@ from .model import (
     _clamped_logistic,
     _linear_predictors,
     _pull_back,
+    embed,
     eval_param_trajectories,
     eval_param_trajectories_batch,
     logit,
     simulate_batch,
+    superset_mask,
 )
-
-# Each year with a non-positive or non-finite implied flow adds this to the
-# loss, on top of the squared residuals accumulated before the first bad
-# year.  Keeps the objective finite and pushes iterates back toward the
-# feasible region instead of raising inside the optimizer loop.
-PENALTY_PER_INVALID_YEAR = 1e6
 
 GRADIENT_REL_STEP = 1e-5
 HESSIAN_REL_STEP = 1e-4
@@ -47,6 +47,14 @@ HESSIAN_REL_STEP = 1e-4
 # Eigenvalue-floor regularization of the Hessian before inversion.
 HESSIAN_COND_LIMIT = 1e12
 HESSIAN_EIG_FLOOR_REL = 1e-8
+
+# Trial steps 1, 1/2, 1/4, ... a BFGS line search makes before it gives up.
+LINE_SEARCH_TRIES = 60
+
+# A fit with at least this many starts runs them as the lanes of one
+# batched BFGS (:func:`bfgs_lanes`); below it the starts run one by one on
+# the list-level kernel, which is faster for so few.
+LANE_MIN_STARTS = 4
 
 
 class NumericalError(ValueError):
@@ -464,7 +472,7 @@ def bfgs_minimize(
             slope = -float(g @ g)
         alpha = 1.0
         accepted = False
-        for _ in range(60):
+        for _ in range(LINE_SEARCH_TRIES):
             x_new = x + alpha * d
             f_new = f(x_new)
             if math.isfinite(f_new) and f_new <= fx + 1e-4 * alpha * slope:
@@ -498,6 +506,178 @@ def bfgs_minimize(
         if rel_decrease <= ftol_rel:
             break
     return OptimizeOutcome(x=x, fun=fx, n_iterations=n_iter, grad_max_norm=g_max, converged=converged)
+
+
+@dataclass
+class LaneOutcomes:
+    """Where each lane of :func:`bfgs_lanes` stopped, one row or entry per lane.
+
+    ``x`` holds superset vectors; the other fields are as in
+    :class:`OptimizeOutcome`.
+    """
+
+    x: np.ndarray
+    fun: np.ndarray
+    n_iterations: np.ndarray
+    grad_max_norm: np.ndarray
+    converged: np.ndarray
+
+    def rows(self, index) -> "LaneOutcomes":
+        return LaneOutcomes(self.x[index], self.fun[index], self.n_iterations[index],
+                            self.grad_max_norm[index], self.converged[index])
+
+    @staticmethod
+    def concatenate(parts: Sequence["LaneOutcomes"]) -> "LaneOutcomes":
+        return LaneOutcomes(*(np.concatenate([getattr(part, name) for part in parts])
+                              for name in ("x", "fun", "n_iterations", "grad_max_norm",
+                                           "converged")))
+
+
+def _lane_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two ``(L, k)`` arrays.
+
+    Each row is reduced by itself along the contiguous last axis, so its
+    sum does not depend on the other rows.
+    """
+    return np.add.reduce(u * v, axis=-1)
+
+
+def _lane_matvec(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``h[l] @ v[l]`` for every lane of an ``(L, k, k)`` stack, as :func:`_lane_dot` does."""
+    return np.add.reduce(h * v[:, None, :], axis=-1)
+
+
+def bfgs_lanes(
+    kernel: LaneKernel,
+    x0: np.ndarray,
+    mask: np.ndarray,
+    gtol: float = 1e-6,
+    ftol_rel: float = 1e-12,
+    max_iter: int = 2000,
+) -> LaneOutcomes:
+    """:func:`bfgs_minimize` from every row of ``x0`` at once, one lane per row.
+
+    ``x0`` holds ``(B, 16)`` superset start vectors and ``mask`` the
+    coefficients each lane's spec has (see :class:`LaneKernel`).  Each lane
+    takes :func:`bfgs_minimize`'s steps in its spec's coefficients: the same
+    direction and steepest-descent restart, Armijo backtracking, scaled
+    first update, BFGS update and four stop rules, with a ``(B, 16, 16)``
+    stack of inverse Hessians that is 0 off the lane's coefficients.
+
+    Each tick evaluates one trial point of every live lane, value and
+    gradient in one kernel call.  A lane whose trial passes the Armijo test
+    moves there and takes its next direction; the others halve their step.
+    Lanes that stop leave the batch.  A lane's arithmetic never mixes with
+    another's, so its iterates do not depend on the batch it runs in.
+    """
+    x0 = np.array(x0, dtype=float)
+    mask = np.asarray(mask, dtype=bool)
+    fx, g = kernel(x0, mask)
+    g_max = np.abs(g).max(axis=1)
+    out = LaneOutcomes(x=x0.copy(), fun=fx, n_iterations=np.zeros(len(fx), dtype=int),
+                       grad_max_norm=g_max, converged=g_max <= gtol)
+    ids = np.flatnonzero(~out.converged) if max_iter > 0 else np.empty(0, dtype=int)
+    x, fx, g, mask = x0[ids], fx[ids], g[ids], mask[ids]
+    eye = np.where(mask[:, :, None] & np.eye(mask.shape[1], dtype=bool), 1.0, 0.0)
+    h = eye.copy()
+    scaled = np.zeros(len(ids), dtype=bool)
+    n_iter = np.zeros(len(ids), dtype=int)
+    d, slope = _lane_directions(h, g, eye)
+    alpha = np.ones(len(ids))
+    tries = np.zeros(len(ids), dtype=int)
+    while ids.size:
+        trial = x + alpha[:, None] * d
+        f_new, g_new = kernel(trial, mask)
+        ok = np.isfinite(f_new) & (f_new <= fx + 1e-4 * alpha * slope)
+        stop = ~ok & (tries + 1 >= LINE_SEARCH_TRIES)
+        tries += 1
+        alpha *= 0.5
+        moved = np.flatnonzero(ok)
+        if moved.size:
+            s = trial[moved] - x[moved]
+            y = g_new[moved] - g[moved]
+            h_moved = h[moved]
+            sy = _lane_dot(s, y)
+            yy = _lane_dot(y, y)
+            first = ~scaled[moved] & (sy > 0.0)
+            # Scale the initial inverse Hessian before the first update.
+            h_moved[first] *= (sy[first] / yy[first])[:, None, None]
+            scaled[moved[first]] = True
+            update = sy > 1e-10 * np.sqrt(_lane_dot(s, s)) * np.sqrt(yy)
+            if update.any():
+                su, yu, hu = s[update], y[update], h_moved[update]
+                rho = 1.0 / sy[update]
+                hy = _lane_matvec(hu, yu)
+                yhy = _lane_dot(yu, hy)
+                s_col = su[:, :, None]
+                hy_col = hy[:, :, None]
+                hu += (s_col * su[:, None, :] * (rho * rho * yhy + rho)[:, None, None]
+                       - rho[:, None, None] * (hy_col * su[:, None, :] + s_col * hy[:, None, :]))
+                h_moved[update] = hu
+            n_iter[moved] += 1
+            rel_decrease = (fx[moved] - f_new[moved]) / np.maximum(np.abs(fx[moved]), 1e-300)
+            x[moved] = trial[moved]
+            fx[moved] = f_new[moved]
+            g[moved] = g_new[moved]
+            g_max = np.abs(g_new[moved]).max(axis=1)
+            converged = g_max <= gtol
+            out.converged[ids[moved]] = converged
+            out.grad_max_norm[ids[moved]] = g_max
+            stop[moved] = converged | (rel_decrease <= ftol_rel) | (n_iter[moved] >= max_iter)
+            d_moved, slope[moved] = _lane_directions(h_moved, g[moved], eye[moved])
+            d[moved] = d_moved
+            h[moved] = h_moved
+            alpha[moved] = 1.0
+            tries[moved] = 0
+        if stop.any():
+            done = ids[stop]
+            out.x[done] = x[stop]
+            out.fun[done] = fx[stop]
+            out.n_iterations[done] = n_iter[stop]
+            keep = ~stop
+            ids, x, fx, g, mask, eye, h = (
+                ids[keep], x[keep], fx[keep], g[keep], mask[keep], eye[keep], h[keep])
+            scaled, n_iter, d, slope, alpha, tries = (
+                scaled[keep], n_iter[keep], d[keep], slope[keep], alpha[keep], tries[keep])
+    return out
+
+
+def _lane_directions(
+    h: np.ndarray, g: np.ndarray, eye: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quasi-Newton directions ``-h g`` and slopes ``g . d`` of a stack of lanes.
+
+    A lane whose slope is not finite and negative restarts from steepest
+    descent: its ``h`` (changed in place) becomes ``eye``.
+    """
+    d = -_lane_matvec(h, g)
+    slope = _lane_dot(g, d)
+    bad = ~np.isfinite(slope) | (slope >= 0.0)
+    if bad.any():
+        h[bad] = eye[bad]
+        d[bad] = -g[bad]
+        slope[bad] = -_lane_dot(g[bad], g[bad])
+    return d, slope
+
+
+def fit_from_lanes(spec: ModelSpec, obs: ObservedSeries, lanes: LaneOutcomes,
+                   scale_grid: Optional[YearGrid] = None) -> FitResult:
+    """The best of one spec's lanes as a :class:`FitResult`.
+
+    The first lane with the lowest loss wins, as in :func:`minimize_bfgs`;
+    its SSE is the :func:`loss` of its parameter vector.
+    """
+    best = int(np.argmin(lanes.fun))
+    theta_hat = lanes.x[best][superset_mask(spec)]
+    sse = _Objective(spec, obs, scale_grid).value(theta_hat)
+    return FitResult(
+        theta_hat=theta_hat,
+        sse=float(sse),
+        converged=bool(lanes.converged[best]) and sse < PENALTY_PER_INVALID_YEAR,
+        n_iterations=int(lanes.n_iterations[best]),
+        n_starts_used=len(lanes.fun),
+        grad_norm_at_opt=float(lanes.grad_max_norm[best]),
+    )
 
 
 def default_starts(
@@ -538,16 +718,33 @@ def minimize_bfgs(
     options: Optional[FitOptions] = None,
     scale_grid: Optional[YearGrid] = None,
 ) -> FitResult:
-    """Minimize the loss from every start and keep the best local minimum."""
+    """Minimize the loss from every start and keep the best local minimum.
+
+    With ``LANE_MIN_STARTS`` starts or more the starts run together as
+    lanes of :func:`bfgs_lanes`; fewer run one by one through
+    :func:`bfgs_minimize`.  Either way the first start with the lowest loss
+    wins.
+    """
     if len(starts) == 0:
         raise ValueError("at least one start is required")
     opts = options or FitOptions()
+    starts = [np.asarray(x0, dtype=float) for x0 in starts]
+    for x0 in starts:
+        if x0.shape != (spec.n_params,) or not np.all(np.isfinite(x0)):
+            raise ValueError(f"start must be a finite vector of length {spec.n_params}")
+    if len(starts) >= LANE_MIN_STARTS:
+        lanes = bfgs_lanes(
+            LaneKernel(obs, scale_grid),
+            np.stack([embed(x0, spec) for x0 in starts]),
+            np.tile(superset_mask(spec), (len(starts), 1)),
+            gtol=opts.gtol,
+            ftol_rel=opts.ftol_rel,
+            max_iter=opts.max_iter,
+        )
+        return fit_from_lanes(spec, obs, lanes, scale_grid)
     objective = _Objective(spec, obs, scale_grid)
     best: Optional[OptimizeOutcome] = None
     for x0 in starts:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (spec.n_params,) or not np.all(np.isfinite(x0)):
-            raise ValueError(f"start must be a finite vector of length {spec.n_params}")
         outcome = bfgs_minimize(
             objective.value,
             x0,

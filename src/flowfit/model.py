@@ -631,3 +631,185 @@ def simulate_batch(
         np.multiply(gm[last], sm, out=flow_m[last])
         np.multiply(gp[last], sp, out=flow_p[last])
     return flow_m, flow_p
+
+
+# Each year with a non-positive or non-finite implied flow adds this to the
+# loss, on top of the squared residuals accumulated before the first bad
+# year.  Keeps the objective finite and pushes iterates back toward the
+# feasible region instead of raising inside the optimizer loop.
+PENALTY_PER_INVALID_YEAR = 1e6
+
+# Every grid spec is the superset spec with some coefficients held out: its
+# lower-degree blocks are the superset's blocks with the higher coefficients
+# at 0, and a spec without forcing has no forcing term at all.
+SUPERSET_SPEC = ModelSpec(deg_gamma=2, deg_rho=2, forcing=True)
+
+
+def superset_mask(spec: ModelSpec) -> np.ndarray:
+    """Which of the superset spec's coefficients ``spec`` has, as a ``(16,)`` bool array."""
+    mask = np.zeros(SUPERSET_SPEC.n_params, dtype=bool)
+    degrees = (spec.deg_rho,) * 3 + (spec.deg_gamma,) * 2
+    for row, degree in enumerate(degrees):
+        mask[3 * row:3 * row + degree + 1] = True
+    mask[-1] = spec.forcing
+    return mask
+
+
+def embed(theta: np.ndarray, spec: ModelSpec) -> np.ndarray:
+    """``spec``'s parameter vector as a superset vector, 0 at the absent coefficients."""
+    out = np.zeros(SUPERSET_SPEC.n_params)
+    out[superset_mask(spec)] = _checked_theta(theta, spec)
+    return out
+
+
+def _affine_scan(a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``u[i] <- a[i] u[i-1] + u[i]`` along axis 0, in place, in log-depth steps.
+
+    Hillis-Steele: after the step of distance d every entry holds the
+    composition of the affine maps over the last 2d entries, so
+    ceil(log2 n) vectorised steps replace n - 1 sequential ones.  The
+    products of ``a`` over windows that reach entry 0 are never read, so
+    they are not formed; ``a[0]`` is never read, and ``a`` is overwritten.
+    """
+    n = u.shape[0]
+    carry = np.empty_like(u)
+    spare = np.empty_like(a)
+    d = 1
+    while d < n:
+        np.multiply(a[d:], u[:-d], out=carry[d:])
+        u[d:] += carry[d:]
+        if 2 * d < n:
+            np.multiply(a[2 * d:], a[d:-d], out=spare[2 * d:])
+            a, spare = spare, a
+        d *= 2
+    return u
+
+
+class LaneKernel:
+    """Penalized log-residual loss and its exact gradient for a batch of lanes.
+
+    Each lane is a superset parameter vector (a row of a ``(B, 16)`` array)
+    and a mask of the coefficients its spec has.  Absent coefficients are
+    read as 0 and get a zero gradient; a lane without forcing has no
+    forcing term.  The value is the loss of ``estimation.loss`` and the
+    gradient that of ``estimation.loss_gradient``, for the spec the mask
+    describes, up to round-off.
+
+    Arrays are years by quantity by lanes.  The two stock recurrences
+    ``x[i+1] = (1 - gamma[i]) x[i] + u[i]`` (every input >= 0, so no
+    cancellation) and their two adjoint recurrences run as
+    :func:`_affine_scan`.  Every other operation is elementwise, and every
+    sum over years is one ``np.add.reduce`` over axis 0 of a block with at
+    least 18 columns, which NumPy adds row by row, in year order.  So a
+    lane's value and gradient are bitwise the same whatever the other lanes
+    in its batch.  (A single column would be summed pairwise instead.)
+    """
+
+    def __init__(self, obs: ObservedSeries, scale_grid: Optional[YearGrid] = None):
+        s = rescale_time(obs.grid.years, obs.grid if scale_grid is None else scale_grid)
+        self.s = s[:, None, None]
+        self.s2 = (s * s)[:, None, None]
+        self.b = obs.b[:, None, None]
+        self.log_obs = np.log(np.stack([obs.m, obs.p], axis=1))[:, :, None]
+        self.first = np.array([obs.m[0], obs.p[0]])[:, None]
+        self.p_intl = None if obs.p_intl is None else obs.p_intl[:, None]
+
+    def __call__(self, thetas: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Loss ``(B,)`` and gradient ``(B, 16)`` of every lane."""
+        forcing = mask[:, -1]
+        if self.p_intl is None and forcing.any():
+            raise ValueError("forcing specification requires the p_intl series")
+        thetas = np.where(mask, thetas, 0.0)
+        n_lanes = thetas.shape[0]
+        coef = thetas[:, :-1].T.reshape(len(TRAJECTORY_NAMES), 3, n_lanes)
+        # (n, 5, B): each trajectory's predictor, summed in a fixed order.
+        p = _clamped_logistic(coef[:, 0] + coef[:, 1] * self.s + coef[:, 2] * self.s2)
+        n = p.shape[0]
+        rho_mp = p[:, 2]
+        gammas = p[:, 3:]
+        lambda_raw = thetas[:, -1]
+        lam = np.where(forcing, _forcing_weight(lambda_raw), 0.0)
+        # Per year: the two squared residuals, the adjoints of the 5 x 3
+        # coefficients and that of the forcing weight, summed at the end.
+        terms = np.zeros((n, 18, n_lanes))
+
+        # Overflow to inf/nan is allowed; such years are invalid and penalized.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # (n, 2, B) stocks and flows: master's, then PhD.
+            inflows = p[:, :2] * self.b
+            stocks = np.empty_like(gammas)
+            stocks[0] = self.first / gammas[0]
+            self._forward_scan(gammas[:, 0], inflows[:, 0], stocks[:, 0])
+            flows = gammas * stocks
+            inflow_p = inflows[:, 1]
+            inflow_p += rho_mp * flows[:, 0]
+            if self.p_intl is not None:
+                inflow_p += lam * self.p_intl
+            self._forward_scan(gammas[:, 1], inflow_p, stocks[:, 1])
+            np.multiply(gammas[:, 1], stocks[:, 1], out=flows[:, 1])
+
+            valid = (np.isfinite(flows) & (flows > 0.0)).all(axis=1)
+            n_invalid = n - valid.sum(axis=0)
+            prefix = np.logical_and.accumulate(valid, axis=0)
+            counted = prefix[:, None].copy()
+            counted[0] = False
+            r = np.where(counted, self.log_obs - np.log(flows), 0.0)
+            np.multiply(r, r, out=terms[:, :2])
+
+            # Adjoints of the flows over the counted years, without the
+            # factor -2 of d(r^2)/d(flow) = -2 r / flow: the sweep is linear
+            # in them, so the factor (a power of two, exact) comes last.
+            flow_bars = np.where(counted, r / flows, 0.0)
+            # stock_bars[i] = d loss / d stocks[i] for i = 0..n, with
+            # nothing after the last year.
+            stock_bars = np.zeros((n + 1,) + gammas.shape[1:])
+            self._reverse_scan(gammas[:, 1], gammas[:, 1] * flow_bars[:, 1], stock_bars[:, 1])
+            ahead = stock_bars[1:]
+            # The master's flow also feeds the PhD stock.
+            flow_bars[:, 0] += rho_mp * ahead[:, 1]
+            self._reverse_scan(gammas[:, 0], gammas[:, 0] * flow_bars[:, 0], stock_bars[:, 0])
+            p_bar = np.empty_like(p)
+            np.multiply(ahead, self.b, out=p_bar[:, :2])
+            np.multiply(ahead[:, 1], flows[:, 0], out=p_bar[:, 2])
+            np.multiply(flow_bars - ahead, stocks, out=p_bar[:, 3:])
+            # Initial stocks m0 / gamma_m[0] and p0 / gamma_p[0].
+            p_bar[0, 3:] -= stock_bars[0] * stocks[0] / gammas[0]
+            # Years from the first invalid one on carry no adjoint; their
+            # stocks may be inf or nan.
+            np.copyto(p_bar, 0.0, where=~prefix[:, None])
+            if self.p_intl is not None:
+                np.multiply(ahead[:, 1], self.p_intl, out=terms[:, 17])
+
+            # Back through the clamped logistic (derivative 0 where the
+            # clip is active) and the three powers of rescaled time.
+            inside = (p > LOGISTIC_CLAMP) & (p < 1.0 - LOGISTIC_CLAMP)
+            eta_bar = terms[:, 2:17:3]
+            np.multiply(p_bar, np.where(inside, p * (1.0 - p), 0.0), out=eta_bar)
+            np.multiply(eta_bar, self.s, out=terms[:, 3:17:3])
+            np.multiply(eta_bar, self.s2, out=terms[:, 4:17:3])
+
+            totals = np.add.reduce(terms, axis=0)
+            values = totals[0] + totals[1] + PENALTY_PER_INVALID_YEAR * n_invalid
+            grads = np.empty_like(thetas)
+            grads[:, :-1] = totals[2:17].T
+            live = forcing & (lambda_raw > LAMBDA_RAW_FLOOR) & np.isfinite(lam)
+            grads[:, -1] = np.where(live, totals[17] * lam, 0.0)
+        grads *= -2.0
+        return values, np.where(mask, grads, 0.0)
+
+    @staticmethod
+    def _forward_scan(gamma: np.ndarray, inflow: np.ndarray, stock: np.ndarray) -> None:
+        """Fill ``stock[1:]`` from ``stock[0]``: ``x[i+1] = (1 - gamma[i]) x[i] + inflow[i]``."""
+        a = np.empty_like(gamma)
+        np.subtract(1.0, gamma[:-1], out=a[1:])
+        stock[1:] = inflow[:-1]
+        _affine_scan(a, stock)
+
+    @staticmethod
+    def _reverse_scan(gamma: np.ndarray, source: np.ndarray, z: np.ndarray) -> None:
+        """``z[i] = (1 - gamma[i]) z[i+1] + source[i]`` for i = n-1..0, in place; z[n] is 0."""
+        n = gamma.shape[0]
+        a = np.empty_like(gamma)
+        np.subtract(1.0, gamma[n - 2::-1], out=a[1:])
+        # Reversed copies: ufuncs run much slower on negative strides.
+        z[n - 1::-1] = _affine_scan(a, source[::-1].copy())

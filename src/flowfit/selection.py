@@ -1,9 +1,9 @@
 """Specification-grid fitting and information-criterion ranking.
 
 The grid crosses hazard degree {0,1,2} x routing degree {0,1,2} x forcing
-{off,on}: 18 candidate specifications.  Each is fitted independently with
-its own seeded multi-start, then ranked by AIC (BIC and parameter count
-break ties).
+{off,on}: 18 candidate specifications.  Each is fitted with its own seeded
+multi-start, then ranked by AIC (BIC and parameter count break ties).
+Every start of every cell is one lane of a batched BFGS.
 """
 
 from __future__ import annotations
@@ -14,14 +14,29 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .estimation import FitOptions, FitResult, default_starts, minimize_bfgs
-from .model import ModelSpec, ObservedSeries
+import numpy as np
+
+from .estimation import (
+    FitOptions,
+    FitResult,
+    LaneOutcomes,
+    bfgs_lanes,
+    default_starts,
+    fit_from_lanes,
+)
+from .model import LaneKernel, ModelSpec, ObservedSeries, embed, superset_mask
 
 GRID_DEGREES = (0, 1, 2)
 
-# Forcing may lower the optimal SSE (the non-forcing model is nested) but
-# never raise it; anything beyond this slack marks a local-optimum miss.
+# A spec's optimal SSE is never above that of a spec nested in it (lower
+# degrees, or no forcing); anything beyond this slack marks a local-optimum
+# miss.
 NESTED_SSE_SLACK = 1e-8
+
+# Most lanes one batched BFGS runs at once, and the unit of work of
+# ``--jobs``.  The kernel's cost per lane stops falling at about this
+# width, and it bounds the batch's memory whatever the start count.
+LANE_CHUNK = 256
 
 
 @dataclass
@@ -66,16 +81,10 @@ def enumerate_grid(include_forcing: bool = True) -> list[ModelSpec]:
     return specs
 
 
-def _fit_one(args) -> tuple[int, FitResult]:
-    index, spec, obs, options = args
-    starts = default_starts(
-        spec,
-        obs,
-        n_starts=options.n_starts,
-        seed=options.seed + index,
-        start_sd=options.start_sd,
-    )
-    return index, minimize_bfgs(spec, obs, starts, options)
+def _fit_lanes(args) -> LaneOutcomes:
+    obs, options, x0, mask = args
+    return bfgs_lanes(LaneKernel(obs), x0, mask, gtol=options.gtol,
+                      ftol_rel=options.ftol_rel, max_iter=options.max_iter)
 
 
 def unfittable_reason(spec: ModelSpec, obs: ObservedSeries) -> Optional[str]:
@@ -97,9 +106,14 @@ def run_grid(
     Forcing specifications are skipped with a recorded reason when the
     data carry no proxy series.  ``n`` overrides the observation count in
     the criteria; by default N = 2 * years, or 2 * years - 2 with
-    ``use_n_eff``.  ``jobs`` > 1 fits grid cells in parallel, on at most
-    one worker per cell and per CPU; results are merged by grid index, so
-    parallel and serial runs are identical.
+    ``use_n_eff``.
+
+    Every fittable cell's seeded starts are lanes of one lane set (see
+    :func:`~flowfit.estimation.bfgs_lanes`), cut into chunks of at most
+    ``LANE_CHUNK`` lanes in grid order.  ``jobs`` > 1 runs the chunks in
+    parallel, on at most one worker per chunk and per CPU.  A lane's fit
+    does not depend on the lanes it runs with, so parallel and serial runs
+    are identical.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -108,25 +122,35 @@ def run_grid(
         n = 2 * obs.grid.n_years - (2 if use_n_eff else 0)
     specs = enumerate_grid()
     entries: dict[int, GridEntry] = {}
-    tasks = []
+    cells = []
+    x0 = []
     for index, spec in enumerate(specs):
         reason = unfittable_reason(spec, obs)
         if reason is not None:
             entries[index] = GridEntry(spec=spec, k=spec.n_params, status="skipped", reason=reason)
-        else:
-            tasks.append((index, spec, obs, opts))
+            continue
+        cells.append(index)
+        starts = default_starts(spec, obs, n_starts=opts.n_starts, seed=opts.seed + index,
+                                start_sd=opts.start_sd)
+        x0 += [embed(start, spec) for start in starts]
+    x0 = np.stack(x0)
+    mask = np.repeat([superset_mask(specs[index]) for index in cells], opts.n_starts, axis=0)
+    chunks = [(obs, opts, x0[i:i + LANE_CHUNK], mask[i:i + LANE_CHUNK])
+              for i in range(0, len(x0), LANE_CHUNK)]
 
     # The pool starts all its workers up front, so never ask for more
     # than can run at once.
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(chunks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            fitted = list(pool.map(_fit_one, tasks))
+            lanes = LaneOutcomes.concatenate(list(pool.map(_fit_lanes, chunks)))
     else:
-        fitted = [_fit_one(t) for t in tasks]
+        lanes = LaneOutcomes.concatenate([_fit_lanes(chunk) for chunk in chunks])
 
-    for index, fit in fitted:
+    for cell, index in enumerate(cells):
         spec = specs[index]
+        rows = slice(cell * opts.n_starts, (cell + 1) * opts.n_starts)
+        fit = fit_from_lanes(spec, obs, lanes.rows(rows))
         entry = GridEntry(spec=spec, k=spec.n_params, fit=fit)
         try:
             entry.aic, entry.bic = information_criteria(fit.sse, spec.n_params, n)
@@ -149,17 +173,22 @@ def run_grid(
     return ranked + rest
 
 
+def _nests(inner: ModelSpec, outer: ModelSpec) -> bool:
+    """Whether ``inner`` is ``outer`` with some coefficients held out."""
+    return (inner != outer and inner.deg_gamma <= outer.deg_gamma
+            and inner.deg_rho <= outer.deg_rho and inner.forcing <= outer.forcing)
+
+
 def _flag_nested_misses(entries: dict[int, GridEntry], specs: list[ModelSpec]) -> None:
-    by_spec = {specs[i]: e for i, e in entries.items()}
-    for spec, entry in by_spec.items():
-        if not spec.forcing or entry.fit is None:
-            continue
-        base = by_spec.get(ModelSpec(spec.deg_gamma, spec.deg_rho, forcing=False))
-        if base is None or base.fit is None:
-            continue
-        slack = NESTED_SSE_SLACK * max(1.0, base.fit.sse)
-        if entry.fit.sse > base.fit.sse + slack:
-            entry.local_optimum_warning = True
+    """Flag every fitted cell whose SSE is above that of a cell nested in it."""
+    fitted = [(specs[i], e) for i, e in entries.items() if e.fit is not None]
+    for spec, entry in fitted:
+        for inner, base in fitted:
+            if not _nests(inner, spec):
+                continue
+            slack = NESTED_SSE_SLACK * max(1.0, base.fit.sse)
+            if entry.fit.sse > base.fit.sse + slack:
+                entry.local_optimum_warning = True
 
 
 def select_best(entries: list[GridEntry], criterion: str = "aic") -> GridEntry:

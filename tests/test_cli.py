@@ -345,6 +345,8 @@ class TestSettingsCheckedBeforeFitting:
         (["--gtol", "nan"], "gtol must be a finite number >= 0"),
         (["--gtol", "inf"], "gtol must be a finite number >= 0"),
         (["--ftol-rel", "-1"], "ftol_rel must be a finite number >= 0"),
+        (["--seed", "-1"], "seed must be at least 0"),
+        (["--draw-seed", "-1"], "draw_seed must be at least 0"),
     ]
 
     @staticmethod

@@ -1,0 +1,200 @@
+"""The lane path: the batched scan kernel, the ticked BFGS and the lane-chunked grid.
+
+``loss`` and ``loss_gradient`` (the list-level kernel) are the reference
+for :class:`LaneKernel`, on the inputs of ``test_kernel_properties.py``.
+A lane's value, gradient and iterates must not depend on the other lanes
+it runs with, bit for bit, so the grid's chunking and ``--jobs`` cannot
+change a result.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+
+import flowfit as ff
+from flowfit import estimation, selection
+from flowfit.estimation import PENALTY_PER_INVALID_YEAR, bfgs_lanes, bfgs_minimize
+from flowfit.model import LaneKernel, embed, superset_mask
+
+from _scenarios import recovery_scenario
+from test_kernel_properties import KERNEL, OBS, SPECS, cases
+
+
+def lane_eval(spec, obs, theta, scale_grid=None):
+    """Value and gradient of one lane, the gradient in ``spec``'s coefficients."""
+    mask = superset_mask(spec)
+    values, grads = LaneKernel(obs, scale_grid)(embed(theta, spec)[None], mask[None])
+    return float(values[0]), grads[0][mask]
+
+
+def assert_matches_list_kernel(spec, obs, theta, scale_grid):
+    value, grad = lane_eval(spec, obs, theta, scale_grid)
+    want = ff.loss(theta, spec, obs, scale_grid)
+    want_grad = ff.loss_gradient(theta, spec, obs, scale_grid)
+    assert math.isfinite(value) and np.all(np.isfinite(grad))
+    assert abs(value - want) <= 1e-12 * abs(want)
+    floor = max(float(np.max(np.abs(want_grad))), 1.0)
+    assert float(np.max(np.abs(grad - want_grad))) <= 1e-10 * floor
+
+
+@KERNEL
+@given(case=cases())
+def test_kernel_matches_list_kernel(case):
+    assert_matches_list_kernel(*case)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
+def test_kernel_matches_list_kernel_on_every_spec(spec):
+    rng = np.random.default_rng(17)
+    zero_start = OBS.p_intl.copy()
+    zero_start[:12] = 0.0
+    late_proxy = ff.ObservedSeries(OBS.grid, OBS.b, OBS.m, OBS.p, p_intl=zero_start)
+    for obs, scale_grid in ((OBS, None), (OBS.window(1980, 2004), OBS.grid),
+                            (late_proxy, ff.YearGrid(1950, 2030))):
+        for lambda_raw in (-45.0, -3.0, 700.0, 900.0):
+            theta = ff.default_starts(spec, obs, n_starts=1)[0]
+            theta = theta + rng.uniform(-1.5, 1.5, size=spec.n_params)
+            if spec.forcing:
+                theta[-1] = lambda_raw
+            assert_matches_list_kernel(spec, obs, theta, scale_grid)
+
+
+def mixed_lanes(n_lanes, seed):
+    """Superset vectors and masks of every grid spec, some deep in the penalty region."""
+    rng = np.random.default_rng(seed)
+    thetas, masks = [], []
+    for lane in range(n_lanes):
+        spec = SPECS[lane % len(SPECS)]
+        theta = ff.default_starts(spec, OBS, n_starts=1)[0]
+        theta = theta + rng.uniform(-1.5, 1.5, size=spec.n_params)
+        if spec.forcing and lane % 4 == 1:
+            # Forcing terms that overflow the flows, and a forcing weight that overflows.
+            theta[-1] = (695.0, 705.0, 800.0)[lane % 3]
+        thetas.append(embed(theta, spec))
+        masks.append(superset_mask(spec))
+    return np.stack(thetas), np.stack(masks)
+
+
+def test_lane_alone_equals_lane_in_shuffled_batch():
+    p_intl = OBS.p_intl.copy()
+    p_intl[:10] = 0.0
+    obs = ff.ObservedSeries(OBS.grid, OBS.b, OBS.m, OBS.p, p_intl=p_intl)
+    kernel = LaneKernel(obs, ff.YearGrid(1960, 2020))
+    thetas, masks = mixed_lanes(37, seed=4)
+    values, grads = kernel(thetas, masks)
+    penalized = values >= PENALTY_PER_INVALID_YEAR
+    assert penalized.any() and not penalized.all()
+    # Some penalized lanes have a residual prefix before their invalid years.
+    assert np.any(penalized & (values % PENALTY_PER_INVALID_YEAR > 0.0))
+    order = np.random.default_rng(5).permutation(len(values))
+    shuffled_values, shuffled_grads = kernel(thetas[order], masks[order])
+    assert np.array_equal(shuffled_values, values[order])
+    assert np.array_equal(shuffled_grads, grads[order])
+    for lane in range(len(values)):
+        alone_value, alone_grad = kernel(thetas[lane:lane + 1], masks[lane:lane + 1])
+        assert alone_value[0] == values[lane]
+        assert np.array_equal(alone_grad[0], grads[lane])
+
+
+def test_absent_coefficients_are_ignored_and_get_no_gradient():
+    thetas, masks = mixed_lanes(18, seed=6)
+    kernel = LaneKernel(OBS)
+    values, grads = kernel(thetas, masks)
+    noisy = thetas + np.where(masks, 0.0, 3.0)
+    noisy_values, noisy_grads = kernel(noisy, masks)
+    assert np.array_equal(noisy_values, values) and np.array_equal(noisy_grads, grads)
+    assert np.all(grads[~masks] == 0.0)
+
+
+def test_forcing_lane_needs_proxy():
+    obs, _ = ff.generate(recovery_scenario(grid=ff.YearGrid(1980, 1999)))
+    spec = ff.ModelSpec(0, 0, forcing=True)
+    with pytest.raises(ValueError, match="p_intl"):
+        LaneKernel(obs)(embed(np.zeros(spec.n_params), spec)[None], superset_mask(spec)[None])
+
+
+@pytest.fixture(scope="module")
+def obs49():
+    obs, _ = ff.generate(recovery_scenario(p_intl=True, noise_sd=0.02, seed=1))
+    return obs
+
+
+@pytest.mark.parametrize("spec", [ff.ModelSpec(0, 0, False), ff.ModelSpec(1, 1, False)],
+                         ids=lambda s: s.label())
+def test_lane_fit_matches_list_fit_from_each_start(obs49, spec):
+    starts = ff.default_starts(spec, obs49, n_starts=8, seed=3)
+    lanes = bfgs_lanes(LaneKernel(obs49), np.stack([embed(x, spec) for x in starts]),
+                       np.tile(superset_mask(spec), (len(starts), 1)))
+    objective = estimation._Objective(spec, obs49, None)
+    for lane, x0 in enumerate(starts):
+        want = bfgs_minimize(objective.value, x0, grad=objective.gradient)
+        assert lanes.converged[lane] and want.converged
+        assert lanes.grad_max_norm[lane] <= 1e-6
+        # Both land on the same minimum from the same start (or the lane
+        # lower).  A gradient of 1e-6 pins the loss there to about 1e-9
+        # relative: 1-ulp changes to a start move the list fit that much.
+        assert lanes.fun[lane] <= want.fun * (1.0 + 1e-8)
+        assert np.all(lanes.x[lane][~superset_mask(spec)] == 0.0)
+
+
+def test_lanes_stop_at_max_iter_and_keep_start_at_zero(obs49):
+    spec = ff.ModelSpec(2, 2, False)
+    x0 = np.stack([embed(x, spec) for x in ff.default_starts(spec, obs49, n_starts=5)])
+    mask = np.tile(superset_mask(spec), (5, 1))
+    capped = bfgs_lanes(LaneKernel(obs49), x0, mask, max_iter=7)
+    assert np.all(capped.n_iterations == 7) and not capped.converged.any()
+    untouched = bfgs_lanes(LaneKernel(obs49), x0, mask, max_iter=0)
+    assert np.array_equal(untouched.x, x0) and np.all(untouched.n_iterations == 0)
+
+
+def test_minimize_bfgs_runs_lanes_from_lane_min_starts(obs49, monkeypatch):
+    spec = ff.ModelSpec(1, 0, True)
+    calls = []
+    real_lanes, real_list = estimation.bfgs_lanes, estimation.bfgs_minimize
+    monkeypatch.setattr(estimation, "bfgs_lanes",
+                        lambda *a, **k: calls.append("lanes") or real_lanes(*a, **k))
+    monkeypatch.setattr(estimation, "bfgs_minimize",
+                        lambda *a, **k: calls.append("list") or real_list(*a, **k))
+    opts = ff.FitOptions(max_iter=50)
+    few = estimation.LANE_MIN_STARTS - 1
+    ff.minimize_bfgs(spec, obs49, ff.default_starts(spec, obs49, n_starts=few), opts)
+    assert calls == ["list"] * few
+    calls.clear()
+    starts = ff.default_starts(spec, obs49, n_starts=estimation.LANE_MIN_STARTS)
+    fit = ff.minimize_bfgs(spec, obs49, starts, opts)
+    assert calls == ["lanes"]
+    assert fit.sse == ff.loss(fit.theta_hat, spec, obs49)
+    assert fit.n_starts_used == len(starts) and fit.theta_hat.shape == (spec.n_params,)
+
+
+@pytest.fixture(scope="module")
+def small_obs_with_intl():
+    obs, _ = ff.generate(recovery_scenario(grid=ff.YearGrid(1980, 1999), p_intl=True,
+                                           noise_sd=0.02))
+    return obs
+
+
+def test_grid_chunks_and_jobs_do_not_change_results(small_obs_with_intl, monkeypatch):
+    opts = ff.FitOptions(n_starts=2, max_iter=60)
+    serial = ff.run_grid(small_obs_with_intl, opts)   # 36 lanes, one chunk
+    monkeypatch.setattr(selection, "LANE_CHUNK", 5)
+    parallel = ff.run_grid(small_obs_with_intl, opts, jobs=2)   # 8 chunks on 2 workers
+    for x, y in zip(serial, parallel):
+        assert x.spec == y.spec
+        assert np.array_equal(x.fit.theta_hat, y.fit.theta_hat)
+        assert (x.fit.sse, x.fit.n_iterations, x.fit.converged, x.aic, x.local_optimum_warning) == (
+            y.fit.sse, y.fit.n_iterations, y.fit.converged, y.aic, y.local_optimum_warning)
+
+
+def test_cli_grid_bytes_do_not_depend_on_jobs_or_chunks(small_obs_with_intl, tmp_path,
+                                                        monkeypatch):
+    data = tmp_path / "degrees.csv"
+    ff.write_series(small_obs_with_intl, data)
+    argv = ["grid", "--data", str(data), "--n-starts", "2", "--max-iter", "60"]
+    assert ff.run_cli(argv + ["--out", str(tmp_path / "serial")]) in (0, 2)
+    monkeypatch.setattr(selection, "LANE_CHUNK", 7)
+    assert ff.run_cli(argv + ["--out", str(tmp_path / "jobs2"), "--jobs", "2"]) in (0, 2)
+    assert ((tmp_path / "serial" / "grid.csv").read_bytes()
+            == (tmp_path / "jobs2" / "grid.csv").read_bytes())

@@ -139,12 +139,16 @@ class TestNestedMissFlag:
         good = self.entry(ModelSpec(2, 2, True), sse=0.10)
         miss = self.entry(ModelSpec(1, 1, True), sse=0.35)
         miss_base = self.entry(ModelSpec(1, 1, False), sse=0.30)
-        specs = [base.spec, good.spec, miss_base.spec, miss.spec]
-        entries = dict(enumerate([base, good, miss_base, miss]))
+        # A higher degree stuck above a lower one it nests, without forcing.
+        degree_miss = self.entry(ModelSpec(2, 1, False), sse=0.31)
+        specs = [base.spec, good.spec, miss_base.spec, miss.spec, degree_miss.spec]
+        entries = dict(enumerate([base, good, miss_base, miss, degree_miss]))
         _flag_nested_misses(entries, specs)
         assert miss.local_optimum_warning
+        assert degree_miss.local_optimum_warning
         assert not good.local_optimum_warning
         assert not base.local_optimum_warning
+        assert not miss_base.local_optimum_warning
 
 
 @pytest.fixture(scope="module")
@@ -246,13 +250,15 @@ class TestJobsBound:
 
     def test_workers_clamped_to_cpus_and_tasks(self, requested, monkeypatch, small_obs_plain,
                                               small_obs_with_intl, tiny_options):
+        # One start per cell in chunks of two lanes: the unit of work is a chunk.
+        monkeypatch.setattr(selection, "LANE_CHUNK", 2)
         monkeypatch.setattr(selection.os, "cpu_count", lambda: 4)
         run_grid(small_obs_plain, tiny_options, jobs=10_000)
         run_grid(small_obs_plain, tiny_options, jobs=3)
         monkeypatch.setattr(selection.os, "cpu_count", lambda: 64)
-        run_grid(small_obs_plain, tiny_options, jobs=10_000)       # 9 cells to fit
-        run_grid(small_obs_with_intl, tiny_options, jobs=10_000)   # 18 cells
-        assert requested == [4, 3, 9, 18]
+        run_grid(small_obs_plain, tiny_options, jobs=10_000)       # 9 lanes, 5 chunks
+        run_grid(small_obs_with_intl, tiny_options, jobs=10_000)   # 18 lanes, 9 chunks
+        assert requested == [4, 3, 5, 9]
 
     def test_single_worker_runs_serially(self, requested, monkeypatch, small_obs_plain,
                                          tiny_options):
