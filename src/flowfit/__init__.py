@@ -9,16 +9,12 @@ from .model import (
     TRAJECTORY_NAMES,
     YearGrid,
     eval_param_trajectories,
-    eval_param_trajectories_batch,
     initialize_stocks,
     inv_logit,
-    iter_trajectories,
     logit,
     rescale_time,
     run_recurrence,
     simulate,
-    simulate_adjoint,
-    simulate_batch,
     theta_labels,
 )
 from .estimation import (
@@ -36,7 +32,6 @@ from .estimation import (
     fd_hessian,
     gradient_fd,
     loss,
-    loss_batch,
     loss_gradient,
     minimize_bfgs,
     numerical_hessian,

@@ -345,11 +345,11 @@ class Settings:
         return str(path)
 
 
-def _fit_bundle(obs: ObservedSeries, spec: ModelSpec, fit: estimation.FitResult) -> ReportBundle:
-    """Report bundle of one fitted spec: trajectories, flows, residuals and criteria."""
+def _fit_bundle(obs: ObservedSeries, spec: ModelSpec, fit: estimation.FitResult,
+                n: int) -> ReportBundle:
+    """Report bundle of one fitted spec: trajectories, flows, residuals and criteria at N."""
     traj = eval_param_trajectories(fit.theta_hat, spec, obs.grid)
     sim = simulate(obs, traj, spec)
-    n = 2 * obs.grid.n_years
     bundle = ReportBundle(obs=obs, spec=spec, fit=fit, trajectories=traj, simulation=sim, n=n)
     try:
         bundle.residual_report = diagnostics.residual_report(obs, sim)
@@ -398,8 +398,10 @@ def _run_pipeline(settings: Settings) -> int:
     # ``outcomes`` are the fits whose convergence sets the exit code: the
     # fit if there is one, else the grid's, else the robustness refits.
     entries = fit = outcomes = None
+    # The criteria's observation count, the same in the grid and the fit's report.
+    n = 2 * obs.grid.n_years - (2 if echo.get("use_n_eff") else 0)
     if "grid" in stages:
-        entries = selection.run_grid(obs, opts, use_n_eff=echo["use_n_eff"], jobs=echo["jobs"])
+        entries = selection.run_grid(obs, opts, n=n, jobs=echo["jobs"])
         outcomes = [e.fit for e in entries if e.fit is not None]
         if wants_spec and spec is None:
             try:
@@ -414,7 +416,7 @@ def _run_pipeline(settings: Settings) -> int:
             fit = estimation.minimize_bfgs(spec, obs, starts, opts)
         else:   # the grid has fitted every spec it could, this one included
             fit = next(e.fit for e in entries if e.spec == spec)
-        bundle = _fit_bundle(obs, spec, fit)
+        bundle = _fit_bundle(obs, spec, fit, n)
         outcomes = [fit]
     else:
         bundle = ReportBundle(obs=obs, spec=spec)

@@ -133,7 +133,6 @@ def _refit_window(
     seed_offset: int,
     rescale: str,
     full_grid,
-    warm_theta: Optional[np.ndarray],
 ) -> FitResult:
     starts = default_starts(
         spec,
@@ -142,8 +141,6 @@ def _refit_window(
         seed=options.seed + seed_offset,
         start_sd=options.start_sd,
     )
-    if warm_theta is not None:
-        starts = [np.asarray(warm_theta, dtype=float)] + starts
     scale_grid = full_grid if rescale == "full" else None
     return minimize_bfgs(spec, window, starts, options, scale_grid=scale_grid)
 
@@ -182,7 +179,6 @@ def truncation_study(
     start_years: Sequence[int],
     options: Optional[FitOptions] = None,
     rescale: str = "window",
-    warm_theta: Optional[np.ndarray] = None,
 ) -> list[TruncationRow]:
     """Refit on late-start windows and report pooled log-RMSE per window.
 
@@ -198,7 +194,7 @@ def truncation_study(
     for idx, start in enumerate(start_years):
         n_years = obs.grid.t_max - start + 1
         window = obs.window(start, obs.grid.t_max)
-        fit = _refit_window(window, spec, opts, idx, rescale, obs.grid, warm_theta)
+        fit = _refit_window(window, spec, opts, idx, rescale, obs.grid)
         rows.append(
             TruncationRow(
                 start_year=start,
@@ -219,7 +215,6 @@ def rolling_origin_hindcast(
     cutoffs: Sequence[int],
     options: Optional[FitOptions] = None,
     rescale: str = "window",
-    warm_theta: Optional[np.ndarray] = None,
 ) -> HindcastResult:
     """One-step-ahead out-of-sample check over a set of cutoff years.
 
@@ -237,7 +232,7 @@ def rolling_origin_hindcast(
     sq_p = []
     for idx, cutoff in enumerate(cutoffs):
         window = obs.window(obs.grid.t_min, cutoff)
-        fit = _refit_window(window, spec, opts, idx, rescale, obs.grid, warm_theta)
+        fit = _refit_window(window, spec, opts, idx, rescale, obs.grid)
         m_pred, p_pred = _predict_next_year(window, spec, fit.theta_hat, rescale, obs.grid)
         i_next = cutoff + 1 - obs.grid.t_min
         m_obs = float(obs.m[i_next])

@@ -7,7 +7,8 @@ a backtracking (Armijo) line search and the exact gradient, which one
 reverse (adjoint) sweep computes from the line search's last forward pass.
 A fit with several starts runs them together as lanes of one batched BFGS
 on :class:`~flowfit.model.LaneKernel`.  Parameter uncertainty comes from
-the numerical Hessian at the optimum.
+the Hessian at the optimum: central differences of the exact gradient,
+every stencil point a lane of one kernel call.
 """
 
 from __future__ import annotations
@@ -30,14 +31,13 @@ from .model import (
     YearGrid,
     _adjoint_sweep,
     _annual_updates,
+    _checked_theta,
     _clamped_logistic,
     _linear_predictors,
     _pull_back,
     embed,
     eval_param_trajectories,
-    eval_param_trajectories_batch,
     logit,
-    simulate_batch,
     superset_mask,
 )
 
@@ -128,36 +128,6 @@ def residuals(obs: ObservedSeries, sim: SimulationResult) -> ResidualSet:
     r_m[0] = 0.0
     r_p[0] = 0.0
     return ResidualSet(r_m=r_m, r_p=r_p, n_eff=2 * obs.grid.n_years - 2)
-
-
-def _valid_flows(flow_m: np.ndarray, flow_p: np.ndarray) -> np.ndarray:
-    """Years (rows) whose implied flows are both finite and positive."""
-    return np.isfinite(flow_m) & (flow_m > 0) & np.isfinite(flow_p) & (flow_p > 0)
-
-
-def _counted_residuals(
-    obs: ObservedSeries, flow_m: np.ndarray, flow_p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log residuals of ``(n_years, B)`` implied flows over their counted years.
-
-    A column's counted years are those after the first and before its
-    first invalid (non-positive or non-finite) year; its residuals are 0
-    elsewhere.  Also returns each column's number of invalid years.
-    """
-    valid = _valid_flows(flow_m, flow_p)
-    n_invalid = valid.shape[0] - np.count_nonzero(valid, axis=0)
-    counted = np.logical_and.accumulate(valid, axis=0)
-    counted[0] = False
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_m = np.where(counted, np.log(obs.m)[:, None] - np.log(flow_m), 0.0)
-        r_p = np.where(counted, np.log(obs.p)[:, None] - np.log(flow_p), 0.0)
-    return r_m, r_p, n_invalid
-
-
-def _penalized_sse(r_m: np.ndarray, r_p: np.ndarray, n_invalid: np.ndarray) -> np.ndarray:
-    """The loss of each column: counted squared residuals plus the invalid-year penalty."""
-    sse = np.einsum("ij,ij->j", r_m, r_m) + np.einsum("ij,ij->j", r_p, r_p)
-    return sse + PENALTY_PER_INVALID_YEAR * n_invalid
 
 
 @dataclass
@@ -312,25 +282,6 @@ def loss_gradient(
     return _Objective(spec, obs, scale_grid).gradient(theta)
 
 
-def loss_batch(
-    thetas: np.ndarray,
-    spec: ModelSpec,
-    obs: ObservedSeries,
-    scale_grid: Optional[YearGrid] = None,
-) -> np.ndarray:
-    """:func:`loss` of every row of a ``(B, k)`` array, in one vectorised pass.
-
-    Agrees with :func:`loss` to round-off.  It costs a few scalar calls at
-    B=1 but little more at B=30, so it serves callers that evaluate many
-    points at once (finite-difference stencils); single points use
-    :func:`loss`.
-    """
-    traj = eval_param_trajectories_batch(
-        thetas, spec, scale_grid if scale_grid is not None else obs.grid, years=obs.grid.years
-    )
-    return _penalized_sse(*_counted_residuals(obs, *simulate_batch(obs, traj, spec)))
-
-
 def _gradient_stencil(x: np.ndarray, rel_step: float) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference points (x + h_i e_i for every i, then x - h_i e_i) and steps h."""
     n = x.size
@@ -347,52 +298,36 @@ def _gradient_from_stencil(values: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (values[:n] - values[n:]) / (2.0 * h)
 
 
-def _hessian_stencil(x: np.ndarray, rel_step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Second-difference points and steps h.
+def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, rel_step: float = GRADIENT_REL_STEP) -> np.ndarray:
+    """Central-difference gradient with per-coordinate step rel_step*max(1, |x_i|)."""
+    points, h = _gradient_stencil(np.asarray(x, dtype=float), rel_step)
+    return _gradient_from_stencil(np.array([f(point) for point in points], dtype=float), h)
 
-    Rows: x; the gradient stencil's 2n axial points; then, for the pairs
-    i < j in ``np.triu_indices`` order, four blocks x +/- h_i e_i +/- h_j e_j
-    with signs (+,+), (+,-), (-,+), (-,-).
+
+def _spec_lanes(
+    points: np.ndarray,
+    spec: ModelSpec,
+    obs: ObservedSeries,
+    scale_grid: Optional[YearGrid],
+) -> tuple[np.ndarray, np.ndarray]:
+    """:class:`LaneKernel` at a ``(B, k)`` array of ``spec``'s parameter vectors.
+
+    Returns the loss of every row and its exact gradient in ``spec``'s
+    coefficients, ``(B,)`` and ``(B, k)``, from one kernel call.
     """
-    axial, h = _gradient_stencil(x, rel_step)
-    i, j = np.triu_indices(x.size, 1)
-    pairs = np.tile(x, (4 * i.size, 1))
-    rows = np.arange(i.size)
-    for sign_i, sign_j in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
-        pairs[rows, i] += sign_i * h[i]
-        pairs[rows, j] += sign_j * h[j]
-        rows = rows + i.size
-    return np.vstack([x, axial, pairs]), h
+    mask = superset_mask(spec)
+    lanes = np.zeros((len(points), mask.size))
+    lanes[:, mask] = _checked_theta(points, spec)
+    values, grads = LaneKernel(obs, scale_grid)(lanes, np.tile(mask, (len(points), 1)))
+    return values, grads[:, mask]
 
 
-def _hessian_from_stencil(values: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Central second differences, symmetrized as (H + H^T)/2; rejects non-finite entries."""
-    n = h.size
-    f0 = values[0]
-    f_plus = values[1:1 + n]
-    f_minus = values[1 + n:1 + 2 * n]
-    i, j = np.triu_indices(n, 1)
-    f_pp, f_pm, f_mp, f_mm = values[1 + 2 * n:].reshape(4, i.size)
-    hess = np.empty((n, n))
-    axis = np.arange(n)
-    hess[axis, axis] = (f_plus - 2.0 * f0 + f_minus) / (h * h)
-    off = (f_pp - f_pm - f_mp + f_mm) / (4.0 * h[i] * h[j])
-    hess[i, j] = off
-    hess[j, i] = off
+def _symmetrized(hess: np.ndarray) -> np.ndarray:
+    """(H + H^T)/2; rejects non-finite entries."""
     if not np.all(np.isfinite(hess)):
         bad = np.argwhere(~np.isfinite(hess))[0]
         raise NumericalError(f"non-finite Hessian entry at coordinate pair ({bad[0]}, {bad[1]})")
     return 0.5 * (hess + hess.T)
-
-
-def _on_rows(f: Callable[[np.ndarray], float], points: np.ndarray) -> np.ndarray:
-    return np.array([f(point) for point in points], dtype=float)
-
-
-def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, rel_step: float = GRADIENT_REL_STEP) -> np.ndarray:
-    """Central-difference gradient with per-coordinate step rel_step*max(1, |x_i|)."""
-    points, h = _gradient_stencil(np.asarray(x, dtype=float), rel_step)
-    return _gradient_from_stencil(_on_rows(f, points), h)
 
 
 def gradient_fd(
@@ -401,19 +336,35 @@ def gradient_fd(
     obs: ObservedSeries,
     scale_grid: Optional[YearGrid] = None,
 ) -> np.ndarray:
-    """Central-difference gradient of :func:`loss`; all 2k points in one batched call.
+    """Central-difference gradient of :func:`loss`; all 2k points in one kernel call.
 
     The fit uses the exact gradient (:func:`loss_gradient`); this one is its
-    independent check.
+    independent check: it reads only the values of the call.
     """
     points, h = _gradient_stencil(np.asarray(theta, dtype=float), GRADIENT_REL_STEP)
-    return _gradient_from_stencil(loss_batch(points, spec, obs, scale_grid), h)
+    values, _ = _spec_lanes(points, spec, obs, scale_grid)
+    return _gradient_from_stencil(values, h)
 
 
 def fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray, rel_step: float = HESSIAN_REL_STEP) -> np.ndarray:
-    """Central second differences, symmetrized as (H + H^T)/2."""
-    points, h = _hessian_stencil(np.asarray(x, dtype=float), rel_step)
-    return _hessian_from_stencil(_on_rows(f, points), h)
+    """Central second differences of ``f``, symmetrized as (H + H^T)/2.
+
+    The reference for :func:`numerical_hessian`: 1 + 2k^2 values of ``f``
+    and no gradient.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    h = rel_step * np.maximum(1.0, np.abs(x))
+    e = np.diag(h)
+    f0 = f(x)
+    hess = np.empty((n, n))
+    for i in range(n):
+        hess[i, i] = (f(x + e[i]) - 2.0 * f0 + f(x - e[i])) / (h[i] * h[i])
+        for j in range(i + 1, n):
+            hess[i, j] = hess[j, i] = (
+                f(x + e[i] + e[j]) - f(x + e[i] - e[j]) - f(x - e[i] + e[j]) + f(x - e[i] - e[j])
+            ) / (4.0 * h[i] * h[j])
+    return _symmetrized(hess)
 
 
 def numerical_hessian(
@@ -422,9 +373,18 @@ def numerical_hessian(
     obs: ObservedSeries,
     scale_grid: Optional[YearGrid] = None,
 ) -> np.ndarray:
-    """Hessian of :func:`loss`; all 1 + 2k^2 stencil points in one batched call."""
-    points, h = _hessian_stencil(np.asarray(theta_hat, dtype=float), HESSIAN_REL_STEP)
-    return _hessian_from_stencil(loss_batch(points, spec, obs, scale_grid), h)
+    """Hessian of :func:`loss`: central differences of its exact gradient.
+
+    Row i is (g(x + h_i e_i) - g(x - h_i e_i)) / 2 h_i, with the gradient
+    stencil's steps h_i = ``GRADIENT_REL_STEP`` * max(1, |x_i|); all 2k
+    gradients come from one :class:`LaneKernel` call.  The result is
+    symmetrized as (H + H^T)/2, so it is exactly symmetric; a non-finite
+    entry raises :class:`NumericalError`.
+    """
+    points, h = _gradient_stencil(np.asarray(theta_hat, dtype=float), GRADIENT_REL_STEP)
+    _, grads = _spec_lanes(points, spec, obs, scale_grid)
+    n = h.size
+    return _symmetrized((grads[:n] - grads[n:]) / (2.0 * h[:, None]))
 
 
 @dataclass

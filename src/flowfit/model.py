@@ -162,8 +162,8 @@ class ObservedSeries:
 class ParamTrajectories:
     """Per-year routing fractions and hazards, all strictly inside (0, 1).
 
-    For a batch of B parameter vectors each array is ``(n_years, B)`` and
-    ``lam`` is a ``(B,)`` array.
+    Each trajectory is an ``(n_years,)`` array; ``lam`` is the forcing
+    weight, 0 for a spec without forcing.
     """
 
     rho_bm: np.ndarray
@@ -325,22 +325,6 @@ def _linear_predictors(
         yield name, design @ theta[..., block].T
 
 
-def iter_trajectories(
-    theta: np.ndarray,
-    spec: ModelSpec,
-    grid: YearGrid,
-    years: Optional[Sequence[int]] = None,
-) -> Iterator[tuple[str, np.ndarray]]:
-    """Yield ``(name, values)`` for the five parameter trajectories, one at a time.
-
-    Shapes as in :func:`_linear_predictors`; each trajectory is one
-    clamped logistic for the whole batch, and yielding them one at a time
-    lets a caller reduce each before the next is built.
-    """
-    for name, eta in _linear_predictors(theta, spec, grid, years):
-        yield name, _clamped_logistic(eta)
-
-
 def eval_param_trajectories(
     theta: np.ndarray,
     spec: ModelSpec,
@@ -362,26 +346,6 @@ def eval_param_trajectories(
     values = _clamped_logistic(stacked @ theta).reshape(len(TRAJECTORY_NAMES), -1)
     lam = float(_forcing_weight(float(theta[-1]))) if spec.forcing else 0.0
     return ParamTrajectories(*values, lam=lam)
-
-
-def eval_param_trajectories_batch(
-    thetas: np.ndarray,
-    spec: ModelSpec,
-    grid: YearGrid,
-    years: Optional[Sequence[int]] = None,
-) -> ParamTrajectories:
-    """Trajectories for a ``(B, k)`` batch of parameter vectors.
-
-    Each trajectory array has shape ``(n_years, B)`` and ``lam`` has shape
-    ``(B,)``; column ``j`` holds what :func:`eval_param_trajectories` gives
-    for ``thetas[j]``, up to round-off in the polynomial product.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2:
-        raise ValueError(f"thetas must be a (B, k) array, got shape {thetas.shape}")
-    values = dict(iter_trajectories(thetas, spec, grid, years))
-    lam = _forcing_weight(thetas[:, -1]) if spec.forcing else np.zeros(thetas.shape[0])
-    return ParamTrajectories(**values, lam=lam)
 
 
 def _pull_back(
@@ -544,45 +508,6 @@ def _adjoint_sweep(
     return rbm_bar + rbp_bar + rmp_bar + gm_bar + gp_bar, lam_bar
 
 
-def simulate_adjoint(
-    obs: ObservedSeries,
-    traj: ParamTrajectories,
-    spec: ModelSpec,
-    sim: SimulationResult,
-    flow_m_bar: Sequence[float],
-    flow_p_bar: Sequence[float],
-) -> ParamTrajectories:
-    """Reverse sweep of :func:`simulate`: trajectory adjoints from flow adjoints.
-
-    ``sim`` is what :func:`simulate` gave for ``traj``.  ``flow_m_bar`` and
-    ``flow_p_bar`` are the adjoints (derivatives of some scalar) of the
-    flows of the first ``len(flow_m_bar)`` years; later years carry none,
-    so their stocks and flows are never read.  One Python-float loop runs
-    from the last of those years back to year 0 through the annual update,
-    the forcing term and the initial stocks ``m0 / gamma_m[0]`` and
-    ``p0 / gamma_p[0]``.  The result holds the adjoint of every trajectory
-    entry (zero past the swept years) and, in ``lam``, that of the forcing
-    weight.
-    """
-    n = len(obs.b)
-    stop = len(flow_m_bar)
-    if len(flow_p_bar) != stop or stop > n:
-        raise ValueError(f"flow adjoints must cover the same leading years of the {n}-year grid")
-    flat, lam_bar = _adjoint_sweep(
-        obs.b.tolist(),
-        traj.rho_mp.tolist(),
-        traj.gamma_m.tolist(),
-        traj.gamma_p.tolist(),
-        obs.p_intl.tolist() if spec.forcing else None,
-        sim.stock_m.tolist(),
-        sim.stock_p.tolist(),
-        sim.flow_m.tolist(),
-        np.asarray(flow_m_bar, dtype=float).tolist(),
-        np.asarray(flow_p_bar, dtype=float).tolist(),
-    )
-    return ParamTrajectories(*np.array(flat).reshape(len(TRAJECTORY_NAMES), n), lam=lam_bar)
-
-
 def simulate(obs: ObservedSeries, traj: ParamTrajectories, spec: ModelSpec) -> SimulationResult:
     """Deterministic forward simulation over the observation grid.
 
@@ -594,43 +519,6 @@ def simulate(obs: ObservedSeries, traj: ParamTrajectories, spec: ModelSpec) -> S
     stock_m0, stock_p0 = initialize_stocks(obs, traj)
     p_intl = obs.p_intl if spec.forcing else None
     return run_recurrence(obs.b, traj, stock_m0, stock_p0, p_intl=p_intl)
-
-
-def simulate_batch(
-    obs: ObservedSeries, traj: ParamTrajectories, spec: ModelSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Implied master's and PhD flows, each ``(n_years, B)``, for batched trajectories.
-
-    ``traj`` comes from :func:`eval_param_trajectories_batch`.  The
-    recurrence steps through the years once with width-B vectors, in the
-    same operation order as :func:`run_recurrence`, so each column equals
-    what :func:`simulate` gives for the same trajectories.
-    """
-    if spec.forcing and obs.p_intl is None:
-        raise ValueError("forcing specification requires the p_intl series")
-    b = obs.b[:, None]
-    gm, gp, rmp = traj.gamma_m, traj.gamma_p, traj.rho_mp
-    flow_m = np.empty_like(gm)
-    flow_p = np.empty_like(gp)
-    last = len(b) - 1
-    # Overflow to inf/nan is allowed, as in the scalar path; the loss
-    # penalizes non-finite flows.
-    with np.errstate(over="ignore", invalid="ignore"):
-        inflow_m = traj.rho_bm * b
-        inflow_p = traj.rho_bp * b
-        forcing = traj.lam * obs.p_intl[:, None] if spec.forcing else None
-        sm = float(obs.m[0]) / gm[0]
-        sp = float(obs.p[0]) / gp[0]
-        for i in range(last):
-            fm = np.multiply(gm[i], sm, out=flow_m[i])
-            fp = np.multiply(gp[i], sp, out=flow_p[i])
-            sp = sp + inflow_p[i] + rmp[i] * fm - fp
-            if forcing is not None:
-                sp += forcing[i]
-            sm = sm + inflow_m[i] - fm
-        np.multiply(gm[last], sm, out=flow_m[last])
-        np.multiply(gp[last], sp, out=flow_p[last])
-    return flow_m, flow_p
 
 
 # Each year with a non-positive or non-finite implied flow adds this to the

@@ -9,7 +9,7 @@ import pytest
 
 import flowfit as ff
 from flowfit import estimation
-from flowfit.model import LAMBDA_RAW_FLOOR, _coefficient_blocks
+from flowfit.model import LAMBDA_RAW_FLOOR, _adjoint_sweep, _coefficient_blocks
 
 from _scenarios import RECOVERY_SPEC, RECOVERY_THETA, recovery_scenario
 
@@ -28,9 +28,8 @@ def intl_obs():
 
 @pytest.fixture(scope="module")
 def penalty_case():
-    # The overflowing-forcing case of test_batch_kernel: the proxy is zero
-    # for twelve years, so a huge forcing weight invalidates the flows only
-    # after a residual prefix.
+    # An overflowing forcing term: the proxy is zero for twelve years, so a
+    # huge forcing weight invalidates the flows only after a residual prefix.
     base, _ = ff.generate(recovery_scenario(p_intl=True, noise_sd=0.02, seed=3))
     p_intl = base.p_intl.copy()
     p_intl[:12] = 0.0
@@ -116,7 +115,18 @@ def test_clamped_trajectory_has_zero_entries(intl_obs):
     assert rel_err(grad[others], want[others]) <= 1e-6
 
 
-def test_simulate_adjoint_is_transpose_of_tangent(intl_obs):
+def adjoint_sweep(obs, traj, sim, flow_m_bar, flow_p_bar):
+    """``_adjoint_sweep`` on arrays: trajectory adjoints by name and the forcing weight's."""
+    flat, lam_bar = _adjoint_sweep(
+        obs.b.tolist(), traj.rho_mp.tolist(), traj.gamma_m.tolist(), traj.gamma_p.tolist(),
+        obs.p_intl.tolist(), sim.stock_m.tolist(), sim.stock_p.tolist(), sim.flow_m.tolist(),
+        np.asarray(flow_m_bar, dtype=float).tolist(), np.asarray(flow_p_bar, dtype=float).tolist(),
+    )
+    bars = np.reshape(flat, (len(ff.TRAJECTORY_NAMES), -1))
+    return dict(zip(ff.TRAJECTORY_NAMES, bars)), lam_bar
+
+
+def test_adjoint_sweep_is_transpose_of_tangent(intl_obs):
     # <flow_bar, J v> == <J^T flow_bar, v> for a random trajectory direction v,
     # with J v taken by central differences of simulate.
     spec = ff.ModelSpec(2, 2, forcing=True)
@@ -127,7 +137,7 @@ def test_simulate_adjoint_is_transpose_of_tangent(intl_obs):
     n = intl_obs.grid.n_years
     flow_m_bar = rng.normal(size=n)
     flow_p_bar = rng.normal(size=n)
-    bar = ff.simulate_adjoint(intl_obs, traj, spec, sim, flow_m_bar, flow_p_bar)
+    bar, lam_bar = adjoint_sweep(intl_obs, traj, sim, flow_m_bar, flow_p_bar)
     direction = {name: rng.normal(size=n) for name in ff.TRAJECTORY_NAMES}
     d_lam = rng.normal()
     h = 1e-7
@@ -142,27 +152,27 @@ def test_simulate_adjoint_is_transpose_of_tangent(intl_obs):
 
     (m_plus, p_plus), (m_minus, p_minus) = flows(1.0), flows(-1.0)
     tangent = (flow_m_bar @ (m_plus - m_minus) + flow_p_bar @ (p_plus - p_minus)) / (2 * h)
-    adjoint = sum(direction[name] @ getattr(bar, name) for name in direction) + d_lam * bar.lam
+    adjoint = sum(direction[name] @ bar[name] for name in direction) + d_lam * lam_bar
     assert adjoint == pytest.approx(tangent, rel=1e-6)
 
 
-def test_simulate_adjoint_ignores_years_past_its_adjoints(intl_obs):
+def test_adjoint_sweep_ignores_years_past_its_adjoints(intl_obs):
     spec = ff.ModelSpec(1, 1, forcing=True)
     theta = np.concatenate([center(spec, intl_obs)[:-1], [1.0]])
     traj = ff.eval_param_trajectories(theta, spec, intl_obs.grid)
     sim = ff.simulate(intl_obs, traj, spec)
     rng = np.random.default_rng(13)
     fm_bar, fp_bar = rng.normal(size=(2, 20))
-    bar = ff.simulate_adjoint(intl_obs, traj, spec, sim, fm_bar, fp_bar)
+    bar, lam_bar = adjoint_sweep(intl_obs, traj, sim, fm_bar, fp_bar)
     for name in ff.TRAJECTORY_NAMES:
-        assert np.all(getattr(bar, name)[20:] == 0.0)
+        assert np.all(bar[name][20:] == 0.0)
     # Zero adjoints on later years give the same sweep.
     pad = np.zeros(intl_obs.grid.n_years - 20)
-    full = ff.simulate_adjoint(intl_obs, traj, spec, sim,
-                               np.concatenate([fm_bar, pad]), np.concatenate([fp_bar, pad]))
+    full, full_lam_bar = adjoint_sweep(intl_obs, traj, sim,
+                                       np.concatenate([fm_bar, pad]), np.concatenate([fp_bar, pad]))
     for name in ff.TRAJECTORY_NAMES:
-        assert np.array_equal(getattr(full, name), getattr(bar, name))
-    assert full.lam == bar.lam
+        assert np.array_equal(full[name], bar[name])
+    assert full_lam_bar == lam_bar
 
 
 def test_fit_makes_one_forward_pass_per_loss_evaluation(intl_obs, monkeypatch):

@@ -149,15 +149,15 @@ class TestNumericalFailureExits2:
     """Numerical failures past a converged fit exit 2, not 1 (data/config)."""
 
     def test_nonfinite_hessian(self, data_csv, tmp_path, monkeypatch, capsys):
-        real = estimation.loss_batch
+        real = estimation._spec_lanes
 
-        def nan_on_hessian_stencil(thetas, *args, **kwargs):
-            values = real(thetas, *args, **kwargs)
-            if len(thetas) > 2 * thetas.shape[1]:   # wider than a gradient stencil
-                values[:] = np.nan
-            return values
+        def nan_gradients(*args, **kwargs):
+            values, grads = real(*args, **kwargs)
+            grads[:] = np.nan
+            return values, grads
 
-        monkeypatch.setattr(estimation, "loss_batch", nan_on_hessian_stencil)
+        # The Hessian's one kernel call returns NaN gradients.
+        monkeypatch.setattr(estimation, "_spec_lanes", nan_gradients)
         code = run_cli(["bands", "--data", str(data_csv), "--out", str(tmp_path / "b"),
                         "--n-draws", "50", *FAST])
         assert code == 2
@@ -288,11 +288,12 @@ class TestReport:
         assert (out / "truncation.csv").exists()
 
 
-    def test_report_fit_is_the_grid_row(self, data_csv, tmp_path):
-        out = tmp_path / "report"
+    @staticmethod
+    def report_and_grid_row(data_csv, out, flags=()):
+        """``run_report.json`` of a quick report and the ``grid.csv`` row of its spec."""
         code = run_cli(["report", "--data", str(data_csv), "--out", str(out), "--seed", "3",
                         "--n-starts", "2", "--max-iter", "200", "--n-draws", "200",
-                        "--truncation-starts", "1990", "--cutoffs", "1995"])
+                        "--truncation-starts", "1990", "--cutoffs", "1995", *flags])
         assert code in (0, 2)
         report = json.loads((out / "run_report.json").read_text())
         picked = report["spec"]
@@ -301,8 +302,21 @@ class TestReport:
         (row,) = [r for r in rows
                   if (int(r["deg_gamma"]), int(r["deg_rho"]), r["forcing"] == "intl")
                   == (picked["deg_gamma"], picked["deg_rho"], picked["forcing"])]
+        return report, row
+
+    def test_report_fit_is_the_grid_row(self, data_csv, tmp_path):
+        report, row = self.report_and_grid_row(data_csv, tmp_path / "report")
         assert report["fit"]["sse"] == float(row["sse"])
         assert report["fit"]["converged"] == (row["converged"] == "True")
+        assert report["fit"]["n"] == 2 * 20
+        assert report["fit"]["aic"] == float(row["aic"])
+        assert report["fit"]["bic"] == float(row["bic"])
+
+    def test_use_n_eff_report_criteria_are_the_grid_row(self, data_csv, tmp_path):
+        report, row = self.report_and_grid_row(data_csv, tmp_path / "report", ["--use-n-eff"])
+        assert report["fit"]["n"] == 2 * 20 - 2
+        assert report["fit"]["aic"] == float(row["aic"])
+        assert report["fit"]["bic"] == float(row["bic"])
 
     def test_unconverged_report_notes_skipped_bands(self, data_csv, tmp_path):
         out = tmp_path / "report"

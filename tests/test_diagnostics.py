@@ -146,17 +146,6 @@ class TestTruncationStudy:
         with pytest.raises(ValueError, match="rescale"):
             truncation_study(obs, RECOVERY_SPEC, [1985], quick_options, rescale="both")
 
-    def test_warm_start_option(self, small_noise_free):
-        obs, _ = small_noise_free
-        rows = truncation_study(
-            obs, RECOVERY_SPEC, [1985],
-            FitOptions(n_starts=1, max_iter=200),
-            warm_theta=RECOVERY_THETA,
-        )
-        # the generator coefficients are prepended as a start, so the
-        # truncated refit lands essentially at zero loss
-        assert rows[0].sse <= 1e-6
-
 
 class TestRollingOriginHindcast:
     def test_noise_free_oracle(self, small_noise_free, quick_options):

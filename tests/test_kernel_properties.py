@@ -1,14 +1,13 @@
-"""Property tests of the scalar list-level kernel against the batched path.
+"""Property tests of the scalar list-level kernel.
 
-``loss`` (one list-level forward pass) must agree with ``loss_batch`` (the
-vectorised path of the finite-difference stencils) to 1e-12 relative, and
-``loss_gradient`` (one reverse sweep) with ``gradient_fd`` to 1e-6, over
-every grid spec, random parameters, truncated windows, forcing and a
-separate rescaling grid.  Forcing coefficients near and past the overflow
-of exp drive the penalty branch, with invalid years after the first.
+``loss_gradient`` (one reverse sweep) must agree with ``gradient_fd``
+(central differences of the lane kernel's values) to 1e-6, over every
+grid spec, random parameters, truncated windows, forcing and a separate
+rescaling grid.  ``test_lanes.py`` checks the lane kernel against ``loss``
+and ``loss_gradient`` on the same cases.  Forcing coefficients near and
+past the overflow of exp drive the penalty branch, with invalid years
+after the first.
 """
-
-import math
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -51,16 +50,6 @@ def cases(draw):
 
 def _rel_err(got, want):
     return float(np.max(np.abs(got - want)) / max(float(np.max(np.abs(want))), 1e-300))
-
-
-@KERNEL
-@given(case=cases())
-def test_loss_matches_loss_batch(case):
-    spec, obs, theta, scale_grid = case
-    value = ff.loss(theta, spec, obs, scale_grid)
-    (batched,) = ff.loss_batch(theta[None, :], spec, obs, scale_grid)
-    assert math.isfinite(value)
-    assert abs(value - batched) <= 1e-12 * abs(batched)
 
 
 @KERNEL
