@@ -399,7 +399,7 @@ def _run_pipeline(settings: Settings) -> int:
     # fit if there is one, else the grid's, else the robustness refits.
     entries = fit = outcomes = None
     # The criteria's observation count, the same in the grid and the fit's report.
-    n = 2 * obs.grid.n_years - (2 if echo.get("use_n_eff") else 0)
+    n = obs.grid.n_eff if echo.get("use_n_eff") else 2 * obs.grid.n_years
     if "grid" in stages:
         entries = selection.run_grid(obs, opts, n=n, jobs=echo["jobs"])
         outcomes = [e.fit for e in entries if e.fit is not None]

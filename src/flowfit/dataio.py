@@ -259,9 +259,9 @@ def _write_run_report(results: ReportBundle, path: Path) -> int:
             "grad_norm_at_opt": _round10(fit.grad_norm_at_opt),
         }
         if results.obs is not None:
-            n_years = results.obs.grid.n_years
-            entry["n"] = results.n if results.n is not None else 2 * n_years
-            entry["n_eff"] = 2 * n_years - 2
+            grid = results.obs.grid
+            entry["n"] = results.n if results.n is not None else 2 * grid.n_years
+            entry["n_eff"] = grid.n_eff
         if results.aic is not None:
             entry["aic"] = _round10(results.aic)
             entry["bic"] = _round10(results.bic)

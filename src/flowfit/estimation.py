@@ -26,17 +26,17 @@ from .model import (
     LaneKernel,
     ModelSpec,
     ObservedSeries,
-    ParamTrajectories,
+    SUPERSET_SPEC,
     SimulationResult,
     YearGrid,
     _adjoint_sweep,
     _annual_updates,
     _checked_theta,
     _clamped_logistic,
-    _linear_predictors,
     _pull_back,
+    _stacked_design,
+    _trajectory_values,
     embed,
-    eval_param_trajectories,
     logit,
     superset_mask,
 )
@@ -127,20 +127,22 @@ def residuals(obs: ObservedSeries, sim: SimulationResult) -> ResidualSet:
     r_p = np.log(obs.p) - np.log(sim.flow_p)
     r_m[0] = 0.0
     r_p[0] = 0.0
-    return ResidualSet(r_m=r_m, r_p=r_p, n_eff=2 * obs.grid.n_years - 2)
+    return ResidualSet(r_m=r_m, r_p=r_p, n_eff=obs.grid.n_eff)
 
 
 @dataclass
 class _Forward:
     """One scalar evaluation of :func:`loss` and the state its gradient reuses.
 
-    Everything but ``theta`` and ``traj`` is a Python float or a list of
-    them; the residual lists cover the counted years and year 0 (as 0).
+    ``p`` and ``lam`` are as :func:`~flowfit.model._trajectory_values` gives
+    them; the rest are Python floats or lists of them.  The residual lists
+    cover the counted years and year 0 (as 0).
     """
 
     theta: np.ndarray
     value: float
-    traj: ParamTrajectories
+    p: np.ndarray
+    lam: float
     rho_mp: list[float]
     gamma_m: list[float]
     gamma_p: list[float]
@@ -155,11 +157,12 @@ class _Forward:
 class _Objective:
     """:func:`loss` and its exact gradient for one fit, sharing forward passes.
 
-    The per-fit data are turned into lists once.  ``value`` keeps the point
-    and forward state of its last call.  ``gradient`` at that point runs
-    only the reverse sweep; at any other point it runs the forward pass
-    first.  BFGS asks for the gradient at the point its line search
-    accepted last, so each iteration's gradient costs one reverse sweep.
+    The per-fit data are turned into lists and the stacked design is built
+    once.  ``value`` keeps the point and forward state of its last call.
+    ``gradient`` at that point runs only the reverse sweep; at any other
+    point it runs the forward pass first.  BFGS asks for the gradient at the
+    point its line search accepted last, so each iteration's gradient costs
+    one reverse sweep.
     """
 
     def __init__(self, spec: ModelSpec, obs: ObservedSeries, scale_grid: Optional[YearGrid]):
@@ -167,8 +170,8 @@ class _Objective:
             raise ValueError("forcing specification requires the p_intl series")
         self.spec = spec
         # Trajectories at the data's years on the (possibly wider) rescaling grid.
-        self.grid = obs.grid if scale_grid is None else scale_grid
-        self.years = None if scale_grid is None else obs.grid.years
+        self.design = _stacked_design(spec, obs.grid if scale_grid is None else scale_grid,
+                                      None if scale_grid is None else obs.grid.years)
         self.b = obs.b.tolist()
         self.log_m = np.log(obs.m).tolist()
         self.log_p = np.log(obs.p).tolist()
@@ -180,13 +183,12 @@ class _Objective:
     def _forward(self, theta: np.ndarray) -> _Forward:
         """Trajectories, recurrence, counted log residuals and loss at one point."""
         theta = np.array(theta, dtype=float)
-        traj = eval_param_trajectories(theta, self.spec, self.grid, years=self.years)
+        p, lam = _trajectory_values(theta, self.spec, self.design)
         rho_bm, rho_bp, rho_mp, gamma_m, gamma_p = (
-            getattr(traj, name).tolist() for name in TRAJECTORY_NAMES
+            row.tolist() for row in p.reshape(len(TRAJECTORY_NAMES), -1)
         )
         forcing = None
         if self.p_intl is not None:
-            lam = traj.lam
             forcing = [lam * x for x in self.p_intl]
         stock_m, stock_p, flow_m, flow_p = _annual_updates(
             self.b, rho_bm, rho_bp, rho_mp, gamma_m, gamma_p, forcing,
@@ -208,7 +210,7 @@ class _Objective:
         r_p = [0.0, *map(operator.sub, self.log_p[1:stop], map(math.log, flow_p[1:stop]))]
         value = sum(map(operator.mul, r_m, r_m)) + sum(map(operator.mul, r_p, r_p))
         return _Forward(
-            theta=theta, value=value + PENALTY_PER_INVALID_YEAR * n_invalid, traj=traj,
+            theta=theta, value=value + PENALTY_PER_INVALID_YEAR * n_invalid, p=p, lam=lam,
             rho_mp=rho_mp, gamma_m=gamma_m, gamma_p=gamma_p,
             stock_m=stock_m, stock_p=stock_p, flow_m=flow_m, flow_p=flow_p,
             r_m=r_m[:stop], r_p=r_p[:stop],
@@ -230,12 +232,10 @@ class _Objective:
             list(map(operator.truediv, state.r_m, state.flow_m)),
             list(map(operator.truediv, state.r_p, state.flow_p)),
         )
-        traj = state.traj
-        p = np.concatenate([getattr(traj, name) for name in TRAJECTORY_NAMES])
         p_bar = np.fromiter(flat_bar, dtype=float, count=len(flat_bar))
         p_bar *= -2.0
-        return _pull_back(state.theta, p, p_bar, traj.lam, -2.0 * lam_bar,
-                          self.spec, self.grid, self.years)
+        return _pull_back(state.theta, state.p, p_bar, state.lam, -2.0 * lam_bar,
+                          self.spec.forcing, self.design)
 
     def value(self, theta: np.ndarray) -> float:
         self._last = self._forward(theta)
@@ -316,9 +316,8 @@ def _spec_lanes(
     coefficients, ``(B,)`` and ``(B, k)``, from one kernel call.
     """
     mask = superset_mask(spec)
-    lanes = np.zeros((len(points), mask.size))
-    lanes[:, mask] = _checked_theta(points, spec)
-    values, grads = LaneKernel(obs, scale_grid)(lanes, np.tile(mask, (len(points), 1)))
+    values, grads = LaneKernel(obs, scale_grid)(embed(points, spec),
+                                                np.tile(mask, (len(points), 1)))
     return values, grads[:, mask]
 
 
@@ -468,6 +467,10 @@ def bfgs_minimize(
     return OptimizeOutcome(x=x, fun=fx, n_iterations=n_iter, grad_max_norm=g_max, converged=converged)
 
 
+# The fields of :class:`LaneOutcomes`, in order; :class:`OptimizeOutcome` has the same.
+_OUTCOME_FIELDS = ("x", "fun", "n_iterations", "grad_max_norm", "converged")
+
+
 @dataclass
 class LaneOutcomes:
     """Where each lane of :func:`bfgs_lanes` stopped, one row or entry per lane.
@@ -483,14 +486,12 @@ class LaneOutcomes:
     converged: np.ndarray
 
     def rows(self, index) -> "LaneOutcomes":
-        return LaneOutcomes(self.x[index], self.fun[index], self.n_iterations[index],
-                            self.grad_max_norm[index], self.converged[index])
+        return LaneOutcomes(*(getattr(self, name)[index] for name in _OUTCOME_FIELDS))
 
     @staticmethod
     def concatenate(parts: Sequence["LaneOutcomes"]) -> "LaneOutcomes":
         return LaneOutcomes(*(np.concatenate([getattr(part, name) for part in parts])
-                              for name in ("x", "fun", "n_iterations", "grad_max_norm",
-                                           "converged")))
+                              for name in _OUTCOME_FIELDS))
 
 
 def _lane_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -620,24 +621,31 @@ def _lane_directions(
     return d, slope
 
 
-def fit_from_lanes(spec: ModelSpec, obs: ObservedSeries, lanes: LaneOutcomes,
-                   scale_grid: Optional[YearGrid] = None) -> FitResult:
-    """The best of one spec's lanes as a :class:`FitResult`.
+def _best_start(spec: ModelSpec, lanes: LaneOutcomes,
+                objective: Optional[_Objective] = None) -> FitResult:
+    """The first start with the lowest ``lanes.fun``, as a :class:`FitResult`.
 
-    The first lane with the lowest loss wins, as in :func:`minimize_bfgs`;
-    its SSE is the :func:`loss` of its parameter vector.
+    Its SSE is ``objective``'s value at the winner, or its ``fun`` if that
+    is already its :func:`loss`, so ``sse == loss(theta_hat)`` exactly.
     """
     best = int(np.argmin(lanes.fun))
     theta_hat = lanes.x[best][superset_mask(spec)]
-    sse = _Objective(spec, obs, scale_grid).value(theta_hat)
+    sse = float(lanes.fun[best] if objective is None else objective.value(theta_hat))
     return FitResult(
         theta_hat=theta_hat,
-        sse=float(sse),
+        sse=sse,
+        # A gradient that flatlines inside the penalty region is not convergence.
         converged=bool(lanes.converged[best]) and sse < PENALTY_PER_INVALID_YEAR,
         n_iterations=int(lanes.n_iterations[best]),
         n_starts_used=len(lanes.fun),
         grad_norm_at_opt=float(lanes.grad_max_norm[best]),
     )
+
+
+def fit_from_lanes(spec: ModelSpec, obs: ObservedSeries, lanes: LaneOutcomes,
+                   scale_grid: Optional[YearGrid] = None) -> FitResult:
+    """The best of one spec's lanes (see :func:`_best_start`); its SSE is its :func:`loss`."""
+    return _best_start(spec, lanes, _Objective(spec, obs, scale_grid))
 
 
 def default_starts(
@@ -649,21 +657,17 @@ def default_starts(
 ) -> list[np.ndarray]:
     """Heuristic center plus seeded Gaussian perturbations.
 
-    The center puts plausible constant levels on every block (routing
-    0.3 / 0.05 / 0.3, hazards 0.4 / 0.15), zeroes the time-variation
-    coefficients, and starts the forcing coefficient effectively at zero.
-    The data are not consulted.
+    The center is a superset vector masked: plausible levels on the
+    constant coefficients (the 0,0,none spec's: routing 0.3 / 0.05 / 0.3,
+    hazards 0.4 / 0.15), 0 on the time-variation coefficients, and -5 on
+    the forcing one, effectively zero forcing.  The data are not consulted.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
-    center = []
-    for level in (0.3, 0.05, 0.3):
-        center += [float(logit(level))] + [0.0] * spec.deg_rho
-    for level in (0.4, 0.15):
-        center += [float(logit(level))] + [0.0] * spec.deg_gamma
-    if spec.forcing:
-        center.append(-5.0)
-    center = np.array(center)
+    center = np.zeros(SUPERSET_SPEC.n_params)
+    center[superset_mask(ModelSpec(0, 0))] = logit([0.3, 0.05, 0.3, 0.4, 0.15])
+    center[-1] = -5.0
+    center = center[superset_mask(spec)]
     starts = [center]
     rng = np.random.default_rng(seed)
     for _ in range(n_starts - 1):
@@ -695,7 +699,7 @@ def minimize_bfgs(
     if len(starts) >= LANE_MIN_STARTS:
         lanes = bfgs_lanes(
             LaneKernel(obs, scale_grid),
-            np.stack([embed(x0, spec) for x0 in starts]),
+            embed(np.stack(starts), spec),
             np.tile(superset_mask(spec), (len(starts), 1)),
             gtol=opts.gtol,
             ftol_rel=opts.ftol_rel,
@@ -703,30 +707,16 @@ def minimize_bfgs(
         )
         return fit_from_lanes(spec, obs, lanes, scale_grid)
     objective = _Objective(spec, obs, scale_grid)
-    best: Optional[OptimizeOutcome] = None
-    for x0 in starts:
-        outcome = bfgs_minimize(
-            objective.value,
-            x0,
-            grad=objective.gradient,
-            gtol=opts.gtol,
-            ftol_rel=opts.ftol_rel,
-            max_iter=opts.max_iter,
-        )
-        if best is None or outcome.fun < best.fun:
-            best = outcome
-    # ``best.fun`` is the loss at ``best.x``, from the same forward pass as :func:`loss`.
-    sse = best.fun
-    # A gradient that flatlines inside the penalty region is not convergence.
-    converged = best.converged and sse < PENALTY_PER_INVALID_YEAR
-    return FitResult(
-        theta_hat=best.x,
-        sse=float(sse),
-        converged=converged,
-        n_iterations=best.n_iterations,
-        n_starts_used=len(starts),
-        grad_norm_at_opt=best.grad_max_norm,
-    )
+    outcomes = [
+        bfgs_minimize(objective.value, x0, grad=objective.gradient, gtol=opts.gtol,
+                      ftol_rel=opts.ftol_rel, max_iter=opts.max_iter)
+        for x0 in starts
+    ]
+    # Each ``fun`` is the loss at its ``x``, from the same forward pass as :func:`loss`.
+    lanes = LaneOutcomes(embed(np.stack([outcome.x for outcome in outcomes]), spec),
+                         *(np.array([getattr(outcome, name) for outcome in outcomes])
+                           for name in _OUTCOME_FIELDS[1:]))
+    return _best_start(spec, lanes)
 
 
 def covariance(
@@ -744,7 +734,7 @@ def covariance(
     inversion, and the flag records whether that fired.
     """
     k = spec.n_params
-    n_eff = 2 * grid.n_years - 2
+    n_eff = grid.n_eff
     if n_eff <= k:
         raise ValueError(f"residual variance undefined: N_eff={n_eff} <= k={k}")
     hessian = np.asarray(hessian, dtype=float)
@@ -825,7 +815,15 @@ def confidence_bands(
     columns = [i for below, above, _ in picks for i in (below, above)]
     lower = {}
     upper = {}
-    for name, eta in _linear_predictors(draws, spec, grid):
+    design = _stacked_design(spec, grid)
+    draws = _checked_theta(draws, spec)
+    for i, name in enumerate(TRAJECTORY_NAMES):
+        # Trajectory i's predictors, one column per draw: row block i of the
+        # design on its own coefficients' columns.  With the zero columns the
+        # product is large enough to run on BLAS threads that spin after it.
+        block = design[i * grid.n_years:(i + 1) * grid.n_years]
+        used = block.any(axis=0)
+        eta = np.ascontiguousarray(block[:, used]) @ draws[:, used].T
         values = _clamped_logistic(np.sort(eta, axis=1)[:, columns])
         bands = []
         for j, (_, _, g) in enumerate(picks):

@@ -12,11 +12,10 @@ vector.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +46,11 @@ class YearGrid:
     @property
     def n_years(self) -> int:
         return self.t_max - self.t_min + 1
+
+    @property
+    def n_eff(self) -> int:
+        """Residuals that are fit: both series in every year but the first (imposed)."""
+        return 2 * self.n_years - 2
 
     @property
     def t_mid(self) -> float:
@@ -85,21 +89,39 @@ class ModelSpec:
         return f"{self.deg_gamma},{self.deg_rho},{'intl' if self.forcing else 'none'}"
 
 
-def theta_labels(spec: ModelSpec) -> list[str]:
-    """Coefficient names in the fixed parameter-vector order.
+# Every grid spec is the superset spec with some coefficients held out: its
+# lower-degree blocks are the superset's blocks with the higher coefficients
+# at 0, and a spec without forcing has no forcing term at all.
+SUPERSET_SPEC = ModelSpec(deg_gamma=2, deg_rho=2, forcing=True)
 
-    Routing blocks (bachelor's->master's, bachelor's->PhD, master's->PhD)
-    come first, each ordered constant, linear, quadratic; then the two
-    hazard blocks (master's, PhD); then the raw forcing coefficient.
-    """
-    labels = []
-    for block in ("rho_bm", "rho_bp", "rho_mp"):
-        labels += [f"{block}_{j}" for j in range(spec.deg_rho + 1)]
-    for block in ("gamma_m", "gamma_p"):
-        labels += [f"{block}_{j}" for j in range(spec.deg_gamma + 1)]
-    if spec.forcing:
-        labels.append("lambda_raw")
-    return labels
+# The superset's coefficient order, the one order of every parameter vector:
+# each trajectory's constant, linear and quadratic coefficients in
+# ``TRAJECTORY_NAMES`` order, then the raw forcing coefficient.
+SUPERSET_LABELS = (*(f"{name}_{j}" for name in TRAJECTORY_NAMES for j in range(3)),
+                   "lambda_raw")
+
+
+def superset_mask(spec: ModelSpec) -> np.ndarray:
+    """Which of the superset spec's coefficients ``spec`` has, as a ``(16,)`` bool array."""
+    mask = np.zeros(SUPERSET_SPEC.n_params, dtype=bool)
+    degrees = (spec.deg_rho,) * 3 + (spec.deg_gamma,) * 2
+    for row, degree in enumerate(degrees):
+        mask[3 * row:3 * row + degree + 1] = True
+    mask[-1] = spec.forcing
+    return mask
+
+
+def theta_labels(spec: ModelSpec) -> list[str]:
+    """Coefficient names of ``spec``'s parameter vector: ``SUPERSET_LABELS`` masked."""
+    return [label for label, kept in zip(SUPERSET_LABELS, superset_mask(spec)) if kept]
+
+
+def embed(theta: np.ndarray, spec: ModelSpec) -> np.ndarray:
+    """``spec``'s parameter vector or ``(B, k)`` batch as superset vectors, 0 where absent."""
+    theta = _checked_theta(theta, spec)
+    out = np.zeros(theta.shape[:-1] + (SUPERSET_SPEC.n_params,))
+    out[..., superset_mask(spec)] = theta
+    return out
 
 
 @dataclass
@@ -234,60 +256,24 @@ def _clamped_logistic(eta: np.ndarray) -> np.ndarray:
     return np.minimum(out, 1.0 - LOGISTIC_CLAMP, out=out)
 
 
-def _coefficient_blocks(spec: ModelSpec) -> dict[str, slice]:
-    """Slice of the parameter vector holding each trajectory's coefficients."""
-    widths = (spec.deg_rho + 1,) * 3 + (spec.deg_gamma + 1,) * 2
-    blocks = {}
-    start = 0
-    for name, width in zip(TRAJECTORY_NAMES, widths):
-        blocks[name] = slice(start, start + width)
-        start += width
-    return blocks
-
-
-@dataclass(frozen=True)
-class _Designs:
-    """Vandermonde designs of one (spec, grid, years), read-only.
-
-    ``blocks`` holds ``(name, coefficient slice, design)`` for each
-    trajectory; ``stacked`` is the ``(5 n_years, k)`` block design whose
-    product with a parameter vector gives the five linear predictors one
-    after another.
-    """
-
-    blocks: tuple[tuple[str, slice, np.ndarray], ...]
-    stacked: np.ndarray
-
-
-def _trajectory_designs(
+def _stacked_design(
     spec: ModelSpec, grid: YearGrid, years: Optional[Sequence[int]] = None
-) -> _Designs:
-    """Designs of the five trajectories at ``years`` (default: the grid's own).
+) -> np.ndarray:
+    """The ``(5 n_years, k)`` block design of ``spec`` at ``years`` (default: the grid's own).
 
-    The design's columns are 1, s, s^2, ... up to the block's degree, at the
-    rescaled years; blocks of one width share one design.  Designs are built
-    once per (spec, grid, years).
+    Row block i holds 1, s, s^2 at the rescaled years under trajectory i's
+    superset coefficients; ``spec`` keeps the columns of its mask.
     """
-    years_key = None if years is None else np.asarray(years, dtype=float).tobytes()
-    return _designs_for(spec, grid, years_key)
-
-
-@functools.lru_cache(maxsize=64)
-def _designs_for(spec: ModelSpec, grid: YearGrid, years_key: Optional[bytes]) -> _Designs:
-    s = rescale_time(grid.years if years_key is None else np.frombuffer(years_key), grid)
+    s = rescale_time(grid.years if years is None else np.asarray(years, dtype=float), grid)
     n = s.size
-    designs: dict[int, np.ndarray] = {}
-    blocks = []
-    stacked = np.zeros((len(TRAJECTORY_NAMES) * n, spec.n_params))
-    for row, (name, block) in enumerate(_coefficient_blocks(spec).items()):
-        width = block.stop - block.start
-        if width not in designs:
-            designs[width] = np.vander(s, width, increasing=True)
-            designs[width].flags.writeable = False
-        blocks.append((name, block, designs[width]))
-        stacked[row * n:(row + 1) * n, block] = designs[width]
-    stacked.flags.writeable = False
-    return _Designs(blocks=tuple(blocks), stacked=stacked)
+    vander = np.vander(s, 3, increasing=True)
+    design = np.zeros((len(TRAJECTORY_NAMES) * n, SUPERSET_SPEC.n_params))
+    for row in range(len(TRAJECTORY_NAMES)):
+        design[row * n:(row + 1) * n, 3 * row:3 * row + 3] = vander
+    # design[:, mask] comes out F-ordered, and BLAS rounds a product with a
+    # matrix differently for each memory order (fits move by about 1e-9).
+    # One order, C, keeps every fit and report reproducible.
+    return np.ascontiguousarray(design[:, superset_mask(spec)])
 
 
 def _forcing_weight(lambda_raw):
@@ -308,21 +294,20 @@ def _checked_theta(theta: np.ndarray, spec: ModelSpec) -> np.ndarray:
     return theta
 
 
-def _linear_predictors(
-    theta: np.ndarray,
-    spec: ModelSpec,
-    grid: YearGrid,
-    years: Optional[Sequence[int]] = None,
-) -> Iterator[tuple[str, np.ndarray]]:
-    """Yield ``(name, eta)`` for the five trajectories before the clamped logistic.
+def _trajectory_values(
+    theta: np.ndarray, spec: ModelSpec, design: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The five trajectories, stacked as ``(5 n_years,)``, and the forcing weight (0 if none).
 
-    ``theta`` is one parameter vector (``eta`` of shape ``(n_years,)``) or a
-    ``(B, k)`` batch of them (``eta`` of shape ``(n_years, B)``, one column
-    per row of ``theta``), one Vandermonde product per trajectory.
+    One product with ``spec``'s :func:`_stacked_design` gives all five linear
+    predictors, so an infinite coefficient turns the other trajectories
+    into ``nan`` (0 * inf).
     """
+    if np.ndim(theta) != 1:
+        raise ValueError(f"theta must be one parameter vector, got shape {np.shape(theta)}")
     theta = _checked_theta(theta, spec)
-    for name, block, design in _trajectory_designs(spec, grid, years).blocks:
-        yield name, design @ theta[..., block].T
+    lam = float(_forcing_weight(float(theta[-1]))) if spec.forcing else 0.0
+    return _clamped_logistic(design @ theta), lam
 
 
 def eval_param_trajectories(
@@ -334,18 +319,10 @@ def eval_param_trajectories(
     """Evaluate the five parameter trajectories at the given years.
 
     ``grid`` anchors the time rescaling; ``years`` defaults to the grid
-    itself but may extend beyond it (polynomial extrapolation).  The five
-    linear predictors are one product with the stacked block design, so the
-    clamped logistic runs once for all of them; an infinite coefficient
-    therefore turns the other trajectories into ``nan`` (0 * inf).
+    itself but may extend beyond it (polynomial extrapolation).
     """
-    if np.ndim(theta) != 1:
-        raise ValueError(f"theta must be one parameter vector, got shape {np.shape(theta)}")
-    theta = _checked_theta(theta, spec)
-    stacked = _trajectory_designs(spec, grid, years).stacked
-    values = _clamped_logistic(stacked @ theta).reshape(len(TRAJECTORY_NAMES), -1)
-    lam = float(_forcing_weight(float(theta[-1]))) if spec.forcing else 0.0
-    return ParamTrajectories(*values, lam=lam)
+    values, lam = _trajectory_values(theta, spec, _stacked_design(spec, grid, years))
+    return ParamTrajectories(*values.reshape(len(TRAJECTORY_NAMES), -1), lam=lam)
 
 
 def _pull_back(
@@ -354,27 +331,25 @@ def _pull_back(
     p_bar: np.ndarray,
     lam: float,
     lam_bar: float,
-    spec: ModelSpec,
-    grid: YearGrid,
-    years: Optional[Sequence[int]],
+    forcing: bool,
+    design: np.ndarray,
 ) -> np.ndarray:
     """Pull adjoints of the trajectories back to the parameter vector.
 
-    ``p`` holds the five trajectories :func:`eval_param_trajectories` gave
-    for ``theta`` at ``years``, stacked into ``(5 n_years,)``; ``p_bar`` holds
-    the adjoint (the derivative of some scalar) of each entry, stacked the
-    same way, and ``lam_bar`` that of the forcing scale ``lam``.
+    ``p`` and ``lam`` are what :func:`_trajectory_values` gave for
+    ``theta`` and ``design``; ``p_bar`` holds the adjoint (the derivative of
+    some scalar) of each entry of ``p``, and ``lam_bar`` that of ``lam``.
 
     The clamped logistic has derivative p(1-p) strictly inside the clamp
     and 0 where the clip is active; the result then goes back through the
-    stacked design of the forward product in one product.  The forcing
-    entry is ``lam_bar * lam`` above ``LAMBDA_RAW_FLOOR`` and 0 at or below
-    the floor or once ``lam`` has overflowed.
+    design of the forward product in one product.  With ``forcing`` the
+    last entry is ``lam_bar * lam`` above ``LAMBDA_RAW_FLOOR`` and 0 at or
+    below the floor or once ``lam`` has overflowed.
     """
     inside = (p > LOGISTIC_CLAMP) & (p < 1.0 - LOGISTIC_CLAMP)
     eta_bar = np.where(inside, p_bar * (p * (1.0 - p)), 0.0)
-    theta_bar = eta_bar @ _trajectory_designs(spec, grid, years).stacked
-    if spec.forcing and float(theta[-1]) > LAMBDA_RAW_FLOOR and math.isfinite(lam):
+    theta_bar = eta_bar @ design
+    if forcing and float(theta[-1]) > LAMBDA_RAW_FLOOR and math.isfinite(lam):
         theta_bar[-1] = lam_bar * lam
     return theta_bar
 
@@ -526,28 +501,6 @@ def simulate(obs: ObservedSeries, traj: ParamTrajectories, spec: ModelSpec) -> S
 # year.  Keeps the objective finite and pushes iterates back toward the
 # feasible region instead of raising inside the optimizer loop.
 PENALTY_PER_INVALID_YEAR = 1e6
-
-# Every grid spec is the superset spec with some coefficients held out: its
-# lower-degree blocks are the superset's blocks with the higher coefficients
-# at 0, and a spec without forcing has no forcing term at all.
-SUPERSET_SPEC = ModelSpec(deg_gamma=2, deg_rho=2, forcing=True)
-
-
-def superset_mask(spec: ModelSpec) -> np.ndarray:
-    """Which of the superset spec's coefficients ``spec`` has, as a ``(16,)`` bool array."""
-    mask = np.zeros(SUPERSET_SPEC.n_params, dtype=bool)
-    degrees = (spec.deg_rho,) * 3 + (spec.deg_gamma,) * 2
-    for row, degree in enumerate(degrees):
-        mask[3 * row:3 * row + degree + 1] = True
-    mask[-1] = spec.forcing
-    return mask
-
-
-def embed(theta: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    """``spec``'s parameter vector as a superset vector, 0 at the absent coefficients."""
-    out = np.zeros(SUPERSET_SPEC.n_params)
-    out[superset_mask(spec)] = _checked_theta(theta, spec)
-    return out
 
 
 def _affine_scan(a: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -98,15 +98,13 @@ def run_grid(
     obs: ObservedSeries,
     options: Optional[FitOptions] = None,
     n: Optional[int] = None,
-    use_n_eff: bool = False,
     jobs: int = 1,
 ) -> list[GridEntry]:
     """Fit the full grid and rank by AIC (BIC, then parsimony, break ties).
 
     Forcing specifications are skipped with a recorded reason when the
-    data carry no proxy series.  ``n`` overrides the observation count in
-    the criteria; by default N = 2 * years, or 2 * years - 2 with
-    ``use_n_eff``.
+    data carry no proxy series.  ``n`` is the observation count in the
+    criteria, by default N = 2 * years.
 
     Every fittable cell's seeded starts are lanes of one lane set (see
     :func:`~flowfit.estimation.bfgs_lanes`), cut into chunks of at most
@@ -119,7 +117,7 @@ def run_grid(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     opts = options or FitOptions()
     if n is None:
-        n = 2 * obs.grid.n_years - (2 if use_n_eff else 0)
+        n = 2 * obs.grid.n_years
     specs = enumerate_grid()
     entries: dict[int, GridEntry] = {}
     cells = []
@@ -132,8 +130,8 @@ def run_grid(
         cells.append(index)
         starts = default_starts(spec, obs, n_starts=opts.n_starts, seed=opts.seed + index,
                                 start_sd=opts.start_sd)
-        x0 += [embed(start, spec) for start in starts]
-    x0 = np.stack(x0)
+        x0.append(embed(np.stack(starts), spec))
+    x0 = np.concatenate(x0)
     mask = np.repeat([superset_mask(specs[index]) for index in cells], opts.n_starts, axis=0)
     chunks = [(obs, opts, x0[i:i + LANE_CHUNK], mask[i:i + LANE_CHUNK])
               for i in range(0, len(x0), LANE_CHUNK)]

@@ -9,7 +9,7 @@ import pytest
 
 import flowfit as ff
 from flowfit import estimation
-from flowfit.model import LAMBDA_RAW_FLOOR, _adjoint_sweep, _coefficient_blocks
+from flowfit.model import LAMBDA_RAW_FLOOR, _adjoint_sweep
 
 from _scenarios import RECOVERY_SPEC, RECOVERY_THETA, recovery_scenario
 
@@ -101,7 +101,7 @@ def test_forcing_entry_zero_at_or_below_floor(penalty_case):
 def test_clamped_trajectory_has_zero_entries(intl_obs):
     # rho_bp pinned at LOGISTIC_CLAMP in every year: its coefficients have
     # no effect on the loss, exactly.
-    block = _coefficient_blocks(RECOVERY_SPEC)["rho_bp"]
+    block = np.array([label.startswith("rho_bp_") for label in ff.theta_labels(RECOVERY_SPEC)])
     theta = RECOVERY_THETA.copy()
     theta[block] = [-60.0, 0.0, 0.0]
     traj = ff.eval_param_trajectories(theta, RECOVERY_SPEC, intl_obs.grid)
@@ -178,12 +178,12 @@ def test_adjoint_sweep_ignores_years_past_its_adjoints(intl_obs):
 def test_fit_makes_one_forward_pass_per_loss_evaluation(intl_obs, monkeypatch):
     forward = {"n": 0}
     calls = {"f": 0, "grad": 0}
-    real_eval = estimation.eval_param_trajectories
+    real_values = estimation._trajectory_values
     real_bfgs = estimation.bfgs_minimize
 
-    def counting_eval(*args, **kwargs):
+    def counting_values(*args, **kwargs):
         forward["n"] += 1
-        return real_eval(*args, **kwargs)
+        return real_values(*args, **kwargs)
 
     def counting_bfgs(f, x0, grad=None, **kwargs):
         def f_counted(x):
@@ -196,7 +196,7 @@ def test_fit_makes_one_forward_pass_per_loss_evaluation(intl_obs, monkeypatch):
 
         return real_bfgs(f_counted, x0, grad=grad_counted, **kwargs)
 
-    monkeypatch.setattr(estimation, "eval_param_trajectories", counting_eval)
+    monkeypatch.setattr(estimation, "_trajectory_values", counting_values)
     monkeypatch.setattr(estimation, "bfgs_minimize", counting_bfgs)
     spec = ff.ModelSpec(1, 2, forcing=True)
     starts = ff.default_starts(spec, intl_obs, n_starts=3, seed=4)

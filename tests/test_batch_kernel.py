@@ -79,13 +79,16 @@ def test_hessian_stencil_matches_generic_on_forcing_spec(intl_obs):
     assert rel_err(hess, want) <= 1e-6
 
 
-def test_bands_match_per_draw_loop():
+@pytest.mark.parametrize("spec", ff.enumerate_grid(), ids=lambda s: s.label())
+def test_bands_match_per_draw_loop(spec):
+    point = embed(RECOVERY_THETA, RECOVERY_SPEC)
+    point[-1] = -3.0
     rng = np.random.default_rng(7)
-    draws = RECOVERY_THETA + rng.normal(0.0, 0.6, size=(700, RECOVERY_THETA.size))
-    bands = ff.confidence_bands(draws, RECOVERY_SPEC, GRID, level=0.9)
+    draws = point[superset_mask(spec)] + rng.normal(0.0, 0.6, size=(700, spec.n_params))
+    bands = ff.confidence_bands(draws, spec, GRID, level=0.9)
     stacks = {name: [] for name in ff.TRAJECTORY_NAMES}
     for theta in draws:
-        for name, values in ff.eval_param_trajectories(theta, RECOVERY_SPEC, GRID).as_dict().items():
+        for name, values in ff.eval_param_trajectories(theta, spec, GRID).as_dict().items():
             stacks[name].append(values)
     for name, rows in stacks.items():
         stack = np.array(rows)

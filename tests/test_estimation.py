@@ -11,17 +11,20 @@ from flowfit import (
     confidence_bands,
     covariance,
     default_starts,
+    enumerate_grid,
     eval_param_trajectories,
     generate,
     gradient_fd,
     logit,
     loss,
+    loss_gradient,
     minimize_bfgs,
     numerical_hessian,
     residuals,
     sample_parameters,
     simulate,
 )
+from flowfit.model import superset_mask
 from flowfit.estimation import (
     PENALTY_PER_INVALID_YEAR,
     bfgs_minimize,
@@ -137,6 +140,16 @@ class TestLoss:
         with pytest.raises(ValueError, match="length"):
             loss(np.zeros(3), RECOVERY_SPEC, obs)
 
+    @pytest.mark.parametrize("evaluate", [loss, loss_gradient], ids=["loss", "loss_gradient"])
+    @pytest.mark.parametrize("shape, match", [
+        ((RECOVERY_SPEC.n_params + 1,), "length"),
+        ((3, RECOVERY_SPEC.n_params), "one parameter vector"),
+    ], ids=["length", "batch"])
+    def test_theta_must_be_one_vector_of_the_spec(self, noise_free, evaluate, shape, match):
+        obs, _ = noise_free
+        with pytest.raises(ValueError, match=match):
+            evaluate(np.zeros(shape), RECOVERY_SPEC, obs)
+
 
 class TestGradient:
     def test_quadratic_closed_form(self):
@@ -232,6 +245,14 @@ class TestDefaultStarts:
             logit(0.4), 0, 0, logit(0.15), 0, 0, -5.0,
         ])
         assert np.array_equal(start, expected)
+
+    @pytest.mark.parametrize("spec", enumerate_grid(), ids=lambda s: s.label())
+    def test_center_is_the_superset_center_masked(self, noise_free, spec):
+        obs, _ = noise_free
+        superset = ModelSpec(2, 2, forcing=True)
+        (center,) = default_starts(spec, obs, n_starts=1)
+        (full,) = default_starts(superset, obs, n_starts=1)
+        assert np.array_equal(center, full[superset_mask(spec)])
 
     def test_seed_reproducibility(self, noise_free):
         obs, _ = noise_free

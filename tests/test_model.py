@@ -7,6 +7,7 @@ from flowfit import (
     ModelSpec,
     ObservedSeries,
     YearGrid,
+    enumerate_grid,
     eval_param_trajectories,
     initialize_stocks,
     inv_logit,
@@ -17,10 +18,13 @@ from flowfit import (
     theta_labels,
 )
 from flowfit.estimation import residuals
+from flowfit.model import SUPERSET_LABELS, _stacked_design, embed, superset_mask
 
 from _scenarios import oracle_recurrence, random_instance
 
 GRID = YearGrid(1969, 2017)
+
+ALL_SPECS = pytest.mark.parametrize("spec", enumerate_grid(), ids=lambda s: s.label())
 
 
 def constant_traj(rho_bm=0.3, rho_bp=0.05, rho_mp=0.3, gamma_m=0.4, gamma_p=0.15,
@@ -40,6 +44,10 @@ class TestYearGrid:
     def test_length(self):
         assert GRID.n_years == 49
         assert len(GRID.years) == 49
+
+    def test_n_eff_drops_the_first_year_of_both_series(self):
+        assert GRID.n_eff == 96
+        assert YearGrid(2000, 2001).n_eff == 2
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
@@ -108,6 +116,48 @@ class TestModelSpec:
                           "lambda_raw"]
 
 
+def block_design(spec, grid, years=None):
+    """The stacked design written block by block: Vandermonde columns of each width."""
+    s = rescale_time(grid.years if years is None else np.asarray(years, dtype=float), grid)
+    n = s.size
+    widths = (spec.deg_rho + 1,) * 3 + (spec.deg_gamma + 1,) * 2
+    design = np.zeros((5 * n, spec.n_params))
+    start = 0
+    for row, width in enumerate(widths):
+        design[row * n:(row + 1) * n, start:start + width] = np.vander(s, width, increasing=True)
+        start += width
+    return design
+
+
+class TestCoefficientLayout:
+    def test_superset_labels(self):
+        assert len(SUPERSET_LABELS) == 16
+        assert SUPERSET_LABELS[:4] == ("rho_bm_0", "rho_bm_1", "rho_bm_2", "rho_bp_0")
+        assert SUPERSET_LABELS[-2:] == ("gamma_p_2", "lambda_raw")
+
+    @ALL_SPECS
+    def test_theta_labels_are_the_masked_superset_labels(self, spec):
+        mask = superset_mask(spec)
+        assert theta_labels(spec) == [label for label, kept in zip(SUPERSET_LABELS, mask) if kept]
+        assert len(theta_labels(spec)) == spec.n_params
+
+    @ALL_SPECS
+    def test_stacked_design_is_the_block_design(self, spec):
+        for years in (None, [1960, 1993, 2020, 2025]):
+            design = _stacked_design(spec, GRID, years)
+            assert design.flags.c_contiguous
+            assert np.array_equal(design, block_design(spec, GRID, years))
+
+    @ALL_SPECS
+    def test_embed_takes_one_vector_or_a_batch(self, spec):
+        thetas = np.random.default_rng(3).normal(size=(4, spec.n_params))
+        batch = embed(thetas, spec)
+        assert batch.shape == (4, 16)
+        assert np.array_equal(batch, np.stack([embed(theta, spec) for theta in thetas]))
+        assert np.array_equal(batch[:, superset_mask(spec)], thetas)
+        assert np.all(batch[:, ~superset_mask(spec)] == 0.0)
+
+
 class TestEvalParamTrajectories:
     def test_constant_block(self):
         traj, _ = constant_traj(rho_bm=0.3)
@@ -134,6 +184,10 @@ class TestEvalParamTrajectories:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             eval_param_trajectories(np.zeros(7), ModelSpec(2, 2), GRID)
+
+    def test_batch_rejected(self):
+        with pytest.raises(ValueError, match="one parameter vector"):
+            eval_param_trajectories(np.zeros((2, 15)), ModelSpec(2, 2), GRID)
 
     def test_clamped_inside_open_interval(self):
         spec = ModelSpec(0, 0)

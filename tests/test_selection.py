@@ -217,7 +217,7 @@ class TestRunGrid:
         explicit = run_grid(small_obs_plain, quick_options, n=2 * 20)
         for x, y in zip(default_n, explicit):
             assert x.aic == y.aic
-        n_eff = run_grid(small_obs_plain, quick_options, use_n_eff=True)
+        n_eff = run_grid(small_obs_plain, quick_options, n=small_obs_plain.grid.n_eff)
         assert n_eff[0].aic != default_n[0].aic
 
 
