@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 data or configuration error, 2 numerical
 failure (no converged fit, or a ``NumericalError`` such as a Hessian
 without positive curvature).  Defaults may be placed in a JSON config
 file (``--config``); explicit flags win over the config file, which wins
-over built-in defaults.  The ``FLOWFIT_OUT_DIR`` environment variable
+over built-in defaults.  The config echo in ``run_report.json`` has the
+config file's layout, so it replays the run.  The ``FLOWFIT_OUT_DIR`` environment variable
 selects the default output directory.
 """
 
@@ -20,8 +21,9 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import diagnostics, estimation, selection, synthetic
 from .dataio import DataError, ReportBundle, load_series, write_reports
@@ -81,6 +83,11 @@ def _int_list(text: str) -> list[int]:
         raise CliError(f"expected comma-separated years, got {text!r}") from None
 
 
+def _float(value) -> float:
+    """``float(value)``, but infinite for a JSON integer too large for a float."""
+    return (-math.inf, math.inf)[value > 0] if abs(value) > sys.float_info.max else float(value)
+
+
 # Stages of the data commands, in the order a run takes them.  ``grid``
 # fits and ranks every spec, ``fit`` fits one (or takes the grid's fit),
 # ``bands`` adds curvature-based bands and ``robust`` runs the truncation
@@ -99,37 +106,106 @@ COMMANDS = {
     "report": (STAGES, "grid, best-spec fit, bands, diagnostics, robustness"),
 }
 
-# Every data command fits, so every one takes the optimizer flags.
-_OPTIMIZER_FLAGS = (
-    ("--n-starts", dict(type=int, help="multi-start count (default 8)")),
-    ("--seed", dict(type=int, help="base seed for starts (default 0)")),
-    ("--max-iter", dict(type=int, help="iteration cap per start (default 2000)")),
-    ("--gtol", dict(type=float, help="gradient max-norm tolerance (default 1e-6)")),
-    ("--ftol-rel", dict(type=float, help="relative decrease stop (default 1e-12)")),
-)
 
-# Flags of the stages that take their own settings.
-_STAGE_FLAGS = {
-    "bands": (
-        ("--n-draws", dict(type=int, help="parameter draws for bands (default 4000)")),
-        ("--level", dict(type=float, help="band level (default 0.95)")),
-        ("--draw-seed", dict(type=int, help="seed for parameter draws (default 0)")),
-    ),
-    "robust": (
-        ("--truncation-starts",
-         dict(help="comma-separated start years (default: first year + 5, 10, 15)")),
-        ("--cutoffs",
-         dict(help="comma-separated hindcast cutoff years (default: "
-                   f"{','.join(str(c) for c in DEFAULT_CUTOFFS)} where inside the grid)")),
-        ("--rescale", dict(choices=("window", "full"),
-                           help="time rescaling for truncated refits (default window)")),
-    ),
-    "grid": (
-        ("--jobs", dict(type=int, help="parallel workers for the grid's lane chunks (default 1)")),
-        ("--use-n-eff", dict(action="store_true", default=None,
-                             help="use N_eff = 2*years - 2 in the criteria instead of N = 2*years")),
-    ),
-}
+class _Type(NamedTuple):
+    """A JSON type: config-value check, name in messages, conversion, argparse keywords."""
+    check: Callable[[object], bool]
+    expected: str
+    convert: Callable = str
+    flag: dict = {}
+
+
+INTEGER = _Type(lambda v: type(v) is int, "an integer", int, dict(type=int))
+NUMBER = _Type(lambda v: type(v) in (int, float), "a number", _float, dict(type=float))
+# A switch that is None when absent, so that a config file can still set it.
+BOOLEAN = _Type(lambda v: type(v) is bool, "true or false", bool,
+                dict(action="store_true", default=None))
+# Comma-separated on the command line, a JSON list in a config file.
+YEARS = _Type(lambda v: type(v) is list and all(type(y) is int for y in v),
+              "a list of integers", lambda v: _int_list(v) if isinstance(v, str) else v)
+STRING = _Type(lambda v: isinstance(v, str), "a string")
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One stage setting: ``name`` gives the flag and the name in messages, ``key`` the
+    ``section.key`` in the config file and the echo; ``stage`` None is every data command's;
+    a callable default maps the year grid to the value.  ``bounds`` are an integer's (low,
+    high), inclusive; a number's (low, high), exclusive, or (low, None) for finite and >= low;
+    a string's choices."""
+    name: str
+    stage: Optional[str]
+    key: str
+    type: _Type
+    default: object
+    bounds: tuple = (None, None)
+    help: str = ""
+
+    @property
+    def path(self) -> tuple[str, str]:   # (section or "", field)
+        return tuple(self.key.rpartition(".")[::2])
+
+    def add_flag(self, parser: argparse.ArgumentParser) -> None:
+        hide = callable(self.default) or self.type is BOOLEAN
+        choices = dict(choices=self.bounds) if self.type is STRING else {}
+        parser.add_argument("--" + self.name.replace("_", "-"), **self.type.flag, **choices,
+                            help=self.help + ("" if hide else f" (default {self.default})"))
+
+    def check(self, value) -> None:
+        if self.type is STRING:
+            if value not in self.bounds:
+                raise CliError(f"{self.name} must be {' or '.join(map(repr, self.bounds))}")
+            return
+        low, high = self.bounds
+        if self.type is INTEGER and low is not None and value < low:
+            raise CliError(f"{self.name} must be at least {low}, got {value}")
+        if self.type is INTEGER and high is not None and value > high:
+            raise CliError(f"{self.name} must be at most {high}, got {value}")
+        if self.type is NUMBER and high is not None and not low < value < high:
+            raise CliError(f"{self.name} must lie strictly inside ({low}, {high}), got {value}")
+        if self.type is NUMBER and high is None and not (math.isfinite(value) and value >= low):
+            raise CliError(f"{self.name} must be a finite number >= {low}, got {value}")
+
+
+def _default_cutoffs(grid) -> list[int]:
+    cutoffs = [c for c in DEFAULT_CUTOFFS if grid.t_min < c < grid.t_max]
+    if not cutoffs:
+        raise CliError("no default hindcast cutoffs fall inside the data window; pass --cutoffs")
+    return cutoffs
+
+
+_FIT = FitOptions()
+# Seeds may be any non-negative integer, as NumPy's generators take.
+SETTINGS = (
+    Setting("n_starts", None, "optimizer.n_starts", INTEGER, _FIT.n_starts, (1, MAX_N_STARTS),
+            "multi-start count"),
+    Setting("seed", None, "optimizer.seed", INTEGER, _FIT.seed, (0, None), "base seed for starts"),
+    Setting("max_iter", None, "optimizer.max_iter", INTEGER, _FIT.max_iter, (0, MAX_ITER),
+            "iteration cap per start"),
+    Setting("gtol", None, "optimizer.gtol", NUMBER, _FIT.gtol, (0, None),
+            "gradient max-norm tolerance"),
+    Setting("ftol_rel", None, "optimizer.ftol_rel", NUMBER, _FIT.ftol_rel, (0, None),
+            "relative decrease stop"),
+    Setting("n_draws", "bands", "uncertainty.n_draws", INTEGER, 4000, (2, MAX_N_DRAWS),
+            "parameter draws for bands"),
+    Setting("level", "bands", "uncertainty.level", NUMBER, 0.95, (0, 1), "band level"),
+    Setting("draw_seed", "bands", "uncertainty.seed", INTEGER, 0, (0, None),
+            "seed for parameter draws"),
+    Setting("truncation_starts", "robust", "robustness.truncation_starts", YEARS,
+            lambda grid: [grid.t_min + off for off in TRUNCATION_OFFSETS
+                          if grid.t_min + off < grid.t_max],
+            help="comma-separated start years (default: first year + "
+                 f"{', '.join(map(str, TRUNCATION_OFFSETS))})"),
+    Setting("cutoffs", "robust", "robustness.cutoffs", YEARS, _default_cutoffs,
+            help="comma-separated hindcast cutoff years (default: "
+                 f"{','.join(map(str, DEFAULT_CUTOFFS))} where inside the grid)"),
+    Setting("rescale", "robust", "robustness.rescale", STRING, "window", ("window", "full"),
+            "time rescaling for truncated refits"),
+    Setting("jobs", "grid", "jobs", INTEGER, 1, (1, None),
+            "parallel workers for the grid's lane chunks"),
+    Setting("use_n_eff", "grid", "use_n_eff", BOOLEAN, False,
+            help="use N_eff = 2*years - 2 in the criteria instead of N = 2*years"),
+)
 
 
 def build_parser() -> _Parser:
@@ -146,65 +222,41 @@ def build_parser() -> _Parser:
         p.add_argument("--data", help="input CSV: year,bachelors,masters,phd[,phd_intl]")
         if "fit" in stages or "robust" in stages:
             p.add_argument("--spec", help=f"DEG_GAMMA,DEG_RHO,none|intl (default {DEFAULT_SPEC})")
-        flags = _OPTIMIZER_FLAGS + tuple(
-            flag for stage, group in _STAGE_FLAGS.items() if stage in stages for flag in group
-        )
-        for name, kwargs in flags:
-            p.add_argument(name, **kwargs)
+        for row in SETTINGS:
+            if row.stage in (None, *stages):
+                row.add_flag(p)
     return parser
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
-def _is_list_of(check):
-    return lambda value: isinstance(value, list) and all(check(item) for item in value)
-
-
-_IS_OBJECT = (lambda value: isinstance(value, dict), "an object")
-_IS_INT = (_is_int, "an integer")
-_IS_NUMBER = (_is_number, "a number")
-_IS_STR = (_is_str, "a string")
-_IS_YEARS = (_is_list_of(_is_int), "a list of integers")
-
-# (check, description) of each config key's JSON value; other keys are ignored.
-_CONFIG_TYPES = {
-    "data": _IS_STR, "out": _IS_STR, "spec": _IS_STR, "scenario": _IS_STR,
-    "formats": (lambda v: _is_str(v) or _is_list_of(_is_str)(v),
-                "a string or a list of strings"),
-    "jobs": _IS_INT,
-    "use_n_eff": (lambda v: isinstance(v, bool), "true or false"),
-    "optimizer": _IS_OBJECT, "uncertainty": _IS_OBJECT, "robustness": _IS_OBJECT,
+# The JSON type of each config-file (section, key), inside the table and out;
+# ``command`` is written by the config echo and read by nothing.
+_CONFIG_KEYS = {
+    **{("", key): STRING for key in ("command", "data", "out", "spec", "scenario")},
+    ("", "formats"): _Type(lambda v: STRING.check(v) or type(v) is list
+                           and all(map(STRING.check, v)), "a string or a list of strings"),
+    **{row.path: row.type for row in SETTINGS},
 }
-_SECTION_TYPES = {
-    "optimizer": {"n_starts": _IS_INT, "seed": _IS_INT, "gtol": _IS_NUMBER,
-                  "ftol_rel": _IS_NUMBER, "max_iter": _IS_INT},
-    "uncertainty": {"n_draws": _IS_INT, "level": _IS_NUMBER, "seed": _IS_INT},
-    "robustness": {"truncation_starts": _IS_YEARS, "cutoffs": _IS_YEARS, "rescale": _IS_STR},
-}
-
-
-def _check_types(table: dict, rules: dict, prefix: str = "") -> None:
-    for key, (check, expected) in rules.items():
-        if key in table and not check(table[key]):
-            raise CliError(f"config '{prefix}{key}' must be {expected}, "
-                           f"got {json.dumps(table[key])}")
+_SECTIONS = {row.path[0] for row in SETTINGS} - {""}
 
 
 def _validate_config(cfg: dict) -> None:
-    """Reject config values of the wrong JSON type before anything runs."""
-    _check_types(cfg, _CONFIG_TYPES)   # sections are objects from here on
-    for section, rules in _SECTION_TYPES.items():
-        _check_types(cfg.get(section, {}), rules, f"{section}.")
+    """Reject unknown keys and values of the wrong JSON type before anything runs."""
+    items = []   # ((section, field), value) of every setting in the file
+    for key, value in cfg.items():
+        if key not in _SECTIONS:
+            items.append((("", key), value))
+        elif isinstance(value, dict):
+            items += [((key, field), item) for field, item in value.items()]
+        else:
+            raise CliError(f"config '{key}' must be an object, got {json.dumps(value)}")
+    unknown = [".".join(filter(None, path)) for path, _ in items if path not in _CONFIG_KEYS]
+    if unknown:
+        raise CliError(f"unknown config key{'s' if len(unknown) > 1 else ''} "
+                       + ", ".join(map(repr, unknown)))
+    for path, value in items:
+        if not _CONFIG_KEYS[path].check(value):
+            raise CliError(f"config '{'.'.join(filter(None, path))}' must be "
+                           f"{_CONFIG_KEYS[path].expected}, got {json.dumps(value)}")
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -223,19 +275,6 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
-def _check_range(name: str, value: int, low: int, high: int) -> None:
-    if value < low:
-        raise CliError(f"{name} must be at least {low}, got {value}")
-    if value > high:
-        raise CliError(f"{name} must be at most {high}, got {value}")
-
-
-def _check_seed(name: str, value: int) -> None:
-    # NumPy's generators take any non-negative integer.
-    if value < 0:
-        raise CliError(f"{name} must be at least 0, got {value}")
-
-
 class Settings:
     """Flag > config-file > default resolution for one invocation."""
 
@@ -243,7 +282,7 @@ class Settings:
         self._args = vars(args)
         self._config = config
         # Every command writes reports, so the formats are checked before any runs.
-        self._formats = self._resolve_formats()
+        self.formats = self._resolve_formats()
 
     def get(self, name: str, default=None):
         value = self._args.get(name)
@@ -253,72 +292,24 @@ class Settings:
             return self._config[name]
         return default
 
-    def _pick(self, section: str, flag: str, key: str, default):
-        """Flag > ``section.key`` in the config file > default."""
-        value = self._args.get(flag)
-        if value is not None:
-            return value
-        return self._config.get(section, {}).get(key, default)
-
-    def optimizer(self) -> FitOptions:
-        opts = FitOptions(
-            n_starts=int(self._pick("optimizer", "n_starts", "n_starts", 8)),
-            seed=int(self._pick("optimizer", "seed", "seed", 0)),
-            gtol=float(self._pick("optimizer", "gtol", "gtol", 1e-6)),
-            ftol_rel=float(self._pick("optimizer", "ftol_rel", "ftol_rel", 1e-12)),
-            max_iter=int(self._pick("optimizer", "max_iter", "max_iter", 2000)),
-        )
-        _check_range("n_starts", opts.n_starts, 1, MAX_N_STARTS)
-        _check_range("max_iter", opts.max_iter, 0, MAX_ITER)
-        _check_seed("seed", opts.seed)
-        for name in ("gtol", "ftol_rel"):
-            value = getattr(opts, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise CliError(f"{name} must be a finite number >= 0, got {value}")
-        return opts
-
-    def uncertainty(self) -> tuple[int, float, int]:
-        n_draws = int(self._pick("uncertainty", "n_draws", "n_draws", 4000))
-        level = float(self._pick("uncertainty", "level", "level", 0.95))
-        _check_range("n_draws", n_draws, 2, MAX_N_DRAWS)
-        if not 0.0 < level < 1.0:
-            raise CliError(f"level must lie strictly inside (0, 1), got {level}")
-        draw_seed = int(self._pick("uncertainty", "draw_seed", "seed", 0))
-        _check_seed("draw_seed", draw_seed)
-        return n_draws, level, draw_seed
-
-    def _years(self, key: str) -> Optional[list[int]]:
-        """Flag (comma-separated) > ``robustness.key`` in the config file > None."""
-        years = self._pick("robustness", key, key, None)
-        return _int_list(years) if isinstance(years, str) else years
-
-    def robustness(self, grid, spec: Optional[ModelSpec] = None) -> tuple[list[int], list[int], str]:
-        """Truncation start years, hindcast cutoffs and rescaling, checked against ``grid``.
-
-        Without ``spec`` the start years are checked only against the grid,
-        not for leaving enough years for the spec's parameters.
-        """
-        starts = self._years("truncation_starts")
-        if starts is None:
-            starts = [grid.t_min + off for off in TRUNCATION_OFFSETS if grid.t_min + off < grid.t_max]
-        cutoffs = self._years("cutoffs")
-        if cutoffs is None:
-            cutoffs = [c for c in DEFAULT_CUTOFFS if grid.t_min < c < grid.t_max]
-            if not cutoffs:
-                raise CliError(
-                    "no default hindcast cutoffs fall inside the data window; pass --cutoffs"
-                )
-        rescale = self._pick("robustness", "rescale", "rescale", "window")
-        diagnostics.check_rescale(rescale)
-        diagnostics.check_truncation_starts(grid, starts, spec)
-        diagnostics.check_cutoffs(grid, cutoffs)
-        return starts, cutoffs, rescale
+    def resolve(self, rows: Sequence[Setting]) -> dict:
+        """Each row's value by name: flag > config file > default, converted and checked;
+        a default that depends on the data stays a function of its year grid."""
+        values = {}
+        for row in rows:
+            value = self._args.get(row.name)
+            if value is None:
+                section, field = row.path
+                value = (self._config.get(section, {}) if section else self._config).get(
+                    field, row.default)
+            if not callable(value):
+                value = row.type.convert(value)
+                row.check(value)
+            values[row.name] = value
+        return values
 
     def out_dir(self) -> Path:
         return Path(self.get("out", os.environ.get(OUT_DIR_ENV, ".")))
-
-    def formats(self) -> tuple[str, ...]:
-        return self._formats
 
     def _resolve_formats(self) -> tuple[str, ...]:
         raw = self.get("formats")
@@ -375,33 +366,29 @@ def _run_pipeline(settings: Settings) -> int:
     spec = None
     if wants_spec and ("grid" not in stages or settings.get("spec") is not None):
         spec = settings.spec()
-    opts = settings.optimizer()
-    echo = {"command": command, "out": str(settings.out_dir()),
-            "formats": list(settings.formats()), "data": settings.data_path(),
-            "optimizer": {key: getattr(opts, key)
-                          for key in ("n_starts", "seed", "gtol", "ftol_rel", "max_iter")}}
-    if "bands" in stages:
-        n_draws, level, draw_seed = settings.uncertainty()
-        echo["uncertainty"] = {"n_draws": n_draws, "level": level, "seed": draw_seed}
-    if "grid" in stages:
-        echo["jobs"] = int(settings.get("jobs", 1))
-        echo["use_n_eff"] = bool(settings.get("use_n_eff", False))
-    obs = load_series(echo["data"])
+    rows = [row for row in SETTINGS if row.stage in (None, *stages)]
+    values = settings.resolve(rows)
+    opts = FitOptions(**{row.name: values[row.name] for row in rows if row.stage is None})
+    data = settings.data_path()
+    obs = load_series(data)
     if spec is not None:
         reason = selection.unfittable_reason(spec, obs)
         if reason is not None:
             raise CliError(f"spec {spec.label()} cannot be fitted: {reason}")
+    values = {name: value(obs.grid) if callable(value) else value
+              for name, value in values.items()}
     if "robust" in stages:
-        trunc_starts, cutoffs, rescale = settings.robustness(obs.grid, spec)
-        echo.update(truncation_starts=trunc_starts, cutoffs=cutoffs, rescale=rescale)
+        trunc_starts, cutoffs = values["truncation_starts"], values["cutoffs"]
+        diagnostics.check_truncation_starts(obs.grid, trunc_starts, spec)
+        diagnostics.check_cutoffs(obs.grid, cutoffs)
 
     # ``outcomes`` are the fits whose convergence sets the exit code: the
     # fit if there is one, else the grid's, else the robustness refits.
     entries = fit = outcomes = None
     # The criteria's observation count, the same in the grid and the fit's report.
-    n = obs.grid.n_eff if echo.get("use_n_eff") else 2 * obs.grid.n_years
+    n = obs.grid.n_eff if values.get("use_n_eff") else 2 * obs.grid.n_years
     if "grid" in stages:
-        entries = selection.run_grid(obs, opts, n=n, jobs=echo["jobs"])
+        entries = selection.run_grid(obs, opts, n=n, jobs=values["jobs"])
         outcomes = [e.fit for e in entries if e.fit is not None]
         if wants_spec and spec is None:
             try:
@@ -425,21 +412,29 @@ def _run_pipeline(settings: Settings) -> int:
             hess = estimation.numerical_hessian(fit.theta_hat, spec, obs)
             bundle.uncertainty = estimation.covariance(hess, fit.sse, spec, obs.grid)
             draws = estimation.sample_parameters(bundle.uncertainty, fit.theta_hat,
-                                                 n_draws, draw_seed)
-            bundle.bands = estimation.confidence_bands(draws, spec, obs.grid, level)
+                                                 values["n_draws"], values["draw_seed"])
+            bundle.bands = estimation.confidence_bands(draws, spec, obs.grid, values["level"])
         else:
             bundle.notes.append("bands skipped: fit did not converge")
     if "robust" in stages:
-        rows = diagnostics.truncation_study(obs, spec, trunc_starts, opts, rescale=rescale)
-        hindcast = diagnostics.rolling_origin_hindcast(obs, spec, cutoffs, opts, rescale=rescale)
-        bundle.robustness = RobustnessReport(truncation_rows=rows, hindcast=hindcast)
+        truncation = diagnostics.truncation_study(obs, spec, trunc_starts, opts,
+                                                  rescale=values["rescale"])
+        hindcast = diagnostics.rolling_origin_hindcast(obs, spec, cutoffs, opts,
+                                                       rescale=values["rescale"])
+        bundle.robustness = RobustnessReport(truncation_rows=truncation, hindcast=hindcast)
         if outcomes is None:
-            outcomes = rows + hindcast.predictions
+            outcomes = truncation + hindcast.predictions
 
+    # The echo has the config file's layout, so it replays the run as ``--config``.
+    echo = {"command": command, "out": str(settings.out_dir()),
+            "formats": list(settings.formats), "data": data}
+    for row in rows:
+        section, field = row.path
+        (echo.setdefault(section, {}) if section else echo)[field] = values[row.name]
     if spec is not None:
         echo["spec"] = spec.label()
     bundle.config_echo, bundle.grid_entries = echo, entries
-    write_reports(bundle, settings.out_dir(), settings.formats())
+    write_reports(bundle, settings.out_dir(), settings.formats)
     return 0 if any(f.converged for f in outcomes) else 2
 
 
@@ -462,14 +457,14 @@ def _run_synth(settings: Settings) -> int:
     traj = eval_param_trajectories(scenario.theta_true, scenario.spec, scenario.grid)
     bundle = ReportBundle(
         config_echo={"command": "synth", "scenario": scenario_dict,
-                     "out": str(settings.out_dir()), "formats": list(settings.formats())},
+                     "out": str(settings.out_dir()), "formats": list(settings.formats)},
         obs=obs,
         spec=scenario.spec,
         trajectories=traj,
         simulation=truth,
         emit_data=True,
     )
-    write_reports(bundle, settings.out_dir(), settings.formats())
+    write_reports(bundle, settings.out_dir(), settings.formats)
     return 0
 
 

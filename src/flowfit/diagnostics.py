@@ -165,7 +165,9 @@ def check_truncation_starts(
 
 
 def check_cutoffs(grid: YearGrid, cutoffs: Sequence[int]) -> None:
-    """Reject hindcast cutoffs not strictly inside ``grid``."""
+    """Reject an empty list of hindcast cutoffs or one not strictly inside ``grid``."""
+    if not cutoffs:
+        raise ValueError("the hindcast needs at least one cutoff")
     for cutoff in cutoffs:
         if not grid.t_min < cutoff < grid.t_max:
             raise ValueError(

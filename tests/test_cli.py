@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from flowfit import YearGrid, diagnostics, estimation, generate, run_cli, selection, write_series
+from flowfit.cli import SETTINGS
 
 from _scenarios import RECOVERY_THETA, recovery_scenario
 
@@ -104,11 +105,13 @@ class TestGrid:
         assert len(lines) == 1 + 18
         assert sum("skipped" in line for line in lines) == 9
 
-    def test_jobs_below_one_exits_1(self, data_csv, tmp_path, capsys):
-        code = run_cli(["grid", "--data", str(data_csv), "--out", str(tmp_path / "g"),
-                        "--jobs", "0"])
+    def test_jobs_below_one_exits_1(self, tmp_path, capsys):
+        # The data file does not exist: --jobs is checked before the load.
+        code = run_cli(["grid", "--data", str(tmp_path / "missing.csv"),
+                        "--out", str(tmp_path / "g"), "--jobs", "0"])
         assert code == 1
-        assert "jobs" in capsys.readouterr().err
+        assert "jobs must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
     def test_grid_with_proxy_fits_everything(self, data_csv_intl, tmp_path):
         out = tmp_path / "grid"
@@ -218,29 +221,58 @@ class TestSynth:
         assert run_cli(["synth", "--scenario", str(bad), "--out", str(tmp_path)]) == 1
 
 
-class TestConfigAndEnvironment:
-    def test_config_file_supplies_defaults(self, data_csv, tmp_path):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({
-            "data": str(data_csv),
-            "optimizer": {"n_starts": 1, "max_iter": 50},
-        }))
-        out = tmp_path / "out"
-        code = run_cli(["fit", "--config", str(config), "--out", str(out)])
-        assert code in (0, 2)  # rough fit may stop unconverged; config was honored
-        report = json.loads((out / "run_report.json").read_text())
-        assert report["config"]["optimizer"]["n_starts"] == 1
-        assert report["config"]["optimizer"]["max_iter"] == 50
+# Each config file of these tests starts from this, so the runs stay short.
+QUICK_CONFIG = {"optimizer": {"n_starts": 1, "max_iter": 30},
+                "robustness": {"truncation_starts": [1990], "cutoffs": [1995]}}
+# The command that runs each stage's settings; None is every data command's.
+STAGE_COMMAND = {None: "fit", "grid": "grid", "bands": "bands", "robust": "robust"}
+# Per setting: its flag's argument (none for a switch), a value other than
+# the default that the flag gives, and another value for the config file.
+PRECEDENCE = {
+    "n_starts": (["2"], 2, 3),
+    "seed": (["3"], 3, 4),
+    "max_iter": (["40"], 40, 20),
+    "gtol": (["0.001"], 0.001, 0.01),
+    "ftol_rel": (["1e-09"], 1e-09, 1e-08),
+    "n_draws": (["60"], 60, 50),
+    "level": (["0.9"], 0.9, 0.8),
+    "draw_seed": (["5"], 5, 6),
+    "truncation_starts": (["1992"], [1992], [1991]),
+    "cutoffs": (["1997"], [1997], [1996]),
+    "rescale": (["full"], "full", "window"),
+    "jobs": (["2"], 2, 3),
+    "use_n_eff": ([], True, False),
+}
 
-    def test_flag_overrides_config(self, data_csv, tmp_path):
+
+class TestConfigAndEnvironment:
+    @staticmethod
+    def echoed(data_csv, tmp_path, row, config_value, flags=()):
+        """The value at ``row``'s echo path after a run with ``config_value`` in its config."""
+        cfg = json.loads(json.dumps(QUICK_CONFIG))
+        cfg["data"] = str(data_csv)
+        section, field = row.path
+        (cfg.setdefault(section, {}) if section else cfg)[field] = config_value
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"data": str(data_csv),
-                                      "optimizer": {"n_starts": 5}}))
+        config.write_text(json.dumps(cfg))
         out = tmp_path / "out"
-        run_cli(["fit", "--config", str(config), "--out", str(out),
-                 "--n-starts", "1", "--max-iter", "60"])
-        report = json.loads((out / "run_report.json").read_text())
-        assert report["config"]["optimizer"]["n_starts"] == 1
+        code = run_cli([STAGE_COMMAND[row.stage], "--config", str(config), "--out", str(out),
+                        *flags])
+        assert code in (0, 2)   # a rough fit may stop unconverged
+        echo = json.loads((out / "run_report.json").read_text())["config"]
+        return (echo[section] if section else echo)[field]
+
+    @pytest.mark.parametrize("row", SETTINGS, ids=lambda row: row.name)
+    def test_config_file_supplies_defaults(self, data_csv, tmp_path, row):
+        _, value, _ = PRECEDENCE[row.name]
+        assert value != row.default
+        assert self.echoed(data_csv, tmp_path, row, value) == value
+
+    @pytest.mark.parametrize("row", SETTINGS, ids=lambda row: row.name)
+    def test_flag_overrides_config(self, data_csv, tmp_path, row):
+        flag_args, value, config_value = PRECEDENCE[row.name]
+        flags = ["--" + row.name.replace("_", "-"), *flag_args]
+        assert self.echoed(data_csv, tmp_path, row, config_value, flags) == value
 
     @pytest.mark.parametrize("config, message", [
         ({"optimizer": [1]}, "'optimizer' must be an object"),
@@ -249,6 +281,13 @@ class TestConfigAndEnvironment:
         ({"uncertainty": {"level": None}}, "'uncertainty.level' must be a number"),
         ({"robustness": {"cutoffs": [1995, "2000"]}}, "must be a list of integers"),
         ({"jobs": True}, "'jobs' must be an integer"),
+        # Keys that no setting reads, and a number too large for a float.
+        ({"uncertainty": {"draw_seed": 3, "n_draw": 50}, "optimizer": {"n_start": 1}},
+         "unknown config keys 'uncertainty.draw_seed', 'uncertainty.n_draw', "
+         "'optimizer.n_start'"),
+        ({"n_starts": 1}, "unknown config key 'n_starts'"),
+        ({"robust": {"cutoffs": [1995]}}, "unknown config key 'robust'"),
+        ({"optimizer": {"gtol": 10 ** 400}}, "gtol must be a finite number >= 0, got inf"),
     ])
     def test_config_value_of_wrong_type_exits_1(self, data_csv, tmp_path, capsys,
                                                 config, message):
@@ -372,7 +411,9 @@ class TestSettingsCheckedBeforeFitting:
         (["--cutoffs", "2004"], "cutoff 2004 must lie strictly inside"),
         (["--truncation-starts", "1700"], "start year 1700 outside the grid"),
         (["--truncation-starts", "2003"], "window starting 2003 has 2 years, too short for k=15"),
-    ] + BOUNDS)
+    ] + BOUNDS + [
+        (["--cutoffs", ","], "the hindcast needs at least one cutoff"),
+    ])
     def test_report(self, data_csv, tmp_path, monkeypatch, capsys, flags, message):
         monkeypatch.setattr(selection, "run_grid", self.refuse)
         argv = ["report", "--data", str(data_csv), "--out", str(tmp_path / "r"),
@@ -425,7 +466,7 @@ class TestSettingsCheckedBeforeFitting:
 
 COMMON_ECHO = {"command", "out", "formats", "data", "optimizer"}
 FIT_FILES = {"run_report.json", "manifest.json", "trajectories.csv", "residuals.csv"}
-ROBUST_ECHO = {"truncation_starts", "cutoffs", "rescale"}
+ROBUST_ECHO = {"robustness"}
 ROBUST_FILES = {"truncation.csv", "hindcast.csv"}
 
 
@@ -460,6 +501,31 @@ class TestCommandStages:
         assert run_cli(argv + ["--out", str(out)]) in (0, 2)
         assert {p.name for p in out.iterdir()} == files
         assert set(json.loads((out / "run_report.json").read_text())["config"]) == echo
+
+
+class TestConfigEchoReplays:
+    """A run's config echo, fed back as ``--config``, reruns the same run."""
+
+    @pytest.mark.parametrize("command", ["robust", "report"])
+    def test_replay_is_byte_identical(self, data_csv, tmp_path, command):
+        first, second = tmp_path / "first", tmp_path / "second"
+        argv = [command, "--data", str(data_csv), "--out", str(first), "--seed", "3",
+                "--n-starts", "2", "--max-iter", "150", "--gtol", "1e-4",
+                "--truncation-starts", "1990,1993", "--cutoffs", "1995,2000",
+                "--rescale", "full"]
+        if command == "report":
+            argv += ["--n-draws", "200", "--level", "0.9", "--draw-seed", "7", "--use-n-eff"]
+        code = run_cli(argv)
+        assert code in (0, 2)
+        config = json.loads((first / "run_report.json").read_text())["config"]
+        config["out"] = str(second)
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps(config))
+        assert run_cli([command, "--config", str(replay)]) == code
+        before = {p.name: p.read_bytes() for p in first.iterdir()}
+        after = {p.name: p.read_bytes().replace(str(second).encode(), str(first).encode())
+                 for p in second.iterdir()}
+        assert after == before
 
 
 class TestDeterminism:

@@ -176,6 +176,11 @@ class TestRollingOriginHindcast:
             with pytest.raises(ValueError, match="cutoff"):
                 rolling_origin_hindcast(obs, RECOVERY_SPEC, [bad], quick_options)
 
+    def test_empty_cutoffs_rejected(self, small_noise_free, quick_options):
+        obs, _ = small_noise_free
+        with pytest.raises(ValueError, match="at least one cutoff"):
+            rolling_origin_hindcast(obs, RECOVERY_SPEC, [], quick_options)
+
     def test_never_reads_beyond_cutoff(self, small_noise_free, quick_options):
         obs, _ = small_noise_free
         cutoff = 1992
