@@ -27,7 +27,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import diagnostics, estimation, selection, synthetic
 from .dataio import DataError, ReportBundle, load_series, write_reports
-from .diagnostics import RobustnessReport
 from .estimation import FitOptions
 from .model import ModelSpec, ObservedSeries, eval_param_trajectories, simulate
 
@@ -385,10 +384,16 @@ def _run_pipeline(settings: Settings) -> int:
     # ``outcomes`` are the fits whose convergence sets the exit code: the
     # fit if there is one, else the grid's, else the robustness refits.
     entries = fit = outcomes = None
+    # The robust stage's lane jobs.
+    refits = None
+    if "robust" in stages and spec is not None:
+        refits = diagnostics.robustness_jobs(obs, spec, trunc_starts, cutoffs, opts,
+                                             values["rescale"])
     # The criteria's observation count, the same in the grid and the fit's report.
     n = obs.grid.n_eff if values.get("use_n_eff") else 2 * obs.grid.n_years
     if "grid" in stages:
-        entries = selection.run_grid(obs, opts, n=n, jobs=values["jobs"])
+        # A spec known up front brings its refits into the grid's lane set.
+        entries = selection.run_grid(obs, opts, n=n, jobs=values["jobs"], refits=refits or ())
         outcomes = [e.fit for e in entries if e.fit is not None]
         if wants_spec and spec is None:
             try:
@@ -396,7 +401,9 @@ def _run_pipeline(settings: Settings) -> int:
             except ValueError as exc:   # the grid fitted no spec
                 raise estimation.NumericalError(str(exc)) from None
             if "robust" in stages:
-                diagnostics.check_truncation_starts(obs.grid, trunc_starts, spec)
+                refits = diagnostics.robustness_jobs(obs, spec, trunc_starts, cutoffs, opts,
+                                                     values["rescale"])
+                estimation.fit_lane_set(refits, opts, workers=values["jobs"])
     if "fit" in stages:
         if entries is None:
             starts = estimation.default_starts(spec, obs, n_starts=opts.n_starts, seed=opts.seed)
@@ -417,13 +424,11 @@ def _run_pipeline(settings: Settings) -> int:
         else:
             bundle.notes.append("bands skipped: fit did not converge")
     if "robust" in stages:
-        truncation = diagnostics.truncation_study(obs, spec, trunc_starts, opts,
-                                                  rescale=values["rescale"])
-        hindcast = diagnostics.rolling_origin_hindcast(obs, spec, cutoffs, opts,
-                                                       rescale=values["rescale"])
-        bundle.robustness = RobustnessReport(truncation_rows=truncation, hindcast=hindcast)
+        if "grid" not in stages:
+            estimation.fit_lane_set(refits, opts)
+        bundle.robustness = diagnostics.robustness_report(refits, obs, values["rescale"])
         if outcomes is None:
-            outcomes = truncation + hindcast.predictions
+            outcomes = bundle.robustness.truncation_rows + bundle.robustness.hindcast.predictions
 
     # The echo has the config file's layout, so it replays the run as ``--config``.
     echo = {"command": command, "out": str(settings.out_dir()),
@@ -456,7 +461,7 @@ def _run_synth(settings: Settings) -> int:
         raise CliError(str(exc)) from None
     traj = eval_param_trajectories(scenario.theta_true, scenario.spec, scenario.grid)
     bundle = ReportBundle(
-        config_echo={"command": "synth", "scenario": scenario_dict,
+        config_echo={"command": "synth", "scenario": str(scenario_path),
                      "out": str(settings.out_dir()), "formats": list(settings.formats)},
         obs=obs,
         spec=scenario.spec,

@@ -3,7 +3,8 @@
 Two refit-based checks probe the stability of a fitted specification:
 start-year truncation (drop the earliest years and refit on the remaining
 window) and rolling-origin hindcasting (refit on data through a cutoff
-year, then predict the next year's completions out of sample).
+year, then predict the next year's completions out of sample).  Every
+window's refit is a lane job, and the windows run as one lane set.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import numpy as np
 
 from .estimation import (
     FitOptions,
-    FitResult,
+    LaneJob,
     NumericalError,
     default_starts,
-    minimize_bfgs,
+    fit_lane_set,
     residuals,
 )
 from .model import (
@@ -126,25 +127,6 @@ def residual_report(obs: ObservedSeries, sim: SimulationResult) -> ResidualRepor
     )
 
 
-def _refit_window(
-    window: ObservedSeries,
-    spec: ModelSpec,
-    options: FitOptions,
-    seed_offset: int,
-    rescale: str,
-    full_grid,
-) -> FitResult:
-    starts = default_starts(
-        spec,
-        window,
-        n_starts=options.n_starts,
-        seed=options.seed + seed_offset,
-        start_sd=options.start_sd,
-    )
-    scale_grid = full_grid if rescale == "full" else None
-    return minimize_bfgs(spec, window, starts, options, scale_grid=scale_grid)
-
-
 def check_rescale(rescale: str) -> None:
     if rescale not in ("window", "full"):
         raise ValueError("rescale must be 'window' or 'full'")
@@ -175,6 +157,118 @@ def check_cutoffs(grid: YearGrid, cutoffs: Sequence[int]) -> None:
             )
 
 
+def robustness_jobs(
+    obs: ObservedSeries,
+    spec: ModelSpec,
+    start_years: Sequence[int],
+    cutoffs: Sequence[int],
+    options: Optional[FitOptions] = None,
+    rescale: str = "window",
+) -> list[LaneJob]:
+    """The lane jobs of the truncation and hindcast refits of ``spec``.
+
+    One job per start year (the window from it through the end of the
+    sample), then one per cutoff (the window from the first year through
+    the cutoff), each with rescaled time anchored on its own window or,
+    with ``rescale='full'``, on the full sample.  The i-th window of each
+    kind draws its starts with seed ``options.seed + i``.  Their fits, in
+    this order, make up :func:`robustness_report`.
+    """
+    check_rescale(rescale)
+    check_truncation_starts(obs.grid, start_years, spec)
+    if cutoffs:
+        check_cutoffs(obs.grid, cutoffs)
+    opts = options or FitOptions()
+    scale_grid = obs.grid if rescale == "full" else None
+    windows = ([obs.window(start, obs.grid.t_max) for start in start_years],
+               [obs.window(obs.grid.t_min, cutoff) for cutoff in cutoffs])
+    return [LaneJob(spec, window, np.stack(default_starts(
+                spec, window, n_starts=opts.n_starts, seed=opts.seed + idx,
+                start_sd=opts.start_sd)), scale_grid)
+            for kind in windows for idx, window in enumerate(kind)]
+
+
+def robustness_report(
+    jobs: Sequence[LaneJob], obs: ObservedSeries, rescale: str = "window"
+) -> RobustnessReport:
+    """The truncation rows and the hindcast from :func:`robustness_jobs`'s fitted jobs.
+
+    Pooled log-RMSE uses N = 2 * window years.  Each hindcast window's
+    year-T+1 completions are predicted by running its fitted recurrence one
+    year further, with trajectories extrapolated to T+1; the hindcast
+    reports per-series and pooled RMSE of the one-step log errors, and is
+    None without cutoffs.
+    """
+    report = RobustnessReport()
+    predictions = []
+    for job in jobs:
+        window, fit = job.obs, job.fit
+        # A truncation window ends with the sample, a hindcast window before it.
+        if window.grid.t_max == obs.grid.t_max:
+            n_years = window.grid.n_years
+            report.truncation_rows.append(TruncationRow(
+                start_year=window.grid.t_min,
+                converged=fit.converged,
+                k=job.spec.n_params,
+                sse=fit.sse,
+                pooled_log_rmse=log_rmse(fit.sse, 2 * n_years),
+                n_years=n_years,
+                rescale=rescale,
+            ))
+        else:
+            predictions.append(_hindcast_prediction(obs, job, rescale))
+    if predictions:
+        sq_m = [pred.log_err_m * pred.log_err_m for pred in predictions]
+        sq_p = [pred.log_err_p * pred.log_err_p for pred in predictions]
+        report.hindcast = HindcastResult(
+            rmse_m=math.sqrt(sum(sq_m) / len(sq_m)),
+            rmse_p=math.sqrt(sum(sq_p) / len(sq_p)),
+            rmse_pooled=math.sqrt((sum(sq_m) + sum(sq_p)) / (len(sq_m) + len(sq_p))),
+            predictions=predictions,
+            rescale=rescale,
+        )
+    return report
+
+
+def _hindcast_prediction(obs: ObservedSeries, job: LaneJob, rescale: str) -> HindcastPrediction:
+    window, fit = job.obs, job.fit
+    cutoff = window.grid.t_max
+    m_pred, p_pred = _predict_next_year(window, job.spec, fit.theta_hat, rescale, obs.grid)
+    i_next = cutoff + 1 - obs.grid.t_min
+    m_obs = float(obs.m[i_next])
+    p_obs = float(obs.p[i_next])
+    if not (0.0 < m_pred < math.inf and 0.0 < p_pred < math.inf):
+        raise NumericalError(
+            f"hindcast for {cutoff + 1} predicts non-positive or non-finite completions "
+            f"(master's {m_pred!r}, PhD {p_pred!r})"
+        )
+    return HindcastPrediction(
+        cutoff=cutoff,
+        converged=fit.converged,
+        fit_sse=fit.sse,
+        m_pred=m_pred,
+        m_obs=m_obs,
+        log_err_m=math.log(m_obs) - math.log(m_pred),
+        p_pred=p_pred,
+        p_obs=p_obs,
+        log_err_p=math.log(p_obs) - math.log(p_pred),
+    )
+
+
+def robustness(
+    obs: ObservedSeries,
+    spec: ModelSpec,
+    start_years: Sequence[int],
+    cutoffs: Sequence[int],
+    options: Optional[FitOptions] = None,
+    rescale: str = "window",
+) -> RobustnessReport:
+    """Every truncation and hindcast refit of ``spec`` as one lane set, and their report."""
+    jobs = robustness_jobs(obs, spec, start_years, cutoffs, options, rescale)
+    fit_lane_set(jobs, options)
+    return robustness_report(jobs, obs, rescale)
+
+
 def truncation_study(
     obs: ObservedSeries,
     spec: ModelSpec,
@@ -187,28 +281,10 @@ def truncation_study(
     Each window runs from the given start year through the end of the
     sample, with rescaled time and initial stocks recomputed for the
     window (``rescale='full'`` keeps the full-sample time scaling
-    instead).  Pooled log-RMSE uses N = 2 * window years.
+    instead).  Pooled log-RMSE uses N = 2 * window years.  The windows'
+    refits are one lane set.
     """
-    check_rescale(rescale)
-    check_truncation_starts(obs.grid, start_years, spec)
-    opts = options or FitOptions()
-    rows = []
-    for idx, start in enumerate(start_years):
-        n_years = obs.grid.t_max - start + 1
-        window = obs.window(start, obs.grid.t_max)
-        fit = _refit_window(window, spec, opts, idx, rescale, obs.grid)
-        rows.append(
-            TruncationRow(
-                start_year=start,
-                converged=fit.converged,
-                k=spec.n_params,
-                sse=fit.sse,
-                pooled_log_rmse=log_rmse(fit.sse, 2 * n_years),
-                n_years=n_years,
-                rescale=rescale,
-            )
-        )
-    return rows
+    return robustness(obs, spec, start_years, (), options, rescale).truncation_rows
 
 
 def rolling_origin_hindcast(
@@ -224,53 +300,11 @@ def rolling_origin_hindcast(
     alone (the truncated series never sees later data) and the year-T+1
     completions are predicted by running the recurrence one year further,
     with trajectories extrapolated to T+1.  Reports per-series and pooled
-    RMSE of the one-step log errors.
+    RMSE of the one-step log errors.  The windows' refits are one lane set.
     """
     check_rescale(rescale)
     check_cutoffs(obs.grid, cutoffs)
-    opts = options or FitOptions()
-    predictions = []
-    sq_m = []
-    sq_p = []
-    for idx, cutoff in enumerate(cutoffs):
-        window = obs.window(obs.grid.t_min, cutoff)
-        fit = _refit_window(window, spec, opts, idx, rescale, obs.grid)
-        m_pred, p_pred = _predict_next_year(window, spec, fit.theta_hat, rescale, obs.grid)
-        i_next = cutoff + 1 - obs.grid.t_min
-        m_obs = float(obs.m[i_next])
-        p_obs = float(obs.p[i_next])
-        if not (0.0 < m_pred < math.inf and 0.0 < p_pred < math.inf):
-            raise NumericalError(
-                f"hindcast for {cutoff + 1} predicts non-positive or non-finite completions "
-                f"(master's {m_pred!r}, PhD {p_pred!r})"
-            )
-        err_m = math.log(m_obs) - math.log(m_pred)
-        err_p = math.log(p_obs) - math.log(p_pred)
-        sq_m.append(err_m * err_m)
-        sq_p.append(err_p * err_p)
-        predictions.append(
-            HindcastPrediction(
-                cutoff=cutoff,
-                converged=fit.converged,
-                fit_sse=fit.sse,
-                m_pred=m_pred,
-                m_obs=m_obs,
-                log_err_m=err_m,
-                p_pred=p_pred,
-                p_obs=p_obs,
-                log_err_p=err_p,
-            )
-        )
-    rmse_m = math.sqrt(sum(sq_m) / len(sq_m))
-    rmse_p = math.sqrt(sum(sq_p) / len(sq_p))
-    rmse_pooled = math.sqrt((sum(sq_m) + sum(sq_p)) / (len(sq_m) + len(sq_p)))
-    return HindcastResult(
-        rmse_m=rmse_m,
-        rmse_p=rmse_p,
-        rmse_pooled=rmse_pooled,
-        predictions=predictions,
-        rescale=rescale,
-    )
+    return robustness(obs, spec, (), cutoffs, options, rescale).hindcast
 
 
 def _predict_next_year(

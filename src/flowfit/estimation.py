@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -51,10 +53,15 @@ HESSIAN_EIG_FLOOR_REL = 1e-8
 # Trial steps 1, 1/2, 1/4, ... a BFGS line search makes before it gives up.
 LINE_SEARCH_TRIES = 60
 
-# A fit with at least this many starts runs them as the lanes of one
-# batched BFGS (:func:`bfgs_lanes`); below it the starts run one by one on
-# the list-level kernel, which is faster for so few.
+# A lane set (:func:`fit_lane_set`) of at least this many starts runs them
+# as the lanes of a batched BFGS (:func:`bfgs_lanes`); below it the starts
+# run one by one on the list-level kernel, which is faster for so few.
 LANE_MIN_STARTS = 4
+
+# Most lanes one batched BFGS runs at once, and the unit of work of a lane
+# set's workers.  The kernel's cost per lane stops falling at about this
+# width, and it bounds the batch's memory whatever the start count.
+LANE_CHUNK = 256
 
 
 class NumericalError(ValueError):
@@ -512,14 +519,16 @@ def bfgs_lanes(
     kernel: LaneKernel,
     x0: np.ndarray,
     mask: np.ndarray,
+    window: Optional[np.ndarray] = None,
     gtol: float = 1e-6,
     ftol_rel: float = 1e-12,
     max_iter: int = 2000,
 ) -> LaneOutcomes:
     """:func:`bfgs_minimize` from every row of ``x0`` at once, one lane per row.
 
-    ``x0`` holds ``(B, 16)`` superset start vectors and ``mask`` the
-    coefficients each lane's spec has (see :class:`LaneKernel`).  Each lane
+    ``x0`` holds ``(B, 16)`` superset start vectors, ``mask`` the
+    coefficients each lane's spec has and ``window`` the kernel window each
+    lane fits (see :class:`LaneKernel`; None is window 0).  Each lane
     takes :func:`bfgs_minimize`'s steps in its spec's coefficients: the same
     direction and steepest-descent restart, Armijo backtracking, scaled
     first update, BFGS update and four stop rules, with a ``(B, 16, 16)``
@@ -533,12 +542,13 @@ def bfgs_lanes(
     """
     x0 = np.array(x0, dtype=float)
     mask = np.asarray(mask, dtype=bool)
-    fx, g = kernel(x0, mask)
+    window = np.zeros(len(x0), dtype=int) if window is None else np.asarray(window)
+    fx, g = kernel(x0, mask, window)
     g_max = np.abs(g).max(axis=1)
     out = LaneOutcomes(x=x0.copy(), fun=fx, n_iterations=np.zeros(len(fx), dtype=int),
                        grad_max_norm=g_max, converged=g_max <= gtol)
     ids = np.flatnonzero(~out.converged) if max_iter > 0 else np.empty(0, dtype=int)
-    x, fx, g, mask = x0[ids], fx[ids], g[ids], mask[ids]
+    x, fx, g, mask, window = x0[ids], fx[ids], g[ids], mask[ids], window[ids]
     eye = np.where(mask[:, :, None] & np.eye(mask.shape[1], dtype=bool), 1.0, 0.0)
     h = eye.copy()
     scaled = np.zeros(len(ids), dtype=bool)
@@ -548,7 +558,7 @@ def bfgs_lanes(
     tries = np.zeros(len(ids), dtype=int)
     while ids.size:
         trial = x + alpha[:, None] * d
-        f_new, g_new = kernel(trial, mask)
+        f_new, g_new = kernel(trial, mask, window)
         ok = np.isfinite(f_new) & (f_new <= fx + 1e-4 * alpha * slope)
         stop = ~ok & (tries + 1 >= LINE_SEARCH_TRIES)
         tries += 1
@@ -596,8 +606,8 @@ def bfgs_lanes(
             out.fun[done] = fx[stop]
             out.n_iterations[done] = n_iter[stop]
             keep = ~stop
-            ids, x, fx, g, mask, eye, h = (
-                ids[keep], x[keep], fx[keep], g[keep], mask[keep], eye[keep], h[keep])
+            ids, x, fx, g, mask, window, eye, h = (
+                ids[keep], x[keep], fx[keep], g[keep], mask[keep], window[keep], eye[keep], h[keep])
             scaled, n_iter, d, slope, alpha, tries = (
                 scaled[keep], n_iter[keep], d[keep], slope[keep], alpha[keep], tries[keep])
     return out
@@ -684,39 +694,107 @@ def minimize_bfgs(
 ) -> FitResult:
     """Minimize the loss from every start and keep the best local minimum.
 
-    With ``LANE_MIN_STARTS`` starts or more the starts run together as
-    lanes of :func:`bfgs_lanes`; fewer run one by one through
-    :func:`bfgs_minimize`.  Either way the first start with the lowest loss
-    wins.
+    The starts are one :class:`LaneJob` of :func:`fit_lane_set`: with
+    ``LANE_MIN_STARTS`` starts or more they run together as lanes of
+    :func:`bfgs_lanes`; fewer run one by one through :func:`bfgs_minimize`.
+    Either way the first start with the lowest loss wins.
     """
     if len(starts) == 0:
         raise ValueError("at least one start is required")
-    opts = options or FitOptions()
     starts = [np.asarray(x0, dtype=float) for x0 in starts]
     for x0 in starts:
         if x0.shape != (spec.n_params,) or not np.all(np.isfinite(x0)):
             raise ValueError(f"start must be a finite vector of length {spec.n_params}")
-    if len(starts) >= LANE_MIN_STARTS:
-        lanes = bfgs_lanes(
-            LaneKernel(obs, scale_grid),
-            embed(np.stack(starts), spec),
-            np.tile(superset_mask(spec), (len(starts), 1)),
-            gtol=opts.gtol,
-            ftol_rel=opts.ftol_rel,
-            max_iter=opts.max_iter,
-        )
-        return fit_from_lanes(spec, obs, lanes, scale_grid)
-    objective = _Objective(spec, obs, scale_grid)
+    return fit_lane_set([LaneJob(spec, obs, np.stack(starts), scale_grid)], options)[0]
+
+
+@dataclass
+class LaneJob:
+    """One multi-start fit: ``spec`` on ``obs`` from each row of ``starts`` (``(n, k)``).
+
+    Rescaled time is anchored on ``scale_grid``, by default ``obs``'s own
+    grid.  ``obs`` with ``scale_grid`` is the job's window.  ``fit`` is
+    None until :func:`fit_lane_set` has fitted the job.
+    """
+
+    spec: ModelSpec
+    obs: ObservedSeries
+    starts: np.ndarray
+    scale_grid: Optional[YearGrid] = None
+    fit: Optional[FitResult] = None
+
+
+def _fit_chunk(args) -> LaneOutcomes:
+    windows, options, x0, mask, window = args
+    return bfgs_lanes(LaneKernel.of_windows(windows), x0, mask, window, gtol=options.gtol,
+                      ftol_rel=options.ftol_rel, max_iter=options.max_iter)
+
+
+def _fit_one_by_one(job: LaneJob, options: FitOptions) -> FitResult:
+    """``job``'s starts one at a time through :func:`bfgs_minimize` on the list kernel."""
+    objective = _Objective(job.spec, job.obs, job.scale_grid)
     outcomes = [
-        bfgs_minimize(objective.value, x0, grad=objective.gradient, gtol=opts.gtol,
-                      ftol_rel=opts.ftol_rel, max_iter=opts.max_iter)
-        for x0 in starts
+        bfgs_minimize(objective.value, x0, grad=objective.gradient, gtol=options.gtol,
+                      ftol_rel=options.ftol_rel, max_iter=options.max_iter)
+        for x0 in job.starts
     ]
     # Each ``fun`` is the loss at its ``x``, from the same forward pass as :func:`loss`.
-    lanes = LaneOutcomes(embed(np.stack([outcome.x for outcome in outcomes]), spec),
+    lanes = LaneOutcomes(embed(np.stack([outcome.x for outcome in outcomes]), job.spec),
                          *(np.array([getattr(outcome, name) for outcome in outcomes])
                            for name in _OUTCOME_FIELDS[1:]))
-    return _best_start(spec, lanes)
+    return _best_start(job.spec, lanes)
+
+
+def fit_lane_set(
+    jobs: Sequence[LaneJob],
+    options: Optional[FitOptions] = None,
+    workers: int = 1,
+) -> list[FitResult]:
+    """Fit every job: set each job's ``fit`` to the best of its starts and return the fits.
+
+    Every start of every job is one lane of one lane set.  With fewer than
+    ``LANE_MIN_STARTS`` lanes in all the starts run one by one on the
+    list-level kernel instead.  Otherwise the lanes, in job order, are cut
+    into chunks of at most ``LANE_CHUNK``; each chunk is one
+    :func:`bfgs_lanes` run on a :class:`LaneKernel` of every job's window.
+    ``workers`` > 1 runs the chunks in parallel, on at most one worker per
+    chunk and per CPU.  A lane's fit does not depend on the lanes it runs
+    with nor on its window's padding, so chunks, windows and workers never
+    change a result.
+    """
+    opts = options or FitOptions()
+    if sum(len(job.starts) for job in jobs) < LANE_MIN_STARTS:
+        for job in jobs:
+            job.fit = _fit_one_by_one(job, opts)
+        return [job.fit for job in jobs]
+    # One kernel window per distinct (series, time scale) pair.
+    index: dict[tuple[int, Optional[YearGrid]], int] = {}
+    windows = []
+    for job in jobs:
+        key = (id(job.obs), job.scale_grid)
+        if key not in index:
+            index[key] = len(windows)
+            windows.append((job.obs, job.scale_grid))
+    counts = [len(job.starts) for job in jobs]
+    x0 = np.concatenate([embed(job.starts, job.spec) for job in jobs])
+    mask = np.repeat([superset_mask(job.spec) for job in jobs], counts, axis=0)
+    window = np.repeat([index[id(job.obs), job.scale_grid] for job in jobs], counts)
+    chunks = [(windows, opts, x0[i:i + LANE_CHUNK], mask[i:i + LANE_CHUNK],
+               window[i:i + LANE_CHUNK]) for i in range(0, len(x0), LANE_CHUNK)]
+
+    # The pool starts all its workers up front, so never ask for more
+    # than can run at once.
+    workers = min(workers, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            lanes = LaneOutcomes.concatenate(list(pool.map(_fit_chunk, chunks)))
+    else:
+        lanes = LaneOutcomes.concatenate([_fit_chunk(chunk) for chunk in chunks])
+
+    for job, end, count in zip(jobs, np.cumsum(counts), counts):
+        job.fit = fit_from_lanes(job.spec, job.obs, lanes.rows(slice(end - count, end)),
+                                 job.scale_grid)
+    return [job.fit for job in jobs]
 
 
 def covariance(

@@ -228,11 +228,10 @@ def logit(x):
 
 def _logistic_two_branch(y: np.ndarray) -> np.ndarray:
     """1/(1+exp(-y)) for y >= 0 and exp(y)/(1+exp(y)) otherwise, computed in ``y``'s buffer."""
-    pos = y >= 0
+    # The numerator exp(min(y, 0)) is 1 for y >= 0 and exp(y) otherwise.
+    numerator = np.exp(np.minimum(y, 0.0))
     e = np.exp(np.negative(np.abs(y, out=y), out=y), out=y)
-    denom = e + 1.0
-    np.copyto(e, 1.0, where=pos)
-    return np.divide(e, denom, out=e)
+    return np.divide(numerator, np.add(e, 1.0, out=e), out=e)
 
 
 def inv_logit(y):
@@ -544,27 +543,81 @@ class LaneKernel:
     least 18 columns, which NumPy adds row by row, in year order.  So a
     lane's value and gradient are bitwise the same whatever the other lanes
     in its batch.  (A single column would be summed pairwise instead.)
+
+    A kernel may hold several observation windows (:meth:`of_windows`),
+    each with its own time rescaling, and each lane reads the window its
+    index names.  The windows are aligned at row 0 and padded to the
+    longest with uncounted years: there ``b``, the log observations and
+    ``p_intl`` are 0 and rescaled time repeats the window's last value, so
+    the trajectories stay finite, and the year is always valid and never
+    counted.  A stock recurrence's entry i never reads the years after it,
+    and a pad year adds exact zeros to the adjoint scans and the sums over
+    years, so a lane's value and gradient do not depend on the padding
+    either.  ``LaneKernel(obs, scale_grid)`` is the one-window kernel.
     """
 
     def __init__(self, obs: ObservedSeries, scale_grid: Optional[YearGrid] = None):
-        s = rescale_time(obs.grid.years, obs.grid if scale_grid is None else scale_grid)
-        self.s = s[:, None, None]
-        self.s2 = (s * s)[:, None, None]
-        self.b = obs.b[:, None, None]
-        self.log_obs = np.log(np.stack([obs.m, obs.p], axis=1))[:, :, None]
-        self.first = np.array([obs.m[0], obs.p[0]])[:, None]
-        self.p_intl = None if obs.p_intl is None else obs.p_intl[:, None]
+        self._stack([(obs, scale_grid)])
 
-    def __call__(self, thetas: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Loss ``(B,)`` and gradient ``(B, 16)`` of every lane."""
+    @classmethod
+    def of_windows(
+        cls, windows: Sequence[tuple[ObservedSeries, Optional[YearGrid]]]
+    ) -> "LaneKernel":
+        """A kernel of several ``(obs, scale_grid)`` windows; lane index i reads ``windows[i]``."""
+        kernel = cls.__new__(cls)
+        kernel._stack(windows)
+        return kernel
+
+    def _stack(self, windows: Sequence[tuple[ObservedSeries, Optional[YearGrid]]]) -> None:
+        # Per-window inputs with the window as the last axis, padded to n years.
+        lengths = np.array([obs.grid.n_years for obs, _ in windows])
+        n = lengths.max()
+        s = np.empty((n, len(windows)))
+        b = np.zeros_like(s)
+        p_intl = np.zeros_like(s)
+        log_obs = np.zeros((n, 2, len(windows)))
+        first = np.empty((2, len(windows)))
+        self.has_intl = np.array([obs.p_intl is not None for obs, _ in windows])
+        for w, ((obs, scale_grid), m) in enumerate(zip(windows, lengths)):
+            s[:m, w] = rescale_time(obs.grid.years, obs.grid if scale_grid is None else scale_grid)
+            s[m:, w] = s[m - 1, w]
+            b[:m, w] = obs.b
+            log_obs[:m, :, w] = np.log(np.stack([obs.m, obs.p], axis=1))
+            first[:, w] = obs.m[0], obs.p[0]
+            if obs.p_intl is not None:
+                p_intl[:m, w] = obs.p_intl
+        padded = np.arange(n)[:, None] >= lengths
+        # s, s^2, b, log observations, first observations, p_intl and the
+        # pad mask, each with the window as its last axis.
+        self.inputs = (s[:, None], (s * s)[:, None], b[:, None], log_obs, first,
+                       p_intl if self.has_intl.any() else None,
+                       padded if padded.any() else None)
+        # Window 0's inputs, which broadcast over lanes that all read it.
+        self.window0 = tuple(None if a is None else a[..., :1] for a in self.inputs)
+
+    def __call__(
+        self, thetas: np.ndarray, mask: np.ndarray, window: Optional[np.ndarray] = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Loss ``(B,)`` and gradient ``(B, 16)`` of every lane.
+
+        ``window`` holds each lane's window index; None puts every lane on
+        window 0.
+        """
         forcing = mask[:, -1]
-        if self.p_intl is None and forcing.any():
+        if len(self.has_intl) == 1 or window is None:
+            s, s2, b, log_obs, first, p_intl, pad = self.window0
+            lacking = forcing.any() and not self.has_intl[0]
+        else:
+            s, s2, b, log_obs, first, p_intl, pad = (
+                None if a is None else a[..., window] for a in self.inputs)
+            lacking = not self.has_intl[window[forcing]].all()
+        if lacking:
             raise ValueError("forcing specification requires the p_intl series")
         thetas = np.where(mask, thetas, 0.0)
         n_lanes = thetas.shape[0]
         coef = thetas[:, :-1].T.reshape(len(TRAJECTORY_NAMES), 3, n_lanes)
         # (n, 5, B): each trajectory's predictor, summed in a fixed order.
-        p = _clamped_logistic(coef[:, 0] + coef[:, 1] * self.s + coef[:, 2] * self.s2)
+        p = _clamped_logistic(coef[:, 0] + coef[:, 1] * s + coef[:, 2] * s2)
         n = p.shape[0]
         rho_mp = p[:, 2]
         gammas = p[:, 3:]
@@ -577,24 +630,30 @@ class LaneKernel:
         # Overflow to inf/nan is allowed; such years are invalid and penalized.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # (n, 2, B) stocks and flows: master's, then PhD.
-            inflows = p[:, :2] * self.b
+            inflows = p[:, :2] * b
             stocks = np.empty_like(gammas)
-            stocks[0] = self.first / gammas[0]
+            stocks[0] = first / gammas[0]
             self._forward_scan(gammas[:, 0], inflows[:, 0], stocks[:, 0])
             flows = gammas * stocks
             inflow_p = inflows[:, 1]
             inflow_p += rho_mp * flows[:, 0]
-            if self.p_intl is not None:
-                inflow_p += lam * self.p_intl
+            if p_intl is not None:
+                inflow_p += lam * p_intl
             self._forward_scan(gammas[:, 1], inflow_p, stocks[:, 1])
             np.multiply(gammas[:, 1], stocks[:, 1], out=flows[:, 1])
 
             valid = (np.isfinite(flows) & (flows > 0.0)).all(axis=1)
+            if pad is not None:
+                valid |= pad
             n_invalid = n - valid.sum(axis=0)
             prefix = np.logical_and.accumulate(valid, axis=0)
+            if pad is not None:
+                # Past its window a lane's stocks may overflow; its pad years
+                # carry no residual and no adjoint.
+                prefix &= ~pad
             counted = prefix[:, None].copy()
             counted[0] = False
-            r = np.where(counted, self.log_obs - np.log(flows), 0.0)
+            r = np.where(counted, log_obs - np.log(flows), 0.0)
             np.multiply(r, r, out=terms[:, :2])
 
             # Adjoints of the flows over the counted years, without the
@@ -610,7 +669,7 @@ class LaneKernel:
             flow_bars[:, 0] += rho_mp * ahead[:, 1]
             self._reverse_scan(gammas[:, 0], gammas[:, 0] * flow_bars[:, 0], stock_bars[:, 0])
             p_bar = np.empty_like(p)
-            np.multiply(ahead, self.b, out=p_bar[:, :2])
+            np.multiply(ahead, b, out=p_bar[:, :2])
             np.multiply(ahead[:, 1], flows[:, 0], out=p_bar[:, 2])
             np.multiply(flow_bars - ahead, stocks, out=p_bar[:, 3:])
             # Initial stocks m0 / gamma_m[0] and p0 / gamma_p[0].
@@ -618,16 +677,16 @@ class LaneKernel:
             # Years from the first invalid one on carry no adjoint; their
             # stocks may be inf or nan.
             np.copyto(p_bar, 0.0, where=~prefix[:, None])
-            if self.p_intl is not None:
-                np.multiply(ahead[:, 1], self.p_intl, out=terms[:, 17])
+            if p_intl is not None:
+                np.multiply(ahead[:, 1], p_intl, out=terms[:, 17])
 
             # Back through the clamped logistic (derivative 0 where the
             # clip is active) and the three powers of rescaled time.
             inside = (p > LOGISTIC_CLAMP) & (p < 1.0 - LOGISTIC_CLAMP)
             eta_bar = terms[:, 2:17:3]
             np.multiply(p_bar, np.where(inside, p * (1.0 - p), 0.0), out=eta_bar)
-            np.multiply(eta_bar, self.s, out=terms[:, 3:17:3])
-            np.multiply(eta_bar, self.s2, out=terms[:, 4:17:3])
+            np.multiply(eta_bar, s, out=terms[:, 3:17:3])
+            np.multiply(eta_bar, s2, out=terms[:, 4:17:3])
 
             totals = np.add.reduce(terms, axis=0)
             values = totals[0] + totals[1] + PENALTY_PER_INVALID_YEAR * n_invalid

@@ -3,28 +3,20 @@
 The grid crosses hazard degree {0,1,2} x routing degree {0,1,2} x forcing
 {off,on}: 18 candidate specifications.  Each is fitted with its own seeded
 multi-start, then ranked by AIC (BIC and parameter count break ties).
-Every start of every cell is one lane of a batched BFGS.
+Every start of every cell is one lane of a batched BFGS, and the lane set
+may carry other fits' lanes too (see :func:`run_grid`).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimation import (
-    FitOptions,
-    FitResult,
-    LaneOutcomes,
-    bfgs_lanes,
-    default_starts,
-    fit_from_lanes,
-)
-from .model import LaneKernel, ModelSpec, ObservedSeries, embed, superset_mask
+from .estimation import FitOptions, FitResult, LaneJob, default_starts, fit_lane_set
+from .model import ModelSpec, ObservedSeries
 
 GRID_DEGREES = (0, 1, 2)
 
@@ -32,11 +24,6 @@ GRID_DEGREES = (0, 1, 2)
 # degrees, or no forcing); anything beyond this slack marks a local-optimum
 # miss.
 NESTED_SSE_SLACK = 1e-8
-
-# Most lanes one batched BFGS runs at once, and the unit of work of
-# ``--jobs``.  The kernel's cost per lane stops falling at about this
-# width, and it bounds the batch's memory whatever the start count.
-LANE_CHUNK = 256
 
 
 @dataclass
@@ -81,12 +68,6 @@ def enumerate_grid(include_forcing: bool = True) -> list[ModelSpec]:
     return specs
 
 
-def _fit_lanes(args) -> LaneOutcomes:
-    obs, options, x0, mask = args
-    return bfgs_lanes(LaneKernel(obs), x0, mask, gtol=options.gtol,
-                      ftol_rel=options.ftol_rel, max_iter=options.max_iter)
-
-
 def unfittable_reason(spec: ModelSpec, obs: ObservedSeries) -> Optional[str]:
     """Why ``spec`` cannot be fitted to ``obs``, or None if it can."""
     if spec.forcing and obs.p_intl is None:
@@ -99,6 +80,7 @@ def run_grid(
     options: Optional[FitOptions] = None,
     n: Optional[int] = None,
     jobs: int = 1,
+    refits: Sequence[LaneJob] = (),
 ) -> list[GridEntry]:
     """Fit the full grid and rank by AIC (BIC, then parsimony, break ties).
 
@@ -106,12 +88,12 @@ def run_grid(
     data carry no proxy series.  ``n`` is the observation count in the
     criteria, by default N = 2 * years.
 
-    Every fittable cell's seeded starts are lanes of one lane set (see
-    :func:`~flowfit.estimation.bfgs_lanes`), cut into chunks of at most
-    ``LANE_CHUNK`` lanes in grid order.  ``jobs`` > 1 runs the chunks in
-    parallel, on at most one worker per chunk and per CPU.  A lane's fit
-    does not depend on the lanes it runs with, so parallel and serial runs
-    are identical.
+    Cell i's seeded starts (seed ``options.seed + i``) make one lane job.
+    Every fittable cell's job is in one lane set
+    (:func:`~flowfit.estimation.fit_lane_set`) on ``jobs`` workers, and so
+    are ``refits``, further lane jobs whose ``fit`` this sets.  A lane's fit
+    does not depend on the lanes it runs with, so neither ``refits`` nor
+    ``jobs`` changes a cell's fit.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -119,36 +101,19 @@ def run_grid(
     if n is None:
         n = 2 * obs.grid.n_years
     specs = enumerate_grid()
+    cells = [LaneJob(spec, obs, np.stack(default_starts(spec, obs, n_starts=opts.n_starts,
+                                                        seed=opts.seed + index,
+                                                        start_sd=opts.start_sd)))
+             for index, spec in enumerate(specs) if unfittable_reason(spec, obs) is None]
+    fit_lane_set(cells + list(refits), opts, workers=jobs)
+    fits = {cell.spec: cell.fit for cell in cells}
     entries: dict[int, GridEntry] = {}
-    cells = []
-    x0 = []
     for index, spec in enumerate(specs):
         reason = unfittable_reason(spec, obs)
         if reason is not None:
             entries[index] = GridEntry(spec=spec, k=spec.n_params, status="skipped", reason=reason)
             continue
-        cells.append(index)
-        starts = default_starts(spec, obs, n_starts=opts.n_starts, seed=opts.seed + index,
-                                start_sd=opts.start_sd)
-        x0.append(embed(np.stack(starts), spec))
-    x0 = np.concatenate(x0)
-    mask = np.repeat([superset_mask(specs[index]) for index in cells], opts.n_starts, axis=0)
-    chunks = [(obs, opts, x0[i:i + LANE_CHUNK], mask[i:i + LANE_CHUNK])
-              for i in range(0, len(x0), LANE_CHUNK)]
-
-    # The pool starts all its workers up front, so never ask for more
-    # than can run at once.
-    workers = min(jobs, len(chunks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            lanes = LaneOutcomes.concatenate(list(pool.map(_fit_lanes, chunks)))
-    else:
-        lanes = LaneOutcomes.concatenate([_fit_lanes(chunk) for chunk in chunks])
-
-    for cell, index in enumerate(cells):
-        spec = specs[index]
-        rows = slice(cell * opts.n_starts, (cell + 1) * opts.n_starts)
-        fit = fit_from_lanes(spec, obs, lanes.rows(rows))
+        fit = fits[spec]
         entry = GridEntry(spec=spec, k=spec.n_params, fit=fit)
         try:
             entry.aic, entry.bic = information_criteria(fit.sse, spec.n_params, n)

@@ -506,7 +506,7 @@ class TestCommandStages:
 class TestConfigEchoReplays:
     """A run's config echo, fed back as ``--config``, reruns the same run."""
 
-    @pytest.mark.parametrize("command", ["robust", "report"])
+    @pytest.mark.parametrize("command", ["robust", "report", "synth"])
     def test_replay_is_byte_identical(self, data_csv, tmp_path, command):
         first, second = tmp_path / "first", tmp_path / "second"
         argv = [command, "--data", str(data_csv), "--out", str(first), "--seed", "3",
@@ -515,6 +515,11 @@ class TestConfigEchoReplays:
                 "--rescale", "full"]
         if command == "report":
             argv += ["--n-draws", "200", "--level", "0.9", "--draw-seed", "7", "--use-n-eff"]
+        if command == "synth":
+            # The echo names the scenario file as given.
+            scenario = tmp_path / "scenario.json"
+            scenario.write_text(json.dumps(dict(SCENARIO, noise_sd=0.02, seed=4)))
+            argv = [command, "--scenario", str(scenario), "--out", str(first)]
         code = run_cli(argv)
         assert code in (0, 2)
         config = json.loads((first / "run_report.json").read_text())["config"]
@@ -526,6 +531,35 @@ class TestConfigEchoReplays:
         after = {p.name: p.read_bytes().replace(str(second).encode(), str(first).encode())
                  for p in second.iterdir()}
         assert after == before
+
+
+class TestRefitsInOneLaneSet:
+    """The robust stage's refits give the same tables in every lane set they run in.
+
+    ``report --spec S`` fits them in the grid's lane set, ``robust --spec S``
+    as a set of their own, and a ``report`` whose grid picks S as a set
+    after the grid.  Each window's 2 starts give 6 refit lanes, so every
+    set runs on lanes.
+    """
+
+    def test_truncation_and_hindcast_tables_match(self, data_csv, tmp_path):
+        settings = ["--data", str(data_csv), "--n-starts", "2", "--max-iter", "150",
+                    "--seed", "2", "--truncation-starts", "1988,1991", "--cutoffs", "1997",
+                    "--n-draws", "50"]
+        picked = tmp_path / "picked"
+        assert run_cli(["report", *settings, "--out", str(picked)]) in (0, 2)
+        spec = json.loads((picked / "run_report.json").read_text())["config"]["spec"]
+        runs = {"picked": picked}
+        for command in ("report", "robust"):
+            runs[command] = tmp_path / command
+            argv = [command, *settings, "--spec", spec, "--out", str(runs[command])]
+            if command == "robust":
+                argv.remove("--n-draws")
+                argv.remove("50")
+            assert run_cli(argv) in (0, 2)
+        for name in ("truncation.csv", "hindcast.csv"):
+            tables = {run: (out / name).read_bytes() for run, out in runs.items()}
+            assert tables["report"] == tables["robust"] == tables["picked"], name
 
 
 class TestDeterminism:

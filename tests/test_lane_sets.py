@@ -1,0 +1,163 @@
+"""Lane sets of several windows: the padded kernel, the runner and the refits.
+
+A lane's value, gradient and BFGS run must not depend on the windows it
+shares a kernel with, bit for bit: a window set of truncation and
+hindcast windows, padded to the longest, must give every lane what a
+kernel of its own window gives it.  So the robustness refits, whatever
+lane set they run in, equal per-window ``minimize_bfgs``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import flowfit as ff
+from flowfit import estimation
+from flowfit.estimation import LaneJob, bfgs_lanes, fit_lane_set
+from flowfit.model import LaneKernel, embed, superset_mask
+
+from _scenarios import recovery_scenario
+from test_kernel_properties import OBS, SPECS
+from test_lanes import mixed_lanes
+
+SMALL, _ = ff.generate(recovery_scenario(grid=ff.YearGrid(1980, 2001), p_intl=True,
+                                         noise_sd=0.02, seed=3))
+
+LANE_SETS = settings(max_examples=25, derandomize=True, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def window_sets(draw):
+    """Truncation and hindcast windows of ``SMALL``, each with a time scale and specs."""
+    grid = SMALL.grid
+    windows = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            window = SMALL.window(draw(st.integers(grid.t_min, grid.t_max - 8)), grid.t_max)
+        else:
+            window = SMALL.window(grid.t_min, draw(st.integers(grid.t_min + 8, grid.t_max - 1)))
+        windows.append((window, draw(st.sampled_from([None, grid]))))
+    jobs = []
+    for _ in range(draw(st.integers(1, 6))):
+        window, scale_grid = windows[draw(st.integers(0, len(windows) - 1))]
+        spec = draw(st.sampled_from(SPECS))
+        starts = ff.default_starts(spec, window, n_starts=draw(st.integers(1, 4)),
+                                   seed=draw(st.integers(0, 50)))
+        jobs.append(LaneJob(spec, window, np.stack(starts), scale_grid))
+    return windows, jobs
+
+
+@LANE_SETS
+@given(case=window_sets())
+def test_lane_in_window_set_equals_lane_alone(case):
+    windows, jobs = case
+    x0 = np.concatenate([embed(job.starts, job.spec) for job in jobs])
+    mask = np.repeat([superset_mask(job.spec) for job in jobs],
+                     [len(job.starts) for job in jobs], axis=0)
+    index = [next(w for w, (obs, scale_grid) in enumerate(windows)
+                  if obs is job.obs and scale_grid == job.scale_grid) for job in jobs]
+    window = np.repeat(index, [len(job.starts) for job in jobs])
+    together = bfgs_lanes(LaneKernel.of_windows(windows), x0, mask, window, max_iter=40)
+    lane = 0
+    for job in jobs:
+        kernel = LaneKernel(job.obs, job.scale_grid)
+        for _ in job.starts:
+            alone = bfgs_lanes(kernel, x0[lane:lane + 1], mask[lane:lane + 1], max_iter=40)
+            row = together.rows(slice(lane, lane + 1))
+            for name in ("x", "fun", "n_iterations", "grad_max_norm", "converged"):
+                assert np.array_equal(getattr(row, name), getattr(alone, name)), (lane, name)
+            lane += 1
+
+
+def test_padded_kernel_equals_each_window_kernel():
+    # Lanes of every spec, some deep in the penalty region, on windows of
+    # three lengths and two time scales.
+    p_intl = OBS.p_intl.copy()
+    p_intl[:10] = 0.0
+    obs = ff.ObservedSeries(OBS.grid, OBS.b, OBS.m, OBS.p, p_intl=p_intl)
+    windows = [(obs, None), (obs.window(1980, obs.grid.t_max), obs.grid),
+               (obs.window(obs.grid.t_min, 1995), None), (obs.window(1975, 2000), None)]
+    thetas, masks = mixed_lanes(40, seed=8)
+    window = np.arange(40) % len(windows)
+    values, grads = LaneKernel.of_windows(windows)(thetas, masks, window)
+    penalized = values >= estimation.PENALTY_PER_INVALID_YEAR
+    assert penalized.any() and not penalized.all()
+    for w, (series, scale_grid) in enumerate(windows):
+        on = window == w
+        alone_values, alone_grads = LaneKernel(series, scale_grid)(thetas[on], masks[on])
+        assert np.array_equal(values[on], alone_values)
+        assert np.array_equal(grads[on], alone_grads)
+
+
+def test_forcing_lane_needs_its_own_window_proxy():
+    plain = ff.ObservedSeries(SMALL.grid, SMALL.b, SMALL.m, SMALL.p)
+    kernel = LaneKernel.of_windows([(SMALL, None), (plain, None)])
+    spec = ff.ModelSpec(0, 0, forcing=True)
+    theta = embed(ff.default_starts(spec, SMALL, n_starts=1)[0], spec)[None]
+    mask = superset_mask(spec)[None]
+    assert np.isfinite(kernel(theta, mask, np.array([0]))[0]).all()
+    with pytest.raises(ValueError, match="p_intl"):
+        kernel(theta, mask, np.array([1]))
+
+
+def refit_windows(obs, start_years, cutoffs):
+    return ([obs.window(start, obs.grid.t_max) for start in start_years],
+            [obs.window(obs.grid.t_min, cutoff) for cutoff in cutoffs])
+
+
+@pytest.mark.parametrize("rescale", ["window", "full"])
+def test_refits_equal_per_window_minimize_bfgs(rescale):
+    # With LANE_MIN_STARTS starts per window, minimize_bfgs fits each window
+    # on lanes of its own; the studies fit all windows as one lane set.
+    spec = ff.ModelSpec(1, 1, forcing=True)
+    opts = ff.FitOptions(n_starts=estimation.LANE_MIN_STARTS, max_iter=60, seed=4)
+    start_years, cutoffs = [1984, 1989], [1993, 1998, 2000]
+    scale_grid = SMALL.grid if rescale == "full" else None
+    truncation, hindcast = refit_windows(SMALL, start_years, cutoffs)
+    want = {kind: [ff.minimize_bfgs(spec, window, ff.default_starts(
+                       spec, window, n_starts=opts.n_starts, seed=opts.seed + idx), opts,
+                       scale_grid=scale_grid)
+                   for idx, window in enumerate(windows)]
+            for kind, windows in (("truncation", truncation), ("hindcast", hindcast))}
+    rows = ff.truncation_study(SMALL, spec, start_years, opts, rescale=rescale)
+    assert [row.sse for row in rows] == [fit.sse for fit in want["truncation"]]
+    assert [row.converged for row in rows] == [fit.converged for fit in want["truncation"]]
+    result = ff.rolling_origin_hindcast(SMALL, spec, cutoffs, opts, rescale=rescale)
+    assert [p.fit_sse for p in result.predictions] == [fit.sse for fit in want["hindcast"]]
+    for prediction, window, fit in zip(result.predictions, hindcast, want["hindcast"]):
+        m_pred, p_pred = ff.diagnostics._predict_next_year(window, spec, fit.theta_hat,
+                                                           rescale, SMALL.grid)
+        assert (prediction.m_pred, prediction.p_pred) == (m_pred, p_pred)
+    both = ff.diagnostics.robustness(SMALL, spec, start_years, cutoffs, opts, rescale)
+    assert both.truncation_rows == rows and both.hindcast == result
+
+
+def test_small_lane_set_keeps_the_list_path(monkeypatch):
+    calls = []
+    real_lanes, real_list = estimation.bfgs_lanes, estimation.bfgs_minimize
+    monkeypatch.setattr(estimation, "bfgs_lanes",
+                        lambda *a, **k: calls.append("lanes") or real_lanes(*a, **k))
+    monkeypatch.setattr(estimation, "bfgs_minimize",
+                        lambda *a, **k: calls.append("list") or real_list(*a, **k))
+    spec = ff.ModelSpec(1, 0, False)
+    opts = ff.FitOptions(n_starts=1, max_iter=30)
+    few = estimation.LANE_MIN_STARTS - 1
+    ff.truncation_study(SMALL, spec, list(range(1981, 1981 + few)), opts)
+    assert calls == ["list"] * few
+    calls.clear()
+    ff.truncation_study(SMALL, spec, list(range(1981, 1981 + few + 1)), opts)
+    assert calls == ["lanes"]
+
+
+def test_fit_lane_set_sets_and_returns_each_jobs_fit():
+    spec = ff.ModelSpec(0, 1, False)
+    jobs = [LaneJob(spec, SMALL.window(start, SMALL.grid.t_max),
+                    np.stack(ff.default_starts(spec, SMALL, n_starts=3, seed=start)))
+            for start in (1980, 1985)]
+    fits = fit_lane_set(jobs, ff.FitOptions(max_iter=50))
+    assert all(fit is job.fit is not None for fit, job in zip(fits, jobs))
+    for job in jobs:
+        assert job.fit.sse == ff.loss(job.fit.theta_hat, spec, job.obs)
+        assert job.fit.n_starts_used == 3

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 
 import flowfit as ff
-from flowfit import estimation, selection
+from flowfit import estimation
 from flowfit.estimation import PENALTY_PER_INVALID_YEAR, bfgs_lanes, bfgs_minimize
 from flowfit.model import LaneKernel, embed, superset_mask
 
@@ -179,7 +179,7 @@ def small_obs_with_intl():
 def test_grid_chunks_and_jobs_do_not_change_results(small_obs_with_intl, monkeypatch):
     opts = ff.FitOptions(n_starts=2, max_iter=60)
     serial = ff.run_grid(small_obs_with_intl, opts)   # 36 lanes, one chunk
-    monkeypatch.setattr(selection, "LANE_CHUNK", 5)
+    monkeypatch.setattr(estimation, "LANE_CHUNK", 5)
     parallel = ff.run_grid(small_obs_with_intl, opts, jobs=2)   # 8 chunks on 2 workers
     for x, y in zip(serial, parallel):
         assert x.spec == y.spec
@@ -194,7 +194,7 @@ def test_cli_grid_bytes_do_not_depend_on_jobs_or_chunks(small_obs_with_intl, tmp
     ff.write_series(small_obs_with_intl, data)
     argv = ["grid", "--data", str(data), "--n-starts", "2", "--max-iter", "60"]
     assert ff.run_cli(argv + ["--out", str(tmp_path / "serial")]) in (0, 2)
-    monkeypatch.setattr(selection, "LANE_CHUNK", 7)
+    monkeypatch.setattr(estimation, "LANE_CHUNK", 7)
     assert ff.run_cli(argv + ["--out", str(tmp_path / "jobs2"), "--jobs", "2"]) in (0, 2)
     assert ((tmp_path / "serial" / "grid.csv").read_bytes()
             == (tmp_path / "jobs2" / "grid.csv").read_bytes())

@@ -18,7 +18,13 @@ from flowfit import (
     theta_labels,
 )
 from flowfit.estimation import residuals
-from flowfit.model import SUPERSET_LABELS, _stacked_design, embed, superset_mask
+from flowfit.model import (
+    SUPERSET_LABELS,
+    _logistic_two_branch,
+    _stacked_design,
+    embed,
+    superset_mask,
+)
 
 from _scenarios import oracle_recurrence, random_instance
 
@@ -95,6 +101,29 @@ class TestInvLogit:
     def test_monotone(self, a, b):
         lo, hi = min(a, b), max(a, b)
         assert inv_logit(lo) <= inv_logit(hi)
+
+    @staticmethod
+    def masked_two_branch(y):
+        """The two-branch logistic with a masked numerator of 1 where y >= 0."""
+        pos = y >= 0
+        e = np.exp(np.negative(np.abs(y, out=y), out=y), out=y)
+        denom = e + 1.0
+        np.copyto(e, 1.0, where=pos)
+        return np.divide(e, denom, out=e)
+
+    def test_two_branch_numerator_is_bitwise_the_masked_formula(self):
+        rng = np.random.default_rng(11)
+        edges = [0.0, -0.0, 800.0, -800.0, np.nan, np.inf, -np.inf,
+                 float(logit(LOGISTIC_CLAMP)), float(logit(1.0 - LOGISTIC_CLAMP)),
+                 np.nextafter(0.0, 1.0), -np.nextafter(0.0, 1.0), 709.8, -745.2]
+        for y in (rng.normal(0.0, 10.0, size=(49, 5, 36)), rng.uniform(-40, 40, size=1000),
+                  np.array(edges), np.array(-3.5)):
+            want = self.masked_two_branch(np.array(y))
+            got = _logistic_two_branch(np.array(y))
+            # Bit for bit, signed zeros included; a nan's sign bit carries no value.
+            nan = np.isnan(want)
+            assert got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
 class TestModelSpec:

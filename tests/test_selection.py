@@ -13,7 +13,7 @@ from flowfit import (
     run_grid,
     select_best,
 )
-from flowfit import selection
+from flowfit import estimation, selection
 from flowfit.estimation import FitResult
 from flowfit.selection import GridEntry, _flag_nested_misses
 
@@ -241,7 +241,7 @@ class TestJobsBound:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(selection, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(estimation, "ProcessPoolExecutor", RecordingPool)
         return seen
 
     @pytest.fixture(scope="class")
@@ -251,18 +251,18 @@ class TestJobsBound:
     def test_workers_clamped_to_cpus_and_tasks(self, requested, monkeypatch, small_obs_plain,
                                               small_obs_with_intl, tiny_options):
         # One start per cell in chunks of two lanes: the unit of work is a chunk.
-        monkeypatch.setattr(selection, "LANE_CHUNK", 2)
-        monkeypatch.setattr(selection.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(estimation, "LANE_CHUNK", 2)
+        monkeypatch.setattr(estimation.os, "cpu_count", lambda: 4)
         run_grid(small_obs_plain, tiny_options, jobs=10_000)
         run_grid(small_obs_plain, tiny_options, jobs=3)
-        monkeypatch.setattr(selection.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(estimation.os, "cpu_count", lambda: 64)
         run_grid(small_obs_plain, tiny_options, jobs=10_000)       # 9 lanes, 5 chunks
         run_grid(small_obs_with_intl, tiny_options, jobs=10_000)   # 18 lanes, 9 chunks
         assert requested == [4, 3, 5, 9]
 
     def test_single_worker_runs_serially(self, requested, monkeypatch, small_obs_plain,
                                          tiny_options):
-        monkeypatch.setattr(selection.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(estimation.os, "cpu_count", lambda: None)
         entries = run_grid(small_obs_plain, tiny_options, jobs=8)
         assert requested == []
         assert sum(e.status == "ok" for e in entries) == 9
