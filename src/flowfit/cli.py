@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from . import diagnostics, estimation, selection, synthetic
 from .dataio import DataError, ReportBundle, load_series, write_reports
 from .estimation import FitOptions
-from .model import ModelSpec, ObservedSeries, eval_param_trajectories, simulate
+from .model import SUPERSET_SPEC, ModelSpec, ObservedSeries, eval_param_trajectories, simulate
 
 OUT_DIR_ENV = "FLOWFIT_OUT_DIR"
 
@@ -166,6 +166,16 @@ class Setting:
             raise CliError(f"{self.name} must be a finite number >= {low}, got {value}")
 
 
+def _default_truncation_starts(grid) -> list[int]:
+    # Windows long enough for every grid spec, so the grid's pick refits too.
+    starts = [grid.t_min + off for off in TRUNCATION_OFFSETS
+              if diagnostics.window_fits(grid.t_max - grid.t_min - off + 1, SUPERSET_SPEC)]
+    if not starts:
+        raise CliError("no default truncation start leaves a window long enough for every "
+                       "spec; pass --truncation-starts")
+    return starts
+
+
 def _default_cutoffs(grid) -> list[int]:
     cutoffs = [c for c in DEFAULT_CUTOFFS if grid.t_min < c < grid.t_max]
     if not cutoffs:
@@ -191,10 +201,9 @@ SETTINGS = (
     Setting("draw_seed", "bands", "uncertainty.seed", INTEGER, 0, (0, None),
             "seed for parameter draws"),
     Setting("truncation_starts", "robust", "robustness.truncation_starts", YEARS,
-            lambda grid: [grid.t_min + off for off in TRUNCATION_OFFSETS
-                          if grid.t_min + off < grid.t_max],
+            _default_truncation_starts,
             help="comma-separated start years (default: first year + "
-                 f"{', '.join(map(str, TRUNCATION_OFFSETS))})"),
+                 f"{', '.join(map(str, TRUNCATION_OFFSETS))} where every spec fits the window)"),
     Setting("cutoffs", "robust", "robustness.cutoffs", YEARS, _default_cutoffs,
             help="comma-separated hindcast cutoff years (default: "
                  f"{','.join(map(str, DEFAULT_CUTOFFS))} where inside the grid)"),

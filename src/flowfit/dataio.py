@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .diagnostics import HindcastResult, ResidualReport, RobustnessReport, TruncationRow
+from .diagnostics import ResidualReport, RobustnessReport
 from .estimation import FitResult, TrajectoryBands, UncertaintyResult
 from .model import (
     ModelSpec,
@@ -40,12 +40,19 @@ REQUIRED_COLUMNS = ("year", "bachelors", "masters", "phd")
 OPTIONAL_COLUMN = "phd_intl"
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.10g}"
+def _cell(value) -> str:
+    """One CSV cell: a float to 10 significant digits, an int, flag or string as is, None empty."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_, str)):
+        return str(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.10g}"
 
 
 def _round10(x: float) -> float:
-    return float(_fmt(x))
+    return float(_cell(float(x)))
 
 
 def load_series(path) -> ObservedSeries:
@@ -136,10 +143,10 @@ def write_series(obs: ObservedSeries, path) -> int:
     with path.open("w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(columns) + "\n")
         for i, year in enumerate(obs.grid.years):
-            cells = [str(int(year)), _fmt(obs.b[i]), _fmt(obs.m[i]), _fmt(obs.p[i])]
+            cells = [year, obs.b[i], obs.m[i], obs.p[i]]
             if obs.p_intl is not None:
-                cells.append(_fmt(obs.p_intl[i]))
-            handle.write(",".join(cells) + "\n")
+                cells.append(obs.p_intl[i])
+            handle.write(",".join(map(_cell, cells)) + "\n")
     return obs.grid.n_years
 
 
@@ -200,12 +207,12 @@ def write_reports(results: ReportBundle, out_dir, formats: Sequence[str] = ("csv
             manifest["grid.csv"] = _write_grid(results.grid_entries, out / "grid.csv")
         if results.robustness is not None:
             if results.robustness.truncation_rows:
-                manifest["truncation.csv"] = _write_truncation(
-                    results.robustness.truncation_rows, out / "truncation.csv"
+                manifest["truncation.csv"] = _write_records(
+                    out / "truncation.csv", results.robustness.truncation_rows
                 )
             if results.robustness.hindcast is not None:
-                manifest["hindcast.csv"] = _write_hindcast(
-                    results.robustness.hindcast, out / "hindcast.csv"
+                manifest["hindcast.csv"] = _write_records(
+                    out / "hindcast.csv", results.robustness.hindcast.predictions
                 )
 
     with (out / "manifest.json").open("w", encoding="utf-8", newline="\n") as handle:
@@ -303,12 +310,19 @@ def _write_run_report(results: ReportBundle, path: Path) -> int:
     return 1
 
 
-def _write_table(path: Path, header: list[str], rows: list[list[str]]) -> int:
+def _write_table(path: Path, header: list[str], rows: list[list]) -> int:
+    """Write ``header`` and one line per row, each value through :func:`_cell`."""
     with path.open("w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
-            handle.write(",".join(row) + "\n")
+            handle.write(",".join(map(_cell, row)) + "\n")
     return len(rows)
+
+
+def _write_records(path: Path, records: Sequence) -> int:
+    """A table of dataclass records, one column per field, in field order."""
+    names = [f.name for f in fields(records[0])]
+    return _write_table(path, names, [[getattr(r, name) for name in names] for r in records])
 
 
 def _write_trajectories(results: ReportBundle, path: Path) -> int:
@@ -321,30 +335,20 @@ def _write_trajectories(results: ReportBundle, path: Path) -> int:
         for name in TRAJECTORY_NAMES:
             header += [f"{name}_lower", f"{name}_upper"]
     rows = []
+    traj_map = traj.as_dict()
     for i, year in enumerate(obs.grid.years):
-        row = [
-            str(int(year)),
-            _fmt(obs.m[i]),
-            _fmt(obs.p[i]),
-            _fmt(sim.flow_m[i]),
-            _fmt(sim.flow_p[i]),
-            _fmt(sim.stock_m[i]),
-            _fmt(sim.stock_p[i]),
-        ]
-        traj_map = traj.as_dict()
-        row += [_fmt(traj_map[name][i]) for name in TRAJECTORY_NAMES]
+        row = [year, obs.m[i], obs.p[i], sim.flow_m[i], sim.flow_p[i], sim.stock_m[i],
+               sim.stock_p[i]]
+        row += [traj_map[name][i] for name in TRAJECTORY_NAMES]
         if results.bands is not None:
             for name in TRAJECTORY_NAMES:
-                row += [_fmt(results.bands.lower[name][i]), _fmt(results.bands.upper[name][i])]
+                row += [results.bands.lower[name][i], results.bands.upper[name][i]]
         rows.append(row)
     return _write_table(path, header, rows)
 
 
 def _write_residuals(rep: ResidualReport, path: Path) -> int:
-    rows = [
-        [str(int(year)), _fmt(rep.r_m[i]), _fmt(rep.r_p[i])]
-        for i, year in enumerate(rep.years)
-    ]
+    rows = [[year, rep.r_m[i], rep.r_p[i]] for i, year in enumerate(rep.years)]
     return _write_table(path, ["year", "residual_m", "residual_p"], rows)
 
 
@@ -354,46 +358,11 @@ def _write_grid(entries: list[GridEntry], path: Path) -> int:
         "aic", "delta_aic", "bic", "delta_bic",
         "converged", "status", "reason", "local_optimum_warning",
     ]
-    rows = []
-    for rank, e in enumerate(entries, start=1):
-        def opt(v):
-            return _fmt(v) if v is not None else ""
-        rows.append([
-            str(rank),
-            str(e.spec.deg_gamma),
-            str(e.spec.deg_rho),
-            "intl" if e.spec.forcing else "none",
-            str(e.k),
-            opt(e.fit.sse if e.fit else None),
-            opt(e.aic), opt(e.delta_aic), opt(e.bic), opt(e.delta_bic),
-            str(e.fit.converged) if e.fit else "",
-            e.status,
-            e.reason.replace(",", ";"),
-            str(e.local_optimum_warning),
-        ])
-    return _write_table(path, header, rows)
-
-
-def _write_truncation(rows_in: list[TruncationRow], path: Path) -> int:
-    header = ["start_year", "converged", "k", "sse", "pooled_log_rmse", "n_years", "rescale"]
     rows = [
-        [str(r.start_year), str(r.converged), str(r.k), _fmt(r.sse),
-         _fmt(r.pooled_log_rmse), str(r.n_years), r.rescale]
-        for r in rows_in
-    ]
-    return _write_table(path, header, rows)
-
-
-def _write_hindcast(hc: HindcastResult, path: Path) -> int:
-    header = [
-        "cutoff", "converged", "fit_sse",
-        "m_pred", "m_obs", "log_err_m",
-        "p_pred", "p_obs", "log_err_p",
-    ]
-    rows = [
-        [str(p.cutoff), str(p.converged), _fmt(p.fit_sse),
-         _fmt(p.m_pred), _fmt(p.m_obs), _fmt(p.log_err_m),
-         _fmt(p.p_pred), _fmt(p.p_obs), _fmt(p.log_err_p)]
-        for p in hc.predictions
+        [rank, e.spec.deg_gamma, e.spec.deg_rho, "intl" if e.spec.forcing else "none", e.k,
+         e.fit.sse if e.fit else None, e.aic, e.delta_aic, e.bic, e.delta_bic,
+         e.fit.converged if e.fit else None, e.status, e.reason.replace(",", ";"),
+         e.local_optimum_warning]
+        for rank, e in enumerate(entries, start=1)
     ]
     return _write_table(path, header, rows)

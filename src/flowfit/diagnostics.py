@@ -132,6 +132,11 @@ def check_rescale(rescale: str) -> None:
         raise ValueError("rescale must be 'window' or 'full'")
 
 
+def window_fits(n_years: int, spec: ModelSpec) -> bool:
+    """Whether a refit window of ``n_years`` years is long enough for ``spec``."""
+    return n_years >= spec.n_params / 2 + 1
+
+
 def check_truncation_starts(
     grid: YearGrid, start_years: Sequence[int], spec: Optional[ModelSpec] = None
 ) -> None:
@@ -140,7 +145,7 @@ def check_truncation_starts(
         if start < grid.t_min or start > grid.t_max:
             raise ValueError(f"start year {start} outside the grid")
         n_years = grid.t_max - start + 1
-        if spec is not None and n_years < spec.n_params / 2 + 1:
+        if spec is not None and not window_fits(n_years, spec):
             raise ValueError(
                 f"window starting {start} has {n_years} years, too short for k={spec.n_params}"
             )

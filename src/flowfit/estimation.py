@@ -3,12 +3,12 @@
 The loss is the sum of squared log-scale residuals of the implied master's
 and PhD completion flows against the observed counts.  It is minimized in
 the unconstrained transformed parameter space with a BFGS iteration using
-a backtracking (Armijo) line search and the exact gradient, which one
-reverse (adjoint) sweep computes from the line search's last forward pass.
-A fit with several starts runs them together as lanes of one batched BFGS
-on :class:`~flowfit.model.LaneKernel`.  Parameter uncertainty comes from
-the Hessian at the optimum: central differences of the exact gradient,
-every stencil point a lane of one kernel call.
+a backtracking (Armijo) line search and the exact gradient.  One evaluator,
+:class:`~flowfit.model.LaneKernel`, gives the loss at a point: :func:`loss`,
+every fit's SSE, the lanes of a multi-start BFGS and the Hessian (central
+differences of the exact gradient) are lanes of its calls.  Only a fit of
+fewer than ``LANE_MIN_STARTS`` starts runs its BFGS on the list-level
+kernel, :class:`_Objective`.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def residuals(obs: ObservedSeries, sim: SimulationResult) -> ResidualSet:
 
 @dataclass
 class _Forward:
-    """One scalar evaluation of :func:`loss` and the state its gradient reuses.
+    """One evaluation of :class:`_Objective` and the state its gradient reuses.
 
     ``p`` and ``lam`` are as :func:`~flowfit.model._trajectory_values` gives
     them; the rest are Python floats or lists of them.  The residual lists
@@ -162,10 +162,12 @@ class _Forward:
 
 
 class _Objective:
-    """:func:`loss` and its exact gradient for one fit, sharing forward passes.
+    """The list-level kernel: the BFGS objective of a fit with few starts.
 
-    The per-fit data are turned into lists and the stacked design is built
-    once.  ``value`` keeps the point and forward state of its last call.
+    Its value and gradient are :func:`loss`'s and :func:`loss_gradient`'s up
+    to round-off, on Python floats, which beats the lane kernel at one to
+    three lanes.  The per-fit data are turned into lists and the stacked
+    design is built once.  ``value`` keeps the point and forward state of its last call.
     ``gradient`` at that point runs only the reverse sweep; at any other
     point it runs the forward pass first.  BFGS asks for the gradient at the
     point its line search accepted last, so each iteration's gradient costs
@@ -224,7 +226,7 @@ class _Objective:
         )
 
     def _reverse(self, state: _Forward) -> np.ndarray:
-        """Exact gradient of :func:`loss` at ``state.theta`` by one reverse sweep.
+        """Exact gradient of the value at ``state.theta`` by one reverse sweep.
 
         Only the counted years carry residuals: the sweep starts at the last
         valid year, and the per-invalid-year penalty, a step function, adds
@@ -254,6 +256,22 @@ class _Objective:
         return self._reverse(self._last)
 
 
+def _at_point(
+    theta: np.ndarray,
+    spec: ModelSpec,
+    obs: ObservedSeries,
+    scale_grid: Optional[YearGrid],
+) -> tuple[float, np.ndarray]:
+    """:func:`_spec_lanes` at one finite parameter vector: its loss and exact gradient."""
+    if np.ndim(theta) != 1:
+        raise ValueError(f"theta must be one parameter vector, got shape {np.shape(theta)}")
+    theta = _checked_theta(theta, spec)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta must be finite")
+    values, grads = _spec_lanes(theta[None], spec, obs, scale_grid)
+    return float(values[0]), grads[0]
+
+
 def loss(
     theta: np.ndarray,
     spec: ModelSpec,
@@ -266,12 +284,15 @@ def loss(
     are not rejected with an exception: the loss is the residual sum over
     the years before the first invalid one plus a large per-invalid-year
     penalty, so the optimizer sees a finite, descent-friendly surface.
+    A non-finite ``theta`` raises ``ValueError``.
 
     ``scale_grid`` optionally anchors the time rescaling to a different
     window than the data (used when refits on truncated windows should
-    keep the full-sample rescaling).
+    keep the full-sample rescaling).  The value is one lane of a
+    :class:`LaneKernel` call, so a fit's SSE, its winning lane's value,
+    is bitwise the loss at its ``theta_hat``.
     """
-    return _Objective(spec, obs, scale_grid).value(theta)
+    return _at_point(theta, spec, obs, scale_grid)[0]
 
 
 def loss_gradient(
@@ -280,13 +301,13 @@ def loss_gradient(
     obs: ObservedSeries,
     scale_grid: Optional[YearGrid] = None,
 ) -> np.ndarray:
-    """Exact gradient of :func:`loss`: one forward pass, then one reverse sweep.
+    """Exact gradient of :func:`loss`, from the same :class:`LaneKernel` call.
 
     Where the loss is penalized only the residual prefix contributes, so
     the gradient stays finite; its forcing entry is 0 at or below the
     forcing floor and where the forcing weight overflows.
     """
-    return _Objective(spec, obs, scale_grid).gradient(theta)
+    return _at_point(theta, spec, obs, scale_grid)[1]
 
 
 def _gradient_stencil(x: np.ndarray, rel_step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -631,16 +652,15 @@ def _lane_directions(
     return d, slope
 
 
-def _best_start(spec: ModelSpec, lanes: LaneOutcomes,
-                objective: Optional[_Objective] = None) -> FitResult:
+def _best_start(spec: ModelSpec, lanes: LaneOutcomes) -> FitResult:
     """The first start with the lowest ``lanes.fun``, as a :class:`FitResult`.
 
-    Its SSE is ``objective``'s value at the winner, or its ``fun`` if that
-    is already its :func:`loss`, so ``sse == loss(theta_hat)`` exactly.
+    Its SSE is that ``fun``, a :class:`LaneKernel` value, so
+    ``sse == loss(theta_hat)`` exactly.
     """
     best = int(np.argmin(lanes.fun))
     theta_hat = lanes.x[best][superset_mask(spec)]
-    sse = float(lanes.fun[best] if objective is None else objective.value(theta_hat))
+    sse = float(lanes.fun[best])
     return FitResult(
         theta_hat=theta_hat,
         sse=sse,
@@ -650,12 +670,6 @@ def _best_start(spec: ModelSpec, lanes: LaneOutcomes,
         n_starts_used=len(lanes.fun),
         grad_norm_at_opt=float(lanes.grad_max_norm[best]),
     )
-
-
-def fit_from_lanes(spec: ModelSpec, obs: ObservedSeries, lanes: LaneOutcomes,
-                   scale_grid: Optional[YearGrid] = None) -> FitResult:
-    """The best of one spec's lanes (see :func:`_best_start`); its SSE is its :func:`loss`."""
-    return _best_start(spec, lanes, _Objective(spec, obs, scale_grid))
 
 
 def default_starts(
@@ -696,8 +710,11 @@ def minimize_bfgs(
 
     The starts are one :class:`LaneJob` of :func:`fit_lane_set`: with
     ``LANE_MIN_STARTS`` starts or more they run together as lanes of
-    :func:`bfgs_lanes`; fewer run one by one through :func:`bfgs_minimize`.
-    Either way the first start with the lowest loss wins.
+    :func:`bfgs_lanes`; fewer run one by one through :func:`bfgs_minimize`
+    on the list kernel, and their end points are then evaluated as lanes.
+    Either way the first start with the lowest loss wins, and its
+    :class:`LaneKernel` value is the fit's SSE: ``sse == loss(theta_hat)``
+    exactly.
     """
     if len(starts) == 0:
         raise ValueError("at least one start is required")
@@ -730,19 +747,25 @@ def _fit_chunk(args) -> LaneOutcomes:
                       ftol_rel=options.ftol_rel, max_iter=options.max_iter)
 
 
-def _fit_one_by_one(job: LaneJob, options: FitOptions) -> FitResult:
-    """``job``'s starts one at a time through :func:`bfgs_minimize` on the list kernel."""
-    objective = _Objective(job.spec, job.obs, job.scale_grid)
-    outcomes = [
-        bfgs_minimize(objective.value, x0, grad=objective.gradient, gtol=options.gtol,
-                      ftol_rel=options.ftol_rel, max_iter=options.max_iter)
-        for x0 in job.starts
-    ]
-    # Each ``fun`` is the loss at its ``x``, from the same forward pass as :func:`loss`.
-    lanes = LaneOutcomes(embed(np.stack([outcome.x for outcome in outcomes]), job.spec),
-                         *(np.array([getattr(outcome, name) for outcome in outcomes])
-                           for name in _OUTCOME_FIELDS[1:]))
-    return _best_start(job.spec, lanes)
+def _fit_one_by_one(jobs: Sequence[LaneJob], options: FitOptions, kernel: LaneKernel,
+                    mask: np.ndarray, window: np.ndarray) -> LaneOutcomes:
+    """``jobs``' starts one at a time through :func:`bfgs_minimize` on the list kernel.
+
+    ``kernel``, ``mask`` and ``window`` are the lane set's, and one call of
+    ``kernel`` gives the values at the end points, as in :func:`bfgs_lanes`.
+    """
+    outcomes = []
+    for job in jobs:
+        objective = _Objective(job.spec, job.obs, job.scale_grid)
+        outcomes += [bfgs_minimize(objective.value, x0, grad=objective.gradient,
+                                   gtol=options.gtol, ftol_rel=options.ftol_rel,
+                                   max_iter=options.max_iter)
+                     for x0 in job.starts]
+    x = np.zeros(mask.shape)
+    x[mask] = np.concatenate([outcome.x for outcome in outcomes])
+    fun, _ = kernel(x, mask, window)
+    return LaneOutcomes(x, fun, *(np.array([getattr(outcome, name) for outcome in outcomes])
+                                  for name in _OUTCOME_FIELDS[2:]))
 
 
 def fit_lane_set(
@@ -752,21 +775,21 @@ def fit_lane_set(
 ) -> list[FitResult]:
     """Fit every job: set each job's ``fit`` to the best of its starts and return the fits.
 
-    Every start of every job is one lane of one lane set.  With fewer than
+    Every start of every job is one lane of one lane set, on a
+    :class:`LaneKernel` of every job's window.  The lanes, in job order,
+    are cut into chunks of at most ``LANE_CHUNK``; each chunk is one
+    :func:`bfgs_lanes` run.  ``workers`` > 1 runs the chunks in parallel,
+    on at most one worker per chunk and per CPU.  A lane's fit does not
+    depend on the lanes it runs with nor on its window's padding, so
+    chunks, windows and workers never change a result.  With fewer than
     ``LANE_MIN_STARTS`` lanes in all the starts run one by one on the
-    list-level kernel instead.  Otherwise the lanes, in job order, are cut
-    into chunks of at most ``LANE_CHUNK``; each chunk is one
-    :func:`bfgs_lanes` run on a :class:`LaneKernel` of every job's window.
-    ``workers`` > 1 runs the chunks in parallel, on at most one worker per
-    chunk and per CPU.  A lane's fit does not depend on the lanes it runs
-    with nor on its window's padding, so chunks, windows and workers never
-    change a result.
+    list kernel instead, and one call of the same kernel gives their end
+    points' values.  Either way each fit's SSE is its winning lane's
+    kernel value, bitwise its :func:`loss`.
     """
+    if not jobs:
+        return []
     opts = options or FitOptions()
-    if sum(len(job.starts) for job in jobs) < LANE_MIN_STARTS:
-        for job in jobs:
-            job.fit = _fit_one_by_one(job, opts)
-        return [job.fit for job in jobs]
     # One kernel window per distinct (series, time scale) pair.
     index: dict[tuple[int, Optional[YearGrid]], int] = {}
     windows = []
@@ -779,21 +802,23 @@ def fit_lane_set(
     x0 = np.concatenate([embed(job.starts, job.spec) for job in jobs])
     mask = np.repeat([superset_mask(job.spec) for job in jobs], counts, axis=0)
     window = np.repeat([index[id(job.obs), job.scale_grid] for job in jobs], counts)
-    chunks = [(windows, opts, x0[i:i + LANE_CHUNK], mask[i:i + LANE_CHUNK],
-               window[i:i + LANE_CHUNK]) for i in range(0, len(x0), LANE_CHUNK)]
 
-    # The pool starts all its workers up front, so never ask for more
-    # than can run at once.
-    workers = min(workers, len(chunks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            lanes = LaneOutcomes.concatenate(list(pool.map(_fit_chunk, chunks)))
+    if len(x0) < LANE_MIN_STARTS:
+        lanes = _fit_one_by_one(jobs, opts, LaneKernel.of_windows(windows), mask, window)
     else:
-        lanes = LaneOutcomes.concatenate([_fit_chunk(chunk) for chunk in chunks])
+        chunks = [(windows, opts, x0[i:i + LANE_CHUNK], mask[i:i + LANE_CHUNK],
+                   window[i:i + LANE_CHUNK]) for i in range(0, len(x0), LANE_CHUNK)]
+        # The pool starts all its workers up front, so never ask for more
+        # than can run at once.
+        workers = min(workers, len(chunks), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                lanes = LaneOutcomes.concatenate(list(pool.map(_fit_chunk, chunks)))
+        else:
+            lanes = LaneOutcomes.concatenate([_fit_chunk(chunk) for chunk in chunks])
 
     for job, end, count in zip(jobs, np.cumsum(counts), counts):
-        job.fit = fit_from_lanes(job.spec, job.obs, lanes.rows(slice(end - count, end)),
-                                 job.scale_grid)
+        job.fit = _best_start(job.spec, lanes.rows(slice(end - count, end)))
     return [job.fit for job in jobs]
 
 

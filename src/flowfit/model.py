@@ -531,9 +531,12 @@ class LaneKernel:
     Each lane is a superset parameter vector (a row of a ``(B, 16)`` array)
     and a mask of the coefficients its spec has.  Absent coefficients are
     read as 0 and get a zero gradient; a lane without forcing has no
-    forcing term.  The value is the loss of ``estimation.loss`` and the
-    gradient that of ``estimation.loss_gradient``, for the spec the mask
-    describes, up to round-off.
+    forcing term.  It is the one evaluator of the loss at a point:
+    ``estimation.loss`` and ``estimation.loss_gradient`` are one-lane calls,
+    and a fit's SSE is its winning lane's value, for the spec the mask
+    describes.  ``estimation._Objective``, the list-level BFGS objective of
+    fits with few starts, computes the same value and gradient up to
+    round-off.
 
     Arrays are years by quantity by lanes.  The two stock recurrences
     ``x[i+1] = (1 - gamma[i]) x[i] + u[i]`` (every input >= 0, so no

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import flowfit as ff
-from flowfit import run_cli
+from flowfit import estimation, run_cli
 from flowfit.estimation import fd_hessian
 
 from _reference import (
@@ -203,9 +203,11 @@ def test_criterion_8_invariant_suite():
                 rtol=1e-9, atol=1e-9,
             )
 
-            # loss totality for arbitrary finite parameters
+            # loss totality for arbitrary finite parameters, on the lane
+            # kernel (``loss``) and the list kernel alike
             wild = rng.uniform(-60, 60, size=spec.n_params)
             assert np.isfinite(ff.loss(wild, spec, obs))
+            assert np.isfinite(estimation._Objective(spec, obs, None).value(wild))
             checked += 1
         assert checked >= 1000
 

@@ -1,7 +1,9 @@
 """The exact (reverse-mode) gradient of the loss against the finite-difference one.
 
 ``gradient_fd`` is the independent check: central differences of the
-same loss, with no shared derivative code.
+same loss, with no shared derivative code.  Both exact gradients are held
+to it: ``loss_gradient`` (the lane kernel's reverse scans) and the
+list-level kernel's reverse sweep (``estimation._Objective``).
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from flowfit import estimation
 from flowfit.model import LAMBDA_RAW_FLOOR, _adjoint_sweep
 
 from _scenarios import RECOVERY_SPEC, RECOVERY_THETA, recovery_scenario
+from test_kernel_properties import evaluators
 
 SPECS = [(0, 0), (1, 2), (2, 2)]
 
@@ -41,6 +44,12 @@ def center(spec, obs):
     return ff.default_starts(spec, obs, n_starts=1)[0]
 
 
+def gradients(theta, spec, obs, scale_grid=None):
+    """The exact gradient at ``theta`` from both kernels, by name."""
+    return {name: gradient_of(theta)
+            for name, (_, gradient_of) in evaluators(spec, obs, scale_grid).items()}
+
+
 @pytest.mark.parametrize("forcing", [False, True])
 @pytest.mark.parametrize("degrees", SPECS)
 @pytest.mark.parametrize("rescaled", [False, True])
@@ -54,9 +63,9 @@ def test_matches_gradient_fd(intl_obs, degrees, forcing, rescaled):
     for _ in range(8):
         theta = base + rng.normal(0.0, 0.5, spec.n_params)
         want = ff.gradient_fd(theta, spec, intl_obs, scale_grid)
-        got = ff.loss_gradient(theta, spec, intl_obs, scale_grid)
         assert ff.loss(theta, spec, intl_obs, scale_grid) < estimation.PENALTY_PER_INVALID_YEAR
-        assert rel_err(got, want) <= 1e-6
+        for name, got in gradients(theta, spec, intl_obs, scale_grid).items():
+            assert rel_err(got, want) <= 1e-6, name
 
 
 def test_matches_gradient_fd_on_window_with_full_rescaling(intl_obs):
@@ -66,19 +75,21 @@ def test_matches_gradient_fd_on_window_with_full_rescaling(intl_obs):
     for _ in range(8):
         theta = RECOVERY_THETA + rng.normal(0.0, 0.3, RECOVERY_THETA.size)
         want = ff.gradient_fd(theta, RECOVERY_SPEC, window, intl_obs.grid)
-        got = ff.loss_gradient(theta, RECOVERY_SPEC, window, intl_obs.grid)
-        assert rel_err(got, want) <= 1e-6
+        for name, got in gradients(theta, RECOVERY_SPEC, window, intl_obs.grid).items():
+            assert rel_err(got, want) <= 1e-6, name
 
 
 def test_finite_in_penalty_region(penalty_case):
     obs, spec = penalty_case
     for raw in (-5.0, 6.0, 700.0, 705.0, 800.0):
         theta = np.concatenate([RECOVERY_THETA, [raw]])
-        assert np.all(np.isfinite(ff.loss_gradient(theta, spec, obs))), raw
+        for name, grad in gradients(theta, spec, obs).items():
+            assert np.all(np.isfinite(grad)), (raw, name)
     # At 800 the forcing weight itself overflows.
     theta = np.concatenate([RECOVERY_THETA, [800.0]])
     assert ff.eval_param_trajectories(theta, spec, obs.grid).lam == np.inf
-    assert ff.loss_gradient(theta, spec, obs)[-1] == 0.0
+    for name, grad in gradients(theta, spec, obs).items():
+        assert grad[-1] == 0.0, name
 
 
 def test_unpenalized_penalty_case_points_match_fd(penalty_case):
@@ -86,16 +97,18 @@ def test_unpenalized_penalty_case_points_match_fd(penalty_case):
     for raw in (-5.0, 6.0):
         theta = np.concatenate([RECOVERY_THETA, [raw]])
         assert ff.loss(theta, spec, obs) < estimation.PENALTY_PER_INVALID_YEAR
-        assert rel_err(ff.loss_gradient(theta, spec, obs), ff.gradient_fd(theta, spec, obs)) <= 1e-6
+        want = ff.gradient_fd(theta, spec, obs)
+        for name, got in gradients(theta, spec, obs).items():
+            assert rel_err(got, want) <= 1e-6, (raw, name)
 
 
 def test_forcing_entry_zero_at_or_below_floor(penalty_case):
     obs, spec = penalty_case
     for raw in (LAMBDA_RAW_FLOOR, LAMBDA_RAW_FLOOR - 10.0):
         theta = np.concatenate([RECOVERY_THETA, [raw]])
-        grad = ff.loss_gradient(theta, spec, obs)
-        assert grad[-1] == 0.0
-        assert np.all(np.isfinite(grad))
+        for name, grad in gradients(theta, spec, obs).items():
+            assert grad[-1] == 0.0, (raw, name)
+            assert np.all(np.isfinite(grad)), (raw, name)
 
 
 def test_clamped_trajectory_has_zero_entries(intl_obs):
@@ -106,13 +119,13 @@ def test_clamped_trajectory_has_zero_entries(intl_obs):
     theta[block] = [-60.0, 0.0, 0.0]
     traj = ff.eval_param_trajectories(theta, RECOVERY_SPEC, intl_obs.grid)
     assert np.all(traj.rho_bp == ff.LOGISTIC_CLAMP)
-    grad = ff.loss_gradient(theta, RECOVERY_SPEC, intl_obs)
-    assert np.all(grad[block] == 0.0)
-    assert np.any(grad != 0.0)
     others = np.ones(theta.size, dtype=bool)
     others[block] = False
     want = ff.gradient_fd(theta, RECOVERY_SPEC, intl_obs)
-    assert rel_err(grad[others], want[others]) <= 1e-6
+    for name, grad in gradients(theta, RECOVERY_SPEC, intl_obs).items():
+        assert np.all(grad[block] == 0.0), name
+        assert np.any(grad != 0.0), name
+        assert rel_err(grad[others], want[others]) <= 1e-6, name
 
 
 def adjoint_sweep(obs, traj, sim, flow_m_bar, flow_p_bar):
@@ -207,11 +220,14 @@ def test_fit_makes_one_forward_pass_per_loss_evaluation(intl_obs, monkeypatch):
 
 
 def test_gradient_away_from_last_value_runs_its_own_forward_pass(intl_obs):
+    def fresh(theta):
+        return estimation._Objective(RECOVERY_SPEC, intl_obs, None).gradient(theta)
+
     objective = estimation._Objective(RECOVERY_SPEC, intl_obs, None)
     a = RECOVERY_THETA + 0.1
     b = RECOVERY_THETA - 0.1
     objective.value(a)
-    assert np.array_equal(objective.gradient(b), ff.loss_gradient(b, RECOVERY_SPEC, intl_obs))
-    assert np.array_equal(objective.gradient(b), ff.loss_gradient(b, RECOVERY_SPEC, intl_obs))
+    assert np.array_equal(objective.gradient(b), fresh(b))
+    assert np.array_equal(objective.gradient(b), fresh(b))
     objective.value(a)
-    assert np.array_equal(objective.gradient(a), ff.loss_gradient(a, RECOVERY_SPEC, intl_obs))
+    assert np.array_equal(objective.gradient(a), fresh(a))

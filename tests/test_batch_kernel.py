@@ -2,7 +2,7 @@
 
 The finite-difference gradient and the Hessian run on one
 :class:`~flowfit.model.LaneKernel` call; ``fd_gradient`` and ``fd_hessian``
-of the list-level ``loss`` are their references.  The bands' batched
+of the list kernel's loss (``estimation._Objective``) are their references.  The bands' batched
 trajectories are checked against ``eval_param_trajectories`` per draw.
 """
 
@@ -10,12 +10,18 @@ import numpy as np
 import pytest
 
 import flowfit as ff
+from flowfit import estimation
 from flowfit.estimation import fd_gradient, fd_hessian
 from flowfit.model import LOGISTIC_CLAMP, _clamped_logistic, embed, superset_mask
 
 from _scenarios import RECOVERY_SPEC, RECOVERY_THETA, recovery_scenario
 
 GRID = ff.YearGrid(1969, 2017)
+
+
+def list_loss(spec, obs, scale_grid=None):
+    """The list kernel's loss, the reference independent of the lane kernel."""
+    return estimation._Objective(spec, obs, scale_grid).value
 
 
 def rel_err(got, want):
@@ -38,7 +44,7 @@ def test_batched_gradient_matches_per_coordinate(noisy):
     rng = np.random.default_rng(6)
     for _ in range(10):
         theta = RECOVERY_THETA + rng.normal(0.0, 0.3, RECOVERY_THETA.size)
-        want = fd_gradient(lambda z: ff.loss(z, RECOVERY_SPEC, noisy), theta)
+        want = fd_gradient(list_loss(RECOVERY_SPEC, noisy), theta)
         assert rel_err(ff.gradient_fd(theta, RECOVERY_SPEC, noisy), want) <= 1e-8
 
 
@@ -47,7 +53,7 @@ def test_numerical_hessian_matches_fd_hessian(noisy):
     hess = ff.numerical_hessian(theta, RECOVERY_SPEC, noisy)
     assert np.all(np.isfinite(hess))
     assert np.array_equal(hess, hess.T)
-    want = fd_hessian(lambda z: ff.loss(z, RECOVERY_SPEC, noisy), theta)
+    want = fd_hessian(list_loss(RECOVERY_SPEC, noisy), theta)
     assert rel_err(hess, want) <= 1e-6
 
 
@@ -65,7 +71,7 @@ def test_numerical_hessian_matches_fd_hessian_on_every_spec(intl_obs, spec):
     theta = point[superset_mask(spec)]
     hess = ff.numerical_hessian(theta, spec, intl_obs)
     assert np.array_equal(hess, hess.T)
-    want = fd_hessian(lambda z: ff.loss(z, spec, intl_obs), theta)
+    want = fd_hessian(list_loss(spec, intl_obs), theta)
     assert rel_err(hess, want) <= 1e-6
 
 
@@ -75,7 +81,7 @@ def test_hessian_stencil_matches_generic_on_forcing_spec(intl_obs):
     scale_grid = ff.YearGrid(1960, 2017)
     hess = ff.numerical_hessian(theta, spec, intl_obs, scale_grid=scale_grid)
     assert np.array_equal(hess, hess.T)
-    want = fd_hessian(lambda z: ff.loss(z, spec, intl_obs, scale_grid=scale_grid), theta)
+    want = fd_hessian(list_loss(spec, intl_obs, scale_grid), theta)
     assert rel_err(hess, want) <= 1e-6
 
 

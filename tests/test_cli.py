@@ -196,6 +196,18 @@ class TestRobust:
         assert report["hindcast_summary"]["n_cutoffs"] == 2
 
 
+    def test_default_truncation_starts_leave_windows_every_spec_fits(self, data_csv, tmp_path):
+        # 1985-2004: the default start 2000 would leave 5 years, too few for
+        # k = 15; it is dropped, and 1990 and 1995 remain.
+        out = tmp_path / "robust"
+        code = run_cli(["robust", "--data", str(data_csv), "--out", str(out), *FAST])
+        assert code in (0, 2)
+        with (out / "truncation.csv").open() as handle:
+            assert [row["start_year"] for row in csv.DictReader(handle)] == ["1990", "1995"]
+        report = json.loads((out / "run_report.json").read_text())
+        assert report["config"]["robustness"]["truncation_starts"] == [1990, 1995]
+
+
 class TestSynth:
     def test_synth_writes_loadable_data(self, tmp_path):
         scenario_path = tmp_path / "scenario.json"
@@ -368,6 +380,15 @@ class TestReport:
         assert "bands skipped: fit did not converge" in report["notes"]
         assert "bands" not in report
 
+    def test_report_with_default_truncation_starts(self, data_csv, tmp_path):
+        # The grid picks the spec, so the default starts must suit any spec.
+        out = tmp_path / "report"
+        code = run_cli(["report", "--data", str(data_csv), "--out", str(out),
+                        "--n-draws", "200", *FAST])
+        assert code in (0, 2)
+        with (out / "truncation.csv").open() as handle:
+            assert [row["start_year"] for row in csv.DictReader(handle)] == ["1990", "1995"]
+
     def test_report_on_unfittable_spec_exits_1_with_reason(self, data_csv, tmp_path, capsys):
         code = run_cli(["report", "--data", str(data_csv), "--spec", "0,0,intl",
                         "--out", str(tmp_path / "r"), "--n-starts", "1", "--max-iter", "20",
@@ -422,6 +443,20 @@ class TestSettingsCheckedBeforeFitting:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", ["robust", "report"])
+    def test_no_default_truncation_start_fits(self, tmp_path, monkeypatch, capsys, command):
+        # 13 years: the first default start leaves 8 years, too few for k = 16.
+        obs, _ = generate(recovery_scenario(grid=YearGrid(1990, 2002)))
+        data = tmp_path / "short.csv"
+        write_series(obs, data)
+        monkeypatch.setattr(selection, "run_grid", self.refuse)
+        monkeypatch.setattr(estimation, "fit_lane_set", self.refuse)
+        code = run_cli([command, "--data", str(data), "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "pass --truncation-starts" in err and "Traceback" not in err
         assert not (tmp_path / "r").exists()
 
     def test_report_config_rescale(self, data_csv, tmp_path, monkeypatch, capsys):

@@ -33,6 +33,7 @@ from flowfit.estimation import (
 )
 
 from _scenarios import RECOVERY_SPEC, RECOVERY_THETA, random_instance, recovery_scenario
+from test_kernel_properties import evaluators
 
 GRID = YearGrid(1969, 2017)
 
@@ -103,9 +104,12 @@ class TestResiduals:
 
 
 class TestLoss:
+    """``loss`` (the lane kernel) and the list kernel, ``estimation._Objective``, alike."""
+
     def test_zero_at_generator(self, noise_free):
         obs, _ = noise_free
-        assert loss(RECOVERY_THETA, RECOVERY_SPEC, obs) <= 1e-18
+        for name, (value_of, _) in evaluators(RECOVERY_SPEC, obs).items():
+            assert value_of(RECOVERY_THETA) <= 1e-18, name
 
     def test_matches_residual_sum(self, noise_free):
         obs, _ = noise_free
@@ -113,9 +117,10 @@ class TestLoss:
         theta = RECOVERY_THETA + rng.normal(0, 0.2, RECOVERY_THETA.size)
         traj = eval_param_trajectories(theta, RECOVERY_SPEC, obs.grid)
         res = residuals(obs, simulate(obs, traj, RECOVERY_SPEC))
-        assert loss(theta, RECOVERY_SPEC, obs) == pytest.approx(
-            float(res.r_m @ res.r_m + res.r_p @ res.r_p), rel=1e-14
-        )
+        for name, (value_of, _) in evaluators(RECOVERY_SPEC, obs).items():
+            assert value_of(theta) == pytest.approx(
+                float(res.r_m @ res.r_m + res.r_p @ res.r_p), rel=1e-14
+            ), name
 
     def test_penalty_for_invalid_flows(self):
         # Forcing coefficient large enough to overflow the PhD stock.
@@ -123,9 +128,10 @@ class TestLoss:
         obs, _ = generate(scen)
         spec = ModelSpec(2, 2, forcing=True)
         theta = np.concatenate([RECOVERY_THETA, [800.0]])
-        value = loss(theta, spec, obs)
-        assert np.isfinite(value)
-        assert value >= PENALTY_PER_INVALID_YEAR
+        for name, (value_of, _) in evaluators(spec, obs).items():
+            value = value_of(theta)
+            assert np.isfinite(value), name
+            assert value >= PENALTY_PER_INVALID_YEAR, name
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -133,12 +139,14 @@ class TestLoss:
         rng = np.random.default_rng(seed)
         obs, spec, theta, _ = random_instance(rng, forcing=bool(seed % 2))
         wild = rng.uniform(-60, 60, size=spec.n_params)
-        assert np.isfinite(loss(wild, spec, obs))
+        for name, (value_of, _) in evaluators(spec, obs).items():
+            assert np.isfinite(value_of(wild)), name
 
     def test_length_mismatch(self, noise_free):
         obs, _ = noise_free
-        with pytest.raises(ValueError, match="length"):
-            loss(np.zeros(3), RECOVERY_SPEC, obs)
+        for name, (value_of, _) in evaluators(RECOVERY_SPEC, obs).items():
+            with pytest.raises(ValueError, match="length"):
+                value_of(np.zeros(3))
 
     @pytest.mark.parametrize("evaluate", [loss, loss_gradient], ids=["loss", "loss_gradient"])
     @pytest.mark.parametrize("shape, match", [
@@ -149,6 +157,19 @@ class TestLoss:
         obs, _ = noise_free
         with pytest.raises(ValueError, match=match):
             evaluate(np.zeros(shape), RECOVERY_SPEC, obs)
+
+    @pytest.mark.parametrize("evaluate", [loss, loss_gradient], ids=["loss", "loss_gradient"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_nonfinite_theta_rejected(self, evaluate, bad):
+        # With +inf in rho_bm_0 the two kernels disagreed here: 130.58 on
+        # the lane kernel, 4.9e7 on the list kernel (0 * inf in its design
+        # product made every trajectory nan).  Neither is a loss.
+        obs, _ = generate(recovery_scenario(p_intl=True, noise_sd=0.02, seed=1))
+        spec = ModelSpec(2, 2, forcing=True)
+        theta = np.concatenate([RECOVERY_THETA, [-3.0]])
+        theta[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(theta, spec, obs)
 
 
 class TestGradient:

@@ -1,12 +1,13 @@
-"""Property tests of the scalar list-level kernel.
+"""Property tests of both evaluators of the loss at a point.
 
-``loss_gradient`` (one reverse sweep) must agree with ``gradient_fd``
-(central differences of the lane kernel's values) to 1e-6, over every
-grid spec, random parameters, truncated windows, forcing and a separate
-rescaling grid.  ``test_lanes.py`` checks the lane kernel against ``loss``
-and ``loss_gradient`` on the same cases.  Forcing coefficients near and
-past the overflow of exp drive the penalty branch, with invalid years
-after the first.
+``loss`` and ``loss_gradient`` (one-lane ``LaneKernel`` calls) and the
+list-level kernel ``estimation._Objective`` (one reverse sweep) must each
+give an exact gradient within 1e-6 of ``gradient_fd`` (central
+differences of the lane kernel's values), over every grid spec, random
+parameters, truncated windows, forcing and a separate rescaling grid.
+``test_lanes.py`` checks the lane kernel against the list kernel on the
+same cases.  Forcing coefficients near and past the overflow of exp drive
+the penalty branch, with invalid years after the first.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import flowfit as ff
+from flowfit import estimation
 from flowfit.estimation import PENALTY_PER_INVALID_YEAR
 
 from _scenarios import recovery_scenario
@@ -48,6 +50,18 @@ def cases(draw):
     return spec, obs, theta, scale_grid
 
 
+def evaluators(spec, obs, scale_grid=None):
+    """Value and gradient functions of both kernels at ``spec``, ``obs`` and ``scale_grid``.
+
+    ``lane`` is ``loss`` and ``loss_gradient``, one-lane ``LaneKernel``
+    calls; ``list`` is the list-level ``estimation._Objective``.
+    """
+    objective = estimation._Objective(spec, obs, scale_grid)
+    return {"lane": (lambda theta: ff.loss(theta, spec, obs, scale_grid),
+                     lambda theta: ff.loss_gradient(theta, spec, obs, scale_grid)),
+            "list": (objective.value, objective.gradient)}
+
+
 def _rel_err(got, want):
     return float(np.max(np.abs(got - want)) / max(float(np.max(np.abs(want))), 1e-300))
 
@@ -56,14 +70,16 @@ def _rel_err(got, want):
 @given(case=cases())
 def test_loss_gradient_matches_gradient_fd(case):
     spec, obs, theta, scale_grid = case
-    value = ff.loss(theta, spec, obs, scale_grid)
-    grad = ff.loss_gradient(theta, spec, obs, scale_grid)
-    assert np.all(np.isfinite(grad))
-    if value < PENALTY_PER_INVALID_YEAR:
-        assert _rel_err(grad, ff.gradient_fd(theta, spec, obs, scale_grid)) <= 1e-6
-    elif theta[-1] >= 710.0:
-        # exp(lambda_raw) is inf at every stencil point: the forcing entry is 0.
-        assert grad[-1] == 0.0
+    want = ff.gradient_fd(theta, spec, obs, scale_grid)
+    for name, (value_of, gradient_of) in evaluators(spec, obs, scale_grid).items():
+        value = value_of(theta)
+        grad = gradient_of(theta)
+        assert np.all(np.isfinite(grad)), name
+        if value < PENALTY_PER_INVALID_YEAR:
+            assert _rel_err(grad, want) <= 1e-6, name
+        elif theta[-1] >= 710.0:
+            # exp(lambda_raw) is inf at every stencil point: the forcing entry is 0.
+            assert grad[-1] == 0.0, name
 
 
 def test_penalty_counts_every_invalid_year():
@@ -85,4 +101,5 @@ def test_penalty_counts_every_invalid_year():
     r_m = np.log(obs.m[1:first_bad]) - np.log(sim.flow_m[1:first_bad])
     r_p = np.log(obs.p[1:first_bad]) - np.log(sim.flow_p[1:first_bad])
     want = r_m @ r_m + r_p @ r_p + PENALTY_PER_INVALID_YEAR * n_invalid
-    assert abs(ff.loss(theta, spec, obs) - want) <= 1e-12 * want
+    for name, (value_of, _) in evaluators(spec, obs).items():
+        assert abs(value_of(theta) - want) <= 1e-12 * want, name

@@ -161,3 +161,24 @@ def test_fit_lane_set_sets_and_returns_each_jobs_fit():
     for job in jobs:
         assert job.fit.sse == ff.loss(job.fit.theta_hat, spec, job.obs)
         assert job.fit.n_starts_used == 3
+
+
+@pytest.mark.parametrize("rescale", ["window", "full"])
+@pytest.mark.parametrize("n_starts", [1, 2, 3, 4, 8])
+def test_fit_sse_is_bitwise_its_loss(n_starts, rescale):
+    # A fit's SSE is its winning lane's kernel value, on both sides of
+    # LANE_MIN_STARTS: alone on one window, and in a set of two windows of
+    # different lengths (so the shorter one is padded).
+    scale_grid = SMALL.grid if rescale == "full" else None
+    windows = [(SMALL.window(1984, SMALL.grid.t_max), ff.ModelSpec(1, 1, forcing=True)),
+               (SMALL.window(SMALL.grid.t_min, 1995), ff.ModelSpec(0, 2, forcing=False))]
+    opts = ff.FitOptions(max_iter=40)
+    jobs = [LaneJob(spec, window, np.stack(ff.default_starts(spec, window, n_starts=n_starts,
+                                                             seed=n_starts)), scale_grid)
+            for window, spec in windows]
+    alone = [ff.minimize_bfgs(job.spec, job.obs, job.starts, opts, scale_grid)
+             for job in jobs]
+    fit_lane_set(jobs, opts)
+    for job, fit in zip(jobs, alone):
+        for got in (fit, job.fit):
+            assert got.sse == ff.loss(got.theta_hat, job.spec, job.obs, scale_grid)

@@ -1,7 +1,9 @@
 """The lane path: the batched scan kernel, the ticked BFGS and the lane-chunked grid.
 
-``loss`` and ``loss_gradient`` (the list-level kernel) are the reference
-for :class:`LaneKernel`, on the inputs of ``test_kernel_properties.py``.
+The list-level kernel (``estimation._Objective``, the narrow fits' BFGS
+objective) is the reference for :class:`LaneKernel`, on the inputs of
+``test_kernel_properties.py``; ``loss`` and ``loss_gradient`` are the
+kernel's one-lane value and gradient, bit for bit.
 A lane's value, gradient and iterates must not depend on the other lanes
 it runs with, bit for bit, so the grid's chunking and ``--jobs`` cannot
 change a result.
@@ -31,9 +33,12 @@ def lane_eval(spec, obs, theta, scale_grid=None):
 
 def assert_matches_list_kernel(spec, obs, theta, scale_grid):
     value, grad = lane_eval(spec, obs, theta, scale_grid)
-    want = ff.loss(theta, spec, obs, scale_grid)
-    want_grad = ff.loss_gradient(theta, spec, obs, scale_grid)
+    objective = estimation._Objective(spec, obs, scale_grid)
+    want = objective.value(theta)
+    want_grad = objective.gradient(theta)
     assert math.isfinite(value) and np.all(np.isfinite(grad))
+    assert ff.loss(theta, spec, obs, scale_grid) == value
+    assert np.array_equal(ff.loss_gradient(theta, spec, obs, scale_grid), grad)
     assert abs(value - want) <= 1e-12 * abs(want)
     floor = max(float(np.max(np.abs(want_grad))), 1.0)
     assert float(np.max(np.abs(grad - want_grad))) <= 1e-10 * floor
