@@ -177,9 +177,12 @@ def _default_truncation_starts(grid) -> list[int]:
 
 
 def _default_cutoffs(grid) -> list[int]:
-    cutoffs = [c for c in DEFAULT_CUTOFFS if grid.t_min < c < grid.t_max]
+    # Windows long enough for every grid spec, as the truncation starts'.
+    cutoffs = [c for c in DEFAULT_CUTOFFS if grid.t_min < c < grid.t_max
+               and diagnostics.window_fits(c - grid.t_min + 1, SUPERSET_SPEC)]
     if not cutoffs:
-        raise CliError("no default hindcast cutoffs fall inside the data window; pass --cutoffs")
+        raise CliError("no default hindcast cutoff leaves a window long enough for every "
+                       "spec; pass --cutoffs")
     return cutoffs
 
 
@@ -206,7 +209,7 @@ SETTINGS = (
                  f"{', '.join(map(str, TRUNCATION_OFFSETS))} where every spec fits the window)"),
     Setting("cutoffs", "robust", "robustness.cutoffs", YEARS, _default_cutoffs,
             help="comma-separated hindcast cutoff years (default: "
-                 f"{','.join(map(str, DEFAULT_CUTOFFS))} where inside the grid)"),
+                 f"{','.join(map(str, DEFAULT_CUTOFFS))} where every spec fits the window)"),
     Setting("rescale", "robust", "robustness.rescale", STRING, "window", ("window", "full"),
             "time rescaling for truncated refits"),
     Setting("jobs", "grid", "jobs", INTEGER, 1, (1, None),
@@ -388,7 +391,11 @@ def _run_pipeline(settings: Settings) -> int:
     if "robust" in stages:
         trunc_starts, cutoffs = values["truncation_starts"], values["cutoffs"]
         diagnostics.check_truncation_starts(obs.grid, trunc_starts, spec)
-        diagnostics.check_cutoffs(obs.grid, cutoffs)
+        try:
+            # Before the grid has picked the spec, the window must fit every spec.
+            diagnostics.check_cutoffs(obs.grid, cutoffs, spec or SUPERSET_SPEC)
+        except ValueError as exc:
+            raise CliError(f"--cutoffs: {exc}") from None
 
     # ``outcomes`` are the fits whose convergence sets the exit code: the
     # fit if there is one, else the grid's, else the robustness refits.

@@ -151,14 +151,22 @@ def check_truncation_starts(
             )
 
 
-def check_cutoffs(grid: YearGrid, cutoffs: Sequence[int]) -> None:
-    """Reject an empty list of hindcast cutoffs or one not strictly inside ``grid``."""
+def check_cutoffs(
+    grid: YearGrid, cutoffs: Sequence[int], spec: Optional[ModelSpec] = None
+) -> None:
+    """Reject an empty list of hindcast cutoffs, one not strictly inside ``grid`` or,
+    given ``spec``, one leaving too short a window."""
     if not cutoffs:
         raise ValueError("the hindcast needs at least one cutoff")
     for cutoff in cutoffs:
         if not grid.t_min < cutoff < grid.t_max:
             raise ValueError(
                 f"cutoff {cutoff} must lie strictly inside ({grid.t_min}, {grid.t_max})"
+            )
+        n_years = cutoff - grid.t_min + 1
+        if spec is not None and not window_fits(n_years, spec):
+            raise ValueError(
+                f"window ending {cutoff} has {n_years} years, too short for k={spec.n_params}"
             )
 
 
@@ -182,7 +190,7 @@ def robustness_jobs(
     check_rescale(rescale)
     check_truncation_starts(obs.grid, start_years, spec)
     if cutoffs:
-        check_cutoffs(obs.grid, cutoffs)
+        check_cutoffs(obs.grid, cutoffs, spec)
     opts = options or FitOptions()
     scale_grid = obs.grid if rescale == "full" else None
     windows = ([obs.window(start, obs.grid.t_max) for start in start_years],

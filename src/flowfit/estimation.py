@@ -558,8 +558,12 @@ def bfgs_lanes(
     Each tick evaluates one trial point of every live lane, value and
     gradient in one kernel call.  A lane whose trial passes the Armijo test
     moves there and takes its next direction; the others halve their step.
-    Lanes that stop leave the batch.  A lane's arithmetic never mixes with
-    another's, so its iterates do not depend on the batch it runs in.
+    The update is computed for every live lane, in place and with
+    floating-point warnings off, and written only to the lanes that moved
+    (``np.copyto`` or a ufunc's ``where``), so a lane that did not move
+    keeps every bit of its state.  Lanes that stop leave the batch.  A
+    lane's arithmetic never mixes with another's, so its iterates do not
+    depend on the batch it runs in.
     """
     x0 = np.array(x0, dtype=float)
     mask = np.asarray(mask, dtype=bool)
@@ -570,83 +574,92 @@ def bfgs_lanes(
                        grad_max_norm=g_max, converged=g_max <= gtol)
     ids = np.flatnonzero(~out.converged) if max_iter > 0 else np.empty(0, dtype=int)
     x, fx, g, mask, window = x0[ids], fx[ids], g[ids], mask[ids], window[ids]
-    eye = np.where(mask[:, :, None] & np.eye(mask.shape[1], dtype=bool), 1.0, 0.0)
-    h = eye.copy()
+    h = _masked_eye(mask)
     scaled = np.zeros(len(ids), dtype=bool)
     n_iter = np.zeros(len(ids), dtype=int)
-    d, slope = _lane_directions(h, g, eye)
+    d, slope = _lane_directions(h, g, mask, np.ones(len(ids), dtype=bool))
     alpha = np.ones(len(ids))
     tries = np.zeros(len(ids), dtype=int)
     while ids.size:
         trial = x + alpha[:, None] * d
         f_new, g_new = kernel(trial, mask, window)
-        ok = np.isfinite(f_new) & (f_new <= fx + 1e-4 * alpha * slope)
-        stop = ~ok & (tries + 1 >= LINE_SEARCH_TRIES)
-        tries += 1
-        alpha *= 0.5
-        moved = np.flatnonzero(ok)
-        if moved.size:
-            s = trial[moved] - x[moved]
-            y = g_new[moved] - g[moved]
-            h_moved = h[moved]
+        # Lanes that did not move may hold anything here; nothing of theirs is kept.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            moved = np.isfinite(f_new) & (f_new <= fx + 1e-4 * alpha * slope)
+            rows = moved[:, None]
+            tries += 1
+            alpha *= 0.5
+            s = trial - x
+            y = g_new - g
             sy = _lane_dot(s, y)
             yy = _lane_dot(y, y)
-            first = ~scaled[moved] & (sy > 0.0)
             # Scale the initial inverse Hessian before the first update.
-            h_moved[first] *= (sy[first] / yy[first])[:, None, None]
-            scaled[moved[first]] = True
-            update = sy > 1e-10 * np.sqrt(_lane_dot(s, s)) * np.sqrt(yy)
+            first = moved & ~scaled & (sy > 0.0)
+            if first.any():
+                np.multiply(h, (sy / yy)[:, None, None], out=h, where=first[:, None, None])
+                scaled |= first
+            update = moved & (sy > 1e-10 * np.sqrt(_lane_dot(s, s)) * np.sqrt(yy))
             if update.any():
-                su, yu, hu = s[update], y[update], h_moved[update]
-                rho = 1.0 / sy[update]
-                hy = _lane_matvec(hu, yu)
-                yhy = _lane_dot(yu, hy)
-                s_col = su[:, :, None]
-                hy_col = hy[:, :, None]
-                hu += (s_col * su[:, None, :] * (rho * rho * yhy + rho)[:, None, None]
-                       - rho[:, None, None] * (hy_col * su[:, None, :] + s_col * hy[:, None, :]))
-                h_moved[update] = hu
-            n_iter[moved] += 1
-            rel_decrease = (fx[moved] - f_new[moved]) / np.maximum(np.abs(fx[moved]), 1e-300)
-            x[moved] = trial[moved]
-            fx[moved] = f_new[moved]
-            g[moved] = g_new[moved]
-            g_max = np.abs(g_new[moved]).max(axis=1)
-            converged = g_max <= gtol
-            out.converged[ids[moved]] = converged
-            out.grad_max_norm[ids[moved]] = g_max
-            stop[moved] = converged | (rel_decrease <= ftol_rel) | (n_iter[moved] >= max_iter)
-            d_moved, slope[moved] = _lane_directions(h_moved, g[moved], eye[moved])
-            d[moved] = d_moved
-            h[moved] = h_moved
-            alpha[moved] = 1.0
-            tries[moved] = 0
+                rho = 1.0 / sy
+                hy = _lane_matvec(h, y)
+                yhy = _lane_dot(y, hy)
+                # bfgs_minimize's update, h += s s' (rho^2 y'hy + rho) - rho (hy s' + s hy'),
+                # with hy s' + s hy' as a matrix plus its transpose (the same bits).
+                cross = hy[:, :, None] * s[:, None, :]
+                cross = cross + cross.transpose(0, 2, 1)
+                cross *= rho[:, None, None]
+                step = s[:, :, None] * s[:, None, :]
+                step *= (rho * rho * yhy + rho)[:, None, None]
+                step -= cross
+                np.add(h, step, out=h, where=update[:, None, None])
+            n_iter += moved
+            rel_decrease = (fx - f_new) / np.maximum(np.abs(fx), 1e-300)
+            np.copyto(x, trial, where=rows)
+            np.copyto(fx, f_new, where=moved)
+            np.copyto(g, g_new, where=rows)
+            g_max = np.abs(g).max(axis=1)
+            stop = np.where(moved,
+                            (g_max <= gtol) | (rel_decrease <= ftol_rel) | (n_iter >= max_iter),
+                            tries >= LINE_SEARCH_TRIES)
+            d_new, slope_new = _lane_directions(h, g, mask, moved)
+            np.copyto(d, d_new, where=rows)
+            np.copyto(slope, slope_new, where=moved)
+            np.copyto(alpha, 1.0, where=moved)
+            np.copyto(tries, 0, where=moved)
         if stop.any():
             done = ids[stop]
             out.x[done] = x[stop]
             out.fun[done] = fx[stop]
             out.n_iterations[done] = n_iter[stop]
+            out.grad_max_norm[done] = g_max[stop]
+            out.converged[done] = g_max[stop] <= gtol
             keep = ~stop
-            ids, x, fx, g, mask, window, eye, h = (
-                ids[keep], x[keep], fx[keep], g[keep], mask[keep], window[keep], eye[keep], h[keep])
+            ids, x, fx, g, mask, window, h = (
+                ids[keep], x[keep], fx[keep], g[keep], mask[keep], window[keep], h[keep])
             scaled, n_iter, d, slope, alpha, tries = (
                 scaled[keep], n_iter[keep], d[keep], slope[keep], alpha[keep], tries[keep])
     return out
 
 
+def _masked_eye(mask: np.ndarray) -> np.ndarray:
+    """The ``(B, 16, 16)`` identity of each lane's coefficients, 0 elsewhere."""
+    return np.where(mask[:, :, None] & np.eye(mask.shape[1], dtype=bool), 1.0, 0.0)
+
+
 def _lane_directions(
-    h: np.ndarray, g: np.ndarray, eye: np.ndarray
+    h: np.ndarray, g: np.ndarray, mask: np.ndarray, lanes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quasi-Newton directions ``-h g`` and slopes ``g . d`` of a stack of lanes.
 
-    A lane whose slope is not finite and negative restarts from steepest
-    descent: its ``h`` (changed in place) becomes ``eye``.
+    A lane of ``lanes`` whose slope is not finite and negative restarts
+    from steepest descent: its ``h`` (changed in place) becomes the
+    identity of its coefficients.  The other lanes' ``h`` is left as it is.
     """
     d = -_lane_matvec(h, g)
     slope = _lane_dot(g, d)
-    bad = ~np.isfinite(slope) | (slope >= 0.0)
+    bad = lanes & (~np.isfinite(slope) | (slope >= 0.0))
     if bad.any():
-        h[bad] = eye[bad]
+        np.copyto(h, _masked_eye(mask), where=bad[:, None, None])
         d[bad] = -g[bad]
         slope[bad] = -_lane_dot(g[bad], g[bad])
     return d, slope

@@ -502,25 +502,49 @@ def simulate(obs: ObservedSeries, traj: ParamTrajectories, spec: ModelSpec) -> S
 PENALTY_PER_INVALID_YEAR = 1e6
 
 
-def _affine_scan(a: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _retention_windows(gammas: np.ndarray) -> np.ndarray:
+    """Products of ``1 - gammas`` over runs of 1, 2, 4, ... years, for :func:`_affine_scan`.
+
+    ``gammas`` is ``(m, n, B)``: m hazards of n years.  Entry k of the
+    result holds at year i the product of ``1 - gammas`` over years
+    i - 2^k .. i - 1, formed for i >= 2^k only, as a balanced product:
+    the later half times the earlier half.  The forward scan of a stock
+    and the reverse scan of its adjoint both read these products; a
+    reverse scan forming its own would multiply the same two halves the
+    other way round, which gives the same bits.
+    """
+    n = gammas.shape[1]
+    windows = np.empty(((n - 1).bit_length(),) + gammas.shape)
+    np.subtract(1.0, gammas[:, :-1], out=windows[0, :, 1:])
+    for k in range(1, len(windows)):
+        d = 1 << (k - 1)
+        np.multiply(windows[k - 1, :, 2 * d:], windows[k - 1, :, d:n - d],
+                    out=windows[k, :, 2 * d:])
+    return windows
+
+
+def _affine_scan(windows: np.ndarray, u: np.ndarray, reverse: bool = False) -> np.ndarray:
     """``u[i] <- a[i] u[i-1] + u[i]`` along axis 0, in place, in log-depth steps.
 
     Hillis-Steele: after the step of distance d every entry holds the
     composition of the affine maps over the last 2d entries, so
-    ceil(log2 n) vectorised steps replace n - 1 sequential ones.  The
-    products of ``a`` over windows that reach entry 0 are never read, so
-    they are not formed; ``a[0]`` is never read, and ``a`` is overwritten.
+    ceil(log2 n) vectorised steps replace n - 1 sequential ones.
+    ``windows`` holds one hazard's products of ``a`` over the windows
+    of each step (:func:`_retention_windows`, with ``a[i] = 1 - gamma[i-1]``).
+    With ``reverse`` the scan runs from the last entry down with
+    ``a[i] = 1 - gamma[i]``, ``u[i] <- a[i] u[i+1] + u[i]``: the same
+    products as a forward scan of the reversed arrays, without their copies.
     """
     n = u.shape[0]
     carry = np.empty_like(u)
-    spare = np.empty_like(a)
     d = 1
-    while d < n:
-        np.multiply(a[d:], u[:-d], out=carry[d:])
-        u[d:] += carry[d:]
-        if 2 * d < n:
-            np.multiply(a[2 * d:], a[d:-d], out=spare[2 * d:])
-            a, spare = spare, a
+    for window in windows:
+        # The entries that read the entry d before them (after, with
+        # ``reverse``), and the entries they read.
+        head, tail = (u[:n - d], u[d:]) if reverse else (u[d:], u[:n - d])
+        step = carry[:n - d]
+        np.multiply(window[d:], tail, out=step)
+        np.add(head, step, out=head)
         d *= 2
     return u
 
@@ -538,14 +562,18 @@ class LaneKernel:
     fits with few starts, computes the same value and gradient up to
     round-off.
 
-    Arrays are years by quantity by lanes.  The two stock recurrences
+    Arrays are quantity by years by lanes, so each quantity's block is a
+    contiguous ``(n, B)`` array.  The two stock recurrences
     ``x[i+1] = (1 - gamma[i]) x[i] + u[i]`` (every input >= 0, so no
     cancellation) and their two adjoint recurrences run as
-    :func:`_affine_scan`.  Every other operation is elementwise, and every
-    sum over years is one ``np.add.reduce`` over axis 0 of a block with at
-    least 18 columns, which NumPy adds row by row, in year order.  So a
-    lane's value and gradient are bitwise the same whatever the other lanes
-    in its batch.  (A single column would be summed pairwise instead.)
+    :func:`_affine_scan` on such blocks.  Every other operation is
+    elementwise, and every sum over years is one ``np.add.reduce`` over
+    axis 0 of a years by 18 by lanes block, which NumPy adds row by row, in
+    year order.  So a lane's value and gradient are bitwise the same
+    whatever the other lanes in its batch.  (A single column would be
+    summed pairwise instead.)  A batch without a forcing lane skips the
+    forcing term: adding a forcing weight of 0 leaves every inflow, a
+    non-negative number, bitwise unchanged.
 
     A kernel may hold several observation windows (:meth:`of_windows`),
     each with its own time rescaling, and each lane reads the window its
@@ -578,21 +606,21 @@ class LaneKernel:
         s = np.empty((n, len(windows)))
         b = np.zeros_like(s)
         p_intl = np.zeros_like(s)
-        log_obs = np.zeros((n, 2, len(windows)))
+        log_obs = np.zeros((2, n, len(windows)))
         first = np.empty((2, len(windows)))
         self.has_intl = np.array([obs.p_intl is not None for obs, _ in windows])
         for w, ((obs, scale_grid), m) in enumerate(zip(windows, lengths)):
             s[:m, w] = rescale_time(obs.grid.years, obs.grid if scale_grid is None else scale_grid)
             s[m:, w] = s[m - 1, w]
             b[:m, w] = obs.b
-            log_obs[:m, :, w] = np.log(np.stack([obs.m, obs.p], axis=1))
+            log_obs[:, :m, w] = np.log(np.stack([obs.m, obs.p]))
             first[:, w] = obs.m[0], obs.p[0]
             if obs.p_intl is not None:
                 p_intl[:m, w] = obs.p_intl
         padded = np.arange(n)[:, None] >= lengths
         # s, s^2, b, log observations, first observations, p_intl and the
         # pad mask, each with the window as its last axis.
-        self.inputs = (s[:, None], (s * s)[:, None], b[:, None], log_obs, first,
+        self.inputs = (s, s * s, b, log_obs, first,
                        p_intl if self.has_intl.any() else None,
                        padded if padded.any() else None)
         # Window 0's inputs, which broadcast over lanes that all read it.
@@ -607,45 +635,54 @@ class LaneKernel:
         window 0.
         """
         forcing = mask[:, -1]
+        forced = forcing.any()
         if len(self.has_intl) == 1 or window is None:
             s, s2, b, log_obs, first, p_intl, pad = self.window0
-            lacking = forcing.any() and not self.has_intl[0]
+            lacking = forced and not self.has_intl[0]
         else:
             s, s2, b, log_obs, first, p_intl, pad = (
                 None if a is None else a[..., window] for a in self.inputs)
-            lacking = not self.has_intl[window[forcing]].all()
+            lacking = forced and not self.has_intl[window[forcing]].all()
         if lacking:
             raise ValueError("forcing specification requires the p_intl series")
         thetas = np.where(mask, thetas, 0.0)
         n_lanes = thetas.shape[0]
-        coef = thetas[:, :-1].T.reshape(len(TRAJECTORY_NAMES), 3, n_lanes)
-        # (n, 5, B): each trajectory's predictor, summed in a fixed order.
+        coef = thetas[:, :-1].T.reshape(len(TRAJECTORY_NAMES), 3, 1, n_lanes)
+        # (5, n, B): each trajectory's predictor, summed in a fixed order.
         p = _clamped_logistic(coef[:, 0] + coef[:, 1] * s + coef[:, 2] * s2)
-        n = p.shape[0]
-        rho_mp = p[:, 2]
-        gammas = p[:, 3:]
-        lambda_raw = thetas[:, -1]
-        lam = np.where(forcing, _forcing_weight(lambda_raw), 0.0)
+        n = p.shape[1]
+        rho_mp = p[2]
+        gammas = p[3:]
+        if forced:
+            lambda_raw = thetas[:, -1]
+            lam = np.where(forcing, _forcing_weight(lambda_raw), 0.0)
         # Per year: the two squared residuals, the adjoints of the 5 x 3
         # coefficients and that of the forcing weight, summed at the end.
         terms = np.zeros((n, 18, n_lanes))
+        columns = terms.transpose(1, 0, 2)
 
         # Overflow to inf/nan is allowed; such years are invalid and penalized.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # (n, 2, B) stocks and flows: master's, then PhD.
-            inflows = p[:, :2] * b
+            # (2, n, B) stocks and flows: master's, then PhD.  A scan fills
+            # each stock from its initial value and its inflows, placed a
+            # year ahead.
             stocks = np.empty_like(gammas)
-            stocks[0] = first / gammas[0]
-            self._forward_scan(gammas[:, 0], inflows[:, 0], stocks[:, 0])
-            flows = gammas * stocks
-            inflow_p = inflows[:, 1]
-            inflow_p += rho_mp * flows[:, 0]
-            if p_intl is not None:
-                inflow_p += lam * p_intl
-            self._forward_scan(gammas[:, 1], inflow_p, stocks[:, 1])
-            np.multiply(gammas[:, 1], stocks[:, 1], out=flows[:, 1])
+            flows = np.empty_like(gammas)
+            stocks[:, 0] = first / gammas[:, 0]
+            np.multiply(p[:2, :-1], b[:-1], out=stocks[:, 1:])
+            windows = _retention_windows(gammas)
+            _affine_scan(windows[:, 0], stocks[0])
+            np.multiply(gammas[0], stocks[0], out=flows[0])
+            inflow_p = stocks[1, 1:]
+            inflow_p += rho_mp[:-1] * flows[0, :-1]
+            if forced:
+                inflow_p += lam * p_intl[:-1]
+            _affine_scan(windows[:, 1], stocks[1])
+            np.multiply(gammas[1], stocks[1], out=flows[1])
 
-            valid = (np.isfinite(flows) & (flows > 0.0)).all(axis=1)
+            # A year is valid while both flows are finite and positive.
+            positive = (flows > 0.0) & (flows < np.inf)
+            valid = positive[0] & positive[1]
             if pad is not None:
                 valid |= pad
             n_invalid = n - valid.sum(axis=0)
@@ -654,65 +691,57 @@ class LaneKernel:
                 # Past its window a lane's stocks may overflow; its pad years
                 # carry no residual and no adjoint.
                 prefix &= ~pad
-            counted = prefix[:, None].copy()
-            counted[0] = False
-            r = np.where(counted, log_obs - np.log(flows), 0.0)
-            np.multiply(r, r, out=terms[:, :2])
+            # Years from the first invalid one on carry no adjoint, and
+            # those and year 0 no residual.
+            skipped = ~prefix
+            uncounted = skipped.copy()
+            uncounted[0] = True
+            r = np.log(flows)
+            np.subtract(log_obs, r, out=r)
+            np.copyto(r, 0.0, where=uncounted)
+            np.multiply(r, r, out=columns[:2])
 
             # Adjoints of the flows over the counted years, without the
             # factor -2 of d(r^2)/d(flow) = -2 r / flow: the sweep is linear
             # in them, so the factor (a power of two, exact) comes last.
-            flow_bars = np.where(counted, r / flows, 0.0)
-            # stock_bars[i] = d loss / d stocks[i] for i = 0..n, with
+            flow_bars = r / flows
+            np.copyto(flow_bars, 0.0, where=uncounted)
+            # stock_bars[:, i] = d loss / d stocks[:, i] for i = 0..n, with
             # nothing after the last year.
-            stock_bars = np.zeros((n + 1,) + gammas.shape[1:])
-            self._reverse_scan(gammas[:, 1], gammas[:, 1] * flow_bars[:, 1], stock_bars[:, 1])
-            ahead = stock_bars[1:]
+            stock_bars = np.zeros((2, n + 1, n_lanes))
+            np.multiply(gammas[1], flow_bars[1], out=stock_bars[1, :n])
+            _affine_scan(windows[:, 1], stock_bars[1, :n], reverse=True)
+            ahead = stock_bars[:, 1:]
             # The master's flow also feeds the PhD stock.
-            flow_bars[:, 0] += rho_mp * ahead[:, 1]
-            self._reverse_scan(gammas[:, 0], gammas[:, 0] * flow_bars[:, 0], stock_bars[:, 0])
+            flow_bars[0] += rho_mp * ahead[1]
+            np.multiply(gammas[0], flow_bars[0], out=stock_bars[0, :n])
+            _affine_scan(windows[:, 0], stock_bars[0, :n], reverse=True)
             p_bar = np.empty_like(p)
-            np.multiply(ahead, b, out=p_bar[:, :2])
-            np.multiply(ahead[:, 1], flows[:, 0], out=p_bar[:, 2])
-            np.multiply(flow_bars - ahead, stocks, out=p_bar[:, 3:])
+            np.multiply(ahead, b, out=p_bar[:2])
+            np.multiply(ahead[1], flows[0], out=p_bar[2])
+            np.multiply(flow_bars - ahead, stocks, out=p_bar[3:])
             # Initial stocks m0 / gamma_m[0] and p0 / gamma_p[0].
-            p_bar[0, 3:] -= stock_bars[0] * stocks[0] / gammas[0]
-            # Years from the first invalid one on carry no adjoint; their
-            # stocks may be inf or nan.
-            np.copyto(p_bar, 0.0, where=~prefix[:, None])
-            if p_intl is not None:
-                np.multiply(ahead[:, 1], p_intl, out=terms[:, 17])
+            p_bar[3:, 0] -= stock_bars[:, 0] * stocks[:, 0] / gammas[:, 0]
+            # The stocks of skipped years may be inf or nan.
+            np.copyto(p_bar, 0.0, where=skipped)
+            if forced:
+                np.multiply(ahead[1], p_intl, out=columns[17])
 
             # Back through the clamped logistic (derivative 0 where the
             # clip is active) and the three powers of rescaled time.
             inside = (p > LOGISTIC_CLAMP) & (p < 1.0 - LOGISTIC_CLAMP)
-            eta_bar = terms[:, 2:17:3]
+            eta_bar = columns[2:17:3]
             np.multiply(p_bar, np.where(inside, p * (1.0 - p), 0.0), out=eta_bar)
-            np.multiply(eta_bar, s, out=terms[:, 3:17:3])
-            np.multiply(eta_bar, s2, out=terms[:, 4:17:3])
+            np.multiply(eta_bar, s, out=columns[3:17:3])
+            np.multiply(eta_bar, s2, out=columns[4:17:3])
 
             totals = np.add.reduce(terms, axis=0)
             values = totals[0] + totals[1] + PENALTY_PER_INVALID_YEAR * n_invalid
-            grads = np.empty_like(thetas)
-            grads[:, :-1] = totals[2:17].T
-            live = forcing & (lambda_raw > LAMBDA_RAW_FLOOR) & np.isfinite(lam)
-            grads[:, -1] = np.where(live, totals[17] * lam, 0.0)
-        grads *= -2.0
-        return values, np.where(mask, grads, 0.0)
-
-    @staticmethod
-    def _forward_scan(gamma: np.ndarray, inflow: np.ndarray, stock: np.ndarray) -> None:
-        """Fill ``stock[1:]`` from ``stock[0]``: ``x[i+1] = (1 - gamma[i]) x[i] + inflow[i]``."""
-        a = np.empty_like(gamma)
-        np.subtract(1.0, gamma[:-1], out=a[1:])
-        stock[1:] = inflow[:-1]
-        _affine_scan(a, stock)
-
-    @staticmethod
-    def _reverse_scan(gamma: np.ndarray, source: np.ndarray, z: np.ndarray) -> None:
-        """``z[i] = (1 - gamma[i]) z[i+1] + source[i]`` for i = n-1..0, in place; z[n] is 0."""
-        n = gamma.shape[0]
-        a = np.empty_like(gamma)
-        np.subtract(1.0, gamma[n - 2::-1], out=a[1:])
-        # Reversed copies: ufuncs run much slower on negative strides.
-        z[n - 1::-1] = _affine_scan(a, source[::-1].copy())
+            # The factor -2 on the lane's own coefficients, 0 on the others.
+            grads = np.zeros_like(thetas)
+            np.multiply(totals[2:17].T, -2.0, out=grads[:, :-1], where=mask[:, :-1])
+            if forced:
+                live = forcing & (lambda_raw > LAMBDA_RAW_FLOOR) & np.isfinite(lam)
+                np.multiply(np.where(live, totals[17] * lam, 0.0), -2.0, out=grads[:, -1],
+                            where=forcing)
+        return values, grads

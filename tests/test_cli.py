@@ -207,6 +207,18 @@ class TestRobust:
         report = json.loads((out / "run_report.json").read_text())
         assert report["config"]["robustness"]["truncation_starts"] == [1990, 1995]
 
+    def test_default_cutoffs_leave_windows_every_spec_fits(self, data_csv, tmp_path):
+        # 1985-2004: the default cutoff 1990 would leave a 6-year window, too
+        # few for k = 16; it is dropped, and 1995 and 2000 remain.
+        out = tmp_path / "robust"
+        code = run_cli(["robust", "--data", str(data_csv), "--out", str(out),
+                        "--truncation-starts", "1990", *FAST])
+        assert code in (0, 2)
+        with (out / "hindcast.csv").open() as handle:
+            assert [row["cutoff"] for row in csv.DictReader(handle)] == ["1995", "2000"]
+        report = json.loads((out / "run_report.json").read_text())
+        assert report["config"]["robustness"]["cutoffs"] == [1995, 2000]
+
 
 class TestSynth:
     def test_synth_writes_loadable_data(self, tmp_path):
@@ -434,6 +446,8 @@ class TestSettingsCheckedBeforeFitting:
         (["--truncation-starts", "2003"], "window starting 2003 has 2 years, too short for k=15"),
     ] + BOUNDS + [
         (["--cutoffs", ","], "the hindcast needs at least one cutoff"),
+        (["--cutoffs", "1995,1990"],
+         "--cutoffs: window ending 1990 has 6 years, too short for k=15"),
     ])
     def test_report(self, data_csv, tmp_path, monkeypatch, capsys, flags, message):
         monkeypatch.setattr(selection, "run_grid", self.refuse)
@@ -457,6 +471,48 @@ class TestSettingsCheckedBeforeFitting:
         assert code == 1
         err = capsys.readouterr().err
         assert "pass --truncation-starts" in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["robust", "--cutoffs", "1988"], "--cutoffs: window ending 1988 has 4 years, too short "
+                                          "for k=15"),
+        # Before the grid picks the spec, a window must fit every spec: 8
+        # years fit k = 13 but not k = 16.
+        (["report", "--cutoffs", "1992"], "--cutoffs: window ending 1992 has 8 years, too short "
+                                          "for k=16"),
+    ], ids=["robust", "report"])
+    def test_cutoff_window_too_short(self, data_csv, tmp_path, monkeypatch, capsys, argv,
+                                     message):
+        monkeypatch.setattr(selection, "run_grid", self.refuse)
+        monkeypatch.setattr(estimation, "fit_lane_set", self.refuse)
+        code = run_cli(argv + ["--data", str(data_csv), "--out", str(tmp_path / "r"),
+                               "--truncation-starts", "1990"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    def test_cutoff_window_fits_the_given_spec(self, data_csv, tmp_path, monkeypatch):
+        # With --spec 1,1,none (k = 13) the 8-year window fits: the run gets as far as fitting.
+        monkeypatch.setattr(selection, "run_grid", self.refuse)
+        with pytest.raises(AssertionError, match="fitting started"):
+            run_cli(["report", "--spec", "1,1,none", "--cutoffs", "1992", "--data", str(data_csv),
+                     "--out", str(tmp_path / "r"), "--truncation-starts", "1990"])
+
+    @pytest.mark.parametrize("command", ["robust", "report"])
+    def test_no_default_cutoff_fits(self, tmp_path, monkeypatch, capsys, command):
+        # 1998-2006: the default cutoffs 2000 and 2005 leave 3 and 8 years,
+        # too few for k = 16.
+        obs, _ = generate(recovery_scenario(grid=YearGrid(1998, 2006)))
+        data = tmp_path / "short.csv"
+        write_series(obs, data)
+        monkeypatch.setattr(selection, "run_grid", self.refuse)
+        monkeypatch.setattr(estimation, "fit_lane_set", self.refuse)
+        code = run_cli([command, "--data", str(data), "--out", str(tmp_path / "r"),
+                        "--truncation-starts", "1998"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "pass --cutoffs" in err and "Traceback" not in err
         assert not (tmp_path / "r").exists()
 
     def test_report_config_rescale(self, data_csv, tmp_path, monkeypatch, capsys):

@@ -176,6 +176,12 @@ class TestRollingOriginHindcast:
             with pytest.raises(ValueError, match="cutoff"):
                 rolling_origin_hindcast(obs, RECOVERY_SPEC, [bad], quick_options)
 
+    def test_rejects_too_short_window(self, small_noise_free, quick_options):
+        obs, _ = small_noise_free
+        # k = 15 needs at least 9 years through the cutoff
+        with pytest.raises(ValueError, match="window ending 1987 has 8 years, too short"):
+            rolling_origin_hindcast(obs, RECOVERY_SPEC, [1987], quick_options)
+
     def test_empty_cutoffs_rejected(self, small_noise_free, quick_options):
         obs, _ = small_noise_free
         with pytest.raises(ValueError, match="at least one cutoff"):

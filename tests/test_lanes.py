@@ -103,6 +103,35 @@ def test_lane_alone_equals_lane_in_shuffled_batch():
         assert np.array_equal(alone_grad[0], grads[lane])
 
 
+def assert_bitwise(got, want):
+    """Equal arrays, bit for bit: signed zeros and nan payloads included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_batch_without_forcing_lane_skips_the_proxy():
+    # A batch without a forcing lane skips the forcing term: on a series
+    # with p_intl it gives what the same series without p_intl gives.
+    thetas, masks = mixed_lanes(36, seed=8)
+    unforced = ~masks[:, -1]
+    no_proxy = ff.ObservedSeries(OBS.grid, OBS.b, OBS.m, OBS.p)
+    for scale_grid in (None, ff.YearGrid(1960, 2020)):
+        with_proxy = LaneKernel(OBS, scale_grid)(thetas[unforced], masks[unforced])
+        without = LaneKernel(no_proxy, scale_grid)(thetas[unforced], masks[unforced])
+        for got, want in zip(with_proxy, without):
+            assert_bitwise(got, want)
+    # In a batch with forcing lanes each lane still gets what it gets alone,
+    # and a lane alone without forcing is a batch that skips the term.
+    assert unforced.any() and not unforced.all()
+    kernel = LaneKernel(OBS)
+    values, grads = kernel(thetas, masks)
+    for lane in range(len(thetas)):
+        alone_value, alone_grad = kernel(thetas[lane:lane + 1], masks[lane:lane + 1])
+        assert_bitwise(alone_value[0], values[lane])
+        assert_bitwise(alone_grad[0], grads[lane])
+
+
 def test_absent_coefficients_are_ignored_and_get_no_gradient():
     thetas, masks = mixed_lanes(18, seed=6)
     kernel = LaneKernel(OBS)
@@ -152,6 +181,81 @@ def test_lanes_stop_at_max_iter_and_keep_start_at_zero(obs49):
     assert np.all(capped.n_iterations == 7) and not capped.converged.any()
     untouched = bfgs_lanes(LaneKernel(obs49), x0, mask, max_iter=0)
     assert np.array_equal(untouched.x, x0) and np.all(untouched.n_iterations == 0)
+
+
+# Objectives of ``toy_kernel``'s lanes, as value and gradient of a (16,)
+# vector; each reads x[0] and x[1] only.
+TOYS = {
+    # A bowl: the first full step passes the Armijo test.
+    "moves": lambda x: (0.5 * (x[0] ** 2 + 0.5 * x[1] ** 2), (x[0], 0.5 * x[1])),
+    # A steep valley: full steps overshoot and fail the Armijo test.
+    "overshoots": lambda x: (50.0 * x[0] ** 2 + 0.5 * x[1] ** 2, (100.0 * x[0], x[1])),
+    # Past a wall at x[0] = 2 the value is nan, or carries a penalty.
+    "non-finite": lambda x: (x[0] ** 2 + 0.5 * x[1] ** 2 if x[0] < 2.0 else math.nan,
+                             (2.0 * x[0], x[1])),
+    "penalized": lambda x: (x[0] ** 2 + 0.5 * x[1] ** 2
+                            + (PENALTY_PER_INVALID_YEAR if x[0] >= 2.0 else 0.0),
+                            (2.0 * x[0], x[1])),
+    # A gradient that promises descent where every step climbs a steep
+    # wall: no trial passes, and the line search runs out of halvings.
+    "exhausted": lambda x: (1.0 + 1e20 * (x[0] - 1.0) ** 2, (1e6, 0.0)),
+}
+TOY_STARTS = {"moves": (1.0, 1.0), "overshoots": (1.0, 1.0), "non-finite": (-3.0, 1.0),
+              "penalized": (-3.0, 1.0), "exhausted": (1.0, 0.0)}
+
+
+def toy_kernel(x, mask, kind):
+    """A stand-in for :class:`LaneKernel`: row i is objective ``list(TOYS)[kind[i]]``."""
+    names = list(TOYS)
+    values = np.empty(len(x))
+    grads = np.zeros_like(x)
+    for row, k in enumerate(kind):
+        values[row], grads[row, :2] = TOYS[names[k]](x[row])
+    return values, np.where(mask, grads, 0.0)
+
+
+def test_lane_that_moves_beside_rejected_lanes_equals_its_run_alone():
+    # In the first tick one lane moves, one fails the Armijo test, one
+    # trial is nan and one penalized; one lane fails every tick until it
+    # runs out of halvings.  The update written only to the lanes that
+    # moved leaves each lane's run bitwise what it is alone.
+    names = list(TOYS)
+    kind = np.arange(len(names)).repeat(2)
+    x0 = np.zeros((len(kind), 16))
+    x0[:, :2] = [TOY_STARTS[names[k]] for k in kind]
+    x0[1::2, 1] += 0.5   # a second start of each objective
+    mask = np.ones(x0.shape, dtype=bool)
+    first_trial = {}
+    for lane, k in enumerate(kind):
+        value, grad = TOYS[names[k]](x0[lane])
+        # The first direction is steepest descent, with a full step.
+        trial_value, _ = TOYS[names[k]](x0[lane] - np.pad(grad, (0, 14)))
+        passes = trial_value <= value - 1e-4 * float(np.dot(grad, grad))
+        first_trial.setdefault(names[k], []).append((passes, trial_value))
+    assert all(passes for passes, _ in first_trial["moves"])
+    assert not any(passes for passes, _ in first_trial["overshoots"])
+    assert all(math.isnan(value) for _, value in first_trial["non-finite"])
+    assert all(value >= PENALTY_PER_INVALID_YEAR for _, value in first_trial["penalized"])
+
+    together = bfgs_lanes(toy_kernel, x0, mask, kind, max_iter=50)
+    exhausted = kind == names.index("exhausted")
+    assert np.all(together.n_iterations[exhausted] == 0)
+    assert not together.converged[exhausted].any()
+    assert np.array_equal(together.x[exhausted], x0[exhausted])
+    assert np.all(together.n_iterations[~exhausted] > 0)
+    assert together.converged[kind == names.index("moves")].all()
+    for lane in range(len(kind)):
+        alone = bfgs_lanes(toy_kernel, x0[lane:lane + 1], mask[lane:lane + 1],
+                           kind[lane:lane + 1], max_iter=50)
+        row = together.rows(slice(lane, lane + 1))
+        for name in estimation._OUTCOME_FIELDS:
+            assert_bitwise(getattr(row, name), getattr(alone, name))
+        # And the lane takes bfgs_minimize's steps, up to round-off.
+        objective = TOYS[names[kind[lane]]]
+        want = bfgs_minimize(lambda z: objective(z)[0], x0[lane],
+                             grad=lambda z: np.pad(objective(z)[1], (0, 14)), max_iter=50)
+        assert (row.n_iterations[0], row.converged[0]) == (want.n_iterations, want.converged)
+        assert np.allclose(row.x[0], want.x, rtol=1e-9, atol=1e-12)
 
 
 def test_minimize_bfgs_runs_lanes_from_lane_min_starts(obs49, monkeypatch):
