@@ -390,12 +390,14 @@ def _run_pipeline(settings: Settings) -> int:
               for name, value in values.items()}
     if "robust" in stages:
         trunc_starts, cutoffs = values["truncation_starts"], values["cutoffs"]
-        diagnostics.check_truncation_starts(obs.grid, trunc_starts, spec)
-        try:
-            # Before the grid has picked the spec, the window must fit every spec.
-            diagnostics.check_cutoffs(obs.grid, cutoffs, spec or SUPERSET_SPEC)
-        except ValueError as exc:
-            raise CliError(f"--cutoffs: {exc}") from None
+        # Before the grid has picked the spec, a cutoff's window must fit every spec.
+        for flag, check, years, fitted in (
+                ("--truncation-starts", diagnostics.check_truncation_starts, trunc_starts, spec),
+                ("--cutoffs", diagnostics.check_cutoffs, cutoffs, spec or SUPERSET_SPEC)):
+            try:
+                check(obs.grid, years, fitted)
+            except ValueError as exc:
+                raise CliError(f"{flag}: {exc}") from None
 
     # ``outcomes`` are the fits whose convergence sets the exit code: the
     # fit if there is one, else the grid's, else the robustness refits.
@@ -422,7 +424,8 @@ def _run_pipeline(settings: Settings) -> int:
                 estimation.fit_lane_set(refits, opts, workers=values["jobs"])
     if "fit" in stages:
         if entries is None:
-            starts = estimation.default_starts(spec, obs, n_starts=opts.n_starts, seed=opts.seed)
+            starts = estimation.default_starts(spec, obs, n_starts=opts.n_starts, seed=opts.seed,
+                                               start_sd=opts.start_sd)
             fit = estimation.minimize_bfgs(spec, obs, starts, opts)
         else:   # the grid has fitted every spec it could, this one included
             fit = next(e.fit for e in entries if e.spec == spec)

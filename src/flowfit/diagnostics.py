@@ -10,6 +10,7 @@ window's refit is a lane job, and the windows run as one lane set.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -99,12 +100,13 @@ def log_rmse(sse: float, n: int) -> float:
 def residual_report(obs: ObservedSeries, sim: SimulationResult) -> ResidualReport:
     """Per-year residual table, summary statistics, and fixed-bin histograms.
 
-    Histogram bins are 0.02 wide over [-0.12, 0.12] with one overflow bin
-    on each side, enough to resolve the few-percent residuals a good fit
-    leaves.
+    Histogram bins are ``HISTOGRAM_BIN_WIDTH`` = 0.02 wide over [-0.12, 0.12]
+    with one overflow bin on each side, enough to resolve the few-percent
+    residuals a good fit leaves.
     """
     res = residuals(obs, sim)
-    inner = np.linspace(-HISTOGRAM_EDGE, HISTOGRAM_EDGE, 13)
+    n_edges = round(2 * HISTOGRAM_EDGE / HISTOGRAM_BIN_WIDTH) + 1
+    inner = np.linspace(-HISTOGRAM_EDGE, HISTOGRAM_EDGE, n_edges)
     edges = np.concatenate(([-np.inf], inner, [np.inf]))
     summary = {}
     for name, r in (("m", res.r_m), ("p", res.r_p)):
@@ -137,10 +139,17 @@ def window_fits(n_years: int, spec: ModelSpec) -> bool:
     return n_years >= spec.n_params / 2 + 1
 
 
+def _check_distinct(name: str, years: Sequence[int]) -> None:
+    repeated = sorted(year for year, count in Counter(years).items() if count > 1)
+    if repeated:
+        raise ValueError(f"{name} {', '.join(map(str, repeated))} given more than once")
+
+
 def check_truncation_starts(
     grid: YearGrid, start_years: Sequence[int], spec: Optional[ModelSpec] = None
 ) -> None:
-    """Reject start years outside ``grid`` or, given ``spec``, leaving too short a window."""
+    """Reject repeated start years, ones outside ``grid`` and, given ``spec``, too short windows."""
+    _check_distinct("start year", start_years)
     for start in start_years:
         if start < grid.t_min or start > grid.t_max:
             raise ValueError(f"start year {start} outside the grid")
@@ -154,10 +163,11 @@ def check_truncation_starts(
 def check_cutoffs(
     grid: YearGrid, cutoffs: Sequence[int], spec: Optional[ModelSpec] = None
 ) -> None:
-    """Reject an empty list of hindcast cutoffs, one not strictly inside ``grid`` or,
-    given ``spec``, one leaving too short a window."""
+    """Reject an empty list of hindcast cutoffs, a repeated one, one not strictly inside
+    ``grid`` or, given ``spec``, one leaving too short a window."""
     if not cutoffs:
         raise ValueError("the hindcast needs at least one cutoff")
+    _check_distinct("cutoff", cutoffs)
     for cutoff in cutoffs:
         if not grid.t_min < cutoff < grid.t_max:
             raise ValueError(
@@ -183,9 +193,10 @@ def robustness_jobs(
     One job per start year (the window from it through the end of the
     sample), then one per cutoff (the window from the first year through
     the cutoff), each with rescaled time anchored on its own window or,
-    with ``rescale='full'``, on the full sample.  The i-th window of each
-    kind draws its starts with seed ``options.seed + i``.  Their fits, in
-    this order, make up :func:`robustness_report`.
+    with ``rescale='full'``, on the full sample.  Every window has the
+    whole-sample fit's starts (seed ``options.seed``), so no window's fit
+    depends on the others, and the jobs are lanes whatever their number.
+    Their fits, in this order, make up :func:`robustness_report`.
     """
     check_rescale(rescale)
     check_truncation_starts(obs.grid, start_years, spec)
@@ -193,12 +204,11 @@ def robustness_jobs(
         check_cutoffs(obs.grid, cutoffs, spec)
     opts = options or FitOptions()
     scale_grid = obs.grid if rescale == "full" else None
-    windows = ([obs.window(start, obs.grid.t_max) for start in start_years],
-               [obs.window(obs.grid.t_min, cutoff) for cutoff in cutoffs])
-    return [LaneJob(spec, window, np.stack(default_starts(
-                spec, window, n_starts=opts.n_starts, seed=opts.seed + idx,
-                start_sd=opts.start_sd)), scale_grid)
-            for kind in windows for idx, window in enumerate(kind)]
+    starts = np.stack(default_starts(spec, obs, n_starts=opts.n_starts, seed=opts.seed,
+                                     start_sd=opts.start_sd))
+    windows = ([obs.window(start, obs.grid.t_max) for start in start_years]
+               + [obs.window(obs.grid.t_min, cutoff) for cutoff in cutoffs])
+    return [LaneJob(spec, window, starts, scale_grid) for window in windows]
 
 
 def robustness_report(

@@ -6,9 +6,10 @@ the unconstrained transformed parameter space with a BFGS iteration using
 a backtracking (Armijo) line search and the exact gradient.  One evaluator,
 :class:`~flowfit.model.LaneKernel`, gives the loss at a point: :func:`loss`,
 every fit's SSE, the lanes of a multi-start BFGS and the Hessian (central
-differences of the exact gradient) are lanes of its calls.  Only a fit of
-fewer than ``LANE_MIN_STARTS`` starts runs its BFGS on the list-level
-kernel, :class:`_Objective`.
+differences of the exact gradient) are lanes of its calls.  Every lane set
+(:func:`fit_lane_set`) runs its BFGS on lanes (:func:`bfgs_lanes`); only
+:func:`minimize_bfgs` with fewer than ``LANE_MIN_STARTS`` starts runs
+:func:`bfgs_minimize` on the list-level kernel, :class:`_Objective`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .model import (
+    LAMBDA_RAW_FLOOR,
+    LOGISTIC_CLAMP,
     PENALTY_PER_INVALID_YEAR,
     TRAJECTORY_NAMES,
     LaneKernel,
@@ -31,11 +34,9 @@ from .model import (
     SUPERSET_SPEC,
     SimulationResult,
     YearGrid,
-    _adjoint_sweep,
     _annual_updates,
     _checked_theta,
     _clamped_logistic,
-    _pull_back,
     _stacked_design,
     _trajectory_values,
     embed,
@@ -53,9 +54,9 @@ HESSIAN_EIG_FLOOR_REL = 1e-8
 # Trial steps 1, 1/2, 1/4, ... a BFGS line search makes before it gives up.
 LINE_SEARCH_TRIES = 60
 
-# A lane set (:func:`fit_lane_set`) of at least this many starts runs them
-# as the lanes of a batched BFGS (:func:`bfgs_lanes`); below it the starts
-# run one by one on the list-level kernel, which is faster for so few.
+# A fit of one job (:func:`minimize_bfgs`) with fewer starts than this runs
+# them one by one on the list-level kernel, which is faster for so few;
+# every lane set, whatever its width, runs as lanes of :func:`bfgs_lanes`.
 LANE_MIN_STARTS = 4
 
 # Most lanes one batched BFGS runs at once, and the unit of work of a lane
@@ -162,16 +163,17 @@ class _Forward:
 
 
 class _Objective:
-    """The list-level kernel: the BFGS objective of a fit with few starts.
+    """The list-level kernel: the BFGS objective of :func:`minimize_bfgs` with few starts.
 
     Its value and gradient are :func:`loss`'s and :func:`loss_gradient`'s up
     to round-off, on Python floats, which beats the lane kernel at one to
-    three lanes.  The per-fit data are turned into lists and the stacked
-    design is built once.  ``value`` keeps the point and forward state of its last call.
-    ``gradient`` at that point runs only the reverse sweep; at any other
-    point it runs the forward pass first.  BFGS asks for the gradient at the
-    point its line search accepted last, so each iteration's gradient costs
-    one reverse sweep.
+    three lanes.  With :func:`_adjoint_sweep` and :func:`_pull_back` below
+    it is the whole narrow path.  The per-fit data are turned into lists
+    and the stacked design is built once.  ``value`` keeps the point and
+    forward state of its last call.  ``gradient`` at that point runs only
+    the reverse sweep; at any other point it runs the forward pass first.
+    BFGS asks for the gradient at the point its line search accepted last,
+    so each iteration's gradient costs one reverse sweep.
     """
 
     def __init__(self, spec: ModelSpec, obs: ObservedSeries, scale_grid: Optional[YearGrid]):
@@ -254,6 +256,85 @@ class _Objective:
         if self._last is None or not (theta == self._last.theta).all():
             self.value(theta)
         return self._reverse(self._last)
+
+
+def _adjoint_sweep(
+    b: list[float],
+    rho_mp: list[float],
+    gamma_m: list[float],
+    gamma_p: list[float],
+    p_intl: Optional[list[float]],
+    stock_m: list[float],
+    stock_p: list[float],
+    flow_m: list[float],
+    flow_m_bar: list[float],
+    flow_p_bar: list[float],
+) -> tuple[list[float], float]:
+    """Reverse sweep of :func:`_annual_updates` and the initial stocks, on Python floats.
+
+    The flow adjoints cover the first ``len(flow_m_bar)`` years; the sweep
+    runs from the last of them back to year 0.  Returns the adjoints of
+    the five trajectories as one flat list of ``5 n`` floats, in
+    ``TRAJECTORY_NAMES`` order and zero past the swept years, and the
+    adjoint of the forcing weight.
+    """
+    n = len(b)
+    stop = len(flow_m_bar)
+    rbm_bar = [0.0] * n
+    rbp_bar = [0.0] * n
+    rmp_bar = [0.0] * n
+    gm_bar = [0.0] * n
+    gp_bar = [0.0] * n
+    lam_bar = 0.0
+    # Adjoints of the stocks one year ahead of year i.
+    am = 0.0
+    ap = 0.0
+    for i in range(stop - 1, -1, -1):
+        g_fm = flow_m_bar[i] + ap * rho_mp[i] - am
+        g_fp = flow_p_bar[i] - ap
+        rbm_bar[i] = am * b[i]
+        rbp_bar[i] = ap * b[i]
+        rmp_bar[i] = ap * flow_m[i]
+        if p_intl is not None:
+            lam_bar += ap * p_intl[i]
+        gm_bar[i] = g_fm * stock_m[i]
+        gp_bar[i] = g_fp * stock_p[i]
+        am += g_fm * gamma_m[i]
+        ap += g_fp * gamma_p[i]
+    if stop:
+        # stock_m0 = m0 / gamma_m[0], so d stock_m0 / d gamma_m[0] = -stock_m0 / gamma_m[0].
+        gm_bar[0] -= am * stock_m[0] / gamma_m[0]
+        gp_bar[0] -= ap * stock_p[0] / gamma_p[0]
+    return rbm_bar + rbp_bar + rmp_bar + gm_bar + gp_bar, lam_bar
+
+
+def _pull_back(
+    theta: np.ndarray,
+    p: np.ndarray,
+    p_bar: np.ndarray,
+    lam: float,
+    lam_bar: float,
+    forcing: bool,
+    design: np.ndarray,
+) -> np.ndarray:
+    """Pull adjoints of the trajectories back to the parameter vector.
+
+    ``p`` and ``lam`` are what :func:`_trajectory_values` gave for
+    ``theta`` and ``design``; ``p_bar`` holds the adjoint (the derivative of
+    some scalar) of each entry of ``p``, and ``lam_bar`` that of ``lam``.
+
+    The clamped logistic has derivative p(1-p) strictly inside the clamp
+    and 0 where the clip is active; the result then goes back through the
+    design of the forward product in one product.  With ``forcing`` the
+    last entry is ``lam_bar * lam`` above ``LAMBDA_RAW_FLOOR`` and 0 at or
+    below the floor or once ``lam`` has overflowed.
+    """
+    inside = (p > LOGISTIC_CLAMP) & (p < 1.0 - LOGISTIC_CLAMP)
+    eta_bar = np.where(inside, p_bar * (p * (1.0 - p)), 0.0)
+    theta_bar = eta_bar @ design
+    if forcing and float(theta[-1]) > LAMBDA_RAW_FLOOR and math.isfinite(lam):
+        theta_bar[-1] = lam_bar * lam
+    return theta_bar
 
 
 def _at_point(
@@ -721,10 +802,10 @@ def minimize_bfgs(
 ) -> FitResult:
     """Minimize the loss from every start and keep the best local minimum.
 
-    The starts are one :class:`LaneJob` of :func:`fit_lane_set`: with
-    ``LANE_MIN_STARTS`` starts or more they run together as lanes of
-    :func:`bfgs_lanes`; fewer run one by one through :func:`bfgs_minimize`
-    on the list kernel, and their end points are then evaluated as lanes.
+    With ``LANE_MIN_STARTS`` starts or more the starts are one
+    :class:`LaneJob` of :func:`fit_lane_set`.  Fewer run one by one
+    through :func:`bfgs_minimize` on the list kernel, :class:`_Objective`,
+    and one :class:`LaneKernel` call gives their end points' values.
     Either way the first start with the lowest loss wins, and its
     :class:`LaneKernel` value is the fit's SSE: ``sse == loss(theta_hat)``
     exactly.
@@ -735,7 +816,18 @@ def minimize_bfgs(
     for x0 in starts:
         if x0.shape != (spec.n_params,) or not np.all(np.isfinite(x0)):
             raise ValueError(f"start must be a finite vector of length {spec.n_params}")
-    return fit_lane_set([LaneJob(spec, obs, np.stack(starts), scale_grid)], options)[0]
+    starts = np.stack(starts)
+    if len(starts) >= LANE_MIN_STARTS:
+        return fit_lane_set([LaneJob(spec, obs, starts, scale_grid)], options)[0]
+    opts = options or FitOptions()
+    objective = _Objective(spec, obs, scale_grid)
+    outcomes = [bfgs_minimize(objective.value, x0, grad=objective.gradient, gtol=opts.gtol,
+                              ftol_rel=opts.ftol_rel, max_iter=opts.max_iter)
+                for x0 in starts]
+    x, _, *rest = (np.array([getattr(outcome, name) for outcome in outcomes])
+                   for name in _OUTCOME_FIELDS)
+    fun, _ = _spec_lanes(x, spec, obs, scale_grid)
+    return _best_start(spec, LaneOutcomes(embed(x, spec), fun, *rest))
 
 
 @dataclass
@@ -760,27 +852,6 @@ def _fit_chunk(args) -> LaneOutcomes:
                       ftol_rel=options.ftol_rel, max_iter=options.max_iter)
 
 
-def _fit_one_by_one(jobs: Sequence[LaneJob], options: FitOptions, kernel: LaneKernel,
-                    mask: np.ndarray, window: np.ndarray) -> LaneOutcomes:
-    """``jobs``' starts one at a time through :func:`bfgs_minimize` on the list kernel.
-
-    ``kernel``, ``mask`` and ``window`` are the lane set's, and one call of
-    ``kernel`` gives the values at the end points, as in :func:`bfgs_lanes`.
-    """
-    outcomes = []
-    for job in jobs:
-        objective = _Objective(job.spec, job.obs, job.scale_grid)
-        outcomes += [bfgs_minimize(objective.value, x0, grad=objective.gradient,
-                                   gtol=options.gtol, ftol_rel=options.ftol_rel,
-                                   max_iter=options.max_iter)
-                     for x0 in job.starts]
-    x = np.zeros(mask.shape)
-    x[mask] = np.concatenate([outcome.x for outcome in outcomes])
-    fun, _ = kernel(x, mask, window)
-    return LaneOutcomes(x, fun, *(np.array([getattr(outcome, name) for outcome in outcomes])
-                                  for name in _OUTCOME_FIELDS[2:]))
-
-
 def fit_lane_set(
     jobs: Sequence[LaneJob],
     options: Optional[FitOptions] = None,
@@ -794,11 +865,9 @@ def fit_lane_set(
     :func:`bfgs_lanes` run.  ``workers`` > 1 runs the chunks in parallel,
     on at most one worker per chunk and per CPU.  A lane's fit does not
     depend on the lanes it runs with nor on its window's padding, so
-    chunks, windows and workers never change a result.  With fewer than
-    ``LANE_MIN_STARTS`` lanes in all the starts run one by one on the
-    list kernel instead, and one call of the same kernel gives their end
-    points' values.  Either way each fit's SSE is its winning lane's
-    kernel value, bitwise its :func:`loss`.
+    chunks, windows and workers never change a result, and a set of one
+    lane runs as lanes too.  Each fit's SSE is its winning lane's kernel
+    value, bitwise its :func:`loss`.
     """
     if not jobs:
         return []
@@ -816,19 +885,16 @@ def fit_lane_set(
     mask = np.repeat([superset_mask(job.spec) for job in jobs], counts, axis=0)
     window = np.repeat([index[id(job.obs), job.scale_grid] for job in jobs], counts)
 
-    if len(x0) < LANE_MIN_STARTS:
-        lanes = _fit_one_by_one(jobs, opts, LaneKernel.of_windows(windows), mask, window)
+    chunks = [(windows, opts, x0[i:i + LANE_CHUNK], mask[i:i + LANE_CHUNK],
+               window[i:i + LANE_CHUNK]) for i in range(0, len(x0), LANE_CHUNK)]
+    # The pool starts all its workers up front, so never ask for more than
+    # can run at once.
+    workers = min(workers, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            lanes = LaneOutcomes.concatenate(list(pool.map(_fit_chunk, chunks)))
     else:
-        chunks = [(windows, opts, x0[i:i + LANE_CHUNK], mask[i:i + LANE_CHUNK],
-                   window[i:i + LANE_CHUNK]) for i in range(0, len(x0), LANE_CHUNK)]
-        # The pool starts all its workers up front, so never ask for more
-        # than can run at once.
-        workers = min(workers, len(chunks), os.cpu_count() or 1)
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                lanes = LaneOutcomes.concatenate(list(pool.map(_fit_chunk, chunks)))
-        else:
-            lanes = LaneOutcomes.concatenate([_fit_chunk(chunk) for chunk in chunks])
+        lanes = LaneOutcomes.concatenate([_fit_chunk(chunk) for chunk in chunks])
 
     for job, end, count in zip(jobs, np.cumsum(counts), counts):
         job.fit = _best_start(job.spec, lanes.rows(slice(end - count, end)))

@@ -12,7 +12,6 @@ vector.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional, Sequence
@@ -324,35 +323,6 @@ def eval_param_trajectories(
     return ParamTrajectories(*values.reshape(len(TRAJECTORY_NAMES), -1), lam=lam)
 
 
-def _pull_back(
-    theta: np.ndarray,
-    p: np.ndarray,
-    p_bar: np.ndarray,
-    lam: float,
-    lam_bar: float,
-    forcing: bool,
-    design: np.ndarray,
-) -> np.ndarray:
-    """Pull adjoints of the trajectories back to the parameter vector.
-
-    ``p`` and ``lam`` are what :func:`_trajectory_values` gave for
-    ``theta`` and ``design``; ``p_bar`` holds the adjoint (the derivative of
-    some scalar) of each entry of ``p``, and ``lam_bar`` that of ``lam``.
-
-    The clamped logistic has derivative p(1-p) strictly inside the clamp
-    and 0 where the clip is active; the result then goes back through the
-    design of the forward product in one product.  With ``forcing`` the
-    last entry is ``lam_bar * lam`` above ``LAMBDA_RAW_FLOOR`` and 0 at or
-    below the floor or once ``lam`` has overflowed.
-    """
-    inside = (p > LOGISTIC_CLAMP) & (p < 1.0 - LOGISTIC_CLAMP)
-    eta_bar = np.where(inside, p_bar * (p * (1.0 - p)), 0.0)
-    theta_bar = eta_bar @ design
-    if forcing and float(theta[-1]) > LAMBDA_RAW_FLOOR and math.isfinite(lam):
-        theta_bar[-1] = lam_bar * lam
-    return theta_bar
-
-
 def initialize_stocks(obs: ObservedSeries, traj: ParamTrajectories) -> tuple[float, float]:
     """Initial stocks that reproduce the first observed completions exactly."""
     m0 = float(obs.m[0])
@@ -432,56 +402,6 @@ def run_recurrence(
     return SimulationResult(*(np.array(values) for values in lists))
 
 
-def _adjoint_sweep(
-    b: list[float],
-    rho_mp: list[float],
-    gamma_m: list[float],
-    gamma_p: list[float],
-    p_intl: Optional[list[float]],
-    stock_m: list[float],
-    stock_p: list[float],
-    flow_m: list[float],
-    flow_m_bar: list[float],
-    flow_p_bar: list[float],
-) -> tuple[list[float], float]:
-    """Reverse sweep of :func:`_annual_updates` and the initial stocks, on Python floats.
-
-    The flow adjoints cover the first ``len(flow_m_bar)`` years; the sweep
-    runs from the last of them back to year 0.  Returns the adjoints of
-    the five trajectories as one flat list of ``5 n`` floats, in
-    ``TRAJECTORY_NAMES`` order and zero past the swept years, and the
-    adjoint of the forcing weight.
-    """
-    n = len(b)
-    stop = len(flow_m_bar)
-    rbm_bar = [0.0] * n
-    rbp_bar = [0.0] * n
-    rmp_bar = [0.0] * n
-    gm_bar = [0.0] * n
-    gp_bar = [0.0] * n
-    lam_bar = 0.0
-    # Adjoints of the stocks one year ahead of year i.
-    am = 0.0
-    ap = 0.0
-    for i in range(stop - 1, -1, -1):
-        g_fm = flow_m_bar[i] + ap * rho_mp[i] - am
-        g_fp = flow_p_bar[i] - ap
-        rbm_bar[i] = am * b[i]
-        rbp_bar[i] = ap * b[i]
-        rmp_bar[i] = ap * flow_m[i]
-        if p_intl is not None:
-            lam_bar += ap * p_intl[i]
-        gm_bar[i] = g_fm * stock_m[i]
-        gp_bar[i] = g_fp * stock_p[i]
-        am += g_fm * gamma_m[i]
-        ap += g_fp * gamma_p[i]
-    if stop:
-        # stock_m0 = m0 / gamma_m[0], so d stock_m0 / d gamma_m[0] = -stock_m0 / gamma_m[0].
-        gm_bar[0] -= am * stock_m[0] / gamma_m[0]
-        gp_bar[0] -= ap * stock_p[0] / gamma_p[0]
-    return rbm_bar + rbp_bar + rmp_bar + gm_bar + gp_bar, lam_bar
-
-
 def simulate(obs: ObservedSeries, traj: ParamTrajectories, spec: ModelSpec) -> SimulationResult:
     """Deterministic forward simulation over the observation grid.
 
@@ -558,9 +478,10 @@ class LaneKernel:
     forcing term.  It is the one evaluator of the loss at a point:
     ``estimation.loss`` and ``estimation.loss_gradient`` are one-lane calls,
     and a fit's SSE is its winning lane's value, for the spec the mask
-    describes.  ``estimation._Objective``, the list-level BFGS objective of
-    fits with few starts, computes the same value and gradient up to
-    round-off.
+    describes, and every lane set's BFGS runs on it, whatever its width.
+    Only ``estimation.minimize_bfgs`` with few starts runs its BFGS on a
+    list-level kernel instead, which computes the same value and gradient
+    up to round-off.
 
     Arrays are quantity by years by lanes, so each quantity's block is a
     contiguous ``(n, B)`` array.  The two stock recurrences

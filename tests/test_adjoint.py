@@ -11,7 +11,8 @@ import pytest
 
 import flowfit as ff
 from flowfit import estimation
-from flowfit.model import LAMBDA_RAW_FLOOR, _adjoint_sweep
+from flowfit.estimation import _adjoint_sweep
+from flowfit.model import LAMBDA_RAW_FLOOR
 
 from _scenarios import RECOVERY_SPEC, RECOVERY_THETA, recovery_scenario
 from test_kernel_properties import evaluators

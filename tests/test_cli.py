@@ -492,6 +492,25 @@ class TestSettingsCheckedBeforeFitting:
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("command", ["robust", "report"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--truncation-starts", "1990,1990,1990", "--cutoffs", "1995"],
+         "--truncation-starts: start year 1990 given more than once"),
+        (["--truncation-starts", "1990", "--cutoffs", "1995,1997,1995"],
+         "--cutoffs: cutoff 1995 given more than once"),
+    ], ids=["truncation-starts", "cutoffs"])
+    def test_repeated_year_exits_1(self, data_csv, tmp_path, monkeypatch, capsys, command,
+                                   flags, message):
+        # A repeated year would refit its window again and count it twice.
+        monkeypatch.setattr(selection, "run_grid", self.refuse)
+        monkeypatch.setattr(estimation, "fit_lane_set", self.refuse)
+        code = run_cli([command, "--data", str(data_csv), "--out", str(tmp_path / "r"),
+                        "--spec", "2,2,none", *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
     def test_cutoff_window_fits_the_given_spec(self, data_csv, tmp_path, monkeypatch):
         # With --spec 1,1,none (k = 13) the 8-year window fits: the run gets as far as fitting.
         monkeypatch.setattr(selection, "run_grid", self.refuse)

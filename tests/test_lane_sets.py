@@ -4,7 +4,8 @@ A lane's value, gradient and BFGS run must not depend on the windows it
 shares a kernel with, bit for bit: a window set of truncation and
 hindcast windows, padded to the longest, must give every lane what a
 kernel of its own window gives it.  So the robustness refits, whatever
-lane set they run in, equal per-window ``minimize_bfgs``.
+lane set they run in, equal per-window ``fit_lane_set`` runs, and a lane
+set of any width runs on lanes.
 """
 
 import numpy as np
@@ -108,18 +109,18 @@ def refit_windows(obs, start_years, cutoffs):
 
 
 @pytest.mark.parametrize("rescale", ["window", "full"])
-def test_refits_equal_per_window_minimize_bfgs(rescale):
-    # With LANE_MIN_STARTS starts per window, minimize_bfgs fits each window
-    # on lanes of its own; the studies fit all windows as one lane set.
+@pytest.mark.parametrize("n_starts", [1, 2, 3, 4])
+def test_refits_equal_per_window_fit_lane_set(n_starts, rescale):
+    # The studies fit all windows as one lane set, each from the fit
+    # stage's starts; each window alone is a lane set of its own.
     spec = ff.ModelSpec(1, 1, forcing=True)
-    opts = ff.FitOptions(n_starts=estimation.LANE_MIN_STARTS, max_iter=60, seed=4)
+    opts = ff.FitOptions(n_starts=n_starts, max_iter=60, seed=4)
     start_years, cutoffs = [1984, 1989], [1993, 1998, 2000]
     scale_grid = SMALL.grid if rescale == "full" else None
+    starts = np.stack(ff.default_starts(spec, SMALL, n_starts=n_starts, seed=opts.seed))
     truncation, hindcast = refit_windows(SMALL, start_years, cutoffs)
-    want = {kind: [ff.minimize_bfgs(spec, window, ff.default_starts(
-                       spec, window, n_starts=opts.n_starts, seed=opts.seed + idx), opts,
-                       scale_grid=scale_grid)
-                   for idx, window in enumerate(windows)]
+    want = {kind: [fit_lane_set([LaneJob(spec, window, starts, scale_grid)], opts)[0]
+                   for window in windows]
             for kind, windows in (("truncation", truncation), ("hindcast", hindcast))}
     rows = ff.truncation_study(SMALL, spec, start_years, opts, rescale=rescale)
     assert [row.sse for row in rows] == [fit.sse for fit in want["truncation"]]
@@ -134,7 +135,9 @@ def test_refits_equal_per_window_minimize_bfgs(rescale):
     assert both.truncation_rows == rows and both.hindcast == result
 
 
-def test_small_lane_set_keeps_the_list_path(monkeypatch):
+def test_small_lane_set_runs_on_lanes(monkeypatch):
+    # Only minimize_bfgs keeps the list kernel; a lane set of any width,
+    # here 1 to LANE_MIN_STARTS lanes, is one bfgs_lanes run.
     calls = []
     real_lanes, real_list = estimation.bfgs_lanes, estimation.bfgs_minimize
     monkeypatch.setattr(estimation, "bfgs_lanes",
@@ -143,12 +146,10 @@ def test_small_lane_set_keeps_the_list_path(monkeypatch):
                         lambda *a, **k: calls.append("list") or real_list(*a, **k))
     spec = ff.ModelSpec(1, 0, False)
     opts = ff.FitOptions(n_starts=1, max_iter=30)
-    few = estimation.LANE_MIN_STARTS - 1
-    ff.truncation_study(SMALL, spec, list(range(1981, 1981 + few)), opts)
-    assert calls == ["list"] * few
-    calls.clear()
-    ff.truncation_study(SMALL, spec, list(range(1981, 1981 + few + 1)), opts)
-    assert calls == ["lanes"]
+    for n_windows in range(1, estimation.LANE_MIN_STARTS + 1):
+        calls.clear()
+        ff.truncation_study(SMALL, spec, list(range(1981, 1981 + n_windows)), opts)
+        assert calls == ["lanes"]
 
 
 def test_fit_lane_set_sets_and_returns_each_jobs_fit():
