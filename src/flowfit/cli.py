@@ -390,12 +390,12 @@ def _run_pipeline(settings: Settings) -> int:
               for name, value in values.items()}
     if "robust" in stages:
         trunc_starts, cutoffs = values["truncation_starts"], values["cutoffs"]
-        # Before the grid has picked the spec, a cutoff's window must fit every spec.
-        for flag, check, years, fitted in (
-                ("--truncation-starts", diagnostics.check_truncation_starts, trunc_starts, spec),
-                ("--cutoffs", diagnostics.check_cutoffs, cutoffs, spec or SUPERSET_SPEC)):
+        # Before the grid has picked the spec, a refit window must fit every spec.
+        for flag, check, years in (
+                ("--truncation-starts", diagnostics.check_truncation_starts, trunc_starts),
+                ("--cutoffs", diagnostics.check_cutoffs, cutoffs)):
             try:
-                check(obs.grid, years, fitted)
+                check(obs.grid, years, spec or SUPERSET_SPEC)
             except ValueError as exc:
                 raise CliError(f"{flag}: {exc}") from None
 

@@ -977,8 +977,10 @@ def confidence_bands(
     computed from order statistics: the clamped logistic never decreases,
     so the k-th smallest trajectory value is the logistic of the k-th
     smallest linear predictor.  Each year's predictors are sorted across
-    the draws (a vectorised sort, faster here than a partition), and only
-    the two order statistics around each quantile go through the logistic.
+    the draws, in place (a vectorised sort, faster here than a partition
+    at the four order statistics; only a single-``kth`` partition is
+    faster), and only the two order statistics around each quantile go
+    through the logistic.
     """
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 2 or draws.shape[0] < 2:
@@ -1006,7 +1008,8 @@ def confidence_bands(
         block = design[i * grid.n_years:(i + 1) * grid.n_years]
         used = block.any(axis=0)
         eta = np.ascontiguousarray(block[:, used]) @ draws[:, used].T
-        values = _clamped_logistic(np.sort(eta, axis=1)[:, columns])
+        eta.sort(axis=1)
+        values = _clamped_logistic(eta[:, columns])
         bands = []
         for j, (_, _, g) in enumerate(picks):
             a = values[:, 2 * j]

@@ -484,7 +484,12 @@ class LaneKernel:
     up to round-off.
 
     Arrays are quantity by years by lanes, so each quantity's block is a
-    contiguous ``(n, B)`` array.  The two stock recurrences
+    contiguous ``(n, B)`` array.  A ufunc's own output follows its
+    inputs' memory order, and the coefficients arrive lanes first (a
+    transposed view), so a sum over them would come out strided; the
+    predictors are therefore written into a C-ordered buffer, and every
+    array built from them (stocks, flows, residuals, adjoints) is C-ordered
+    too.  The two stock recurrences
     ``x[i+1] = (1 - gamma[i]) x[i] + u[i]`` (every input >= 0, so no
     cancellation) and their two adjoint recurrences run as
     :func:`_affine_scan` on such blocks.  Every other operation is
@@ -568,10 +573,17 @@ class LaneKernel:
             raise ValueError("forcing specification requires the p_intl series")
         thetas = np.where(mask, thetas, 0.0)
         n_lanes = thetas.shape[0]
-        coef = thetas[:, :-1].T.reshape(len(TRAJECTORY_NAMES), 3, 1, n_lanes)
-        # (5, n, B): each trajectory's predictor, summed in a fixed order.
-        p = _clamped_logistic(coef[:, 0] + coef[:, 1] * s + coef[:, 2] * s2)
-        n = p.shape[1]
+        n = s.shape[0]
+        coef = np.ascontiguousarray(thetas[:, :-1].T)
+        coef = coef.reshape(len(TRAJECTORY_NAMES), 3, 1, n_lanes)
+        # (5, n, B): each trajectory's predictor (c0 + c1 s) + c2 s^2, summed
+        # in that order into C-ordered buffers.
+        p = np.empty((len(TRAJECTORY_NAMES), n, n_lanes))
+        quad = np.empty_like(p)
+        np.multiply(coef[:, 1], s, out=p)
+        np.add(coef[:, 0], p, out=p)
+        np.multiply(coef[:, 2], s2, out=quad)
+        p = _clamped_logistic(np.add(p, quad, out=p))
         rho_mp = p[2]
         gammas = p[3:]
         if forced:

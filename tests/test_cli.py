@@ -1,11 +1,12 @@
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from flowfit import YearGrid, diagnostics, estimation, generate, run_cli, selection, write_series
-from flowfit.cli import SETTINGS
+from flowfit.cli import SETTINGS, main
 
 from _scenarios import RECOVERY_THETA, recovery_scenario
 
@@ -75,6 +76,19 @@ class TestArgumentHandling:
         code = run_cli(["fit", "--data", str(missing), "--out", str(tmp_path)])
         assert code == 1
         assert "nope.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, code", [("synth", 0), ("fit", 1)])
+    def test_main_exits_with_run_cli_code(self, tmp_path, monkeypatch, capsys, command, code):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(SCENARIO))
+        flags = ["--scenario", str(scenario)] if command == "synth" else []
+        monkeypatch.setattr(sys, "argv", ["flowfit", command, "--out", str(tmp_path / "r"),
+                                          *flags])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == code
+        if code == 1:
+            assert "--data is required" in capsys.readouterr().err
 
 
 class TestFit:
@@ -490,6 +504,21 @@ class TestSettingsCheckedBeforeFitting:
         assert code == 1
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    def test_truncation_window_too_short_before_the_grid(self, data_csv, tmp_path,
+                                                          monkeypatch, capsys):
+        # As for cutoffs: before the grid picks the spec, the window from a
+        # start year must fit every spec (8 years fit k = 15 but not k = 16).
+        monkeypatch.setattr(selection, "run_grid", self.refuse)
+        monkeypatch.setattr(estimation, "fit_lane_set", self.refuse)
+        code = run_cli(["report", "--data", str(data_csv), "--out", str(tmp_path / "r"),
+                        "--truncation-starts", "1997", "--cutoffs", "1995"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert ("--truncation-starts: window starting 1997 has 8 years, too short for k=16"
+                in err)
+        assert "Traceback" not in err
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("command", ["robust", "report"])

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 
 import flowfit as ff
-from flowfit import estimation
+from flowfit import estimation, model
 from flowfit.estimation import PENALTY_PER_INVALID_YEAR, bfgs_lanes, bfgs_minimize
 from flowfit.model import LaneKernel, embed, superset_mask
 
@@ -130,6 +130,70 @@ def test_batch_without_forcing_lane_skips_the_proxy():
         alone_value, alone_grad = kernel(thetas[lane:lane + 1], masks[lane:lane + 1])
         assert_bitwise(alone_value[0], values[lane])
         assert_bitwise(alone_grad[0], grads[lane])
+
+
+class _LogRecorder:
+    """``numpy`` as ``model`` sees it, keeping each array ``np.log`` is given (the flows)."""
+
+    def __init__(self):
+        self.logged = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log(self, x, *args, **kwargs):
+        self.logged.append(x)
+        return np.log(x, *args, **kwargs)
+
+
+@pytest.mark.parametrize("windowed", [False, True], ids=["one_window", "of_windows"])
+@pytest.mark.parametrize("n_lanes", [2, 8, 33])
+def test_kernel_blocks_are_c_ordered(monkeypatch, n_lanes, windowed):
+    # The predictors are built in C-ordered buffers (a ufunc's own output
+    # would follow the lanes-first coefficients' strides), so the stock and
+    # flow blocks, and every array the scans derive from them, are too.
+    if windowed:
+        kernel = LaneKernel.of_windows([(OBS.window(OBS.grid.t_min, 1995), None),
+                                        (OBS, ff.YearGrid(1960, 2020)),
+                                        (OBS.window(1980, OBS.grid.t_max), None)])
+        window = np.arange(n_lanes) % 3
+        s, s2 = (a[..., window] for a in kernel.inputs[:2])
+    else:
+        kernel = LaneKernel(OBS)
+        window = None
+        s, s2 = kernel.window0[:2]
+    thetas, masks = mixed_lanes(n_lanes, seed=n_lanes)
+    predictors, scanned = [], []
+    logistic, scan = model._clamped_logistic, model._affine_scan
+
+    def spy_logistic(eta):
+        predictors.append((eta, eta.copy()))
+        return logistic(eta)
+
+    def spy_scan(windows, u, reverse=False):
+        scanned.append(u)
+        return scan(windows, u, reverse)
+
+    recorder = _LogRecorder()
+    monkeypatch.setattr(model, "_clamped_logistic", spy_logistic)
+    monkeypatch.setattr(model, "_affine_scan", spy_scan)
+    monkeypatch.setattr(model, "np", recorder)
+    kernel(thetas, masks, window)
+    monkeypatch.undo()
+
+    (eta, eta_values), = predictors
+    assert eta.shape == (5, kernel.inputs[0].shape[0], n_lanes)
+    assert eta.flags.c_contiguous
+    # Bitwise the broadcast sum it replaces, (c0 + c1 s) + c2 s^2.
+    coef = np.where(masks, thetas, 0.0)[:, :-1].T.reshape(5, 3, 1, n_lanes)
+    assert_bitwise(eta_values, coef[:, 0] + coef[:, 1] * s + coef[:, 2] * s2)
+    # The two forward scans run in the stock blocks, then the two adjoint scans.
+    stocks = scanned[0].base
+    assert scanned[1].base is stocks and stocks.shape == (2,) + eta.shape[1:]
+    assert stocks.flags.c_contiguous
+    assert len(scanned) == 4 and all(u.flags.c_contiguous for u in scanned)
+    (flows,) = recorder.logged
+    assert flows.shape == stocks.shape and flows.flags.c_contiguous
 
 
 def test_absent_coefficients_are_ignored_and_get_no_gradient():
