@@ -39,6 +39,7 @@ TRUNCATION_OFFSETS = (5, 10, 15)
 # Upper bounds on the work and memory one run may ask for: the bands of
 # MAX_N_DRAWS draws on 49 years take about 100 MB.
 MAX_N_DRAWS = 100_000
+MAX_SCENARIO_YEARS = 1000
 MAX_N_STARTS = 1000
 MAX_ITER = 100_000
 
@@ -270,16 +271,21 @@ def _validate_config(cfg: dict) -> None:
                            f"{_CONFIG_KEYS[path].expected}, got {json.dumps(value)}")
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the ``what`` file at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise CliError(f"cannot read {what} file: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{what} file is not valid JSON: {exc}") from None
+
+
 def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            cfg = json.load(handle)
-    except OSError as exc:
-        raise CliError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config file is not valid JSON: {exc}") from None
+    cfg = _read_json(path, "config")
     if not isinstance(cfg, dict):
         raise CliError("config file must contain a JSON object")
     _validate_config(cfg)
@@ -467,14 +473,10 @@ def _run_synth(settings: Settings) -> int:
     if scenario_path is None:
         raise CliError("--scenario is required (or provide 'scenario' in the config file)")
     try:
-        with open(scenario_path, "r", encoding="utf-8") as handle:
-            scenario_dict = json.load(handle)
-    except OSError as exc:
-        raise CliError(f"cannot read scenario file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"scenario file is not valid JSON: {exc}") from None
-    try:
-        scenario = synthetic.scenario_from_dict(scenario_dict)
+        scenario = synthetic.scenario_from_dict(_read_json(scenario_path, "scenario"))
+        if scenario.grid.n_years > MAX_SCENARIO_YEARS:
+            raise ValueError(f"scenario spans {scenario.grid.n_years} years, more than "
+                             f"MAX_SCENARIO_YEARS = {MAX_SCENARIO_YEARS}")
         obs, truth = synthetic.generate(scenario)
     except ValueError as exc:
         raise CliError(str(exc)) from None

@@ -138,16 +138,12 @@ def load_series(path) -> ObservedSeries:
 
 def write_series(obs: ObservedSeries, path) -> int:
     """Write a series in the loader's format; returns the data-row count."""
-    path = Path(path)
-    columns = list(REQUIRED_COLUMNS) + ([OPTIONAL_COLUMN] if obs.p_intl is not None else [])
-    with path.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(columns) + "\n")
-        for i, year in enumerate(obs.grid.years):
-            cells = [year, obs.b[i], obs.m[i], obs.p[i]]
-            if obs.p_intl is not None:
-                cells.append(obs.p_intl[i])
-            handle.write(",".join(map(_cell, cells)) + "\n")
-    return obs.grid.n_years
+    header = list(REQUIRED_COLUMNS)
+    columns = [obs.grid.years, obs.b, obs.m, obs.p]
+    if obs.p_intl is not None:
+        header.append(OPTIONAL_COLUMN)
+        columns.append(obs.p_intl)
+    return _write_table(Path(path), header, list(zip(*columns)))
 
 
 @dataclass

@@ -621,16 +621,15 @@ def bfgs_lanes(
     kernel: LaneKernel,
     x0: np.ndarray,
     mask: np.ndarray,
-    window: Optional[np.ndarray] = None,
     gtol: float = 1e-6,
     ftol_rel: float = 1e-12,
     max_iter: int = 2000,
 ) -> LaneOutcomes:
     """:func:`bfgs_minimize` from every row of ``x0`` at once, one lane per row.
 
-    ``x0`` holds ``(B, 16)`` superset start vectors, ``mask`` the
-    coefficients each lane's spec has and ``window`` the kernel window each
-    lane fits (see :class:`LaneKernel`; None is window 0).  Each lane
+    ``x0`` holds ``(B, 16)`` superset start vectors and ``mask`` the
+    coefficients each lane's spec has; ``kernel`` is bound to these lanes
+    (see :class:`LaneKernel`), so the loop carries no window index.  Each lane
     takes :func:`bfgs_minimize`'s steps in its spec's coefficients: the same
     direction and steepest-descent restart, Armijo backtracking, scaled
     first update, BFGS update and four stop rules, with a ``(B, 16, 16)``
@@ -642,19 +641,19 @@ def bfgs_lanes(
     The update is computed for every live lane, in place and with
     floating-point warnings off, and written only to the lanes that moved
     (``np.copyto`` or a ufunc's ``where``), so a lane that did not move
-    keeps every bit of its state.  Lanes that stop leave the batch.  A
+    keeps every bit of its state.  Lanes that stop leave the batch, and
+    :meth:`LaneKernel.lanes` narrows the kernel to the rest.  A
     lane's arithmetic never mixes with another's, so its iterates do not
     depend on the batch it runs in.
     """
     x0 = np.array(x0, dtype=float)
     mask = np.asarray(mask, dtype=bool)
-    window = np.zeros(len(x0), dtype=int) if window is None else np.asarray(window)
-    fx, g = kernel(x0, mask, window)
+    fx, g = kernel(x0, mask)
     g_max = np.abs(g).max(axis=1)
     out = LaneOutcomes(x=x0.copy(), fun=fx, n_iterations=np.zeros(len(fx), dtype=int),
                        grad_max_norm=g_max, converged=g_max <= gtol)
     ids = np.flatnonzero(~out.converged) if max_iter > 0 else np.empty(0, dtype=int)
-    x, fx, g, mask, window = x0[ids], fx[ids], g[ids], mask[ids], window[ids]
+    x, fx, g, mask, kernel = x0[ids], fx[ids], g[ids], mask[ids], kernel.lanes(ids)
     h = _masked_eye(mask)
     scaled = np.zeros(len(ids), dtype=bool)
     n_iter = np.zeros(len(ids), dtype=int)
@@ -663,7 +662,7 @@ def bfgs_lanes(
     tries = np.zeros(len(ids), dtype=int)
     while ids.size:
         trial = x + alpha[:, None] * d
-        f_new, g_new = kernel(trial, mask, window)
+        f_new, g_new = kernel(trial, mask)
         # Lanes that did not move may hold anything here; nothing of theirs is kept.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             moved = np.isfinite(f_new) & (f_new <= fx + 1e-4 * alpha * slope)
@@ -708,17 +707,12 @@ def bfgs_lanes(
             np.copyto(alpha, 1.0, where=moved)
             np.copyto(tries, 0, where=moved)
         if stop.any():
-            done = ids[stop]
-            out.x[done] = x[stop]
-            out.fun[done] = fx[stop]
-            out.n_iterations[done] = n_iter[stop]
-            out.grad_max_norm[done] = g_max[stop]
-            out.converged[done] = g_max[stop] <= gtol
+            for name, value in zip(_OUTCOME_FIELDS, (x, fx, n_iter, g_max, g_max <= gtol)):
+                getattr(out, name)[ids[stop]] = value[stop]
             keep = ~stop
-            ids, x, fx, g, mask, window, h = (
-                ids[keep], x[keep], fx[keep], g[keep], mask[keep], window[keep], h[keep])
-            scaled, n_iter, d, slope, alpha, tries = (
-                scaled[keep], n_iter[keep], d[keep], slope[keep], alpha[keep], tries[keep])
+            ids, x, fx, g, mask, h, scaled, n_iter, d, slope, alpha, tries = (
+                a[keep] for a in (ids, x, fx, g, mask, h, scaled, n_iter, d, slope, alpha, tries))
+            kernel = kernel.lanes(keep)
     return out
 
 
@@ -847,9 +841,9 @@ class LaneJob:
 
 
 def _fit_chunk(args) -> LaneOutcomes:
-    windows, options, x0, mask, window = args
-    return bfgs_lanes(LaneKernel.of_windows(windows), x0, mask, window, gtol=options.gtol,
-                      ftol_rel=options.ftol_rel, max_iter=options.max_iter)
+    kernel, options, x0, mask = args
+    return bfgs_lanes(kernel, x0, mask, gtol=options.gtol, ftol_rel=options.ftol_rel,
+                      max_iter=options.max_iter)
 
 
 def fit_lane_set(
@@ -860,10 +854,12 @@ def fit_lane_set(
     """Fit every job: set each job's ``fit`` to the best of its starts and return the fits.
 
     Every start of every job is one lane of one lane set, on a
-    :class:`LaneKernel` of every job's window.  The lanes, in job order,
-    are cut into chunks of at most ``LANE_CHUNK``; each chunk is one
-    :func:`bfgs_lanes` run.  ``workers`` > 1 runs the chunks in parallel,
-    on at most one worker per chunk and per CPU.  A lane's fit does not
+    :class:`LaneKernel` that binds each lane to its job's window
+    (:meth:`LaneKernel.of_windows`), so the window index lives only here.
+    The lanes, in job order, are cut into chunks of at most ``LANE_CHUNK``;
+    each chunk is one :func:`bfgs_lanes` run on the kernel narrowed to its
+    lanes.  ``workers`` > 1 runs the chunks in parallel, on at most one
+    worker per chunk and per CPU.  A lane's fit does not
     depend on the lanes it runs with nor on its window's padding, so
     chunks, windows and workers never change a result, and a set of one
     lane runs as lanes too.  Each fit's SSE is its winning lane's kernel
@@ -872,21 +868,17 @@ def fit_lane_set(
     if not jobs:
         return []
     opts = options or FitOptions()
-    # One kernel window per distinct (series, time scale) pair.
-    index: dict[tuple[int, Optional[YearGrid]], int] = {}
-    windows = []
-    for job in jobs:
-        key = (id(job.obs), job.scale_grid)
-        if key not in index:
-            index[key] = len(windows)
-            windows.append((job.obs, job.scale_grid))
+    # One kernel window per distinct (series, time scale) pair, in order of first use.
+    windows = {(id(job.obs), job.scale_grid): (job.obs, job.scale_grid) for job in jobs}
+    index = {key: w for w, key in enumerate(windows)}
     counts = [len(job.starts) for job in jobs]
     x0 = np.concatenate([embed(job.starts, job.spec) for job in jobs])
     mask = np.repeat([superset_mask(job.spec) for job in jobs], counts, axis=0)
     window = np.repeat([index[id(job.obs), job.scale_grid] for job in jobs], counts)
+    kernel = LaneKernel.of_windows(list(windows.values()), window)
 
-    chunks = [(windows, opts, x0[i:i + LANE_CHUNK], mask[i:i + LANE_CHUNK],
-               window[i:i + LANE_CHUNK]) for i in range(0, len(x0), LANE_CHUNK)]
+    chunks = [(kernel.lanes(slice(i, i + LANE_CHUNK)), opts, x0[i:i + LANE_CHUNK],
+               mask[i:i + LANE_CHUNK]) for i in range(0, len(x0), LANE_CHUNK)]
     # The pool starts all its workers up front, so never ask for more than
     # can run at once.
     workers = min(workers, len(chunks), os.cpu_count() or 1)

@@ -501,16 +501,19 @@ class LaneKernel:
     forcing term: adding a forcing weight of 0 leaves every inflow, a
     non-negative number, bitwise unchanged.
 
-    A kernel may hold several observation windows (:meth:`of_windows`),
-    each with its own time rescaling, and each lane reads the window its
-    index names.  The windows are aligned at row 0 and padded to the
+    A kernel is bound to its lanes: it holds each lane's inputs, C-ordered
+    with the lane axis last, so every call reads them as they are.
+    ``LaneKernel(obs, scale_grid)`` holds one window's inputs with a lane
+    axis of width 1, which broadcasts over any lanes.  :meth:`of_windows`
+    binds each lane to one of several observation windows, each with its
+    own time rescaling.  The windows are aligned at row 0 and padded to the
     longest with uncounted years: there ``b``, the log observations and
     ``p_intl`` are 0 and rescaled time repeats the window's last value, so
     the trajectories stay finite, and the year is always valid and never
     counted.  A stock recurrence's entry i never reads the years after it,
     and a pad year adds exact zeros to the adjoint scans and the sums over
     years, so a lane's value and gradient do not depend on the padding
-    either.  ``LaneKernel(obs, scale_grid)`` is the one-window kernel.
+    either.  :meth:`lanes` narrows a kernel to some of its lanes.
     """
 
     def __init__(self, obs: ObservedSeries, scale_grid: Optional[YearGrid] = None):
@@ -518,12 +521,12 @@ class LaneKernel:
 
     @classmethod
     def of_windows(
-        cls, windows: Sequence[tuple[ObservedSeries, Optional[YearGrid]]]
+        cls, windows: Sequence[tuple[ObservedSeries, Optional[YearGrid]]], window: np.ndarray
     ) -> "LaneKernel":
-        """A kernel of several ``(obs, scale_grid)`` windows; lane index i reads ``windows[i]``."""
+        """Lanes on ``(obs, scale_grid)`` windows; lane i reads ``windows[window[i]]``."""
         kernel = cls.__new__(cls)
         kernel._stack(windows)
-        return kernel
+        return kernel.lanes(window)
 
     def _stack(self, windows: Sequence[tuple[ObservedSeries, Optional[YearGrid]]]) -> None:
         # Per-window inputs with the window as the last axis, padded to n years.
@@ -545,32 +548,28 @@ class LaneKernel:
                 p_intl[:m, w] = obs.p_intl
         padded = np.arange(n)[:, None] >= lengths
         # s, s^2, b, log observations, first observations, p_intl and the
-        # pad mask, each with the window as its last axis.
-        self.inputs = (s, s * s, b, log_obs, first,
-                       p_intl if self.has_intl.any() else None,
-                       padded if padded.any() else None)
-        # Window 0's inputs, which broadcast over lanes that all read it.
-        self.window0 = tuple(None if a is None else a[..., :1] for a in self.inputs)
+        # pad mask, each with the lane (here the window) as its last axis.
+        self.inputs = (s, s * s, b, log_obs, first, p_intl, padded if padded.any() else None)
 
-    def __call__(
-        self, thetas: np.ndarray, mask: np.ndarray, window: Optional[np.ndarray] = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Loss ``(B,)`` and gradient ``(B, 16)`` of every lane.
+    def lanes(self, index) -> "LaneKernel":
+        """The kernel of the lanes ``index`` picks on the lane axis; a width-1 kernel is its own."""
+        if len(self.has_intl) == 1:
+            return self
+        index = np.arange(len(self.has_intl))[index]
+        kernel = LaneKernel.__new__(LaneKernel)
+        kernel.has_intl = self.has_intl[index]
+        # np.take keeps the lane axis last in C order (a[..., index] puts it first).
+        kernel.inputs = tuple(None if a is None else np.take(a, index, axis=-1)
+                              for a in self.inputs)
+        return kernel
 
-        ``window`` holds each lane's window index; None puts every lane on
-        window 0.
-        """
+    def __call__(self, thetas: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Loss ``(B,)`` and gradient ``(B, 16)`` of every lane."""
         forcing = mask[:, -1]
         forced = forcing.any()
-        if len(self.has_intl) == 1 or window is None:
-            s, s2, b, log_obs, first, p_intl, pad = self.window0
-            lacking = forced and not self.has_intl[0]
-        else:
-            s, s2, b, log_obs, first, p_intl, pad = (
-                None if a is None else a[..., window] for a in self.inputs)
-            lacking = forced and not self.has_intl[window[forcing]].all()
-        if lacking:
+        if forced and (forcing & ~self.has_intl).any():
             raise ValueError("forcing specification requires the p_intl series")
+        s, s2, b, log_obs, first, p_intl, pad = self.inputs
         thetas = np.where(mask, thetas, 0.0)
         n_lanes = thetas.shape[0]
         n = s.shape[0]

@@ -58,14 +58,9 @@ def information_criteria(sse: float, k: int, n: int) -> tuple[float, float]:
 
 def enumerate_grid(include_forcing: bool = True) -> list[ModelSpec]:
     """All grid specifications in deterministic index order."""
-    specs = []
-    for deg_gamma in GRID_DEGREES:
-        for deg_rho in GRID_DEGREES:
-            for forcing in (False, True):
-                if forcing and not include_forcing:
-                    continue
-                specs.append(ModelSpec(deg_gamma=deg_gamma, deg_rho=deg_rho, forcing=forcing))
-    return specs
+    return [ModelSpec(deg_gamma=deg_gamma, deg_rho=deg_rho, forcing=forcing)
+            for deg_gamma in GRID_DEGREES for deg_rho in GRID_DEGREES
+            for forcing in (False, True) if include_forcing or not forcing]
 
 
 def unfittable_reason(spec: ModelSpec, obs: ObservedSeries) -> Optional[str]:

@@ -121,40 +121,54 @@ def generate(scenario: SyntheticScenario) -> tuple[ObservedSeries, SimulationRes
     return obs, truth
 
 
+def _object(value, name: str = "value") -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _field(d: dict, name: str, convert, *default):
+    """``convert(d[name])``, or the default; a missing or bad field raises ValueError naming it."""
+    if name not in d:
+        if not default:
+            raise ValueError(f"scenario config missing required field {name!r}")
+        return default[0]
+    try:
+        return convert(d[name])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"scenario field {name!r}: {exc}") from None
+
+
 def input_from_dict(d: dict) -> InputSeries:
-    kind = d.get("kind")
+    kind = _object(d).get("kind")
     if kind == "constant":
-        return ConstantInput(level=float(d["level"]))
+        return ConstantInput(level=_field(d, "level", float))
     if kind == "exponential":
-        return ExponentialInput(level=float(d["level"]), rate=float(d["rate"]))
+        return ExponentialInput(level=_field(d, "level", float), rate=_field(d, "rate", float))
     if kind == "piecewise":
-        return PiecewiseLinearInput(points=tuple((float(y), float(v)) for y, v in d["points"]))
+        return PiecewiseLinearInput(points=_field(
+            d, "points", lambda points: tuple((float(y), float(v)) for y, v in points)))
     raise ValueError(f"unknown input generator kind {kind!r}")
 
 
 def scenario_from_dict(d: dict) -> SyntheticScenario:
-    """Build a scenario from the structured config format used by the CLI."""
-    try:
-        grid = YearGrid(int(d["t_min"]), int(d["t_max"]))
-        spec_d = d["spec"]
-        spec = ModelSpec(
-            deg_gamma=int(spec_d["deg_gamma"]),
-            deg_rho=int(spec_d["deg_rho"]),
-            forcing=bool(spec_d.get("forcing", False)),
-        )
-        scenario = SyntheticScenario(
-            grid=grid,
-            spec=spec,
-            theta_true=np.asarray(d["theta_true"], dtype=float),
-            b_input=input_from_dict(d["b_input"]),
-            stock_m0=float(d["stock_m0"]),
-            stock_p0=float(d["stock_p0"]),
-            noise_sd=float(d.get("noise_sd", 0.0)),
-            seed=int(d.get("seed", 0)),
-            p_intl_input=input_from_dict(d["p_intl_input"]) if "p_intl_input" in d else None,
-        )
-    except KeyError as exc:
-        raise ValueError(f"scenario config missing required field {exc.args[0]!r}") from exc
+    """Build a scenario from the CLI's JSON; a malformed field raises ValueError naming it."""
+    d = _object(d, "scenario")
+    spec_d = _field(d, "spec", _object)
+    spec = ModelSpec(deg_gamma=_field(spec_d, "deg_gamma", int),
+                     deg_rho=_field(spec_d, "deg_rho", int),
+                     forcing=_field(spec_d, "forcing", bool, False))
+    scenario = SyntheticScenario(
+        grid=YearGrid(_field(d, "t_min", int), _field(d, "t_max", int)),
+        spec=spec,
+        theta_true=_field(d, "theta_true", lambda theta: np.asarray(theta, dtype=float)),
+        b_input=_field(d, "b_input", input_from_dict),
+        stock_m0=_field(d, "stock_m0", float),
+        stock_p0=_field(d, "stock_p0", float),
+        noise_sd=_field(d, "noise_sd", float, 0.0),
+        seed=_field(d, "seed", int, 0),
+        p_intl_input=_field(d, "p_intl_input", input_from_dict, None),
+    )
     if scenario.theta_true.shape != (spec.n_params,):
         raise ValueError(
             f"theta_true has length {scenario.theta_true.size}, spec needs {spec.n_params}"

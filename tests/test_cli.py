@@ -1,12 +1,15 @@
 import csv
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowfit import YearGrid, diagnostics, estimation, generate, run_cli, selection, write_series
-from flowfit.cli import SETTINGS, main
+from flowfit import (YearGrid, diagnostics, estimation, generate, run_cli, selection, synthetic,
+                     write_series)
+from flowfit.cli import SETTINGS, build_parser, main
 
 from _scenarios import RECOVERY_THETA, recovery_scenario
 
@@ -257,6 +260,32 @@ class TestSynth:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run_cli(["synth", "--scenario", str(bad), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("named, scenario", [
+        ("scenario must be a JSON object", [SCENARIO]),
+        ("'t_min'", {**SCENARIO, "t_min": [1]}),
+        ("'spec'", {**SCENARIO, "spec": 3}),
+        ("'b_input'", {**SCENARIO, "b_input": "x"}),
+        ("'p_intl_input'", {**SCENARIO, "p_intl_input": None}),
+        ("'seed'", {**SCENARIO, "seed": None}),
+        ("'t_max'", {**SCENARIO, "t_max": 1e400}),
+    ], ids=["top_level_list", "list_year", "int_spec", "str_input", "null_proxy", "null_seed",
+            "inf_year"])
+    def test_scenario_of_wrong_shape_exits_1_naming_the_field(self, tmp_path, capsys,
+                                                             named, scenario):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert run_cli(["synth", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+    def test_scenario_year_span_is_bounded(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(synthetic, "generate", lambda scenario: pytest.fail("generated"))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**SCENARIO, "t_min": 1000, "t_max": 2000}))
+        assert run_cli(["synth", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "MAX_SCENARIO_YEARS = 1000" in capsys.readouterr().err
 
 
 # Each config file of these tests starts from this, so the runs stay short.
@@ -714,3 +743,21 @@ class TestDeterminism:
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
         assert "grid.csv" in first and "trajectories.csv" in first
+
+
+def readme_cli_lines():
+    """The ``flowfit ...`` lines of the first code block under README's "## CLI"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("flowfit ")]
+
+
+def test_readme_cli_lines_exist():
+    assert {line.split()[1] for line in readme_cli_lines()} >= {"fit", "grid", "report", "synth"}
+
+
+@pytest.mark.parametrize("line", readme_cli_lines(), ids=lambda line: line.split()[1])
+def test_readme_cli_example_parses(line):
+    # A renamed or removed flag makes argparse exit instead of parsing.
+    args = build_parser().parse_args(shlex.split(line, comments=True)[1:])
+    assert args.command == line.split()[1]

@@ -60,7 +60,7 @@ def test_lane_in_window_set_equals_lane_alone(case):
     index = [next(w for w, (obs, scale_grid) in enumerate(windows)
                   if obs is job.obs and scale_grid == job.scale_grid) for job in jobs]
     window = np.repeat(index, [len(job.starts) for job in jobs])
-    together = bfgs_lanes(LaneKernel.of_windows(windows), x0, mask, window, max_iter=40)
+    together = bfgs_lanes(LaneKernel.of_windows(windows, window), x0, mask, max_iter=40)
     lane = 0
     for job in jobs:
         kernel = LaneKernel(job.obs, job.scale_grid)
@@ -82,7 +82,7 @@ def test_padded_kernel_equals_each_window_kernel():
                (obs.window(obs.grid.t_min, 1995), None), (obs.window(1975, 2000), None)]
     thetas, masks = mixed_lanes(40, seed=8)
     window = np.arange(40) % len(windows)
-    values, grads = LaneKernel.of_windows(windows)(thetas, masks, window)
+    values, grads = LaneKernel.of_windows(windows, window)(thetas, masks)
     penalized = values >= estimation.PENALTY_PER_INVALID_YEAR
     assert penalized.any() and not penalized.all()
     for w, (series, scale_grid) in enumerate(windows):
@@ -94,13 +94,13 @@ def test_padded_kernel_equals_each_window_kernel():
 
 def test_forcing_lane_needs_its_own_window_proxy():
     plain = ff.ObservedSeries(SMALL.grid, SMALL.b, SMALL.m, SMALL.p)
-    kernel = LaneKernel.of_windows([(SMALL, None), (plain, None)])
+    windows = [(SMALL, None), (plain, None)]
     spec = ff.ModelSpec(0, 0, forcing=True)
     theta = embed(ff.default_starts(spec, SMALL, n_starts=1)[0], spec)[None]
     mask = superset_mask(spec)[None]
-    assert np.isfinite(kernel(theta, mask, np.array([0]))[0]).all()
+    assert np.isfinite(LaneKernel.of_windows(windows, np.array([0]))(theta, mask)[0]).all()
     with pytest.raises(ValueError, match="p_intl"):
-        kernel(theta, mask, np.array([1]))
+        LaneKernel.of_windows(windows, np.array([1]))(theta, mask)
 
 
 def refit_windows(obs, start_years, cutoffs):

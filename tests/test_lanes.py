@@ -155,13 +155,18 @@ def test_kernel_blocks_are_c_ordered(monkeypatch, n_lanes, windowed):
     if windowed:
         kernel = LaneKernel.of_windows([(OBS.window(OBS.grid.t_min, 1995), None),
                                         (OBS, ff.YearGrid(1960, 2020)),
-                                        (OBS.window(1980, OBS.grid.t_max), None)])
-        window = np.arange(n_lanes) % 3
-        s, s2 = (a[..., window] for a in kernel.inputs[:2])
+                                        (OBS.window(1980, OBS.grid.t_max), None)],
+                                       np.arange(n_lanes) % 3)
+        # The kernel holds each lane's inputs, gathered once, lane axis last.
+        assert kernel.has_intl.shape == (n_lanes,)
+        assert all(a.shape[-1] == n_lanes and a.flags.c_contiguous for a in kernel.inputs)
+        narrowed = kernel.lanes(np.arange(n_lanes) % 2 == 0)
+        assert all(a.shape[-1] == (n_lanes + 1) // 2 and a.flags.c_contiguous
+                   for a in narrowed.inputs)
     else:
         kernel = LaneKernel(OBS)
-        window = None
-        s, s2 = kernel.window0[:2]
+        assert kernel.lanes(np.arange(n_lanes) % 2 == 0) is kernel
+    s, s2 = kernel.inputs[:2]
     thetas, masks = mixed_lanes(n_lanes, seed=n_lanes)
     predictors, scanned = [], []
     logistic, scan = model._clamped_logistic, model._affine_scan
@@ -178,7 +183,7 @@ def test_kernel_blocks_are_c_ordered(monkeypatch, n_lanes, windowed):
     monkeypatch.setattr(model, "_clamped_logistic", spy_logistic)
     monkeypatch.setattr(model, "_affine_scan", spy_scan)
     monkeypatch.setattr(model, "np", recorder)
-    kernel(thetas, masks, window)
+    kernel(thetas, masks)
     monkeypatch.undo()
 
     (eta, eta_values), = predictors
@@ -247,7 +252,7 @@ def test_lanes_stop_at_max_iter_and_keep_start_at_zero(obs49):
     assert np.array_equal(untouched.x, x0) and np.all(untouched.n_iterations == 0)
 
 
-# Objectives of ``toy_kernel``'s lanes, as value and gradient of a (16,)
+# Objectives of ``ToyKernel``'s lanes, as value and gradient of a (16,)
 # vector; each reads x[0] and x[1] only.
 TOYS = {
     # A bowl: the first full step passes the Armijo test.
@@ -268,14 +273,22 @@ TOY_STARTS = {"moves": (1.0, 1.0), "overshoots": (1.0, 1.0), "non-finite": (-3.0
               "penalized": (-3.0, 1.0), "exhausted": (1.0, 0.0)}
 
 
-def toy_kernel(x, mask, kind):
-    """A stand-in for :class:`LaneKernel`: row i is objective ``list(TOYS)[kind[i]]``."""
-    names = list(TOYS)
-    values = np.empty(len(x))
-    grads = np.zeros_like(x)
-    for row, k in enumerate(kind):
-        values[row], grads[row, :2] = TOYS[names[k]](x[row])
-    return values, np.where(mask, grads, 0.0)
+class ToyKernel:
+    """A stand-in for :class:`LaneKernel`: lane i is objective ``list(TOYS)[kind[i]]``."""
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def lanes(self, index):
+        return ToyKernel(self.kind[index])
+
+    def __call__(self, x, mask):
+        names = list(TOYS)
+        values = np.empty(len(x))
+        grads = np.zeros_like(x)
+        for row, k in enumerate(self.kind):
+            values[row], grads[row, :2] = TOYS[names[k]](x[row])
+        return values, np.where(mask, grads, 0.0)
 
 
 def test_lane_that_moves_beside_rejected_lanes_equals_its_run_alone():
@@ -301,7 +314,7 @@ def test_lane_that_moves_beside_rejected_lanes_equals_its_run_alone():
     assert all(math.isnan(value) for _, value in first_trial["non-finite"])
     assert all(value >= PENALTY_PER_INVALID_YEAR for _, value in first_trial["penalized"])
 
-    together = bfgs_lanes(toy_kernel, x0, mask, kind, max_iter=50)
+    together = bfgs_lanes(ToyKernel(kind), x0, mask, max_iter=50)
     exhausted = kind == names.index("exhausted")
     assert np.all(together.n_iterations[exhausted] == 0)
     assert not together.converged[exhausted].any()
@@ -309,8 +322,8 @@ def test_lane_that_moves_beside_rejected_lanes_equals_its_run_alone():
     assert np.all(together.n_iterations[~exhausted] > 0)
     assert together.converged[kind == names.index("moves")].all()
     for lane in range(len(kind)):
-        alone = bfgs_lanes(toy_kernel, x0[lane:lane + 1], mask[lane:lane + 1],
-                           kind[lane:lane + 1], max_iter=50)
+        alone = bfgs_lanes(ToyKernel(kind[lane:lane + 1]), x0[lane:lane + 1],
+                           mask[lane:lane + 1], max_iter=50)
         row = together.rows(slice(lane, lane + 1))
         for name in estimation._OUTCOME_FIELDS:
             assert_bitwise(getattr(row, name), getattr(alone, name))

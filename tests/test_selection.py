@@ -204,9 +204,18 @@ class TestRunGrid:
                 assert np.array_equal(x.fit.theta_hat, y.fit.theta_hat)
                 assert x.fit.sse == y.fit.sse
 
-    def test_parallel_matches_serial(self, small_obs_with_intl, quick_options):
+    def test_parallel_matches_serial(self, small_obs_with_intl, quick_options, monkeypatch):
         serial = run_grid(small_obs_with_intl, quick_options, jobs=1)
+        # 18 lanes in chunks of 5: a real 2-worker pool runs the bound kernels.
+        pools = []
+        real_pool = estimation.ProcessPoolExecutor
+        monkeypatch.setattr(estimation, "LANE_CHUNK", 5)
+        monkeypatch.setattr(estimation.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(estimation, "ProcessPoolExecutor",
+                            lambda max_workers: pools.append(max_workers)
+                            or real_pool(max_workers=max_workers))
         parallel = run_grid(small_obs_with_intl, quick_options, jobs=2)
+        assert pools == [2]
         for x, y in zip(serial, parallel):
             assert x.spec == y.spec
             assert x.aic == y.aic
