@@ -29,7 +29,6 @@ from .estimation import (
     covariance,
     default_starts,
     fd_gradient,
-    fd_hessian,
     gradient_fd,
     loss,
     loss_gradient,

@@ -45,7 +45,6 @@ from .model import (
 )
 
 GRADIENT_REL_STEP = 1e-5
-HESSIAN_REL_STEP = 1e-4
 
 # Eigenvalue-floor regularization of the Hessian before inversion.
 HESSIAN_COND_LIMIT = 1e12
@@ -454,27 +453,6 @@ def gradient_fd(
     return _gradient_from_stencil(values, h)
 
 
-def fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray, rel_step: float = HESSIAN_REL_STEP) -> np.ndarray:
-    """Central second differences of ``f``, symmetrized as (H + H^T)/2.
-
-    The reference for :func:`numerical_hessian`: 1 + 2k^2 values of ``f``
-    and no gradient.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    h = rel_step * np.maximum(1.0, np.abs(x))
-    e = np.diag(h)
-    f0 = f(x)
-    hess = np.empty((n, n))
-    for i in range(n):
-        hess[i, i] = (f(x + e[i]) - 2.0 * f0 + f(x - e[i])) / (h[i] * h[i])
-        for j in range(i + 1, n):
-            hess[i, j] = hess[j, i] = (
-                f(x + e[i] + e[j]) - f(x + e[i] - e[j]) - f(x - e[i] + e[j]) + f(x - e[i] - e[j])
-            ) / (4.0 * h[i] * h[j])
-    return _symmetrized(hess)
-
-
 def numerical_hessian(
     theta_hat: np.ndarray,
     spec: ModelSpec,
@@ -507,12 +485,12 @@ class OptimizeOutcome:
 def bfgs_minimize(
     f: Callable[[np.ndarray], float],
     x0: np.ndarray,
-    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    grad: Callable[[np.ndarray], np.ndarray],
     gtol: float = 1e-6,
     ftol_rel: float = 1e-12,
     max_iter: int = 2000,
 ) -> OptimizeOutcome:
-    """BFGS with a backtracking line search enforcing Armijo sufficient decrease.
+    """BFGS on ``f`` and its gradient ``grad``, with a backtracking Armijo line search.
 
     Stops when the gradient max-norm drops to ``gtol`` (the only condition
     that marks convergence), when the relative objective decrease over one
@@ -520,8 +498,6 @@ def bfgs_minimize(
     iteration cap.  Accepted iterates have strictly decreasing objective.
     """
     x = np.asarray(x0, dtype=float).copy()
-    if grad is None:
-        grad = lambda z: fd_gradient(f, z)
     fx = f(x)
     g = grad(x)
     n = x.size

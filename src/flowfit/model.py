@@ -12,6 +12,8 @@ vector.
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional, Sequence
@@ -225,10 +227,13 @@ def logit(x):
     return np.log(x / (1.0 - x))
 
 
-def _logistic_two_branch(y: np.ndarray) -> np.ndarray:
-    """1/(1+exp(-y)) for y >= 0 and exp(y)/(1+exp(y)) otherwise, computed in ``y``'s buffer."""
+def _logistic_two_branch(y: np.ndarray, numerator: Optional[np.ndarray] = None) -> np.ndarray:
+    """1/(1+exp(-y)) for y >= 0 and exp(y)/(1+exp(y)) otherwise, computed in ``y``'s buffer.
+
+    ``numerator``, if given, is a buffer of ``y``'s shape for the scratch work.
+    """
     # The numerator exp(min(y, 0)) is 1 for y >= 0 and exp(y) otherwise.
-    numerator = np.exp(np.minimum(y, 0.0))
+    numerator = np.exp(np.minimum(y, 0.0, out=numerator), out=numerator)
     e = np.exp(np.negative(np.abs(y, out=y), out=y), out=y)
     return np.divide(numerator, np.add(e, 1.0, out=e), out=e)
 
@@ -246,9 +251,9 @@ def inv_logit(y):
     return out
 
 
-def _clamped_logistic(eta: np.ndarray) -> np.ndarray:
+def _clamped_logistic(eta: np.ndarray, numerator: Optional[np.ndarray] = None) -> np.ndarray:
     """Logistic of ``eta`` clamped to [LOGISTIC_CLAMP, 1 - LOGISTIC_CLAMP], in place."""
-    out = _logistic_two_branch(eta)
+    out = _logistic_two_branch(eta, numerator)
     # np.clip's result (nan stays nan), without its Python-level overhead.
     np.maximum(out, LOGISTIC_CLAMP, out=out)
     return np.minimum(out, 1.0 - LOGISTIC_CLAMP, out=out)
@@ -422,51 +427,229 @@ def simulate(obs: ObservedSeries, traj: ParamTrajectories, spec: ModelSpec) -> S
 PENALTY_PER_INVALID_YEAR = 1e6
 
 
-def _retention_windows(gammas: np.ndarray) -> np.ndarray:
-    """Products of ``1 - gammas`` over runs of 1, 2, 4, ... years, for :func:`_affine_scan`.
+def _retention_steps(windows: np.ndarray, gammas: np.ndarray) -> tuple:
+    """The views :func:`_retention_windows` fills ``windows`` through, from ``gammas``.
 
-    ``gammas`` is ``(m, n, B)``: m hazards of n years.  Entry k of the
-    result holds at year i the product of ``1 - gammas`` over years
-    i - 2^k .. i - 1, formed for i >= 2^k only, as a balanced product:
-    the later half times the earlier half.  The forward scan of a stock
-    and the reverse scan of its adjoint both read these products; a
-    reverse scan forming its own would multiply the same two halves the
-    other way round, which gives the same bits.
+    ``gammas`` is ``(m, n, B)``: m hazards of n years.  Entry k of
+    ``windows``, ``(K, m, n, B)``, is to hold at year i the product of
+    ``1 - gammas`` over years i - 2^k .. i - 1, formed for i >= 2^k only,
+    as a balanced product: the later half times the earlier half.  The
+    forward scan of a stock and the reverse scan of its adjoint both read
+    these products; a reverse scan forming its own would multiply the same
+    two halves the other way round, which gives the same bits.
     """
     n = gammas.shape[1]
-    windows = np.empty(((n - 1).bit_length(),) + gammas.shape)
-    np.subtract(1.0, gammas[:, :-1], out=windows[0, :, 1:])
+    products = []
     for k in range(1, len(windows)):
         d = 1 << (k - 1)
-        np.multiply(windows[k - 1, :, 2 * d:], windows[k - 1, :, d:n - d],
-                    out=windows[k, :, 2 * d:])
-    return windows
+        products.append((windows[k - 1, :, 2 * d:], windows[k - 1, :, d:n - d],
+                         windows[k, :, 2 * d:]))
+    return gammas[:, :-1], windows[0, :, 1:], tuple(products)
 
 
-def _affine_scan(windows: np.ndarray, u: np.ndarray, reverse: bool = False) -> np.ndarray:
+def _retention_windows(gammas: np.ndarray, first: np.ndarray, products: tuple) -> None:
+    """Products of ``1 - gammas`` over runs of 1, 2, 4, ... years, by :func:`_retention_steps`."""
+    np.subtract(1.0, gammas, first)
+    for later, earlier, out in products:
+        np.multiply(later, earlier, out)
+
+
+def _scan_steps(windows: np.ndarray, carry: np.ndarray, stocks: np.ndarray,
+                stock_bars: np.ndarray) -> tuple:
+    """The ``(window, tail, carry, head)`` views of each step of the four :func:`_affine_scan` runs.
+
+    ``stocks`` and ``stock_bars`` are ``(2, n, B)``; ``windows`` holds each
+    hazard's products of ``a`` over the windows of each step
+    (:func:`_retention_steps`, with ``a[i] = 1 - gamma[i-1]``), and
+    ``carry`` is an ``(n, B)`` buffer.  The step of distance d adds to each
+    head entry its window times the tail entry d before it.  The adjoint
+    scans run from the last entry down with ``a[i] = 1 - gamma[i]``,
+    ``u[i] <- a[i] u[i+1] + u[i]``, the tail entry d after: the same products
+    as a forward scan of the reversed arrays, without their copies.  Returns
+    the two stock scans, then the two adjoint scans, each hazard's reading
+    the same windows.
+    """
+    n = carry.shape[0]
+    forward = ([], [])
+    reverse = ([], [])
+    for k in range(len(windows)):
+        d = 1 << k
+        step_carry = carry[:n - d]
+        for h in range(2):
+            window = windows[k, h, d:]
+            u = stocks[h]
+            v = stock_bars[h]
+            forward[h].append((window, u[:n - d], step_carry, u[d:]))
+            reverse[h].append((window, v[d:], step_carry, v[:n - d]))
+    return forward, reverse
+
+
+def _affine_scan(steps: tuple) -> None:
     """``u[i] <- a[i] u[i-1] + u[i]`` along axis 0, in place, in log-depth steps.
 
     Hillis-Steele: after the step of distance d every entry holds the
     composition of the affine maps over the last 2d entries, so
     ceil(log2 n) vectorised steps replace n - 1 sequential ones.
-    ``windows`` holds one hazard's products of ``a`` over the windows
-    of each step (:func:`_retention_windows`, with ``a[i] = 1 - gamma[i-1]``).
-    With ``reverse`` the scan runs from the last entry down with
-    ``a[i] = 1 - gamma[i]``, ``u[i] <- a[i] u[i+1] + u[i]``: the same
-    products as a forward scan of the reversed arrays, without their copies.
+    ``steps`` are :func:`_scan_steps`' views of ``u``.
     """
-    n = u.shape[0]
-    carry = np.empty_like(u)
-    d = 1
-    for window in windows:
-        # The entries that read the entry d before them (after, with
-        # ``reverse``), and the entries they read.
-        head, tail = (u[:n - d], u[d:]) if reverse else (u[d:], u[:n - d])
-        step = carry[:n - d]
-        np.multiply(window[d:], tail, out=step)
-        np.add(head, step, out=head)
-        d *= 2
-    return u
+    for window, tail, carry, head in steps:
+        np.multiply(window, tail, carry)
+        np.add(head, carry, head)
+
+
+def _buffer_sizes(n: int) -> dict:
+    """Entries per lane and dtype of each flat buffer of a kernel call on ``n`` years."""
+    # The retention windows' buffer later holds the trajectories' adjoints.
+    windows = max(2 * (n - 1).bit_length(), len(TRAJECTORY_NAMES)) * n
+    sizes = {"coef": 15, "totals": 18, "corner": 2, "lam": 1, "p": 5 * n, "quad": 5 * n,
+             "stocks": 2 * n, "flows": 2 * n, "flow_bars": 2 * n, "stock_bars": 2 * (n + 1),
+             "carry": n, "windows": windows, "terms": 18 * n}
+    flags = {"positive": 5 * n, "finite": 5 * n, "valid": n, "prefix": n, "skipped": n,
+             "uncounted": n}
+    return {**{name: (size, float) for name, size in sizes.items()},
+            **{name: (size, bool) for name, size in flags.items()}}
+
+
+class _Arena:
+    """The flat buffers of a :class:`LaneKernel` call on ``n`` years and up to ``width`` lanes.
+
+    A kernel's first call works in buffers from the heap and drops them
+    when it returns, as a call's arrays always were.  A kernel that calls
+    again is long-lived: from its second call on its buffers are cut from
+    one anonymous memory map, kept between calls for it and the kernels it
+    narrows to.  Kept on the heap, a block that outlives the small arrays
+    allocated around it leaves a hole when freed that they fragment (the
+    ``report26`` benchmark's peak RSS rose 0.9 MB); mapped for every call,
+    a kernel that calls once, as ``numerical_hessian``'s does, would pay
+    fresh page faults each time (``bands49`` took 4% longer).
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.width = 0
+        self.buffers: dict = {}
+        self.mapped = False
+
+    def at(self, width: int) -> dict:
+        """The buffers, reallocated for ``width`` lanes if they hold fewer."""
+        if width > self.width or not self.buffers:
+            sizes = _buffer_sizes(self.n)
+            counts = {dtype: width * sum(size for size, kind in sizes.values() if kind is dtype)
+                      for dtype in (float, bool)}
+            self.buffers = {}
+            if self.mapped:
+                floats = 8 * counts[float]
+                memory = mmap.mmap(-1, max(1, floats + counts[bool]))
+                memory = {float: np.frombuffer(memory, float, counts[float]),
+                          bool: np.frombuffer(memory, bool, counts[bool], floats)}
+            else:
+                memory = {dtype: np.empty(count, dtype) for dtype, count in counts.items()}
+            start = dict.fromkeys(memory, 0)
+            for name, (size, dtype) in sizes.items():
+                self.buffers[name] = memory[dtype][start[dtype]:start[dtype] + size * width]
+                start[dtype] += size * width
+            self.width = width
+        return self.buffers
+
+    def called(self) -> bool:
+        """Drop the first call's heap buffers once it has run; True if it was the first."""
+        if self.mapped:
+            return False
+        self.mapped = True
+        self.width = 0
+        self.buffers = {}
+        return True
+
+
+class _Workspace:
+    """A :class:`LaneKernel` call's arrays at ``width`` lanes and the views it reads.
+
+    Each array is a prefix of one of the arena's flat buffers, reshaped:
+    C-ordered, quantity by years by lanes.  A buffer may serve two arrays
+    whose uses do not overlap.
+    """
+
+    def __init__(self, buffers: dict, inputs: tuple, width: int):
+        s, s2, b, log_obs, first, p_intl, pad = inputs
+        n = s.shape[0]
+        k = len(TRAJECTORY_NAMES)
+        steps = (n - 1).bit_length()
+
+        def block(name, *shape):
+            return buffers[name][:math.prod(shape) * width].reshape(*shape, width)
+
+        self.buffers = buffers
+        self.width = width
+        # Predictors: coefficients, the five trajectories and their scratch.
+        self.coef = block("coef", 3 * k)
+        coef = self.coef.reshape(k, 3, 1, width)
+        self.c0, self.c1, self.c2 = coef[:, 0], coef[:, 1], coef[:, 2]
+        p = self.p = block("p", k, n)
+        self.quad = block("quad", k, n)
+        self.rho_mp = p[2]
+        gammas = p[3:]
+        self.gamma_m, self.gamma_p = p[3], p[4]
+        self.gamma_first = gammas[:, 0]
+        self.lam = block("lam")
+        # The forward pass: initial stocks, inflows placed a year ahead,
+        # the retention windows and the two stock scans.
+        stocks = self.stocks = block("stocks", 2, n)
+        flows = self.flows = block("flows", 2, n)
+        carry = self.carry = block("carry", n)
+        windows = block("windows", steps, 2, n)
+        self.stock_m, self.stock_p = stocks[0], stocks[1]
+        self.flow_m, self.flow_p = flows[0], flows[1]
+        self.stock_first = stocks[:, 0]
+        self.routes = p[:2, :-1]
+        self.b_head = b[:-1]
+        self.inflows = stocks[:, 1:]
+        self.inflow_p = stocks[1, 1:]
+        self.rho_mp_head = p[2, :-1]
+        self.flow_m_head = flows[0, :-1]
+        self.p_intl_head = p_intl[:-1]
+        self.carry_head = carry[:-1]
+        self.retention = _retention_steps(windows, gammas)
+        # Masks of valid and counted years.
+        self.positive = block("positive", 2, n)
+        self.positive_m, self.positive_p = self.positive[0], self.positive[1]
+        self.finite = block("finite", 2, n)
+        self.valid = block("valid", n)
+        self.prefix = block("prefix", n)
+        self.skipped = block("skipped", n)
+        self.uncounted = block("uncounted", n)
+        self.unpadded = None if pad is None else ~pad
+        self.year0 = np.arange(n)[:, None] == 0
+        # Residuals, then the flows' adjoints; the stocks' adjoints and
+        # their scans; the trajectories' adjoints, in the windows' buffer.
+        self.flow_bars = block("flow_bars", 2, n)
+        self.flow_bar_m, self.flow_bar_p = self.flow_bars[0], self.flow_bars[1]
+        stock_bars = block("stock_bars", 2, n + 1)
+        self.stock_bars_m, self.stock_bars_p = stock_bars[0, :n], stock_bars[1, :n]
+        self.stock_bars_first = stock_bars[:, 0]
+        self.stock_bars_end = stock_bars[:, n]
+        self.ahead = stock_bars[:, 1:]
+        self.ahead_p = stock_bars[1, 1:]
+        self.scans, self.reverse = _scan_steps(windows, carry, stocks, stock_bars[:, :n])
+        p_bar = self.p_bar = block("windows", k, n)
+        self.p_bar_routes = p_bar[:2]
+        self.p_bar_mp = p_bar[2]
+        self.p_bar_gammas = p_bar[3:]
+        self.p_bar_first = p_bar[3:, 0]
+        self.corner = block("corner", 2)
+        self.clipped = block("positive", k, n)
+        self.below = block("finite", k, n)
+        # Per year: the two squared residuals, the adjoints of the 5 x 3
+        # coefficients and that of the forcing weight, summed at the end.
+        self.terms = block("terms", n, 18)
+        columns = self.terms.transpose(1, 0, 2)
+        self.squares = columns[:2]
+        # Each trajectory's three columns: its predictor's adjoint, times s, times s^2.
+        adjoints = columns[2:17].reshape(k, 3, n, width)
+        self.eta_bar, self.eta_bar_s, self.eta_bar_s2 = (adjoints[:, 0], adjoints[:, 1],
+                                                          adjoints[:, 2])
+        self.lambda_column = columns[17]
+        self.totals = block("totals", 18)
+        self.coef_totals = self.totals[2:17].T
 
 
 class LaneKernel:
@@ -500,6 +683,25 @@ class LaneKernel:
     summed pairwise instead.)  A batch without a forcing lane skips the
     forcing term: adding a forcing weight of 0 leaves every inflow, a
     non-negative number, bitwise unchanged.
+
+    A call allocates what it returns and a few lane vectors.  Every
+    array it works in (the predictors and the logistic's numerator,
+    stocks, flows, retention windows, the scans' carry, residuals,
+    adjoints, masks, the per-year terms and their totals) lives in a
+    workspace built on the kernel's first call at a lane width, with the
+    views each step reads ready-made, the ``(window, tail, carry, head)``
+    of every scan step among them; so a call is a flat run of ufuncs
+    writing into their positional ``out``.  The workspace's arrays are
+    prefixes of the flat buffers of an arena, one call's worth at the
+    widest call so far, reshaped C-ordered with the lane axis last.  The
+    arena is shared by every kernel :meth:`lanes` narrows from this one,
+    and a call writes every entry whose value it uses, so a narrowed
+    kernel reuses the buffers of the kernel it came from and no state
+    passes from one call to the next.  The first call's buffers are
+    dropped when it returns, and later calls' kept in one memory map
+    (:class:`_Arena` says why).  Neither workspace nor arena is pickled: a
+    kernel sent to a worker builds its own there.  Kernels that share an
+    arena must not be called from two threads at once.
 
     A kernel is bound to its lanes: it holds each lane's inputs, C-ordered
     with the lane axis last, so every call reads them as they are.
@@ -550,6 +752,8 @@ class LaneKernel:
         # s, s^2, b, log observations, first observations, p_intl and the
         # pad mask, each with the lane (here the window) as its last axis.
         self.inputs = (s, s * s, b, log_obs, first, p_intl, padded if padded.any() else None)
+        self._arena = _Arena(int(n))
+        self._workspace = None
 
     def lanes(self, index) -> "LaneKernel":
         """The kernel of the lanes ``index`` picks on the lane axis; a width-1 kernel is its own."""
@@ -561,7 +765,25 @@ class LaneKernel:
         # np.take keeps the lane axis last in C order (a[..., index] puts it first).
         kernel.inputs = tuple(None if a is None else np.take(a, index, axis=-1)
                               for a in self.inputs)
+        kernel._arena = self._arena
+        kernel._workspace = None
         return kernel
+
+    def __getstate__(self) -> dict:
+        return {"has_intl": self.has_intl, "inputs": self.inputs}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._arena = _Arena(self.inputs[0].shape[0])
+        self._workspace = None
+
+    def _workspace_at(self, width: int) -> _Workspace:
+        """This kernel's workspace for a call of ``width`` lanes, built on its arena."""
+        w = self._workspace
+        if w is None or w.width != width or w.buffers is not self._arena.buffers:
+            self._workspace = None
+            w = self._workspace = _Workspace(self._arena.at(width), self.inputs, width)
+        return w
 
     def __call__(self, thetas: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Loss ``(B,)`` and gradient ``(B, 16)`` of every lane."""
@@ -570,110 +792,126 @@ class LaneKernel:
         if forced and (forcing & ~self.has_intl).any():
             raise ValueError("forcing specification requires the p_intl series")
         s, s2, b, log_obs, first, p_intl, pad = self.inputs
-        thetas = np.where(mask, thetas, 0.0)
-        n_lanes = thetas.shape[0]
         n = s.shape[0]
-        coef = np.ascontiguousarray(thetas[:, :-1].T)
-        coef = coef.reshape(len(TRAJECTORY_NAMES), 3, 1, n_lanes)
+        w = self._workspace_at(len(thetas))
+        # The lane's own coefficients, 0 for the others, in a C-ordered block.
+        w.coef.fill(0.0)
+        np.copyto(w.coef, thetas[:, :-1].T, where=mask[:, :-1].T)
         # (5, n, B): each trajectory's predictor (c0 + c1 s) + c2 s^2, summed
-        # in that order into C-ordered buffers.
-        p = np.empty((len(TRAJECTORY_NAMES), n, n_lanes))
-        quad = np.empty_like(p)
-        np.multiply(coef[:, 1], s, out=p)
-        np.add(coef[:, 0], p, out=p)
-        np.multiply(coef[:, 2], s2, out=quad)
-        p = _clamped_logistic(np.add(p, quad, out=p))
-        rho_mp = p[2]
-        gammas = p[3:]
-        if forced:
-            lambda_raw = thetas[:, -1]
-            lam = np.where(forcing, _forcing_weight(lambda_raw), 0.0)
-        # Per year: the two squared residuals, the adjoints of the 5 x 3
-        # coefficients and that of the forcing weight, summed at the end.
-        terms = np.zeros((n, 18, n_lanes))
-        columns = terms.transpose(1, 0, 2)
+        # in that order.
+        p = w.p
+        np.multiply(w.c1, s, p)
+        np.add(w.c0, p, p)
+        np.multiply(w.c2, s2, w.quad)
+        np.add(p, w.quad, p)
+        _clamped_logistic(p, w.quad)
 
         # Overflow to inf/nan is allowed; such years are invalid and penalized.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if forced:
+                # The forcing weight, 0 for a lane without forcing.
+                lam = w.lam
+                np.maximum(thetas[:, -1], LAMBDA_RAW_FLOOR, out=lam)
+                np.exp(lam, lam)
+                np.copyto(lam, 0.0, where=~forcing)
             # (2, n, B) stocks and flows: master's, then PhD.  A scan fills
             # each stock from its initial value and its inflows, placed a
             # year ahead.
-            stocks = np.empty_like(gammas)
-            flows = np.empty_like(gammas)
-            stocks[:, 0] = first / gammas[:, 0]
-            np.multiply(p[:2, :-1], b[:-1], out=stocks[:, 1:])
-            windows = _retention_windows(gammas)
-            _affine_scan(windows[:, 0], stocks[0])
-            np.multiply(gammas[0], stocks[0], out=flows[0])
-            inflow_p = stocks[1, 1:]
-            inflow_p += rho_mp[:-1] * flows[0, :-1]
+            flows = w.flows
+            np.divide(first, w.gamma_first, w.stock_first)
+            np.multiply(w.routes, w.b_head, w.inflows)
+            _retention_windows(*w.retention)
+            _affine_scan(w.scans[0])
+            np.multiply(w.gamma_m, w.stock_m, w.flow_m)
+            np.multiply(w.rho_mp_head, w.flow_m_head, w.carry_head)
+            np.add(w.inflow_p, w.carry_head, w.inflow_p)
             if forced:
-                inflow_p += lam * p_intl[:-1]
-            _affine_scan(windows[:, 1], stocks[1])
-            np.multiply(gammas[1], stocks[1], out=flows[1])
+                np.multiply(lam, w.p_intl_head, w.carry_head)
+                np.add(w.inflow_p, w.carry_head, w.inflow_p)
+            _affine_scan(w.scans[1])
+            np.multiply(w.gamma_p, w.stock_p, w.flow_p)
 
             # A year is valid while both flows are finite and positive.
-            positive = (flows > 0.0) & (flows < np.inf)
-            valid = positive[0] & positive[1]
+            positive, valid, prefix, skipped, uncounted = (
+                w.positive, w.valid, w.prefix, w.skipped, w.uncounted)
+            np.greater(flows, 0.0, positive)
+            np.less(flows, np.inf, w.finite)
+            np.logical_and(positive, w.finite, positive)
+            np.logical_and(w.positive_m, w.positive_p, valid)
             if pad is not None:
-                valid |= pad
+                np.logical_or(valid, pad, valid)
             n_invalid = n - valid.sum(axis=0)
-            prefix = np.logical_and.accumulate(valid, axis=0)
+            np.logical_and.accumulate(valid, 0, None, prefix)
             if pad is not None:
                 # Past its window a lane's stocks may overflow; its pad years
                 # carry no residual and no adjoint.
-                prefix &= ~pad
+                np.logical_and(prefix, w.unpadded, prefix)
             # Years from the first invalid one on carry no adjoint, and
             # those and year 0 no residual.
-            skipped = ~prefix
-            uncounted = skipped.copy()
-            uncounted[0] = True
-            r = np.log(flows)
-            np.subtract(log_obs, r, out=r)
-            np.copyto(r, 0.0, where=uncounted)
-            np.multiply(r, r, out=columns[:2])
-
-            # Adjoints of the flows over the counted years, without the
-            # factor -2 of d(r^2)/d(flow) = -2 r / flow: the sweep is linear
-            # in them, so the factor (a power of two, exact) comes last.
-            flow_bars = r / flows
+            np.logical_not(prefix, skipped)
+            np.logical_or(skipped, w.year0, uncounted)
+            # Residuals r over the counted years, 0 elsewhere, and their
+            # squares; then the flows' adjoints, without the factor -2 of
+            # d(r^2)/d(flow) = -2 r / flow: the sweep is linear in them, so
+            # the factor (a power of two, exact) comes last.
+            flow_bars = w.flow_bars
+            np.log(flows, flow_bars)
+            np.subtract(log_obs, flow_bars, flow_bars)
+            np.copyto(flow_bars, 0.0, where=uncounted)
+            np.multiply(flow_bars, flow_bars, w.squares)
+            np.divide(flow_bars, flows, flow_bars)
             np.copyto(flow_bars, 0.0, where=uncounted)
             # stock_bars[:, i] = d loss / d stocks[:, i] for i = 0..n, with
-            # nothing after the last year.
-            stock_bars = np.zeros((2, n + 1, n_lanes))
-            np.multiply(gammas[1], flow_bars[1], out=stock_bars[1, :n])
-            _affine_scan(windows[:, 1], stock_bars[1, :n], reverse=True)
-            ahead = stock_bars[:, 1:]
+            # nothing after the last year; ``ahead`` is its entries 1..n.
+            ahead, ahead_p = w.ahead, w.ahead_p
+            w.stock_bars_end.fill(0.0)
+            np.multiply(w.gamma_p, w.flow_bar_p, w.stock_bars_p)
+            _affine_scan(w.reverse[1])
             # The master's flow also feeds the PhD stock.
-            flow_bars[0] += rho_mp * ahead[1]
-            np.multiply(gammas[0], flow_bars[0], out=stock_bars[0, :n])
-            _affine_scan(windows[:, 0], stock_bars[0, :n], reverse=True)
-            p_bar = np.empty_like(p)
-            np.multiply(ahead, b, out=p_bar[:2])
-            np.multiply(ahead[1], flows[0], out=p_bar[2])
-            np.multiply(flow_bars - ahead, stocks, out=p_bar[3:])
+            np.multiply(w.rho_mp, ahead_p, w.carry)
+            np.add(w.flow_bar_m, w.carry, w.flow_bar_m)
+            np.multiply(w.gamma_m, w.flow_bar_m, w.stock_bars_m)
+            _affine_scan(w.reverse[0])
+            p_bar = w.p_bar
+            np.multiply(ahead, b, w.p_bar_routes)
+            np.multiply(ahead_p, w.flow_m, w.p_bar_mp)
+            np.subtract(flow_bars, ahead, flow_bars)
+            np.multiply(flow_bars, w.stocks, w.p_bar_gammas)
             # Initial stocks m0 / gamma_m[0] and p0 / gamma_p[0].
-            p_bar[3:, 0] -= stock_bars[:, 0] * stocks[:, 0] / gammas[:, 0]
+            np.multiply(w.stock_bars_first, w.stock_first, w.corner)
+            np.divide(w.corner, w.gamma_first, w.corner)
+            np.subtract(w.p_bar_first, w.corner, w.p_bar_first)
             # The stocks of skipped years may be inf or nan.
             np.copyto(p_bar, 0.0, where=skipped)
             if forced:
-                np.multiply(ahead[1], p_intl, out=columns[17])
+                np.multiply(ahead_p, p_intl, w.lambda_column)
 
             # Back through the clamped logistic (derivative 0 where the
             # clip is active) and the three powers of rescaled time.
-            inside = (p > LOGISTIC_CLAMP) & (p < 1.0 - LOGISTIC_CLAMP)
-            eta_bar = columns[2:17:3]
-            np.multiply(p_bar, np.where(inside, p * (1.0 - p), 0.0), out=eta_bar)
-            np.multiply(eta_bar, s, out=columns[3:17:3])
-            np.multiply(eta_bar, s2, out=columns[4:17:3])
+            clipped, slope = w.clipped, w.quad
+            np.greater(p, LOGISTIC_CLAMP, clipped)
+            np.less(p, 1.0 - LOGISTIC_CLAMP, w.below)
+            np.logical_and(clipped, w.below, clipped)
+            np.logical_not(clipped, clipped)
+            np.subtract(1.0, p, slope)
+            np.multiply(p, slope, slope)
+            np.copyto(slope, 0.0, where=clipped)
+            eta_bar = w.eta_bar
+            np.multiply(p_bar, slope, eta_bar)
+            np.multiply(eta_bar, s, w.eta_bar_s)
+            np.multiply(eta_bar, s2, w.eta_bar_s2)
 
-            totals = np.add.reduce(terms, axis=0)
+            # A batch without forcing leaves column 17 as it was and never
+            # reads its total.
+            totals = np.add.reduce(w.terms, 0, None, w.totals)
             values = totals[0] + totals[1] + PENALTY_PER_INVALID_YEAR * n_invalid
             # The factor -2 on the lane's own coefficients, 0 on the others.
-            grads = np.zeros_like(thetas)
-            np.multiply(totals[2:17].T, -2.0, out=grads[:, :-1], where=mask[:, :-1])
+            grads = np.zeros(thetas.shape)
+            np.multiply(w.coef_totals, -2.0, grads[:, :-1], where=mask[:, :-1])
             if forced:
-                live = forcing & (lambda_raw > LAMBDA_RAW_FLOOR) & np.isfinite(lam)
+                live = forcing & (thetas[:, -1] > LAMBDA_RAW_FLOOR) & np.isfinite(lam)
                 np.multiply(np.where(live, totals[17] * lam, 0.0), -2.0, out=grads[:, -1],
                             where=forcing)
+        if self._arena.called():
+            self._workspace = None
         return values, grads

@@ -10,6 +10,7 @@ scenario can be refitted to zero loss.
 
 from __future__ import annotations
 
+import datetime
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -139,6 +140,27 @@ def _field(d: dict, name: str, convert, *default):
         raise ValueError(f"scenario field {name!r}: {exc}") from None
 
 
+def _json_int(value) -> int:
+    # A JSON integer only: bool is an int subclass, and int() truncates floats.
+    if type(value) is not int:
+        raise ValueError(f"must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_bool(value) -> bool:
+    if type(value) is not bool:
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _year(value) -> int:
+    """A JSON integer in the calendar's range of years, ``datetime``'s 1-9999."""
+    year = _json_int(value)
+    if not datetime.MINYEAR <= year <= datetime.MAXYEAR:
+        raise ValueError(f"must be a year in [{datetime.MINYEAR}, {datetime.MAXYEAR}], got {year}")
+    return year
+
+
 def input_from_dict(d: dict) -> InputSeries:
     kind = _object(d).get("kind")
     if kind == "constant":
@@ -155,18 +177,18 @@ def scenario_from_dict(d: dict) -> SyntheticScenario:
     """Build a scenario from the CLI's JSON; a malformed field raises ValueError naming it."""
     d = _object(d, "scenario")
     spec_d = _field(d, "spec", _object)
-    spec = ModelSpec(deg_gamma=_field(spec_d, "deg_gamma", int),
-                     deg_rho=_field(spec_d, "deg_rho", int),
-                     forcing=_field(spec_d, "forcing", bool, False))
+    spec = ModelSpec(deg_gamma=_field(spec_d, "deg_gamma", _json_int),
+                     deg_rho=_field(spec_d, "deg_rho", _json_int),
+                     forcing=_field(spec_d, "forcing", _json_bool, False))
     scenario = SyntheticScenario(
-        grid=YearGrid(_field(d, "t_min", int), _field(d, "t_max", int)),
+        grid=YearGrid(_field(d, "t_min", _year), _field(d, "t_max", _year)),
         spec=spec,
         theta_true=_field(d, "theta_true", lambda theta: np.asarray(theta, dtype=float)),
         b_input=_field(d, "b_input", input_from_dict),
         stock_m0=_field(d, "stock_m0", float),
         stock_p0=_field(d, "stock_p0", float),
         noise_sd=_field(d, "noise_sd", float, 0.0),
-        seed=_field(d, "seed", int, 0),
+        seed=_field(d, "seed", _json_int, 0),
         p_intl_input=_field(d, "p_intl_input", input_from_dict, None),
     )
     if scenario.theta_true.shape != (spec.n_params,):

@@ -1,4 +1,4 @@
-"""Frozen reference values shared across test modules.
+"""Frozen reference values and reference computations shared across test modules.
 
 ``REFERENCE_GRID`` is the published 18-specification comparison for the
 1969-2017 U.S. mathematics degree series (NCES data): columns are
@@ -6,7 +6,14 @@
 in published rank order.  SSE values are rounded to 3 decimals, so
 criteria recomputed from them match the published AIC/BIC to about
 +/- 0.5.
+
+``fd_hessian`` is the second-difference Hessian of any scalar function,
+the reference for ``numerical_hessian``.
 """
+
+import numpy as np
+
+from flowfit.estimation import _symmetrized
 
 REFERENCE_GRID = [
     (2, 2, False, 15, 0.129, -619.7, 0.0, -581.0, 0.0),
@@ -44,3 +51,25 @@ REFERENCE_TRUNCATION = {
 # One-step hindcast reference over cutoffs 1990..2015 step 5
 REFERENCE_HINDCAST = {"m": 0.0723, "p": 0.0735, "pooled": 0.0729}
 REFERENCE_CUTOFFS = [1990, 1995, 2000, 2005, 2010, 2015]
+
+
+def fd_hessian(f, x, rel_step=1e-4):
+    """Central second differences of ``f``, symmetrized as (H + H^T)/2.
+
+    1 + 2k^2 values of ``f`` and no gradient, with per-coordinate steps
+    ``rel_step * max(1, |x_i|)``; a non-finite entry raises naming its
+    coordinate pair, as ``numerical_hessian`` does.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    h = rel_step * np.maximum(1.0, np.abs(x))
+    e = np.diag(h)
+    f0 = f(x)
+    hess = np.empty((n, n))
+    for i in range(n):
+        hess[i, i] = (f(x + e[i]) - 2.0 * f0 + f(x - e[i])) / (h[i] * h[i])
+        for j in range(i + 1, n):
+            hess[i, j] = hess[j, i] = (
+                f(x + e[i] + e[j]) - f(x + e[i] - e[j]) - f(x - e[i] + e[j]) + f(x - e[i] - e[j])
+            ) / (4.0 * h[i] * h[j])
+    return _symmetrized(hess)

@@ -16,7 +16,6 @@ import pytest
 
 import flowfit as ff
 from flowfit import estimation, run_cli
-from flowfit.estimation import fd_hessian
 
 from _reference import (
     N_TOTAL,
@@ -26,6 +25,7 @@ from _reference import (
     REFERENCE_GRID,
     REFERENCE_HINDCAST,
     REFERENCE_TRUNCATION,
+    fd_hessian,
 )
 from _scenarios import (
     RECOVERY_SPEC,

@@ -199,7 +199,7 @@ def test_fit_makes_one_forward_pass_per_loss_evaluation(intl_obs, monkeypatch):
         forward["n"] += 1
         return real_values(*args, **kwargs)
 
-    def counting_bfgs(f, x0, grad=None, **kwargs):
+    def counting_bfgs(f, x0, grad, **kwargs):
         def f_counted(x):
             calls["f"] += 1
             return f(x)

@@ -11,9 +11,10 @@ import pytest
 
 import flowfit as ff
 from flowfit import estimation
-from flowfit.estimation import fd_gradient, fd_hessian
+from flowfit.estimation import fd_gradient
 from flowfit.model import LOGISTIC_CLAMP, _clamped_logistic, embed, superset_mask
 
+from _reference import fd_hessian
 from _scenarios import RECOVERY_SPEC, RECOVERY_THETA, recovery_scenario
 
 GRID = ff.YearGrid(1969, 2017)

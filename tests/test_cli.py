@@ -280,6 +280,31 @@ class TestSynth:
         assert err.startswith("error: ") and named in err
         assert "Traceback" not in err and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("named, spec, fields", [
+        ("'forcing'", {"forcing": "false"}, {}),
+        ("'forcing'", {"forcing": 0}, {}),
+        ("'deg_gamma'", {"deg_gamma": True}, {}),
+        ("'deg_rho'", {"deg_rho": 2.0}, {}),
+        ("'t_min'", {}, {"t_min": 1969.7}),
+        ("'t_max'", {}, {"t_max": "2017"}),
+        ("'seed'", {}, {"seed": 1.5}),
+        ("'seed'", {}, {"seed": True}),
+        ("'t_min'", {}, {"t_min": -5, "t_max": 40}),
+        ("'t_min'", {}, {"t_min": 10**30, "t_max": 10**30 + 48,
+                         "b_input": {"kind": "constant", "level": 20000.0}}),
+    ], ids=["string_forcing", "int_forcing", "bool_degree", "float_degree", "float_year",
+            "string_year", "float_seed", "bool_seed", "negative_year", "huge_year"])
+    def test_scenario_field_of_wrong_json_type_exits_1_naming_it(self, tmp_path, capsys,
+                                                                 named, spec, fields):
+        # Converting with bool() or int() would read each of these as some
+        # other scenario, or fail later with a traceback.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**SCENARIO, "spec": {**SCENARIO["spec"], **spec}, **fields}))
+        assert run_cli(["synth", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
     def test_scenario_year_span_is_bounded(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(synthetic, "generate", lambda scenario: pytest.fail("generated"))
         path = tmp_path / "scenario.json"

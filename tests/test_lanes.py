@@ -10,10 +10,13 @@ change a result.
 """
 
 import math
+import mmap
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowfit as ff
 from flowfit import estimation, model
@@ -171,14 +174,15 @@ def test_kernel_blocks_are_c_ordered(monkeypatch, n_lanes, windowed):
     predictors, scanned = [], []
     logistic, scan = model._clamped_logistic, model._affine_scan
 
-    def spy_logistic(eta):
+    def spy_logistic(eta, numerator=None):
         predictors.append((eta, eta.copy()))
-        return logistic(eta)
+        return logistic(eta, numerator)
 
-    def spy_scan(windows, u, reverse=False):
-        scanned.append(u)
-        return scan(windows, u, reverse)
+    def spy_scan(steps):
+        scanned.append(steps)
+        return scan(steps)
 
+    kernel(thetas, masks)   # the spied call below runs in the kernel's kept workspace
     recorder = _LogRecorder()
     monkeypatch.setattr(model, "_clamped_logistic", spy_logistic)
     monkeypatch.setattr(model, "_affine_scan", spy_scan)
@@ -192,13 +196,117 @@ def test_kernel_blocks_are_c_ordered(monkeypatch, n_lanes, windowed):
     # Bitwise the broadcast sum it replaces, (c0 + c1 s) + c2 s^2.
     coef = np.where(masks, thetas, 0.0)[:, :-1].T.reshape(5, 3, 1, n_lanes)
     assert_bitwise(eta_values, coef[:, 0] + coef[:, 1] * s + coef[:, 2] * s2)
-    # The two forward scans run in the stock blocks, then the two adjoint scans.
-    stocks = scanned[0].base
-    assert scanned[1].base is stocks and stocks.shape == (2,) + eta.shape[1:]
-    assert stocks.flags.c_contiguous
-    assert len(scanned) == 4 and all(u.flags.c_contiguous for u in scanned)
+    # The two forward scans run in the stock blocks, then the two adjoint
+    # scans elsewhere; every view a scan step reads or writes is C-ordered.
     (flows,) = recorder.logged
-    assert flows.shape == stocks.shape and flows.flags.c_contiguous
+    stocks = kernel._workspace.stocks
+    assert stocks.shape == flows.shape == (2,) + eta.shape[1:]
+    assert stocks.flags.c_contiguous and flows.flags.c_contiguous
+    assert len(scanned) == 4
+    for h, steps in enumerate(scanned[:2]):
+        assert all(np.shares_memory(head, stocks[h]) and np.shares_memory(tail, stocks[h])
+                   for _, tail, _, head in steps)
+    assert not any(np.shares_memory(head, stocks) for steps in scanned[2:] for *_, head in steps)
+    assert all(a.flags.c_contiguous for steps in scanned for step in steps for a in step)
+
+
+WINDOWS = [(OBS.window(OBS.grid.t_min, 1995), None), (OBS, ff.YearGrid(1960, 2020)),
+           (OBS.window(1980, OBS.grid.t_max), None)]
+
+
+def test_narrowed_kernels_work_in_one_arena():
+    # A kernel's first call works in buffers it drops on return.  From the
+    # second call on, the kernel and every kernel narrowed from it work in
+    # one mapped arena, as prefixes of its flat buffers; a wider call grows
+    # it for all of them.
+    thetas, masks = mixed_lanes(12, seed=3)
+    kernel = LaneKernel.of_windows(WINDOWS, np.arange(12) % 3)
+    narrowed = kernel.lanes(np.arange(12) < 7)
+    assert narrowed._arena is kernel._arena
+    kernel(thetas, masks)
+    assert kernel._workspace is None and not kernel._arena.buffers
+    kernel(thetas, masks)
+    buffers = kernel._arena.buffers
+    owner = buffers["p"]
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    assert isinstance(getattr(owner, "obj", owner), mmap.mmap)
+    narrowed(thetas[:7], masks[:7])
+    assert kernel._arena.buffers is buffers
+    work = narrowed._workspace
+    assert np.shares_memory(work.p, buffers["p"]) and work.p.flags.c_contiguous
+    assert work.p.shape == (5, OBS.grid.n_years, 7)
+    one = LaneKernel(OBS)
+    one(thetas[:3], masks[:3])
+    one(thetas[:3], masks[:3])
+    small = one._arena.buffers
+    one(thetas, masks)
+    assert one._arena.buffers is not small and one._arena.width == 12
+    assert np.shares_memory(one._workspace.p, one._arena.buffers["p"])
+
+
+def test_workspace_is_not_pickled():
+    # After its first call a kernel keeps its workspace and arena; they are
+    # not pickled.
+    thetas, masks = mixed_lanes(9, seed=2)
+    for kernel in (LaneKernel(OBS), LaneKernel.of_windows(WINDOWS, np.arange(9) % 3)):
+        size = len(pickle.dumps(kernel))
+        kernel(thetas, masks)
+        values, grads = kernel(thetas, masks)
+        assert kernel._workspace is not None and kernel._arena.buffers
+        assert len(pickle.dumps(kernel)) == size
+        copy = pickle.loads(pickle.dumps(kernel))
+        for got, want in zip(copy(thetas, masks), (values, grads)):
+            assert_bitwise(got, want)
+
+
+@st.composite
+def call_sequences(draw):
+    """A kernel kind and the lanes of each call, forcing and unforced batches alternating."""
+    windowed = draw(st.booleans())
+    forced = draw(st.booleans())
+    calls = []
+    for _ in range(draw(st.integers(3, 6))):
+        pool = FORCED_LANES if forced else UNFORCED_LANES
+        calls.append(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2 * len(pool))))
+        forced = not forced
+    return windowed, calls
+
+
+POOL_THETAS, POOL_MASKS = mixed_lanes(24, seed=11)
+FORCED_LANES = [int(i) for i in np.flatnonzero(POOL_MASKS[:, -1])]
+UNFORCED_LANES = [int(i) for i in np.flatnonzero(~POOL_MASKS[:, -1])]
+POOL_WINDOW = np.arange(24) % len(WINDOWS)
+
+
+def test_call_sequence_pool_has_every_kind_of_lane():
+    values, _ = LaneKernel(OBS)(POOL_THETAS, POOL_MASKS)
+    penalized = values >= PENALTY_PER_INVALID_YEAR
+    assert FORCED_LANES and UNFORCED_LANES
+    assert penalized[FORCED_LANES].any() and not penalized.all()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=call_sequences())
+def test_no_state_passes_between_calls(case):
+    # Calls on kernels that share one arena, at changing widths and with
+    # and without forcing lanes, each equal the call on a fresh kernel, and
+    # never touch what an earlier call returned.  (The first call's buffers
+    # are dropped; from the third call on the arena holds an earlier call's
+    # values.)
+    windowed, calls = case
+    base = LaneKernel.of_windows(WINDOWS, POOL_WINDOW) if windowed else LaneKernel(OBS)
+    returned = []
+    for lanes in calls:
+        index = np.array(lanes)
+        got = base.lanes(index)(POOL_THETAS[index], POOL_MASKS[index])
+        fresh = (LaneKernel.of_windows(WINDOWS, POOL_WINDOW[index]) if windowed
+                 else LaneKernel(OBS))
+        for a, b in zip(got, fresh(POOL_THETAS[index], POOL_MASKS[index])):
+            assert_bitwise(a, b)
+        for array, copy in returned:
+            assert_bitwise(array, copy)
+        returned += [(a, a.copy()) for a in got]
 
 
 def test_absent_coefficients_are_ignored_and_get_no_gradient():
