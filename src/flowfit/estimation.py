@@ -6,16 +6,16 @@ the unconstrained transformed parameter space with a BFGS iteration using
 a backtracking (Armijo) line search and the exact gradient.  One evaluator,
 :class:`~flowfit.model.LaneKernel`, gives the loss at a point: :func:`loss`,
 every fit's SSE, the lanes of a multi-start BFGS and the Hessian (central
-differences of the exact gradient) are lanes of its calls.  Every lane set
-(:func:`fit_lane_set`) runs its BFGS on lanes (:func:`bfgs_lanes`); only
-:func:`minimize_bfgs` with fewer than ``LANE_MIN_STARTS`` starts runs
-:func:`bfgs_minimize` on the list-level kernel, :class:`_Objective`.
+differences of the exact gradient) are lanes of its calls.  Two drivers
+run BFGS on it: every lane set (:func:`fit_lane_set`) runs as lanes of
+:func:`bfgs_lanes`, and :func:`minimize_bfgs` with fewer than
+``LANE_MIN_STARTS`` starts runs them one by one through
+:func:`bfgs_minimize` on a one-lane kernel.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,8 +24,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .model import (
-    LAMBDA_RAW_FLOOR,
-    LOGISTIC_CLAMP,
     PENALTY_PER_INVALID_YEAR,
     TRAJECTORY_NAMES,
     LaneKernel,
@@ -34,11 +32,9 @@ from .model import (
     SUPERSET_SPEC,
     SimulationResult,
     YearGrid,
-    _annual_updates,
     _checked_theta,
     _clamped_logistic,
     _stacked_design,
-    _trajectory_values,
     embed,
     logit,
     superset_mask,
@@ -54,7 +50,8 @@ HESSIAN_EIG_FLOOR_REL = 1e-8
 LINE_SEARCH_TRIES = 60
 
 # A fit of one job (:func:`minimize_bfgs`) with fewer starts than this runs
-# them one by one on the list-level kernel, which is faster for so few;
+# them one by one through :func:`bfgs_minimize` on a one-lane kernel, whose
+# iteration costs less than a :func:`bfgs_lanes` tick at so few lanes;
 # every lane set, whatever its width, runs as lanes of :func:`bfgs_lanes`.
 LANE_MIN_STARTS = 4
 
@@ -137,203 +134,34 @@ def residuals(obs: ObservedSeries, sim: SimulationResult) -> ResidualSet:
     return ResidualSet(r_m=r_m, r_p=r_p, n_eff=obs.grid.n_eff)
 
 
-@dataclass
-class _Forward:
-    """One evaluation of :class:`_Objective` and the state its gradient reuses.
+class _LaneObjective:
+    """:func:`bfgs_minimize`'s objective: ``spec``'s loss as one lane of a :class:`LaneKernel`.
 
-    ``p`` and ``lam`` are as :func:`~flowfit.model._trajectory_values` gives
-    them; the rest are Python floats or lists of them.  The residual lists
-    cover the counted years and year 0 (as 0).
-    """
-
-    theta: np.ndarray
-    value: float
-    p: np.ndarray
-    lam: float
-    rho_mp: list[float]
-    gamma_m: list[float]
-    gamma_p: list[float]
-    stock_m: list[float]
-    stock_p: list[float]
-    flow_m: list[float]
-    flow_p: list[float]
-    r_m: list[float]
-    r_p: list[float]
-
-
-class _Objective:
-    """The list-level kernel: the BFGS objective of :func:`minimize_bfgs` with few starts.
-
-    Its value and gradient are :func:`loss`'s and :func:`loss_gradient`'s up
-    to round-off, on Python floats, which beats the lane kernel at one to
-    three lanes.  With :func:`_adjoint_sweep` and :func:`_pull_back` below
-    it is the whole narrow path.  The per-fit data are turned into lists
-    and the stacked design is built once.  ``value`` keeps the point and
-    forward state of its last call.  ``gradient`` at that point runs only
-    the reverse sweep; at any other point it runs the forward pass first.
-    BFGS asks for the gradient at the point its line search accepted last,
-    so each iteration's gradient costs one reverse sweep.
+    ``value`` makes one kernel call and keeps that point's gradient, and
+    ``gradient`` at that point returns it; anywhere else it calls the
+    kernel first.  BFGS asks for the gradient where its line search
+    accepted last, so an accepted step costs no second call.  Every value
+    is a one-lane kernel value, bitwise :func:`loss` at its point.
     """
 
     def __init__(self, spec: ModelSpec, obs: ObservedSeries, scale_grid: Optional[YearGrid]):
-        if spec.forcing and obs.p_intl is None:
-            raise ValueError("forcing specification requires the p_intl series")
-        self.spec = spec
-        # Trajectories at the data's years on the (possibly wider) rescaling grid.
-        self.design = _stacked_design(spec, obs.grid if scale_grid is None else scale_grid,
-                                      None if scale_grid is None else obs.grid.years)
-        self.b = obs.b.tolist()
-        self.log_m = np.log(obs.m).tolist()
-        self.log_p = np.log(obs.p).tolist()
-        self.m0 = float(obs.m[0])
-        self.p0 = float(obs.p[0])
-        self.p_intl = obs.p_intl.tolist() if spec.forcing else None
-        self._last: Optional[_Forward] = None
-
-    def _forward(self, theta: np.ndarray) -> _Forward:
-        """Trajectories, recurrence, counted log residuals and loss at one point."""
-        theta = np.array(theta, dtype=float)
-        p, lam = _trajectory_values(theta, self.spec, self.design)
-        rho_bm, rho_bp, rho_mp, gamma_m, gamma_p = (
-            row.tolist() for row in p.reshape(len(TRAJECTORY_NAMES), -1)
-        )
-        forcing = None
-        if self.p_intl is not None:
-            forcing = [lam * x for x in self.p_intl]
-        stock_m, stock_p, flow_m, flow_p = _annual_updates(
-            self.b, rho_bm, rho_bp, rho_mp, gamma_m, gamma_p, forcing,
-            self.m0 / gamma_m[0], self.p0 / gamma_p[0],
-        )
-        # A year counts while both flows are finite and positive; the first
-        # invalid year ends the residual prefix, and every invalid year in
-        # the window is penalized.
-        # (The sum is nan or inf if any flow is; min() alone can miss a nan.)
-        if min(flow_m) > 0.0 and min(flow_p) > 0.0 and math.isfinite(sum(flow_m) + sum(flow_p)):
-            n_invalid = 0
-            stop = len(flow_m)
-        else:
-            valid = [0.0 < fm < math.inf and 0.0 < fp < math.inf
-                     for fm, fp in zip(flow_m, flow_p)]
-            n_invalid = valid.count(False)
-            stop = valid.index(False) if n_invalid else len(valid)
-        r_m = [0.0, *map(operator.sub, self.log_m[1:stop], map(math.log, flow_m[1:stop]))]
-        r_p = [0.0, *map(operator.sub, self.log_p[1:stop], map(math.log, flow_p[1:stop]))]
-        value = sum(map(operator.mul, r_m, r_m)) + sum(map(operator.mul, r_p, r_p))
-        return _Forward(
-            theta=theta, value=value + PENALTY_PER_INVALID_YEAR * n_invalid, p=p, lam=lam,
-            rho_mp=rho_mp, gamma_m=gamma_m, gamma_p=gamma_p,
-            stock_m=stock_m, stock_p=stock_p, flow_m=flow_m, flow_p=flow_p,
-            r_m=r_m[:stop], r_p=r_p[:stop],
-        )
-
-    def _reverse(self, state: _Forward) -> np.ndarray:
-        """Exact gradient of the value at ``state.theta`` by one reverse sweep.
-
-        Only the counted years carry residuals: the sweep starts at the last
-        valid year, and the per-invalid-year penalty, a step function, adds
-        nothing.
-        """
-        # d(r^2)/d(flow) = -2 r / flow, with r = log(observed) - log(flow).  The
-        # sweep is linear in its flow adjoints, so it runs on r / flow and
-        # the factor -2, a power of two, is applied once at the end: exact.
-        flat_bar, lam_bar = _adjoint_sweep(
-            self.b, state.rho_mp, state.gamma_m, state.gamma_p, self.p_intl,
-            state.stock_m, state.stock_p, state.flow_m,
-            list(map(operator.truediv, state.r_m, state.flow_m)),
-            list(map(operator.truediv, state.r_p, state.flow_p)),
-        )
-        p_bar = np.fromiter(flat_bar, dtype=float, count=len(flat_bar))
-        p_bar *= -2.0
-        return _pull_back(state.theta, state.p, p_bar, state.lam, -2.0 * lam_bar,
-                          self.spec.forcing, self.design)
+        self.kernel = LaneKernel(obs, scale_grid)
+        self.mask = superset_mask(spec)[None]
+        self.row = np.zeros(self.mask.shape)
+        self.theta: Optional[np.ndarray] = None
+        self.grad: Optional[np.ndarray] = None
 
     def value(self, theta: np.ndarray) -> float:
-        self._last = self._forward(theta)
-        return self._last.value
+        self.row[self.mask] = theta
+        values, grads = self.kernel(self.row, self.mask)
+        self.theta = np.array(theta, dtype=float)
+        self.grad = grads[self.mask]
+        return float(values[0])
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        if self._last is None or not (theta == self._last.theta).all():
+        if self.theta is None or not (theta == self.theta).all():
             self.value(theta)
-        return self._reverse(self._last)
-
-
-def _adjoint_sweep(
-    b: list[float],
-    rho_mp: list[float],
-    gamma_m: list[float],
-    gamma_p: list[float],
-    p_intl: Optional[list[float]],
-    stock_m: list[float],
-    stock_p: list[float],
-    flow_m: list[float],
-    flow_m_bar: list[float],
-    flow_p_bar: list[float],
-) -> tuple[list[float], float]:
-    """Reverse sweep of :func:`_annual_updates` and the initial stocks, on Python floats.
-
-    The flow adjoints cover the first ``len(flow_m_bar)`` years; the sweep
-    runs from the last of them back to year 0.  Returns the adjoints of
-    the five trajectories as one flat list of ``5 n`` floats, in
-    ``TRAJECTORY_NAMES`` order and zero past the swept years, and the
-    adjoint of the forcing weight.
-    """
-    n = len(b)
-    stop = len(flow_m_bar)
-    rbm_bar = [0.0] * n
-    rbp_bar = [0.0] * n
-    rmp_bar = [0.0] * n
-    gm_bar = [0.0] * n
-    gp_bar = [0.0] * n
-    lam_bar = 0.0
-    # Adjoints of the stocks one year ahead of year i.
-    am = 0.0
-    ap = 0.0
-    for i in range(stop - 1, -1, -1):
-        g_fm = flow_m_bar[i] + ap * rho_mp[i] - am
-        g_fp = flow_p_bar[i] - ap
-        rbm_bar[i] = am * b[i]
-        rbp_bar[i] = ap * b[i]
-        rmp_bar[i] = ap * flow_m[i]
-        if p_intl is not None:
-            lam_bar += ap * p_intl[i]
-        gm_bar[i] = g_fm * stock_m[i]
-        gp_bar[i] = g_fp * stock_p[i]
-        am += g_fm * gamma_m[i]
-        ap += g_fp * gamma_p[i]
-    if stop:
-        # stock_m0 = m0 / gamma_m[0], so d stock_m0 / d gamma_m[0] = -stock_m0 / gamma_m[0].
-        gm_bar[0] -= am * stock_m[0] / gamma_m[0]
-        gp_bar[0] -= ap * stock_p[0] / gamma_p[0]
-    return rbm_bar + rbp_bar + rmp_bar + gm_bar + gp_bar, lam_bar
-
-
-def _pull_back(
-    theta: np.ndarray,
-    p: np.ndarray,
-    p_bar: np.ndarray,
-    lam: float,
-    lam_bar: float,
-    forcing: bool,
-    design: np.ndarray,
-) -> np.ndarray:
-    """Pull adjoints of the trajectories back to the parameter vector.
-
-    ``p`` and ``lam`` are what :func:`_trajectory_values` gave for
-    ``theta`` and ``design``; ``p_bar`` holds the adjoint (the derivative of
-    some scalar) of each entry of ``p``, and ``lam_bar`` that of ``lam``.
-
-    The clamped logistic has derivative p(1-p) strictly inside the clamp
-    and 0 where the clip is active; the result then goes back through the
-    design of the forward product in one product.  With ``forcing`` the
-    last entry is ``lam_bar * lam`` above ``LAMBDA_RAW_FLOOR`` and 0 at or
-    below the floor or once ``lam`` has overflowed.
-    """
-    inside = (p > LOGISTIC_CLAMP) & (p < 1.0 - LOGISTIC_CLAMP)
-    eta_bar = np.where(inside, p_bar * (p * (1.0 - p)), 0.0)
-    theta_bar = eta_bar @ design
-    if forcing and float(theta[-1]) > LAMBDA_RAW_FLOOR and math.isfinite(lam):
-        theta_bar[-1] = lam_bar * lam
-    return theta_bar
+        return self.grad
 
 
 def _at_point(
@@ -635,15 +463,14 @@ def bfgs_lanes(
     n_iter = np.zeros(len(ids), dtype=int)
     d, slope = _lane_directions(h, g, mask, np.ones(len(ids), dtype=bool))
     alpha = np.ones(len(ids))
-    tries = np.zeros(len(ids), dtype=int)
-    while ids.size:
-        trial = x + alpha[:, None] * d
-        f_new, g_new = kernel(trial, mask)
-        # Lanes that did not move may hold anything here; nothing of theirs is kept.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # Lanes that did not move may hold anything; nothing of theirs is kept.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while ids.size:
+            trial = x + alpha[:, None] * d
+            f_new, g_new = kernel(trial, mask)
             moved = np.isfinite(f_new) & (f_new <= fx + 1e-4 * alpha * slope)
             rows = moved[:, None]
-            tries += 1
+            # After k failed trials alpha is exactly 0.5**k.
             alpha *= 0.5
             s = trial - x
             y = g_new - g
@@ -676,19 +503,18 @@ def bfgs_lanes(
             g_max = np.abs(g).max(axis=1)
             stop = np.where(moved,
                             (g_max <= gtol) | (rel_decrease <= ftol_rel) | (n_iter >= max_iter),
-                            tries >= LINE_SEARCH_TRIES)
+                            alpha <= 0.5 ** LINE_SEARCH_TRIES)
             d_new, slope_new = _lane_directions(h, g, mask, moved)
             np.copyto(d, d_new, where=rows)
             np.copyto(slope, slope_new, where=moved)
             np.copyto(alpha, 1.0, where=moved)
-            np.copyto(tries, 0, where=moved)
-        if stop.any():
-            for name, value in zip(_OUTCOME_FIELDS, (x, fx, n_iter, g_max, g_max <= gtol)):
-                getattr(out, name)[ids[stop]] = value[stop]
-            keep = ~stop
-            ids, x, fx, g, mask, h, scaled, n_iter, d, slope, alpha, tries = (
-                a[keep] for a in (ids, x, fx, g, mask, h, scaled, n_iter, d, slope, alpha, tries))
-            kernel = kernel.lanes(keep)
+            if stop.any():
+                for name, value in zip(_OUTCOME_FIELDS, (x, fx, n_iter, g_max, g_max <= gtol)):
+                    getattr(out, name)[ids[stop]] = value[stop]
+                keep = ~stop
+                ids, x, fx, g, mask, h, scaled, n_iter, d, slope, alpha = (
+                    a[keep] for a in (ids, x, fx, g, mask, h, scaled, n_iter, d, slope, alpha))
+                kernel = kernel.lanes(keep)
     return out
 
 
@@ -774,11 +600,10 @@ def minimize_bfgs(
 
     With ``LANE_MIN_STARTS`` starts or more the starts are one
     :class:`LaneJob` of :func:`fit_lane_set`.  Fewer run one by one
-    through :func:`bfgs_minimize` on the list kernel, :class:`_Objective`,
-    and one :class:`LaneKernel` call gives their end points' values.
-    Either way the first start with the lowest loss wins, and its
-    :class:`LaneKernel` value is the fit's SSE: ``sse == loss(theta_hat)``
-    exactly.
+    through :func:`bfgs_minimize` on one lane of a :class:`LaneKernel`
+    (:class:`_LaneObjective`).  Either way every value is a lane's
+    :class:`LaneKernel` value, the first start with the lowest wins, and
+    its value is the fit's SSE: ``sse == loss(theta_hat)`` exactly.
     """
     if len(starts) == 0:
         raise ValueError("at least one start is required")
@@ -790,14 +615,13 @@ def minimize_bfgs(
     if len(starts) >= LANE_MIN_STARTS:
         return fit_lane_set([LaneJob(spec, obs, starts, scale_grid)], options)[0]
     opts = options or FitOptions()
-    objective = _Objective(spec, obs, scale_grid)
+    objective = _LaneObjective(spec, obs, scale_grid)
     outcomes = [bfgs_minimize(objective.value, x0, grad=objective.gradient, gtol=opts.gtol,
                               ftol_rel=opts.ftol_rel, max_iter=opts.max_iter)
                 for x0 in starts]
-    x, _, *rest = (np.array([getattr(outcome, name) for outcome in outcomes])
-                   for name in _OUTCOME_FIELDS)
-    fun, _ = _spec_lanes(x, spec, obs, scale_grid)
-    return _best_start(spec, LaneOutcomes(embed(x, spec), fun, *rest))
+    x, *rest = (np.array([getattr(outcome, name) for outcome in outcomes])
+                for name in _OUTCOME_FIELDS)
+    return _best_start(spec, LaneOutcomes(embed(x, spec), *rest))
 
 
 @dataclass

@@ -661,10 +661,9 @@ class LaneKernel:
     forcing term.  It is the one evaluator of the loss at a point:
     ``estimation.loss`` and ``estimation.loss_gradient`` are one-lane calls,
     and a fit's SSE is its winning lane's value, for the spec the mask
-    describes, and every lane set's BFGS runs on it, whatever its width.
-    Only ``estimation.minimize_bfgs`` with few starts runs its BFGS on a
-    list-level kernel instead, which computes the same value and gradient
-    up to round-off.
+    describes, and every BFGS runs on it: a lane set's as lanes, whatever
+    its width, and ``estimation.minimize_bfgs``'s with few starts on one
+    lane, start by start.
 
     Arrays are quantity by years by lanes, so each quantity's block is a
     contiguous ``(n, B)`` array.  A ufunc's own output follows its

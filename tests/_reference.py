@@ -9,11 +9,34 @@ criteria recomputed from them match the published AIC/BIC to about
 
 ``fd_hessian`` is the second-difference Hessian of any scalar function,
 the reference for ``numerical_hessian``.
+
+``_Objective`` is the list-level kernel: the loss and its exact gradient
+by one forward pass and one reverse sweep (``_adjoint_sweep``,
+``_pull_back``) on Python floats, year by year.  It shares no code with
+:class:`~flowfit.model.LaneKernel` past the trajectories and the annual
+update, so it is the sequential oracle the lane kernel is held to.
 """
+
+import math
+import operator
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from flowfit.estimation import _symmetrized
+from flowfit.model import (
+    LAMBDA_RAW_FLOOR,
+    LOGISTIC_CLAMP,
+    PENALTY_PER_INVALID_YEAR,
+    TRAJECTORY_NAMES,
+    ModelSpec,
+    ObservedSeries,
+    YearGrid,
+    _annual_updates,
+    _stacked_design,
+    _trajectory_values,
+)
 
 REFERENCE_GRID = [
     (2, 2, False, 15, 0.129, -619.7, 0.0, -581.0, 0.0),
@@ -73,3 +96,200 @@ def fd_hessian(f, x, rel_step=1e-4):
                 f(x + e[i] + e[j]) - f(x + e[i] - e[j]) - f(x - e[i] + e[j]) + f(x - e[i] - e[j])
             ) / (4.0 * h[i] * h[j])
     return _symmetrized(hess)
+
+
+@dataclass
+class _Forward:
+    """One evaluation of :class:`_Objective` and the state its gradient reuses.
+
+    ``p`` and ``lam`` are as :func:`~flowfit.model._trajectory_values` gives
+    them; the rest are Python floats or lists of them.  The residual lists
+    cover the counted years and year 0 (as 0).
+    """
+
+    theta: np.ndarray
+    value: float
+    p: np.ndarray
+    lam: float
+    rho_mp: list[float]
+    gamma_m: list[float]
+    gamma_p: list[float]
+    stock_m: list[float]
+    stock_p: list[float]
+    flow_m: list[float]
+    flow_p: list[float]
+    r_m: list[float]
+    r_p: list[float]
+
+
+class _Objective:
+    """The list-level kernel: the loss at one point and its exact gradient.
+
+    Its value and gradient are :func:`loss`'s and :func:`loss_gradient`'s up
+    to round-off, on Python floats.  With :func:`_adjoint_sweep` and
+    :func:`_pull_back` below it is the whole reference.  The per-fit data
+    are turned into lists and the stacked design is built once.  ``value``
+    keeps the point and forward state of its last call.  ``gradient`` at
+    that point runs only the reverse sweep; at any other point it runs the
+    forward pass first.
+    """
+
+    def __init__(self, spec: ModelSpec, obs: ObservedSeries, scale_grid: Optional[YearGrid]):
+        if spec.forcing and obs.p_intl is None:
+            raise ValueError("forcing specification requires the p_intl series")
+        self.spec = spec
+        # Trajectories at the data's years on the (possibly wider) rescaling grid.
+        self.design = _stacked_design(spec, obs.grid if scale_grid is None else scale_grid,
+                                      None if scale_grid is None else obs.grid.years)
+        self.b = obs.b.tolist()
+        self.log_m = np.log(obs.m).tolist()
+        self.log_p = np.log(obs.p).tolist()
+        self.m0 = float(obs.m[0])
+        self.p0 = float(obs.p[0])
+        self.p_intl = obs.p_intl.tolist() if spec.forcing else None
+        self._last: Optional[_Forward] = None
+
+    def _forward(self, theta: np.ndarray) -> _Forward:
+        """Trajectories, recurrence, counted log residuals and loss at one point."""
+        theta = np.array(theta, dtype=float)
+        p, lam = _trajectory_values(theta, self.spec, self.design)
+        rho_bm, rho_bp, rho_mp, gamma_m, gamma_p = (
+            row.tolist() for row in p.reshape(len(TRAJECTORY_NAMES), -1)
+        )
+        forcing = None
+        if self.p_intl is not None:
+            forcing = [lam * x for x in self.p_intl]
+        stock_m, stock_p, flow_m, flow_p = _annual_updates(
+            self.b, rho_bm, rho_bp, rho_mp, gamma_m, gamma_p, forcing,
+            self.m0 / gamma_m[0], self.p0 / gamma_p[0],
+        )
+        # A year counts while both flows are finite and positive; the first
+        # invalid year ends the residual prefix, and every invalid year in
+        # the window is penalized.
+        # (The sum is nan or inf if any flow is; min() alone can miss a nan.)
+        if min(flow_m) > 0.0 and min(flow_p) > 0.0 and math.isfinite(sum(flow_m) + sum(flow_p)):
+            n_invalid = 0
+            stop = len(flow_m)
+        else:
+            valid = [0.0 < fm < math.inf and 0.0 < fp < math.inf
+                     for fm, fp in zip(flow_m, flow_p)]
+            n_invalid = valid.count(False)
+            stop = valid.index(False) if n_invalid else len(valid)
+        r_m = [0.0, *map(operator.sub, self.log_m[1:stop], map(math.log, flow_m[1:stop]))]
+        r_p = [0.0, *map(operator.sub, self.log_p[1:stop], map(math.log, flow_p[1:stop]))]
+        value = sum(map(operator.mul, r_m, r_m)) + sum(map(operator.mul, r_p, r_p))
+        return _Forward(
+            theta=theta, value=value + PENALTY_PER_INVALID_YEAR * n_invalid, p=p, lam=lam,
+            rho_mp=rho_mp, gamma_m=gamma_m, gamma_p=gamma_p,
+            stock_m=stock_m, stock_p=stock_p, flow_m=flow_m, flow_p=flow_p,
+            r_m=r_m[:stop], r_p=r_p[:stop],
+        )
+
+    def _reverse(self, state: _Forward) -> np.ndarray:
+        """Exact gradient of the value at ``state.theta`` by one reverse sweep.
+
+        Only the counted years carry residuals: the sweep starts at the last
+        valid year, and the per-invalid-year penalty, a step function, adds
+        nothing.
+        """
+        # d(r^2)/d(flow) = -2 r / flow, with r = log(observed) - log(flow).  The
+        # sweep is linear in its flow adjoints, so it runs on r / flow and
+        # the factor -2, a power of two, is applied once at the end: exact.
+        flat_bar, lam_bar = _adjoint_sweep(
+            self.b, state.rho_mp, state.gamma_m, state.gamma_p, self.p_intl,
+            state.stock_m, state.stock_p, state.flow_m,
+            list(map(operator.truediv, state.r_m, state.flow_m)),
+            list(map(operator.truediv, state.r_p, state.flow_p)),
+        )
+        p_bar = np.fromiter(flat_bar, dtype=float, count=len(flat_bar))
+        p_bar *= -2.0
+        return _pull_back(state.theta, state.p, p_bar, state.lam, -2.0 * lam_bar,
+                          self.spec.forcing, self.design)
+
+    def value(self, theta: np.ndarray) -> float:
+        self._last = self._forward(theta)
+        return self._last.value
+
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        if self._last is None or not (theta == self._last.theta).all():
+            self.value(theta)
+        return self._reverse(self._last)
+
+
+def _adjoint_sweep(
+    b: list[float],
+    rho_mp: list[float],
+    gamma_m: list[float],
+    gamma_p: list[float],
+    p_intl: Optional[list[float]],
+    stock_m: list[float],
+    stock_p: list[float],
+    flow_m: list[float],
+    flow_m_bar: list[float],
+    flow_p_bar: list[float],
+) -> tuple[list[float], float]:
+    """Reverse sweep of :func:`_annual_updates` and the initial stocks, on Python floats.
+
+    The flow adjoints cover the first ``len(flow_m_bar)`` years; the sweep
+    runs from the last of them back to year 0.  Returns the adjoints of
+    the five trajectories as one flat list of ``5 n`` floats, in
+    ``TRAJECTORY_NAMES`` order and zero past the swept years, and the
+    adjoint of the forcing weight.
+    """
+    n = len(b)
+    stop = len(flow_m_bar)
+    rbm_bar = [0.0] * n
+    rbp_bar = [0.0] * n
+    rmp_bar = [0.0] * n
+    gm_bar = [0.0] * n
+    gp_bar = [0.0] * n
+    lam_bar = 0.0
+    # Adjoints of the stocks one year ahead of year i.
+    am = 0.0
+    ap = 0.0
+    for i in range(stop - 1, -1, -1):
+        g_fm = flow_m_bar[i] + ap * rho_mp[i] - am
+        g_fp = flow_p_bar[i] - ap
+        rbm_bar[i] = am * b[i]
+        rbp_bar[i] = ap * b[i]
+        rmp_bar[i] = ap * flow_m[i]
+        if p_intl is not None:
+            lam_bar += ap * p_intl[i]
+        gm_bar[i] = g_fm * stock_m[i]
+        gp_bar[i] = g_fp * stock_p[i]
+        am += g_fm * gamma_m[i]
+        ap += g_fp * gamma_p[i]
+    if stop:
+        # stock_m0 = m0 / gamma_m[0], so d stock_m0 / d gamma_m[0] = -stock_m0 / gamma_m[0].
+        gm_bar[0] -= am * stock_m[0] / gamma_m[0]
+        gp_bar[0] -= ap * stock_p[0] / gamma_p[0]
+    return rbm_bar + rbp_bar + rmp_bar + gm_bar + gp_bar, lam_bar
+
+
+def _pull_back(
+    theta: np.ndarray,
+    p: np.ndarray,
+    p_bar: np.ndarray,
+    lam: float,
+    lam_bar: float,
+    forcing: bool,
+    design: np.ndarray,
+) -> np.ndarray:
+    """Pull adjoints of the trajectories back to the parameter vector.
+
+    ``p`` and ``lam`` are what :func:`_trajectory_values` gave for
+    ``theta`` and ``design``; ``p_bar`` holds the adjoint (the derivative of
+    some scalar) of each entry of ``p``, and ``lam_bar`` that of ``lam``.
+
+    The clamped logistic has derivative p(1-p) strictly inside the clamp
+    and 0 where the clip is active; the result then goes back through the
+    design of the forward product in one product.  With ``forcing`` the
+    last entry is ``lam_bar * lam`` above ``LAMBDA_RAW_FLOOR`` and 0 at or
+    below the floor or once ``lam`` has overflowed.
+    """
+    inside = (p > LOGISTIC_CLAMP) & (p < 1.0 - LOGISTIC_CLAMP)
+    eta_bar = np.where(inside, p_bar * (p * (1.0 - p)), 0.0)
+    theta_bar = eta_bar @ design
+    if forcing and float(theta[-1]) > LAMBDA_RAW_FLOOR and math.isfinite(lam):
+        theta_bar[-1] = lam_bar * lam
+    return theta_bar

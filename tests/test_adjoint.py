@@ -3,7 +3,7 @@
 ``gradient_fd`` is the independent check: central differences of the
 same loss, with no shared derivative code.  Both exact gradients are held
 to it: ``loss_gradient`` (the lane kernel's reverse scans) and the
-list-level kernel's reverse sweep (``estimation._Objective``).
+list-level kernel's reverse sweep (``_reference._Objective``).
 """
 
 import numpy as np
@@ -11,9 +11,9 @@ import pytest
 
 import flowfit as ff
 from flowfit import estimation
-from flowfit.estimation import _adjoint_sweep
-from flowfit.model import LAMBDA_RAW_FLOOR
+from flowfit.model import LAMBDA_RAW_FLOOR, LaneKernel
 
+from _reference import _Objective, _adjoint_sweep
 from _scenarios import RECOVERY_SPEC, RECOVERY_THETA, recovery_scenario
 from test_kernel_properties import evaluators
 
@@ -192,12 +192,12 @@ def test_adjoint_sweep_ignores_years_past_its_adjoints(intl_obs):
 def test_fit_makes_one_forward_pass_per_loss_evaluation(intl_obs, monkeypatch):
     forward = {"n": 0}
     calls = {"f": 0, "grad": 0}
-    real_values = estimation._trajectory_values
+    real_kernel = LaneKernel.__call__
     real_bfgs = estimation.bfgs_minimize
 
-    def counting_values(*args, **kwargs):
+    def counting_kernel(*args, **kwargs):
         forward["n"] += 1
-        return real_values(*args, **kwargs)
+        return real_kernel(*args, **kwargs)
 
     def counting_bfgs(f, x0, grad, **kwargs):
         def f_counted(x):
@@ -210,7 +210,7 @@ def test_fit_makes_one_forward_pass_per_loss_evaluation(intl_obs, monkeypatch):
 
         return real_bfgs(f_counted, x0, grad=grad_counted, **kwargs)
 
-    monkeypatch.setattr(estimation, "_trajectory_values", counting_values)
+    monkeypatch.setattr(LaneKernel, "__call__", counting_kernel)
     monkeypatch.setattr(estimation, "bfgs_minimize", counting_bfgs)
     spec = ff.ModelSpec(1, 2, forcing=True)
     starts = ff.default_starts(spec, intl_obs, n_starts=3, seed=4)
@@ -221,14 +221,17 @@ def test_fit_makes_one_forward_pass_per_loss_evaluation(intl_obs, monkeypatch):
 
 
 def test_gradient_away_from_last_value_runs_its_own_forward_pass(intl_obs):
-    def fresh(theta):
-        return estimation._Objective(RECOVERY_SPEC, intl_obs, None).gradient(theta)
+    # The narrow fits' objective and the list-level reference keep their
+    # last point alike.
+    for make in (estimation._LaneObjective, _Objective):
+        def fresh(theta):
+            return make(RECOVERY_SPEC, intl_obs, None).gradient(theta)
 
-    objective = estimation._Objective(RECOVERY_SPEC, intl_obs, None)
-    a = RECOVERY_THETA + 0.1
-    b = RECOVERY_THETA - 0.1
-    objective.value(a)
-    assert np.array_equal(objective.gradient(b), fresh(b))
-    assert np.array_equal(objective.gradient(b), fresh(b))
-    objective.value(a)
-    assert np.array_equal(objective.gradient(a), fresh(a))
+        objective = make(RECOVERY_SPEC, intl_obs, None)
+        a = RECOVERY_THETA + 0.1
+        b = RECOVERY_THETA - 0.1
+        objective.value(a)
+        assert np.array_equal(objective.gradient(b), fresh(b)), make
+        assert np.array_equal(objective.gradient(b), fresh(b)), make
+        objective.value(a)
+        assert np.array_equal(objective.gradient(a), fresh(a)), make

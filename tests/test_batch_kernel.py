@@ -2,19 +2,19 @@
 
 The finite-difference gradient and the Hessian run on one
 :class:`~flowfit.model.LaneKernel` call; ``fd_gradient`` and ``fd_hessian``
-of the list kernel's loss (``estimation._Objective``) are their references.  The bands' batched
-trajectories are checked against ``eval_param_trajectories`` per draw.
+of the list kernel's loss (``_reference._Objective``) are their
+references.  The bands' batched trajectories are checked against
+``eval_param_trajectories`` per draw.
 """
 
 import numpy as np
 import pytest
 
 import flowfit as ff
-from flowfit import estimation
 from flowfit.estimation import fd_gradient
 from flowfit.model import LOGISTIC_CLAMP, _clamped_logistic, embed, superset_mask
 
-from _reference import fd_hessian
+from _reference import _Objective, fd_hessian
 from _scenarios import RECOVERY_SPEC, RECOVERY_THETA, recovery_scenario
 
 GRID = ff.YearGrid(1969, 2017)
@@ -22,7 +22,7 @@ GRID = ff.YearGrid(1969, 2017)
 
 def list_loss(spec, obs, scale_grid=None):
     """The list kernel's loss, the reference independent of the lane kernel."""
-    return estimation._Objective(spec, obs, scale_grid).value
+    return _Objective(spec, obs, scale_grid).value
 
 
 def rel_err(got, want):

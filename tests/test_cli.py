@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -92,6 +94,18 @@ class TestArgumentHandling:
         assert exc.value.code == code
         if code == 1:
             assert "--data is required" in capsys.readouterr().err
+
+    def test_module_run_exits_with_run_cli_code(self, tmp_path):
+        # ``python -m flowfit.cli`` runs ``main``, as the installed script does.
+        missing = tmp_path / "nope.csv"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(estimation.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "flowfit.cli", "fit", "--data", str(missing),
+                               "--out", str(tmp_path / "r")],
+                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert done.returncode == 1
+        assert f"error: data file not found: {missing}" in done.stderr.splitlines()
+        assert not (tmp_path / "r").exists()
 
 
 class TestFit:

@@ -128,7 +128,7 @@ class TestTruncationStudy:
         obs, _ = small_noise_free
         rows = truncation_study(obs, RECOVERY_SPEC, [obs.grid.t_min], quick_options)
         # The whole sample's fit from the fit stage's starts, on lanes as the
-        # refits are (minimize_bfgs runs 2 starts on the list kernel).
+        # refits are (minimize_bfgs runs 2 starts through bfgs_minimize).
         starts = np.stack(default_starts(RECOVERY_SPEC, obs, n_starts=2, seed=0))
         (full,) = fit_lane_set([LaneJob(RECOVERY_SPEC, obs, starts)], quick_options)
         assert rows[0].sse == full.sse

@@ -104,7 +104,7 @@ class TestResiduals:
 
 
 class TestLoss:
-    """``loss`` (the lane kernel) and the list kernel, ``estimation._Objective``, alike."""
+    """``loss`` (the lane kernel) and the list kernel, ``_reference._Objective``, alike."""
 
     def test_zero_at_generator(self, noise_free):
         obs, _ = noise_free

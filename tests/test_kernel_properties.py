@@ -1,7 +1,7 @@
 """Property tests of both evaluators of the loss at a point.
 
 ``loss`` and ``loss_gradient`` (one-lane ``LaneKernel`` calls) and the
-list-level kernel ``estimation._Objective`` (one reverse sweep) must each
+list-level kernel ``_reference._Objective`` (one reverse sweep) must each
 give an exact gradient within 1e-6 of ``gradient_fd`` (central
 differences of the lane kernel's values), over every grid spec, random
 parameters, truncated windows, forcing and a separate rescaling grid.
@@ -15,9 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import flowfit as ff
-from flowfit import estimation
 from flowfit.estimation import PENALTY_PER_INVALID_YEAR
 
+from _reference import _Objective
 from _scenarios import recovery_scenario
 
 OBS, _ = ff.generate(recovery_scenario(p_intl=True, noise_sd=0.02, seed=5))
@@ -54,9 +54,9 @@ def evaluators(spec, obs, scale_grid=None):
     """Value and gradient functions of both kernels at ``spec``, ``obs`` and ``scale_grid``.
 
     ``lane`` is ``loss`` and ``loss_gradient``, one-lane ``LaneKernel``
-    calls; ``list`` is the list-level ``estimation._Objective``.
+    calls; ``list`` is the list-level ``_reference._Objective``.
     """
-    objective = estimation._Objective(spec, obs, scale_grid)
+    objective = _Objective(spec, obs, scale_grid)
     return {"lane": (lambda theta: ff.loss(theta, spec, obs, scale_grid),
                      lambda theta: ff.loss_gradient(theta, spec, obs, scale_grid)),
             "list": (objective.value, objective.gradient)}

@@ -136,7 +136,7 @@ def test_refits_equal_per_window_fit_lane_set(n_starts, rescale):
 
 
 def test_small_lane_set_runs_on_lanes(monkeypatch):
-    # Only minimize_bfgs keeps the list kernel; a lane set of any width,
+    # Only minimize_bfgs runs bfgs_minimize; a lane set of any width,
     # here 1 to LANE_MIN_STARTS lanes, is one bfgs_lanes run.
     calls = []
     real_lanes, real_list = estimation.bfgs_lanes, estimation.bfgs_minimize

@@ -1,7 +1,7 @@
 """The lane path: the batched scan kernel, the ticked BFGS and the lane-chunked grid.
 
-The list-level kernel (``estimation._Objective``, the narrow fits' BFGS
-objective) is the reference for :class:`LaneKernel`, on the inputs of
+The list-level kernel (``_reference._Objective``, a sequential oracle)
+is the reference for :class:`LaneKernel`, on the inputs of
 ``test_kernel_properties.py``; ``loss`` and ``loss_gradient`` are the
 kernel's one-lane value and gradient, bit for bit.
 A lane's value, gradient and iterates must not depend on the other lanes
@@ -23,6 +23,7 @@ from flowfit import estimation, model
 from flowfit.estimation import PENALTY_PER_INVALID_YEAR, bfgs_lanes, bfgs_minimize
 from flowfit.model import LaneKernel, embed, superset_mask
 
+from _reference import _Objective
 from _scenarios import recovery_scenario
 from test_kernel_properties import KERNEL, OBS, SPECS, cases
 
@@ -36,7 +37,7 @@ def lane_eval(spec, obs, theta, scale_grid=None):
 
 def assert_matches_list_kernel(spec, obs, theta, scale_grid):
     value, grad = lane_eval(spec, obs, theta, scale_grid)
-    objective = estimation._Objective(spec, obs, scale_grid)
+    objective = _Objective(spec, obs, scale_grid)
     want = objective.value(theta)
     want_grad = objective.gradient(theta)
     assert math.isfinite(value) and np.all(np.isfinite(grad))
@@ -338,7 +339,7 @@ def test_lane_fit_matches_list_fit_from_each_start(obs49, spec):
     starts = ff.default_starts(spec, obs49, n_starts=8, seed=3)
     lanes = bfgs_lanes(LaneKernel(obs49), np.stack([embed(x, spec) for x in starts]),
                        np.tile(superset_mask(spec), (len(starts), 1)))
-    objective = estimation._Objective(spec, obs49, None)
+    objective = _Objective(spec, obs49, None)
     for lane, x0 in enumerate(starts):
         want = bfgs_minimize(objective.value, x0, grad=objective.gradient)
         assert lanes.converged[lane] and want.converged
@@ -446,17 +447,17 @@ def test_lane_that_moves_beside_rejected_lanes_equals_its_run_alone():
 def test_minimize_bfgs_runs_lanes_from_lane_min_starts(obs49, monkeypatch):
     spec = ff.ModelSpec(1, 0, True)
     calls = []
-    real_lanes, real_list = estimation.bfgs_lanes, estimation.bfgs_minimize
+    real_lanes, real_one = estimation.bfgs_lanes, estimation.bfgs_minimize
     monkeypatch.setattr(estimation, "bfgs_lanes",
                         lambda *a, **k: calls.append("lanes") or real_lanes(*a, **k))
     monkeypatch.setattr(estimation, "bfgs_minimize",
-                        lambda *a, **k: calls.append("list") or real_list(*a, **k))
+                        lambda *a, **k: calls.append("one") or real_one(*a, **k))
     opts = ff.FitOptions(max_iter=50)
-    # Fewer starts run one by one on the list kernel (bands49's set-up fits).
+    # Fewer starts run one by one on a one-lane kernel (bands49's set-up fits).
     for few in range(1, estimation.LANE_MIN_STARTS):
         calls.clear()
         fit = ff.minimize_bfgs(spec, obs49, ff.default_starts(spec, obs49, n_starts=few), opts)
-        assert calls == ["list"] * few
+        assert calls == ["one"] * few
         assert fit.sse == ff.loss(fit.theta_hat, spec, obs49)
     calls.clear()
     starts = ff.default_starts(spec, obs49, n_starts=estimation.LANE_MIN_STARTS)
