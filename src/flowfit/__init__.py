@@ -63,6 +63,16 @@ from .synthetic import (
     scenario_from_dict,
 )
 from .dataio import DataError, ReportBundle, load_series, write_reports, write_series
-from .cli import run_cli
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # ``run_cli`` loads the CLI module (and argparse) on first use, so that
+    # ``import flowfit`` stays light and ``python -m flowfit.cli`` does not
+    # find its module already imported.
+    if name == "run_cli":
+        from .cli import run_cli
+        globals()[name] = run_cli
+        return run_cli
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

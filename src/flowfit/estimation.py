@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -449,11 +448,20 @@ def bfgs_lanes(
     :meth:`LaneKernel.lanes` narrows the kernel to the rest.  A
     lane's arithmetic never mixes with another's, so its iterates do not
     depend on the batch it runs in.
+
+    In the common tick every lane moves, and the masks select everything.
+    So a tick whose ``moved`` is all True (one ufunc reduction decides)
+    takes the trial points, values, gradients, directions and slopes by
+    reference, resets every step to 1 and takes the moved lanes' stop
+    rule; a tick in which every lane updates adds the update without
+    ``where``; the first-update scaling test stops once every lane is
+    scaled; and :func:`_lane_directions` returns at once when no lane
+    restarts.  Each gives the bits of the masked path it replaces.
     """
     x0 = np.array(x0, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     fx, g = kernel(x0, mask)
-    g_max = np.abs(g).max(axis=1)
+    g_max = np.maximum.reduce(np.abs(g), 1)
     out = LaneOutcomes(x=x0.copy(), fun=fx, n_iterations=np.zeros(len(fx), dtype=int),
                        grad_max_norm=g_max, converged=g_max <= gtol)
     ids = np.flatnonzero(~out.converged) if max_iter > 0 else np.empty(0, dtype=int)
@@ -463,26 +471,27 @@ def bfgs_lanes(
     n_iter = np.zeros(len(ids), dtype=int)
     d, slope = _lane_directions(h, g, mask, np.ones(len(ids), dtype=bool))
     alpha = np.ones(len(ids))
+    all_scaled = False
     # Lanes that did not move may hold anything; nothing of theirs is kept.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while ids.size:
             trial = x + alpha[:, None] * d
             f_new, g_new = kernel(trial, mask)
             moved = np.isfinite(f_new) & (f_new <= fx + 1e-4 * alpha * slope)
-            rows = moved[:, None]
-            # After k failed trials alpha is exactly 0.5**k.
-            alpha *= 0.5
+            all_moved = np.logical_and.reduce(moved)
             s = trial - x
             y = g_new - g
             sy = _lane_dot(s, y)
             yy = _lane_dot(y, y)
-            # Scale the initial inverse Hessian before the first update.
-            first = moved & ~scaled & (sy > 0.0)
-            if first.any():
-                np.multiply(h, (sy / yy)[:, None, None], out=h, where=first[:, None, None])
-                scaled |= first
+            if not all_scaled:
+                # Scale the initial inverse Hessian before the first update.
+                first = moved & ~scaled & (sy > 0.0)
+                if np.logical_or.reduce(first):
+                    np.multiply(h, (sy / yy)[:, None, None], out=h, where=first[:, None, None])
+                    scaled |= first
+                    all_scaled = np.logical_and.reduce(scaled)
             update = moved & (sy > 1e-10 * np.sqrt(_lane_dot(s, s)) * np.sqrt(yy))
-            if update.any():
+            if np.logical_or.reduce(update):
                 rho = 1.0 / sy
                 hy = _lane_matvec(h, y)
                 yhy = _lane_dot(y, hy)
@@ -494,21 +503,36 @@ def bfgs_lanes(
                 step = s[:, :, None] * s[:, None, :]
                 step *= (rho * rho * yhy + rho)[:, None, None]
                 step -= cross
-                np.add(h, step, out=h, where=update[:, None, None])
+                if np.logical_and.reduce(update):
+                    h += step
+                else:
+                    np.add(h, step, out=h, where=update[:, None, None])
             n_iter += moved
             rel_decrease = (fx - f_new) / np.maximum(np.abs(fx), 1e-300)
-            np.copyto(x, trial, where=rows)
-            np.copyto(fx, f_new, where=moved)
-            np.copyto(g, g_new, where=rows)
-            g_max = np.abs(g).max(axis=1)
-            stop = np.where(moved,
-                            (g_max <= gtol) | (rel_decrease <= ftol_rel) | (n_iter >= max_iter),
-                            alpha <= 0.5 ** LINE_SEARCH_TRIES)
-            d_new, slope_new = _lane_directions(h, g, mask, moved)
-            np.copyto(d, d_new, where=rows)
-            np.copyto(slope, slope_new, where=moved)
-            np.copyto(alpha, 1.0, where=moved)
-            if stop.any():
+            if all_moved:
+                # Every lane takes its trial's state, as the masked copies
+                # below would write it.
+                x, fx, g = trial, f_new, g_new
+                g_max = np.maximum.reduce(np.abs(g), 1)
+                stop = (g_max <= gtol) | (rel_decrease <= ftol_rel) | (n_iter >= max_iter)
+                d, slope = _lane_directions(h, g, mask, moved)
+                alpha.fill(1.0)
+            else:
+                rows = moved[:, None]
+                # After k failed trials alpha is exactly 0.5**k.
+                alpha *= 0.5
+                np.copyto(x, trial, where=rows)
+                np.copyto(fx, f_new, where=moved)
+                np.copyto(g, g_new, where=rows)
+                g_max = np.maximum.reduce(np.abs(g), 1)
+                stop = np.where(moved,
+                                (g_max <= gtol) | (rel_decrease <= ftol_rel) | (n_iter >= max_iter),
+                                alpha <= 0.5 ** LINE_SEARCH_TRIES)
+                d_new, slope_new = _lane_directions(h, g, mask, moved)
+                np.copyto(d, d_new, where=rows)
+                np.copyto(slope, slope_new, where=moved)
+                np.copyto(alpha, 1.0, where=moved)
+            if np.logical_or.reduce(stop):
                 for name, value in zip(_OUTCOME_FIELDS, (x, fx, n_iter, g_max, g_max <= gtol)):
                     getattr(out, name)[ids[stop]] = value[stop]
                 keep = ~stop
@@ -531,11 +555,17 @@ def _lane_directions(
     A lane of ``lanes`` whose slope is not finite and negative restarts
     from steepest descent: its ``h`` (changed in place) becomes the
     identity of its coefficients.  The other lanes' ``h`` is left as it is.
+    When every slope is finite and negative no lane restarts, and the
+    directions return as computed.
     """
     d = -_lane_matvec(h, g)
     slope = _lane_dot(g, d)
+    # A nan fails the first test; the initial values answer for no lanes.
+    if (np.maximum.reduce(slope, initial=-np.inf) < 0.0
+            and np.minimum.reduce(slope, initial=np.inf) > -np.inf):
+        return d, slope
     bad = lanes & (~np.isfinite(slope) | (slope >= 0.0))
-    if bad.any():
+    if np.logical_or.reduce(bad):
         np.copyto(h, _masked_eye(mask), where=bad[:, None, None])
         d[bad] = -g[bad]
         slope[bad] = -_lane_dot(g[bad], g[bad])
@@ -683,6 +713,10 @@ def fit_lane_set(
     # can run at once.
     workers = min(workers, len(chunks), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: the process pool pulls in multiprocessing, which
+        # only a run with a pool needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             lanes = LaneOutcomes.concatenate(list(pool.map(_fit_chunk, chunks)))
     else:

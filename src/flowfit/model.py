@@ -231,10 +231,18 @@ def _logistic_two_branch(y: np.ndarray, numerator: Optional[np.ndarray] = None) 
     """1/(1+exp(-y)) for y >= 0 and exp(y)/(1+exp(y)) otherwise, computed in ``y``'s buffer.
 
     ``numerator``, if given, is a buffer of ``y``'s shape for the scratch work.
+    One exp serves both branches: e = exp(-|y|) is exp(y) for y < 0, so
+    the numerator, 1 for y >= 0 and e otherwise, is max(e, [y >= 0]) with
+    e in [0, 1]: bitwise the exp(min(y, 0)) it replaces.  -|y| is formed
+    as min(y, -y), which keeps a nan's sign as abs would not, so a nan
+    ``y`` gives back its own bits as before.
     """
-    # The numerator exp(min(y, 0)) is 1 for y >= 0 and exp(y) otherwise.
-    numerator = np.exp(np.minimum(y, 0.0, out=numerator), out=numerator)
-    e = np.exp(np.negative(np.abs(y, out=y), out=y), out=y)
+    numerator = np.negative(y, out=np.empty_like(y) if numerator is None else numerator)
+    e = np.minimum(y, numerator, out=y)
+    # y >= 0 exactly where -y <= 0 (nan: neither), as 1.0 or 0.0.
+    np.less_equal(numerator, 0.0, out=numerator)
+    np.exp(e, out=e)
+    np.maximum(e, numerator, out=numerator)
     return np.divide(numerator, np.add(e, 1.0, out=e), out=e)
 
 
@@ -504,8 +512,7 @@ def _buffer_sizes(n: int) -> dict:
     sizes = {"coef": 15, "totals": 18, "corner": 2, "lam": 1, "p": 5 * n, "quad": 5 * n,
              "stocks": 2 * n, "flows": 2 * n, "flow_bars": 2 * n, "stock_bars": 2 * (n + 1),
              "carry": n, "windows": windows, "terms": 18 * n}
-    flags = {"positive": 5 * n, "finite": 5 * n, "valid": n, "prefix": n, "skipped": n,
-             "uncounted": n}
+    flags = {"positive": 5 * n, "finite": 5 * n, "valid": n, "prefix": n, "skipped": n}
     return {**{name: (size, float) for name, size in sizes.items()},
             **{name: (size, bool) for name, size in flags.items()}}
 
@@ -609,20 +616,19 @@ class _Workspace:
         self.p_intl_head = p_intl[:-1]
         self.carry_head = carry[:-1]
         self.retention = _retention_steps(windows, gammas)
-        # Masks of valid and counted years.
+        # Masks of valid and skipped years.
         self.positive = block("positive", 2, n)
         self.positive_m, self.positive_p = self.positive[0], self.positive[1]
         self.finite = block("finite", 2, n)
         self.valid = block("valid", n)
         self.prefix = block("prefix", n)
         self.skipped = block("skipped", n)
-        self.uncounted = block("uncounted", n)
         self.unpadded = None if pad is None else ~pad
-        self.year0 = np.arange(n)[:, None] == 0
         # Residuals, then the flows' adjoints; the stocks' adjoints and
         # their scans; the trajectories' adjoints, in the windows' buffer.
         self.flow_bars = block("flow_bars", 2, n)
         self.flow_bar_m, self.flow_bar_p = self.flow_bars[0], self.flow_bars[1]
+        self.flow_bars_first = self.flow_bars[:, 0]
         stock_bars = block("stock_bars", 2, n + 1)
         self.stock_bars_m, self.stock_bars_p = stock_bars[0, :n], stock_bars[1, :n]
         self.stock_bars_first = stock_bars[:, 0]
@@ -715,6 +721,24 @@ class LaneKernel:
     and a pad year adds exact zeros to the adjoint scans and the sums over
     years, so a lane's value and gradient do not depend on the padding
     either.  :meth:`lanes` narrows a kernel to some of its lanes.
+
+    Two checks let a call skip the masks that only the rare lane needs;
+    each picks the shortcut only where it gives the general path's bits.
+    The general path stays the definition, and a nan or a value near a
+    bound fails a check and takes it.
+
+    - One sum of all the log residuals, pad years included, before any
+      mask: if it is finite, every flow of every lane is finite and
+      positive.  Then every year is valid, no lane is penalized, and the
+      only skipped years are pad years.  The call zeroes the residuals
+      of year 0 and of the pad years and skips the validity masks, the
+      prefix scan and the masked copies that would write the zeros
+      already there: 0 / flow is 0 at a valid year, and every adjoint of
+      a pad year is 0 (its flows' adjoints, its stocks' and ``b``).
+    - One minimum of the logistic's slopes p (1 - p): at either clip it
+      is below 2 ``LOGISTIC_CLAMP``, so a minimum above that (not nan)
+      means no clip is active, and the clip masks and the zeroing of the
+      clipped slopes do not run.
     """
 
     def __init__(self, obs: ObservedSeries, scale_grid: Optional[YearGrid] = None):
@@ -787,8 +811,8 @@ class LaneKernel:
     def __call__(self, thetas: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Loss ``(B,)`` and gradient ``(B, 16)`` of every lane."""
         forcing = mask[:, -1]
-        forced = forcing.any()
-        if forced and (forcing & ~self.has_intl).any():
+        forced = np.logical_or.reduce(forcing)
+        if forced and np.logical_or.reduce(forcing & ~self.has_intl):
             raise ValueError("forcing specification requires the p_intl series")
         s, s2, b, log_obs, first, p_intl, pad = self.inputs
         n = s.shape[0]
@@ -796,17 +820,17 @@ class LaneKernel:
         # The lane's own coefficients, 0 for the others, in a C-ordered block.
         w.coef.fill(0.0)
         np.copyto(w.coef, thetas[:, :-1].T, where=mask[:, :-1].T)
-        # (5, n, B): each trajectory's predictor (c0 + c1 s) + c2 s^2, summed
-        # in that order.
-        p = w.p
-        np.multiply(w.c1, s, p)
-        np.add(w.c0, p, p)
-        np.multiply(w.c2, s2, w.quad)
-        np.add(p, w.quad, p)
-        _clamped_logistic(p, w.quad)
-
         # Overflow to inf/nan is allowed; such years are invalid and penalized.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # (5, n, B): each trajectory's predictor (c0 + c1 s) + c2 s^2,
+            # summed in that order (an infinite coefficient times s = 0 is nan).
+            p = w.p
+            np.multiply(w.c1, s, p)
+            np.add(w.c0, p, p)
+            np.multiply(w.c2, s2, w.quad)
+            np.add(p, w.quad, p)
+            _clamped_logistic(p, w.quad)
+
             if forced:
                 # The forcing weight, 0 for a lane without forcing.
                 lam = w.lam
@@ -830,36 +854,46 @@ class LaneKernel:
             _affine_scan(w.scans[1])
             np.multiply(w.gamma_p, w.stock_p, w.flow_p)
 
-            # A year is valid while both flows are finite and positive.
-            positive, valid, prefix, skipped, uncounted = (
-                w.positive, w.valid, w.prefix, w.skipped, w.uncounted)
-            np.greater(flows, 0.0, positive)
-            np.less(flows, np.inf, w.finite)
-            np.logical_and(positive, w.finite, positive)
-            np.logical_and(w.positive_m, w.positive_p, valid)
-            if pad is not None:
-                np.logical_or(valid, pad, valid)
-            n_invalid = n - valid.sum(axis=0)
-            np.logical_and.accumulate(valid, 0, None, prefix)
-            if pad is not None:
-                # Past its window a lane's stocks may overflow; its pad years
-                # carry no residual and no adjoint.
-                np.logical_and(prefix, w.unpadded, prefix)
-            # Years from the first invalid one on carry no adjoint, and
-            # those and year 0 no residual.
-            np.logical_not(prefix, skipped)
-            np.logical_or(skipped, w.year0, uncounted)
-            # Residuals r over the counted years, 0 elsewhere, and their
-            # squares; then the flows' adjoints, without the factor -2 of
-            # d(r^2)/d(flow) = -2 r / flow: the sweep is linear in them, so
-            # the factor (a power of two, exact) comes last.
+            # Residuals r = log(observed) - log(flow).  Their sum is finite
+            # only if every flow of every lane, pad years included, is
+            # finite and positive: then the masks below would find every
+            # year valid and only the pad years skipped.
             flow_bars = w.flow_bars
             np.log(flows, flow_bars)
             np.subtract(log_obs, flow_bars, flow_bars)
-            np.copyto(flow_bars, 0.0, where=uncounted)
+            all_valid = math.isfinite(np.add.reduce(flow_bars, None))
+            if all_valid:
+                skipped = pad
+            else:
+                # A year is valid while both flows are finite and positive.
+                positive, valid, prefix, skipped = w.positive, w.valid, w.prefix, w.skipped
+                np.greater(flows, 0.0, positive)
+                np.less(flows, np.inf, w.finite)
+                np.logical_and(positive, w.finite, positive)
+                np.logical_and(w.positive_m, w.positive_p, valid)
+                if pad is not None:
+                    np.logical_or(valid, pad, valid)
+                n_invalid = n - valid.sum(axis=0)
+                np.logical_and.accumulate(valid, 0, None, prefix)
+                if pad is not None:
+                    # Past its window a lane's stocks may overflow; its pad
+                    # years carry no residual and no adjoint.
+                    np.logical_and(prefix, w.unpadded, prefix)
+                # Years from the first invalid one on are skipped.
+                np.logical_not(prefix, skipped)
+            # Residuals over the counted years (neither year 0 nor skipped),
+            # 0 elsewhere, and their squares; then the flows' adjoints,
+            # without the factor -2 of d(r^2)/d(flow) = -2 r / flow: the
+            # sweep is linear in them, so the factor (a power of two, exact)
+            # comes last.  0 / flow is 0 again at a valid year, year 0
+            # included unless it is skipped.
+            w.flow_bars_first.fill(0.0)
+            if skipped is not None:
+                np.copyto(flow_bars, 0.0, where=skipped)
             np.multiply(flow_bars, flow_bars, w.squares)
             np.divide(flow_bars, flows, flow_bars)
-            np.copyto(flow_bars, 0.0, where=uncounted)
+            if not all_valid:
+                np.copyto(flow_bars, 0.0, where=skipped)
             # stock_bars[:, i] = d loss / d stocks[:, i] for i = 0..n, with
             # nothing after the last year; ``ahead`` is its entries 1..n.
             ahead, ahead_p = w.ahead, w.ahead_p
@@ -880,21 +914,29 @@ class LaneKernel:
             np.multiply(w.stock_bars_first, w.stock_first, w.corner)
             np.divide(w.corner, w.gamma_first, w.corner)
             np.subtract(w.p_bar_first, w.corner, w.p_bar_first)
-            # The stocks of skipped years may be inf or nan.
-            np.copyto(p_bar, 0.0, where=skipped)
+            # The stocks of skipped years may be inf or nan.  Where every
+            # flow is finite and positive the only skipped years are pad
+            # years, whose adjoints are already 0: their flows' adjoints
+            # are 0, so are their stocks', and b is 0 there.
+            if not all_valid:
+                np.copyto(p_bar, 0.0, where=skipped)
             if forced:
                 np.multiply(ahead_p, p_intl, w.lambda_column)
 
             # Back through the clamped logistic (derivative 0 where the
             # clip is active) and the three powers of rescaled time.
-            clipped, slope = w.clipped, w.quad
-            np.greater(p, LOGISTIC_CLAMP, clipped)
-            np.less(p, 1.0 - LOGISTIC_CLAMP, w.below)
-            np.logical_and(clipped, w.below, clipped)
-            np.logical_not(clipped, clipped)
+            # At either clip p (1 - p) is below 2 LOGISTIC_CLAMP, so a
+            # smallest slope above it (not nan) means no clip is active.
+            slope = w.quad
             np.subtract(1.0, p, slope)
             np.multiply(p, slope, slope)
-            np.copyto(slope, 0.0, where=clipped)
+            if not np.minimum.reduce(slope, None) > 2.0 * LOGISTIC_CLAMP:
+                clipped = w.clipped
+                np.greater(p, LOGISTIC_CLAMP, clipped)
+                np.less(p, 1.0 - LOGISTIC_CLAMP, w.below)
+                np.logical_and(clipped, w.below, clipped)
+                np.logical_not(clipped, clipped)
+                np.copyto(slope, 0.0, where=clipped)
             eta_bar = w.eta_bar
             np.multiply(p_bar, slope, eta_bar)
             np.multiply(eta_bar, s, w.eta_bar_s)
@@ -903,7 +945,9 @@ class LaneKernel:
             # A batch without forcing leaves column 17 as it was and never
             # reads its total.
             totals = np.add.reduce(w.terms, 0, None, w.totals)
-            values = totals[0] + totals[1] + PENALTY_PER_INVALID_YEAR * n_invalid
+            values = totals[0] + totals[1]
+            if not all_valid:
+                values = values + PENALTY_PER_INVALID_YEAR * n_invalid
             # The factor -2 on the lane's own coefficients, 0 on the others.
             grads = np.zeros(thetas.shape)
             np.multiply(w.coef_totals, -2.0, grads[:, :-1], where=mask[:, :-1])

@@ -95,17 +95,38 @@ class TestArgumentHandling:
         if code == 1:
             assert "--data is required" in capsys.readouterr().err
 
-    def test_module_run_exits_with_run_cli_code(self, tmp_path):
-        # ``python -m flowfit.cli`` runs ``main``, as the installed script does.
-        missing = tmp_path / "nope.csv"
+    @staticmethod
+    def run_python(tmp_path, *args):
+        """A fresh interpreter on this source tree, run in ``tmp_path``."""
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(Path(estimation.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-m", "flowfit.cli", "fit", "--data", str(missing),
-                               "--out", str(tmp_path / "r")],
-                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=120)
+
+    def test_module_run_exits_with_run_cli_code(self, tmp_path):
+        # ``python -m flowfit.cli`` runs ``main``, as the installed script
+        # does.  ``import flowfit`` leaves the CLI module unloaded, so runpy
+        # warns of nothing: under -W error a warning would end the run with
+        # a traceback before the error line.
+        missing = tmp_path / "nope.csv"
+        done = self.run_python(tmp_path, "-W", "error::RuntimeWarning", "-m", "flowfit.cli",
+                               "fit", "--data", str(missing), "--out", str(tmp_path / "r"))
         assert done.returncode == 1
-        assert f"error: data file not found: {missing}" in done.stderr.splitlines()
+        assert done.stderr.splitlines() == [f"error: data file not found: {missing}"]
         assert not (tmp_path / "r").exists()
+
+    def test_import_loads_neither_the_cli_nor_the_process_pool(self, tmp_path):
+        # argparse comes with the CLI and multiprocessing with the process
+        # pool; a plain ``import flowfit`` needs neither, and ``run_cli``
+        # still resolves, by attribute and by name.
+        done = self.run_python(tmp_path, "-c", "import sys, flowfit; print(sorted(\n"
+                               "    m for m in ('argparse', 'multiprocessing', 'flowfit.cli')\n"
+                               "    if m in sys.modules))\n"
+                               "from flowfit import run_cli\n"
+                               "import flowfit.cli\n"
+                               "assert run_cli is flowfit.run_cli is flowfit.cli.run_cli\n")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[]"]
 
 
 class TestFit:

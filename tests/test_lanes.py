@@ -9,6 +9,7 @@ it runs with, bit for bit, so the grid's chunking and ``--jobs`` cannot
 change a result.
 """
 
+import contextlib
 import math
 import mmap
 import pickle
@@ -86,25 +87,104 @@ def mixed_lanes(n_lanes, seed):
     return np.stack(thetas), np.stack(masks)
 
 
+def general_path_lanes(forcing):
+    """Lanes that force the kernel's general paths, as superset vectors and masks.
+
+    A constant coefficient of +inf puts a predictor at the clamp with
+    every flow valid; a nan slope makes one trajectory nan, so every year
+    is invalid and fails both tests.  With ``forcing``, a forcing weight
+    that overflows the flows adds invalid years with nothing clamped.
+    """
+    spec = ff.ModelSpec(2, 2, forcing)
+    center = embed(ff.default_starts(spec, OBS, n_starts=1)[0], spec)
+    clamped, nan, overflow = center.copy(), center.copy(), center.copy()
+    clamped[3] = np.inf   # rho_bp's constant
+    nan[10] = np.nan      # gamma_m's slope
+    overflow[-1] = 705.0
+    thetas = [clamped, nan] + ([overflow] if forcing else [])
+    return np.stack(thetas), np.tile(superset_mask(spec), (len(thetas), 1))
+
+
+@contextlib.contextmanager
+def kernel_paths(general=False):
+    """The shortcuts each :class:`LaneKernel` call in the block takes.
+
+    Yields a list that gets ``[every flow valid, no clip active]`` per
+    call: the kernel's two tests, a finite sum of the residuals and a
+    smallest logistic slope above 2 ``LOGISTIC_CLAMP``, read by wrapping
+    ``math.isfinite`` and ``np.minimum.reduce`` as ``model`` sees them.
+    With ``general`` both tests fail, so every call takes the general paths.
+    """
+    calls = []
+
+    class Math:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        @staticmethod
+        def isfinite(x):
+            calls.append([math.isfinite(x)])
+            return calls[-1][0] and not general
+
+    class Minimum:
+        __call__ = staticmethod(np.minimum)
+
+        @staticmethod
+        def reduce(*args, **kwargs):
+            least = np.minimum.reduce(*args, **kwargs)
+            calls[-1].append(bool(least > 2.0 * model.LOGISTIC_CLAMP))
+            return np.nan if general else least
+
+    class Numpy:
+        minimum = Minimum()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    saved = model.math, model.np
+    model.math, model.np = Math(), Numpy()
+    try:
+        yield calls
+    finally:
+        model.math, model.np = saved
+
+
+def assert_each_lane_is_its_one_lane_call(kernel, thetas, masks, values, grads):
+    """Each lane's value and gradient are bitwise its call alone; returns the paths alone."""
+    with kernel_paths() as paths:
+        for lane in range(len(thetas)):
+            alone_value, alone_grad = kernel.lanes([lane])(thetas[lane:lane + 1],
+                                                           masks[lane:lane + 1])
+            assert_bitwise(alone_value[0], values[lane])
+            assert_bitwise(alone_grad[0], grads[lane])
+    return paths
+
+
 def test_lane_alone_equals_lane_in_shuffled_batch():
+    # Lanes that take both shortcuts alone share a batch with lanes that
+    # force each general path, so the batch takes both general paths.
     p_intl = OBS.p_intl.copy()
     p_intl[:10] = 0.0
     obs = ff.ObservedSeries(OBS.grid, OBS.b, OBS.m, OBS.p, p_intl=p_intl)
     kernel = LaneKernel(obs, ff.YearGrid(1960, 2020))
     thetas, masks = mixed_lanes(37, seed=4)
-    values, grads = kernel(thetas, masks)
+    hard, hard_masks = general_path_lanes(forcing=True)
+    thetas, masks = np.concatenate([thetas, hard]), np.concatenate([masks, hard_masks])
+    with kernel_paths() as paths:
+        values, grads = kernel(thetas, masks)
+    assert paths == [[False, False]]
     penalized = values >= PENALTY_PER_INVALID_YEAR
     assert penalized.any() and not penalized.all()
     # Some penalized lanes have a residual prefix before their invalid years.
     assert np.any(penalized & (values % PENALTY_PER_INVALID_YEAR > 0.0))
     order = np.random.default_rng(5).permutation(len(values))
     shuffled_values, shuffled_grads = kernel(thetas[order], masks[order])
-    assert np.array_equal(shuffled_values, values[order])
-    assert np.array_equal(shuffled_grads, grads[order])
-    for lane in range(len(values)):
-        alone_value, alone_grad = kernel(thetas[lane:lane + 1], masks[lane:lane + 1])
-        assert alone_value[0] == values[lane]
-        assert np.array_equal(alone_grad[0], grads[lane])
+    assert_bitwise(shuffled_values, values[order])
+    assert_bitwise(shuffled_grads, grads[order])
+    paths = assert_each_lane_is_its_one_lane_call(kernel, thetas, masks, values, grads)
+    assert [True, True] in paths[:37]
+    # The clamped lane, the nan lane and the overflowing lane.
+    assert paths[37:] == [[True, False], [False, False], [False, True]]
 
 
 def assert_bitwise(got, want):
@@ -112,6 +192,39 @@ def assert_bitwise(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("windowed", [False, True], ids=["one_window", "of_windows"])
+def test_kernel_shortcuts_give_the_general_paths_bits(windowed):
+    # Made to fail both of its tests, the kernel takes the general paths,
+    # the masks over valid and clipped years, on every batch; the shortcuts
+    # must give the same bits where they run.
+    batches = [mixed_lanes(n, seed=n) for n in (1, 8, 30)]
+    for forcing in (False, True):
+        batches.append(general_path_lanes(forcing))
+        batches.append(tuple(np.concatenate(parts) for parts in zip(batches[-1], batches[0])))
+    taken = []
+    for thetas, masks in batches:
+        window = np.arange(len(thetas)) % len(WINDOWS)
+        kernel = (LaneKernel.of_windows(WINDOWS, window) if windowed
+                  else LaneKernel(OBS, ff.YearGrid(1960, 2020)))
+        with kernel_paths() as paths:
+            got = kernel(thetas, masks)
+        taken += paths
+        with kernel_paths(general=True):
+            want = kernel(thetas, masks)
+        for a, b in zip(got, want):
+            assert_bitwise(a, b)
+        for lane in range(len(thetas)):
+            with kernel_paths() as paths:
+                got = kernel.lanes([lane])(thetas[lane:lane + 1], masks[lane:lane + 1])
+            taken += paths
+            with kernel_paths(general=True):
+                want = kernel.lanes([lane])(thetas[lane:lane + 1], masks[lane:lane + 1])
+            for a, b in zip(got, want):
+                assert_bitwise(a, b)
+    assert all(path in taken for path in ([True, True], [True, False], [False, True],
+                                          [False, False]))
 
 
 def test_batch_without_forcing_lane_skips_the_proxy():
@@ -269,22 +382,35 @@ def call_sequences(draw):
     calls = []
     for _ in range(draw(st.integers(3, 6))):
         pool = FORCED_LANES if forced else UNFORCED_LANES
-        calls.append(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2 * len(pool))))
+        lanes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2 * len(pool)))
+        # One lane that forces a general path, at some place in the batch.
+        lanes.insert(draw(st.integers(0, len(lanes))),
+                     draw(st.sampled_from(GENERAL_LANES[forced])))
+        calls.append(lanes)
         forced = not forced
     return windowed, calls
 
 
-POOL_THETAS, POOL_MASKS = mixed_lanes(24, seed=11)
-FORCED_LANES = [int(i) for i in np.flatnonzero(POOL_MASKS[:, -1])]
-UNFORCED_LANES = [int(i) for i in np.flatnonzero(~POOL_MASKS[:, -1])]
-POOL_WINDOW = np.arange(24) % len(WINDOWS)
+# Mixed lanes, then the lanes that force the general paths, unforced and forced.
+POOL_THETAS, POOL_MASKS = (np.concatenate(parts) for parts in zip(
+    mixed_lanes(24, seed=11), general_path_lanes(False), general_path_lanes(True)))
+FORCED_LANES = [int(i) for i in np.flatnonzero(POOL_MASKS[:24, -1])]
+UNFORCED_LANES = [int(i) for i in np.flatnonzero(~POOL_MASKS[:24, -1])]
+GENERAL_LANES = {False: [24, 25], True: [26, 27, 28]}
+POOL_WINDOW = np.arange(len(POOL_THETAS)) % len(WINDOWS)
 
 
 def test_call_sequence_pool_has_every_kind_of_lane():
-    values, _ = LaneKernel(OBS)(POOL_THETAS, POOL_MASKS)
+    with kernel_paths() as paths:
+        values, _ = LaneKernel(OBS)(POOL_THETAS[:24], POOL_MASKS[:24])
+        for forced, lanes in GENERAL_LANES.items():
+            assert POOL_MASKS[lanes, -1].all() == forced
+            for lane in lanes:
+                LaneKernel(OBS)(POOL_THETAS[lane:lane + 1], POOL_MASKS[lane:lane + 1])
     penalized = values >= PENALTY_PER_INVALID_YEAR
     assert FORCED_LANES and UNFORCED_LANES
     assert penalized[FORCED_LANES].any() and not penalized.all()
+    assert paths[1:] == [[True, False], [False, False]] * 2 + [[False, True]]
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -294,20 +420,60 @@ def test_no_state_passes_between_calls(case):
     # and without forcing lanes, each equal the call on a fresh kernel, and
     # never touch what an earlier call returned.  (The first call's buffers
     # are dropped; from the third call on the arena holds an earlier call's
-    # values.)
+    # values.)  Each batch has a lane that forces a general path, and each
+    # lane gets what its one-lane call, in the same arena, gives it.
     windowed, calls = case
     base = LaneKernel.of_windows(WINDOWS, POOL_WINDOW) if windowed else LaneKernel(OBS)
     returned = []
     for lanes in calls:
         index = np.array(lanes)
-        got = base.lanes(index)(POOL_THETAS[index], POOL_MASKS[index])
+        kernel = base.lanes(index)
+        got = kernel(POOL_THETAS[index], POOL_MASKS[index])
         fresh = (LaneKernel.of_windows(WINDOWS, POOL_WINDOW[index]) if windowed
                  else LaneKernel(OBS))
         for a, b in zip(got, fresh(POOL_THETAS[index], POOL_MASKS[index])):
             assert_bitwise(a, b)
         for array, copy in returned:
             assert_bitwise(array, copy)
+        assert_each_lane_is_its_one_lane_call(kernel, POOL_THETAS[index], POOL_MASKS[index],
+                                              *got)
         returned += [(a, a.copy()) for a in got]
+
+
+def test_infinite_coefficient_is_a_penalized_lane_without_warnings():
+    # An infinite slope times the year where rescaled time is 0 gives a nan
+    # predictor there: the lane is penalized from that year on, and the
+    # call raises no floating-point warning (the suite makes one an error).
+    spec = ff.ModelSpec(2, 2, False)
+    theta = embed(ff.default_starts(spec, OBS, n_starts=1)[0], spec)
+    theta[10] = np.inf   # gamma_m's slope
+    assert 0.0 in LaneKernel(OBS).inputs[0]
+    values, grads = LaneKernel(OBS)(theta[None], superset_mask(spec)[None])
+    assert values[0] >= PENALTY_PER_INVALID_YEAR and np.isfinite(values[0])
+    with kernel_paths(general=True):
+        want = LaneKernel(OBS)(theta[None], superset_mask(spec)[None])
+    assert_bitwise(values, want[0])
+    assert_bitwise(grads, want[1])
+
+
+@pytest.mark.parametrize("windowed", [False, True], ids=["one_window", "of_windows"])
+def test_year_zero_residuals_are_exactly_zero(windowed):
+    # The initial stocks first / gamma reproduce the first observations
+    # only up to round-off, so year 0's residuals are imposed: its squared
+    # residuals, kept in the workspace after a call, are exact zeros on
+    # both paths, also where the year-0 flow misses the observation.
+    thetas, masks = (np.concatenate(parts) for parts in zip(
+        mixed_lanes(300, seed=9), general_path_lanes(True)))
+    kernel = (LaneKernel.of_windows(WINDOWS, np.arange(len(thetas)) % len(WINDOWS))
+              if windowed else LaneKernel(OBS))
+    for lanes in (np.arange(300), np.arange(len(thetas))):
+        kernel.lanes(lanes)(thetas[lanes], masks[lanes])   # the first call's buffers go
+        narrowed = kernel.lanes(lanes)
+        narrowed(thetas[lanes], masks[lanes])
+        work = narrowed._workspace
+        first = np.broadcast_to(narrowed.inputs[4], (2, len(lanes)))
+        assert np.any(work.flows[:, 0] != first)
+        assert_bitwise(work.squares[:, 0], np.zeros((2, len(lanes))))
 
 
 def test_absent_coefficients_are_ignored_and_get_no_gradient():
@@ -377,9 +543,15 @@ TOYS = {
     # A gradient that promises descent where every step climbs a steep
     # wall: no trial passes, and the line search runs out of halvings.
     "exhausted": lambda x: (1.0 + 1e20 * (x[0] - 1.0) ** 2, (1e6, 0.0)),
+    # Rosenbrock's valley: some full steps pass and some backtrack, so a
+    # batch of its lanes alternates between ticks where every lane moved
+    # and ticks where some did not.
+    "valley": lambda x: ((1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2,
+                         (-2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] ** 2),
+                          200.0 * (x[1] - x[0] ** 2))),
 }
 TOY_STARTS = {"moves": (1.0, 1.0), "overshoots": (1.0, 1.0), "non-finite": (-3.0, 1.0),
-              "penalized": (-3.0, 1.0), "exhausted": (1.0, 0.0)}
+              "penalized": (-3.0, 1.0), "exhausted": (1.0, 0.0), "valley": (-1.2, 1.0)}
 
 
 class ToyKernel:
@@ -400,17 +572,42 @@ class ToyKernel:
         return values, np.where(mask, grads, 0.0)
 
 
-def test_lane_that_moves_beside_rejected_lanes_equals_its_run_alone():
-    # In the first tick one lane moves, one fails the Armijo test, one
-    # trial is nan and one penalized; one lane fails every tick until it
-    # runs out of halvings.  The update written only to the lanes that
-    # moved leaves each lane's run bitwise what it is alone.
+def toy_starts(kinds):
+    """Two starts of each toy objective in ``kinds``: its kind per lane and its ``x0``."""
     names = list(TOYS)
-    kind = np.arange(len(names)).repeat(2)
+    kind = np.array([names.index(name) for name in kinds]).repeat(2)
     x0 = np.zeros((len(kind), 16))
     x0[:, :2] = [TOY_STARTS[names[k]] for k in kind]
     x0[1::2, 1] += 0.5   # a second start of each objective
-    mask = np.ones(x0.shape, dtype=bool)
+    return kind, x0
+
+
+@contextlib.contextmanager
+def tick_kinds():
+    """Whether every lane moved, per :func:`bfgs_lanes` tick in the block (after the first call)."""
+    ticks = []
+    directions = estimation._lane_directions
+
+    def spy(h, g, mask, lanes):
+        ticks.append(bool(lanes.all()))
+        return directions(h, g, mask, lanes)
+
+    estimation._lane_directions = spy
+    try:
+        yield ticks
+    finally:
+        estimation._lane_directions = directions
+
+
+def test_lane_that_moves_beside_rejected_lanes_equals_its_run_alone():
+    # In the first tick one lane moves, one fails the Armijo test, one
+    # trial is nan and one penalized; one lane fails every tick until it
+    # runs out of halvings.  In a second batch without that lane, ticks
+    # where every lane moved (whose state is taken whole) alternate with
+    # ticks where some did not (whose update is written only to the lanes
+    # that moved).  Either way each lane's run is bitwise what it is alone.
+    names = list(TOYS)
+    kind, x0 = toy_starts(names)
     first_trial = {}
     for lane, k in enumerate(kind):
         value, grad = TOYS[names[k]](x0[lane])
@@ -423,25 +620,103 @@ def test_lane_that_moves_beside_rejected_lanes_equals_its_run_alone():
     assert all(math.isnan(value) for _, value in first_trial["non-finite"])
     assert all(value >= PENALTY_PER_INVALID_YEAR for _, value in first_trial["penalized"])
 
-    together = bfgs_lanes(ToyKernel(kind), x0, mask, max_iter=50)
-    exhausted = kind == names.index("exhausted")
-    assert np.all(together.n_iterations[exhausted] == 0)
-    assert not together.converged[exhausted].any()
-    assert np.array_equal(together.x[exhausted], x0[exhausted])
-    assert np.all(together.n_iterations[~exhausted] > 0)
-    assert together.converged[kind == names.index("moves")].all()
-    for lane in range(len(kind)):
-        alone = bfgs_lanes(ToyKernel(kind[lane:lane + 1]), x0[lane:lane + 1],
-                           mask[lane:lane + 1], max_iter=50)
-        row = together.rows(slice(lane, lane + 1))
+    for exhausting in (True, False):
+        kind, x0 = toy_starts([name for name in names if exhausting or name != "exhausted"])
+        mask = np.ones(x0.shape, dtype=bool)
+        with tick_kinds() as ticks:
+            together = bfgs_lanes(ToyKernel(kind), x0, mask, max_iter=50)
+        moved_all = ticks[1:]
+        exhausted = kind == names.index("exhausted")
+        if exhausting:
+            assert not any(moved_all)
+            assert np.all(together.n_iterations[exhausted] == 0)
+            assert not together.converged[exhausted].any()
+            assert np.array_equal(together.x[exhausted], x0[exhausted])
+        else:
+            switches = sum(a != b for a, b in zip(moved_all, moved_all[1:]))
+            assert any(moved_all) and not all(moved_all) and switches >= 6
+        assert np.all(together.n_iterations[~exhausted] > 0)
+        assert together.converged[kind == names.index("moves")].all()
+        for lane in range(len(kind)):
+            alone = bfgs_lanes(ToyKernel(kind[lane:lane + 1]), x0[lane:lane + 1],
+                               mask[lane:lane + 1], max_iter=50)
+            row = together.rows(slice(lane, lane + 1))
+            for name in estimation._OUTCOME_FIELDS:
+                assert_bitwise(getattr(row, name), getattr(alone, name))
+            # And the lane takes bfgs_minimize's steps, up to round-off.
+            objective = TOYS[names[kind[lane]]]
+            want = bfgs_minimize(lambda z: objective(z)[0], x0[lane],
+                                 grad=lambda z: np.pad(objective(z)[1], (0, 14)), max_iter=50)
+            assert (row.n_iterations[0], row.converged[0]) == (want.n_iterations,
+                                                               want.converged)
+            assert np.allclose(row.x[0], want.x, rtol=1e-9, atol=1e-12)
+
+
+@contextlib.contextmanager
+def general_ticks():
+    """Every :func:`bfgs_lanes` tick in the block on its general path.
+
+    As ``estimation`` sees NumPy, ``np.logical_and.reduce`` (its test that
+    every lane moved, is scaled or updates) answers False, and the
+    reductions with an ``initial`` value (``_lane_directions``' test of
+    the slopes) answer nan: so every tick takes its masked copies and
+    updates, and every direction is checked lane by lane.
+    """
+
+    class Reduce:
+        def __init__(self, ufunc, answer):
+            self.ufunc, self.answer = ufunc, answer
+
+        def __call__(self, *args, **kwargs):
+            return self.ufunc(*args, **kwargs)
+
+        def reduce(self, *args, **kwargs):
+            result = self.ufunc.reduce(*args, **kwargs)
+            return self.answer(result, kwargs)
+
+    class Numpy:
+        logical_and = Reduce(np.logical_and, lambda result, kwargs: np.False_)
+        maximum = Reduce(np.maximum,
+                         lambda result, kwargs: np.nan if "initial" in kwargs else result)
+        minimum = Reduce(np.minimum,
+                         lambda result, kwargs: np.nan if "initial" in kwargs else result)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    saved = estimation.np
+    estimation.np = Numpy()
+    try:
+        yield
+    finally:
+        estimation.np = saved
+
+
+def test_tick_shortcuts_give_the_general_paths_bits(obs49):
+    # Toy lanes of every kind, and lane kernels on the 49-year series and
+    # on padded windows, run as they do and with every tick on its
+    # general path: every outcome is the same, bit for bit.
+    runs = []
+    for kinds in (list(TOYS), [name for name in TOYS if name != "exhausted"]):
+        kind, x0 = toy_starts(kinds)
+        runs.append((ToyKernel(kind), x0, np.ones(x0.shape, dtype=bool), 50))
+    spec = ff.ModelSpec(2, 2, False)
+    starts = np.stack([embed(x, spec) for x in ff.default_starts(spec, obs49, n_starts=8)])
+    runs.append((LaneKernel(obs49), starts, np.tile(superset_mask(spec), (8, 1)), 60))
+    thetas, masks = (np.concatenate(parts) for parts in zip(
+        mixed_lanes(12, seed=21), general_path_lanes(True)))
+    runs.append((LaneKernel.of_windows(WINDOWS, np.arange(len(thetas)) % len(WINDOWS)),
+                 thetas, masks, 40))
+    moved_all = []
+    for kernel, x0, mask, max_iter in runs:
+        with tick_kinds() as ticks:
+            got = bfgs_lanes(kernel, x0, mask, max_iter=max_iter)
+        moved_all += ticks[1:]
+        with general_ticks():
+            want = bfgs_lanes(kernel, x0, mask, max_iter=max_iter)
         for name in estimation._OUTCOME_FIELDS:
-            assert_bitwise(getattr(row, name), getattr(alone, name))
-        # And the lane takes bfgs_minimize's steps, up to round-off.
-        objective = TOYS[names[kind[lane]]]
-        want = bfgs_minimize(lambda z: objective(z)[0], x0[lane],
-                             grad=lambda z: np.pad(objective(z)[1], (0, 14)), max_iter=50)
-        assert (row.n_iterations[0], row.converged[0]) == (want.n_iterations, want.converged)
-        assert np.allclose(row.x[0], want.x, rtol=1e-9, atol=1e-12)
+            assert_bitwise(getattr(got, name), getattr(want, name))
+    assert any(moved_all) and not all(moved_all)
 
 
 def test_minimize_bfgs_runs_lanes_from_lane_min_starts(obs49, monkeypatch):

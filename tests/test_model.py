@@ -126,6 +126,30 @@ class TestInvLogit:
             assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
+    @staticmethod
+    def two_exp(y):
+        """The two-exp logistic, exp(min(y, 0)) / (1 + exp(-|y|))."""
+        return np.exp(np.minimum(y, 0.0)) / (np.exp(-np.abs(y)) + 1.0)
+
+    def test_one_exp_is_bitwise_the_two_exp_formula(self):
+        # Every bit, signed zeros and the sign and payload of a nan included.
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123,
+                         0xFFF8000000000123], dtype=np.uint64).view(float)
+        edges = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 800.0, -800.0,
+                                 709.8, -745.2, np.nextafter(0.0, 1.0), -np.nextafter(0.0, 1.0)],
+                                nans])
+        rng = np.random.default_rng(12)
+        for y in (edges, np.concatenate([edges, rng.normal(0.0, 30.0, size=10**6)]),
+                  rng.standard_cauchy(size=(49, 5, 3)), np.array(-3.5), np.array(np.nan)):
+            want = self.two_exp(y)
+            got = _logistic_two_branch(np.array(y))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            clipped = np.clip(want, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+            assert np.asarray(inv_logit(y)).tobytes() == clipped.tobytes()
+            numerator = np.empty_like(y)
+            assert _logistic_two_branch(np.array(y), numerator).tobytes() == want.tobytes()
+
+
 class TestModelSpec:
     def test_parameter_count(self):
         assert ModelSpec(2, 2, False).n_params == 15

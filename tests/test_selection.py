@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -208,10 +209,11 @@ class TestRunGrid:
         serial = run_grid(small_obs_with_intl, quick_options, jobs=1)
         # 18 lanes in chunks of 5: a real 2-worker pool runs the bound kernels.
         pools = []
-        real_pool = estimation.ProcessPoolExecutor
+        real_pool = concurrent.futures.ProcessPoolExecutor
         monkeypatch.setattr(estimation, "LANE_CHUNK", 5)
         monkeypatch.setattr(estimation.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(estimation, "ProcessPoolExecutor",
+        # fit_lane_set imports the pool class when it starts a pool.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda max_workers: pools.append(max_workers)
                             or real_pool(max_workers=max_workers))
         parallel = run_grid(small_obs_with_intl, quick_options, jobs=2)
@@ -250,7 +252,7 @@ class TestJobsBound:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(estimation, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         return seen
 
     @pytest.fixture(scope="class")
