@@ -513,22 +513,21 @@ def bfgs_lanes(
                 # Every lane takes its trial's state, as the masked copies
                 # below would write it.
                 x, fx, g = trial, f_new, g_new
-                g_max = np.maximum.reduce(np.abs(g), 1)
-                stop = (g_max <= gtol) | (rel_decrease <= ftol_rel) | (n_iter >= max_iter)
-                d, slope = _lane_directions(h, g, mask, moved)
-                alpha.fill(1.0)
             else:
                 rows = moved[:, None]
-                # After k failed trials alpha is exactly 0.5**k.
-                alpha *= 0.5
                 np.copyto(x, trial, where=rows)
                 np.copyto(fx, f_new, where=moved)
                 np.copyto(g, g_new, where=rows)
-                g_max = np.maximum.reduce(np.abs(g), 1)
-                stop = np.where(moved,
-                                (g_max <= gtol) | (rel_decrease <= ftol_rel) | (n_iter >= max_iter),
-                                alpha <= 0.5 ** LINE_SEARCH_TRIES)
-                d_new, slope_new = _lane_directions(h, g, mask, moved)
+            g_max = np.maximum.reduce(np.abs(g), 1)
+            done = (g_max <= gtol) | (rel_decrease <= ftol_rel) | (n_iter >= max_iter)
+            d_new, slope_new = _lane_directions(h, g, mask, moved)
+            if all_moved:
+                stop, d, slope = done, d_new, slope_new
+                alpha.fill(1.0)
+            else:
+                # After k failed trials alpha is exactly 0.5**k.
+                alpha *= 0.5
+                stop = np.where(moved, done, alpha <= 0.5 ** LINE_SEARCH_TRIES)
                 np.copyto(d, d_new, where=rows)
                 np.copyto(slope, slope_new, where=moved)
                 np.copyto(alpha, 1.0, where=moved)
@@ -539,6 +538,7 @@ def bfgs_lanes(
                 ids, x, fx, g, mask, h, scaled, n_iter, d, slope, alpha = (
                     a[keep] for a in (ids, x, fx, g, mask, h, scaled, n_iter, d, slope, alpha))
                 kernel = kernel.lanes(keep)
+                all_scaled = np.logical_and.reduce(scaled)
     return out
 
 

@@ -9,6 +9,7 @@ it runs with, bit for bit, so the grid's chunking and ``--jobs`` cannot
 change a result.
 """
 
+import collections
 import contextlib
 import math
 import mmap
@@ -661,35 +662,66 @@ def general_ticks():
     reductions with an ``initial`` value (``_lane_directions``' test of
     the slopes) answer nan: so every tick takes its masked copies and
     updates, and every direction is checked lane by lane.
-    """
 
-    class Reduce:
-        def __init__(self, ufunc, answer):
-            self.ufunc, self.answer = ufunc, answer
+    Yields a count of the general paths' work, so a caller can see that
+    they ran: ``"directions"`` and ``"matvecs"`` (calls of
+    ``_lane_directions`` and ``_lane_matvec``; each update adds one
+    matvec to the directions' own), ``"slope tests"`` (the forced slope
+    tests), ``"selects"`` (``np.where`` on a lane vector, the masked stop
+    select) and ``"masked updates"`` (``np.add`` with ``where``).
+    """
+    seen = collections.Counter()
+
+    class Ufunc:
+        def __init__(self, ufunc, answer=None, counts=None):
+            self.ufunc, self.answer, self.counts = ufunc, answer, counts
 
         def __call__(self, *args, **kwargs):
+            if self.counts and "where" in kwargs:
+                seen[self.counts] += 1
             return self.ufunc(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.ufunc, name)
 
         def reduce(self, *args, **kwargs):
             result = self.ufunc.reduce(*args, **kwargs)
-            return self.answer(result, kwargs)
+            return self.answer(result, kwargs) if self.answer else result
+
+    def slope_test(result, kwargs):
+        if "initial" not in kwargs:
+            return result
+        seen["slope tests"] += 1
+        return np.nan
 
     class Numpy:
-        logical_and = Reduce(np.logical_and, lambda result, kwargs: np.False_)
-        maximum = Reduce(np.maximum,
-                         lambda result, kwargs: np.nan if "initial" in kwargs else result)
-        minimum = Reduce(np.minimum,
-                         lambda result, kwargs: np.nan if "initial" in kwargs else result)
+        logical_and = Ufunc(np.logical_and, lambda result, kwargs: np.False_)
+        maximum = Ufunc(np.maximum, slope_test)
+        minimum = Ufunc(np.minimum, slope_test)
+        add = Ufunc(np.add, counts="masked updates")
+
+        @staticmethod
+        def where(condition, *args):
+            seen["selects"] += np.ndim(condition) == 1
+            return np.where(condition, *args)
 
         def __getattr__(self, name):
             return getattr(np, name)
 
-    saved = estimation.np
+    def counted(name, function):
+        def call(*args):
+            seen[name] += 1
+            return function(*args)
+        return call
+
+    saved = estimation.np, estimation._lane_directions, estimation._lane_matvec
     estimation.np = Numpy()
+    estimation._lane_directions = counted("directions", saved[1])
+    estimation._lane_matvec = counted("matvecs", saved[2])
     try:
-        yield
+        yield seen
     finally:
-        estimation.np = saved
+        estimation.np, estimation._lane_directions, estimation._lane_matvec = saved
 
 
 def test_tick_shortcuts_give_the_general_paths_bits(obs49):
@@ -712,8 +744,13 @@ def test_tick_shortcuts_give_the_general_paths_bits(obs49):
         with tick_kinds() as ticks:
             got = bfgs_lanes(kernel, x0, mask, max_iter=max_iter)
         moved_all += ticks[1:]
-        with general_ticks():
+        with general_ticks() as seen:
             want = bfgs_lanes(kernel, x0, mask, max_iter=max_iter)
+        # The forced run took every general path: a masked stop select per
+        # tick, a lane-by-lane slope test per direction, a masked add per update.
+        assert seen["selects"] == seen["directions"] - 1 > 0
+        assert seen["slope tests"] == seen["directions"]
+        assert seen["masked updates"] == seen["matvecs"] - seen["directions"] > 0
         for name in estimation._OUTCOME_FIELDS:
             assert_bitwise(getattr(got, name), getattr(want, name))
     assert any(moved_all) and not all(moved_all)
