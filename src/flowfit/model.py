@@ -13,7 +13,6 @@ vector.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional, Sequence
@@ -517,75 +516,33 @@ def _buffer_sizes(n: int) -> dict:
             **{name: (size, bool) for name, size in flags.items()}}
 
 
-class _Arena:
-    """The flat buffers of a :class:`LaneKernel` call on ``n`` years and up to ``width`` lanes.
-
-    A kernel's first call works in buffers from the heap and drops them
-    when it returns, as a call's arrays always were.  A kernel that calls
-    again is long-lived: from its second call on its buffers are cut from
-    one anonymous memory map, kept between calls for it and the kernels it
-    narrows to.  Kept on the heap, a block that outlives the small arrays
-    allocated around it leaves a hole when freed that they fragment (the
-    ``report26`` benchmark's peak RSS rose 0.9 MB); mapped for every call,
-    a kernel that calls once, as ``numerical_hessian``'s does, would pay
-    fresh page faults each time (``bands49`` took 4% longer).
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.width = 0
-        self.buffers: dict = {}
-        self.mapped = False
-
-    def at(self, width: int) -> dict:
-        """The buffers, reallocated for ``width`` lanes if they hold fewer."""
-        if width > self.width or not self.buffers:
-            sizes = _buffer_sizes(self.n)
-            counts = {dtype: width * sum(size for size, kind in sizes.values() if kind is dtype)
-                      for dtype in (float, bool)}
-            self.buffers = {}
-            if self.mapped:
-                floats = 8 * counts[float]
-                memory = mmap.mmap(-1, max(1, floats + counts[bool]))
-                memory = {float: np.frombuffer(memory, float, counts[float]),
-                          bool: np.frombuffer(memory, bool, counts[bool], floats)}
-            else:
-                memory = {dtype: np.empty(count, dtype) for dtype, count in counts.items()}
-            start = dict.fromkeys(memory, 0)
-            for name, (size, dtype) in sizes.items():
-                self.buffers[name] = memory[dtype][start[dtype]:start[dtype] + size * width]
-                start[dtype] += size * width
-            self.width = width
-        return self.buffers
-
-    def called(self) -> bool:
-        """Drop the first call's heap buffers once it has run; True if it was the first."""
-        if self.mapped:
-            return False
-        self.mapped = True
-        self.width = 0
-        self.buffers = {}
-        return True
-
-
 class _Workspace:
     """A :class:`LaneKernel` call's arrays at ``width`` lanes and the views it reads.
 
-    Each array is a prefix of one of the arena's flat buffers, reshaped:
-    C-ordered, quantity by years by lanes.  A buffer may serve two arrays
-    whose uses do not overlap.
+    The workspace allocates one block of floats and one of flags and cuts
+    them into the buffers :func:`_buffer_sizes` lists.  Each array is a
+    prefix of one buffer, reshaped: C-ordered, quantity by years by lanes.
+    A buffer may serve two arrays whose uses do not overlap.
     """
 
-    def __init__(self, buffers: dict, inputs: tuple, width: int):
+    def __init__(self, inputs: tuple, width: int):
         s, s2, b, log_obs, first, p_intl, pad = inputs
         n = s.shape[0]
         k = len(TRAJECTORY_NAMES)
         steps = (n - 1).bit_length()
+        sizes = _buffer_sizes(n)
+        memory = {dtype: np.empty(width * sum(size for size, kind in sizes.values()
+                                              if kind is dtype), dtype)
+                  for dtype in (float, bool)}
+        start = dict.fromkeys(memory, 0)
+        buffers = {}
+        for name, (size, dtype) in sizes.items():
+            buffers[name] = memory[dtype][start[dtype]:start[dtype] + size * width]
+            start[dtype] += size * width
 
         def block(name, *shape):
             return buffers[name][:math.prod(shape) * width].reshape(*shape, width)
 
-        self.buffers = buffers
         self.width = width
         # Predictors: coefficients, the five trajectories and their scratch.
         self.coef = block("coef", 3 * k)
@@ -696,17 +653,13 @@ class LaneKernel:
     workspace built on the kernel's first call at a lane width, with the
     views each step reads ready-made, the ``(window, tail, carry, head)``
     of every scan step among them; so a call is a flat run of ufuncs
-    writing into their positional ``out``.  The workspace's arrays are
-    prefixes of the flat buffers of an arena, one call's worth at the
-    widest call so far, reshaped C-ordered with the lane axis last.  The
-    arena is shared by every kernel :meth:`lanes` narrows from this one,
-    and a call writes every entry whose value it uses, so a narrowed
-    kernel reuses the buffers of the kernel it came from and no state
-    passes from one call to the next.  The first call's buffers are
-    dropped when it returns, and later calls' kept in one memory map
-    (:class:`_Arena` says why).  Neither workspace nor arena is pickled: a
-    kernel sent to a worker builds its own there.  Kernels that share an
-    arena must not be called from two threads at once.
+    writing into their positional ``out``.  The workspace owns its
+    buffers, reshaped C-ordered with the lane axis last, and the kernel
+    keeps it for its later calls at that width.  A kernel :meth:`lanes`
+    narrows builds its own, so kernels share no mutable memory, and a
+    call writes every entry whose value it uses, so no state passes from
+    one call to the next.  The workspace is not pickled: a kernel sent to
+    a worker builds its own there.  One kernel is called from one thread.
 
     A kernel is bound to its lanes: it holds each lane's inputs, C-ordered
     with the lane axis last, so every call reads them as they are.
@@ -775,7 +728,6 @@ class LaneKernel:
         # s, s^2, b, log observations, first observations, p_intl and the
         # pad mask, each with the lane (here the window) as its last axis.
         self.inputs = (s, s * s, b, log_obs, first, p_intl, padded if padded.any() else None)
-        self._arena = _Arena(int(n))
         self._workspace = None
 
     def lanes(self, index) -> "LaneKernel":
@@ -788,7 +740,6 @@ class LaneKernel:
         # np.take keeps the lane axis last in C order (a[..., index] puts it first).
         kernel.inputs = tuple(None if a is None else np.take(a, index, axis=-1)
                               for a in self.inputs)
-        kernel._arena = self._arena
         kernel._workspace = None
         return kernel
 
@@ -797,15 +748,14 @@ class LaneKernel:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._arena = _Arena(self.inputs[0].shape[0])
         self._workspace = None
 
     def _workspace_at(self, width: int) -> _Workspace:
-        """This kernel's workspace for a call of ``width`` lanes, built on its arena."""
+        """This kernel's workspace for a call of ``width`` lanes, kept for its next call."""
         w = self._workspace
-        if w is None or w.width != width or w.buffers is not self._arena.buffers:
+        if w is None or w.width != width:
             self._workspace = None
-            w = self._workspace = _Workspace(self._arena.at(width), self.inputs, width)
+            w = self._workspace = _Workspace(self.inputs, width)
         return w
 
     def __call__(self, thetas: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -955,6 +905,4 @@ class LaneKernel:
                 live = forcing & (thetas[:, -1] > LAMBDA_RAW_FLOOR) & np.isfinite(lam)
                 np.multiply(np.where(live, totals[17] * lam, 0.0), -2.0, out=grads[:, -1],
                             where=forcing)
-        if self._arena.called():
-            self._workspace = None
         return values, grads

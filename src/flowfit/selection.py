@@ -64,9 +64,15 @@ def enumerate_grid(include_forcing: bool = True) -> list[ModelSpec]:
 
 
 def unfittable_reason(spec: ModelSpec, obs: ObservedSeries) -> Optional[str]:
-    """Why ``spec`` cannot be fitted to ``obs``, or None if it can."""
+    """Why ``spec`` cannot be fitted to ``obs``, or None if it can.
+
+    A series needs more fitted residuals than ``spec`` has coefficients,
+    the condition of :func:`~flowfit.estimation.covariance`'s variance.
+    """
     if spec.forcing and obs.p_intl is None:
         return "forcing requires a p_intl series"
+    if obs.grid.n_eff <= spec.n_params:
+        return f"series too short: N_eff={obs.grid.n_eff} <= k={spec.n_params}"
     return None
 
 
@@ -80,8 +86,9 @@ def run_grid(
     """Fit the full grid and rank by AIC (BIC, then parsimony, break ties).
 
     Forcing specifications are skipped with a recorded reason when the
-    data carry no proxy series.  ``n`` is the observation count in the
-    criteria, by default N = 2 * years.
+    data carry no proxy series, and so is every spec with as many
+    coefficients as fitted residuals or more (:func:`unfittable_reason`).
+    ``n`` is the observation count in the criteria, by default N = 2 * years.
 
     Cell i's seeded starts (seed ``options.seed + i``) make one lane job.
     Every fittable cell's job is in one lane set

@@ -117,10 +117,12 @@ class TestArgumentHandling:
 
     def test_import_loads_neither_the_cli_nor_the_process_pool(self, tmp_path):
         # argparse comes with the CLI and multiprocessing with the process
-        # pool; a plain ``import flowfit`` needs neither, and ``run_cli``
-        # still resolves, by attribute and by name.
+        # pool; a plain ``import flowfit`` needs neither, nor mmap (lane
+        # kernels work in heap buffers), and ``run_cli`` still resolves, by
+        # attribute and by name.
         done = self.run_python(tmp_path, "-c", "import sys, flowfit; print(sorted(\n"
-                               "    m for m in ('argparse', 'multiprocessing', 'flowfit.cli')\n"
+                               "    m for m in ('argparse', 'mmap', 'multiprocessing',\n"
+                               "                'flowfit.cli')\n"
                                "    if m in sys.modules))\n"
                                "from flowfit import run_cli\n"
                                "import flowfit.cli\n"
@@ -560,6 +562,34 @@ class TestSettingsCheckedBeforeFitting:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("years, argv, message", [
+        (5, ["fit"], "spec 2,2,none cannot be fitted: series too short: N_eff=8 <= k=15"),
+        (5, ["fit", "--spec", "1,1,none"], "spec 1,1,none cannot be fitted: series too short: "
+                                           "N_eff=8 <= k=10"),
+        (8, ["bands"], "spec 2,2,none cannot be fitted: series too short: N_eff=14 <= k=15"),
+        (8, ["diagnose"], "spec 2,2,none cannot be fitted: series too short: N_eff=14 <= k=15"),
+        (8, ["report", "--spec", "2,2,none"],
+         "spec 2,2,none cannot be fitted: series too short: N_eff=14 <= k=15"),
+        # Without --spec the grid's smallest spec, k = 5, must fit.
+        (3, ["report"], "no grid spec can be fitted, not even 0,0,none: series too short: "
+                        "N_eff=4 <= k=5"),
+    ], ids=["fit", "fit-k10", "bands", "diagnose", "report-spec", "report"])
+    def test_series_too_short_for_the_spec(self, tmp_path, monkeypatch, capsys, years, argv,
+                                           message):
+        # A fit needs more fitted residuals, N_eff = 2 * years - 2, than
+        # coefficients: the bands' residual variance divides by N_eff - k.
+        obs, _ = generate(recovery_scenario(grid=YearGrid(1990, 1989 + years)))
+        data = tmp_path / "short.csv"
+        write_series(obs, data)
+        for module, name in ((selection, "run_grid"), (estimation, "fit_lane_set"),
+                             (estimation, "minimize_bfgs")):
+            monkeypatch.setattr(module, name, self.refuse)
+        code = run_cli(argv + ["--data", str(data), "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("command", ["robust", "report"])

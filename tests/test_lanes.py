@@ -12,7 +12,6 @@ change a result.
 import collections
 import contextlib
 import math
-import mmap
 import pickle
 
 import numpy as np
@@ -329,46 +328,64 @@ WINDOWS = [(OBS.window(OBS.grid.t_min, 1995), None), (OBS, ff.YearGrid(1960, 202
            (OBS.window(1980, OBS.grid.t_max), None)]
 
 
-def test_narrowed_kernels_work_in_one_arena():
-    # A kernel's first call works in buffers it drops on return.  From the
-    # second call on, the kernel and every kernel narrowed from it work in
-    # one mapped arena, as prefixes of its flat buffers; a wider call grows
-    # it for all of them.
+def test_second_call_reuses_the_first_calls_workspace():
+    # A kernel builds its workspace on its first call at a lane width and
+    # keeps it for its later calls at that width; a call at another width
+    # builds another.
     thetas, masks = mixed_lanes(12, seed=3)
-    kernel = LaneKernel.of_windows(WINDOWS, np.arange(12) % 3)
-    narrowed = kernel.lanes(np.arange(12) < 7)
-    assert narrowed._arena is kernel._arena
-    kernel(thetas, masks)
-    assert kernel._workspace is None and not kernel._arena.buffers
-    kernel(thetas, masks)
-    buffers = kernel._arena.buffers
-    owner = buffers["p"]
-    while isinstance(owner, np.ndarray):
-        owner = owner.base
-    assert isinstance(getattr(owner, "obj", owner), mmap.mmap)
-    narrowed(thetas[:7], masks[:7])
-    assert kernel._arena.buffers is buffers
-    work = narrowed._workspace
-    assert np.shares_memory(work.p, buffers["p"]) and work.p.flags.c_contiguous
-    assert work.p.shape == (5, OBS.grid.n_years, 7)
+    for kernel in (LaneKernel(OBS), LaneKernel.of_windows(WINDOWS, np.arange(12) % 3)):
+        assert kernel._workspace is None
+        values, grads = kernel(thetas, masks)
+        work = kernel._workspace
+        assert work.width == 12 and work.p.shape == (5, OBS.grid.n_years, 12)
+        assert work.p.flags.c_contiguous
+        for got, want in zip(kernel(thetas, masks), (values, grads)):
+            assert_bitwise(got, want)
+        assert kernel._workspace is work
     one = LaneKernel(OBS)
     one(thetas[:3], masks[:3])
-    one(thetas[:3], masks[:3])
-    small = one._arena.buffers
+    small = one._workspace
     one(thetas, masks)
-    assert one._arena.buffers is not small and one._arena.width == 12
-    assert np.shares_memory(one._workspace.p, one._arena.buffers["p"])
+    assert one._workspace is not small and one._workspace.width == 12
+
+
+def workspace_arrays(kernel):
+    """The arrays of ``kernel``'s workspace and their views, nested tuples included."""
+    arrays, stack = [], list(vars(kernel._workspace).values())
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            arrays.append(item)
+        elif isinstance(item, (tuple, list)):
+            stack += item
+    return arrays
+
+
+def test_narrowed_kernels_share_no_memory():
+    # Each kernel works in buffers of its own: one narrowed from another
+    # shares no memory with it or with a sibling.
+    thetas, masks = mixed_lanes(12, seed=3)
+    kernel = LaneKernel.of_windows(WINDOWS, np.arange(12) % 3)
+    kernels = [kernel, kernel.lanes(np.arange(12) < 7), kernel.lanes(np.arange(12) >= 5)]
+    kernels.append(kernels[1].lanes(np.arange(7) % 2 == 0))
+    for k in kernels:
+        lanes = len(k.has_intl)
+        for _ in range(2):
+            k(thetas[:lanes], masks[:lanes])
+    for i, a in enumerate(kernels):
+        for b in kernels[i + 1:]:
+            assert not any(np.shares_memory(x, y)
+                           for x in workspace_arrays(a) for y in workspace_arrays(b))
 
 
 def test_workspace_is_not_pickled():
-    # After its first call a kernel keeps its workspace and arena; they are
-    # not pickled.
+    # After its first call a kernel keeps its workspace; it is not pickled.
     thetas, masks = mixed_lanes(9, seed=2)
     for kernel in (LaneKernel(OBS), LaneKernel.of_windows(WINDOWS, np.arange(9) % 3)):
         size = len(pickle.dumps(kernel))
         kernel(thetas, masks)
         values, grads = kernel(thetas, masks)
-        assert kernel._workspace is not None and kernel._arena.buffers
+        assert kernel._workspace is not None
         assert len(pickle.dumps(kernel)) == size
         copy = pickle.loads(pickle.dumps(kernel))
         for got, want in zip(copy(thetas, masks), (values, grads)):
@@ -417,18 +434,20 @@ def test_call_sequence_pool_has_every_kind_of_lane():
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(case=call_sequences())
 def test_no_state_passes_between_calls(case):
-    # Calls on kernels that share one arena, at changing widths and with
-    # and without forcing lanes, each equal the call on a fresh kernel, and
-    # never touch what an earlier call returned.  (The first call's buffers
-    # are dropped; from the third call on the arena holds an earlier call's
-    # values.)  Each batch has a lane that forces a general path, and each
-    # lane gets what its one-lane call, in the same arena, gives it.
+    # Calls on kernels narrowed from one kernel, at changing widths and
+    # with and without forcing lanes, each equal the call on a fresh
+    # kernel, and never touch what an earlier call returned.  Each kernel
+    # is first called on its lanes in reverse order, so the call compared
+    # runs in a workspace that holds another call's values.  Each batch has
+    # a lane that forces a general path, and each lane gets what its
+    # one-lane call gives it.
     windowed, calls = case
     base = LaneKernel.of_windows(WINDOWS, POOL_WINDOW) if windowed else LaneKernel(OBS)
     returned = []
     for lanes in calls:
         index = np.array(lanes)
         kernel = base.lanes(index)
+        kernel(POOL_THETAS[index[::-1]], POOL_MASKS[index[::-1]])
         got = kernel(POOL_THETAS[index], POOL_MASKS[index])
         fresh = (LaneKernel.of_windows(WINDOWS, POOL_WINDOW[index]) if windowed
                  else LaneKernel(OBS))
@@ -468,7 +487,6 @@ def test_year_zero_residuals_are_exactly_zero(windowed):
     kernel = (LaneKernel.of_windows(WINDOWS, np.arange(len(thetas)) % len(WINDOWS))
               if windowed else LaneKernel(OBS))
     for lanes in (np.arange(300), np.arange(len(thetas))):
-        kernel.lanes(lanes)(thetas[lanes], masks[lanes])   # the first call's buffers go
         narrowed = kernel.lanes(lanes)
         narrowed(thetas[lanes], masks[lanes])
         work = narrowed._workspace
@@ -556,20 +574,21 @@ TOY_STARTS = {"moves": (1.0, 1.0), "overshoots": (1.0, 1.0), "non-finite": (-3.0
 
 
 class ToyKernel:
-    """A stand-in for :class:`LaneKernel`: lane i is objective ``list(TOYS)[kind[i]]``."""
+    """A stand-in for :class:`LaneKernel`: lane i is objective ``list(toys)[kind[i]]``."""
 
-    def __init__(self, kind):
+    def __init__(self, kind, toys=TOYS):
         self.kind = kind
+        self.toys = toys
 
     def lanes(self, index):
-        return ToyKernel(self.kind[index])
+        return ToyKernel(self.kind[index], self.toys)
 
     def __call__(self, x, mask):
-        names = list(TOYS)
+        objectives = list(self.toys.values())
         values = np.empty(len(x))
         grads = np.zeros_like(x)
         for row, k in enumerate(self.kind):
-            values[row], grads[row, :2] = TOYS[names[k]](x[row])
+            values[row], grads[row, :2] = objectives[k](x[row])
         return values, np.where(mask, grads, 0.0)
 
 
@@ -754,6 +773,54 @@ def test_tick_shortcuts_give_the_general_paths_bits(obs49):
         for name in estimation._OUTCOME_FIELDS:
             assert_bitwise(getattr(got, name), getattr(want, name))
     assert any(moved_all) and not all(moved_all)
+
+
+def steepens(x):
+    """A toy objective whose slope overflows to -inf after one BFGS update.
+
+    Its gradient is (1, 0) right of x[0] = 0.5, and (1 - 2^-40, 0) down to
+    x[0] = -0.5: the first step, from x[0] = 1.25, scales and updates the
+    inverse Hessian to 2^40 I, and the second, 2^40 - 1 long, takes x[0]
+    past -0.5.  There the gradient gains a 1e150 in x[1], where that step
+    did not move, so no update follows, ``-h g . g`` is -inf and
+    ``g . g`` is 1e300.  The value falls 1e147 per unit of x[1] below 0.
+    """
+    slope = 1.0 if x[0] > 0.5 else 1.0 - 2.0 ** -40
+    return x[0] + 1e147 * min(x[1], 0.0), (slope, 0.0 if x[0] > -0.5 else 1e150)
+
+
+def test_lane_whose_slope_overflows_restarts(monkeypatch):
+    # Beside a lane that converges, two starts of ``steepens`` reach a
+    # slope of -inf on their third direction.  They restart from steepest
+    # descent and move on to max_iter; kept, the -inf slope would fail
+    # every Armijo test.  The run equals its forced general path, bit for bit.
+    toys = {"moves": TOYS["moves"], "steepens": steepens}
+    kind = np.array([1, 0, 1])
+    x0 = np.zeros((3, 16))
+    x0[:, :2] = [(1.25, 1.0), TOY_STARTS["moves"], (1.25, 1.5)]
+    mask = np.ones(x0.shape, dtype=bool)
+    restarted = []
+    directions = estimation._lane_directions
+
+    def spy(h, g, mask, lanes):
+        kept_slope = -estimation._lane_dot(g, estimation._lane_matvec(h, g))
+        d, slope = directions(h, g, mask, lanes)
+        restarted.append(np.isneginf(kept_slope) & np.isfinite(slope) & (slope < 0.0))
+        return d, slope
+
+    monkeypatch.setattr(estimation, "_lane_directions", spy)
+    got = bfgs_lanes(ToyKernel(kind, toys), x0, mask, max_iter=50)
+    monkeypatch.undo()
+    # Both starts restart on their third direction, and only there.
+    assert [r.tolist() for r in restarted[:3]] == [[False] * 3, [False] * 3, [True, False, True]]
+    assert not any(r.any() for r in restarted[3:])
+    assert np.array_equal(got.n_iterations[kind == 1], [50, 50])
+    assert np.all(got.x[kind == 1, 1] < -1e151)
+    assert got.converged[kind == 0].all()
+    with general_ticks():
+        want = bfgs_lanes(ToyKernel(kind, toys), x0, mask, max_iter=50)
+    for name in estimation._OUTCOME_FIELDS:
+        assert_bitwise(getattr(got, name), getattr(want, name))
 
 
 def test_minimize_bfgs_runs_lanes_from_lane_min_starts(obs49, monkeypatch):

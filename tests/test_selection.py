@@ -231,6 +231,24 @@ class TestRunGrid:
         n_eff = run_grid(small_obs_plain, quick_options, n=small_obs_plain.grid.n_eff)
         assert n_eff[0].aic != default_n[0].aic
 
+    def test_cells_with_too_few_residuals_are_skipped(self, quick_options, monkeypatch):
+        # 5 years with the proxy: N_eff = 8 fits k = 5, 6 and 7 only.
+        obs, _ = generate(recovery_scenario(grid=YearGrid(1990, 1994), p_intl=True))
+        fitted = []
+        real = selection.fit_lane_set
+
+        def spy(jobs, *args, **kwargs):
+            fitted.extend(job.spec for job in jobs)
+            return real(jobs, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "fit_lane_set", spy)
+        entries = run_grid(obs, quick_options)
+        assert sorted(spec.n_params for spec in fitted) == [5, 6, 7]
+        skipped = [e for e in entries if e.status == "skipped"]
+        assert len(skipped) == 15
+        assert all(e.k >= 8 and e.fit is None for e in skipped)
+        assert all(e.reason == f"series too short: N_eff=8 <= k={e.k}" for e in skipped)
+
 
 
 class TestJobsBound:
