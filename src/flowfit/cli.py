@@ -392,9 +392,10 @@ def _run_pipeline(settings: Settings) -> int:
         reason = selection.unfittable_reason(spec, obs)
         if reason is not None:
             raise CliError(f"spec {spec.label()} cannot be fitted: {reason}")
-    elif wants_spec:
-        # The grid picks the spec. Its first spec has the fewest coefficients
-        # and no forcing, so it fits unless no grid spec does.
+    elif "grid" in stages:
+        # The grid runs, and picks the spec if one is wanted. Its first spec
+        # has the fewest coefficients and no forcing, so it fits unless no
+        # grid spec does.
         first = selection.enumerate_grid()[0]
         reason = selection.unfittable_reason(first, obs)
         if reason is not None:

@@ -333,49 +333,52 @@ def bfgs_minimize(
     first_update = True
     g_max = float(np.abs(g).max())
     converged = g_max <= gtol
-    while not converged and n_iter < max_iter:
-        d = -h_inv @ g
-        slope = float(g @ d)
-        if not math.isfinite(slope) or slope >= 0.0:
-            # Curvature information went bad; restart from steepest descent.
-            h_inv = np.eye(n)
-            d = -g
-            slope = -float(g @ g)
-        alpha = 1.0
-        accepted = False
-        for _ in range(LINE_SEARCH_TRIES):
-            x_new = x + alpha * d
-            f_new = f(x_new)
-            if math.isfinite(f_new) and f_new <= fx + 1e-4 * alpha * slope:
-                accepted = True
+    # An overflowing slope restarts the direction and an overflowing relative
+    # decrease is inf; neither needs a warning.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while not converged and n_iter < max_iter:
+            d = -h_inv @ g
+            slope = float(g @ d)
+            if not math.isfinite(slope) or slope >= 0.0:
+                # Curvature information went bad; restart from steepest descent.
+                h_inv = np.eye(n)
+                d = -g
+                slope = -float(g @ g)
+            alpha = 1.0
+            accepted = False
+            for _ in range(LINE_SEARCH_TRIES):
+                x_new = x + alpha * d
+                f_new = f(x_new)
+                if math.isfinite(f_new) and f_new <= fx + 1e-4 * alpha * slope:
+                    accepted = True
+                    break
+                alpha *= 0.5
+            if not accepted:
                 break
-            alpha *= 0.5
-        if not accepted:
-            break
-        g_new = grad(x_new)
-        s = x_new - x
-        y = g_new - g
-        sy = float(s @ y)
-        if first_update and sy > 0.0:
-            # Scale the initial inverse Hessian before the first update.
-            h_inv *= sy / float(y @ y)
-            first_update = False
-        if sy > 1e-10 * math.sqrt(s @ s) * math.sqrt(y @ y):
-            rho = 1.0 / sy
-            hy = h_inv @ y
-            yhy = float(y @ hy)
-            # Outer products by broadcasting: np.outer's result, without its overhead.
-            s_col = s[:, None]
-            h_inv += s_col * s * (rho * rho * yhy + rho) - rho * (hy[:, None] * s + s_col * hy)
-        n_iter += 1
-        rel_decrease = (fx - f_new) / max(abs(fx), 1e-300)
-        x, fx, g = x_new, f_new, g_new
-        g_max = float(np.abs(g).max())
-        if g_max <= gtol:
-            converged = True
-            break
-        if rel_decrease <= ftol_rel:
-            break
+            g_new = grad(x_new)
+            s = x_new - x
+            y = g_new - g
+            sy = float(s @ y)
+            if first_update and sy > 0.0:
+                # Scale the initial inverse Hessian before the first update.
+                h_inv *= sy / float(y @ y)
+                first_update = False
+            if sy > 1e-10 * math.sqrt(s @ s) * math.sqrt(y @ y):
+                rho = 1.0 / sy
+                hy = h_inv @ y
+                yhy = float(y @ hy)
+                # Outer products by broadcasting: np.outer's result, without its overhead.
+                s_col = s[:, None]
+                h_inv += s_col * s * (rho * rho * yhy + rho) - rho * (hy[:, None] * s + s_col * hy)
+            n_iter += 1
+            rel_decrease = (fx - f_new) / max(abs(fx), 1e-300)
+            x, fx, g = x_new, f_new, g_new
+            g_max = float(np.abs(g).max())
+            if g_max <= gtol:
+                converged = True
+                break
+            if rel_decrease <= ftol_rel:
+                break
     return OptimizeOutcome(x=x, fun=fx, n_iterations=n_iter, grad_max_norm=g_max, converged=converged)
 
 
@@ -802,11 +805,12 @@ def confidence_bands(
     bands are ``np.quantile``'s (linear interpolation) of those values,
     computed from order statistics: the clamped logistic never decreases,
     so the k-th smallest trajectory value is the logistic of the k-th
-    smallest linear predictor.  Each year's predictors are sorted across
-    the draws, in place (a vectorised sort, faster here than a partition
-    at the four order statistics; only a single-``kth`` partition is
-    faster), and only the two order statistics around each quantile go
-    through the logistic.
+    smallest linear predictor.  Each tail needs the two order statistics
+    around its quantile.  They are selected, not sorted: one in-place
+    partition of each year's predictors at the tail's higher rank, on the
+    ranks not yet placed, puts that rank in place, and the largest
+    predictor below it is the lower rank.  Only these four predictors go
+    through the logistic.  A non-finite draw raises ``ValueError``.
     """
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 2 or draws.shape[0] < 2:
@@ -827,15 +831,35 @@ def confidence_bands(
     upper = {}
     design = _stacked_design(spec, grid)
     draws = _checked_theta(draws, spec)
+    finite = np.isfinite(draws).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"draw {int(np.argmin(finite))} is not finite")
+    eta = np.empty((grid.n_years, draws.shape[0]))
     for i, name in enumerate(TRAJECTORY_NAMES):
         # Trajectory i's predictors, one column per draw: row block i of the
         # design on its own coefficients' columns.  With the zero columns the
         # product is large enough to run on BLAS threads that spin after it.
         block = design[i * grid.n_years:(i + 1) * grid.n_years]
         used = block.any(axis=0)
-        eta = np.ascontiguousarray(block[:, used]) @ draws[:, used].T
-        eta.sort(axis=1)
-        values = _clamped_logistic(eta[:, columns])
+        np.matmul(np.ascontiguousarray(block[:, used]), draws[:, used].T, out=eta)
+        # Each year's predictors at the picked ranks.  Columns left of
+        # ``start`` hold the ranks below it, so a partition of the rest at
+        # the higher rank places it, and the lower one, if not yet placed,
+        # is the largest of the columns between.  A second tail whose
+        # ranks coincide with the first's needs no partition.  Where a
+        # sort and the max would pick different zeros, +0.0 and -0.0, the
+        # logistic maps both to 0.5.
+        ranked = {}
+        start = 0
+        for below, above, _ in picks:
+            if above < start:
+                continue
+            eta[:, start:].partition(above - start, axis=1)
+            ranked[above] = eta[:, above]
+            if below not in ranked:
+                ranked[below] = np.maximum.reduce(eta[:, start:above], axis=1)
+            start = above + 1
+        values = _clamped_logistic(np.stack([ranked[rank] for rank in columns], axis=1))
         bands = []
         for j, (_, _, g) in enumerate(picks):
             a = values[:, 2 * j]

@@ -15,6 +15,10 @@ by one forward pass and one reverse sweep (``_adjoint_sweep``,
 ``_pull_back``) on Python floats, year by year.  It shares no code with
 :class:`~flowfit.model.LaneKernel` past the trajectories and the annual
 update, so it is the sequential oracle the lane kernel is held to.
+
+``sorted_bands`` is :func:`~flowfit.estimation.confidence_bands` by a full
+sort of each year's linear predictors, the oracle the bands' order
+statistic selection is held to.
 """
 
 import math
@@ -24,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from flowfit.estimation import _symmetrized
+from flowfit.estimation import TrajectoryBands, _symmetrized
 from flowfit.model import (
     LAMBDA_RAW_FLOOR,
     LOGISTIC_CLAMP,
@@ -34,6 +38,7 @@ from flowfit.model import (
     ObservedSeries,
     YearGrid,
     _annual_updates,
+    _clamped_logistic,
     _stacked_design,
     _trajectory_values,
 )
@@ -96,6 +101,42 @@ def fd_hessian(f, x, rel_step=1e-4):
                 f(x + e[i] + e[j]) - f(x + e[i] - e[j]) - f(x - e[i] + e[j]) + f(x - e[i] - e[j])
             ) / (4.0 * h[i] * h[j])
     return _symmetrized(hess)
+
+
+def sorted_bands(draws, spec, grid, level=0.95):
+    """``confidence_bands`` of finite ``draws`` from fully sorted predictors.
+
+    Each trajectory's predictors, one row per year and one column per
+    draw, are sorted along the draws; ``np.quantile``'s linear
+    interpolation then runs on the logistic of the two order statistics
+    around each tail's virtual index (n - 1) q.
+    """
+    q_lo = (1.0 - level) / 2.0
+    last = draws.shape[0] - 1
+    picks = []
+    for q in (q_lo, 1.0 - q_lo):
+        h = last * q
+        below = min(math.floor(h), last)
+        picks.append((below, min(below + 1, last), h - below))
+    columns = [i for below, above, _ in picks for i in (below, above)]
+    design = _stacked_design(spec, grid)
+    lower = {}
+    upper = {}
+    for i, name in enumerate(TRAJECTORY_NAMES):
+        block = design[i * grid.n_years:(i + 1) * grid.n_years]
+        used = block.any(axis=0)
+        eta = np.ascontiguousarray(block[:, used]) @ draws[:, used].T
+        eta.sort(axis=1)
+        values = _clamped_logistic(eta[:, columns])
+        bands = []
+        for j, (_, _, g) in enumerate(picks):
+            a = values[:, 2 * j]
+            b = values[:, 2 * j + 1]
+            d = b - a
+            # np.quantile's interpolation, which switches form at g = 0.5.
+            bands.append(b - d * (1.0 - g) if g >= 0.5 else a + d * g)
+        lower[name], upper[name] = bands
+    return TrajectoryBands(level=level, lower=lower, upper=upper)
 
 
 @dataclass

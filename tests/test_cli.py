@@ -575,7 +575,9 @@ class TestSettingsCheckedBeforeFitting:
         # Without --spec the grid's smallest spec, k = 5, must fit.
         (3, ["report"], "no grid spec can be fitted, not even 0,0,none: series too short: "
                         "N_eff=4 <= k=5"),
-    ], ids=["fit", "fit-k10", "bands", "diagnose", "report-spec", "report"])
+        (3, ["grid"], "no grid spec can be fitted, not even 0,0,none: series too short: "
+                      "N_eff=4 <= k=5"),
+    ], ids=["fit", "fit-k10", "bands", "diagnose", "report-spec", "report", "grid"])
     def test_series_too_short_for_the_spec(self, tmp_path, monkeypatch, capsys, years, argv,
                                            message):
         # A fit needs more fitted residuals, N_eff = 2 * years - 2, than

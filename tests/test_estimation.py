@@ -24,14 +24,14 @@ from flowfit import (
     sample_parameters,
     simulate,
 )
-from flowfit.model import superset_mask
+from flowfit.model import TRAJECTORY_NAMES, superset_mask
 from flowfit.estimation import (
     PENALTY_PER_INVALID_YEAR,
     bfgs_minimize,
     fd_gradient,
 )
 
-from _reference import fd_hessian
+from _reference import fd_hessian, sorted_bands
 from _scenarios import RECOVERY_SPEC, RECOVERY_THETA, random_instance, recovery_scenario
 from test_kernel_properties import evaluators
 
@@ -417,3 +417,54 @@ class TestConfidenceBands:
     def test_requires_two_draws(self):
         with pytest.raises(ValueError, match="two"):
             confidence_bands(RECOVERY_THETA[None, :], RECOVERY_SPEC, GRID)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_draw_is_rejected_by_row(self, bad):
+        draws = np.tile(RECOVERY_THETA, (10, 1))
+        draws[3, 7] = bad
+        draws[6, 0] = np.nan
+        with pytest.raises(ValueError, match="^draw 3 is not finite$"):
+            confidence_bands(draws, RECOVERY_SPEC, GRID)
+
+
+@st.composite
+def band_cases(draw):
+    """Draws, spec, grid and level whose bands the sort-based oracle also gives.
+
+    Levels near 0 put both tails' order statistics on the same or adjacent
+    ranks; levels near 1 put them on the first and last ranks, and
+    1 - 2^-53 makes the upper quantile 1.0, one rank twice.  Resampled rows
+    repeat predictors across draws, and a trajectory whose coefficients
+    are all +-0.0 has only +-0.0 predictors, which a sort and a selection
+    may place in different orders.
+    """
+    n_draws = draw(st.one_of(st.integers(2, 300), st.sampled_from([4000, 4001])))
+    level = draw(st.one_of(st.floats(1e-12, 0.05), st.floats(0.05, 0.9),
+                           st.floats(0.9, 1.0, exclude_max=True),
+                           st.sampled_from([2.0 ** -52, 0.5, 0.95, 1.0 - 2.0 ** -53])))
+    n_years = draw(st.integers(3, 60))
+    spec = draw(st.sampled_from(enumerate_grid()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    draws = rng.normal(0.0, draw(st.sampled_from([0.01, 1.0, 30.0])), (n_draws, spec.n_params))
+    if draw(st.booleans()):
+        draws = draws[rng.integers(0, n_draws, n_draws)]
+    zeroed = draw(st.sampled_from([None, *range(len(TRAJECTORY_NAMES))]))
+    if zeroed is not None:
+        # Spec columns of trajectory ``zeroed``'s superset coefficients.
+        superset_columns = np.flatnonzero(superset_mask(spec))
+        columns = np.flatnonzero(superset_columns // 3 == zeroed)
+        draws[:, columns] = np.where(rng.random((n_draws, columns.size)) < 0.5, 0.0, -0.0)
+    return draws, spec, YearGrid(1990, 1989 + n_years), level
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(case=band_cases())
+def test_bands_equal_the_sorted_oracle_bit_for_bit(case):
+    draws, spec, grid, level = case
+    kept = draws.copy()
+    got = confidence_bands(draws, spec, grid, level)
+    want = sorted_bands(kept, spec, grid, level)
+    assert draws.tobytes() == kept.tobytes()
+    for side in ("lower", "upper"):
+        for name in TRAJECTORY_NAMES:
+            assert getattr(got, side)[name].tobytes() == getattr(want, side)[name].tobytes()

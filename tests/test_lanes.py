@@ -13,6 +13,7 @@ import collections
 import contextlib
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -821,6 +822,22 @@ def test_lane_whose_slope_overflows_restarts(monkeypatch):
         want = bfgs_lanes(ToyKernel(kind, toys), x0, mask, max_iter=50)
     for name in estimation._OUTCOME_FIELDS:
         assert_bitwise(getattr(got, name), getattr(want, name))
+
+
+def test_bfgs_minimize_overflows_without_warnings():
+    # ``steepens`` takes bfgs_minimize to an overflowing slope, -inf, as it
+    # takes bfgs_lanes; it restarts and moves on to max_iter.  From a start
+    # valued 0 the first step falls by 1e20, and the relative decrease,
+    # divided by 1e-300, overflows to inf.  Neither may warn.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x0 in ((1.25, 1.0), (1.25, 1.5)):
+            got = bfgs_minimize(lambda x: steepens(x)[0], np.array(x0),
+                                lambda x: np.array(steepens(x)[1]), max_iter=50)
+            assert got.n_iterations == 50 and got.x[1] < -1e151
+        got = bfgs_minimize(lambda x: 1e10 * x[0], np.zeros(2),
+                            lambda x: np.array([1e10, 0.0]), max_iter=50)
+    assert got.n_iterations == 50 and got.x[0] == -5e11 and not got.converged
 
 
 def test_minimize_bfgs_runs_lanes_from_lane_min_starts(obs49, monkeypatch):
