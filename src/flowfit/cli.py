@@ -220,11 +220,21 @@ SETTINGS = (
 )
 
 
-def build_parser() -> _Parser:
+def build_parser(command: Optional[str] = None) -> _Parser:
+    """The CLI's parser, with every command's subparser or only ``command``'s.
+
+    A subparser's flags, help and errors do not depend on the others, so
+    parsing a command's arguments needs only its own; building every
+    subparser costs far more than the parse.
+    """
     parser = _Parser(prog="flowfit", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    for command, (stages, help_line) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_line)
+    # The usage in an error names every command, whichever are built.
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser,
+                                metavar="{" + ",".join(COMMANDS) + "}")
+    for name, (stages, help_line) in COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", help="JSON config file with defaults for any option")
         p.add_argument("--out", help="output directory (default: $FLOWFIT_OUT_DIR or '.')")
         p.add_argument("--formats", help="comma-separated subset of csv,json (default both)")
@@ -503,7 +513,9 @@ def _run_synth(settings: Settings) -> int:
 
 
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The full parser answers --help and names the commands in its errors.
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         if args.command is None:

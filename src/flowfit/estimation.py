@@ -6,11 +6,12 @@ the unconstrained transformed parameter space with a BFGS iteration using
 a backtracking (Armijo) line search and the exact gradient.  One evaluator,
 :class:`~flowfit.model.LaneKernel`, gives the loss at a point: :func:`loss`,
 every fit's SSE, the lanes of a multi-start BFGS and the Hessian (central
-differences of the exact gradient) are lanes of its calls.  Two drivers
-run BFGS on it: every lane set (:func:`fit_lane_set`) runs as lanes of
-:func:`bfgs_lanes`, and :func:`minimize_bfgs` with fewer than
-``LANE_MIN_STARTS`` starts runs them one by one through
-:func:`bfgs_minimize` on a one-lane kernel.
+differences of the exact gradient) are lanes of its calls.  Every fit,
+:func:`minimize_bfgs` included, is a lane set (:func:`fit_lane_set`) and
+runs as lanes of :func:`bfgs_lanes`.  :func:`bfgs_minimize` is the same
+BFGS on callables, one start at a time: the public driver for other
+objectives, and the sequential reference :func:`bfgs_lanes` is tested
+against.
 """
 
 from __future__ import annotations
@@ -47,12 +48,6 @@ HESSIAN_EIG_FLOOR_REL = 1e-8
 
 # Trial steps 1, 1/2, 1/4, ... a BFGS line search makes before it gives up.
 LINE_SEARCH_TRIES = 60
-
-# A fit of one job (:func:`minimize_bfgs`) with fewer starts than this runs
-# them one by one through :func:`bfgs_minimize` on a one-lane kernel, whose
-# iteration costs less than a :func:`bfgs_lanes` tick at so few lanes;
-# every lane set, whatever its width, runs as lanes of :func:`bfgs_lanes`.
-LANE_MIN_STARTS = 4
 
 # Most lanes one batched BFGS runs at once, and the unit of work of a lane
 # set's workers.  The kernel's cost per lane stops falling at about this
@@ -131,36 +126,6 @@ def residuals(obs: ObservedSeries, sim: SimulationResult) -> ResidualSet:
     r_m[0] = 0.0
     r_p[0] = 0.0
     return ResidualSet(r_m=r_m, r_p=r_p, n_eff=obs.grid.n_eff)
-
-
-class _LaneObjective:
-    """:func:`bfgs_minimize`'s objective: ``spec``'s loss as one lane of a :class:`LaneKernel`.
-
-    ``value`` makes one kernel call and keeps that point's gradient, and
-    ``gradient`` at that point returns it; anywhere else it calls the
-    kernel first.  BFGS asks for the gradient where its line search
-    accepted last, so an accepted step costs no second call.  Every value
-    is a one-lane kernel value, bitwise :func:`loss` at its point.
-    """
-
-    def __init__(self, spec: ModelSpec, obs: ObservedSeries, scale_grid: Optional[YearGrid]):
-        self.kernel = LaneKernel(obs, scale_grid)
-        self.mask = superset_mask(spec)[None]
-        self.row = np.zeros(self.mask.shape)
-        self.theta: Optional[np.ndarray] = None
-        self.grad: Optional[np.ndarray] = None
-
-    def value(self, theta: np.ndarray) -> float:
-        self.row[self.mask] = theta
-        values, grads = self.kernel(self.row, self.mask)
-        self.theta = np.array(theta, dtype=float)
-        self.grad = grads[self.mask]
-        return float(values[0])
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        if self.theta is None or not (theta == self.theta).all():
-            self.value(theta)
-        return self.grad
 
 
 def _at_point(
@@ -480,7 +445,10 @@ def bfgs_lanes(
         while ids.size:
             trial = x + alpha[:, None] * d
             f_new, g_new = kernel(trial, mask)
-            moved = np.isfinite(f_new) & (f_new <= fx + 1e-4 * alpha * slope)
+            # fx is a finite kernel value (the penalty keeps invalid points
+            # finite) and slope is finite and negative or -inf, so the bound
+            # is finite or -inf, and the test alone rejects a nan or +inf.
+            moved = f_new <= fx + 1e-4 * alpha * slope
             all_moved = np.logical_and.reduce(moved)
             s = trial - x
             y = g_new - g
@@ -631,12 +599,11 @@ def minimize_bfgs(
 ) -> FitResult:
     """Minimize the loss from every start and keep the best local minimum.
 
-    With ``LANE_MIN_STARTS`` starts or more the starts are one
-    :class:`LaneJob` of :func:`fit_lane_set`.  Fewer run one by one
-    through :func:`bfgs_minimize` on one lane of a :class:`LaneKernel`
-    (:class:`_LaneObjective`).  Either way every value is a lane's
-    :class:`LaneKernel` value, the first start with the lowest wins, and
-    its value is the fit's SSE: ``sse == loss(theta_hat)`` exactly.
+    The starts, however many, are one :class:`LaneJob` of
+    :func:`fit_lane_set`, so the fit is bitwise that job's in any lane
+    set.  The first start with the lowest value wins, and its
+    :class:`LaneKernel` value is the fit's SSE: ``sse == loss(theta_hat)``
+    exactly.
     """
     if len(starts) == 0:
         raise ValueError("at least one start is required")
@@ -644,17 +611,7 @@ def minimize_bfgs(
     for x0 in starts:
         if x0.shape != (spec.n_params,) or not np.all(np.isfinite(x0)):
             raise ValueError(f"start must be a finite vector of length {spec.n_params}")
-    starts = np.stack(starts)
-    if len(starts) >= LANE_MIN_STARTS:
-        return fit_lane_set([LaneJob(spec, obs, starts, scale_grid)], options)[0]
-    opts = options or FitOptions()
-    objective = _LaneObjective(spec, obs, scale_grid)
-    outcomes = [bfgs_minimize(objective.value, x0, grad=objective.gradient, gtol=opts.gtol,
-                              ftol_rel=opts.ftol_rel, max_iter=opts.max_iter)
-                for x0 in starts]
-    x, *rest = (np.array([getattr(outcome, name) for outcome in outcomes])
-                for name in _OUTCOME_FIELDS)
-    return _best_start(spec, LaneOutcomes(embed(x, spec), *rest))
+    return fit_lane_set([LaneJob(spec, obs, np.stack(starts), scale_grid)], options)[0]
 
 
 @dataclass
@@ -839,9 +796,12 @@ def confidence_bands(
         # Trajectory i's predictors, one column per draw: row block i of the
         # design on its own coefficients' columns.  With the zero columns the
         # product is large enough to run on BLAS threads that spin after it.
+        # Finite draws may overflow their predictors to inf, as in the
+        # kernel; the clamped logistic maps inf inside (0, 1).
         block = design[i * grid.n_years:(i + 1) * grid.n_years]
         used = block.any(axis=0)
-        np.matmul(np.ascontiguousarray(block[:, used]), draws[:, used].T, out=eta)
+        with np.errstate(over="ignore"):
+            np.matmul(np.ascontiguousarray(block[:, used]), draws[:, used].T, out=eta)
         # Each year's predictors at the picked ranks.  Columns left of
         # ``start`` hold the ranks below it, so a partition of the rest at
         # the higher rank places it, and the lower one, if not yet placed,

@@ -624,9 +624,8 @@ class LaneKernel:
     forcing term.  It is the one evaluator of the loss at a point:
     ``estimation.loss`` and ``estimation.loss_gradient`` are one-lane calls,
     and a fit's SSE is its winning lane's value, for the spec the mask
-    describes, and every BFGS runs on it: a lane set's as lanes, whatever
-    its width, and ``estimation.minimize_bfgs``'s with few starts on one
-    lane, start by start.
+    describes.  Every fit runs on it as the lanes of one
+    ``estimation.bfgs_lanes`` batch, whatever its start count.
 
     Arrays are quantity by years by lanes, so each quantity's block is a
     contiguous ``(n, B)`` array.  A ufunc's own output follows its

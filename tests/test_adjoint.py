@@ -189,49 +189,41 @@ def test_adjoint_sweep_ignores_years_past_its_adjoints(intl_obs):
     assert full_lam_bar == lam_bar
 
 
-def test_fit_makes_one_forward_pass_per_loss_evaluation(intl_obs, monkeypatch):
-    forward = {"n": 0}
-    calls = {"f": 0, "grad": 0}
+def test_one_start_fit_makes_one_kernel_call_per_tick(intl_obs, monkeypatch):
+    # A 1-start fit is one lane of bfgs_lanes: a call at the start, then one
+    # per tick, whose value and gradient come from the same pass.  Each
+    # call of _lane_directions, at the start and after every tick, marks one.
+    counts = {"kernel": 0, "directions": 0}
     real_kernel = LaneKernel.__call__
-    real_bfgs = estimation.bfgs_minimize
+    real_directions = estimation._lane_directions
 
     def counting_kernel(*args, **kwargs):
-        forward["n"] += 1
+        counts["kernel"] += 1
         return real_kernel(*args, **kwargs)
 
-    def counting_bfgs(f, x0, grad, **kwargs):
-        def f_counted(x):
-            calls["f"] += 1
-            return f(x)
-
-        def grad_counted(x):
-            calls["grad"] += 1
-            return grad(x)
-
-        return real_bfgs(f_counted, x0, grad=grad_counted, **kwargs)
+    def counting_directions(*args, **kwargs):
+        counts["directions"] += 1
+        return real_directions(*args, **kwargs)
 
     monkeypatch.setattr(LaneKernel, "__call__", counting_kernel)
-    monkeypatch.setattr(estimation, "bfgs_minimize", counting_bfgs)
+    monkeypatch.setattr(estimation, "_lane_directions", counting_directions)
     spec = ff.ModelSpec(1, 2, forcing=True)
-    starts = ff.default_starts(spec, intl_obs, n_starts=3, seed=4)
-    fit = ff.minimize_bfgs(spec, intl_obs, starts, ff.FitOptions(max_iter=40))
-    assert calls["grad"] > len(starts)
-    assert forward["n"] == calls["f"]
+    start = ff.default_starts(spec, intl_obs, n_starts=3, seed=4)[2]
+    fit = ff.minimize_bfgs(spec, intl_obs, [start], ff.FitOptions(max_iter=40))
+    assert counts["kernel"] == counts["directions"] > fit.n_iterations > 0
     assert fit.sse == ff.loss(fit.theta_hat, spec, intl_obs)
 
 
 def test_gradient_away_from_last_value_runs_its_own_forward_pass(intl_obs):
-    # The narrow fits' objective and the list-level reference keep their
-    # last point alike.
-    for make in (estimation._LaneObjective, _Objective):
-        def fresh(theta):
-            return make(RECOVERY_SPEC, intl_obs, None).gradient(theta)
+    # The list-level reference keeps the point of its last value.
+    def fresh(theta):
+        return _Objective(RECOVERY_SPEC, intl_obs, None).gradient(theta)
 
-        objective = make(RECOVERY_SPEC, intl_obs, None)
-        a = RECOVERY_THETA + 0.1
-        b = RECOVERY_THETA - 0.1
-        objective.value(a)
-        assert np.array_equal(objective.gradient(b), fresh(b)), make
-        assert np.array_equal(objective.gradient(b), fresh(b)), make
-        objective.value(a)
-        assert np.array_equal(objective.gradient(a), fresh(a)), make
+    objective = _Objective(RECOVERY_SPEC, intl_obs, None)
+    a = RECOVERY_THETA + 0.1
+    b = RECOVERY_THETA - 0.1
+    objective.value(a)
+    assert np.array_equal(objective.gradient(b), fresh(b))
+    assert np.array_equal(objective.gradient(b), fresh(b))
+    objective.value(a)
+    assert np.array_equal(objective.gradient(a), fresh(a))

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowfit import (YearGrid, diagnostics, estimation, generate, run_cli, selection, synthetic,
-                     write_series)
+from flowfit import (YearGrid, cli, diagnostics, estimation, generate, run_cli, selection,
+                     synthetic, write_series)
 from flowfit.cli import SETTINGS, build_parser, main
 
 from _scenarios import RECOVERY_THETA, recovery_scenario
@@ -70,6 +70,17 @@ class TestArgumentHandling:
 
     def test_help_exits_0(self, capsys):
         assert run_cli(["--help"]) == 0
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["frobnicate"], ["fi"]]
+                             + [[command, flag] for command in cli.COMMANDS
+                                for flag in ("--help", "--no-such-flag", "--config")])
+    def test_output_is_the_full_parsers(self, argv, capsys, monkeypatch):
+        # run_cli builds only the subparser argv[0] names; its help, usage
+        # and errors are the bytes the parser of every command gives.
+        want = run_cli(argv), capsys.readouterr()
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert (run_cli(argv), capsys.readouterr()) == want
 
     def test_bad_spec_string(self, data_csv, tmp_path):
         code = run_cli(["fit", "--data", str(data_csv), "--spec", "5,2,none",

@@ -127,8 +127,8 @@ class TestTruncationStudy:
     def test_start_at_t_min_is_identity(self, small_noise_free, quick_options):
         obs, _ = small_noise_free
         rows = truncation_study(obs, RECOVERY_SPEC, [obs.grid.t_min], quick_options)
-        # The whole sample's fit from the fit stage's starts, on lanes as the
-        # refits are (minimize_bfgs runs 2 starts through bfgs_minimize).
+        # The whole sample's fit from the fit stage's starts, one lane job as
+        # every refit window is.
         starts = np.stack(default_starts(RECOVERY_SPEC, obs, n_starts=2, seed=0))
         (full,) = fit_lane_set([LaneJob(RECOVERY_SPEC, obs, starts)], quick_options)
         assert rows[0].sse == full.sse

@@ -418,6 +418,16 @@ class TestConfidenceBands:
         with pytest.raises(ValueError, match="two"):
             confidence_bands(RECOVERY_THETA[None, :], RECOVERY_SPEC, GRID)
 
+    def test_finite_draws_whose_predictors_overflow_do_not_warn(self):
+        # 1e308 + 1e308 s overflows to inf in the later years; the suite
+        # turns an overflow warning of the product into an error.
+        draws = np.tile(RECOVERY_THETA, (4, 1))
+        draws[:2, :2] = 1e308
+        bands = confidence_bands(draws, RECOVERY_SPEC, GRID)
+        for name in bands.lower:
+            assert np.all(bands.lower[name] > 0)
+            assert np.all(bands.upper[name] < 1)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_draw_is_rejected_by_row(self, bad):
         draws = np.tile(RECOVERY_THETA, (10, 1))

@@ -8,6 +8,8 @@ lane set they run in, equal per-window ``fit_lane_set`` runs, and a lane
 set of any width runs on lanes.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -87,6 +89,23 @@ def test_lane_in_window_set_equals_lane_alone(case):
     assert [True, True] in paths
 
 
+@LANE_SETS
+@given(case=window_sets())
+def test_minimize_bfgs_is_its_job_in_any_lane_set(case):
+    # minimize_bfgs, from 1 to 4 starts, is one job of fit_lane_set: its
+    # fit is bitwise that job's alone and in a set of several windows.
+    _, jobs = case
+    opts = ff.FitOptions(max_iter=40)
+    in_set = fit_lane_set(jobs, opts)
+    for job, fit in zip(jobs, in_set):
+        (alone,) = fit_lane_set([LaneJob(job.spec, job.obs, job.starts, job.scale_grid)], opts)
+        got = ff.minimize_bfgs(job.spec, job.obs, list(job.starts), opts, job.scale_grid)
+        for want in (alone, fit):
+            for field in dataclasses.fields(got):
+                assert (np.asarray(getattr(got, field.name)).tobytes()
+                        == np.asarray(getattr(want, field.name)).tobytes()), field.name
+
+
 def test_padded_kernel_equals_each_window_kernel():
     # Lanes of every spec, some deep in the penalty region, on windows of
     # three lengths and two time scales.
@@ -151,17 +170,14 @@ def test_refits_equal_per_window_fit_lane_set(n_starts, rescale):
 
 
 def test_small_lane_set_runs_on_lanes(monkeypatch):
-    # Only minimize_bfgs runs bfgs_minimize; a lane set of any width,
-    # here 1 to LANE_MIN_STARTS lanes, is one bfgs_lanes run.
+    # A lane set of any width, here 1 to 4 lanes, is one bfgs_lanes run.
     calls = []
-    real_lanes, real_list = estimation.bfgs_lanes, estimation.bfgs_minimize
+    real_lanes = estimation.bfgs_lanes
     monkeypatch.setattr(estimation, "bfgs_lanes",
                         lambda *a, **k: calls.append("lanes") or real_lanes(*a, **k))
-    monkeypatch.setattr(estimation, "bfgs_minimize",
-                        lambda *a, **k: calls.append("list") or real_list(*a, **k))
     spec = ff.ModelSpec(1, 0, False)
     opts = ff.FitOptions(n_starts=1, max_iter=30)
-    for n_windows in range(1, estimation.LANE_MIN_STARTS + 1):
+    for n_windows in range(1, 5):
         calls.clear()
         ff.truncation_study(SMALL, spec, list(range(1981, 1981 + n_windows)), opts)
         assert calls == ["lanes"]
@@ -182,9 +198,9 @@ def test_fit_lane_set_sets_and_returns_each_jobs_fit():
 @pytest.mark.parametrize("rescale", ["window", "full"])
 @pytest.mark.parametrize("n_starts", [1, 2, 3, 4, 8])
 def test_fit_sse_is_bitwise_its_loss(n_starts, rescale):
-    # A fit's SSE is its winning lane's kernel value, on both sides of
-    # LANE_MIN_STARTS: alone on one window, and in a set of two windows of
-    # different lengths (so the shorter one is padded).
+    # A fit's SSE is its winning lane's kernel value, whatever the start
+    # count: alone on one window, and in a set of two windows of different
+    # lengths (so the shorter one is padded).
     scale_grid = SMALL.grid if rescale == "full" else None
     windows = [(SMALL.window(1984, SMALL.grid.t_max), ff.ModelSpec(1, 1, forcing=True)),
                (SMALL.window(SMALL.grid.t_min, 1995), ff.ModelSpec(0, 2, forcing=False))]

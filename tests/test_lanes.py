@@ -840,27 +840,22 @@ def test_bfgs_minimize_overflows_without_warnings():
     assert got.n_iterations == 50 and got.x[0] == -5e11 and not got.converged
 
 
-def test_minimize_bfgs_runs_lanes_from_lane_min_starts(obs49, monkeypatch):
+def test_minimize_bfgs_runs_every_start_count_on_lanes(obs49, monkeypatch):
     spec = ff.ModelSpec(1, 0, True)
-    calls = []
-    real_lanes, real_one = estimation.bfgs_lanes, estimation.bfgs_minimize
+    widths = []
+    real_lanes = estimation.bfgs_lanes
     monkeypatch.setattr(estimation, "bfgs_lanes",
-                        lambda *a, **k: calls.append("lanes") or real_lanes(*a, **k))
-    monkeypatch.setattr(estimation, "bfgs_minimize",
-                        lambda *a, **k: calls.append("one") or real_one(*a, **k))
+                        lambda kernel, x0, *a, **k: widths.append(len(x0))
+                        or real_lanes(kernel, x0, *a, **k))
     opts = ff.FitOptions(max_iter=50)
-    # Fewer starts run one by one on a one-lane kernel (bands49's set-up fits).
-    for few in range(1, estimation.LANE_MIN_STARTS):
-        calls.clear()
-        fit = ff.minimize_bfgs(spec, obs49, ff.default_starts(spec, obs49, n_starts=few), opts)
-        assert calls == ["one"] * few
+    # One start is bands49's set-up fit.
+    for n_starts in range(1, 5):
+        widths.clear()
+        starts = ff.default_starts(spec, obs49, n_starts=n_starts)
+        fit = ff.minimize_bfgs(spec, obs49, starts, opts)
+        assert widths == [n_starts]
         assert fit.sse == ff.loss(fit.theta_hat, spec, obs49)
-    calls.clear()
-    starts = ff.default_starts(spec, obs49, n_starts=estimation.LANE_MIN_STARTS)
-    fit = ff.minimize_bfgs(spec, obs49, starts, opts)
-    assert calls == ["lanes"]
-    assert fit.sse == ff.loss(fit.theta_hat, spec, obs49)
-    assert fit.n_starts_used == len(starts) and fit.theta_hat.shape == (spec.n_params,)
+        assert fit.n_starts_used == n_starts and fit.theta_hat.shape == (spec.n_params,)
 
 
 @pytest.fixture(scope="module")

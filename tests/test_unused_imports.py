@@ -1,6 +1,9 @@
 """Every name a ``flowfit`` module imports is used in that module.
 
 ``__init__.py`` is left out: its imports are the package's public names.
+And no module runs ``bfgs_minimize``: every fit runs on lanes, and the
+sequential driver is the public BFGS on callables and the lanes' test
+reference only.
 """
 
 import ast
@@ -36,3 +39,21 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def reads_of(source: str, name: str) -> list[int]:
+    """The lines where ``source`` reads ``name``, bare or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Name) and node.id == name
+                  or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def test_finds_a_read():
+    source = "from m import f\n\ndef f():\n    f(1)\ng = m.f\n'f'\n"
+    assert reads_of(source, "f") == [4, 5]
+
+
+@pytest.mark.parametrize("path", sorted(Path(flowfit.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_module_does_not_run_bfgs_minimize(path):
+    assert reads_of(path.read_text(), "bfgs_minimize") == []
