@@ -372,7 +372,7 @@ def _fit_bundle(obs: ObservedSeries, spec: ModelSpec, fit: estimation.FitResult,
     try:
         bundle.residual_report = diagnostics.residual_report(obs, sim)
     except ValueError:
-        bundle.notes.append("residual report unavailable: non-positive implied flows")
+        bundle.notes.append("residual report unavailable: implied flows not finite and positive")
     try:
         bundle.aic, bundle.bic = selection.information_criteria(fit.sse, spec.n_params, n)
     except ValueError:

@@ -24,7 +24,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .model import (
-    PENALTY_PER_INVALID_YEAR,
     TRAJECTORY_NAMES,
     LaneKernel,
     ModelSpec,
@@ -118,9 +117,14 @@ class TrajectoryBands:
 
 
 def residuals(obs: ObservedSeries, sim: SimulationResult) -> ResidualSet:
-    """Log residuals log(observed) - log(implied) for both series."""
-    if np.any(sim.flow_m <= 0) or np.any(sim.flow_p <= 0):
-        raise ValueError("implied flows must be strictly positive to form log residuals")
+    """Log residuals log(observed) - log(implied) for both series.
+
+    Implied flows that are not all finite and positive raise ``ValueError``.
+    """
+    flows = np.stack([sim.flow_m, sim.flow_p])
+    if not np.all(np.isfinite(flows) & (flows > 0)):
+        raise ValueError("implied flows must be finite and strictly positive "
+                         "to form log residuals")
     r_m = np.log(obs.m) - np.log(sim.flow_m)
     r_p = np.log(obs.p) - np.log(sim.flow_p)
     r_m[0] = 0.0
@@ -150,13 +154,12 @@ def loss(
     obs: ObservedSeries,
     scale_grid: Optional[YearGrid] = None,
 ) -> float:
-    """Sum of squared log residuals, with a finite penalty for invalid flows.
+    """Sum of squared log residuals of the implied flows, year 0 excluded.
 
-    Configurations whose implied flows go non-positive (or non-finite)
-    are not rejected with an exception: the loss is the residual sum over
-    the years before the first invalid one plus a large per-invalid-year
-    penalty, so the optimizer sees a finite, descent-friendly surface.
-    A non-finite ``theta`` raises ``ValueError``.
+    A point whose implied flows go non-positive or non-finite in a
+    counted year is not rejected with an exception: its loss is +inf,
+    which a line search rejects as it rejects any step that does not
+    descend.  A non-finite ``theta`` raises ``ValueError``.
 
     ``scale_grid`` optionally anchors the time rescaling to a different
     window than the data (used when refits on truncated windows should
@@ -175,9 +178,8 @@ def loss_gradient(
 ) -> np.ndarray:
     """Exact gradient of :func:`loss`, from the same :class:`LaneKernel` call.
 
-    Where the loss is penalized only the residual prefix contributes, so
-    the gradient stays finite; its forcing entry is 0 at or below the
-    forcing floor and where the forcing weight overflows.
+    Where the loss is +inf every entry is nan.  The forcing entry is 0 at
+    or below the forcing floor.
     """
     return _at_point(theta, spec, obs, scale_grid)[1]
 
@@ -404,7 +406,9 @@ def bfgs_lanes(
     takes :func:`bfgs_minimize`'s steps in its spec's coefficients: the same
     direction and steepest-descent restart, Armijo backtracking, scaled
     first update, BFGS update and four stop rules, with a ``(B, 16, 16)``
-    stack of inverse Hessians that is 0 off the lane's coefficients.
+    stack of inverse Hessians that is 0 off the lane's coefficients.  A
+    lane whose start value is not finite (the kernel's gradient there is
+    nan) stops before the first tick, unconverged, after 0 iterations.
 
     Each tick evaluates one trial point of every live lane, value and
     gradient in one kernel call.  A lane whose trial passes the Armijo test
@@ -432,7 +436,9 @@ def bfgs_lanes(
     g_max = np.maximum.reduce(np.abs(g), 1)
     out = LaneOutcomes(x=x0.copy(), fun=fx, n_iterations=np.zeros(len(fx), dtype=int),
                        grad_max_norm=g_max, converged=g_max <= gtol)
-    ids = np.flatnonzero(~out.converged) if max_iter > 0 else np.empty(0, dtype=int)
+    # A lane whose start value is not finite stops here: its gradient is nan.
+    ids = (np.flatnonzero(~out.converged & np.isfinite(fx)) if max_iter > 0
+           else np.empty(0, dtype=int))
     x, fx, g, mask, kernel = x0[ids], fx[ids], g[ids], mask[ids], kernel.lanes(ids)
     h = _masked_eye(mask)
     scaled = np.zeros(len(ids), dtype=bool)
@@ -445,9 +451,10 @@ def bfgs_lanes(
         while ids.size:
             trial = x + alpha[:, None] * d
             f_new, g_new = kernel(trial, mask)
-            # fx is a finite kernel value (the penalty keeps invalid points
-            # finite) and slope is finite and negative or -inf, so the bound
-            # is finite or -inf, and the test alone rejects a nan or +inf.
+            # fx is finite (a lane enters with a finite value and moves
+            # only to a value below a finite bound) and slope is finite and
+            # negative or -inf, so the bound is finite or -inf, and the
+            # test alone rejects a nan or +inf.
             moved = f_new <= fx + 1e-4 * alpha * slope
             all_moved = np.logical_and.reduce(moved)
             s = trial - x
@@ -555,8 +562,7 @@ def _best_start(spec: ModelSpec, lanes: LaneOutcomes) -> FitResult:
     return FitResult(
         theta_hat=theta_hat,
         sse=sse,
-        # A gradient that flatlines inside the penalty region is not convergence.
-        converged=bool(lanes.converged[best]) and sse < PENALTY_PER_INVALID_YEAR,
+        converged=bool(lanes.converged[best]),
         n_iterations=int(lanes.n_iterations[best]),
         n_starts_used=len(lanes.fun),
         grad_norm_at_opt=float(lanes.grad_max_norm[best]),

@@ -288,8 +288,8 @@ def _stacked_design(
 
 def _forcing_weight(lambda_raw):
     """exp(lambda_raw) floored at exp(LAMBDA_RAW_FLOOR), elementwise."""
-    # May overflow to inf for absurd coefficients; the loss penalty path
-    # rejects the resulting non-finite flows.
+    # May overflow to inf for absurd coefficients; the loss is +inf at the
+    # resulting non-finite flows.
     with np.errstate(over="ignore"):
         return np.exp(np.maximum(lambda_raw, LAMBDA_RAW_FLOOR))
 
@@ -427,13 +427,6 @@ def simulate(obs: ObservedSeries, traj: ParamTrajectories, spec: ModelSpec) -> S
     return run_recurrence(obs.b, traj, stock_m0, stock_p0, p_intl=p_intl)
 
 
-# Each year with a non-positive or non-finite implied flow adds this to the
-# loss, on top of the squared residuals accumulated before the first bad
-# year.  Keeps the objective finite and pushes iterates back toward the
-# feasible region instead of raising inside the optimizer loop.
-PENALTY_PER_INVALID_YEAR = 1e6
-
-
 def _retention_steps(windows: np.ndarray, gammas: np.ndarray) -> tuple:
     """The views :func:`_retention_windows` fills ``windows`` through, from ``gammas``.
 
@@ -511,7 +504,7 @@ def _buffer_sizes(n: int) -> dict:
     sizes = {"coef": 15, "totals": 18, "corner": 2, "lam": 1, "p": 5 * n, "quad": 5 * n,
              "stocks": 2 * n, "flows": 2 * n, "flow_bars": 2 * n, "stock_bars": 2 * (n + 1),
              "carry": n, "windows": windows, "terms": 18 * n}
-    flags = {"positive": 5 * n, "finite": 5 * n, "valid": n, "prefix": n, "skipped": n}
+    flags = {"clipped": 5 * n, "below": 5 * n}
     return {**{name: (size, float) for name, size in sizes.items()},
             **{name: (size, bool) for name, size in flags.items()}}
 
@@ -526,7 +519,7 @@ class _Workspace:
     """
 
     def __init__(self, inputs: tuple, width: int):
-        s, s2, b, log_obs, first, p_intl, pad = inputs
+        s, _, b, _, _, p_intl, _ = inputs
         n = s.shape[0]
         k = len(TRAJECTORY_NAMES)
         steps = (n - 1).bit_length()
@@ -573,14 +566,6 @@ class _Workspace:
         self.p_intl_head = p_intl[:-1]
         self.carry_head = carry[:-1]
         self.retention = _retention_steps(windows, gammas)
-        # Masks of valid and skipped years.
-        self.positive = block("positive", 2, n)
-        self.positive_m, self.positive_p = self.positive[0], self.positive[1]
-        self.finite = block("finite", 2, n)
-        self.valid = block("valid", n)
-        self.prefix = block("prefix", n)
-        self.skipped = block("skipped", n)
-        self.unpadded = None if pad is None else ~pad
         # Residuals, then the flows' adjoints; the stocks' adjoints and
         # their scans; the trajectories' adjoints, in the windows' buffer.
         self.flow_bars = block("flow_bars", 2, n)
@@ -599,8 +584,9 @@ class _Workspace:
         self.p_bar_gammas = p_bar[3:]
         self.p_bar_first = p_bar[3:, 0]
         self.corner = block("corner", 2)
-        self.clipped = block("positive", k, n)
-        self.below = block("finite", k, n)
+        # The logistic's clip masks.
+        self.clipped = block("clipped", k, n)
+        self.below = block("below", k, n)
         # Per year: the two squared residuals, the adjoints of the 5 x 3
         # coefficients and that of the forcing weight, summed at the end.
         self.terms = block("terms", n, 18)
@@ -616,12 +602,17 @@ class _Workspace:
 
 
 class LaneKernel:
-    """Penalized log-residual loss and its exact gradient for a batch of lanes.
+    """Log-residual loss and its exact gradient for a batch of lanes.
 
     Each lane is a superset parameter vector (a row of a ``(B, 16)`` array)
     and a mask of the coefficients its spec has.  Absent coefficients are
     read as 0 and get a zero gradient; a lane without forcing has no
-    forcing term.  It is the one evaluator of the loss at a point:
+    forcing term.  A lane is invalid when a counted year (any year but
+    year 0 and the pad years below) has a flow that is not finite and
+    positive: its value is +inf and its gradient nan on its own
+    coefficients.  Such a year's squared residual is inf or nan, and a
+    finite positive flow's is finite, so the lane's sum of squares
+    decides.  It is the one evaluator of the loss at a point:
     ``estimation.loss`` and ``estimation.loss_gradient`` are one-lane calls,
     and a fit's SSE is its winning lane's value, for the spec the mask
     describes.  Every fit runs on it as the lanes of one
@@ -668,25 +659,27 @@ class LaneKernel:
     own time rescaling.  The windows are aligned at row 0 and padded to the
     longest with uncounted years: there ``b``, the log observations and
     ``p_intl`` are 0 and rescaled time repeats the window's last value, so
-    the trajectories stay finite, and the year is always valid and never
-    counted.  A stock recurrence's entry i never reads the years after it,
-    and a pad year adds exact zeros to the adjoint scans and the sums over
-    years, so a lane's value and gradient do not depend on the padding
-    either.  :meth:`lanes` narrows a kernel to some of its lanes.
+    the trajectories stay finite, and the year is never counted.  Its
+    stocks may still overflow (the last year's forcing lands there), so
+    the call zeroes its residuals, its flows' adjoints and its
+    trajectories' adjoints.  A stock recurrence's entry i never reads the
+    years after it, and a pad year adds exact zeros to the adjoint scans
+    and the sums over years, so a lane's value and gradient do not depend
+    on the padding either.  :meth:`lanes` narrows a kernel to some of its
+    lanes.
 
-    Two checks let a call skip the masks that only the rare lane needs;
+    Two checks let a call skip the work that only the rare lane needs;
     each picks the shortcut only where it gives the general path's bits.
     The general path stays the definition, and a nan or a value near a
     bound fails a check and takes it.
 
     - One sum of all the log residuals, pad years included, before any
       mask: if it is finite, every flow of every lane is finite and
-      positive.  Then every year is valid, no lane is penalized, and the
-      only skipped years are pad years.  The call zeroes the residuals
-      of year 0 and of the pad years and skips the validity masks, the
-      prefix scan and the masked copies that would write the zeros
-      already there: 0 / flow is 0 at a valid year, and every adjoint of
-      a pad year is 0 (its flows' adjoints, its stocks' and ``b``).
+      positive, so no lane is invalid.  The call then skips the search
+      for invalid lanes and the second zeroing of the pad years'
+      adjoints, which would write the zeros already there: 0 / flow is 0
+      at a finite positive flow, and every adjoint of a pad year is 0
+      (its flows' adjoints, its stocks' and ``b``).
     - One minimum of the logistic's slopes p (1 - p): at either clip it
       is below 2 ``LOGISTIC_CLAMP``, so a minimum above that (not nan)
       means no clip is active, and the clip masks and the zeroing of the
@@ -764,12 +757,12 @@ class LaneKernel:
         if forced and np.logical_or.reduce(forcing & ~self.has_intl):
             raise ValueError("forcing specification requires the p_intl series")
         s, s2, b, log_obs, first, p_intl, pad = self.inputs
-        n = s.shape[0]
         w = self._workspace_at(len(thetas))
         # The lane's own coefficients, 0 for the others, in a C-ordered block.
         w.coef.fill(0.0)
         np.copyto(w.coef, thetas[:, :-1].T, where=mask[:, :-1].T)
-        # Overflow to inf/nan is allowed; such years are invalid and penalized.
+        # Overflow to inf/nan is allowed; it makes a lane invalid, or falls
+        # in its pad years.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # (5, n, B): each trajectory's predictor (c0 + c1 s) + c2 s^2,
             # summed in that order (an infinite coefficient times s = 0 is nan).
@@ -805,44 +798,25 @@ class LaneKernel:
 
             # Residuals r = log(observed) - log(flow).  Their sum is finite
             # only if every flow of every lane, pad years included, is
-            # finite and positive: then the masks below would find every
-            # year valid and only the pad years skipped.
+            # finite and positive.
             flow_bars = w.flow_bars
             np.log(flows, flow_bars)
             np.subtract(log_obs, flow_bars, flow_bars)
             all_valid = math.isfinite(np.add.reduce(flow_bars, None))
-            if all_valid:
-                skipped = pad
-            else:
-                # A year is valid while both flows are finite and positive.
-                positive, valid, prefix, skipped = w.positive, w.valid, w.prefix, w.skipped
-                np.greater(flows, 0.0, positive)
-                np.less(flows, np.inf, w.finite)
-                np.logical_and(positive, w.finite, positive)
-                np.logical_and(w.positive_m, w.positive_p, valid)
-                if pad is not None:
-                    np.logical_or(valid, pad, valid)
-                n_invalid = n - valid.sum(axis=0)
-                np.logical_and.accumulate(valid, 0, None, prefix)
-                if pad is not None:
-                    # Past its window a lane's stocks may overflow; its pad
-                    # years carry no residual and no adjoint.
-                    np.logical_and(prefix, w.unpadded, prefix)
-                # Years from the first invalid one on are skipped.
-                np.logical_not(prefix, skipped)
-            # Residuals over the counted years (neither year 0 nor skipped),
-            # 0 elsewhere, and their squares; then the flows' adjoints,
-            # without the factor -2 of d(r^2)/d(flow) = -2 r / flow: the
-            # sweep is linear in them, so the factor (a power of two, exact)
-            # comes last.  0 / flow is 0 again at a valid year, year 0
-            # included unless it is skipped.
+            # Residuals over the counted years (neither year 0 nor a pad
+            # year), 0 elsewhere, and their squares; then the flows'
+            # adjoints, without the factor -2 of d(r^2)/d(flow) = -2 r / flow:
+            # the sweep is linear in them, so the factor (a power of two,
+            # exact) comes last.  0 / flow is 0 again where the flow is
+            # finite and positive.  Past its window a lane's stocks may
+            # overflow; its pad years carry no residual and no adjoint.
             w.flow_bars_first.fill(0.0)
-            if skipped is not None:
-                np.copyto(flow_bars, 0.0, where=skipped)
+            if pad is not None:
+                np.copyto(flow_bars, 0.0, where=pad)
             np.multiply(flow_bars, flow_bars, w.squares)
             np.divide(flow_bars, flows, flow_bars)
-            if not all_valid:
-                np.copyto(flow_bars, 0.0, where=skipped)
+            if not all_valid and pad is not None:
+                np.copyto(flow_bars, 0.0, where=pad)
             # stock_bars[:, i] = d loss / d stocks[:, i] for i = 0..n, with
             # nothing after the last year; ``ahead`` is its entries 1..n.
             ahead, ahead_p = w.ahead, w.ahead_p
@@ -863,12 +837,11 @@ class LaneKernel:
             np.multiply(w.stock_bars_first, w.stock_first, w.corner)
             np.divide(w.corner, w.gamma_first, w.corner)
             np.subtract(w.p_bar_first, w.corner, w.p_bar_first)
-            # The stocks of skipped years may be inf or nan.  Where every
-            # flow is finite and positive the only skipped years are pad
-            # years, whose adjoints are already 0: their flows' adjoints
-            # are 0, so are their stocks', and b is 0 there.
-            if not all_valid:
-                np.copyto(p_bar, 0.0, where=skipped)
+            # A pad year's stocks may be inf or nan.  Where every flow is
+            # finite and positive its adjoints are already 0: its flows'
+            # adjoints are 0, so are its stocks', and b is 0 there.
+            if not all_valid and pad is not None:
+                np.copyto(p_bar, 0.0, where=pad)
             if forced:
                 np.multiply(ahead_p, p_intl, w.lambda_column)
 
@@ -895,13 +868,16 @@ class LaneKernel:
             # reads its total.
             totals = np.add.reduce(w.terms, 0, None, w.totals)
             values = totals[0] + totals[1]
-            if not all_valid:
-                values = values + PENALTY_PER_INVALID_YEAR * n_invalid
             # The factor -2 on the lane's own coefficients, 0 on the others.
             grads = np.zeros(thetas.shape)
             np.multiply(w.coef_totals, -2.0, grads[:, :-1], where=mask[:, :-1])
             if forced:
-                live = forcing & (thetas[:, -1] > LAMBDA_RAW_FLOOR) & np.isfinite(lam)
+                live = forcing & (thetas[:, -1] > LAMBDA_RAW_FLOOR)
                 np.multiply(np.where(live, totals[17] * lam, 0.0), -2.0, out=grads[:, -1],
                             where=forcing)
+            if not all_valid:
+                # An invalid lane's sum of squares is inf or nan.
+                invalid = ~np.isfinite(values)
+                np.copyto(values, np.inf, where=invalid)
+                np.copyto(grads, np.nan, where=invalid[:, None] & mask)
         return values, grads

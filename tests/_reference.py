@@ -32,7 +32,6 @@ from flowfit.estimation import TrajectoryBands, _symmetrized
 from flowfit.model import (
     LAMBDA_RAW_FLOOR,
     LOGISTIC_CLAMP,
-    PENALTY_PER_INVALID_YEAR,
     TRAJECTORY_NAMES,
     ModelSpec,
     ObservedSeries,
@@ -145,7 +144,8 @@ class _Forward:
 
     ``p`` and ``lam`` are as :func:`~flowfit.model._trajectory_values` gives
     them; the rest are Python floats or lists of them.  The residual lists
-    cover the counted years and year 0 (as 0).
+    cover every year, year 0 as 0; at an invalid point ``value`` is +inf
+    and they are empty.
     """
 
     theta: np.ndarray
@@ -172,7 +172,9 @@ class _Objective:
     are turned into lists and the stacked design is built once.  ``value``
     keeps the point and forward state of its last call.  ``gradient`` at
     that point runs only the reverse sweep; at any other point it runs the
-    forward pass first.
+    forward pass first.  At a point where a counted flow (any but year
+    0's) is not finite and positive the value is +inf and the gradient
+    nan.
     """
 
     def __init__(self, spec: ModelSpec, obs: ObservedSeries, scale_grid: Optional[YearGrid]):
@@ -204,35 +206,24 @@ class _Objective:
             self.b, rho_bm, rho_bp, rho_mp, gamma_m, gamma_p, forcing,
             self.m0 / gamma_m[0], self.p0 / gamma_p[0],
         )
-        # A year counts while both flows are finite and positive; the first
-        # invalid year ends the residual prefix, and every invalid year in
-        # the window is penalized.
-        # (The sum is nan or inf if any flow is; min() alone can miss a nan.)
-        if min(flow_m) > 0.0 and min(flow_p) > 0.0 and math.isfinite(sum(flow_m) + sum(flow_p)):
-            n_invalid = 0
-            stop = len(flow_m)
+        if all(0.0 < f < math.inf for f in flow_m[1:] + flow_p[1:]):
+            r_m = [0.0, *map(operator.sub, self.log_m[1:], map(math.log, flow_m[1:]))]
+            r_p = [0.0, *map(operator.sub, self.log_p[1:], map(math.log, flow_p[1:]))]
+            value = sum(map(operator.mul, r_m, r_m)) + sum(map(operator.mul, r_p, r_p))
         else:
-            valid = [0.0 < fm < math.inf and 0.0 < fp < math.inf
-                     for fm, fp in zip(flow_m, flow_p)]
-            n_invalid = valid.count(False)
-            stop = valid.index(False) if n_invalid else len(valid)
-        r_m = [0.0, *map(operator.sub, self.log_m[1:stop], map(math.log, flow_m[1:stop]))]
-        r_p = [0.0, *map(operator.sub, self.log_p[1:stop], map(math.log, flow_p[1:stop]))]
-        value = sum(map(operator.mul, r_m, r_m)) + sum(map(operator.mul, r_p, r_p))
+            r_m = r_p = []
+            value = math.inf
         return _Forward(
-            theta=theta, value=value + PENALTY_PER_INVALID_YEAR * n_invalid, p=p, lam=lam,
+            theta=theta, value=value, p=p, lam=lam,
             rho_mp=rho_mp, gamma_m=gamma_m, gamma_p=gamma_p,
             stock_m=stock_m, stock_p=stock_p, flow_m=flow_m, flow_p=flow_p,
-            r_m=r_m[:stop], r_p=r_p[:stop],
+            r_m=r_m, r_p=r_p,
         )
 
     def _reverse(self, state: _Forward) -> np.ndarray:
-        """Exact gradient of the value at ``state.theta`` by one reverse sweep.
-
-        Only the counted years carry residuals: the sweep starts at the last
-        valid year, and the per-invalid-year penalty, a step function, adds
-        nothing.
-        """
+        """Exact gradient of the value at ``state.theta`` by one reverse sweep, nan at +inf."""
+        if state.value == math.inf:
+            return np.full(state.theta.size, math.nan)
         # d(r^2)/d(flow) = -2 r / flow, with r = log(observed) - log(flow).  The
         # sweep is linear in its flow adjoints, so it runs on r / flow and
         # the factor -2, a power of two, is applied once at the end: exact.
@@ -326,11 +317,11 @@ def _pull_back(
     and 0 where the clip is active; the result then goes back through the
     design of the forward product in one product.  With ``forcing`` the
     last entry is ``lam_bar * lam`` above ``LAMBDA_RAW_FLOOR`` and 0 at or
-    below the floor or once ``lam`` has overflowed.
+    below the floor.
     """
     inside = (p > LOGISTIC_CLAMP) & (p < 1.0 - LOGISTIC_CLAMP)
     eta_bar = np.where(inside, p_bar * (p * (1.0 - p)), 0.0)
     theta_bar = eta_bar @ design
-    if forcing and float(theta[-1]) > LAMBDA_RAW_FLOOR and math.isfinite(lam):
+    if forcing and float(theta[-1]) > LAMBDA_RAW_FLOOR:
         theta_bar[-1] = lam_bar * lam
     return theta_bar

@@ -26,7 +26,8 @@ from flowfit import (
 )
 from flowfit.model import TRAJECTORY_NAMES, superset_mask
 from flowfit.estimation import (
-    PENALTY_PER_INVALID_YEAR,
+    GRADIENT_REL_STEP,
+    NumericalError,
     bfgs_minimize,
     fd_gradient,
 )
@@ -36,6 +37,16 @@ from _scenarios import RECOVERY_SPEC, RECOVERY_THETA, random_instance, recovery_
 from test_kernel_properties import evaluators
 
 GRID = YearGrid(1969, 2017)
+
+
+def overflow_case(lambda_raw):
+    """Seed 1 of the recovery scenario with the proxy, and spec 2,2,intl at ``lambda_raw``.
+
+    At lambda_raw 800 the forcing weight overflows; from about 701.686 on
+    the forcing term overflows the PhD stock and its flows go invalid.
+    """
+    obs, _ = generate(recovery_scenario(p_intl=True, noise_sd=0.02, seed=1))
+    return obs, ModelSpec(2, 2, forcing=True), np.concatenate([RECOVERY_THETA, [lambda_raw]])
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +113,14 @@ class TestResiduals:
         with pytest.raises(ValueError, match="positive"):
             residuals(obs, bad)
 
+    def test_rejects_non_finite_flow(self):
+        # The PhD flows go inf, then nan: no residual report may summarize them.
+        obs, spec, theta = overflow_case(800.0)
+        sim = simulate(obs, eval_param_trajectories(theta, spec, obs.grid), spec)
+        assert not np.isfinite(sim.flow_p[1:]).any()
+        with pytest.raises(ValueError, match="finite"):
+            residuals(obs, sim)
+
 
 class TestLoss:
     """``loss`` (the lane kernel) and the list kernel, ``_reference._Objective``, alike."""
@@ -122,16 +141,15 @@ class TestLoss:
                 float(res.r_m @ res.r_m + res.r_p @ res.r_p), rel=1e-14
             ), name
 
-    def test_penalty_for_invalid_flows(self):
+    def test_inf_for_invalid_flows(self):
         # Forcing coefficient large enough to overflow the PhD stock.
         scen = recovery_scenario(p_intl=True)
         obs, _ = generate(scen)
         spec = ModelSpec(2, 2, forcing=True)
         theta = np.concatenate([RECOVERY_THETA, [800.0]])
-        for name, (value_of, _) in evaluators(spec, obs).items():
-            value = value_of(theta)
-            assert np.isfinite(value), name
-            assert value >= PENALTY_PER_INVALID_YEAR, name
+        for name, (value_of, gradient_of) in evaluators(spec, obs).items():
+            assert value_of(theta) == np.inf, name
+            assert np.all(np.isnan(gradient_of(theta))), name
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -243,13 +261,24 @@ class TestMinimizeBfgs:
         assert warm_fit.sse == loss(warm_fit.theta_hat, RECOVERY_SPEC, obs)
 
     def test_penalty_region_start_reports_unconverged(self):
-        scen = recovery_scenario(p_intl=True)
-        obs, _ = generate(scen)
-        spec = ModelSpec(2, 2, forcing=True)
-        bad_start = np.concatenate([RECOVERY_THETA, [800.0]])
-        fit = minimize_bfgs(spec, obs, [bad_start], FitOptions(max_iter=0))
-        assert not fit.converged
-        assert fit.sse >= PENALTY_PER_INVALID_YEAR
+        # Only invalid starts: each stops before its first iteration.
+        obs, spec, theta = overflow_case(800.0)
+        starts = [theta, np.concatenate([theta[:-1], [705.0]])]
+        for options in (FitOptions(max_iter=0), FitOptions()):
+            fit = minimize_bfgs(spec, obs, starts, options)
+            assert (fit.sse, fit.converged, fit.n_iterations) == (np.inf, False, 0)
+
+    def test_invalid_start_leaves_the_valid_starts_fit(self):
+        obs, spec, bad = overflow_case(800.0)
+        good = np.concatenate([bad[:-1], [-3.0]])
+        options = FitOptions(max_iter=100)
+        alone = minimize_bfgs(spec, obs, [good], options)
+        for starts in ([bad, good], [good, bad]):
+            fit = minimize_bfgs(spec, obs, starts, options)
+            assert fit.n_starts_used == 2
+            for field in ("theta_hat", "sse", "converged", "n_iterations", "grad_norm_at_opt"):
+                assert (np.asarray(getattr(fit, field)).tobytes()
+                        == np.asarray(getattr(alone, field)).tobytes()), field
 
     def test_requires_starts(self, noise_free):
         obs, _ = noise_free
@@ -309,6 +338,15 @@ class TestNumericalHessian:
         hess = numerical_hessian(warm_fit.theta_hat, RECOVERY_SPEC, obs)
         eigvals = np.linalg.eigvalsh(hess)
         assert eigvals.min() >= -1e-6
+
+    def test_stencil_into_invalid_flows_raises(self):
+        # A valid point half a step below the overflow of the PhD flows:
+        # the +h point of the forcing coordinate's stencil is invalid.
+        raw = 701.6860672
+        obs, spec, theta = overflow_case(raw - GRADIENT_REL_STEP * raw / 2)
+        assert np.isfinite(loss(theta, spec, obs))
+        with pytest.raises(NumericalError, match="non-finite"):
+            numerical_hessian(theta, spec, obs)
 
     def test_nonfinite_entry_identified(self):
         def f(x):

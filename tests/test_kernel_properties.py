@@ -6,8 +6,9 @@ give an exact gradient within 1e-6 of ``gradient_fd`` (central
 differences of the lane kernel's values), over every grid spec, random
 parameters, truncated windows, forcing and a separate rescaling grid.
 ``test_lanes.py`` checks the lane kernel against the list kernel on the
-same cases.  Forcing coefficients near and past the overflow of exp drive
-the penalty branch, with invalid years after the first.
+same cases.  Forcing coefficients near and past the overflow of exp make
+points invalid, some only after a run of valid years: there both give
++inf and a nan gradient.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import flowfit as ff
-from flowfit.estimation import PENALTY_PER_INVALID_YEAR
 
 from _reference import _Objective
 from _scenarios import recovery_scenario
@@ -35,7 +35,7 @@ def cases(draw):
     obs = OBS.window(t_min, t_max)
     if spec.forcing and draw(st.booleans()):
         # A proxy that is zero for a while: a huge forcing weight then
-        # invalidates the flows only after a residual prefix.
+        # invalidates the flows only after some valid years.
         p_intl = obs.p_intl.copy()
         p_intl[:draw(st.integers(1, obs.grid.n_years - 2))] = 0.0
         obs = ff.ObservedSeries(obs.grid, obs.b, obs.m, obs.p, p_intl=p_intl)
@@ -70,22 +70,38 @@ def _rel_err(got, want):
 @given(case=cases())
 def test_loss_gradient_matches_gradient_fd(case):
     spec, obs, theta, scale_grid = case
-    want = ff.gradient_fd(theta, spec, obs, scale_grid)
+    # At an invalid point the stencil's inf - inf is nan, without a warning.
+    with np.errstate(invalid="ignore"):
+        want = ff.gradient_fd(theta, spec, obs, scale_grid)
     for name, (value_of, gradient_of) in evaluators(spec, obs, scale_grid).items():
         value = value_of(theta)
         grad = gradient_of(theta)
-        assert np.all(np.isfinite(grad)), name
-        if value < PENALTY_PER_INVALID_YEAR:
+        if value == np.inf:
+            assert np.all(np.isnan(grad)), name
+        else:
+            assert np.all(np.isfinite(grad)), name
             assert _rel_err(grad, want) <= 1e-6, name
-        elif theta[-1] >= 710.0:
-            # exp(lambda_raw) is inf at every stencil point: the forcing entry is 0.
-            assert grad[-1] == 0.0, name
 
 
-def test_penalty_counts_every_invalid_year():
+@KERNEL
+@given(case=cases())
+def test_value_is_inf_exactly_where_a_counted_flow_is_invalid(case):
+    # The kernel's and the list kernel's validity is simulate's: a counted
+    # year, any but year 0, with a flow that is not finite and positive.
+    spec, obs, theta, scale_grid = case
+    traj = ff.eval_param_trajectories(theta, spec, scale_grid or obs.grid, obs.grid.years)
+    sim = ff.simulate(obs, traj, spec)
+    flows = np.stack([sim.flow_m, sim.flow_p])[:, 1:]
+    invalid = not np.all(np.isfinite(flows) & (flows > 0.0))
+    for name, (value_of, _) in evaluators(spec, obs, scale_grid).items():
+        value = value_of(theta)
+        assert value == np.inf if invalid else np.isfinite(value), name
+
+
+def test_overflow_after_valid_years_scores_inf():
     # A weight whose forcing term overflows the PhD stock a year after the
-    # proxy turns on: the prefix is the zero-proxy years, and every later
-    # year is invalid, not only the first.
+    # proxy turns on: the zero-proxy years are valid, every later year is
+    # invalid, and the point scores +inf with a nan gradient.
     spec = ff.ModelSpec(0, 0, forcing=True)
     p_intl = OBS.p_intl.copy()
     p_intl[:10] = 0.0
@@ -96,10 +112,7 @@ def test_penalty_counts_every_invalid_year():
     sim = ff.simulate(obs, traj, spec)
     valid = np.isfinite(sim.flow_p) & (sim.flow_p > 0) & np.isfinite(sim.flow_m)
     first_bad = int(np.argmin(valid))
-    n_invalid = int(np.count_nonzero(~valid))
-    assert 10 <= first_bad and n_invalid == obs.grid.n_years - first_bad > 1
-    r_m = np.log(obs.m[1:first_bad]) - np.log(sim.flow_m[1:first_bad])
-    r_p = np.log(obs.p[1:first_bad]) - np.log(sim.flow_p[1:first_bad])
-    want = r_m @ r_m + r_p @ r_p + PENALTY_PER_INVALID_YEAR * n_invalid
-    for name, (value_of, _) in evaluators(spec, obs).items():
-        assert abs(value_of(theta) - want) <= 1e-12 * want, name
+    assert 10 <= first_bad and not valid[first_bad:].any()
+    for name, (value_of, gradient_of) in evaluators(spec, obs).items():
+        assert value_of(theta) == np.inf, name
+        assert np.all(np.isnan(gradient_of(theta))), name

@@ -107,8 +107,8 @@ def test_minimize_bfgs_is_its_job_in_any_lane_set(case):
 
 
 def test_padded_kernel_equals_each_window_kernel():
-    # Lanes of every spec, some deep in the penalty region, on windows of
-    # three lengths and two time scales.
+    # Lanes of every spec, some invalid, on windows of three lengths and
+    # two time scales.
     p_intl = OBS.p_intl.copy()
     p_intl[:10] = 0.0
     obs = ff.ObservedSeries(OBS.grid, OBS.b, OBS.m, OBS.p, p_intl=p_intl)
@@ -117,13 +117,37 @@ def test_padded_kernel_equals_each_window_kernel():
     thetas, masks = mixed_lanes(40, seed=8)
     window = np.arange(40) % len(windows)
     values, grads = LaneKernel.of_windows(windows, window)(thetas, masks)
-    penalized = values >= estimation.PENALTY_PER_INVALID_YEAR
-    assert penalized.any() and not penalized.all()
+    invalid = values == np.inf
+    assert invalid.any() and not invalid.all()
+    assert np.all(np.isnan(grads[invalid][masks[invalid]]))
     for w, (series, scale_grid) in enumerate(windows):
         on = window == w
         alone_values, alone_grads = LaneKernel(series, scale_grid)(thetas[on], masks[on])
         assert np.array_equal(values[on], alone_values)
-        assert np.array_equal(grads[on], alone_grads)
+        assert np.array_equal(grads[on], alone_grads, equal_nan=True)
+
+
+def test_lane_whose_pad_years_overflow_keeps_its_value():
+    # The proxy of a short window is 0 but in its last year, whose forcing
+    # term lands in the first pad year: there a huge forcing weight
+    # overflows the stocks, while the window's own years stay valid.
+    short = OBS.window(OBS.grid.t_min, 1995)
+    p_intl = np.zeros(short.grid.n_years)
+    p_intl[-1] = short.p_intl[-1]
+    short = ff.ObservedSeries(short.grid, short.b, short.m, short.p, p_intl=p_intl)
+    spec = ff.ModelSpec(1, 1, forcing=True)
+    theta = embed(ff.default_starts(spec, short, n_starts=1)[0], spec)
+    theta[-1] = 705.0
+    thetas = np.stack([theta, theta])
+    masks = np.tile(superset_mask(spec), (2, 1))
+    kernel = LaneKernel.of_windows([(short, None), (OBS, None)], np.array([0, 1]))
+    values, grads = kernel(thetas, masks)
+    assert not np.isfinite(kernel._workspace.flow_p[short.grid.n_years:, 0]).any()
+    alone_values, alone_grads = LaneKernel(short)(thetas[:1], masks[:1])
+    assert np.isfinite(alone_values[0]) and np.all(np.isfinite(alone_grads))
+    assert values[0] == alone_values[0] and np.array_equal(grads[0], alone_grads[0])
+    # The lane on the long window has the proxy in every year: it is invalid.
+    assert values[1] == np.inf
 
 
 def test_forcing_lane_needs_its_own_window_proxy():

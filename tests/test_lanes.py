@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import flowfit as ff
 from flowfit import estimation, model
-from flowfit.estimation import PENALTY_PER_INVALID_YEAR, bfgs_lanes, bfgs_minimize
+from flowfit.estimation import bfgs_lanes, bfgs_minimize
 from flowfit.model import LaneKernel, embed, superset_mask
 
 from _reference import _Objective
@@ -42,9 +42,13 @@ def assert_matches_list_kernel(spec, obs, theta, scale_grid):
     objective = _Objective(spec, obs, scale_grid)
     want = objective.value(theta)
     want_grad = objective.gradient(theta)
-    assert math.isfinite(value) and np.all(np.isfinite(grad))
     assert ff.loss(theta, spec, obs, scale_grid) == value
-    assert np.array_equal(ff.loss_gradient(theta, spec, obs, scale_grid), grad)
+    assert np.array_equal(ff.loss_gradient(theta, spec, obs, scale_grid), grad, equal_nan=True)
+    if want == math.inf:
+        # An invalid point: both kernels give +inf and a nan gradient.
+        assert value == want and np.all(np.isnan(grad)) and np.all(np.isnan(want_grad))
+        return
+    assert math.isfinite(value) and np.all(np.isfinite(grad))
     assert abs(value - want) <= 1e-12 * abs(want)
     floor = max(float(np.max(np.abs(want_grad))), 1.0)
     assert float(np.max(np.abs(grad - want_grad))) <= 1e-10 * floor
@@ -73,7 +77,7 @@ def test_kernel_matches_list_kernel_on_every_spec(spec):
 
 
 def mixed_lanes(n_lanes, seed):
-    """Superset vectors and masks of every grid spec, some deep in the penalty region."""
+    """Superset vectors and masks of every grid spec, some of them invalid."""
     rng = np.random.default_rng(seed)
     thetas, masks = [], []
     for lane in range(n_lanes):
@@ -94,7 +98,7 @@ def general_path_lanes(forcing):
     A constant coefficient of +inf puts a predictor at the clamp with
     every flow valid; a nan slope makes one trajectory nan, so every year
     is invalid and fails both tests.  With ``forcing``, a forcing weight
-    that overflows the flows adds invalid years with nothing clamped.
+    that overflows the flows adds an invalid lane with nothing clamped.
     """
     spec = ff.ModelSpec(2, 2, forcing)
     center = embed(ff.default_starts(spec, OBS, n_starts=1)[0], spec)
@@ -174,10 +178,10 @@ def test_lane_alone_equals_lane_in_shuffled_batch():
     with kernel_paths() as paths:
         values, grads = kernel(thetas, masks)
     assert paths == [[False, False]]
-    penalized = values >= PENALTY_PER_INVALID_YEAR
-    assert penalized.any() and not penalized.all()
-    # Some penalized lanes have a residual prefix before their invalid years.
-    assert np.any(penalized & (values % PENALTY_PER_INVALID_YEAR > 0.0))
+    invalid = values == np.inf
+    assert invalid.any() and not invalid.all()
+    assert np.all(np.isnan(grads[invalid][masks[invalid]]))
+    assert np.all(grads[invalid][~masks[invalid]] == 0.0)
     order = np.random.default_rng(5).permutation(len(values))
     shuffled_values, shuffled_grads = kernel(thetas[order], masks[order])
     assert_bitwise(shuffled_values, values[order])
@@ -362,6 +366,34 @@ def workspace_arrays(kernel):
     return arrays
 
 
+def test_every_buffer_backs_a_view():
+    # The workspace cuts its two blocks, floats then flags, into the
+    # buffers of ``_buffer_sizes`` in order; a buffer no view reads is dead.
+    thetas, masks = mixed_lanes(3, seed=1)
+    kernel = LaneKernel.of_windows(WINDOWS, np.arange(3))
+    kernel(thetas, masks)
+    arrays = workspace_arrays(kernel)
+    sizes = model._buffer_sizes(kernel.inputs[0].shape[0])
+    for dtype in (float, bool):
+        total = 3 * sum(size for size, kind in sizes.values() if kind is dtype)
+        roots = {id(root): root for root in map(base_of, arrays)
+                 if root.dtype == dtype and root.size == total}
+        (memory,) = roots.values()
+        start = 0
+        for name, (size, kind) in sizes.items():
+            if kind is dtype:
+                buffer = memory[start:start + 3 * size]
+                assert any(np.shares_memory(a, buffer) for a in arrays), name
+                start += 3 * size
+
+
+def base_of(array):
+    """The array that owns ``array``'s memory."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
 def test_narrowed_kernels_share_no_memory():
     # Each kernel works in buffers of its own: one narrowed from another
     # shares no memory with it or with a sibling.
@@ -426,9 +458,9 @@ def test_call_sequence_pool_has_every_kind_of_lane():
             assert POOL_MASKS[lanes, -1].all() == forced
             for lane in lanes:
                 LaneKernel(OBS)(POOL_THETAS[lane:lane + 1], POOL_MASKS[lane:lane + 1])
-    penalized = values >= PENALTY_PER_INVALID_YEAR
+    invalid = values == np.inf
     assert FORCED_LANES and UNFORCED_LANES
-    assert penalized[FORCED_LANES].any() and not penalized.all()
+    assert invalid[FORCED_LANES].any() and not invalid.all()
     assert paths[1:] == [[True, False], [False, False]] * 2 + [[False, True]]
 
 
@@ -461,16 +493,16 @@ def test_no_state_passes_between_calls(case):
         returned += [(a, a.copy()) for a in got]
 
 
-def test_infinite_coefficient_is_a_penalized_lane_without_warnings():
+def test_infinite_coefficient_is_an_invalid_lane_without_warnings():
     # An infinite slope times the year where rescaled time is 0 gives a nan
-    # predictor there: the lane is penalized from that year on, and the
+    # predictor there: the lane is invalid from that year on, and the
     # call raises no floating-point warning (the suite makes one an error).
     spec = ff.ModelSpec(2, 2, False)
     theta = embed(ff.default_starts(spec, OBS, n_starts=1)[0], spec)
     theta[10] = np.inf   # gamma_m's slope
     assert 0.0 in LaneKernel(OBS).inputs[0]
     values, grads = LaneKernel(OBS)(theta[None], superset_mask(spec)[None])
-    assert values[0] >= PENALTY_PER_INVALID_YEAR and np.isfinite(values[0])
+    assert values[0] == np.inf and np.all(np.isnan(grads[0][superset_mask(spec)]))
     with kernel_paths(general=True):
         want = LaneKernel(OBS)(theta[None], superset_mask(spec)[None])
     assert_bitwise(values, want[0])
@@ -502,7 +534,8 @@ def test_absent_coefficients_are_ignored_and_get_no_gradient():
     values, grads = kernel(thetas, masks)
     noisy = thetas + np.where(masks, 0.0, 3.0)
     noisy_values, noisy_grads = kernel(noisy, masks)
-    assert np.array_equal(noisy_values, values) and np.array_equal(noisy_grads, grads)
+    assert np.array_equal(noisy_values, values)
+    assert np.array_equal(noisy_grads, grads, equal_nan=True)
     assert np.all(grads[~masks] == 0.0)
 
 
@@ -554,12 +587,12 @@ TOYS = {
     "moves": lambda x: (0.5 * (x[0] ** 2 + 0.5 * x[1] ** 2), (x[0], 0.5 * x[1])),
     # A steep valley: full steps overshoot and fail the Armijo test.
     "overshoots": lambda x: (50.0 * x[0] ** 2 + 0.5 * x[1] ** 2, (100.0 * x[0], x[1])),
-    # Past a wall at x[0] = 2 the value is nan, or carries a penalty.
+    # Past a wall at x[0] = 2 the value is nan, or +inf with a nan gradient
+    # as at a lane kernel's invalid point.
     "non-finite": lambda x: (x[0] ** 2 + 0.5 * x[1] ** 2 if x[0] < 2.0 else math.nan,
                              (2.0 * x[0], x[1])),
-    "penalized": lambda x: (x[0] ** 2 + 0.5 * x[1] ** 2
-                            + (PENALTY_PER_INVALID_YEAR if x[0] >= 2.0 else 0.0),
-                            (2.0 * x[0], x[1])),
+    "infinite": lambda x: ((x[0] ** 2 + 0.5 * x[1] ** 2, (2.0 * x[0], x[1])) if x[0] < 2.0
+                           else (math.inf, (math.nan, math.nan))),
     # A gradient that promises descent where every step climbs a steep
     # wall: no trial passes, and the line search runs out of halvings.
     "exhausted": lambda x: (1.0 + 1e20 * (x[0] - 1.0) ** 2, (1e6, 0.0)),
@@ -571,7 +604,7 @@ TOYS = {
                           200.0 * (x[1] - x[0] ** 2))),
 }
 TOY_STARTS = {"moves": (1.0, 1.0), "overshoots": (1.0, 1.0), "non-finite": (-3.0, 1.0),
-              "penalized": (-3.0, 1.0), "exhausted": (1.0, 0.0), "valley": (-1.2, 1.0)}
+              "infinite": (-3.0, 1.0), "exhausted": (1.0, 0.0), "valley": (-1.2, 1.0)}
 
 
 class ToyKernel:
@@ -622,7 +655,7 @@ def tick_kinds():
 
 def test_lane_that_moves_beside_rejected_lanes_equals_its_run_alone():
     # In the first tick one lane moves, one fails the Armijo test, one
-    # trial is nan and one penalized; one lane fails every tick until it
+    # trial is nan and one +inf; one lane fails every tick until it
     # runs out of halvings.  In a second batch without that lane, ticks
     # where every lane moved (whose state is taken whole) alternate with
     # ticks where some did not (whose update is written only to the lanes
@@ -639,7 +672,7 @@ def test_lane_that_moves_beside_rejected_lanes_equals_its_run_alone():
     assert all(passes for passes, _ in first_trial["moves"])
     assert not any(passes for passes, _ in first_trial["overshoots"])
     assert all(math.isnan(value) for _, value in first_trial["non-finite"])
-    assert all(value >= PENALTY_PER_INVALID_YEAR for _, value in first_trial["penalized"])
+    assert all(value == math.inf for _, value in first_trial["infinite"])
 
     for exhausting in (True, False):
         kind, x0 = toy_starts([name for name in names if exhausting or name != "exhausted"])
