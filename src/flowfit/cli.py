@@ -108,11 +108,24 @@ COMMANDS = {
 
 
 class _Type(NamedTuple):
-    """A JSON type: config-value check, name in messages, conversion, argparse keywords."""
+    """A JSON type: config-value check, name in messages, conversion, argparse keywords and
+    the value's form in the config echo."""
     check: Callable[[object], bool]
     expected: str
     convert: Callable = str
     flag: dict = {}
+    echo: Callable = lambda value: value
+
+
+def _formats(value) -> tuple[str, ...]:
+    items = (tuple(p.strip() for p in value.split(",") if p.strip())
+             if isinstance(value, str) else tuple(value))
+    for fmt in items:
+        if fmt not in ("csv", "json"):
+            raise CliError(f"unknown format {fmt!r} (expected csv and/or json)")
+    if not items:
+        raise CliError("--formats must name at least one of csv,json")
+    return items
 
 
 INTEGER = _Type(lambda v: type(v) is int, "an integer", int, dict(type=int))
@@ -124,35 +137,48 @@ BOOLEAN = _Type(lambda v: type(v) is bool, "true or false", bool,
 YEARS = _Type(lambda v: type(v) is list and all(type(y) is int for y in v),
               "a list of integers", lambda v: _int_list(v) if isinstance(v, str) else v)
 STRING = _Type(lambda v: isinstance(v, str), "a string")
+FORMATS = _Type(lambda v: STRING.check(v) or type(v) is list and all(map(STRING.check, v)),
+                "a string or a list of strings", _formats)
+# One of the row's ``bounds``.
+CHOICE = _Type(STRING.check, "a string")
+# The echo of a path is the path's own spelling, ``results`` for ``results/``.
+PATH = STRING._replace(convert=Path, echo=str)
+# The echo is the label of the spec that ran, ``2,2,intl`` for ``2,2,yes``.
+SPEC = STRING._replace(convert=parse_spec, echo=ModelSpec.label)
 
 
 @dataclass(frozen=True)
 class Setting:
-    """One stage setting: ``name`` gives the flag and the name in messages, ``key`` the
-    ``section.key`` in the config file and the echo; ``stage`` None is every data command's;
-    a callable default maps the year grid to the value.  ``bounds`` are an integer's (low,
-    high), inclusive; a number's (low, high), exclusive, or (low, None) for finite and >= low;
-    a string's choices."""
+    """One CLI value: ``name`` gives the flag and the name in messages, ``key`` the key, or
+    ``section.key``, in the config file and the echo, and ``commands`` the commands that take
+    it.  A default of None is no default: the run needs the value.  A callable default maps
+    the year grid to the value; ``env`` names an environment variable that stands in for the
+    default.  ``bounds`` are an integer's (low, high), inclusive; a number's (low, high),
+    exclusive, or (low, None) for finite and >= low; a choice's choices."""
     name: str
-    stage: Optional[str]
+    commands: tuple[str, ...]
     key: str
     type: _Type
     default: object
     bounds: tuple = (None, None)
     help: str = ""
+    env: Optional[str] = None
 
     @property
     def path(self) -> tuple[str, str]:   # (section or "", field)
         return tuple(self.key.rpartition(".")[::2])
 
     def add_flag(self, parser: argparse.ArgumentParser) -> None:
-        hide = callable(self.default) or self.type is BOOLEAN
-        choices = dict(choices=self.bounds) if self.type is STRING else {}
+        # The help itself describes a default that is not a plain number or string,
+        # or that an environment variable stands in for.
+        shown = (isinstance(self.default, (int, float, str)) and self.type is not BOOLEAN
+                 and self.env is None)
+        choices = dict(choices=self.bounds) if self.type is CHOICE else {}
         parser.add_argument("--" + self.name.replace("_", "-"), **self.type.flag, **choices,
-                            help=self.help + ("" if hide else f" (default {self.default})"))
+                            help=self.help + (f" (default {self.default})" if shown else ""))
 
     def check(self, value) -> None:
-        if self.type is STRING:
+        if self.type is CHOICE:
             if value not in self.bounds:
                 raise CliError(f"{self.name} must be {' or '.join(map(repr, self.bounds))}")
             return
@@ -167,55 +193,68 @@ class Setting:
             raise CliError(f"{self.name} must be a finite number >= {low}, got {value}")
 
 
-def _default_truncation_starts(grid) -> list[int]:
-    # Windows long enough for every grid spec, so the grid's pick refits too.
-    starts = [grid.t_min + off for off in TRUNCATION_OFFSETS
-              if diagnostics.window_fits(grid.t_max - grid.t_min - off + 1, SUPERSET_SPEC)]
-    if not starts:
-        raise CliError("no default truncation start leaves a window long enough for every "
-                       "spec; pass --truncation-starts")
-    return starts
+def _fitting_years(flag: str, what: str, windows) -> list[int]:
+    """The years of ``windows``, (year, refit window length) pairs, whose window is long
+    enough for every grid spec, so the grid's pick refits too."""
+    years = [year for year, n_years in windows if diagnostics.window_fits(n_years, SUPERSET_SPEC)]
+    if not years:
+        raise CliError(f"no default {what} leaves a window long enough for every spec; "
+                       f"pass {flag}")
+    return years
 
 
-def _default_cutoffs(grid) -> list[int]:
-    # Windows long enough for every grid spec, as the truncation starts'.
-    cutoffs = [c for c in DEFAULT_CUTOFFS if grid.t_min < c < grid.t_max
-               and diagnostics.window_fits(c - grid.t_min + 1, SUPERSET_SPEC)]
-    if not cutoffs:
-        raise CliError("no default hindcast cutoff leaves a window long enough for every "
-                       "spec; pass --cutoffs")
-    return cutoffs
+def _data_commands(*stages: str) -> tuple[str, ...]:
+    """The data commands with any of ``stages``, or every data command."""
+    return tuple(name for name, (own, _) in COMMANDS.items()
+                 if own is not None and (not stages or set(stages) & set(own)))
 
 
 _FIT = FitOptions()
-# Seeds may be any non-negative integer, as NumPy's generators take.
+# Seeds may be any non-negative integer, as NumPy's generators take.  The flags
+# are added, and the config echo is laid out, in this order.
 SETTINGS = (
-    Setting("n_starts", None, "optimizer.n_starts", INTEGER, _FIT.n_starts, (1, MAX_N_STARTS),
-            "multi-start count"),
-    Setting("seed", None, "optimizer.seed", INTEGER, _FIT.seed, (0, None), "base seed for starts"),
-    Setting("max_iter", None, "optimizer.max_iter", INTEGER, _FIT.max_iter, (0, MAX_ITER),
-            "iteration cap per start"),
-    Setting("gtol", None, "optimizer.gtol", NUMBER, _FIT.gtol, (0, None),
+    Setting("out", tuple(COMMANDS), "out", PATH, ".", env=OUT_DIR_ENV,
+            help=f"output directory (default: ${OUT_DIR_ENV} or '.')"),
+    Setting("formats", tuple(COMMANDS), "formats", FORMATS, ("csv", "json"),
+            help="comma-separated subset of csv,json (default both)"),
+    Setting("scenario", ("synth",), "scenario", STRING, None, help="JSON scenario definition"),
+    Setting("data", _data_commands(), "data", STRING, None,
+            help="input CSV: year,bachelors,masters,phd[,phd_intl]"),
+    # A run that ranks the grid reports the grid's AIC-best spec unless given one.
+    Setting("spec", _data_commands("fit", "robust"), "spec", SPEC, DEFAULT_SPEC,
+            help="DEG_GAMMA,DEG_RHO,none|intl"),
+    Setting("n_starts", _data_commands(), "optimizer.n_starts", INTEGER, _FIT.n_starts,
+            (1, MAX_N_STARTS), "multi-start count"),
+    Setting("seed", _data_commands(), "optimizer.seed", INTEGER, _FIT.seed, (0, None),
+            "base seed for starts"),
+    Setting("max_iter", _data_commands(), "optimizer.max_iter", INTEGER, _FIT.max_iter,
+            (0, MAX_ITER), "iteration cap per start"),
+    Setting("gtol", _data_commands(), "optimizer.gtol", NUMBER, _FIT.gtol, (0, None),
             "gradient max-norm tolerance"),
-    Setting("ftol_rel", None, "optimizer.ftol_rel", NUMBER, _FIT.ftol_rel, (0, None),
+    Setting("ftol_rel", _data_commands(), "optimizer.ftol_rel", NUMBER, _FIT.ftol_rel, (0, None),
             "relative decrease stop"),
-    Setting("n_draws", "bands", "uncertainty.n_draws", INTEGER, 4000, (2, MAX_N_DRAWS),
-            "parameter draws for bands"),
-    Setting("level", "bands", "uncertainty.level", NUMBER, 0.95, (0, 1), "band level"),
-    Setting("draw_seed", "bands", "uncertainty.seed", INTEGER, 0, (0, None),
+    Setting("n_draws", _data_commands("bands"), "uncertainty.n_draws", INTEGER, 4000,
+            (2, MAX_N_DRAWS), "parameter draws for bands"),
+    Setting("level", _data_commands("bands"), "uncertainty.level", NUMBER, 0.95, (0, 1),
+            "band level"),
+    Setting("draw_seed", _data_commands("bands"), "uncertainty.seed", INTEGER, 0, (0, None),
             "seed for parameter draws"),
-    Setting("truncation_starts", "robust", "robustness.truncation_starts", YEARS,
-            _default_truncation_starts,
+    Setting("truncation_starts", _data_commands("robust"), "robustness.truncation_starts", YEARS,
+            lambda grid: _fitting_years("--truncation-starts", "truncation start", [
+                (grid.t_min + off, grid.t_max - grid.t_min - off + 1)
+                for off in TRUNCATION_OFFSETS]),
             help="comma-separated start years (default: first year + "
                  f"{', '.join(map(str, TRUNCATION_OFFSETS))} where every spec fits the window)"),
-    Setting("cutoffs", "robust", "robustness.cutoffs", YEARS, _default_cutoffs,
+    Setting("cutoffs", _data_commands("robust"), "robustness.cutoffs", YEARS,
+            lambda grid: _fitting_years("--cutoffs", "hindcast cutoff", [
+                (c, c - grid.t_min + 1) for c in DEFAULT_CUTOFFS if grid.t_min < c < grid.t_max]),
             help="comma-separated hindcast cutoff years (default: "
                  f"{','.join(map(str, DEFAULT_CUTOFFS))} where every spec fits the window)"),
-    Setting("rescale", "robust", "robustness.rescale", STRING, "window", ("window", "full"),
-            "time rescaling for truncated refits"),
-    Setting("jobs", "grid", "jobs", INTEGER, 1, (1, None),
+    Setting("rescale", _data_commands("robust"), "robustness.rescale", CHOICE, "window",
+            ("window", "full"), "time rescaling for truncated refits"),
+    Setting("jobs", _data_commands("grid"), "jobs", INTEGER, 1, (1, None),
             "parallel workers for the grid's lane chunks"),
-    Setting("use_n_eff", "grid", "use_n_eff", BOOLEAN, False,
+    Setting("use_n_eff", _data_commands("grid"), "use_n_eff", BOOLEAN, False,
             help="use N_eff = 2*years - 2 in the criteria instead of N = 2*years"),
 )
 
@@ -231,33 +270,20 @@ def build_parser(command: Optional[str] = None) -> _Parser:
     # The usage in an error names every command, whichever are built.
     sub = parser.add_subparsers(dest="command", parser_class=_Parser,
                                 metavar="{" + ",".join(COMMANDS) + "}")
-    for name, (stages, help_line) in COMMANDS.items():
+    for name, (_, help_line) in COMMANDS.items():
         if command not in (None, name):
             continue
         p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", help="JSON config file with defaults for any option")
-        p.add_argument("--out", help="output directory (default: $FLOWFIT_OUT_DIR or '.')")
-        p.add_argument("--formats", help="comma-separated subset of csv,json (default both)")
-        if stages is None:
-            p.add_argument("--scenario", help="JSON scenario definition")
-            continue
-        p.add_argument("--data", help="input CSV: year,bachelors,masters,phd[,phd_intl]")
-        if "fit" in stages or "robust" in stages:
-            p.add_argument("--spec", help=f"DEG_GAMMA,DEG_RHO,none|intl (default {DEFAULT_SPEC})")
         for row in SETTINGS:
-            if row.stage in (None, *stages):
+            if name in row.commands:
                 row.add_flag(p)
     return parser
 
 
-# The JSON type of each config-file (section, key), inside the table and out;
-# ``command`` is written by the config echo and read by nothing.
-_CONFIG_KEYS = {
-    **{("", key): STRING for key in ("command", "data", "out", "spec", "scenario")},
-    ("", "formats"): _Type(lambda v: STRING.check(v) or type(v) is list
-                           and all(map(STRING.check, v)), "a string or a list of strings"),
-    **{row.path: row.type for row in SETTINGS},
-}
+# The JSON type of each config-file (section, key); ``command`` is written by
+# the config echo and read by nothing.
+_CONFIG_KEYS = {("", "command"): STRING, **{row.path: row.type for row in SETTINGS}}
 _SECTIONS = {row.path[0] for row in SETTINGS} - {""}
 
 
@@ -302,65 +328,45 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
-class Settings:
-    """Flag > config-file > default resolution for one invocation."""
+def _resolve(command: str, args: argparse.Namespace, config: dict) -> dict:
+    """``command``'s values by name: flag > config file > default, converted and checked.
 
-    def __init__(self, args: argparse.Namespace, config: dict):
-        self._args = vars(args)
-        self._config = config
-        # Every command writes reports, so the formats are checked before any runs.
-        self.formats = self._resolve_formats()
-
-    def get(self, name: str, default=None):
-        value = self._args.get(name)
-        if value is not None:
-            return value
-        if name in self._config:
-            return self._config[name]
-        return default
-
-    def resolve(self, rows: Sequence[Setting]) -> dict:
-        """Each row's value by name: flag > config file > default, converted and checked;
-        a default that depends on the data stays a function of its year grid."""
-        values = {}
-        for row in rows:
-            value = self._args.get(row.name)
+    A default that depends on the data stays a function of its year grid.  A run that
+    ranks the grid takes no default spec: the grid picks it, and the value stays None.
+    A value without a default is required, but only after every other value is checked.
+    """
+    grid_picks = "grid" in (COMMANDS[command][0] or ())
+    flags, values, missing = vars(args), {}, []
+    for row in SETTINGS:
+        if command not in row.commands:
+            continue
+        value = flags.get(row.name)
+        if value is None:
+            section, field = row.path
+            value = (config.get(section, {}) if section else config).get(field)
+        if value is None and not (row.type is SPEC and grid_picks):
+            value = os.environ.get(row.env, row.default) if row.env else row.default
             if value is None:
-                section, field = row.path
-                value = (self._config.get(section, {}) if section else self._config).get(
-                    field, row.default)
-            if not callable(value):
-                value = row.type.convert(value)
-                row.check(value)
-            values[row.name] = value
-        return values
+                missing.append(row.name)
+        if value is not None and not callable(value):
+            value = row.type.convert(value)
+            row.check(value)
+        values[row.name] = value
+    if missing:
+        raise CliError(f"--{missing[0]} is required "
+                       f"(or provide '{missing[0]}' in the config file)")
+    return values
 
-    def out_dir(self) -> Path:
-        return Path(self.get("out", os.environ.get(OUT_DIR_ENV, ".")))
 
-    def _resolve_formats(self) -> tuple[str, ...]:
-        raw = self.get("formats")
-        if raw is None:
-            return ("csv", "json")
-        if isinstance(raw, str):
-            items = tuple(p.strip() for p in raw.split(",") if p.strip())
-        else:
-            items = tuple(raw)
-        for fmt in items:
-            if fmt not in ("csv", "json"):
-                raise CliError(f"unknown format {fmt!r} (expected csv and/or json)")
-        if not items:
-            raise CliError("--formats must name at least one of csv,json")
-        return items
-
-    def spec(self) -> ModelSpec:
-        return parse_spec(str(self.get("spec", DEFAULT_SPEC)))
-
-    def data_path(self) -> str:
-        path = self.get("data")
-        if path is None:
-            raise CliError("--data is required (or provide 'data' in the config file)")
-        return str(path)
+def _config_echo(command: str, values: dict) -> dict:
+    """The config file of the run: it replays the run as ``--config``."""
+    echo = {"command": command}
+    for row in SETTINGS:
+        if row.name in values:
+            section, field = row.path
+            target = echo.setdefault(section, {}) if section else echo
+            target[field] = row.type.echo(values[row.name])
+    return echo
 
 
 def _fit_bundle(obs: ObservedSeries, spec: ModelSpec, fit: estimation.FitResult,
@@ -380,24 +386,17 @@ def _fit_bundle(obs: ObservedSeries, spec: ModelSpec, fit: estimation.FitResult,
     return bundle
 
 
-def _run_pipeline(settings: Settings) -> int:
+def _run_pipeline(command: str, values: dict) -> int:
     """Run a data command's stages in ``STAGES`` order and write one report.
 
-    Every setting the stages need is resolved and checked before anything
-    is fitted; the resolved settings make up the report's config echo.
+    ``values`` are the command's settings, all checked before anything is
+    fitted; they make up the report's config echo.
     """
-    command = settings.get("command")
     stages = COMMANDS[command][0]
-    # A run that ranks the grid reports the grid's AIC-best spec unless one is given.
-    wants_spec = "fit" in stages or "robust" in stages
-    spec = None
-    if wants_spec and ("grid" not in stages or settings.get("spec") is not None):
-        spec = settings.spec()
-    rows = [row for row in SETTINGS if row.stage in (None, *stages)]
-    values = settings.resolve(rows)
-    opts = FitOptions(**{row.name: values[row.name] for row in rows if row.stage is None})
-    data = settings.data_path()
-    obs = load_series(data)
+    opts = FitOptions(**{row.name: values[row.name] for row in SETTINGS
+                         if row.path[0] == "optimizer"})
+    spec = values.get("spec")
+    obs = load_series(values["data"])
     if spec is not None:
         reason = selection.unfittable_reason(spec, obs)
         if reason is not None:
@@ -423,29 +422,26 @@ def _run_pipeline(settings: Settings) -> int:
             except ValueError as exc:
                 raise CliError(f"{flag}: {exc}") from None
 
+    def robust_refits():   # the robust stage's lane jobs, for the spec known by then
+        return diagnostics.robustness_jobs(obs, spec, trunc_starts, cutoffs, opts,
+                                           values["rescale"])
+
     # ``outcomes`` are the fits whose convergence sets the exit code: the
     # fit if there is one, else the grid's, else the robustness refits.
     entries = fit = outcomes = None
-    # The robust stage's lane jobs.
-    refits = None
-    if "robust" in stages and spec is not None:
-        refits = diagnostics.robustness_jobs(obs, spec, trunc_starts, cutoffs, opts,
-                                             values["rescale"])
+    # A spec known before the grid brings its refits into the grid's lane set.
+    refits_in_grid = "grid" in stages and "robust" in stages and spec is not None
     # The criteria's observation count, the same in the grid and the fit's report.
     n = obs.grid.n_eff if values.get("use_n_eff") else 2 * obs.grid.n_years
     if "grid" in stages:
-        # A spec known up front brings its refits into the grid's lane set.
-        entries = selection.run_grid(obs, opts, n=n, jobs=values["jobs"], refits=refits or ())
+        refits = robust_refits() if refits_in_grid else ()
+        entries = selection.run_grid(obs, opts, n=n, jobs=values["jobs"], refits=refits)
         outcomes = [e.fit for e in entries if e.fit is not None]
-        if wants_spec and spec is None:
+        if "spec" in values and spec is None:
             try:
-                spec = selection.select_best(entries, "aic").spec
+                spec = values["spec"] = selection.select_best(entries, "aic").spec
             except ValueError as exc:   # the grid fitted no spec
                 raise estimation.NumericalError(str(exc)) from None
-            if "robust" in stages:
-                refits = diagnostics.robustness_jobs(obs, spec, trunc_starts, cutoffs, opts,
-                                                     values["rescale"])
-                estimation.fit_lane_set(refits, opts, workers=values["jobs"])
     if "fit" in stages:
         if entries is None:
             starts = estimation.default_starts(spec, obs, n_starts=opts.n_starts, seed=opts.seed,
@@ -467,31 +463,21 @@ def _run_pipeline(settings: Settings) -> int:
         else:
             bundle.notes.append("bands skipped: fit did not converge")
     if "robust" in stages:
-        if "grid" not in stages:
-            estimation.fit_lane_set(refits, opts)
+        if not refits_in_grid:   # the grid picked the spec, or there is no grid
+            refits = robust_refits()
+            estimation.fit_lane_set(refits, opts, workers=values.get("jobs", 1))
         bundle.robustness = diagnostics.robustness_report(refits, obs, values["rescale"])
         if outcomes is None:
             outcomes = bundle.robustness.truncation_rows + bundle.robustness.hindcast.predictions
 
-    # The echo has the config file's layout, so it replays the run as ``--config``.
-    echo = {"command": command, "out": str(settings.out_dir()),
-            "formats": list(settings.formats), "data": data}
-    for row in rows:
-        section, field = row.path
-        (echo.setdefault(section, {}) if section else echo)[field] = values[row.name]
-    if spec is not None:
-        echo["spec"] = spec.label()
-    bundle.config_echo, bundle.grid_entries = echo, entries
-    write_reports(bundle, settings.out_dir(), settings.formats)
+    bundle.config_echo, bundle.grid_entries = _config_echo(command, values), entries
+    write_reports(bundle, values["out"], values["formats"])
     return 0 if any(f.converged for f in outcomes) else 2
 
 
-def _run_synth(settings: Settings) -> int:
-    scenario_path = settings.get("scenario")
-    if scenario_path is None:
-        raise CliError("--scenario is required (or provide 'scenario' in the config file)")
+def _run_synth(values: dict) -> int:
     try:
-        scenario = synthetic.scenario_from_dict(_read_json(scenario_path, "scenario"))
+        scenario = synthetic.scenario_from_dict(_read_json(values["scenario"], "scenario"))
         if scenario.grid.n_years > MAX_SCENARIO_YEARS:
             raise ValueError(f"scenario spans {scenario.grid.n_years} years, more than "
                              f"MAX_SCENARIO_YEARS = {MAX_SCENARIO_YEARS}")
@@ -500,15 +486,14 @@ def _run_synth(settings: Settings) -> int:
         raise CliError(str(exc)) from None
     traj = eval_param_trajectories(scenario.theta_true, scenario.spec, scenario.grid)
     bundle = ReportBundle(
-        config_echo={"command": "synth", "scenario": str(scenario_path),
-                     "out": str(settings.out_dir()), "formats": list(settings.formats)},
+        config_echo=_config_echo("synth", values),
         obs=obs,
         spec=scenario.spec,
         trajectories=traj,
         simulation=truth,
         emit_data=True,
     )
-    write_reports(bundle, settings.out_dir(), settings.formats)
+    write_reports(bundle, values["out"], values["formats"])
     return 0
 
 
@@ -521,11 +506,10 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        config = _load_config(getattr(args, "config", None))
-        settings = Settings(args, config)
+        values = _resolve(args.command, args, _load_config(getattr(args, "config", None)))
         if args.command == "synth":
-            return _run_synth(settings)
-        return _run_pipeline(settings)
+            return _run_synth(values)
+        return _run_pipeline(args.command, values)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except estimation.NumericalError as exc:

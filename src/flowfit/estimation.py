@@ -197,7 +197,9 @@ def _gradient_stencil(x: np.ndarray, rel_step: float) -> tuple[np.ndarray, np.nd
 
 def _gradient_from_stencil(values: np.ndarray, h: np.ndarray) -> np.ndarray:
     n = h.size
-    return (values[:n] - values[n:]) / (2.0 * h)
+    # Where both sides of a coordinate's stencil are invalid (+inf), its entry is nan.
+    with np.errstate(invalid="ignore"):
+        return (values[:n] - values[n:]) / (2.0 * h)
 
 
 def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, rel_step: float = GRADIENT_REL_STEP) -> np.ndarray:

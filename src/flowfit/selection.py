@@ -103,28 +103,27 @@ def run_grid(
     if n is None:
         n = 2 * obs.grid.n_years
     specs = enumerate_grid()
-    cells = [LaneJob(spec, obs, np.stack(default_starts(spec, obs, n_starts=opts.n_starts,
-                                                        seed=opts.seed + index,
-                                                        start_sd=opts.start_sd)))
-             for index, spec in enumerate(specs) if unfittable_reason(spec, obs) is None]
-    fit_lane_set(cells + list(refits), opts, workers=jobs)
-    fits = {cell.spec: cell.fit for cell in cells}
     entries: dict[int, GridEntry] = {}
+    cells = []
     for index, spec in enumerate(specs):
+        entry = entries[index] = GridEntry(spec=spec, k=spec.n_params)
         reason = unfittable_reason(spec, obs)
         if reason is not None:
-            entries[index] = GridEntry(spec=spec, k=spec.n_params, status="skipped", reason=reason)
+            entry.status, entry.reason = "skipped", reason
             continue
-        fit = fits[spec]
-        entry = GridEntry(spec=spec, k=spec.n_params, fit=fit)
+        cells.append(LaneJob(spec, obs, np.stack(default_starts(
+            spec, obs, n_starts=opts.n_starts, seed=opts.seed + index, start_sd=opts.start_sd))))
+    fitted = [e for e in entries.values() if e.status == "ok"]
+    fit_lane_set(cells + list(refits), opts, workers=jobs)
+    for entry, cell in zip(fitted, cells):
+        entry.fit = cell.fit
         try:
-            entry.aic, entry.bic = information_criteria(fit.sse, spec.n_params, n)
+            entry.aic, entry.bic = information_criteria(cell.fit.sse, entry.k, n)
         except ValueError as exc:
             entry.status = "failed"
             entry.reason = str(exc)
-        entries[index] = entry
 
-    ranked = [e for e in entries.values() if e.status == "ok"]
+    ranked = [e for e in fitted if e.status == "ok"]
     if ranked:
         best_aic = min(e.aic for e in ranked)
         best_bic = min(e.bic for e in ranked)

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -364,11 +365,16 @@ class TestSynth:
 # Each config file of these tests starts from this, so the runs stay short.
 QUICK_CONFIG = {"optimizer": {"n_starts": 1, "max_iter": 30},
                 "robustness": {"truncation_starts": [1990], "cutoffs": [1995]}}
-# The command that runs each stage's settings; None is every data command's.
-STAGE_COMMAND = {None: "fit", "grid": "grid", "bands": "bands", "robust": "robust"}
 # Per setting: its flag's argument (none for a switch), a value other than
 # the default that the flag gives, and another value for the config file.
+# Paths are relative to the run's directory, which holds degrees.csv and
+# scenario.json; the flag's output directory echoes without its slash.
 PRECEDENCE = {
+    "out": (["results/"], "results", "elsewhere"),
+    "formats": (["json,csv"], ["json", "csv"], "json"),
+    "scenario": (["scenario.json"], "scenario.json", "missing.json"),
+    "data": (["degrees.csv"], "degrees.csv", "missing.csv"),
+    "spec": (["1,1,none"], "1,1,none", "0,0,none"),
     "n_starts": (["2"], 2, 3),
     "seed": (["3"], 3, 4),
     "max_iter": (["40"], 40, 20),
@@ -387,32 +393,35 @@ PRECEDENCE = {
 
 class TestConfigAndEnvironment:
     @staticmethod
-    def echoed(data_csv, tmp_path, row, config_value, flags=()):
-        """The value at ``row``'s echo path after a run with ``config_value`` in its config."""
+    def echoed(data_csv, tmp_path, monkeypatch, row, config_value, flags=()):
+        """The value at ``row``'s echo path after a run of the first command that takes
+        ``row``, with ``config_value`` in its config."""
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(data_csv, "degrees.csv")
+        Path("scenario.json").write_text(json.dumps(SCENARIO))
         cfg = json.loads(json.dumps(QUICK_CONFIG))
-        cfg["data"] = str(data_csv)
+        cfg.update(data="degrees.csv", scenario="scenario.json")
         section, field = row.path
         (cfg.setdefault(section, {}) if section else cfg)[field] = config_value
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps(cfg))
-        out = tmp_path / "out"
-        code = run_cli([STAGE_COMMAND[row.stage], "--config", str(config), "--out", str(out),
-                        *flags])
+        Path("run.json").write_text(json.dumps(cfg))
+        out = [] if row.name == "out" else ["--out", "out"]
+        code = run_cli([row.commands[0], "--config", "run.json", *out, *flags])
         assert code in (0, 2)   # a rough fit may stop unconverged
-        echo = json.loads((out / "run_report.json").read_text())["config"]
+        (report,) = tmp_path.glob("*/run_report.json")
+        echo = json.loads(report.read_text())["config"]
         return (echo[section] if section else echo)[field]
 
     @pytest.mark.parametrize("row", SETTINGS, ids=lambda row: row.name)
-    def test_config_file_supplies_defaults(self, data_csv, tmp_path, row):
+    def test_config_file_supplies_defaults(self, data_csv, tmp_path, monkeypatch, row):
         _, value, _ = PRECEDENCE[row.name]
         assert value != row.default
-        assert self.echoed(data_csv, tmp_path, row, value) == value
+        assert self.echoed(data_csv, tmp_path, monkeypatch, row, value) == value
 
     @pytest.mark.parametrize("row", SETTINGS, ids=lambda row: row.name)
-    def test_flag_overrides_config(self, data_csv, tmp_path, row):
+    def test_flag_overrides_config(self, data_csv, tmp_path, monkeypatch, row):
         flag_args, value, config_value = PRECEDENCE[row.name]
         flags = ["--" + row.name.replace("_", "-"), *flag_args]
-        assert self.echoed(data_csv, tmp_path, row, config_value, flags) == value
+        assert self.echoed(data_csv, tmp_path, monkeypatch, row, config_value, flags) == value
 
     @pytest.mark.parametrize("config, message", [
         ({"optimizer": [1]}, "'optimizer' must be an object"),
@@ -448,6 +457,18 @@ class TestConfigAndEnvironment:
                         "--max-iter", "60"])
         assert code in (0, 2)
         assert (tmp_path / "from_env" / "run_report.json").exists()
+
+    def test_out_dir_precedence_over_the_environment(self, data_csv, tmp_path, monkeypatch):
+        # A config file's ``out`` beats $FLOWFIT_OUT_DIR, and --out beats both.
+        monkeypatch.setenv("FLOWFIT_OUT_DIR", str(tmp_path / "from_env"))
+        monkeypatch.chdir(tmp_path)
+        Path("run.json").write_text(json.dumps({"out": "from_config"}))
+        argv = ["fit", "--config", "run.json", "--data", str(data_csv), *FAST]
+        for flags, used in (([], "from_config"), (["--out", "from_flag"], "from_flag")):
+            assert run_cli(argv + flags) in (0, 2)
+            echo = json.loads((tmp_path / used / "run_report.json").read_text())["config"]
+            assert echo["out"] == used
+        assert not (tmp_path / "from_env").exists()
 
 
 class TestReport:

@@ -208,6 +208,14 @@ class TestGradient:
         g = gradient_fd(warm_fit.theta_hat, RECOVERY_SPEC, obs)
         assert np.max(np.abs(g)) <= 1e-4
 
+    def test_invalid_point_gives_nan_without_a_warning(self):
+        # Both sides of every coordinate's stencil are +inf here: inf - inf
+        # is nan, and the suite turns a RuntimeWarning into a failure.
+        obs, spec, theta = overflow_case(800.0)
+        for g in (gradient_fd(theta, spec, obs),
+                  fd_gradient(lambda x: loss(x, spec, obs), theta)):
+            assert g.shape == theta.shape and np.isnan(g).any()
+
 
 class TestBfgs:
     def test_rosenbrock(self):
