@@ -168,14 +168,20 @@ class Setting:
     def path(self) -> tuple[str, str]:   # (section or "", field)
         return tuple(self.key.rpartition(".")[::2])
 
-    def add_flag(self, parser: argparse.ArgumentParser) -> None:
+    def grid_picks(self, command: str) -> bool:
+        """Whether ``command`` ranks the grid and so takes no default spec: the grid picks it."""
+        return self.type is SPEC and "grid" in (COMMANDS[command][0] or ())
+
+    def add_flag(self, parser: argparse.ArgumentParser, command: str) -> None:
         # The help itself describes a default that is not a plain number or string,
         # or that an environment variable stands in for.
         shown = (isinstance(self.default, (int, float, str)) and self.type is not BOOLEAN
                  and self.env is None)
+        default = (" (default: the grid's AIC-best spec)" if self.grid_picks(command)
+                   else f" (default {self.default})" if shown else "")
         choices = dict(choices=self.bounds) if self.type is CHOICE else {}
         parser.add_argument("--" + self.name.replace("_", "-"), **self.type.flag, **choices,
-                            help=self.help + (f" (default {self.default})" if shown else ""))
+                            help=self.help + default)
 
     def check(self, value) -> None:
         if self.type is CHOICE:
@@ -277,7 +283,7 @@ def build_parser(command: Optional[str] = None) -> _Parser:
         p.add_argument("--config", help="JSON config file with defaults for any option")
         for row in SETTINGS:
             if name in row.commands:
-                row.add_flag(p)
+                row.add_flag(p, name)
     return parser
 
 
@@ -335,7 +341,6 @@ def _resolve(command: str, args: argparse.Namespace, config: dict) -> dict:
     ranks the grid takes no default spec: the grid picks it, and the value stays None.
     A value without a default is required, but only after every other value is checked.
     """
-    grid_picks = "grid" in (COMMANDS[command][0] or ())
     flags, values, missing = vars(args), {}, []
     for row in SETTINGS:
         if command not in row.commands:
@@ -344,7 +349,7 @@ def _resolve(command: str, args: argparse.Namespace, config: dict) -> dict:
         if value is None:
             section, field = row.path
             value = (config.get(section, {}) if section else config).get(field)
-        if value is None and not (row.type is SPEC and grid_picks):
+        if value is None and not row.grid_picks(command):
             value = os.environ.get(row.env, row.default) if row.env else row.default
             if value is None:
                 missing.append(row.name)

@@ -239,7 +239,7 @@ def robustness_report(
                 rescale=rescale,
             ))
         else:
-            predictions.append(_hindcast_prediction(obs, job, rescale))
+            predictions.append(_hindcast_prediction(obs, job))
     if predictions:
         sq_m = [pred.log_err_m * pred.log_err_m for pred in predictions]
         sq_p = [pred.log_err_p * pred.log_err_p for pred in predictions]
@@ -253,10 +253,10 @@ def robustness_report(
     return report
 
 
-def _hindcast_prediction(obs: ObservedSeries, job: LaneJob, rescale: str) -> HindcastPrediction:
+def _hindcast_prediction(obs: ObservedSeries, job: LaneJob) -> HindcastPrediction:
     window, fit = job.obs, job.fit
     cutoff = window.grid.t_max
-    m_pred, p_pred = _predict_next_year(window, job.spec, fit.theta_hat, rescale, obs.grid)
+    m_pred, p_pred = _predict_next_year(window, job.spec, fit.theta_hat, job.scale_grid)
     i_next = cutoff + 1 - obs.grid.t_min
     m_obs = float(obs.m[i_next])
     p_obs = float(obs.p[i_next])
@@ -334,13 +334,16 @@ def _predict_next_year(
     window: ObservedSeries,
     spec: ModelSpec,
     theta: np.ndarray,
-    rescale: str,
-    full_grid,
+    scale_grid: Optional[YearGrid],
 ) -> tuple[float, float]:
-    """Run the fitted recurrence one year past the window and read that year's flows."""
-    scale_grid = full_grid if rescale == "full" else window.grid
+    """Run the fitted recurrence one year past the window and read that year's flows.
+
+    Rescaled time is anchored on ``scale_grid``, the refit's own, or on the
+    window's grid when it is None.
+    """
     years = np.arange(window.grid.t_min, window.grid.t_max + 2)
-    traj = eval_param_trajectories(theta, spec, scale_grid, years=years)
+    traj = eval_param_trajectories(theta, spec, window.grid if scale_grid is None else scale_grid,
+                                   years=years)
     stock_m0, stock_p0 = initialize_stocks(window, traj)
     # Inputs of the year after the window never reach that year's flows.
     b = np.append(window.b, 0.0)

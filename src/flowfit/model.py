@@ -497,25 +497,11 @@ def _affine_scan(steps: tuple) -> None:
         np.add(head, carry, head)
 
 
-def _buffer_sizes(n: int) -> dict:
-    """Entries per lane and dtype of each flat buffer of a kernel call on ``n`` years."""
-    # The retention windows' buffer later holds the trajectories' adjoints.
-    windows = max(2 * (n - 1).bit_length(), len(TRAJECTORY_NAMES)) * n
-    sizes = {"coef": 15, "totals": 18, "corner": 2, "lam": 1, "p": 5 * n, "quad": 5 * n,
-             "stocks": 2 * n, "flows": 2 * n, "flow_bars": 2 * n, "stock_bars": 2 * (n + 1),
-             "carry": n, "windows": windows, "terms": 18 * n}
-    flags = {"clipped": 5 * n, "below": 5 * n}
-    return {**{name: (size, float) for name, size in sizes.items()},
-            **{name: (size, bool) for name, size in flags.items()}}
-
-
 class _Workspace:
     """A :class:`LaneKernel` call's arrays at ``width`` lanes and the views it reads.
 
-    The workspace allocates one block of floats and one of flags and cuts
-    them into the buffers :func:`_buffer_sizes` lists.  Each array is a
-    prefix of one buffer, reshaped: C-ordered, quantity by years by lanes.
-    A buffer may serve two arrays whose uses do not overlap.
+    Each array is an allocation of its own: C-ordered, quantity by years
+    by lanes.
     """
 
     def __init__(self, inputs: tuple, width: int):
@@ -523,37 +509,28 @@ class _Workspace:
         n = s.shape[0]
         k = len(TRAJECTORY_NAMES)
         steps = (n - 1).bit_length()
-        sizes = _buffer_sizes(n)
-        memory = {dtype: np.empty(width * sum(size for size, kind in sizes.values()
-                                              if kind is dtype), dtype)
-                  for dtype in (float, bool)}
-        start = dict.fromkeys(memory, 0)
-        buffers = {}
-        for name, (size, dtype) in sizes.items():
-            buffers[name] = memory[dtype][start[dtype]:start[dtype] + size * width]
-            start[dtype] += size * width
 
-        def block(name, *shape):
-            return buffers[name][:math.prod(shape) * width].reshape(*shape, width)
+        def block(*shape, dtype=float):
+            return np.empty((*shape, width), dtype)
 
         self.width = width
         # Predictors: coefficients, the five trajectories and their scratch.
-        self.coef = block("coef", 3 * k)
+        self.coef = block(3 * k)
         coef = self.coef.reshape(k, 3, 1, width)
         self.c0, self.c1, self.c2 = coef[:, 0], coef[:, 1], coef[:, 2]
-        p = self.p = block("p", k, n)
-        self.quad = block("quad", k, n)
+        p = self.p = block(k, n)
+        self.quad = block(k, n)
         self.rho_mp = p[2]
         gammas = p[3:]
         self.gamma_m, self.gamma_p = p[3], p[4]
         self.gamma_first = gammas[:, 0]
-        self.lam = block("lam")
+        self.lam = block()
         # The forward pass: initial stocks, inflows placed a year ahead,
         # the retention windows and the two stock scans.
-        stocks = self.stocks = block("stocks", 2, n)
-        flows = self.flows = block("flows", 2, n)
-        carry = self.carry = block("carry", n)
-        windows = block("windows", steps, 2, n)
+        stocks = self.stocks = block(2, n)
+        flows = self.flows = block(2, n)
+        carry = self.carry = block(n)
+        windows = block(steps, 2, n)
         self.stock_m, self.stock_p = stocks[0], stocks[1]
         self.flow_m, self.flow_p = flows[0], flows[1]
         self.stock_first = stocks[:, 0]
@@ -567,29 +544,29 @@ class _Workspace:
         self.carry_head = carry[:-1]
         self.retention = _retention_steps(windows, gammas)
         # Residuals, then the flows' adjoints; the stocks' adjoints and
-        # their scans; the trajectories' adjoints, in the windows' buffer.
-        self.flow_bars = block("flow_bars", 2, n)
+        # their scans; the trajectories' adjoints.
+        self.flow_bars = block(2, n)
         self.flow_bar_m, self.flow_bar_p = self.flow_bars[0], self.flow_bars[1]
         self.flow_bars_first = self.flow_bars[:, 0]
-        stock_bars = block("stock_bars", 2, n + 1)
+        stock_bars = block(2, n + 1)
         self.stock_bars_m, self.stock_bars_p = stock_bars[0, :n], stock_bars[1, :n]
         self.stock_bars_first = stock_bars[:, 0]
         self.stock_bars_end = stock_bars[:, n]
         self.ahead = stock_bars[:, 1:]
         self.ahead_p = stock_bars[1, 1:]
         self.scans, self.reverse = _scan_steps(windows, carry, stocks, stock_bars[:, :n])
-        p_bar = self.p_bar = block("windows", k, n)
+        p_bar = self.p_bar = block(k, n)
         self.p_bar_routes = p_bar[:2]
         self.p_bar_mp = p_bar[2]
         self.p_bar_gammas = p_bar[3:]
         self.p_bar_first = p_bar[3:, 0]
-        self.corner = block("corner", 2)
+        self.corner = block(2)
         # The logistic's clip masks.
-        self.clipped = block("clipped", k, n)
-        self.below = block("below", k, n)
+        self.clipped = block(k, n, dtype=bool)
+        self.below = block(k, n, dtype=bool)
         # Per year: the two squared residuals, the adjoints of the 5 x 3
         # coefficients and that of the forcing weight, summed at the end.
-        self.terms = block("terms", n, 18)
+        self.terms = block(n, 18)
         columns = self.terms.transpose(1, 0, 2)
         self.squares = columns[:2]
         # Each trajectory's three columns: its predictor's adjoint, times s, times s^2.
@@ -597,7 +574,7 @@ class _Workspace:
         self.eta_bar, self.eta_bar_s, self.eta_bar_s2 = (adjoints[:, 0], adjoints[:, 1],
                                                           adjoints[:, 2])
         self.lambda_column = columns[17]
-        self.totals = block("totals", 18)
+        self.totals = block(18)
         self.coef_totals = self.totals[2:17].T
 
 
@@ -644,7 +621,7 @@ class LaneKernel:
     views each step reads ready-made, the ``(window, tail, carry, head)``
     of every scan step among them; so a call is a flat run of ufuncs
     writing into their positional ``out``.  The workspace owns its
-    buffers, reshaped C-ordered with the lane axis last, and the kernel
+    buffers, C-ordered with the lane axis last, and the kernel
     keeps it for its later calls at that width.  A kernel :meth:`lanes`
     narrows builds its own, so kernels share no mutable memory, and a
     call writes every entry whose value it uses, so no state passes from

@@ -102,18 +102,17 @@ def run_grid(
     opts = options or FitOptions()
     if n is None:
         n = 2 * obs.grid.n_years
-    specs = enumerate_grid()
-    entries: dict[int, GridEntry] = {}
+    entries = [GridEntry(spec=spec, k=spec.n_params) for spec in enumerate_grid()]
     cells = []
-    for index, spec in enumerate(specs):
-        entry = entries[index] = GridEntry(spec=spec, k=spec.n_params)
+    for index, entry in enumerate(entries):
+        spec = entry.spec
         reason = unfittable_reason(spec, obs)
         if reason is not None:
             entry.status, entry.reason = "skipped", reason
             continue
         cells.append(LaneJob(spec, obs, np.stack(default_starts(
             spec, obs, n_starts=opts.n_starts, seed=opts.seed + index, start_sd=opts.start_sd))))
-    fitted = [e for e in entries.values() if e.status == "ok"]
+    fitted = [e for e in entries if e.status == "ok"]
     fit_lane_set(cells + list(refits), opts, workers=jobs)
     for entry, cell in zip(fitted, cells):
         entry.fit = cell.fit
@@ -130,11 +129,10 @@ def run_grid(
         for e in ranked:
             e.delta_aic = e.aic - best_aic
             e.delta_bic = e.bic - best_bic
-    _flag_nested_misses(entries, specs)
+    _flag_nested_misses(entries)
 
     ranked.sort(key=lambda e: (e.aic, e.bic, e.k))
-    rest = [entries[i] for i in sorted(entries) if entries[i].status != "ok"]
-    return ranked + rest
+    return ranked + [e for e in entries if e.status != "ok"]
 
 
 def _nests(inner: ModelSpec, outer: ModelSpec) -> bool:
@@ -143,12 +141,12 @@ def _nests(inner: ModelSpec, outer: ModelSpec) -> bool:
             and inner.deg_rho <= outer.deg_rho and inner.forcing <= outer.forcing)
 
 
-def _flag_nested_misses(entries: dict[int, GridEntry], specs: list[ModelSpec]) -> None:
+def _flag_nested_misses(entries: Sequence[GridEntry]) -> None:
     """Flag every fitted cell whose SSE is above that of a cell nested in it."""
-    fitted = [(specs[i], e) for i, e in entries.items() if e.fit is not None]
-    for spec, entry in fitted:
-        for inner, base in fitted:
-            if not _nests(inner, spec):
+    fitted = [e for e in entries if e.fit is not None]
+    for entry in fitted:
+        for base in fitted:
+            if not _nests(base.spec, entry.spec):
                 continue
             slack = NESTED_SSE_SLACK * max(1.0, base.fit.sse)
             if entry.fit.sse > base.fit.sse + slack:

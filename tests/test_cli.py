@@ -83,6 +83,19 @@ class TestArgumentHandling:
         monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
         assert (run_cli(argv), capsys.readouterr()) == want
 
+    @pytest.mark.parametrize("command", ["fit", "bands", "diagnose", "robust", "report"])
+    def test_help_names_the_spec_default_the_run_uses(self, command, capsys, monkeypatch):
+        # report without --spec reports the grid's AIC-best spec; the
+        # other commands fit the default spec.  A wide terminal keeps each
+        # help on one line.
+        monkeypatch.setenv("COLUMNS", "200")
+        assert run_cli([command, "--help"]) == 0
+        (line,) = [line for line in capsys.readouterr().out.splitlines()
+                   if line.lstrip().startswith("--spec")]
+        default = ("(default: the grid's AIC-best spec)" if command == "report"
+                   else "(default 2,2,none)")
+        assert line.endswith("DEG_GAMMA,DEG_RHO,none|intl " + default)
+
     def test_bad_spec_string(self, data_csv, tmp_path):
         code = run_cli(["fit", "--data", str(data_csv), "--spec", "5,2,none",
                         "--out", str(tmp_path)])

@@ -266,11 +266,12 @@ def test_predict_next_year_is_the_recurrence_one_year_on(rescale, forcing):
     obs, _ = generate(recovery_scenario(p_intl=True, noise_sd=0.02, seed=2))
     spec = ModelSpec(2, 2, forcing=forcing)
     rng = np.random.default_rng(21)
+    scale_grid = obs.grid if rescale == "full" else None
     for cutoff in (1975, 1995, 2016):
         window = obs.window(obs.grid.t_min, cutoff)
         for _ in range(5):
             theta = rng.normal(0.0, 0.5, spec.n_params)
             theta[:RECOVERY_THETA.size] += RECOVERY_THETA
-            got = diagnostics._predict_next_year(window, spec, theta, rescale, obs.grid)
+            got = diagnostics._predict_next_year(window, spec, theta, scale_grid)
             want = hand_coded_next_year(window, spec, theta, rescale, obs.grid)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -187,7 +187,7 @@ def test_refits_equal_per_window_fit_lane_set(n_starts, rescale):
     assert [p.fit_sse for p in result.predictions] == [fit.sse for fit in want["hindcast"]]
     for prediction, window, fit in zip(result.predictions, hindcast, want["hindcast"]):
         m_pred, p_pred = ff.diagnostics._predict_next_year(window, spec, fit.theta_hat,
-                                                           rescale, SMALL.grid)
+                                                           scale_grid)
         assert (prediction.m_pred, prediction.p_pred) == (m_pred, p_pred)
     both = ff.diagnostics.robustness(SMALL, spec, start_years, cutoffs, opts, rescale)
     assert both.truncation_rows == rows and both.hindcast == result

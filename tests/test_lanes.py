@@ -366,34 +366,6 @@ def workspace_arrays(kernel):
     return arrays
 
 
-def test_every_buffer_backs_a_view():
-    # The workspace cuts its two blocks, floats then flags, into the
-    # buffers of ``_buffer_sizes`` in order; a buffer no view reads is dead.
-    thetas, masks = mixed_lanes(3, seed=1)
-    kernel = LaneKernel.of_windows(WINDOWS, np.arange(3))
-    kernel(thetas, masks)
-    arrays = workspace_arrays(kernel)
-    sizes = model._buffer_sizes(kernel.inputs[0].shape[0])
-    for dtype in (float, bool):
-        total = 3 * sum(size for size, kind in sizes.values() if kind is dtype)
-        roots = {id(root): root for root in map(base_of, arrays)
-                 if root.dtype == dtype and root.size == total}
-        (memory,) = roots.values()
-        start = 0
-        for name, (size, kind) in sizes.items():
-            if kind is dtype:
-                buffer = memory[start:start + 3 * size]
-                assert any(np.shares_memory(a, buffer) for a in arrays), name
-                start += 3 * size
-
-
-def base_of(array):
-    """The array that owns ``array``'s memory."""
-    while array.base is not None:
-        array = array.base
-    return array
-
-
 def test_narrowed_kernels_share_no_memory():
     # Each kernel works in buffers of its own: one narrowed from another
     # shares no memory with it or with a sibling.
@@ -491,6 +463,29 @@ def test_no_state_passes_between_calls(case):
         assert_each_lane_is_its_one_lane_call(kernel, POOL_THETAS[index], POOL_MASKS[index],
                                               *got)
         returned += [(a, a.copy()) for a in got]
+
+
+@pytest.mark.parametrize("windowed", [False, True], ids=["one_window", "of_windows"])
+@pytest.mark.parametrize("lanes", [range(len(POOL_THETAS)), UNFORCED_LANES + GENERAL_LANES[False],
+                                   range(24)], ids=["pool", "unforced", "mixed"])
+def test_call_writes_every_workspace_entry_it_reads(windowed, lanes):
+    # The workspace is allocated uninitialised, so a call must write every
+    # entry before it reads it: with each workspace array (not the views
+    # of the kernel's inputs) poisoned after a first call, nan for floats
+    # and True for flags, a second call still gives a fresh kernel's bits.
+    index = np.array(lanes)
+    thetas, masks = POOL_THETAS[index], POOL_MASKS[index]
+    kernel = (LaneKernel.of_windows(WINDOWS, POOL_WINDOW[index]) if windowed
+              else LaneKernel(OBS))
+    want = kernel(thetas, masks)
+    inputs = [a for a in kernel.inputs if a is not None]
+    poisoned = [a for a in workspace_arrays(kernel)
+                if not any(np.shares_memory(a, x) for x in inputs)]
+    assert len(poisoned) > 100
+    for array in poisoned:
+        array.fill(True if array.dtype == bool else np.nan)
+    for got, expected in zip(kernel(thetas, masks), want):
+        assert_bitwise(got, expected)
 
 
 def test_infinite_coefficient_is_an_invalid_lane_without_warnings():

@@ -142,9 +142,7 @@ class TestNestedMissFlag:
         miss_base = self.entry(ModelSpec(1, 1, False), sse=0.30)
         # A higher degree stuck above a lower one it nests, without forcing.
         degree_miss = self.entry(ModelSpec(2, 1, False), sse=0.31)
-        specs = [base.spec, good.spec, miss_base.spec, miss.spec, degree_miss.spec]
-        entries = dict(enumerate([base, good, miss_base, miss, degree_miss]))
-        _flag_nested_misses(entries, specs)
+        _flag_nested_misses([base, good, miss_base, miss, degree_miss])
         assert miss.local_optimum_warning
         assert degree_miss.local_optimum_warning
         assert not good.local_optimum_warning
