@@ -471,7 +471,7 @@ def _run_pipeline(command: str, values: dict) -> int:
         if not refits_in_grid:   # the grid picked the spec, or there is no grid
             refits = robust_refits()
             estimation.fit_lane_set(refits, opts, workers=values.get("jobs", 1))
-        bundle.robustness = diagnostics.robustness_report(refits, obs, values["rescale"])
+        bundle.robustness = diagnostics.robustness_report(refits, obs)
         if outcomes is None:
             outcomes = bundle.robustness.truncation_rows + bundle.robustness.hindcast.predictions
 

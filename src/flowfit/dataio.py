@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -51,10 +52,6 @@ def _cell(value) -> str:
     return f"{float(value):.10g}"
 
 
-def _round10(x: float) -> float:
-    return float(_cell(float(x)))
-
-
 def load_series(path) -> ObservedSeries:
     """Load and validate an annual completion-count file.
 
@@ -90,29 +87,18 @@ def load_series(path) -> ObservedSeries:
                 continue
             try:
                 year = int(raw[col["year"]])
-                values = {
-                    name: float(raw[col[name]])
-                    for name in ("bachelors", "masters", "phd")
-                }
-                if has_intl:
-                    values[OPTIONAL_COLUMN] = float(raw[col[OPTIONAL_COLUMN]])
+                values = {name: float(raw[i]) for name, i in col.items() if name != "year"}
             except (ValueError, IndexError) as exc:
                 raise DataError(f"{path}: row {line_no}: unparseable value ({exc})") from None
             if year in rows:
                 raise DataError(f"{path}: row {line_no}: duplicate year {year}")
-            if values["masters"] <= 0:
-                raise DataError(
-                    f"{path}: row {line_no}: masters must be positive (log scale), got "
-                    f"{values['masters']}"
-                )
-            if values["phd"] <= 0:
-                raise DataError(
-                    f"{path}: row {line_no}: phd must be positive (log scale), got {values['phd']}"
-                )
-            if values["bachelors"] < 0:
-                raise DataError(f"{path}: row {line_no}: bachelors must be nonnegative")
-            if has_intl and values[OPTIONAL_COLUMN] < 0:
-                raise DataError(f"{path}: row {line_no}: phd_intl must be nonnegative")
+            for name, value in values.items():
+                positive = name in ("masters", "phd")   # the fit takes their logarithms
+                if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                    need = "positive (log scale)" if positive else "nonnegative"
+                    raise DataError(
+                        f"{path}: row {line_no}: {name} must be finite and {need}, got {value}"
+                    )
             rows[year] = values
 
     if len(rows) < 2:
@@ -138,12 +124,14 @@ def load_series(path) -> ObservedSeries:
 
 def write_series(obs: ObservedSeries, path) -> int:
     """Write a series in the loader's format; returns the data-row count."""
-    header = list(REQUIRED_COLUMNS)
-    columns = [obs.grid.years, obs.b, obs.m, obs.p]
+    return _write_table(Path(path), _series_columns(obs))
+
+
+def _series_columns(obs: ObservedSeries) -> dict:
+    columns = {"year": obs.grid.years, "bachelors": obs.b, "masters": obs.m, "phd": obs.p}
     if obs.p_intl is not None:
-        header.append(OPTIONAL_COLUMN)
-        columns.append(obs.p_intl)
-    return _write_table(Path(path), header, list(zip(*columns)))
+        columns[OPTIONAL_COLUMN] = obs.p_intl
+    return columns
 
 
 @dataclass
@@ -191,25 +179,8 @@ def write_reports(results: ReportBundle, out_dir, formats: Sequence[str] = ("csv
     if "json" in formats:
         manifest["run_report.json"] = _write_run_report(results, out / "run_report.json")
     if "csv" in formats:
-        if results.emit_data and results.obs is not None:
-            manifest["data.csv"] = write_series(results.obs, out / "data.csv")
-        if results.simulation is not None:
-            manifest["trajectories.csv"] = _write_trajectories(results, out / "trajectories.csv")
-        if results.residual_report is not None:
-            manifest["residuals.csv"] = _write_residuals(
-                results.residual_report, out / "residuals.csv"
-            )
-        if results.grid_entries is not None:
-            manifest["grid.csv"] = _write_grid(results.grid_entries, out / "grid.csv")
-        if results.robustness is not None:
-            if results.robustness.truncation_rows:
-                manifest["truncation.csv"] = _write_records(
-                    out / "truncation.csv", results.robustness.truncation_rows
-                )
-            if results.robustness.hindcast is not None:
-                manifest["hindcast.csv"] = _write_records(
-                    out / "hindcast.csv", results.robustness.hindcast.predictions
-                )
+        for name, columns in _tables(results):
+            manifest[name] = _write_table(out / name, columns)
 
     with (out / "manifest.json").open("w", encoding="utf-8", newline="\n") as handle:
         json.dump({"files": manifest}, handle, indent=2, sort_keys=True)
@@ -218,8 +189,9 @@ def write_reports(results: ReportBundle, out_dir, formats: Sequence[str] = ("csv
 
 
 def _jsonify(value):
+    """A report value as JSON data, every float at 10 significant digits as in :func:`_cell`."""
     if isinstance(value, (np.floating, float)):
-        return _round10(value)
+        return float(_cell(value))
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, np.ndarray):
@@ -232,9 +204,9 @@ def _jsonify(value):
 
 
 def _write_run_report(results: ReportBundle, path: Path) -> int:
-    report: dict = {"config": _jsonify(results.config_echo)}
+    report: dict = {"config": results.config_echo}
     if results.notes:
-        report["notes"] = list(results.notes)
+        report["notes"] = results.notes
     if results.obs is not None:
         grid = results.obs.grid
         report["data"] = {
@@ -244,55 +216,38 @@ def _write_run_report(results: ReportBundle, path: Path) -> int:
             "has_p_intl": results.obs.p_intl is not None,
         }
     if results.spec is not None:
-        report["spec"] = {
-            "deg_gamma": results.spec.deg_gamma,
-            "deg_rho": results.spec.deg_rho,
-            "forcing": results.spec.forcing,
-            "k": results.spec.n_params,
-        }
+        report["spec"] = {**_record(results.spec), "k": results.spec.n_params}
     if results.fit is not None and results.spec is not None:
-        labels = theta_labels(results.spec)
         fit = results.fit
-        entry = {
-            "theta_hat": {lab: _round10(v) for lab, v in zip(labels, fit.theta_hat)},
-            "sse": _round10(fit.sse),
-            "converged": fit.converged,
-            "n_iterations": fit.n_iterations,
-            "n_starts_used": fit.n_starts_used,
-            "grad_norm_at_opt": _round10(fit.grad_norm_at_opt),
-        }
+        entry = _record(fit)
+        entry["theta_hat"] = dict(zip(theta_labels(results.spec), fit.theta_hat))
         if results.obs is not None:
             grid = results.obs.grid
             entry["n"] = results.n if results.n is not None else 2 * grid.n_years
             entry["n_eff"] = grid.n_eff
         if results.aic is not None:
-            entry["aic"] = _round10(results.aic)
-            entry["bic"] = _round10(results.bic)
+            entry["aic"] = results.aic
+            entry["bic"] = results.bic
         report["fit"] = entry
     if results.uncertainty is not None:
         unc = results.uncertainty
         report["uncertainty"] = {
-            "sigma2_hat": _round10(unc.sigma2_hat),
+            "sigma2_hat": unc.sigma2_hat,
             "regularization_applied": unc.regularization_applied,
-            "covariance_diagonal": _jsonify(np.diag(unc.covariance)),
+            "covariance_diagonal": np.diag(unc.covariance),
         }
     if results.residual_report is not None:
         rep = results.residual_report
-        report["residual_summary"] = _jsonify(rep.summary)
+        report["residual_summary"] = rep.summary
         report["residual_histogram"] = {
-            "bin_edges": _jsonify(rep.bin_edges[1:-1]),
-            "counts_m": _jsonify(rep.counts_m),
-            "counts_p": _jsonify(rep.counts_p),
+            "bin_edges": rep.bin_edges[1:-1],
+            "counts_m": rep.counts_m,
+            "counts_p": rep.counts_p,
         }
     if results.robustness is not None and results.robustness.hindcast is not None:
-        hc = results.robustness.hindcast
-        report["hindcast_summary"] = {
-            "rmse_m": _round10(hc.rmse_m),
-            "rmse_p": _round10(hc.rmse_p),
-            "rmse_pooled": _round10(hc.rmse_pooled),
-            "n_cutoffs": len(hc.predictions),
-            "rescale": hc.rescale,
-        }
+        summary = _record(results.robustness.hindcast)
+        summary["n_cutoffs"] = len(summary.pop("predictions"))
+        report["hindcast_summary"] = summary
     if results.grid_entries is not None:
         ok = [e for e in results.grid_entries if e.status == "ok"]
         report["grid_summary"] = {
@@ -301,64 +256,76 @@ def _write_run_report(results: ReportBundle, path: Path) -> int:
             "best_spec_aic": ok[0].spec.label() if ok else None,
         }
     path.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return 1
 
 
-def _write_table(path: Path, header: list[str], rows: list[list]) -> int:
-    """Write ``header`` and one line per row, each value through :func:`_cell`."""
+def _tables(results: ReportBundle):
+    """Each CSV file the bundle carries, as (file name, {column name: values})."""
+    if results.emit_data and results.obs is not None:
+        yield "data.csv", _series_columns(results.obs)
+    if results.simulation is not None:
+        obs, sim, bands = results.obs, results.simulation, results.bands
+        columns = {
+            "year": obs.grid.years,
+            "observed_m": obs.m,
+            "observed_p": obs.p,
+            "fitted_m": sim.flow_m,
+            "fitted_p": sim.flow_p,
+            "stock_m": sim.stock_m,
+            "stock_p": sim.stock_p,
+            **results.trajectories.as_dict(),
+        }
+        if bands is not None:
+            for name in TRAJECTORY_NAMES:
+                columns[f"{name}_lower"] = bands.lower[name]
+                columns[f"{name}_upper"] = bands.upper[name]
+        yield "trajectories.csv", columns
+    if results.residual_report is not None:
+        rep = results.residual_report
+        yield "residuals.csv", {"year": rep.years, "residual_m": rep.r_m, "residual_p": rep.r_p}
+    if results.grid_entries is not None:
+        entries = results.grid_entries
+        fits = [e.fit for e in entries]
+        yield "grid.csv", {
+            "rank": range(1, len(entries) + 1),
+            "deg_gamma": [e.spec.deg_gamma for e in entries],
+            "deg_rho": [e.spec.deg_rho for e in entries],
+            "forcing": ["intl" if e.spec.forcing else "none" for e in entries],
+            "k": [e.k for e in entries],
+            "sse": [fit.sse if fit else None for fit in fits],
+            "aic": [e.aic for e in entries],
+            "delta_aic": [e.delta_aic for e in entries],
+            "bic": [e.bic for e in entries],
+            "delta_bic": [e.delta_bic for e in entries],
+            "converged": [fit.converged if fit else None for fit in fits],
+            "status": [e.status for e in entries],
+            "reason": [e.reason.replace(",", ";") for e in entries],
+            "local_optimum_warning": [e.local_optimum_warning for e in entries],
+        }
+    robustness = results.robustness
+    if robustness is not None and robustness.truncation_rows:
+        yield "truncation.csv", _record_columns(robustness.truncation_rows)
+    if robustness is not None and robustness.hindcast is not None:
+        yield "hindcast.csv", _record_columns(robustness.hindcast.predictions)
+
+
+def _write_table(path: Path, columns: dict) -> int:
+    """Write the header and one line per row of equally long ``columns``, cells by :func:`_cell`."""
+    rows = list(zip(*columns.values(), strict=True))
     with path.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
+        handle.write(",".join(columns) + "\n")
         for row in rows:
             handle.write(",".join(map(_cell, row)) + "\n")
     return len(rows)
 
 
-def _write_records(path: Path, records: Sequence) -> int:
-    """A table of dataclass records, one column per field, in field order."""
-    names = [f.name for f in fields(records[0])]
-    return _write_table(path, names, [[getattr(r, name) for name in names] for r in records])
+def _record(record) -> dict:
+    """A dataclass instance as {field name: value}, in field order."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
-def _write_trajectories(results: ReportBundle, path: Path) -> int:
-    obs = results.obs
-    sim = results.simulation
-    traj = results.trajectories
-    header = ["year", "observed_m", "observed_p", "fitted_m", "fitted_p", "stock_m", "stock_p"]
-    header += list(TRAJECTORY_NAMES)
-    if results.bands is not None:
-        for name in TRAJECTORY_NAMES:
-            header += [f"{name}_lower", f"{name}_upper"]
-    rows = []
-    traj_map = traj.as_dict()
-    for i, year in enumerate(obs.grid.years):
-        row = [year, obs.m[i], obs.p[i], sim.flow_m[i], sim.flow_p[i], sim.stock_m[i],
-               sim.stock_p[i]]
-        row += [traj_map[name][i] for name in TRAJECTORY_NAMES]
-        if results.bands is not None:
-            for name in TRAJECTORY_NAMES:
-                row += [results.bands.lower[name][i], results.bands.upper[name][i]]
-        rows.append(row)
-    return _write_table(path, header, rows)
-
-
-def _write_residuals(rep: ResidualReport, path: Path) -> int:
-    rows = [[year, rep.r_m[i], rep.r_p[i]] for i, year in enumerate(rep.years)]
-    return _write_table(path, ["year", "residual_m", "residual_p"], rows)
-
-
-def _write_grid(entries: list[GridEntry], path: Path) -> int:
-    header = [
-        "rank", "deg_gamma", "deg_rho", "forcing", "k", "sse",
-        "aic", "delta_aic", "bic", "delta_bic",
-        "converged", "status", "reason", "local_optimum_warning",
-    ]
-    rows = [
-        [rank, e.spec.deg_gamma, e.spec.deg_rho, "intl" if e.spec.forcing else "none", e.k,
-         e.fit.sse if e.fit else None, e.aic, e.delta_aic, e.bic, e.delta_bic,
-         e.fit.converged if e.fit else None, e.status, e.reason.replace(",", ";"),
-         e.local_optimum_warning]
-        for rank, e in enumerate(entries, start=1)
-    ]
-    return _write_table(path, header, rows)
+def _record_columns(records: Sequence) -> dict:
+    """Dataclass records as one column per field, in field order."""
+    return {f.name: [getattr(r, f.name) for r in records] for f in fields(records[0])}

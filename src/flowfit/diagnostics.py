@@ -211,9 +211,7 @@ def robustness_jobs(
     return [LaneJob(spec, window, starts, scale_grid) for window in windows]
 
 
-def robustness_report(
-    jobs: Sequence[LaneJob], obs: ObservedSeries, rescale: str = "window"
-) -> RobustnessReport:
+def robustness_report(jobs: Sequence[LaneJob], obs: ObservedSeries) -> RobustnessReport:
     """The truncation rows and the hindcast from :func:`robustness_jobs`'s fitted jobs.
 
     Pooled log-RMSE uses N = 2 * window years.  Each hindcast window's
@@ -226,6 +224,8 @@ def robustness_report(
     predictions = []
     for job in jobs:
         window, fit = job.obs, job.fit
+        # The time scale the job was fitted on; one robustness_jobs call gives all its jobs one.
+        rescale = "window" if job.scale_grid is None else "full"
         # A truncation window ends with the sample, a hindcast window before it.
         if window.grid.t_max == obs.grid.t_max:
             n_years = window.grid.n_years
@@ -289,7 +289,7 @@ def robustness(
     """Every truncation and hindcast refit of ``spec`` as one lane set, and their report."""
     jobs = robustness_jobs(obs, spec, start_years, cutoffs, options, rescale)
     fit_lane_set(jobs, options)
-    return robustness_report(jobs, obs, rescale)
+    return robustness_report(jobs, obs)
 
 
 def truncation_study(

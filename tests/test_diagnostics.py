@@ -244,6 +244,17 @@ def test_dropping_a_window_leaves_the_others_unchanged(small_noise_free, quick_o
     assert fewer.hindcast.predictions == kept
 
 
+@pytest.mark.parametrize("rescale", ["window", "full"])
+def test_report_reads_the_jobs_own_time_scale(small_noise_free, quick_options, rescale):
+    # The report labels its rows and its hindcast from the jobs alone.
+    obs, _ = small_noise_free
+    jobs = diagnostics.robustness_jobs(obs, RECOVERY_SPEC, [1985], [1990], quick_options, rescale)
+    fit_lane_set(jobs, quick_options)
+    report = diagnostics.robustness_report(jobs, obs)
+    assert [row.rescale for row in report.truncation_rows] == [rescale]
+    assert report.hindcast.rescale == rescale
+
+
 def hand_coded_next_year(window, spec, theta, rescale, full_grid):
     """The one-step update written out by hand: the oracle for ``_predict_next_year``."""
     scale_grid = full_grid if rescale == "full" else window.grid
