@@ -165,15 +165,16 @@ def write_reports(results: ReportBundle, out_dir, formats: Sequence[str] = ("csv
     what the bundle carries.  Output is deterministic: rerunning with the
     same configuration and seeds reproduces every byte.
     """
+    # Checked before the directory is made, so a rejected call leaves none behind.
+    formats = tuple(formats)
+    for fmt in formats:
+        if fmt not in ("csv", "json"):
+            raise DataError(f"unknown output format {fmt!r}")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot create output directory {out}: {exc}") from exc
-    formats = tuple(formats)
-    for fmt in formats:
-        if fmt not in ("csv", "json"):
-            raise DataError(f"unknown output format {fmt!r}")
     manifest: dict[str, int] = {}
 
     if "json" in formats:

@@ -388,8 +388,30 @@ def _lane_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _lane_matvec(h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``h[l] @ v[l]`` for every lane of an ``(L, k, k)`` stack, as :func:`_lane_dot` does."""
-    return np.add.reduce(h * v[:, None, :], axis=-1)
+    """``h[l] @ v[l]`` for every lane of an ``(L, k, k)`` stack, one ``np.matmul`` over the stack.
+
+    Each lane's product reads only its own matrix and vector, so it does
+    not depend on the other lanes; BLAS rounds it differently from a
+    row-by-row :func:`_lane_dot` reduction.
+    """
+    return np.matmul(h, v[:, :, None])[:, :, 0]
+
+
+def _bfgs_step(h: np.ndarray, s: np.ndarray, y: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Each lane's BFGS inverse-Hessian update, ``(L, k, k)``, for ``rho = 1 / s'y``.
+
+    :func:`bfgs_minimize`'s ``c s s' - rho (hy s' + s hy')`` with
+    ``c = rho^2 y'hy + rho`` (Nocedal & Wright, *Numerical Optimization*,
+    2nd ed., 2006, sec. 6.1), formed as ``a + a'`` with ``a = s w'`` and
+    ``w = (c/2) s - rho hy``: the same matrix in exact arithmetic, in three
+    passes over the stack, and exactly symmetric, so each lane's ``h``
+    stays so.
+    """
+    hy = _lane_matvec(h, y)
+    c = rho * rho * _lane_dot(y, hy) + rho
+    w = (0.5 * c)[:, None] * s - rho[:, None] * hy
+    a = s[:, :, None] * w[:, None, :]
+    return a + a.transpose(0, 2, 1)
 
 
 def bfgs_lanes(
@@ -412,16 +434,19 @@ def bfgs_lanes(
     lane whose start value is not finite (the kernel's gradient there is
     nan) stops before the first tick, unconverged, after 0 iterations.
 
-    Each tick evaluates one trial point of every live lane, value and
-    gradient in one kernel call.  A lane whose trial passes the Armijo test
-    moves there and takes its next direction; the others halve their step.
-    The update is computed for every live lane, in place and with
-    floating-point warnings off, and written only to the lanes that moved
-    (``np.copyto`` or a ufunc's ``where``), so a lane that did not move
-    keeps every bit of its state.  Lanes that stop leave the batch, and
-    :meth:`LaneKernel.lanes` narrows the kernel to the rest.  A
-    lane's arithmetic never mixes with another's, so its iterates do not
-    depend on the batch it runs in.
+    Each tick evaluates one trial point of every lane in the batch, value
+    and gradient in one kernel call.  A lane whose trial passes the Armijo
+    test moves there and takes its next direction; the others halve their
+    step.  The update (:func:`_bfgs_step`) is computed for every lane, in
+    place and with floating-point warnings off, and written only to the
+    lanes that moved (``np.copyto`` or a ufunc's ``where``), so a lane that
+    did not move keeps every bit of its state.  A lane's outcome is taken
+    on the tick it stops.  Stopped lanes stay in the batch, and their later
+    values are never read, until the live lanes are half the batch or
+    fewer; then the batch keeps only the live lanes and
+    :meth:`LaneKernel.lanes` narrows the kernel to them.  A lane's
+    arithmetic never mixes with another's, so its iterates do not depend on
+    the batch it runs in nor on when stopped lanes leave it.
 
     In the common tick every lane moves, and the masks select everything.
     So a tick whose ``moved`` is all True (one ufunc reduction decides)
@@ -441,12 +466,15 @@ def bfgs_lanes(
     # A lane whose start value is not finite stops here: its gradient is nan.
     ids = (np.flatnonzero(~out.converged & np.isfinite(fx)) if max_iter > 0
            else np.empty(0, dtype=int))
-    x, fx, g, mask, kernel = x0[ids], fx[ids], g[ids], mask[ids], kernel.lanes(ids)
+    if ids.size < len(x0):
+        kernel = kernel.lanes(ids)
+    x, fx, g, mask = x0[ids], fx[ids], g[ids], mask[ids]
     h = _masked_eye(mask)
     scaled = np.zeros(len(ids), dtype=bool)
     n_iter = np.zeros(len(ids), dtype=int)
     d, slope = _lane_directions(h, g, mask, np.ones(len(ids), dtype=bool))
     alpha = np.ones(len(ids))
+    live = np.ones(len(ids), dtype=bool)
     all_scaled = False
     # Lanes that did not move may hold anything; nothing of theirs is kept.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -472,17 +500,7 @@ def bfgs_lanes(
                     all_scaled = np.logical_and.reduce(scaled)
             update = moved & (sy > 1e-10 * np.sqrt(_lane_dot(s, s)) * np.sqrt(yy))
             if np.logical_or.reduce(update):
-                rho = 1.0 / sy
-                hy = _lane_matvec(h, y)
-                yhy = _lane_dot(y, hy)
-                # bfgs_minimize's update, h += s s' (rho^2 y'hy + rho) - rho (hy s' + s hy'),
-                # with hy s' + s hy' as a matrix plus its transpose (the same bits).
-                cross = hy[:, :, None] * s[:, None, :]
-                cross = cross + cross.transpose(0, 2, 1)
-                cross *= rho[:, None, None]
-                step = s[:, :, None] * s[:, None, :]
-                step *= (rho * rho * yhy + rho)[:, None, None]
-                step -= cross
+                step = _bfgs_step(h, s, y, 1.0 / sy)
                 if np.logical_and.reduce(update):
                     h += step
                 else:
@@ -511,14 +529,20 @@ def bfgs_lanes(
                 np.copyto(d, d_new, where=rows)
                 np.copyto(slope, slope_new, where=moved)
                 np.copyto(alpha, 1.0, where=moved)
+            stop &= live
             if np.logical_or.reduce(stop):
                 for name, value in zip(_OUTCOME_FIELDS, (x, fx, n_iter, g_max, g_max <= gtol)):
                     getattr(out, name)[ids[stop]] = value[stop]
-                keep = ~stop
-                ids, x, fx, g, mask, h, scaled, n_iter, d, slope, alpha = (
-                    a[keep] for a in (ids, x, fx, g, mask, h, scaled, n_iter, d, slope, alpha))
-                kernel = kernel.lanes(keep)
-                all_scaled = np.logical_and.reduce(scaled)
+                live &= ~stop
+                n_live = np.count_nonzero(live)
+                if 2 * n_live <= live.size:
+                    keep = live
+                    ids, x, fx, g, mask, h, scaled, n_iter, d, slope, alpha, live = (
+                        a[keep] for a in (ids, x, fx, g, mask, h, scaled, n_iter, d, slope,
+                                          alpha, live))
+                    if n_live:
+                        kernel = kernel.lanes(keep)
+                    all_scaled = np.logical_and.reduce(scaled)
     return out
 
 
@@ -656,7 +680,7 @@ def fit_lane_set(
     (:meth:`LaneKernel.of_windows`), so the window index lives only here.
     The lanes, in job order, are cut into chunks of at most ``LANE_CHUNK``;
     each chunk is one :func:`bfgs_lanes` run on the kernel narrowed to its
-    lanes.  ``workers`` > 1 runs the chunks in parallel, on at most one
+    lanes, or on the set's kernel when one chunk holds the set.  ``workers`` > 1 runs the chunks in parallel, on at most one
     worker per chunk and per CPU.  A lane's fit does not
     depend on the lanes it runs with nor on its window's padding, so
     chunks, windows and workers never change a result, and a set of one
@@ -675,8 +699,11 @@ def fit_lane_set(
     window = np.repeat([index[id(job.obs), job.scale_grid] for job in jobs], counts)
     kernel = LaneKernel.of_windows(list(windows.values()), window)
 
-    chunks = [(kernel.lanes(slice(i, i + LANE_CHUNK)), opts, x0[i:i + LANE_CHUNK],
-               mask[i:i + LANE_CHUNK]) for i in range(0, len(x0), LANE_CHUNK)]
+    if len(x0) <= LANE_CHUNK:   # one chunk: the set's own kernel, not a copy of it
+        chunks = [(kernel, opts, x0, mask)]
+    else:
+        chunks = [(kernel.lanes(slice(i, i + LANE_CHUNK)), opts, x0[i:i + LANE_CHUNK],
+                   mask[i:i + LANE_CHUNK]) for i in range(0, len(x0), LANE_CHUNK)]
     # The pool starts all its workers up front, so never ask for more than
     # can run at once.
     workers = min(workers, len(chunks), os.cpu_count() or 1)

@@ -196,6 +196,12 @@ class TestWriteReports:
         with pytest.raises(DataError, match="format"):
             write_reports(fitted_bundle, tmp_path / "bad", formats=("yaml",))
 
+    def test_unknown_format_leaves_no_directory(self, fitted_bundle, tmp_path):
+        out = tmp_path / "bad" / "sub"
+        with pytest.raises(DataError, match="format"):
+            write_reports(fitted_bundle, out, formats=("json", "yaml"))
+        assert not (tmp_path / "bad").exists()
+
     def test_run_report_contents(self, fitted_bundle, tmp_path):
         write_reports(fitted_bundle, tmp_path / "out")
         report = json.loads((tmp_path / "out" / "run_report.json").read_text())

@@ -8,7 +8,9 @@ lane set they run in, equal per-window ``fit_lane_set`` runs, and a lane
 set of any width runs on lanes.
 """
 
+import contextlib
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from flowfit.model import LaneKernel, embed, superset_mask
 
 from _scenarios import recovery_scenario
 from test_kernel_properties import OBS, SPECS
-from test_lanes import general_path_lanes, kernel_paths, mixed_lanes
+from test_lanes import general_path_lanes, kernel_paths, mixed_lanes, retiring_widths
 
 SMALL, _ = ff.generate(recovery_scenario(grid=ff.YearGrid(1980, 2001), p_intl=True,
                                          noise_sd=0.02, seed=3))
@@ -58,12 +60,31 @@ HARD_WINDOWS = [(SMALL, None), (SMALL.window(SMALL.grid.t_min, SMALL.grid.t_max 
 HARD_THETAS, HARD_MASKS = general_path_lanes(forcing=True)
 
 
+@contextlib.contextmanager
+def call_widths():
+    """The lane count of every :class:`LaneKernel` call in the block, in order."""
+    widths = []
+    call = LaneKernel.__call__
+
+    def counted(kernel, thetas, mask):
+        widths.append(len(thetas))
+        return call(kernel, thetas, mask)
+
+    LaneKernel.__call__ = counted
+    try:
+        yield widths
+    finally:
+        LaneKernel.__call__ = call
+
+
 @LANE_SETS
-@given(case=window_sets())
-def test_lane_in_window_set_equals_lane_alone(case):
+@given(case=window_sets(), gtol=st.sampled_from([1e-6, 1e-3, 1e-2]))
+def test_lane_in_window_set_equals_lane_alone(case, gtol):
     # The drawn lanes share the set with a lane at the clamp, a lane with a
     # nan coefficient and one whose forcing overflows the flows, each on
-    # both of two windows of different lengths.
+    # both of two windows of different lengths.  A loose gtol stops lanes
+    # at different ticks, and a stopped lane stays in the batch until half
+    # of it has stopped: it changes no other lane's bits either.
     windows, jobs = case
     x0 = np.concatenate([embed(job.starts, job.spec) for job in jobs] + [HARD_THETAS] * 2)
     mask = np.concatenate([np.repeat([superset_mask(job.spec) for job in jobs],
@@ -75,18 +96,23 @@ def test_lane_in_window_set_equals_lane_alone(case):
     lane_windows += [pair for pair in HARD_WINDOWS for _ in HARD_THETAS]
     window = np.concatenate([np.repeat(index, [len(job.starts) for job in jobs]),
                              len(windows) + np.arange(2).repeat(len(HARD_THETAS))])
-    together = bfgs_lanes(LaneKernel.of_windows(windows + HARD_WINDOWS, window), x0, mask,
-                          max_iter=40)
+    kernel = LaneKernel.of_windows(windows + HARD_WINDOWS, window)
+    with call_widths() as widths:
+        together = bfgs_lanes(kernel, x0, mask, gtol=gtol, max_iter=40)
+    ticks = []   # how many ticks each lane runs alone
     with kernel_paths() as paths:
         for lane, (obs, scale_grid) in enumerate(lane_windows):
-            alone = bfgs_lanes(LaneKernel(obs, scale_grid), x0[lane:lane + 1],
-                               mask[lane:lane + 1], max_iter=40)
+            with call_widths() as calls:
+                alone = bfgs_lanes(LaneKernel(obs, scale_grid), x0[lane:lane + 1],
+                                   mask[lane:lane + 1], gtol=gtol, max_iter=40)
+            ticks.append(len(calls) - 1)
             row = together.rows(slice(lane, lane + 1))
-            for name in ("x", "fun", "n_iterations", "grad_max_norm", "converged"):
+            for name in estimation._OUTCOME_FIELDS:
                 assert getattr(row, name).tobytes() == getattr(alone, name).tobytes(), (
                     lane, name)
     # Alone, some calls take both of the kernel's shortcuts.
     assert [True, True] in paths
+    assert widths == [len(x0)] + retiring_widths(ticks)
 
 
 @LANE_SETS
@@ -205,6 +231,30 @@ def test_small_lane_set_runs_on_lanes(monkeypatch):
         calls.clear()
         ff.truncation_study(SMALL, spec, list(range(1981, 1981 + n_windows)), opts)
         assert calls == ["lanes"]
+
+
+def test_lane_set_narrows_its_kernel_once_per_halving(monkeypatch):
+    # A 50-lane set shaped like the benchmark report's: the 18 grid cells
+    # and 7 refit windows of a 26-year series, 2 starts each, 40
+    # iterations at gtol 1e-2.  The kernel is gathered once for the set
+    # and narrowed only when the live lanes fall to half the batch or fewer.
+    obs, _ = ff.generate(recovery_scenario(p_intl=True, noise_sd=0.02, seed=1))
+    obs = obs.window(1992, 2017)
+    opts = ff.FitOptions(n_starts=2, max_iter=40, gtol=1e-2)
+    refits = ff.diagnostics.robustness_jobs(obs, ff.ModelSpec(2, 2, False), [1997, 2002, 2007],
+                                            [2000, 2005, 2010, 2015], opts)
+    narrowed = []
+    lanes = LaneKernel.lanes
+    monkeypatch.setattr(LaneKernel, "lanes",
+                        lambda kernel, index: narrowed.append(index) or lanes(kernel, index))
+    widths = []
+    real_lanes = estimation.bfgs_lanes
+    monkeypatch.setattr(estimation, "bfgs_lanes",
+                        lambda kernel, x0, *a, **k: widths.append(len(x0))
+                        or real_lanes(kernel, x0, *a, **k))
+    ff.run_grid(obs, opts, refits=refits)
+    assert widths == [50]
+    assert 2 <= len(narrowed) <= math.ceil(math.log2(50)) + 1
 
 
 def test_fit_lane_set_sets_and_returns_each_jobs_fit():

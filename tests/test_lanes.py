@@ -603,16 +603,22 @@ TOY_STARTS = {"moves": (1.0, 1.0), "overshoots": (1.0, 1.0), "non-finite": (-3.0
 
 
 class ToyKernel:
-    """A stand-in for :class:`LaneKernel`: lane i is objective ``list(toys)[kind[i]]``."""
+    """A stand-in for :class:`LaneKernel`: lane i is objective ``list(toys)[kind[i]]``.
 
-    def __init__(self, kind, toys=TOYS):
+    ``widths`` gets the lane count of every call, of this kernel and of
+    the kernels :meth:`lanes` narrows it to.
+    """
+
+    def __init__(self, kind, toys=TOYS, widths=None):
         self.kind = kind
         self.toys = toys
+        self.widths = [] if widths is None else widths
 
     def lanes(self, index):
-        return ToyKernel(self.kind[index], self.toys)
+        return ToyKernel(self.kind[index], self.toys, self.widths)
 
     def __call__(self, x, mask):
+        self.widths.append(len(x))
         objectives = list(self.toys.values())
         values = np.empty(len(x))
         grads = np.zeros_like(x)
@@ -629,6 +635,19 @@ def toy_starts(kinds):
     x0[:, :2] = [TOY_STARTS[names[k]] for k in kind]
     x0[1::2, 1] += 0.5   # a second start of each objective
     return kind, x0
+
+
+def retiring_widths(ticks):
+    """The batch width of each :func:`bfgs_lanes` tick, for lanes that stop after ``ticks``.
+
+    A lane that stops stays in the batch until the lanes still running are
+    half of it or fewer; then the batch narrows to them.
+    """
+    widths = []
+    for tick in range(1, max(ticks) + 1):
+        live = sum(n >= tick for n in ticks)
+        widths.append(live if not widths or 2 * live <= widths[-1] else widths[-1])
+    return widths
 
 
 @contextlib.contextmanager
@@ -672,8 +691,9 @@ def test_lane_that_moves_beside_rejected_lanes_equals_its_run_alone():
     for exhausting in (True, False):
         kind, x0 = toy_starts([name for name in names if exhausting or name != "exhausted"])
         mask = np.ones(x0.shape, dtype=bool)
+        kernel = ToyKernel(kind)
         with tick_kinds() as ticks:
-            together = bfgs_lanes(ToyKernel(kind), x0, mask, max_iter=50)
+            together = bfgs_lanes(kernel, x0, mask, max_iter=50)
         moved_all = ticks[1:]
         exhausted = kind == names.index("exhausted")
         if exhausting:
@@ -686,9 +706,11 @@ def test_lane_that_moves_beside_rejected_lanes_equals_its_run_alone():
             assert any(moved_all) and not all(moved_all) and switches >= 6
         assert np.all(together.n_iterations[~exhausted] > 0)
         assert together.converged[kind == names.index("moves")].all()
+        lane_ticks = []
         for lane in range(len(kind)):
-            alone = bfgs_lanes(ToyKernel(kind[lane:lane + 1]), x0[lane:lane + 1],
-                               mask[lane:lane + 1], max_iter=50)
+            alone_kernel = ToyKernel(kind[lane:lane + 1])
+            alone = bfgs_lanes(alone_kernel, x0[lane:lane + 1], mask[lane:lane + 1], max_iter=50)
+            lane_ticks.append(len(alone_kernel.widths) - 1)
             row = together.rows(slice(lane, lane + 1))
             for name in estimation._OUTCOME_FIELDS:
                 assert_bitwise(getattr(row, name), getattr(alone, name))
@@ -699,6 +721,11 @@ def test_lane_that_moves_beside_rejected_lanes_equals_its_run_alone():
             assert (row.n_iterations[0], row.converged[0]) == (want.n_iterations,
                                                                want.converged)
             assert np.allclose(row.x[0], want.x, rtol=1e-9, atol=1e-12)
+        # Lanes that stop early stay in the batch, and leave it only when
+        # half of it has stopped.
+        assert kernel.widths == [len(kind)] + retiring_widths(lane_ticks)
+        assert any(width > sum(n >= tick for n in lane_ticks)
+                   for tick, width in enumerate(kernel.widths[1:], 1))
 
 
 @contextlib.contextmanager
@@ -802,6 +829,61 @@ def test_tick_shortcuts_give_the_general_paths_bits(obs49):
         for name in estimation._OUTCOME_FIELDS:
             assert_bitwise(getattr(got, name), getattr(want, name))
     assert any(moved_all) and not all(moved_all)
+
+
+def test_bfgs_step_is_the_elementwise_update():
+    # The update formed as a + a', a = s w', equals bfgs_minimize's
+    # c s s' - rho (hy s' + s hy') to round-off on lanes of every spec,
+    # with s'y of either sign, and is exactly symmetric and 0 off the
+    # lane's coefficients.
+    rng = np.random.default_rng(8)
+    n_lanes = 54
+    mask = np.array([superset_mask(SPECS[lane % len(SPECS)]) for lane in range(n_lanes)])
+    pairs = mask[:, :, None] & mask[:, None, :]
+    root = rng.normal(size=pairs.shape) * pairs
+    h = root @ root.transpose(0, 2, 1) + estimation._masked_eye(mask)
+    h = 0.5 * (h + h.transpose(0, 2, 1))
+    s = rng.normal(size=mask.shape) * mask
+    y = np.where(mask, rng.normal(size=mask.shape) + 2.0 * s * rng.choice([-1.0, 1.0], (n_lanes, 1)),
+                 0.0)
+    rho = 1.0 / estimation._lane_dot(s, y)
+    got = estimation._bfgs_step(h, s, y, rho)
+    assert_bitwise(got, got.transpose(0, 2, 1))
+    assert np.all(got[~pairs] == 0.0)
+    for lane in range(n_lanes):
+        hy = h[lane] @ y[lane]
+        c = rho[lane] ** 2 * (y[lane] @ hy) + rho[lane]
+        ss, cross = np.outer(s[lane], s[lane]), np.outer(hy, s[lane]) + np.outer(s[lane], hy)
+        want = c * ss - rho[lane] * cross
+        scale = np.abs(c * ss).max() + np.abs(rho[lane] * cross).max()
+        assert np.abs(got[lane] - want).max() <= 1e-13 * scale
+
+
+def test_inverse_hessians_stay_exactly_symmetric(obs49):
+    # Over every tick of fit49-shaped lanes (8 starts of spec 2,2,none on
+    # 49 years, 60 iterations) and of the toy lanes, through scalings and
+    # masked and unmasked updates, each lane's inverse Hessian is its own
+    # transpose, bit for bit.
+    spec = ff.ModelSpec(2, 2, False)
+    starts = np.stack([embed(x, spec) for x in ff.default_starts(spec, obs49, n_starts=8)])
+    kind, x0 = toy_starts(list(TOYS))
+    runs = [(LaneKernel(obs49), starts, np.tile(superset_mask(spec), (8, 1)), 60),
+            (ToyKernel(kind), x0, np.ones(x0.shape, dtype=bool), 50)]
+    symmetric = []
+    directions = estimation._lane_directions
+
+    def spy(h, g, mask, lanes):
+        symmetric.append(h.tobytes() == h.transpose(0, 2, 1).copy().tobytes())
+        return directions(h, g, mask, lanes)
+
+    estimation._lane_directions = spy
+    try:
+        for kernel, x, mask, max_iter in runs:
+            symmetric.clear()
+            bfgs_lanes(kernel, x, mask, max_iter=max_iter)
+            assert len(symmetric) > 50 and all(symmetric)
+    finally:
+        estimation._lane_directions = directions
 
 
 def steepens(x):
