@@ -316,7 +316,8 @@ def _validate_config(cfg: dict) -> None:
 def _read_json(path: str, what: str):
     """The JSON value in the ``what`` file at ``path``."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # utf-8-sig accepts a file saved with a byte-order mark.
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return json.load(handle)
     except OSError as exc:
         raise CliError(f"cannot read {what} file: {exc}") from None

@@ -63,7 +63,8 @@ def load_series(path) -> ObservedSeries:
     if not path.exists():
         raise DataError(f"data file not found: {path}")
     try:
-        text = path.read_bytes().decode("utf-8")
+        # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports begin with.
+        text = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     with io.StringIO(text, newline="") as handle:

@@ -33,9 +33,9 @@ from .model import (
     YearGrid,
     _checked_theta,
     _clamped_logistic,
-    _stacked_design,
     embed,
     logit,
+    rescale_time,
     superset_mask,
 )
 
@@ -780,8 +780,14 @@ def sample_parameters(
     eigvals, eigvecs = np.linalg.eigh(cov)
     root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_draws, theta_hat.size))
-    return theta_hat[None, :] + z @ root
+    # theta_hat is added into the product's own buffer, bitwise
+    # theta_hat + z @ root.  That buffer is allocated before z, so freeing z
+    # leaves no hole below it in the heap; allocated after z, it raised a
+    # report's peak RSS by about 0.4 MB.
+    draws = np.empty((n_draws, theta_hat.size))
+    np.matmul(rng.standard_normal((n_draws, theta_hat.size)), root, out=draws)
+    draws += theta_hat
+    return draws
 
 
 def confidence_bands(
@@ -799,10 +805,11 @@ def confidence_bands(
     so the k-th smallest trajectory value is the logistic of the k-th
     smallest linear predictor.  Each tail needs the two order statistics
     around its quantile.  They are selected, not sorted: one in-place
-    partition of each year's predictors at the tail's higher rank, on the
-    ranks not yet placed, puts that rank in place, and the largest
-    predictor below it is the lower rank.  Only these four predictors go
-    through the logistic.  A non-finite draw raises ``ValueError``.
+    partition of each year's predictors, on the ranks not yet placed, puts
+    one of the two in place, and a max or min over the shorter remainder
+    gives the other.  Only these four predictors per year go through the
+    logistic, once for all five trajectories.  A non-finite draw raises
+    ``ValueError``.
     """
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 2 or draws.shape[0] < 2:
@@ -819,48 +826,62 @@ def confidence_bands(
         below = min(math.floor(h), last)
         picks.append((below, min(below + 1, last), h - below))
     columns = [i for below, above, _ in picks for i in (below, above)]
-    lower = {}
-    upper = {}
-    design = _stacked_design(spec, grid)
     draws = _checked_theta(draws, spec)
-    finite = np.isfinite(draws).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"draw {int(np.argmin(finite))} is not finite")
+    if not np.isfinite(draws).all():
+        # The per-draw check, only to name the first bad row.
+        raise ValueError(f"draw {int(np.argmin(np.isfinite(draws).all(axis=1)))} is not finite")
+    # Each trajectory's predictors are its Vandermonde columns times its own
+    # coefficients: the spec's kept columns of its superset block, which are
+    # contiguous columns of the draws.
+    vander = np.vander(rescale_time(grid.years, grid), 3, increasing=True)
+    widths = superset_mask(spec)[:-1].reshape(len(TRAJECTORY_NAMES), 3).sum(axis=1)
     eta = np.empty((grid.n_years, draws.shape[0]))
-    for i, name in enumerate(TRAJECTORY_NAMES):
-        # Trajectory i's predictors, one column per draw: row block i of the
-        # design on its own coefficients' columns.  With the zero columns the
-        # product is large enough to run on BLAS threads that spin after it.
-        # Finite draws may overflow their predictors to inf, as in the
+    picked = np.empty((len(TRAJECTORY_NAMES), grid.n_years, len(columns)))
+    col = 0
+    for i, width in enumerate(widths):
+        # Trajectory i's predictors, one column per draw.  The coefficient
+        # operand is copied to a C-ordered (width, n_draws) array: with an
+        # F-ordered one, OpenBLAS may run the product on a second thread that
+        # spins after it, for up to twice the CPU time and no gain in wall
+        # time.  Finite draws may overflow their predictors to inf, as in the
         # kernel; the clamped logistic maps inf inside (0, 1).
-        block = design[i * grid.n_years:(i + 1) * grid.n_years]
-        used = block.any(axis=0)
         with np.errstate(over="ignore"):
-            np.matmul(np.ascontiguousarray(block[:, used]), draws[:, used].T, out=eta)
+            np.matmul(np.ascontiguousarray(vander[:, :width]),
+                      draws[:, col:col + width].T.copy(), out=eta)
+        col += width
         # Each year's predictors at the picked ranks.  Columns left of
-        # ``start`` hold the ranks below it, so a partition of the rest at
-        # the higher rank places it, and the lower one, if not yet placed,
-        # is the largest of the columns between.  A second tail whose
-        # ranks coincide with the first's needs no partition.  Where a
-        # sort and the max would pick different zeros, +0.0 and -0.0, the
-        # logistic maps both to 0.5.
+        # ``start`` hold the ranks below it.  A tail partitions the rest at
+        # whichever of its two ranks leaves the shorter remainder to reduce:
+        # at the higher rank, the lower one is the largest of the columns
+        # left of it; at the lower rank, the higher one is the smallest of
+        # the columns right of it.  A rank an earlier tail found needs no
+        # work.  Where a sort and the max or min would pick different
+        # zeros, +0.0 and -0.0, the logistic maps both to 0.5.
         ranked = {}
         start = 0
         for below, above, _ in picks:
-            if above < start:
+            if below in ranked and above in ranked:
                 continue
-            eta[:, start:].partition(above - start, axis=1)
-            ranked[above] = eta[:, above]
-            if below not in ranked:
-                ranked[below] = np.maximum.reduce(eta[:, start:above], axis=1)
-            start = above + 1
-        values = _clamped_logistic(np.stack([ranked[rank] for rank in columns], axis=1))
-        bands = []
-        for j, (_, _, g) in enumerate(picks):
-            a = values[:, 2 * j]
-            b = values[:, 2 * j + 1]
-            d = b - a
-            # np.quantile's interpolation, which switches form at g = 0.5.
-            bands.append(b - d * (1.0 - g) if g >= 0.5 else a + d * g)
-        lower[name], upper[name] = bands
+            if above - start <= last - below:
+                eta[:, start:].partition(above - start, axis=1)
+                ranked[above] = eta[:, above]
+                if below not in ranked:
+                    ranked[below] = np.maximum.reduce(eta[:, start:above], axis=1)
+                start = above + 1
+            else:
+                eta[:, start:].partition(below - start, axis=1)
+                ranked[below] = eta[:, below]
+                if above not in ranked:
+                    ranked[above] = np.minimum.reduce(eta[:, below + 1:], axis=1)
+                start = below + 1
+        np.stack([ranked[rank] for rank in columns], axis=1, out=picked[i])
+    values = _clamped_logistic(picked)
+    bands = []
+    for j, (_, _, g) in enumerate(picks):
+        a = values[..., 2 * j]
+        b = values[..., 2 * j + 1]
+        d = b - a
+        # np.quantile's interpolation, which switches form at g = 0.5.
+        bands.append(b - d * (1.0 - g) if g >= 0.5 else a + d * g)
+    lower, upper = (dict(zip(TRAJECTORY_NAMES, band)) for band in bands)
     return TrajectoryBands(level=level, lower=lower, upper=upper)

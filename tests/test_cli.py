@@ -315,6 +315,15 @@ class TestSynth:
         report = json.loads((fit_out / "run_report.json").read_text())
         assert report["fit"]["sse"] <= 1e-10
 
+    def test_scenario_with_byte_order_mark(self, tmp_path):
+        for encoding in ("utf-8", "utf-8-sig"):
+            path = tmp_path / f"{encoding}.json"
+            path.write_text(json.dumps(SCENARIO), encoding=encoding)
+            out = tmp_path / encoding
+            assert run_cli(["synth", "--scenario", str(path), "--out", str(out)]) == 0
+        assert ((tmp_path / "utf-8-sig" / "data.csv").read_bytes()
+                == (tmp_path / "utf-8" / "data.csv").read_bytes())
+
     def test_synth_requires_scenario(self, tmp_path, capsys):
         assert run_cli(["synth", "--out", str(tmp_path)]) == 1
 
@@ -462,6 +471,15 @@ class TestConfigAndEnvironment:
         assert message in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_config_with_byte_order_mark(self, data_csv, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"optimizer": {"n_starts": 2}}), encoding="utf-8-sig")
+        code = run_cli(["fit", "--config", str(path), "--data", str(data_csv),
+                        "--out", str(tmp_path / "out"), "--max-iter", "400"])
+        assert code in (0, 2)
+        echo = json.loads((tmp_path / "out" / "run_report.json").read_text())["config"]
+        assert echo["optimizer"]["n_starts"] == 2
 
     def test_out_dir_env_default(self, data_csv, tmp_path, monkeypatch):
         monkeypatch.setenv("FLOWFIT_OUT_DIR", str(tmp_path / "from_env"))

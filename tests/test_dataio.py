@@ -123,6 +123,17 @@ class TestLoadSeries:
         obs = load_series(write_csv(tmp_path / "d.csv", rows, HEADER + ",note"))
         assert obs.grid.n_years == 2
 
+    def test_byte_order_mark_loads_as_the_plain_file(self, tmp_path):
+        # Spreadsheets save "CSV UTF-8" with a byte-order mark in front.
+        rows = [f"{2000 + i},{1000 + i},{100 + i},{40 + i},{5 + i}" for i in range(5)]
+        plain = write_csv(tmp_path / "plain.csv", rows, HEADER + ",phd_intl")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = load_series(plain), load_series(marked)
+        assert got.grid == want.grid
+        for name in ("b", "m", "p", "p_intl"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
 
 class TestRoundTrip:
     def test_write_then_load_equal(self, tmp_path):

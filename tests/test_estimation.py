@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +17,7 @@ from flowfit import (
     covariance,
     default_starts,
     enumerate_grid,
+    estimation,
     eval_param_trajectories,
     generate,
     gradient_fd,
@@ -428,6 +434,18 @@ class TestSampleParameters:
         b = sample_parameters(unc, theta, n_draws=100, seed=3)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n_draws", [2, 7, 4000])
+    def test_draws_are_the_formula_bit_for_bit(self, n_draws):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(15, 15))
+        unc = UncertaintyResult(np.eye(15), 1.0, 0.01 * (a @ a.T), False)
+        eigvals, eigvecs = np.linalg.eigh(unc.covariance)
+        root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
+        z = np.random.default_rng(4).standard_normal((n_draws, 15))
+        want = RECOVERY_THETA[None, :] + z @ root
+        got = sample_parameters(unc, RECOVERY_THETA, n_draws=n_draws, seed=4)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestConfidenceBands:
     def test_degenerate_draws_collapse(self):
@@ -481,6 +499,44 @@ class TestConfidenceBands:
         draws[6, 0] = np.nan
         with pytest.raises(ValueError, match="^draw 3 is not finite$"):
             confidence_bands(draws, RECOVERY_SPEC, GRID)
+
+    def test_memory_order_of_the_draws_changes_no_bit(self):
+        unc = UncertaintyResult(np.eye(15), 1.0, 0.01 * np.eye(15), False)
+        draws = sample_parameters(unc, RECOVERY_THETA, n_draws=8000, seed=2)
+        want = confidence_bands(draws[::2].copy(), RECOVERY_SPEC, GRID)
+        for variant in (np.asfortranarray(draws[::2]), draws[::2]):
+            got = confidence_bands(variant, RECOVERY_SPEC, GRID)
+            for side in ("lower", "upper"):
+                for name in TRAJECTORY_NAMES:
+                    assert getattr(got, side)[name].tobytes() == getattr(want, side)[name].tobytes()
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+    def test_products_run_on_one_blas_thread(self):
+        # With an F-ordered or strided draws operand OpenBLAS may run each
+        # trajectory's product on a second thread that spins after it: up
+        # to twice the CPU time for no gain in wall time.
+        code = (
+            "import time\n"
+            "import numpy as np\n"
+            "from flowfit import ModelSpec, YearGrid, confidence_bands\n"
+            "spec = ModelSpec(2, 2, False)\n"
+            "grid = YearGrid(1969, 2017)\n"
+            "draws = np.random.default_rng(0).normal(0.0, 0.3, (4000, spec.n_params))\n"
+            "confidence_bands(draws, spec, grid)\n"
+            # OpenBLAS's helper threads spin for a while after they start
+            # before they sleep; time the calls only once they have.
+            "time.sleep(1.0)\n"
+            "cpu, wall = time.process_time(), time.perf_counter()\n"
+            "for _ in range(20):\n"
+            "    confidence_bands(draws, spec, grid)\n"
+            "print(time.process_time() - cpu, time.perf_counter() - wall)\n"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(
+            [str(Path(estimation.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        cpu, wall = map(float, done.stdout.split())
+        assert cpu <= 1.3 * wall
 
 
 @st.composite
