@@ -321,6 +321,8 @@ def _read_json(path: str, what: str):
             return json.load(handle)
     except OSError as exc:
         raise CliError(f"cannot read {what} file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{what} file is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"{what} file is not valid JSON: {exc}") from None
 

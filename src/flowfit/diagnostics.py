@@ -4,7 +4,9 @@ Two refit-based checks probe the stability of a fitted specification:
 start-year truncation (drop the earliest years and refit on the remaining
 window) and rolling-origin hindcasting (refit on data through a cutoff
 year, then predict the next year's completions out of sample).  Every
-window's refit is a lane job, and the windows run as one lane set.
+window's refit is a lane job, and the windows run as one lane set.  A
+hindcast prediction is :func:`~flowfit.model.simulate` on the refit's
+window and the year after it, read at that year.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from .model import (
     SimulationResult,
     YearGrid,
     eval_param_trajectories,
-    initialize_stocks,
-    run_recurrence,
+    simulate,
 )
 
 HISTOGRAM_EDGE = 0.12
@@ -215,8 +216,8 @@ def robustness_report(jobs: Sequence[LaneJob], obs: ObservedSeries) -> Robustnes
     """The truncation rows and the hindcast from :func:`robustness_jobs`'s fitted jobs.
 
     Pooled log-RMSE uses N = 2 * window years.  Each hindcast window's
-    year-T+1 completions are predicted by running its fitted recurrence one
-    year further, with trajectories extrapolated to T+1; the hindcast
+    year-T+1 completions are predicted by simulating its fit on the sample
+    through T+1, with trajectories extrapolated to T+1; the hindcast
     reports per-series and pooled RMSE of the one-step log errors, and is
     None without cutoffs.
     """
@@ -256,10 +257,11 @@ def robustness_report(jobs: Sequence[LaneJob], obs: ObservedSeries) -> Robustnes
 def _hindcast_prediction(obs: ObservedSeries, job: LaneJob) -> HindcastPrediction:
     window, fit = job.obs, job.fit
     cutoff = window.grid.t_max
-    m_pred, p_pred = _predict_next_year(window, job.spec, fit.theta_hat, job.scale_grid)
-    i_next = cutoff + 1 - obs.grid.t_min
-    m_obs = float(obs.m[i_next])
-    p_obs = float(obs.p[i_next])
+    ahead = obs.window(window.grid.t_min, cutoff + 1)
+    m_pred, p_pred = _predict_next_year(ahead, job.spec, fit.theta_hat,
+                                        window.grid if job.scale_grid is None else job.scale_grid)
+    m_obs = float(ahead.m[-1])
+    p_obs = float(ahead.p[-1])
     if not (0.0 < m_pred < math.inf and 0.0 < p_pred < math.inf):
         raise NumericalError(
             f"hindcast for {cutoff + 1} predicts non-positive or non-finite completions "
@@ -331,22 +333,14 @@ def rolling_origin_hindcast(
 
 
 def _predict_next_year(
-    window: ObservedSeries,
-    spec: ModelSpec,
-    theta: np.ndarray,
-    scale_grid: Optional[YearGrid],
+    ahead: ObservedSeries, spec: ModelSpec, theta: np.ndarray, scale_grid: YearGrid
 ) -> tuple[float, float]:
-    """Run the fitted recurrence one year past the window and read that year's flows.
+    """The flows of ``ahead``'s last year, a refit window's next, by :func:`simulate`.
 
-    Rescaled time is anchored on ``scale_grid``, the refit's own, or on the
-    window's grid when it is None.
+    Rescaled time is anchored on ``scale_grid``, the refit's own.  The
+    last year's inputs never reach its flows, so the prediction reads the
+    window's data alone.
     """
-    years = np.arange(window.grid.t_min, window.grid.t_max + 2)
-    traj = eval_param_trajectories(theta, spec, window.grid if scale_grid is None else scale_grid,
-                                   years=years)
-    stock_m0, stock_p0 = initialize_stocks(window, traj)
-    # Inputs of the year after the window never reach that year's flows.
-    b = np.append(window.b, 0.0)
-    p_intl = np.append(window.p_intl, 0.0) if spec.forcing else None
-    sim = run_recurrence(b, traj, stock_m0, stock_p0, p_intl=p_intl)
+    traj = eval_param_trajectories(theta, spec, scale_grid, years=ahead.grid.years)
+    sim = simulate(ahead, traj, spec)
     return float(sim.flow_m[-1]), float(sim.flow_p[-1])

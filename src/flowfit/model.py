@@ -8,6 +8,12 @@ releases completions at a per-year hazard.  Routing fractions and hazards
 are logistic images of low-degree polynomials in rescaled time, so the
 whole system is parameterized by a single unconstrained coefficient
 vector.
+
+The trajectories are written once, in :func:`_logistic_trajectories`:
+:class:`LaneKernel` runs it on its lanes and
+:func:`eval_param_trajectories` on one vector, with the same bits.
+:func:`run_recurrence` is the annual update on Python floats, which
+:func:`simulate` runs for the report, the hindcast and synthetic data.
 """
 
 from __future__ import annotations
@@ -266,24 +272,20 @@ def _clamped_logistic(eta: np.ndarray, numerator: Optional[np.ndarray] = None) -
     return np.minimum(out, 1.0 - LOGISTIC_CLAMP, out=out)
 
 
-def _stacked_design(
-    spec: ModelSpec, grid: YearGrid, years: Optional[Sequence[int]] = None
-) -> np.ndarray:
-    """The ``(5 n_years, k)`` block design of ``spec`` at ``years`` (default: the grid's own).
+def _logistic_trajectories(c0, c1, c2, s, s2, p: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The five trajectories: the clamped logistic of ``(c0 + c1 s) + c2 s^2``, into ``p``.
 
-    Row block i holds 1, s, s^2 at the rescaled years under trajectory i's
-    superset coefficients; ``spec`` keeps the columns of its mask.
+    Summed in that order, so an infinite coefficient times s = 0 is nan in
+    its own trajectory.  ``p`` and ``scratch`` have the broadcast shape of
+    the coefficients and the rescaled years, ``(5, n_years, ...)``;
+    ``scratch`` holds the quadratic term and then the logistic's numerator.
+    Overflow is the caller's to allow.
     """
-    s = rescale_time(grid.years if years is None else np.asarray(years, dtype=float), grid)
-    n = s.size
-    vander = np.vander(s, 3, increasing=True)
-    design = np.zeros((len(TRAJECTORY_NAMES) * n, SUPERSET_SPEC.n_params))
-    for row in range(len(TRAJECTORY_NAMES)):
-        design[row * n:(row + 1) * n, 3 * row:3 * row + 3] = vander
-    # design[:, mask] comes out F-ordered, and BLAS rounds a product with a
-    # matrix differently for each memory order (fits move by about 1e-9).
-    # One order, C, keeps every fit and report reproducible.
-    return np.ascontiguousarray(design[:, superset_mask(spec)])
+    np.multiply(c1, s, p)
+    np.add(c0, p, p)
+    np.multiply(c2, s2, scratch)
+    np.add(p, scratch, p)
+    return _clamped_logistic(p, scratch)
 
 
 def _forcing_weight(lambda_raw):
@@ -304,22 +306,6 @@ def _checked_theta(theta: np.ndarray, spec: ModelSpec) -> np.ndarray:
     return theta
 
 
-def _trajectory_values(
-    theta: np.ndarray, spec: ModelSpec, design: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """The five trajectories, stacked as ``(5 n_years,)``, and the forcing weight (0 if none).
-
-    One product with ``spec``'s :func:`_stacked_design` gives all five linear
-    predictors, so an infinite coefficient turns the other trajectories
-    into ``nan`` (0 * inf).
-    """
-    if np.ndim(theta) != 1:
-        raise ValueError(f"theta must be one parameter vector, got shape {np.shape(theta)}")
-    theta = _checked_theta(theta, spec)
-    lam = float(_forcing_weight(float(theta[-1]))) if spec.forcing else 0.0
-    return _clamped_logistic(design @ theta), lam
-
-
 def eval_param_trajectories(
     theta: np.ndarray,
     spec: ModelSpec,
@@ -329,10 +315,22 @@ def eval_param_trajectories(
     """Evaluate the five parameter trajectories at the given years.
 
     ``grid`` anchors the time rescaling; ``years`` defaults to the grid
-    itself but may extend beyond it (polynomial extrapolation).
+    itself but may extend beyond it (polynomial extrapolation).  The
+    trajectories are :func:`_logistic_trajectories` of ``embed(theta,
+    spec)``, the formula and the ufuncs of :class:`LaneKernel`.
     """
-    values, lam = _trajectory_values(theta, spec, _stacked_design(spec, grid, years))
-    return ParamTrajectories(*values.reshape(len(TRAJECTORY_NAMES), -1), lam=lam)
+    if np.ndim(theta) != 1:
+        raise ValueError(f"theta must be one parameter vector, got shape {np.shape(theta)}")
+    theta = embed(theta, spec)
+    s = rescale_time(grid.years if years is None else np.asarray(years, dtype=float), grid)
+    c0, c1, c2 = theta[:-1].reshape(len(TRAJECTORY_NAMES), 3, 1).transpose(1, 0, 2)
+    p = np.empty((len(TRAJECTORY_NAMES), s.size))
+    # Overflow to inf/nan is allowed, as in the kernel; simulate's flows then
+    # go invalid.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _logistic_trajectories(c0, c1, c2, s, s * s, p, np.empty_like(p))
+    lam = float(_forcing_weight(float(theta[-1]))) if spec.forcing else 0.0
+    return ParamTrajectories(*p, lam=lam)
 
 
 def initialize_stocks(obs: ObservedSeries, traj: ParamTrajectories) -> tuple[float, float]:
@@ -342,46 +340,6 @@ def initialize_stocks(obs: ObservedSeries, traj: ParamTrajectories) -> tuple[flo
     if m0 <= 0 or p0 <= 0:
         raise ValueError("first-year master's and PhD completions must be positive")
     return m0 / float(traj.gamma_m[0]), p0 / float(traj.gamma_p[0])
-
-
-def _annual_updates(
-    b: list[float],
-    rho_bm: list[float],
-    rho_bp: list[float],
-    rho_mp: list[float],
-    gamma_m: list[float],
-    gamma_p: list[float],
-    forcing: Optional[list[float]],
-    stock_m0: float,
-    stock_p0: float,
-) -> tuple[list[float], list[float], list[float], list[float]]:
-    """The annual update on Python floats: stocks and flows of every year.
-
-    Every argument but the initial stocks is a list of one length;
-    ``forcing`` holds the forcing terms ``lam * p_intl`` or is None.
-    Returns the lists ``stock_m, stock_p, flow_m, flow_p``.
-    """
-    stock_m = []
-    stock_p = []
-    flow_m = []
-    flow_p = []
-    sm = stock_m0
-    sp = stock_p0
-    # The update after the last year is computed and dropped.
-    for b_i, rbm, rbp, rmp, gm, gp, f in zip(
-        b, rho_bm, rho_bp, rho_mp, gamma_m, gamma_p, repeat(None) if forcing is None else forcing
-    ):
-        fm = gm * sm
-        fp = gp * sp
-        stock_m.append(sm)
-        stock_p.append(sp)
-        flow_m.append(fm)
-        flow_p.append(fp)
-        sp = sp + rbp * b_i + rmp * fm - fp
-        if f is not None:
-            sp += f
-        sm = sm + rbm * b_i - fm
-    return stock_m, stock_p, flow_m, flow_p
 
 
 def run_recurrence(
@@ -400,18 +358,25 @@ def run_recurrence(
     own completions.  Flows satisfy flow = hazard * stock exactly.
     """
     # Scalar float arithmetic in the loop; numpy scalars are much slower here.
-    forcing = None
-    if p_intl is not None:
-        lam = traj.lam
-        forcing = [lam * float(x) for x in p_intl]
-    lists = _annual_updates(
-        [float(x) for x in b],
-        *(getattr(traj, name).tolist() for name in TRAJECTORY_NAMES),
-        forcing,
-        float(stock_m0),
-        float(stock_p0),
-    )
-    return SimulationResult(*(np.array(values) for values in lists))
+    forcing = repeat(None) if p_intl is None else [traj.lam * float(x) for x in p_intl]
+    stock_m, stock_p, flow_m, flow_p = [], [], [], []
+    sm = float(stock_m0)
+    sp = float(stock_p0)
+    # The update after the last year is computed and dropped.
+    for b_i, rbm, rbp, rmp, gm, gp, f in zip(
+        np.asarray(b, dtype=float).tolist(), *(getattr(traj, name).tolist() for name in TRAJECTORY_NAMES), forcing
+    ):
+        fm = gm * sm
+        fp = gp * sp
+        stock_m.append(sm)
+        stock_p.append(sp)
+        flow_m.append(fm)
+        flow_p.append(fp)
+        sp = sp + rbp * b_i + rmp * fm - fp
+        if f is not None:
+            sp += f
+        sm = sm + rbm * b_i - fm
+    return SimulationResult(*map(np.array, (stock_m, stock_p, flow_m, flow_p)))
 
 
 def simulate(obs: ObservedSeries, traj: ParamTrajectories, spec: ModelSpec) -> SimulationResult:
@@ -741,14 +706,9 @@ class LaneKernel:
         # Overflow to inf/nan is allowed; it makes a lane invalid, or falls
         # in its pad years.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # (5, n, B): each trajectory's predictor (c0 + c1 s) + c2 s^2,
-            # summed in that order (an infinite coefficient times s = 0 is nan).
-            p = w.p
-            np.multiply(w.c1, s, p)
-            np.add(w.c0, p, p)
-            np.multiply(w.c2, s2, w.quad)
-            np.add(p, w.quad, p)
-            _clamped_logistic(p, w.quad)
+            # (5, n, B): the trajectories, the quadratic term and the
+            # logistic's numerator in ``quad``.
+            p = _logistic_trajectories(w.c0, w.c1, w.c2, s, s2, w.p, w.quad)
 
             if forced:
                 # The forcing weight, 0 for a lane without forcing.

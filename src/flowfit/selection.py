@@ -56,11 +56,11 @@ def information_criteria(sse: float, k: int, n: int) -> tuple[float, float]:
     return 2.0 * k + goodness, k * math.log(n) + goodness
 
 
-def enumerate_grid(include_forcing: bool = True) -> list[ModelSpec]:
+def enumerate_grid() -> list[ModelSpec]:
     """All grid specifications in deterministic index order."""
     return [ModelSpec(deg_gamma=deg_gamma, deg_rho=deg_rho, forcing=forcing)
             for deg_gamma in GRID_DEGREES for deg_rho in GRID_DEGREES
-            for forcing in (False, True) if include_forcing or not forcing]
+            for forcing in (False, True)]
 
 
 def unfittable_reason(spec: ModelSpec, obs: ObservedSeries) -> Optional[str]:

@@ -10,11 +10,18 @@ criteria recomputed from them match the published AIC/BIC to about
 ``fd_hessian`` is the second-difference Hessian of any scalar function,
 the reference for ``numerical_hessian``.
 
+``block_design`` is the stacked ``(5 n_years, k)`` design of a spec,
+written block by block: row block i gives trajectory i's linear
+predictors.
+
 ``_Objective`` is the list-level kernel: the loss and its exact gradient
 by one forward pass and one reverse sweep (``_adjoint_sweep``,
-``_pull_back``) on Python floats, year by year.  It shares no code with
-:class:`~flowfit.model.LaneKernel` past the trajectories and the annual
-update, so it is the sequential oracle the lane kernel is held to.
+``_pull_back``) on Python floats, year by year.  Its trajectories are one
+product with ``block_design`` and its recurrence is
+``_scenarios.oracle_recurrence``.  It shares no code with
+:class:`~flowfit.model.LaneKernel` past the clamped logistic, the forcing
+weight and the length check of a parameter vector, so it is the
+sequential oracle the lane kernel is held to.
 
 ``sorted_bands`` is :func:`~flowfit.estimation.confidence_bands` by a full
 sort of each year's linear predictors, the oracle the bands' order
@@ -36,11 +43,13 @@ from flowfit.model import (
     ModelSpec,
     ObservedSeries,
     YearGrid,
-    _annual_updates,
+    _checked_theta,
     _clamped_logistic,
-    _stacked_design,
-    _trajectory_values,
+    _forcing_weight,
+    rescale_time,
 )
+
+from _scenarios import oracle_recurrence
 
 REFERENCE_GRID = [
     (2, 2, False, 15, 0.129, -619.7, 0.0, -581.0, 0.0),
@@ -102,6 +111,19 @@ def fd_hessian(f, x, rel_step=1e-4):
     return _symmetrized(hess)
 
 
+def block_design(spec, grid, years=None):
+    """The stacked design written block by block: Vandermonde columns of each width."""
+    s = rescale_time(grid.years if years is None else np.asarray(years, dtype=float), grid)
+    n = s.size
+    widths = (spec.deg_rho + 1,) * 3 + (spec.deg_gamma + 1,) * 2
+    design = np.zeros((5 * n, spec.n_params))
+    start = 0
+    for row, width in enumerate(widths):
+        design[row * n:(row + 1) * n, start:start + width] = np.vander(s, width, increasing=True)
+        start += width
+    return design
+
+
 def sorted_bands(draws, spec, grid, level=0.95):
     """``confidence_bands`` of finite ``draws`` from fully sorted predictors.
 
@@ -118,7 +140,7 @@ def sorted_bands(draws, spec, grid, level=0.95):
         below = min(math.floor(h), last)
         picks.append((below, min(below + 1, last), h - below))
     columns = [i for below, above, _ in picks for i in (below, above)]
-    design = _stacked_design(spec, grid)
+    design = block_design(spec, grid)
     lower = {}
     upper = {}
     for i, name in enumerate(TRAJECTORY_NAMES):
@@ -142,8 +164,8 @@ def sorted_bands(draws, spec, grid, level=0.95):
 class _Forward:
     """One evaluation of :class:`_Objective` and the state its gradient reuses.
 
-    ``p`` and ``lam`` are as :func:`~flowfit.model._trajectory_values` gives
-    them; the rest are Python floats or lists of them.  The residual lists
+    ``p`` holds the five trajectories, stacked as ``(5 n_years,)``, and
+    ``lam`` the forcing weight (0 without forcing); the rest are Python floats or lists of them.  The residual lists
     cover every year, year 0 as 0; at an invalid point ``value`` is +inf
     and they are empty.
     """
@@ -169,7 +191,7 @@ class _Objective:
     Its value and gradient are :func:`loss`'s and :func:`loss_gradient`'s up
     to round-off, on Python floats.  With :func:`_adjoint_sweep` and
     :func:`_pull_back` below it is the whole reference.  The per-fit data
-    are turned into lists and the stacked design is built once.  ``value``
+    are turned into lists and the :func:`block_design` is built once.  ``value``
     keeps the point and forward state of its last call.  ``gradient`` at
     that point runs only the reverse sweep; at any other point it runs the
     forward pass first.  At a point where a counted flow (any but year
@@ -182,8 +204,8 @@ class _Objective:
             raise ValueError("forcing specification requires the p_intl series")
         self.spec = spec
         # Trajectories at the data's years on the (possibly wider) rescaling grid.
-        self.design = _stacked_design(spec, obs.grid if scale_grid is None else scale_grid,
-                                      None if scale_grid is None else obs.grid.years)
+        self.design = block_design(spec, obs.grid if scale_grid is None else scale_grid,
+                                   None if scale_grid is None else obs.grid.years)
         self.b = obs.b.tolist()
         self.log_m = np.log(obs.m).tolist()
         self.log_p = np.log(obs.p).tolist()
@@ -194,17 +216,15 @@ class _Objective:
 
     def _forward(self, theta: np.ndarray) -> _Forward:
         """Trajectories, recurrence, counted log residuals and loss at one point."""
-        theta = np.array(theta, dtype=float)
-        p, lam = _trajectory_values(theta, self.spec, self.design)
+        theta = _checked_theta(np.array(theta, dtype=float), self.spec)
+        p = _clamped_logistic(self.design @ theta)
+        lam = float(_forcing_weight(float(theta[-1]))) if self.spec.forcing else 0.0
         rho_bm, rho_bp, rho_mp, gamma_m, gamma_p = (
             row.tolist() for row in p.reshape(len(TRAJECTORY_NAMES), -1)
         )
-        forcing = None
-        if self.p_intl is not None:
-            forcing = [lam * x for x in self.p_intl]
-        stock_m, stock_p, flow_m, flow_p = _annual_updates(
-            self.b, rho_bm, rho_bp, rho_mp, gamma_m, gamma_p, forcing,
-            self.m0 / gamma_m[0], self.p0 / gamma_p[0],
+        stock_m, stock_p, flow_m, flow_p = oracle_recurrence(
+            self.b, rho_bm, rho_bp, rho_mp, gamma_m, gamma_p,
+            self.m0 / gamma_m[0], self.p0 / gamma_p[0], lam, self.p_intl,
         )
         if all(0.0 < f < math.inf for f in flow_m[1:] + flow_p[1:]):
             r_m = [0.0, *map(operator.sub, self.log_m[1:], map(math.log, flow_m[1:]))]
@@ -260,7 +280,7 @@ def _adjoint_sweep(
     flow_m_bar: list[float],
     flow_p_bar: list[float],
 ) -> tuple[list[float], float]:
-    """Reverse sweep of :func:`_annual_updates` and the initial stocks, on Python floats.
+    """Reverse sweep of ``oracle_recurrence`` and the initial stocks, on Python floats.
 
     The flow adjoints cover the first ``len(flow_m_bar)`` years; the sweep
     runs from the last of them back to year 0.  Returns the adjoints of
@@ -309,8 +329,8 @@ def _pull_back(
 ) -> np.ndarray:
     """Pull adjoints of the trajectories back to the parameter vector.
 
-    ``p`` and ``lam`` are what :func:`_trajectory_values` gave for
-    ``theta`` and ``design``; ``p_bar`` holds the adjoint (the derivative of
+    ``p`` and ``lam`` are the trajectories and the forcing weight
+    :class:`_Objective` formed from ``theta`` and ``design``; ``p_bar`` holds the adjoint (the derivative of
     some scalar) of each entry of ``p``, and ``lam_bar`` that of ``lam``.
 
     The clamped logistic has derivative p(1-p) strictly inside the clamp

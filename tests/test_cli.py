@@ -324,6 +324,15 @@ class TestSynth:
         assert ((tmp_path / "utf-8-sig" / "data.csv").read_bytes()
                 == (tmp_path / "utf-8" / "data.csv").read_bytes())
 
+    def test_scenario_not_utf8_exits_1_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b'{"t_min": 1969, "t_max": \xff}')
+        assert run_cli(["synth", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "scenario file is not UTF-8 text: 'utf-8' codec can't decode byte 0xff" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_synth_requires_scenario(self, tmp_path, capsys):
         assert run_cli(["synth", "--out", str(tmp_path)]) == 1
 
@@ -480,6 +489,17 @@ class TestConfigAndEnvironment:
         assert code in (0, 2)
         echo = json.loads((tmp_path / "out" / "run_report.json").read_text())["config"]
         assert echo["optimizer"]["n_starts"] == 2
+
+    def test_config_not_utf8_exits_1_naming_it(self, data_csv, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_bytes(b'{"optimizer": {"n_starts": \xff}}')
+        code = run_cli(["fit", "--config", str(path), "--data", str(data_csv),
+                        "--out", str(tmp_path / "out"), *FAST])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config file is not UTF-8 text: 'utf-8' codec can't decode byte 0xff" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_out_dir_env_default(self, data_csv, tmp_path, monkeypatch):
         monkeypatch.setenv("FLOWFIT_OUT_DIR", str(tmp_path / "from_env"))

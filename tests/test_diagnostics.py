@@ -20,7 +20,7 @@ from flowfit import (
     truncation_study,
 )
 from flowfit import diagnostics
-from flowfit.estimation import LaneJob, fit_lane_set
+from flowfit.estimation import FitResult, LaneJob, fit_lane_set
 
 from _reference import N_TOTAL, PREFERRED_SSE
 from _scenarios import RECOVERY_SPEC, RECOVERY_THETA, recovery_scenario
@@ -256,7 +256,7 @@ def test_report_reads_the_jobs_own_time_scale(small_noise_free, quick_options, r
 
 
 def hand_coded_next_year(window, spec, theta, rescale, full_grid):
-    """The one-step update written out by hand: the oracle for ``_predict_next_year``."""
+    """The one-step update written out by hand: the oracle for the hindcast's predictions."""
     scale_grid = full_grid if rescale == "full" else window.grid
     traj = eval_param_trajectories(theta, spec, scale_grid, years=window.grid.years)
     sim = simulate(window, traj, spec)
@@ -274,15 +274,23 @@ def hand_coded_next_year(window, spec, theta, rescale, full_grid):
 @pytest.mark.parametrize("forcing", [False, True])
 @pytest.mark.parametrize("rescale", ["window", "full"])
 def test_predict_next_year_is_the_recurrence_one_year_on(rescale, forcing):
+    # A hindcast row of a fitted window job: its predictions against the
+    # oracle, its observations the sample's next year.
     obs, _ = generate(recovery_scenario(p_intl=True, noise_sd=0.02, seed=2))
     spec = ModelSpec(2, 2, forcing=forcing)
     rng = np.random.default_rng(21)
     scale_grid = obs.grid if rescale == "full" else None
     for cutoff in (1975, 1995, 2016):
         window = obs.window(obs.grid.t_min, cutoff)
+        i_next = cutoff + 1 - obs.grid.t_min
         for _ in range(5):
             theta = rng.normal(0.0, 0.5, spec.n_params)
             theta[:RECOVERY_THETA.size] += RECOVERY_THETA
-            got = diagnostics._predict_next_year(window, spec, theta, scale_grid)
+            fit = FitResult(theta_hat=theta, sse=1.0, converged=True, n_iterations=1,
+                            n_starts_used=1, grad_norm_at_opt=0.0)
+            job = LaneJob(spec, window, theta[None], scale_grid, fit)
+            got = diagnostics._hindcast_prediction(obs, job)
             want = hand_coded_next_year(window, spec, theta, rescale, obs.grid)
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert (got.m_pred, got.p_pred) == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert (got.m_obs, got.p_obs) == (obs.m[i_next], obs.p[i_next])
+            assert got.cutoff == cutoff and got.fit_sse == 1.0

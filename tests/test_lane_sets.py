@@ -212,8 +212,9 @@ def test_refits_equal_per_window_fit_lane_set(n_starts, rescale):
     result = ff.rolling_origin_hindcast(SMALL, spec, cutoffs, opts, rescale=rescale)
     assert [p.fit_sse for p in result.predictions] == [fit.sse for fit in want["hindcast"]]
     for prediction, window, fit in zip(result.predictions, hindcast, want["hindcast"]):
-        m_pred, p_pred = ff.diagnostics._predict_next_year(window, spec, fit.theta_hat,
-                                                           scale_grid)
+        ahead = SMALL.window(window.grid.t_min, window.grid.t_max + 1)
+        m_pred, p_pred = ff.diagnostics._predict_next_year(
+            ahead, spec, fit.theta_hat, window.grid if scale_grid is None else scale_grid)
         assert (prediction.m_pred, prediction.p_pred) == (m_pred, p_pred)
     both = ff.diagnostics.robustness(SMALL, spec, start_years, cutoffs, opts, rescale)
     assert both.truncation_rows == rows and both.hindcast == result

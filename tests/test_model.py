@@ -20,12 +20,15 @@ from flowfit import (
 from flowfit.estimation import residuals
 from flowfit.model import (
     SUPERSET_LABELS,
+    TRAJECTORY_NAMES,
+    LaneKernel,
+    _clamped_logistic,
     _logistic_two_branch,
-    _stacked_design,
     embed,
     superset_mask,
 )
 
+from _reference import block_design
 from _scenarios import oracle_recurrence, random_instance
 
 GRID = YearGrid(1969, 2017)
@@ -169,19 +172,6 @@ class TestModelSpec:
                           "lambda_raw"]
 
 
-def block_design(spec, grid, years=None):
-    """The stacked design written block by block: Vandermonde columns of each width."""
-    s = rescale_time(grid.years if years is None else np.asarray(years, dtype=float), grid)
-    n = s.size
-    widths = (spec.deg_rho + 1,) * 3 + (spec.deg_gamma + 1,) * 2
-    design = np.zeros((5 * n, spec.n_params))
-    start = 0
-    for row, width in enumerate(widths):
-        design[row * n:(row + 1) * n, start:start + width] = np.vander(s, width, increasing=True)
-        start += width
-    return design
-
-
 class TestCoefficientLayout:
     def test_superset_labels(self):
         assert len(SUPERSET_LABELS) == 16
@@ -196,10 +186,18 @@ class TestCoefficientLayout:
 
     @ALL_SPECS
     def test_stacked_design_is_the_block_design(self, spec):
+        # The superset's stacked design, masked to ``spec``, is the oracle's
+        # block design, and the trajectories are the logistic of its product.
+        theta = np.random.default_rng(5).normal(size=spec.n_params)
         for years in (None, [1960, 1993, 2020, 2025]):
-            design = _stacked_design(spec, GRID, years)
-            assert design.flags.c_contiguous
-            assert np.array_equal(design, block_design(spec, GRID, years))
+            s = rescale_time(GRID.years if years is None else np.asarray(years, dtype=float), GRID)
+            superset = np.zeros((5 * s.size, 16))
+            superset[:, :15] = np.kron(np.eye(5), np.vander(s, 3, increasing=True))
+            design = block_design(spec, GRID, years)
+            assert np.array_equal(design, superset[:, superset_mask(spec)])
+            traj = eval_param_trajectories(theta, spec, GRID, years)
+            got = np.concatenate([traj.as_dict()[name] for name in TRAJECTORY_NAMES])
+            np.testing.assert_allclose(got, _clamped_logistic(design @ theta), rtol=1e-13)
 
     @ALL_SPECS
     def test_embed_takes_one_vector_or_a_batch(self, spec):
@@ -233,6 +231,23 @@ class TestEvalParamTrajectories:
         assert traj.rho_bm[mid] == pytest.approx(0.5, abs=1e-12)
         assert traj.rho_bm[0] == pytest.approx(inv_logit(1.0), abs=1e-12)
         assert traj.rho_bm[-1] == pytest.approx(inv_logit(1.0), abs=1e-12)
+
+    @ALL_SPECS
+    def test_trajectories_are_the_kernels(self, spec):
+        # Bit for bit the trajectories a one-lane kernel call works on, on the
+        # data's own time scale and on a wider one, clipped lanes included.
+        rng = np.random.default_rng(11)
+        obs, _, _, _ = random_instance(np.random.default_rng(2), forcing=True, n_years=25)
+        wider = YearGrid(obs.grid.t_min - 10, obs.grid.t_max + 7)
+        for scale_grid in (None, wider):
+            kernel = LaneKernel(obs, scale_grid)
+            for scale in (0.5, 3.0, 40.0):
+                theta = rng.normal(0.0, scale, spec.n_params)
+                kernel(embed(theta, spec)[None], superset_mask(spec)[None])
+                traj = eval_param_trajectories(theta, spec, scale_grid or obs.grid,
+                                               obs.grid.years)
+                got = np.stack([traj.as_dict()[name] for name in TRAJECTORY_NAMES])
+                assert got.tobytes() == kernel._workspace.p[:, :, 0].tobytes()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):

@@ -99,7 +99,6 @@ class TestParameterCounts:
         published = {(dg, dr, f) for dg, dr, f, *_ in REFERENCE_GRID}
         assert ours == published
         assert len(enumerate_grid()) == 18
-        assert len(enumerate_grid(include_forcing=False)) == 9
 
 
 class TestSelectBest:
