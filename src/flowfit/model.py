@@ -9,18 +9,16 @@ are logistic images of low-degree polynomials in rescaled time, so the
 whole system is parameterized by a single unconstrained coefficient
 vector.
 
-The trajectories are written once, in :func:`_logistic_trajectories`:
-:class:`LaneKernel` runs it on its lanes and
-:func:`eval_param_trajectories` on one vector, with the same bits.
-:func:`run_recurrence` is the annual update on Python floats, which
-:func:`simulate` runs for the report, the hindcast and synthetic data.
+The trajectories are written once, in :func:`_logistic_trajectories`, and the
+stocks and flows in :func:`_stocks_and_flows`: :class:`LaneKernel` runs both on its
+lanes, :func:`eval_param_trajectories` and :func:`run_recurrence` on one, with the
+same bits, so :func:`simulate` gives the report, hindcast and synth what the fit scored.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -349,34 +347,32 @@ def run_recurrence(
     stock_p0: float,
     p_intl: Optional[np.ndarray] = None,
 ) -> SimulationResult:
-    """Iterate the annual update equations from explicit initial stocks.
+    """Run the annual update equations from explicit initial stocks.
 
     Each year the master's stock gains a routed share of bachelor's
     completions and loses that year's implied completions; the PhD stock
     gains routed shares of bachelor's and implied master's completions
     (plus the forcing term when a proxy series is supplied) and loses its
-    own completions.  Flows satisfy flow = hazard * stock exactly.
+    own completions.  Flows satisfy flow = hazard * stock exactly.  A
+    one-lane run of :func:`_stocks_and_flows`, bitwise a kernel lane's;
+    trajectories or a ``p_intl`` not covering ``b``'s years raise ``ValueError``.
     """
-    # Scalar float arithmetic in the loop; numpy scalars are much slower here.
-    forcing = repeat(None) if p_intl is None else [traj.lam * float(x) for x in p_intl]
-    stock_m, stock_p, flow_m, flow_p = [], [], [], []
-    sm = float(stock_m0)
-    sp = float(stock_p0)
-    # The update after the last year is computed and dropped.
-    for b_i, rbm, rbp, rmp, gm, gp, f in zip(
-        np.asarray(b, dtype=float).tolist(), *(getattr(traj, name).tolist() for name in TRAJECTORY_NAMES), forcing
-    ):
-        fm = gm * sm
-        fp = gp * sp
-        stock_m.append(sm)
-        stock_p.append(sp)
-        flow_m.append(fm)
-        flow_p.append(fp)
-        sp = sp + rbp * b_i + rmp * fm - fp
-        if f is not None:
-            sp += f
-        sm = sm + rbm * b_i - fm
-    return SimulationResult(*map(np.array, (stock_m, stock_p, flow_m, flow_p)))
+    b = np.asarray(b, dtype=float)
+    n = len(b)
+    lengths = sorted({len(getattr(traj, name)) for name in TRAJECTORY_NAMES})
+    if lengths != [n]:
+        raise ValueError(f"trajectories cover {' or '.join(map(str, lengths))} years, b has {n}")
+    forced = p_intl is not None
+    p_intl = np.zeros(n) if p_intl is None else np.asarray(p_intl, dtype=float)
+    if len(p_intl) != n:
+        raise ValueError(f"p_intl has {len(p_intl)} years, b has {n}")
+    w = _Workspace(b[:, None], p_intl[:, None], 1)
+    w.p[..., 0] = [getattr(traj, name) for name in TRAJECTORY_NAMES]
+    w.stock_first[:, 0] = stock_m0, stock_p0
+    w.lam.fill(traj.lam)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _stocks_and_flows(w, forced)
+    return SimulationResult(*w.stocks[..., 0], *w.flows[..., 0])
 
 
 def simulate(obs: ObservedSeries, traj: ParamTrajectories, spec: ModelSpec) -> SimulationResult:
@@ -462,16 +458,30 @@ def _affine_scan(steps: tuple) -> None:
         np.add(head, carry, head)
 
 
+def _stocks_and_flows(w: "_Workspace", forced: bool) -> None:
+    """Stocks and flows from ``w``'s trajectories and year-0 stocks; the caller allows overflow."""
+    np.multiply(w.routes, w.b_head, w.inflows)
+    _retention_windows(*w.retention)
+    _affine_scan(w.scans[0])
+    np.multiply(w.gamma_m, w.stock_m, w.flow_m)
+    np.multiply(w.rho_mp_head, w.flow_m_head, w.carry_head)
+    np.add(w.inflow_p, w.carry_head, w.inflow_p)
+    if forced:
+        np.multiply(w.lam, w.p_intl_head, w.carry_head)
+        np.add(w.inflow_p, w.carry_head, w.inflow_p)
+    _affine_scan(w.scans[1])
+    np.multiply(w.gamma_p, w.stock_p, w.flow_p)
+
+
 class _Workspace:
     """A :class:`LaneKernel` call's arrays at ``width`` lanes and the views it reads.
 
-    Each array is an allocation of its own: C-ordered, quantity by years
-    by lanes.
+    ``b`` and ``p_intl`` are ``(n, 1)`` or ``(n, width)``.  Each array is
+    an allocation of its own: C-ordered, quantity by years by lanes.
     """
 
-    def __init__(self, inputs: tuple, width: int):
-        s, _, b, _, _, p_intl, _ = inputs
-        n = s.shape[0]
+    def __init__(self, b: np.ndarray, p_intl: np.ndarray, width: int):
+        n = b.shape[0]
         k = len(TRAJECTORY_NAMES)
         steps = (n - 1).bit_length()
 
@@ -689,7 +699,8 @@ class LaneKernel:
         w = self._workspace
         if w is None or w.width != width:
             self._workspace = None
-            w = self._workspace = _Workspace(self.inputs, width)
+            _, _, b, _, _, p_intl, _ = self.inputs
+            w = self._workspace = _Workspace(b, p_intl, width)
         return w
 
     def __call__(self, thetas: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -716,28 +727,14 @@ class LaneKernel:
                 np.maximum(thetas[:, -1], LAMBDA_RAW_FLOOR, out=lam)
                 np.exp(lam, lam)
                 np.copyto(lam, 0.0, where=~forcing)
-            # (2, n, B) stocks and flows: master's, then PhD.  A scan fills
-            # each stock from its initial value and its inflows, placed a
-            # year ahead.
-            flows = w.flows
             np.divide(first, w.gamma_first, w.stock_first)
-            np.multiply(w.routes, w.b_head, w.inflows)
-            _retention_windows(*w.retention)
-            _affine_scan(w.scans[0])
-            np.multiply(w.gamma_m, w.stock_m, w.flow_m)
-            np.multiply(w.rho_mp_head, w.flow_m_head, w.carry_head)
-            np.add(w.inflow_p, w.carry_head, w.inflow_p)
-            if forced:
-                np.multiply(lam, w.p_intl_head, w.carry_head)
-                np.add(w.inflow_p, w.carry_head, w.inflow_p)
-            _affine_scan(w.scans[1])
-            np.multiply(w.gamma_p, w.stock_p, w.flow_p)
+            _stocks_and_flows(w, forced)
 
             # Residuals r = log(observed) - log(flow).  Their sum is finite
             # only if every flow of every lane, pad years included, is
             # finite and positive.
             flow_bars = w.flow_bars
-            np.log(flows, flow_bars)
+            np.log(w.flows, flow_bars)
             np.subtract(log_obs, flow_bars, flow_bars)
             all_valid = math.isfinite(np.add.reduce(flow_bars, None))
             # Residuals over the counted years (neither year 0 nor a pad
@@ -751,7 +748,7 @@ class LaneKernel:
             if pad is not None:
                 np.copyto(flow_bars, 0.0, where=pad)
             np.multiply(flow_bars, flow_bars, w.squares)
-            np.divide(flow_bars, flows, flow_bars)
+            np.divide(flow_bars, w.flows, flow_bars)
             if not all_valid and pad is not None:
                 np.copyto(flow_bars, 0.0, where=pad)
             # stock_bars[:, i] = d loss / d stocks[:, i] for i = 0..n, with

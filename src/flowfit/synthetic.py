@@ -108,8 +108,9 @@ def generate(scenario: SyntheticScenario) -> tuple[ObservedSeries, SimulationRes
         scenario.stock_p0,
         p_intl=p_intl if scenario.spec.forcing else None,
     )
-    if np.any(truth.flow_m <= 0) or np.any(truth.flow_p <= 0):
-        raise ValueError("degenerate scenario: implied flows must stay positive")
+    flows = np.stack([truth.flow_m, truth.flow_p])
+    if not np.all(np.isfinite(flows) & (flows > 0)):
+        raise ValueError("degenerate scenario: implied flows must stay finite and positive")
 
     rng = np.random.default_rng(scenario.seed)
     n = grid.n_years

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowfit import (YearGrid, cli, diagnostics, estimation, generate, run_cli, selection,
-                     synthetic, write_series)
+from flowfit import (YearGrid, cli, diagnostics, estimation, generate, logit, run_cli,
+                     selection, synthetic, write_series)
 from flowfit.cli import SETTINGS, build_parser, main
 
 from _scenarios import RECOVERY_THETA, recovery_scenario
@@ -332,6 +332,20 @@ class TestSynth:
         assert "scenario file is not UTF-8 text: 'utf-8' codec can't decode byte 0xff" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_scenario_with_overflowing_flows_is_degenerate(self, tmp_path, capsys):
+        # A PhD stock near the largest float that hardly drains, fed by a
+        # master's stock as large, overflows a year on; the error blames
+        # the scenario, not a PhD series the user never gave.
+        path = tmp_path / "scenario.json"
+        theta = [logit(0.3), logit(0.05), logit(0.9), logit(0.5), logit(1e-6)]
+        path.write_text(json.dumps({
+            **SCENARIO, "spec": {"deg_gamma": 0, "deg_rho": 0}, "theta_true": theta,
+            "stock_m0": 1.7e308, "stock_p0": 1.7e308}))
+        assert run_cli(["synth", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "degenerate scenario: implied flows must stay finite and positive" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     def test_synth_requires_scenario(self, tmp_path, capsys):
         assert run_cli(["synth", "--out", str(tmp_path)]) == 1

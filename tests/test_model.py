@@ -9,9 +9,11 @@ from flowfit import (
     YearGrid,
     enumerate_grid,
     eval_param_trajectories,
+    generate,
     initialize_stocks,
     inv_logit,
     logit,
+    loss,
     rescale_time,
     run_recurrence,
     simulate,
@@ -29,7 +31,8 @@ from flowfit.model import (
 )
 
 from _reference import block_design
-from _scenarios import oracle_recurrence, random_instance
+from _scenarios import (RECOVERY_SPEC, RECOVERY_THETA, oracle_recurrence, random_instance,
+                        recovery_scenario)
 
 GRID = YearGrid(1969, 2017)
 
@@ -389,6 +392,48 @@ class TestSimulate:
         obs = ObservedSeries(grid, b=np.full(5, 100.0), m=np.full(5, 10.0), p=np.full(5, 5.0))
         with pytest.raises(ValueError, match="p_intl"):
             simulate(obs, traj, spec)
+
+    @pytest.mark.parametrize("years", [np.arange(1969, 1980), np.arange(1969, 2030)],
+                             ids=["short", "long"])
+    def test_trajectories_must_cover_the_years(self, years):
+        obs, _ = generate(recovery_scenario())
+        traj = eval_param_trajectories(RECOVERY_THETA, RECOVERY_SPEC, obs.grid, years=years)
+        message = f"trajectories cover {len(years)} years, b has 49"
+        with pytest.raises(ValueError, match=message):
+            simulate(obs, traj, RECOVERY_SPEC)
+        with pytest.raises(ValueError, match=message):
+            run_recurrence(obs.b, traj, 9000.0, 4000.0)
+
+    def test_p_intl_must_cover_the_years(self):
+        obs, _ = generate(recovery_scenario(p_intl=True))
+        traj = eval_param_trajectories(RECOVERY_THETA, RECOVERY_SPEC, obs.grid)
+        for p_intl in (obs.p_intl[:-1], np.append(obs.p_intl, 1.0)):
+            with pytest.raises(ValueError, match=f"p_intl has {len(p_intl)} years, b has 49"):
+                run_recurrence(obs.b, traj, 9000.0, 4000.0, p_intl=p_intl)
+
+    @ALL_SPECS
+    def test_loss_is_the_sum_of_squared_simulate_residuals(self, spec):
+        # simulate runs the kernel's recurrence, so the residuals the report
+        # prints are the fit's: the loss is bitwise their squares summed in
+        # year order, with and without the proxy, on the data's time scale
+        # and on a wider one.
+        rng = np.random.default_rng(17)
+        truth = np.append(RECOVERY_THETA, -1.0)
+        for seed in (1, 2, 3):
+            with_proxy, _ = generate(recovery_scenario(noise_sd=0.05, seed=seed, p_intl=True))
+            without = ObservedSeries(with_proxy.grid, with_proxy.b, with_proxy.m, with_proxy.p)
+            wider = YearGrid(with_proxy.grid.t_min - 10, with_proxy.grid.t_max + 7)
+            for obs in (with_proxy, without)[:1 if spec.forcing else 2]:
+                for scale_grid in (None, wider):
+                    theta = (truth + rng.normal(0.0, 0.5, truth.size))[superset_mask(spec)]
+                    traj = eval_param_trajectories(theta, spec, scale_grid or obs.grid,
+                                                   obs.grid.years)
+                    res = residuals(obs, simulate(obs, traj, spec))
+                    sum_m = sum_p = 0.0
+                    for r_m, r_p in zip(res.r_m[1:], res.r_p[1:]):
+                        sum_m += r_m * r_m
+                        sum_p += r_p * r_p
+                    assert loss(theta, spec, obs, scale_grid) == sum_m + sum_p
 
 
 @settings(max_examples=80, deadline=None)
