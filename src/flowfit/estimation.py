@@ -452,10 +452,7 @@ def bfgs_lanes(
     So a tick whose ``moved`` is all True (one ufunc reduction decides)
     takes the trial points, values, gradients, directions and slopes by
     reference, resets every step to 1 and takes the moved lanes' stop
-    rule; a tick in which every lane updates adds the update without
-    ``where``; the first-update scaling test stops once every lane is
-    scaled; and :func:`_lane_directions` returns at once when no lane
-    restarts.  Each gives the bits of the masked path it replaces.
+    rule, which gives the bits of the masked copies it replaces.
     """
     x0 = np.array(x0, dtype=float)
     mask = np.asarray(mask, dtype=bool)
@@ -475,7 +472,6 @@ def bfgs_lanes(
     d, slope = _lane_directions(h, g, mask, np.ones(len(ids), dtype=bool))
     alpha = np.ones(len(ids))
     live = np.ones(len(ids), dtype=bool)
-    all_scaled = False
     # Lanes that did not move may hold anything; nothing of theirs is kept.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while ids.size:
@@ -491,20 +487,14 @@ def bfgs_lanes(
             y = g_new - g
             sy = _lane_dot(s, y)
             yy = _lane_dot(y, y)
-            if not all_scaled:
-                # Scale the initial inverse Hessian before the first update.
-                first = moved & ~scaled & (sy > 0.0)
-                if np.logical_or.reduce(first):
-                    np.multiply(h, (sy / yy)[:, None, None], out=h, where=first[:, None, None])
-                    scaled |= first
-                    all_scaled = np.logical_and.reduce(scaled)
+            # Scale the initial inverse Hessian before the first update.
+            first = moved & ~scaled & (sy > 0.0)
+            if np.logical_or.reduce(first):
+                np.multiply(h, (sy / yy)[:, None, None], out=h, where=first[:, None, None])
+                scaled |= first
             update = moved & (sy > 1e-10 * np.sqrt(_lane_dot(s, s)) * np.sqrt(yy))
             if np.logical_or.reduce(update):
-                step = _bfgs_step(h, s, y, 1.0 / sy)
-                if np.logical_and.reduce(update):
-                    h += step
-                else:
-                    np.add(h, step, out=h, where=update[:, None, None])
+                np.add(h, _bfgs_step(h, s, y, 1.0 / sy), out=h, where=update[:, None, None])
             n_iter += moved
             rel_decrease = (fx - f_new) / np.maximum(np.abs(fx), 1e-300)
             if all_moved:
@@ -542,7 +532,6 @@ def bfgs_lanes(
                                           alpha, live))
                     if n_live:
                         kernel = kernel.lanes(keep)
-                    all_scaled = np.logical_and.reduce(scaled)
     return out
 
 
@@ -559,15 +548,9 @@ def _lane_directions(
     A lane of ``lanes`` whose slope is not finite and negative restarts
     from steepest descent: its ``h`` (changed in place) becomes the
     identity of its coefficients.  The other lanes' ``h`` is left as it is.
-    When every slope is finite and negative no lane restarts, and the
-    directions return as computed.
     """
     d = -_lane_matvec(h, g)
     slope = _lane_dot(g, d)
-    # A nan fails the first test; the initial values answer for no lanes.
-    if (np.maximum.reduce(slope, initial=-np.inf) < 0.0
-            and np.minimum.reduce(slope, initial=np.inf) > -np.inf):
-        return d, slope
     bad = lanes & (~np.isfinite(slope) | (slope >= 0.0))
     if np.logical_or.reduce(bad):
         np.copyto(h, _masked_eye(mask), where=bad[:, None, None])
@@ -615,11 +598,8 @@ def default_starts(
     center[superset_mask(ModelSpec(0, 0))] = logit([0.3, 0.05, 0.3, 0.4, 0.15])
     center[-1] = -5.0
     center = center[superset_mask(spec)]
-    starts = [center]
-    rng = np.random.default_rng(seed)
-    for _ in range(n_starts - 1):
-        starts.append(center + rng.normal(0.0, start_sd, size=center.size))
-    return starts
+    steps = np.random.default_rng(seed).normal(0.0, start_sd, size=(n_starts - 1, center.size))
+    return [center, *(center + steps)]
 
 
 def minimize_bfgs(
@@ -680,7 +660,7 @@ def fit_lane_set(
     (:meth:`LaneKernel.of_windows`), so the window index lives only here.
     The lanes, in job order, are cut into chunks of at most ``LANE_CHUNK``;
     each chunk is one :func:`bfgs_lanes` run on the kernel narrowed to its
-    lanes, or on the set's kernel when one chunk holds the set.  ``workers`` > 1 runs the chunks in parallel, on at most one
+    lanes.  ``workers`` > 1 runs the chunks in parallel, on at most one
     worker per chunk and per CPU.  A lane's fit does not
     depend on the lanes it runs with nor on its window's padding, so
     chunks, windows and workers never change a result, and a set of one
@@ -699,11 +679,8 @@ def fit_lane_set(
     window = np.repeat([index[id(job.obs), job.scale_grid] for job in jobs], counts)
     kernel = LaneKernel.of_windows(list(windows.values()), window)
 
-    if len(x0) <= LANE_CHUNK:   # one chunk: the set's own kernel, not a copy of it
-        chunks = [(kernel, opts, x0, mask)]
-    else:
-        chunks = [(kernel.lanes(slice(i, i + LANE_CHUNK)), opts, x0[i:i + LANE_CHUNK],
-                   mask[i:i + LANE_CHUNK]) for i in range(0, len(x0), LANE_CHUNK)]
+    chunks = [(kernel.lanes(slice(i, i + LANE_CHUNK)), opts, x0[i:i + LANE_CHUNK],
+               mask[i:i + LANE_CHUNK]) for i in range(0, len(x0), LANE_CHUNK)]
     # The pool starts all its workers up front, so never ask for more than
     # can run at once.
     workers = min(workers, len(chunks), os.cpu_count() or 1)

@@ -340,6 +340,13 @@ def initialize_stocks(obs: ObservedSeries, traj: ParamTrajectories) -> tuple[flo
     return m0 / float(traj.gamma_m[0]), p0 / float(traj.gamma_p[0])
 
 
+def _check_years(traj: ParamTrajectories, n: int) -> None:
+    """Raise ``ValueError`` unless every trajectory covers the ``n`` years of ``b``."""
+    lengths = sorted({len(getattr(traj, name)) for name in TRAJECTORY_NAMES})
+    if lengths != [n]:
+        raise ValueError(f"trajectories cover {' or '.join(map(str, lengths))} years, b has {n}")
+
+
 def run_recurrence(
     b: np.ndarray,
     traj: ParamTrajectories,
@@ -359,9 +366,7 @@ def run_recurrence(
     """
     b = np.asarray(b, dtype=float)
     n = len(b)
-    lengths = sorted({len(getattr(traj, name)) for name in TRAJECTORY_NAMES})
-    if lengths != [n]:
-        raise ValueError(f"trajectories cover {' or '.join(map(str, lengths))} years, b has {n}")
+    _check_years(traj, n)
     forced = p_intl is not None
     p_intl = np.zeros(n) if p_intl is None else np.asarray(p_intl, dtype=float)
     if len(p_intl) != n:
@@ -379,10 +384,12 @@ def simulate(obs: ObservedSeries, traj: ParamTrajectories, spec: ModelSpec) -> S
     """Deterministic forward simulation over the observation grid.
 
     Initial stocks come from :func:`initialize_stocks`, so the first-year
-    implied flows match the first-year observations.
+    implied flows match the first-year observations.  Trajectories not
+    covering the grid's years raise ``ValueError``.
     """
     if spec.forcing and obs.p_intl is None:
         raise ValueError("forcing specification requires the p_intl series")
+    _check_years(traj, obs.grid.n_years)
     stock_m0, stock_p0 = initialize_stocks(obs, traj)
     p_intl = obs.p_intl if spec.forcing else None
     return run_recurrence(obs.b, traj, stock_m0, stock_p0, p_intl=p_intl)

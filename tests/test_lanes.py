@@ -733,17 +733,14 @@ def general_ticks():
     """Every :func:`bfgs_lanes` tick in the block on its general path.
 
     As ``estimation`` sees NumPy, ``np.logical_and.reduce`` (its test that
-    every lane moved, is scaled or updates) answers False, and the
-    reductions with an ``initial`` value (``_lane_directions``' test of
-    the slopes) answer nan: so every tick takes its masked copies and
-    updates, and every direction is checked lane by lane.
+    every lane moved) answers False: so every tick takes its masked copies.
 
     Yields a count of the general paths' work, so a caller can see that
     they ran: ``"directions"`` and ``"matvecs"`` (calls of
     ``_lane_directions`` and ``_lane_matvec``; each update adds one
-    matvec to the directions' own), ``"slope tests"`` (the forced slope
-    tests), ``"selects"`` (``np.where`` on a lane vector, the masked stop
-    select) and ``"masked updates"`` (``np.add`` with ``where``).
+    matvec to the directions' own), ``"selects"`` (``np.where`` on a lane
+    vector, the masked stop select) and ``"masked updates"`` (``np.add``
+    with ``where``).
     """
     seen = collections.Counter()
 
@@ -761,18 +758,10 @@ def general_ticks():
 
         def reduce(self, *args, **kwargs):
             result = self.ufunc.reduce(*args, **kwargs)
-            return self.answer(result, kwargs) if self.answer else result
-
-    def slope_test(result, kwargs):
-        if "initial" not in kwargs:
-            return result
-        seen["slope tests"] += 1
-        return np.nan
+            return self.answer(result) if self.answer else result
 
     class Numpy:
-        logical_and = Ufunc(np.logical_and, lambda result, kwargs: np.False_)
-        maximum = Ufunc(np.maximum, slope_test)
-        minimum = Ufunc(np.minimum, slope_test)
+        logical_and = Ufunc(np.logical_and, lambda result: np.False_)
         add = Ufunc(np.add, counts="masked updates")
 
         @staticmethod
@@ -822,9 +811,8 @@ def test_tick_shortcuts_give_the_general_paths_bits(obs49):
         with general_ticks() as seen:
             want = bfgs_lanes(kernel, x0, mask, max_iter=max_iter)
         # The forced run took every general path: a masked stop select per
-        # tick, a lane-by-lane slope test per direction, a masked add per update.
+        # tick and a masked add per update.
         assert seen["selects"] == seen["directions"] - 1 > 0
-        assert seen["slope tests"] == seen["directions"]
         assert seen["masked updates"] == seen["matvecs"] - seen["directions"] > 0
         for name in estimation._OUTCOME_FIELDS:
             assert_bitwise(getattr(got, name), getattr(want, name))

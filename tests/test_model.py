@@ -393,8 +393,8 @@ class TestSimulate:
         with pytest.raises(ValueError, match="p_intl"):
             simulate(obs, traj, spec)
 
-    @pytest.mark.parametrize("years", [np.arange(1969, 1980), np.arange(1969, 2030)],
-                             ids=["short", "long"])
+    @pytest.mark.parametrize("years", [np.arange(1969, 1980), np.arange(1969, 2030), []],
+                             ids=["short", "long", "none"])
     def test_trajectories_must_cover_the_years(self, years):
         obs, _ = generate(recovery_scenario())
         traj = eval_param_trajectories(RECOVERY_THETA, RECOVERY_SPEC, obs.grid, years=years)
