@@ -257,7 +257,7 @@ SETTINGS = (
             help="comma-separated hindcast cutoff years (default: "
                  f"{','.join(map(str, DEFAULT_CUTOFFS))} where every spec fits the window)"),
     Setting("rescale", _data_commands("robust"), "robustness.rescale", CHOICE, "window",
-            ("window", "full"), "time rescaling for truncated refits"),
+            ("window", "full"), "time scale the refits' starts are drawn on"),
     Setting("jobs", _data_commands("grid"), "jobs", INTEGER, 1, (1, None),
             "parallel workers for the grid's lane chunks"),
     Setting("use_n_eff", _data_commands("grid"), "use_n_eff", BOOLEAN, False,
@@ -474,7 +474,7 @@ def _run_pipeline(command: str, values: dict) -> int:
         if not refits_in_grid:   # the grid picked the spec, or there is no grid
             refits = robust_refits()
             estimation.fit_lane_set(refits, opts, workers=values.get("jobs", 1))
-        bundle.robustness = diagnostics.robustness_report(refits, obs)
+        bundle.robustness = diagnostics.robustness_report(refits, obs, values["rescale"])
         if outcomes is None:
             outcomes = bundle.robustness.truncation_rows + bundle.robustness.hindcast.predictions
 

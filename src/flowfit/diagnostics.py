@@ -32,6 +32,7 @@ from .model import (
     SimulationResult,
     YearGrid,
     eval_param_trajectories,
+    rescale_coefficients,
     simulate,
 )
 
@@ -193,26 +194,30 @@ def robustness_jobs(
 
     One job per start year (the window from it through the end of the
     sample), then one per cutoff (the window from the first year through
-    the cutoff), each with rescaled time anchored on its own window or,
-    with ``rescale='full'``, on the full sample.  Every window has the
-    whole-sample fit's starts (seed ``options.seed``), so no window's fit
-    depends on the others, and the jobs are lanes whatever their number.
-    Their fits, in this order, make up :func:`robustness_report`.
+    the cutoff), each with rescaled time anchored on its own window.
+    Every window has the whole-sample fit's starts (seed ``options.seed``),
+    with ``rescale='full'`` mapped from the full sample's time scale by
+    :func:`~flowfit.model.rescale_coefficients`: it picks the starts, not
+    the model.  So no window's fit depends on the others, and the jobs are
+    lanes whatever their number.  Their fits, in this order, make up
+    :func:`robustness_report`, with ``rescale`` as its label.
     """
     check_rescale(rescale)
     check_truncation_starts(obs.grid, start_years, spec)
     if cutoffs:
         check_cutoffs(obs.grid, cutoffs, spec)
     opts = options or FitOptions()
-    scale_grid = obs.grid if rescale == "full" else None
     starts = np.stack(default_starts(spec, obs, n_starts=opts.n_starts, seed=opts.seed,
                                      start_sd=opts.start_sd))
     windows = ([obs.window(start, obs.grid.t_max) for start in start_years]
                + [obs.window(obs.grid.t_min, cutoff) for cutoff in cutoffs])
-    return [LaneJob(spec, window, starts, scale_grid) for window in windows]
+    return [LaneJob(spec, window, starts if rescale == "window"
+                    else rescale_coefficients(starts, spec, obs.grid, window.grid))
+            for window in windows]
 
 
-def robustness_report(jobs: Sequence[LaneJob], obs: ObservedSeries) -> RobustnessReport:
+def robustness_report(jobs: Sequence[LaneJob], obs: ObservedSeries,
+                      rescale: str) -> RobustnessReport:
     """The truncation rows and the hindcast from :func:`robustness_jobs`'s fitted jobs.
 
     Pooled log-RMSE uses N = 2 * window years.  Each hindcast window's
@@ -225,8 +230,6 @@ def robustness_report(jobs: Sequence[LaneJob], obs: ObservedSeries) -> Robustnes
     predictions = []
     for job in jobs:
         window, fit = job.obs, job.fit
-        # The time scale the job was fitted on; one robustness_jobs call gives all its jobs one.
-        rescale = "window" if job.scale_grid is None else "full"
         # A truncation window ends with the sample, a hindcast window before it.
         if window.grid.t_max == obs.grid.t_max:
             n_years = window.grid.n_years
@@ -258,8 +261,7 @@ def _hindcast_prediction(obs: ObservedSeries, job: LaneJob) -> HindcastPredictio
     window, fit = job.obs, job.fit
     cutoff = window.grid.t_max
     ahead = obs.window(window.grid.t_min, cutoff + 1)
-    m_pred, p_pred = _predict_next_year(ahead, job.spec, fit.theta_hat,
-                                        window.grid if job.scale_grid is None else job.scale_grid)
+    m_pred, p_pred = _predict_next_year(ahead, job.spec, fit.theta_hat)
     m_obs = float(ahead.m[-1])
     p_obs = float(ahead.p[-1])
     if not (0.0 < m_pred < math.inf and 0.0 < p_pred < math.inf):
@@ -291,7 +293,7 @@ def robustness(
     """Every truncation and hindcast refit of ``spec`` as one lane set, and their report."""
     jobs = robustness_jobs(obs, spec, start_years, cutoffs, options, rescale)
     fit_lane_set(jobs, options)
-    return robustness_report(jobs, obs)
+    return robustness_report(jobs, obs, rescale)
 
 
 def truncation_study(
@@ -305,8 +307,8 @@ def truncation_study(
 
     Each window runs from the given start year through the end of the
     sample, with rescaled time and initial stocks recomputed for the
-    window (``rescale='full'`` keeps the full-sample time scaling
-    instead).  Pooled log-RMSE uses N = 2 * window years.  The windows'
+    window (``rescale='full'`` maps the starts from the full-sample time
+    scale).  Pooled log-RMSE uses N = 2 * window years.  The windows'
     refits are one lane set.
     """
     return robustness(obs, spec, start_years, (), options, rescale).truncation_rows
@@ -332,15 +334,15 @@ def rolling_origin_hindcast(
     return robustness(obs, spec, (), cutoffs, options, rescale).hindcast
 
 
-def _predict_next_year(
-    ahead: ObservedSeries, spec: ModelSpec, theta: np.ndarray, scale_grid: YearGrid
-) -> tuple[float, float]:
+def _predict_next_year(ahead: ObservedSeries, spec: ModelSpec,
+                       theta: np.ndarray) -> tuple[float, float]:
     """The flows of ``ahead``'s last year, a refit window's next, by :func:`simulate`.
 
-    Rescaled time is anchored on ``scale_grid``, the refit's own.  The
-    last year's inputs never reach its flows, so the prediction reads the
-    window's data alone.
+    Rescaled time is anchored on the refit's window, ``ahead`` but its
+    last year, whose inputs never reach its flows: the prediction reads
+    the window's data alone.
     """
-    traj = eval_param_trajectories(theta, spec, scale_grid, years=ahead.grid.years)
+    window = YearGrid(ahead.grid.t_min, ahead.grid.t_max - 1)
+    traj = eval_param_trajectories(theta, spec, window, years=ahead.grid.years)
     sim = simulate(ahead, traj, spec)
     return float(sim.flow_m[-1]), float(sim.flow_p[-1])

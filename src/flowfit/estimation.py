@@ -35,6 +35,7 @@ from .model import (
     _clamped_logistic,
     embed,
     logit,
+    rescale_coefficients,
     rescale_time,
     superset_mask,
 )
@@ -106,6 +107,10 @@ class FitOptions:
     ftol_rel: float = 1e-12
     max_iter: int = 2000
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.start_sd < math.inf:
+            raise ValueError(f"start_sd must be finite and nonnegative, got {self.start_sd!r}")
+
 
 @dataclass
 class TrajectoryBands:
@@ -132,28 +137,19 @@ def residuals(obs: ObservedSeries, sim: SimulationResult) -> ResidualSet:
     return ResidualSet(r_m=r_m, r_p=r_p, n_eff=obs.grid.n_eff)
 
 
-def _at_point(
-    theta: np.ndarray,
-    spec: ModelSpec,
-    obs: ObservedSeries,
-    scale_grid: Optional[YearGrid],
-) -> tuple[float, np.ndarray]:
+def _at_point(theta: np.ndarray, spec: ModelSpec, obs: ObservedSeries) -> tuple[float, np.ndarray]:
     """:func:`_spec_lanes` at one finite parameter vector: its loss and exact gradient."""
     if np.ndim(theta) != 1:
         raise ValueError(f"theta must be one parameter vector, got shape {np.shape(theta)}")
     theta = _checked_theta(theta, spec)
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta must be finite")
-    values, grads = _spec_lanes(theta[None], spec, obs, scale_grid)
+    values, grads = _spec_lanes(theta[None], spec, obs)
     return float(values[0]), grads[0]
 
 
-def loss(
-    theta: np.ndarray,
-    spec: ModelSpec,
-    obs: ObservedSeries,
-    scale_grid: Optional[YearGrid] = None,
-) -> float:
+def loss(theta: np.ndarray, spec: ModelSpec, obs: ObservedSeries,
+         scale_grid: Optional[YearGrid] = None) -> float:
     """Sum of squared log residuals of the implied flows, year 0 excluded.
 
     A point whose implied flows go non-positive or non-finite in a
@@ -161,27 +157,26 @@ def loss(
     which a line search rejects as it rejects any step that does not
     descend.  A non-finite ``theta`` raises ``ValueError``.
 
-    ``scale_grid`` optionally anchors the time rescaling to a different
-    window than the data (used when refits on truncated windows should
-    keep the full-sample rescaling).  The value is one lane of a
+    ``scale_grid``, if given, is the time scale of ``theta``'s
+    coefficients, which :func:`~flowfit.model.rescale_coefficients` maps to
+    ``obs``'s own first; coefficients it maps to non-finite ones raise
+    ``ValueError`` as a non-finite ``theta`` does.  The value is one lane of a
     :class:`LaneKernel` call, so a fit's SSE, its winning lane's value,
     is bitwise the loss at its ``theta_hat``.
     """
-    return _at_point(theta, spec, obs, scale_grid)[0]
+    if scale_grid is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = rescale_coefficients(theta, spec, scale_grid, obs.grid)
+    return _at_point(theta, spec, obs)[0]
 
 
-def loss_gradient(
-    theta: np.ndarray,
-    spec: ModelSpec,
-    obs: ObservedSeries,
-    scale_grid: Optional[YearGrid] = None,
-) -> np.ndarray:
+def loss_gradient(theta: np.ndarray, spec: ModelSpec, obs: ObservedSeries) -> np.ndarray:
     """Exact gradient of :func:`loss`, from the same :class:`LaneKernel` call.
 
     Where the loss is +inf every entry is nan.  The forcing entry is 0 at
     or below the forcing floor.
     """
-    return _at_point(theta, spec, obs, scale_grid)[1]
+    return _at_point(theta, spec, obs)[1]
 
 
 def _gradient_stencil(x: np.ndarray, rel_step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -209,10 +204,7 @@ def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, rel_step: float
 
 
 def _spec_lanes(
-    points: np.ndarray,
-    spec: ModelSpec,
-    obs: ObservedSeries,
-    scale_grid: Optional[YearGrid],
+    points: np.ndarray, spec: ModelSpec, obs: ObservedSeries
 ) -> tuple[np.ndarray, np.ndarray]:
     """:class:`LaneKernel` at a ``(B, k)`` array of ``spec``'s parameter vectors.
 
@@ -220,8 +212,7 @@ def _spec_lanes(
     coefficients, ``(B,)`` and ``(B, k)``, from one kernel call.
     """
     mask = superset_mask(spec)
-    values, grads = LaneKernel(obs, scale_grid)(embed(points, spec),
-                                                np.tile(mask, (len(points), 1)))
+    values, grads = LaneKernel(obs)(embed(points, spec), np.tile(mask, (len(points), 1)))
     return values, grads[:, mask]
 
 
@@ -233,28 +224,18 @@ def _symmetrized(hess: np.ndarray) -> np.ndarray:
     return 0.5 * (hess + hess.T)
 
 
-def gradient_fd(
-    theta: np.ndarray,
-    spec: ModelSpec,
-    obs: ObservedSeries,
-    scale_grid: Optional[YearGrid] = None,
-) -> np.ndarray:
+def gradient_fd(theta: np.ndarray, spec: ModelSpec, obs: ObservedSeries) -> np.ndarray:
     """Central-difference gradient of :func:`loss`; all 2k points in one kernel call.
 
     The fit uses the exact gradient (:func:`loss_gradient`); this one is its
     independent check: it reads only the values of the call.
     """
     points, h = _gradient_stencil(np.asarray(theta, dtype=float), GRADIENT_REL_STEP)
-    values, _ = _spec_lanes(points, spec, obs, scale_grid)
+    values, _ = _spec_lanes(points, spec, obs)
     return _gradient_from_stencil(values, h)
 
 
-def numerical_hessian(
-    theta_hat: np.ndarray,
-    spec: ModelSpec,
-    obs: ObservedSeries,
-    scale_grid: Optional[YearGrid] = None,
-) -> np.ndarray:
+def numerical_hessian(theta_hat: np.ndarray, spec: ModelSpec, obs: ObservedSeries) -> np.ndarray:
     """Hessian of :func:`loss`: central differences of its exact gradient.
 
     Row i is (g(x + h_i e_i) - g(x - h_i e_i)) / 2 h_i, with the gradient
@@ -264,7 +245,7 @@ def numerical_hessian(
     entry raises :class:`NumericalError`.
     """
     points, h = _gradient_stencil(np.asarray(theta_hat, dtype=float), GRADIENT_REL_STEP)
-    _, grads = _spec_lanes(points, spec, obs, scale_grid)
+    _, grads = _spec_lanes(points, spec, obs)
     n = h.size
     return _symmetrized((grads[:n] - grads[n:]) / (2.0 * h[:, None]))
 
@@ -602,13 +583,8 @@ def default_starts(
     return [center, *(center + steps)]
 
 
-def minimize_bfgs(
-    spec: ModelSpec,
-    obs: ObservedSeries,
-    starts: Sequence[np.ndarray],
-    options: Optional[FitOptions] = None,
-    scale_grid: Optional[YearGrid] = None,
-) -> FitResult:
+def minimize_bfgs(spec: ModelSpec, obs: ObservedSeries, starts: Sequence[np.ndarray],
+                  options: Optional[FitOptions] = None) -> FitResult:
     """Minimize the loss from every start and keep the best local minimum.
 
     The starts, however many, are one :class:`LaneJob` of
@@ -623,22 +599,20 @@ def minimize_bfgs(
     for x0 in starts:
         if x0.shape != (spec.n_params,) or not np.all(np.isfinite(x0)):
             raise ValueError(f"start must be a finite vector of length {spec.n_params}")
-    return fit_lane_set([LaneJob(spec, obs, np.stack(starts), scale_grid)], options)[0]
+    return fit_lane_set([LaneJob(spec, obs, np.stack(starts))], options)[0]
 
 
 @dataclass
 class LaneJob:
     """One multi-start fit: ``spec`` on ``obs`` from each row of ``starts`` (``(n, k)``).
 
-    Rescaled time is anchored on ``scale_grid``, by default ``obs``'s own
-    grid.  ``obs`` with ``scale_grid`` is the job's window.  ``fit`` is
-    None until :func:`fit_lane_set` has fitted the job.
+    ``obs`` is the job's window, and rescaled time is anchored on its own
+    grid.  ``fit`` is None until :func:`fit_lane_set` has fitted the job.
     """
 
     spec: ModelSpec
     obs: ObservedSeries
     starts: np.ndarray
-    scale_grid: Optional[YearGrid] = None
     fit: Optional[FitResult] = None
 
 
@@ -670,13 +644,13 @@ def fit_lane_set(
     if not jobs:
         return []
     opts = options or FitOptions()
-    # One kernel window per distinct (series, time scale) pair, in order of first use.
-    windows = {(id(job.obs), job.scale_grid): (job.obs, job.scale_grid) for job in jobs}
+    # One kernel window per distinct series, in order of first use.
+    windows = {id(job.obs): job.obs for job in jobs}
     index = {key: w for w, key in enumerate(windows)}
     counts = [len(job.starts) for job in jobs]
     x0 = np.concatenate([embed(job.starts, job.spec) for job in jobs])
     mask = np.repeat([superset_mask(job.spec) for job in jobs], counts, axis=0)
-    window = np.repeat([index[id(job.obs), job.scale_grid] for job in jobs], counts)
+    window = np.repeat([index[id(job.obs)] for job in jobs], counts)
     kernel = LaneKernel.of_windows(list(windows.values()), window)
 
     chunks = [(kernel.lanes(slice(i, i + LANE_CHUNK)), opts, x0[i:i + LANE_CHUNK],

@@ -225,6 +225,26 @@ def rescale_time(t, grid: YearGrid):
     return s
 
 
+def rescale_coefficients(theta, spec: ModelSpec, from_grid: YearGrid, to_grid: YearGrid):
+    """``spec``'s vector or ``(B, k)`` batch on ``from_grid``'s time scale, on ``to_grid``'s.
+
+    ``from_grid``'s rescaled time s is a u + b in ``to_grid``'s u, with
+    ``a = to.half_width / from.half_width`` and ``b = (to.t_mid -
+    from.t_mid) / from.half_width``.  So a predictor ``c0 + c1 s + c2 s^2``
+    is ``(c0 + c1 b + c2 b^2) + a (c1 + 2 c2 b) u + a^2 c2 u^2``: the same
+    trajectories at every year.  Degrees are kept, so absent
+    coefficients stay absent, and ``lambda_raw`` passes through unchanged.
+    """
+    a = to_grid.half_width / from_grid.half_width
+    b = (to_grid.t_mid - from_grid.t_mid) / from_grid.half_width
+    full = embed(theta, spec)
+    c0, c1, c2 = (full[..., j:-1:3].copy() for j in range(3))
+    full[..., 0:-1:3] = c0 + c1 * b + c2 * (b * b)
+    full[..., 1:-1:3] = a * (c1 + 2.0 * c2 * b)
+    full[..., 2:-1:3] = (a * a) * c2
+    return full[..., superset_mask(spec)]
+
+
 def logit(x):
     x = np.asarray(x, dtype=float)
     return np.log(x / (1.0 - x))
@@ -612,10 +632,11 @@ class LaneKernel:
 
     A kernel is bound to its lanes: it holds each lane's inputs, C-ordered
     with the lane axis last, so every call reads them as they are.
-    ``LaneKernel(obs, scale_grid)`` holds one window's inputs with a lane
-    axis of width 1, which broadcasts over any lanes.  :meth:`of_windows`
-    binds each lane to one of several observation windows, each with its
-    own time rescaling.  The windows are aligned at row 0 and padded to the
+    ``LaneKernel(obs)`` holds one window's inputs with a lane axis of
+    width 1, which broadcasts over any lanes.  :meth:`of_windows` binds
+    each lane to one of several observation windows.  Each window's time is
+    rescaled on its own grid (:func:`rescale_coefficients` maps a vector
+    from another).  The windows are aligned at row 0 and padded to the
     longest with uncounted years: there ``b``, the log observations and
     ``p_intl`` are 0 and rescaled time repeats the window's last value, so
     the trajectories stay finite, and the year is never counted.  Its
@@ -645,30 +666,28 @@ class LaneKernel:
       clipped slopes do not run.
     """
 
-    def __init__(self, obs: ObservedSeries, scale_grid: Optional[YearGrid] = None):
-        self._stack([(obs, scale_grid)])
+    def __init__(self, obs: ObservedSeries):
+        self._stack([obs])
 
     @classmethod
-    def of_windows(
-        cls, windows: Sequence[tuple[ObservedSeries, Optional[YearGrid]]], window: np.ndarray
-    ) -> "LaneKernel":
-        """Lanes on ``(obs, scale_grid)`` windows; lane i reads ``windows[window[i]]``."""
+    def of_windows(cls, windows: Sequence[ObservedSeries], window: np.ndarray) -> "LaneKernel":
+        """Lanes on several windows; lane i reads ``windows[window[i]]``."""
         kernel = cls.__new__(cls)
         kernel._stack(windows)
         return kernel.lanes(window)
 
-    def _stack(self, windows: Sequence[tuple[ObservedSeries, Optional[YearGrid]]]) -> None:
+    def _stack(self, windows: Sequence[ObservedSeries]) -> None:
         # Per-window inputs with the window as the last axis, padded to n years.
-        lengths = np.array([obs.grid.n_years for obs, _ in windows])
+        lengths = np.array([obs.grid.n_years for obs in windows])
         n = lengths.max()
         s = np.empty((n, len(windows)))
         b = np.zeros_like(s)
         p_intl = np.zeros_like(s)
         log_obs = np.zeros((2, n, len(windows)))
         first = np.empty((2, len(windows)))
-        self.has_intl = np.array([obs.p_intl is not None for obs, _ in windows])
-        for w, ((obs, scale_grid), m) in enumerate(zip(windows, lengths)):
-            s[:m, w] = rescale_time(obs.grid.years, obs.grid if scale_grid is None else scale_grid)
+        self.has_intl = np.array([obs.p_intl is not None for obs in windows])
+        for w, (obs, m) in enumerate(zip(windows, lengths)):
+            s[:m, w] = rescale_time(obs.grid.years, obs.grid)
             s[m:, w] = s[m - 1, w]
             b[:m, w] = obs.b
             log_obs[:, :m, w] = np.log(np.stack([obs.m, obs.p]))

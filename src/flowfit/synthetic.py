@@ -11,6 +11,7 @@ scenario can be refitted to zero loss.
 from __future__ import annotations
 
 import datetime
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -84,10 +85,11 @@ def generate(scenario: SyntheticScenario) -> tuple[ObservedSeries, SimulationRes
 
     Returns the observed series together with the true latent simulation.
     """
-    if scenario.stock_m0 <= 0 or scenario.stock_p0 <= 0:
-        raise ValueError("initial stocks must be strictly positive")
-    if scenario.noise_sd < 0:
-        raise ValueError("noise_sd must be nonnegative")
+    for name in ("stock_m0", "stock_p0"):
+        if not 0.0 < getattr(scenario, name) < math.inf:
+            raise ValueError(f"{name} must be finite and strictly positive")
+    if not 0.0 <= scenario.noise_sd < math.inf:
+        raise ValueError("noise_sd must be finite and nonnegative")
     grid = scenario.grid
     b = scenario.b_input.values(grid)
     if np.any(b <= 0):

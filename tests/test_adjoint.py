@@ -15,7 +15,7 @@ from flowfit.model import LAMBDA_RAW_FLOOR, LaneKernel
 
 from _reference import _Objective, _adjoint_sweep
 from _scenarios import RECOVERY_SPEC, RECOVERY_THETA, recovery_scenario
-from test_kernel_properties import evaluators
+from test_kernel_properties import evaluators, gradient_fd
 
 SPECS = [(0, 0), (1, 2), (2, 2)]
 
@@ -63,19 +63,20 @@ def test_matches_gradient_fd(intl_obs, degrees, forcing, rescaled):
         base[-1] = 2.0   # a forcing weight that moves the PhD flows
     for _ in range(8):
         theta = base + rng.normal(0.0, 0.5, spec.n_params)
-        want = ff.gradient_fd(theta, spec, intl_obs, scale_grid)
+        want = gradient_fd(theta, spec, intl_obs, scale_grid)
         assert np.isfinite(ff.loss(theta, spec, intl_obs, scale_grid))
         for name, got in gradients(theta, spec, intl_obs, scale_grid).items():
             assert rel_err(got, want) <= 1e-6, name
 
 
 def test_matches_gradient_fd_on_window_with_full_rescaling(intl_obs):
-    # The truncation and hindcast refits: a late window on the full-sample scale.
+    # A late window, with coefficients on the full sample's time scale as
+    # the starts of `--rescale full` are before their map.
     window = intl_obs.window(1990, 2017)
     rng = np.random.default_rng(11)
     for _ in range(8):
         theta = RECOVERY_THETA + rng.normal(0.0, 0.3, RECOVERY_THETA.size)
-        want = ff.gradient_fd(theta, RECOVERY_SPEC, window, intl_obs.grid)
+        want = gradient_fd(theta, RECOVERY_SPEC, window, intl_obs.grid)
         for name, got in gradients(theta, RECOVERY_SPEC, window, intl_obs.grid).items():
             assert rel_err(got, want) <= 1e-6, name
 

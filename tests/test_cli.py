@@ -347,6 +347,20 @@ class TestSynth:
         assert "degenerate scenario: implied flows must stay finite and positive" in err
         assert "Traceback" not in err and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("noise_sd", float("nan")), ("noise_sd", float("inf")), ("stock_m0", float("nan")),
+        ("stock_p0", float("inf"))])
+    def test_non_finite_scenario_number_exits_1_naming_it(self, tmp_path, capsys, field,
+                                                          value):
+        # Python's json reads NaN and Infinity; the error names the field
+        # rather than a series or the implied flows it would spoil.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**SCENARIO, field: value}))
+        assert run_cli(["synth", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{field} must be finite" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
     def test_synth_requires_scenario(self, tmp_path, capsys):
         assert run_cli(["synth", "--out", str(tmp_path)]) == 1
 

@@ -21,6 +21,7 @@ from flowfit import (
 )
 from flowfit import diagnostics
 from flowfit.estimation import FitResult, LaneJob, fit_lane_set
+from flowfit.model import rescale_coefficients
 
 from _reference import N_TOTAL, PREFERRED_SSE
 from _scenarios import RECOVERY_SPEC, RECOVERY_THETA, recovery_scenario
@@ -245,19 +246,30 @@ def test_dropping_a_window_leaves_the_others_unchanged(small_noise_free, quick_o
 
 
 @pytest.mark.parametrize("rescale", ["window", "full"])
-def test_report_reads_the_jobs_own_time_scale(small_noise_free, quick_options, rescale):
-    # The report labels its rows and its hindcast from the jobs alone.
+def test_rescale_picks_the_starts_and_labels_the_report(small_noise_free, quick_options,
+                                                        rescale):
+    # Each window's job starts from the sample's starts, with 'full' mapped
+    # from the sample's time scale to the window's; the report labels its
+    # rows and its hindcast with the rescale it is given.
     obs, _ = small_noise_free
     jobs = diagnostics.robustness_jobs(obs, RECOVERY_SPEC, [1985], [1990], quick_options, rescale)
+    starts = np.stack(default_starts(RECOVERY_SPEC, obs, n_starts=quick_options.n_starts,
+                                     seed=quick_options.seed))
+    for job in jobs:
+        want = (starts if rescale == "window"
+                else rescale_coefficients(starts, RECOVERY_SPEC, obs.grid, job.obs.grid))
+        assert np.array_equal(job.starts, want)
     fit_lane_set(jobs, quick_options)
-    report = diagnostics.robustness_report(jobs, obs)
+    report = diagnostics.robustness_report(jobs, obs, rescale)
     assert [row.rescale for row in report.truncation_rows] == [rescale]
     assert report.hindcast.rescale == rescale
 
 
-def hand_coded_next_year(window, spec, theta, rescale, full_grid):
-    """The one-step update written out by hand: the oracle for the hindcast's predictions."""
-    scale_grid = full_grid if rescale == "full" else window.grid
+def hand_coded_next_year(window, spec, theta, scale_grid):
+    """The one-step update written out by hand: the oracle for the hindcast's predictions.
+
+    ``theta`` is on ``scale_grid``'s time scale.
+    """
     traj = eval_param_trajectories(theta, spec, scale_grid, years=window.grid.years)
     sim = simulate(window, traj, spec)
     next_traj = eval_param_trajectories(theta, spec, scale_grid,
@@ -275,22 +287,25 @@ def hand_coded_next_year(window, spec, theta, rescale, full_grid):
 @pytest.mark.parametrize("rescale", ["window", "full"])
 def test_predict_next_year_is_the_recurrence_one_year_on(rescale, forcing):
     # A hindcast row of a fitted window job: its predictions against the
-    # oracle, its observations the sample's next year.
+    # oracle, its observations the sample's next year.  The oracle runs on
+    # the window's time scale or on the sample's, where the job's
+    # coefficients are the oracle's mapped to the window's.
     obs, _ = generate(recovery_scenario(p_intl=True, noise_sd=0.02, seed=2))
     spec = ModelSpec(2, 2, forcing=forcing)
     rng = np.random.default_rng(21)
-    scale_grid = obs.grid if rescale == "full" else None
     for cutoff in (1975, 1995, 2016):
         window = obs.window(obs.grid.t_min, cutoff)
         i_next = cutoff + 1 - obs.grid.t_min
         for _ in range(5):
             theta = rng.normal(0.0, 0.5, spec.n_params)
             theta[:RECOVERY_THETA.size] += RECOVERY_THETA
-            fit = FitResult(theta_hat=theta, sse=1.0, converged=True, n_iterations=1,
+            scale_grid = obs.grid if rescale == "full" else window.grid
+            theta_hat = rescale_coefficients(theta, spec, scale_grid, window.grid)
+            fit = FitResult(theta_hat=theta_hat, sse=1.0, converged=True, n_iterations=1,
                             n_starts_used=1, grad_norm_at_opt=0.0)
-            job = LaneJob(spec, window, theta[None], scale_grid, fit)
+            job = LaneJob(spec, window, theta_hat[None], fit)
             got = diagnostics._hindcast_prediction(obs, job)
-            want = hand_coded_next_year(window, spec, theta, rescale, obs.grid)
+            want = hand_coded_next_year(window, spec, theta, scale_grid)
             assert (got.m_pred, got.p_pred) == pytest.approx(want, rel=1e-12, abs=0.0)
             assert (got.m_obs, got.p_obs) == (obs.m[i_next], obs.p[i_next])
             assert got.cutoff == cutoff and got.fit_sse == 1.0

@@ -332,6 +332,14 @@ class TestDefaultStarts:
         assert np.array_equal(a[0], b[0])  # shared center
         assert not np.array_equal(a[1], b[1])
 
+    @pytest.mark.parametrize("start_sd", [float("nan"), float("inf"), -0.5])
+    def test_options_reject_a_bad_start_sd(self, start_sd):
+        # A nan spread would give nan starts that stop before their first
+        # tick yet count as used; a negative one ends in NumPy's "scale < 0".
+        with pytest.raises(ValueError, match="start_sd must be finite and nonnegative"):
+            FitOptions(start_sd=start_sd)
+        assert FitOptions(start_sd=0.0).start_sd == 0.0
+
 
 class TestNumericalHessian:
     def test_quadratic_closed_form(self):

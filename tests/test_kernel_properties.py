@@ -4,7 +4,9 @@
 list-level kernel ``_reference._Objective`` (one reverse sweep) must each
 give an exact gradient within 1e-6 of ``gradient_fd`` (central
 differences of the lane kernel's values), over every grid spec, random
-parameters, truncated windows, forcing and a separate rescaling grid.
+parameters, truncated windows, forcing and a separate rescaling grid: the
+list kernel evaluates on that grid's time scale, the lane kernel, which
+knows only its window's own, at the point ``rescale_coefficients`` maps.
 ``test_lanes.py`` checks the lane kernel against the list kernel on the
 same cases.  Forcing coefficients near and past the overflow of exp make
 points invalid, some only after a run of valid years: there both give
@@ -16,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import flowfit as ff
+from flowfit.model import rescale_coefficients
 
 from _reference import _Objective
 from _scenarios import recovery_scenario
@@ -50,16 +53,40 @@ def cases(draw):
     return spec, obs, theta, scale_grid
 
 
+def pull_back(spec, from_grid, to_grid):
+    """The transpose of ``rescale_coefficients``' (linear) map, as a ``(k, k)`` matrix.
+
+    Row i is the image of the i-th unit vector, so ``pull_back @ g`` takes
+    a gradient in ``to_grid``'s coefficients to ``from_grid``'s.
+    """
+    return rescale_coefficients(np.eye(spec.n_params), spec, from_grid, to_grid)
+
+
 def evaluators(spec, obs, scale_grid=None):
     """Value and gradient functions of both kernels at ``spec``, ``obs`` and ``scale_grid``.
 
     ``lane`` is ``loss`` and ``loss_gradient``, one-lane ``LaneKernel``
-    calls; ``list`` is the list-level ``_reference._Objective``.
+    calls; ``list`` is the list-level ``_reference._Objective``.  With
+    ``scale_grid``, ``theta`` is on its time scale: ``loss`` maps it to
+    ``obs``'s own, and so does the gradient, which :func:`pull_back` takes back.
     """
     objective = _Objective(spec, obs, scale_grid)
-    return {"lane": (lambda theta: ff.loss(theta, spec, obs, scale_grid),
-                     lambda theta: ff.loss_gradient(theta, spec, obs, scale_grid)),
-            "list": (objective.value, objective.gradient)}
+    if scale_grid is None:
+        lane = (lambda theta: ff.loss(theta, spec, obs),
+                lambda theta: ff.loss_gradient(theta, spec, obs))
+    else:
+        back = pull_back(spec, scale_grid, obs.grid)
+        lane = (lambda theta: ff.loss(theta, spec, obs, scale_grid),
+                lambda theta: back @ ff.loss_gradient(
+                    rescale_coefficients(theta, spec, scale_grid, obs.grid), spec, obs))
+    return {"lane": lane, "list": (objective.value, objective.gradient)}
+
+
+def gradient_fd(theta, spec, obs, scale_grid=None):
+    """``ff.gradient_fd``, or with ``scale_grid`` the same stencil on ``loss``'s mapped values."""
+    if scale_grid is None:
+        return ff.gradient_fd(theta, spec, obs)
+    return ff.fd_gradient(lambda point: ff.loss(point, spec, obs, scale_grid), theta)
 
 
 def _rel_err(got, want):
@@ -71,7 +98,7 @@ def _rel_err(got, want):
 def test_loss_gradient_matches_gradient_fd(case):
     spec, obs, theta, scale_grid = case
     # At an invalid point the stencil's inf - inf is nan, without a warning.
-    want = ff.gradient_fd(theta, spec, obs, scale_grid)
+    want = gradient_fd(theta, spec, obs, scale_grid)
     for name, (value_of, gradient_of) in evaluators(spec, obs, scale_grid).items():
         value = value_of(theta)
         grad = gradient_of(theta)

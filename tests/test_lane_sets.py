@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import flowfit as ff
 from flowfit import estimation
 from flowfit.estimation import LaneJob, bfgs_lanes, fit_lane_set
-from flowfit.model import LaneKernel, embed, superset_mask
+from flowfit.model import LaneKernel, embed, rescale_coefficients, superset_mask
 
 from _scenarios import recovery_scenario
 from test_kernel_properties import OBS, SPECS
@@ -35,7 +35,11 @@ LANE_SETS = settings(max_examples=25, derandomize=True, deadline=None,
 
 @st.composite
 def window_sets(draw):
-    """Truncation and hindcast windows of ``SMALL``, each with a time scale and specs."""
+    """Truncation and hindcast windows of ``SMALL``, and jobs on them.
+
+    A job's starts are on its window's time scale or, as ``--rescale
+    full`` makes them, mapped there from ``SMALL``'s.
+    """
     grid = SMALL.grid
     windows = []
     for _ in range(draw(st.integers(1, 5))):
@@ -43,20 +47,22 @@ def window_sets(draw):
             window = SMALL.window(draw(st.integers(grid.t_min, grid.t_max - 8)), grid.t_max)
         else:
             window = SMALL.window(grid.t_min, draw(st.integers(grid.t_min + 8, grid.t_max - 1)))
-        windows.append((window, draw(st.sampled_from([None, grid]))))
+        windows.append(window)
     jobs = []
     for _ in range(draw(st.integers(1, 6))):
-        window, scale_grid = windows[draw(st.integers(0, len(windows) - 1))]
+        window = windows[draw(st.integers(0, len(windows) - 1))]
         spec = draw(st.sampled_from(SPECS))
-        starts = ff.default_starts(spec, window, n_starts=draw(st.integers(1, 4)),
-                                   seed=draw(st.integers(0, 50)))
-        jobs.append(LaneJob(spec, window, np.stack(starts), scale_grid))
+        starts = np.stack(ff.default_starts(spec, window, n_starts=draw(st.integers(1, 4)),
+                                            seed=draw(st.integers(0, 50))))
+        if draw(st.booleans()):
+            starts = rescale_coefficients(starts, spec, grid, window.grid)
+        jobs.append(LaneJob(spec, window, starts))
     return windows, jobs
 
 
 # Windows of two lengths for the lanes that force the kernel's general
 # paths, so that every drawn window set is padded.
-HARD_WINDOWS = [(SMALL, None), (SMALL.window(SMALL.grid.t_min, SMALL.grid.t_max - 6), None)]
+HARD_WINDOWS = [SMALL, SMALL.window(SMALL.grid.t_min, SMALL.grid.t_max - 6)]
 HARD_THETAS, HARD_MASKS = general_path_lanes(forcing=True)
 
 
@@ -90,10 +96,9 @@ def test_lane_in_window_set_equals_lane_alone(case, gtol):
     mask = np.concatenate([np.repeat([superset_mask(job.spec) for job in jobs],
                                      [len(job.starts) for job in jobs], axis=0)]
                           + [HARD_MASKS] * 2)
-    index = [next(w for w, (obs, scale_grid) in enumerate(windows)
-                  if obs is job.obs and scale_grid == job.scale_grid) for job in jobs]
-    lane_windows = [(job.obs, job.scale_grid) for job in jobs for _ in job.starts]
-    lane_windows += [pair for pair in HARD_WINDOWS for _ in HARD_THETAS]
+    index = [next(w for w, obs in enumerate(windows) if obs is job.obs) for job in jobs]
+    lane_windows = [job.obs for job in jobs for _ in job.starts]
+    lane_windows += [obs for obs in HARD_WINDOWS for _ in HARD_THETAS]
     window = np.concatenate([np.repeat(index, [len(job.starts) for job in jobs]),
                              len(windows) + np.arange(2).repeat(len(HARD_THETAS))])
     kernel = LaneKernel.of_windows(windows + HARD_WINDOWS, window)
@@ -101,9 +106,9 @@ def test_lane_in_window_set_equals_lane_alone(case, gtol):
         together = bfgs_lanes(kernel, x0, mask, gtol=gtol, max_iter=40)
     ticks = []   # how many ticks each lane runs alone
     with kernel_paths() as paths:
-        for lane, (obs, scale_grid) in enumerate(lane_windows):
+        for lane, obs in enumerate(lane_windows):
             with call_widths() as calls:
-                alone = bfgs_lanes(LaneKernel(obs, scale_grid), x0[lane:lane + 1],
+                alone = bfgs_lanes(LaneKernel(obs), x0[lane:lane + 1],
                                    mask[lane:lane + 1], gtol=gtol, max_iter=40)
             ticks.append(len(calls) - 1)
             row = together.rows(slice(lane, lane + 1))
@@ -124,8 +129,8 @@ def test_minimize_bfgs_is_its_job_in_any_lane_set(case):
     opts = ff.FitOptions(max_iter=40)
     in_set = fit_lane_set(jobs, opts)
     for job, fit in zip(jobs, in_set):
-        (alone,) = fit_lane_set([LaneJob(job.spec, job.obs, job.starts, job.scale_grid)], opts)
-        got = ff.minimize_bfgs(job.spec, job.obs, list(job.starts), opts, job.scale_grid)
+        (alone,) = fit_lane_set([LaneJob(job.spec, job.obs, job.starts)], opts)
+        got = ff.minimize_bfgs(job.spec, job.obs, list(job.starts), opts)
         for want in (alone, fit):
             for field in dataclasses.fields(got):
                 assert (np.asarray(getattr(got, field.name)).tobytes()
@@ -133,22 +138,22 @@ def test_minimize_bfgs_is_its_job_in_any_lane_set(case):
 
 
 def test_padded_kernel_equals_each_window_kernel():
-    # Lanes of every spec, some invalid, on windows of three lengths and
-    # two time scales.
+    # Lanes of every spec, some invalid, on windows of four lengths, each
+    # on its own time scale.
     p_intl = OBS.p_intl.copy()
     p_intl[:10] = 0.0
     obs = ff.ObservedSeries(OBS.grid, OBS.b, OBS.m, OBS.p, p_intl=p_intl)
-    windows = [(obs, None), (obs.window(1980, obs.grid.t_max), obs.grid),
-               (obs.window(obs.grid.t_min, 1995), None), (obs.window(1975, 2000), None)]
+    windows = [obs, obs.window(1980, obs.grid.t_max), obs.window(obs.grid.t_min, 1995),
+               obs.window(1975, 2000)]
     thetas, masks = mixed_lanes(40, seed=8)
     window = np.arange(40) % len(windows)
     values, grads = LaneKernel.of_windows(windows, window)(thetas, masks)
     invalid = values == np.inf
     assert invalid.any() and not invalid.all()
     assert np.all(np.isnan(grads[invalid][masks[invalid]]))
-    for w, (series, scale_grid) in enumerate(windows):
+    for w, series in enumerate(windows):
         on = window == w
-        alone_values, alone_grads = LaneKernel(series, scale_grid)(thetas[on], masks[on])
+        alone_values, alone_grads = LaneKernel(series)(thetas[on], masks[on])
         assert np.array_equal(values[on], alone_values)
         assert np.array_equal(grads[on], alone_grads, equal_nan=True)
 
@@ -166,7 +171,7 @@ def test_lane_whose_pad_years_overflow_keeps_its_value():
     theta[-1] = 705.0
     thetas = np.stack([theta, theta])
     masks = np.tile(superset_mask(spec), (2, 1))
-    kernel = LaneKernel.of_windows([(short, None), (OBS, None)], np.array([0, 1]))
+    kernel = LaneKernel.of_windows([short, OBS], np.array([0, 1]))
     values, grads = kernel(thetas, masks)
     assert not np.isfinite(kernel._workspace.flow_p[short.grid.n_years:, 0]).any()
     alone_values, alone_grads = LaneKernel(short)(thetas[:1], masks[:1])
@@ -178,7 +183,7 @@ def test_lane_whose_pad_years_overflow_keeps_its_value():
 
 def test_forcing_lane_needs_its_own_window_proxy():
     plain = ff.ObservedSeries(SMALL.grid, SMALL.b, SMALL.m, SMALL.p)
-    windows = [(SMALL, None), (plain, None)]
+    windows = [SMALL, plain]
     spec = ff.ModelSpec(0, 0, forcing=True)
     theta = embed(ff.default_starts(spec, SMALL, n_starts=1)[0], spec)[None]
     mask = superset_mask(spec)[None]
@@ -196,15 +201,19 @@ def refit_windows(obs, start_years, cutoffs):
 @pytest.mark.parametrize("n_starts", [1, 2, 3, 4])
 def test_refits_equal_per_window_fit_lane_set(n_starts, rescale):
     # The studies fit all windows as one lane set, each from the fit
-    # stage's starts; each window alone is a lane set of its own.
+    # stage's starts (with rescale='full' mapped from the sample's time
+    # scale to the window's); each window alone is a lane set of its own.
     spec = ff.ModelSpec(1, 1, forcing=True)
     opts = ff.FitOptions(n_starts=n_starts, max_iter=60, seed=4)
     start_years, cutoffs = [1984, 1989], [1993, 1998, 2000]
-    scale_grid = SMALL.grid if rescale == "full" else None
     starts = np.stack(ff.default_starts(spec, SMALL, n_starts=n_starts, seed=opts.seed))
+
+    def job(window):
+        return LaneJob(spec, window, starts if rescale == "window"
+                       else rescale_coefficients(starts, spec, SMALL.grid, window.grid))
+
     truncation, hindcast = refit_windows(SMALL, start_years, cutoffs)
-    want = {kind: [fit_lane_set([LaneJob(spec, window, starts, scale_grid)], opts)[0]
-                   for window in windows]
+    want = {kind: [fit_lane_set([job(window)], opts)[0] for window in windows]
             for kind, windows in (("truncation", truncation), ("hindcast", hindcast))}
     rows = ff.truncation_study(SMALL, spec, start_years, opts, rescale=rescale)
     assert [row.sse for row in rows] == [fit.sse for fit in want["truncation"]]
@@ -213,8 +222,7 @@ def test_refits_equal_per_window_fit_lane_set(n_starts, rescale):
     assert [p.fit_sse for p in result.predictions] == [fit.sse for fit in want["hindcast"]]
     for prediction, window, fit in zip(result.predictions, hindcast, want["hindcast"]):
         ahead = SMALL.window(window.grid.t_min, window.grid.t_max + 1)
-        m_pred, p_pred = ff.diagnostics._predict_next_year(
-            ahead, spec, fit.theta_hat, window.grid if scale_grid is None else scale_grid)
+        m_pred, p_pred = ff.diagnostics._predict_next_year(ahead, spec, fit.theta_hat)
         assert (prediction.m_pred, prediction.p_pred) == (m_pred, p_pred)
     both = ff.diagnostics.robustness(SMALL, spec, start_years, cutoffs, opts, rescale)
     assert both.truncation_rows == rows and both.hindcast == result
@@ -275,17 +283,19 @@ def test_fit_lane_set_sets_and_returns_each_jobs_fit():
 def test_fit_sse_is_bitwise_its_loss(n_starts, rescale):
     # A fit's SSE is its winning lane's kernel value, whatever the start
     # count: alone on one window, and in a set of two windows of different
-    # lengths (so the shorter one is padded).
-    scale_grid = SMALL.grid if rescale == "full" else None
+    # lengths (so the shorter one is padded), from starts on the window's
+    # time scale or mapped there from the sample's.
     windows = [(SMALL.window(1984, SMALL.grid.t_max), ff.ModelSpec(1, 1, forcing=True)),
                (SMALL.window(SMALL.grid.t_min, 1995), ff.ModelSpec(0, 2, forcing=False))]
     opts = ff.FitOptions(max_iter=40)
-    jobs = [LaneJob(spec, window, np.stack(ff.default_starts(spec, window, n_starts=n_starts,
-                                                             seed=n_starts)), scale_grid)
-            for window, spec in windows]
-    alone = [ff.minimize_bfgs(job.spec, job.obs, job.starts, opts, scale_grid)
-             for job in jobs]
+    jobs = []
+    for window, spec in windows:
+        starts = np.stack(ff.default_starts(spec, window, n_starts=n_starts, seed=n_starts))
+        if rescale == "full":
+            starts = rescale_coefficients(starts, spec, SMALL.grid, window.grid)
+        jobs.append(LaneJob(spec, window, starts))
+    alone = [ff.minimize_bfgs(job.spec, job.obs, job.starts, opts) for job in jobs]
     fit_lane_set(jobs, opts)
     for job, fit in zip(jobs, alone):
         for got in (fit, job.fit):
-            assert got.sse == ff.loss(got.theta_hat, job.spec, job.obs, scale_grid)
+            assert got.sse == ff.loss(got.theta_hat, job.spec, job.obs)

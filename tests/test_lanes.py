@@ -23,27 +23,32 @@ from hypothesis import strategies as st
 import flowfit as ff
 from flowfit import estimation, model
 from flowfit.estimation import bfgs_lanes, bfgs_minimize
-from flowfit.model import LaneKernel, embed, superset_mask
+from flowfit.model import LaneKernel, embed, rescale_coefficients, superset_mask
 
 from _reference import _Objective
 from _scenarios import recovery_scenario
-from test_kernel_properties import KERNEL, OBS, SPECS, cases
+from test_kernel_properties import KERNEL, OBS, SPECS, cases, pull_back
 
 
-def lane_eval(spec, obs, theta, scale_grid=None):
+def lane_eval(spec, obs, theta):
     """Value and gradient of one lane, the gradient in ``spec``'s coefficients."""
     mask = superset_mask(spec)
-    values, grads = LaneKernel(obs, scale_grid)(embed(theta, spec)[None], mask[None])
+    values, grads = LaneKernel(obs)(embed(theta, spec)[None], mask[None])
     return float(values[0]), grads[0][mask]
 
 
 def assert_matches_list_kernel(spec, obs, theta, scale_grid):
-    value, grad = lane_eval(spec, obs, theta, scale_grid)
+    # The list kernel on ``scale_grid``'s time scale, the lane kernel on
+    # ``obs``'s own at the mapped point, its gradient pulled back.
+    scale_grid = scale_grid or obs.grid
+    mapped = rescale_coefficients(theta, spec, scale_grid, obs.grid)
+    value, grad = lane_eval(spec, obs, mapped)
     objective = _Objective(spec, obs, scale_grid)
     want = objective.value(theta)
     want_grad = objective.gradient(theta)
     assert ff.loss(theta, spec, obs, scale_grid) == value
-    assert np.array_equal(ff.loss_gradient(theta, spec, obs, scale_grid), grad, equal_nan=True)
+    assert np.array_equal(ff.loss_gradient(mapped, spec, obs), grad, equal_nan=True)
+    grad = pull_back(spec, scale_grid, obs.grid) @ grad
     if want == math.inf:
         # An invalid point: both kernels give +inf and a nan gradient.
         assert value == want and np.all(np.isnan(grad)) and np.all(np.isnan(want_grad))
@@ -171,7 +176,7 @@ def test_lane_alone_equals_lane_in_shuffled_batch():
     p_intl = OBS.p_intl.copy()
     p_intl[:10] = 0.0
     obs = ff.ObservedSeries(OBS.grid, OBS.b, OBS.m, OBS.p, p_intl=p_intl)
-    kernel = LaneKernel(obs, ff.YearGrid(1960, 2020))
+    kernel = LaneKernel(obs)
     thetas, masks = mixed_lanes(37, seed=4)
     hard, hard_masks = general_path_lanes(forcing=True)
     thetas, masks = np.concatenate([thetas, hard]), np.concatenate([masks, hard_masks])
@@ -211,8 +216,7 @@ def test_kernel_shortcuts_give_the_general_paths_bits(windowed):
     taken = []
     for thetas, masks in batches:
         window = np.arange(len(thetas)) % len(WINDOWS)
-        kernel = (LaneKernel.of_windows(WINDOWS, window) if windowed
-                  else LaneKernel(OBS, ff.YearGrid(1960, 2020)))
+        kernel = LaneKernel.of_windows(WINDOWS, window) if windowed else LaneKernel(OBS)
         with kernel_paths() as paths:
             got = kernel(thetas, masks)
         taken += paths
@@ -238,9 +242,9 @@ def test_batch_without_forcing_lane_skips_the_proxy():
     thetas, masks = mixed_lanes(36, seed=8)
     unforced = ~masks[:, -1]
     no_proxy = ff.ObservedSeries(OBS.grid, OBS.b, OBS.m, OBS.p)
-    for scale_grid in (None, ff.YearGrid(1960, 2020)):
-        with_proxy = LaneKernel(OBS, scale_grid)(thetas[unforced], masks[unforced])
-        without = LaneKernel(no_proxy, scale_grid)(thetas[unforced], masks[unforced])
+    for obs, bare in ((OBS, no_proxy), (OBS.window(1975, 2012), no_proxy.window(1975, 2012))):
+        with_proxy = LaneKernel(obs)(thetas[unforced], masks[unforced])
+        without = LaneKernel(bare)(thetas[unforced], masks[unforced])
         for got, want in zip(with_proxy, without):
             assert_bitwise(got, want)
     # In a batch with forcing lanes each lane still gets what it gets alone,
@@ -275,10 +279,7 @@ def test_kernel_blocks_are_c_ordered(monkeypatch, n_lanes, windowed):
     # would follow the lanes-first coefficients' strides), so the stock and
     # flow blocks, and every array the scans derive from them, are too.
     if windowed:
-        kernel = LaneKernel.of_windows([(OBS.window(OBS.grid.t_min, 1995), None),
-                                        (OBS, ff.YearGrid(1960, 2020)),
-                                        (OBS.window(1980, OBS.grid.t_max), None)],
-                                       np.arange(n_lanes) % 3)
+        kernel = LaneKernel.of_windows(WINDOWS, np.arange(n_lanes) % 3)
         # The kernel holds each lane's inputs, gathered once, lane axis last.
         assert kernel.has_intl.shape == (n_lanes,)
         assert all(a.shape[-1] == n_lanes and a.flags.c_contiguous for a in kernel.inputs)
@@ -329,8 +330,7 @@ def test_kernel_blocks_are_c_ordered(monkeypatch, n_lanes, windowed):
     assert all(a.flags.c_contiguous for steps in scanned for step in steps for a in step)
 
 
-WINDOWS = [(OBS.window(OBS.grid.t_min, 1995), None), (OBS, ff.YearGrid(1960, 2020)),
-           (OBS.window(1980, OBS.grid.t_max), None)]
+WINDOWS = [OBS.window(OBS.grid.t_min, 1995), OBS, OBS.window(1980, OBS.grid.t_max)]
 
 
 def test_second_call_reuses_the_first_calls_workspace():

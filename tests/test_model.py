@@ -27,10 +27,11 @@ from flowfit.model import (
     _clamped_logistic,
     _logistic_two_branch,
     embed,
+    rescale_coefficients,
     superset_mask,
 )
 
-from _reference import block_design
+from _reference import _Objective, block_design
 from _scenarios import (RECOVERY_SPEC, RECOVERY_THETA, oracle_recurrence, random_instance,
                         recovery_scenario)
 
@@ -85,6 +86,76 @@ class TestRescaleTime:
         s = rescale_time(years, GRID)
         diffs = np.diff(s) / np.diff(years)
         assert np.allclose(diffs, diffs[0])
+
+
+class TestRescaleCoefficients:
+    # A sample, the refit windows of its truncation and hindcast, and a
+    # wider grid; each case's coefficients start on the first grid's scale.
+    OBS, _ = generate(recovery_scenario(noise_sd=0.02, seed=4, p_intl=True))
+    CASES = [(GRID, OBS.window(1979, 2017)), (GRID, OBS.window(1969, 2005)),
+             (YearGrid(1950, 2030), OBS.window(1980, 2004))]
+
+    @staticmethod
+    def thetas(spec, n=20):
+        rng = np.random.default_rng([spec.deg_gamma, spec.deg_rho, spec.forcing])
+        truth = np.append(RECOVERY_THETA, -1.0)[superset_mask(spec)]
+        return truth + rng.normal(0.0, 0.3, (n, spec.n_params))
+
+    @ALL_SPECS
+    def test_loss_matches_the_oracle_on_the_old_scale(self, spec):
+        # The list-level oracle evaluates on the old scale itself; loss
+        # maps the coefficients to the window's and runs the kernel there.
+        for scale_grid, window in self.CASES:
+            objective = _Objective(spec, window, scale_grid)
+            for theta in self.thetas(spec):
+                want = objective.value(theta)
+                mapped = rescale_coefficients(theta, spec, scale_grid, window.grid)
+                got = loss(theta, spec, window, scale_grid)
+                assert got == loss(mapped, spec, window)
+                assert np.isfinite(want) and abs(got - want) <= 1e-12 * want
+
+    @ALL_SPECS
+    def test_trajectories_agree(self, spec):
+        for scale_grid, window in self.CASES:
+            for theta in self.thetas(spec):
+                old = eval_param_trajectories(theta, spec, scale_grid, window.grid.years)
+                new = eval_param_trajectories(
+                    rescale_coefficients(theta, spec, scale_grid, window.grid), spec, window.grid)
+                for name in TRAJECTORY_NAMES:
+                    assert np.max(np.abs(getattr(new, name) - getattr(old, name))) <= 1e-12
+                assert new.lam == old.lam
+
+    @ALL_SPECS
+    def test_round_trip_and_batch(self, spec):
+        for scale_grid, window in self.CASES:
+            thetas = self.thetas(spec)
+            mapped = rescale_coefficients(thetas, spec, scale_grid, window.grid)
+            # A batch maps row by row, and lambda_raw passes through.
+            for theta, row in zip(thetas, mapped):
+                assert rescale_coefficients(theta, spec, scale_grid, window.grid).tobytes() \
+                    == row.tobytes()
+            if spec.forcing:
+                assert np.array_equal(mapped[:, -1], thetas[:, -1])
+            back = rescale_coefficients(mapped, spec, window.grid, scale_grid)
+            assert np.all(np.abs(back - thetas) <= 1e-12 * np.maximum(1.0, np.abs(thetas)))
+
+    def test_loss_rejects_coefficients_the_map_overflows(self):
+        # A quadratic coefficient finite on a 24-year scale is 4 times as
+        # large on the 48-year one, past the largest float: rejected as a
+        # non-finite point is, without a floating-point warning.
+        theta = self.thetas(RECOVERY_SPEC, 1)[0]
+        theta[2] = 1e308
+        with pytest.raises(ValueError, match="theta must be finite"):
+            loss(theta, RECOVERY_SPEC, self.OBS, YearGrid(1981, 2005))
+
+    def test_known_map(self):
+        # From [2000, 2002] to [2001, 2005]: s = 2 u + 2, so c0 + c1 s + c2 s^2
+        # has the coefficients (c0 + 2 c1 + 4 c2, 2 (c1 + 4 c2), 4 c2) in u;
+        # the constant-only routing blocks keep theirs.
+        spec = ModelSpec(2, 0)
+        theta = np.array([0.1, 0.2, 0.3, 0.5, -0.5, 0.25, 1.0, 2.0, -1.0])
+        got = rescale_coefficients(theta, spec, YearGrid(2000, 2002), YearGrid(2001, 2005))
+        assert got.tolist() == [0.1, 0.2, 0.3, 0.5, 1.0, 1.0, 1.0, -4.0, -4.0]
 
 
 class TestInvLogit:
@@ -237,18 +308,17 @@ class TestEvalParamTrajectories:
 
     @ALL_SPECS
     def test_trajectories_are_the_kernels(self, spec):
-        # Bit for bit the trajectories a one-lane kernel call works on, on the
-        # data's own time scale and on a wider one, clipped lanes included.
+        # Bit for bit the trajectories a one-lane kernel call works on, on a
+        # series and on a window of it, each on its own time scale, clipped
+        # lanes included.
         rng = np.random.default_rng(11)
-        obs, _, _, _ = random_instance(np.random.default_rng(2), forcing=True, n_years=25)
-        wider = YearGrid(obs.grid.t_min - 10, obs.grid.t_max + 7)
-        for scale_grid in (None, wider):
-            kernel = LaneKernel(obs, scale_grid)
+        full, _, _, _ = random_instance(np.random.default_rng(2), forcing=True, n_years=25)
+        for obs in (full, full.window(full.grid.t_min + 3, full.grid.t_max - 5)):
+            kernel = LaneKernel(obs)
             for scale in (0.5, 3.0, 40.0):
                 theta = rng.normal(0.0, scale, spec.n_params)
                 kernel(embed(theta, spec)[None], superset_mask(spec)[None])
-                traj = eval_param_trajectories(theta, spec, scale_grid or obs.grid,
-                                               obs.grid.years)
+                traj = eval_param_trajectories(theta, spec, obs.grid)
                 got = np.stack([traj.as_dict()[name] for name in TRAJECTORY_NAMES])
                 assert got.tobytes() == kernel._workspace.p[:, :, 0].tobytes()
 
@@ -416,7 +486,7 @@ class TestSimulate:
         # simulate runs the kernel's recurrence, so the residuals the report
         # prints are the fit's: the loss is bitwise their squares summed in
         # year order, with and without the proxy, on the data's time scale
-        # and on a wider one.
+        # and, through the coefficient map, on a wider one.
         rng = np.random.default_rng(17)
         truth = np.append(RECOVERY_THETA, -1.0)
         for seed in (1, 2, 3):
@@ -426,8 +496,8 @@ class TestSimulate:
             for obs in (with_proxy, without)[:1 if spec.forcing else 2]:
                 for scale_grid in (None, wider):
                     theta = (truth + rng.normal(0.0, 0.5, truth.size))[superset_mask(spec)]
-                    traj = eval_param_trajectories(theta, spec, scale_grid or obs.grid,
-                                                   obs.grid.years)
+                    mapped = rescale_coefficients(theta, spec, scale_grid or obs.grid, obs.grid)
+                    traj = eval_param_trajectories(mapped, spec, obs.grid)
                     res = residuals(obs, simulate(obs, traj, spec))
                     sum_m = sum_p = 0.0
                     for r_m, r_p in zip(res.r_m[1:], res.r_p[1:]):
