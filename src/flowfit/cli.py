@@ -37,7 +37,10 @@ DEFAULT_CUTOFFS = (1990, 1995, 2000, 2005, 2010, 2015)
 TRUNCATION_OFFSETS = (5, 10, 15)
 
 # Upper bounds on the work and memory one run may ask for: the bands of
-# MAX_N_DRAWS draws on 49 years take about 100 MB.
+# MAX_N_DRAWS draws on 49 years take about 100 MB.  A scenario or data file
+# spans at most MAX_SCENARIO_YEARS years, where the default grid's kernel
+# workspace is about 71 MB (144 lanes x 62 doubles per lane-year) and the
+# bands' draws 1,000 years x 100,000 draws x 8 B, about 0.8 GB.
 MAX_N_DRAWS = 100_000
 MAX_SCENARIO_YEARS = 1000
 MAX_N_STARTS = 1000
@@ -152,9 +155,9 @@ class Setting:
     """One CLI value: ``name`` gives the flag and the name in messages, ``key`` the key, or
     ``section.key``, in the config file and the echo, and ``commands`` the commands that take
     it.  A default of None is no default: the run needs the value.  A callable default maps
-    the year grid to the value; ``env`` names an environment variable that stands in for the
-    default.  ``bounds`` are an integer's (low, high), inclusive; a number's (low, high),
-    exclusive, or (low, None) for finite and >= low; a choice's choices."""
+    the year grid and the refits' spec to the value; ``env`` names an environment variable
+    that stands in for the default.  ``bounds`` are an integer's (low, high), inclusive; a
+    number's (low, high), exclusive, or (low, None) for finite and >= low; a choice's choices."""
     name: str
     commands: tuple[str, ...]
     key: str
@@ -199,13 +202,17 @@ class Setting:
             raise CliError(f"{self.name} must be a finite number >= {low}, got {value}")
 
 
-def _fitting_years(flag: str, what: str, windows) -> list[int]:
-    """The years of ``windows``, (year, refit window length) pairs, whose window is long
-    enough for every grid spec, so the grid's pick refits too."""
-    years = [year for year, n_years in windows if diagnostics.window_fits(n_years, SUPERSET_SPEC)]
+def _fitting_years(flag: str, what: str, grid, spec: ModelSpec, windows) -> list[int]:
+    """The years of ``windows``, (default year inside ``grid``, refit window length) pairs,
+    whose window ``spec`` fits."""
+    if not windows:
+        raise CliError(f"no default {what} lies inside the data's years "
+                       f"{grid.t_min}-{grid.t_max}; pass {flag}")
+    years = [year for year, n_years in windows if spec.fits(n_years)]
     if not years:
-        raise CliError(f"no default {what} leaves a window long enough for every spec; "
-                       f"pass {flag}")
+        fitted = "every spec" if spec == SUPERSET_SPEC else f"spec {spec.label()}"
+        raise CliError(f"no default {what} leaves a window long enough for {fitted} "
+                       f"(k={spec.n_params}); pass {flag}")
     return years
 
 
@@ -246,16 +253,19 @@ SETTINGS = (
     Setting("draw_seed", _data_commands("bands"), "uncertainty.seed", INTEGER, 0, (0, None),
             "seed for parameter draws"),
     Setting("truncation_starts", _data_commands("robust"), "robustness.truncation_starts", YEARS,
-            lambda grid: _fitting_years("--truncation-starts", "truncation start", [
-                (grid.t_min + off, grid.t_max - grid.t_min - off + 1)
-                for off in TRUNCATION_OFFSETS]),
+            lambda grid, spec: _fitting_years(
+                "--truncation-starts", "truncation start", grid, spec,
+                [(grid.t_min + off, grid.n_years - off)
+                 for off in TRUNCATION_OFFSETS if off < grid.n_years]),
             help="comma-separated start years (default: first year + "
-                 f"{', '.join(map(str, TRUNCATION_OFFSETS))} where every spec fits the window)"),
+                 f"{', '.join(map(str, TRUNCATION_OFFSETS))} where the spec, or every spec "
+                 "the grid may pick, fits the window)"),
     Setting("cutoffs", _data_commands("robust"), "robustness.cutoffs", YEARS,
-            lambda grid: _fitting_years("--cutoffs", "hindcast cutoff", [
+            lambda grid, spec: _fitting_years("--cutoffs", "hindcast cutoff", grid, spec, [
                 (c, c - grid.t_min + 1) for c in DEFAULT_CUTOFFS if grid.t_min < c < grid.t_max]),
             help="comma-separated hindcast cutoff years (default: "
-                 f"{','.join(map(str, DEFAULT_CUTOFFS))} where every spec fits the window)"),
+                 f"{','.join(map(str, DEFAULT_CUTOFFS))} where the spec, or every spec the "
+                 "grid may pick, fits the window)"),
     Setting("rescale", _data_commands("robust"), "robustness.rescale", CHOICE, "window",
             ("window", "full"), "time scale the refits' starts are drawn on"),
     Setting("jobs", _data_commands("grid"), "jobs", INTEGER, 1, (1, None),
@@ -405,6 +415,9 @@ def _run_pipeline(command: str, values: dict) -> int:
                          if row.path[0] == "optimizer"})
     spec = values.get("spec")
     obs = load_series(values["data"])
+    if obs.grid.n_years > MAX_SCENARIO_YEARS:
+        raise CliError(f"data file spans {obs.grid.n_years} years, more than "
+                       f"MAX_SCENARIO_YEARS = {MAX_SCENARIO_YEARS}")
     if spec is not None:
         reason = selection.unfittable_reason(spec, obs)
         if reason is not None:
@@ -417,16 +430,17 @@ def _run_pipeline(command: str, values: dict) -> int:
         reason = selection.unfittable_reason(first, obs)
         if reason is not None:
             raise CliError(f"no grid spec can be fitted, not even {first.label()}: {reason}")
-    values = {name: value(obs.grid) if callable(value) else value
+    # Before the grid has picked the spec, a refit window must fit every spec.
+    window_spec = spec or SUPERSET_SPEC
+    values = {name: value(obs.grid, window_spec) if callable(value) else value
               for name, value in values.items()}
     if "robust" in stages:
         trunc_starts, cutoffs = values["truncation_starts"], values["cutoffs"]
-        # Before the grid has picked the spec, a refit window must fit every spec.
         for flag, check, years in (
                 ("--truncation-starts", diagnostics.check_truncation_starts, trunc_starts),
                 ("--cutoffs", diagnostics.check_cutoffs, cutoffs)):
             try:
-                check(obs.grid, years, spec or SUPERSET_SPEC)
+                check(obs.grid, years, window_spec)
             except ValueError as exc:
                 raise CliError(f"{flag}: {exc}") from None
 

@@ -136,11 +136,6 @@ def check_rescale(rescale: str) -> None:
         raise ValueError("rescale must be 'window' or 'full'")
 
 
-def window_fits(n_years: int, spec: ModelSpec) -> bool:
-    """Whether a refit window of ``n_years`` years is long enough for ``spec``."""
-    return n_years >= spec.n_params / 2 + 1
-
-
 def _check_distinct(name: str, years: Sequence[int]) -> None:
     repeated = sorted(year for year, count in Counter(years).items() if count > 1)
     if repeated:
@@ -156,7 +151,7 @@ def check_truncation_starts(
         if start < grid.t_min or start > grid.t_max:
             raise ValueError(f"start year {start} outside the grid")
         n_years = grid.t_max - start + 1
-        if spec is not None and not window_fits(n_years, spec):
+        if spec is not None and not spec.fits(n_years):
             raise ValueError(
                 f"window starting {start} has {n_years} years, too short for k={spec.n_params}"
             )
@@ -176,7 +171,7 @@ def check_cutoffs(
                 f"cutoff {cutoff} must lie strictly inside ({grid.t_min}, {grid.t_max})"
             )
         n_years = cutoff - grid.t_min + 1
-        if spec is not None and not window_fits(n_years, spec):
+        if spec is not None and not spec.fits(n_years):
             raise ValueError(
                 f"window ending {cutoff} has {n_years} years, too short for k={spec.n_params}"
             )

@@ -689,7 +689,7 @@ def covariance(
     """
     k = spec.n_params
     n_eff = grid.n_eff
-    if n_eff <= k:
+    if not spec.fits(grid.n_years):
         raise ValueError(f"residual variance undefined: N_eff={n_eff} <= k={k}")
     hessian = np.asarray(hessian, dtype=float)
     if hessian.shape != (k, k):

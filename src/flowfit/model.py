@@ -89,6 +89,12 @@ class ModelSpec:
         """Free-parameter count: three routing blocks, two hazard blocks, optional forcing."""
         return 3 * (self.deg_rho + 1) + 2 * (self.deg_gamma + 1) + (1 if self.forcing else 0)
 
+    def fits(self, n_years: int) -> bool:
+        """Whether ``n_years`` years give more fitted residuals, N_eff = 2 * n_years - 2, than
+        coefficients: the residual variance SSE / (N_eff - k) needs it, and a refit window
+        without it could interpolate its data with no residual degrees of freedom left."""
+        return 2 * n_years - 2 > self.n_params
+
     def label(self) -> str:
         return f"{self.deg_gamma},{self.deg_rho},{'intl' if self.forcing else 'none'}"
 

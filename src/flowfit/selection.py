@@ -66,12 +66,12 @@ def enumerate_grid() -> list[ModelSpec]:
 def unfittable_reason(spec: ModelSpec, obs: ObservedSeries) -> Optional[str]:
     """Why ``spec`` cannot be fitted to ``obs``, or None if it can.
 
-    A series needs more fitted residuals than ``spec`` has coefficients,
-    the condition of :func:`~flowfit.estimation.covariance`'s variance.
+    A series needs more fitted residuals than ``spec`` has coefficients
+    (:meth:`~flowfit.model.ModelSpec.fits`), as every refit window does.
     """
     if spec.forcing and obs.p_intl is None:
         return "forcing requires a p_intl series"
-    if obs.grid.n_eff <= spec.n_params:
+    if not spec.fits(obs.grid.n_years):
         return f"series too short: N_eff={obs.grid.n_eff} <= k={spec.n_params}"
     return None
 

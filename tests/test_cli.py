@@ -13,6 +13,7 @@ import pytest
 from flowfit import (YearGrid, cli, diagnostics, estimation, generate, logit, run_cli,
                      selection, synthetic, write_series)
 from flowfit.cli import SETTINGS, build_parser, main
+from flowfit.model import SUPERSET_SPEC, ModelSpec
 
 from _scenarios import RECOVERY_THETA, recovery_scenario
 
@@ -275,9 +276,9 @@ class TestRobust:
         assert report["hindcast_summary"]["n_cutoffs"] == 2
 
 
-    def test_default_truncation_starts_leave_windows_every_spec_fits(self, data_csv, tmp_path):
+    def test_default_truncation_starts_leave_windows_the_spec_fits(self, data_csv, tmp_path):
         # 1985-2004: the default start 2000 would leave 5 years, too few for
-        # k = 15; it is dropped, and 1990 and 1995 remain.
+        # the default spec's k = 15; it is dropped, and 1990 and 1995 remain.
         out = tmp_path / "robust"
         code = run_cli(["robust", "--data", str(data_csv), "--out", str(out), *FAST])
         assert code in (0, 2)
@@ -286,9 +287,9 @@ class TestRobust:
         report = json.loads((out / "run_report.json").read_text())
         assert report["config"]["robustness"]["truncation_starts"] == [1990, 1995]
 
-    def test_default_cutoffs_leave_windows_every_spec_fits(self, data_csv, tmp_path):
+    def test_default_cutoffs_leave_windows_the_spec_fits(self, data_csv, tmp_path):
         # 1985-2004: the default cutoff 1990 would leave a 6-year window, too
-        # few for k = 16; it is dropped, and 1995 and 2000 remain.
+        # few for k = 15; it is dropped, and 1995 and 2000 remain.
         out = tmp_path / "robust"
         code = run_cli(["robust", "--data", str(data_csv), "--out", str(out),
                         "--truncation-starts", "1990", *FAST])
@@ -297,6 +298,39 @@ class TestRobust:
             assert [row["cutoff"] for row in csv.DictReader(handle)] == ["1995", "2000"]
         report = json.loads((out / "run_report.json").read_text())
         assert report["config"]["robustness"]["cutoffs"] == [1995, 2000]
+
+    @pytest.mark.parametrize("spec, cutoffs", [
+        (SUPERSET_SPEC, [2005, 2010, 2015]),
+        (ModelSpec(2, 2, False), [2000, 2005, 2010, 2015]),
+        # 4 years leave N_eff = 6: enough for k = 5, not for k = 6.
+        (ModelSpec(0, 0, True), [2000, 2005, 2010, 2015]),
+        (ModelSpec(0, 0, False), [1995, 2000, 2005, 2010, 2015]),
+    ], ids=["2,2,intl", "2,2,none", "0,0,intl", "0,0,none"])
+    def test_default_years_are_those_whose_window_fits_the_spec(self, spec, cutoffs):
+        # 1992-2017: the cutoffs 1995 and 2000 leave 4 and 9 years, every
+        # default start at least 11.
+        defaults = {row.name: row.default for row in SETTINGS}
+        grid = YearGrid(1992, 2017)
+        assert defaults["cutoffs"](grid, spec) == cutoffs
+        assert defaults["truncation_starts"](grid, spec) == [1997, 2002, 2007]
+
+    @pytest.mark.parametrize("flags, cutoffs", [
+        (["--spec", "2,2,none"], [2000, 2005, 2010, 2015]),
+        # The grid picks the spec, so the 9-year window to 2000 must fit k = 16.
+        ([], [2005, 2010, 2015]),
+    ], ids=["spec", "grid-picks"])
+    def test_report_echoes_the_default_cutoffs_of_its_spec(self, tmp_path, flags, cutoffs):
+        obs, _ = generate(recovery_scenario(grid=YearGrid(1992, 2017)))
+        data = tmp_path / "d26.csv"
+        write_series(obs, data)
+        out = tmp_path / "report"
+        # No fit converges in 0 iterations, so the run exits 2, but it reports.
+        code = run_cli(["report", "--data", str(data), "--out", str(out), "--n-starts", "1",
+                        "--max-iter", "0", "--n-draws", "2", *flags])
+        assert code == 2
+        robustness = json.loads((out / "run_report.json").read_text())["config"]["robustness"]
+        assert robustness["cutoffs"] == cutoffs
+        assert robustness["truncation_starts"] == [1997, 2002, 2007]
 
 
 class TestSynth:
@@ -625,6 +659,10 @@ class TestReport:
         assert "forcing requires a p_intl series" in capsys.readouterr().err
 
 
+# The spec a command's default refit windows must fit, as its messages name it.
+WINDOW_SPEC = {"robust": "spec 2,2,none (k=15)", "report": "every spec (k=16)"}
+
+
 class TestSettingsCheckedBeforeFitting:
     """A bad setting exits 1 with a message before the grid or the fit runs."""
 
@@ -707,7 +745,7 @@ class TestSettingsCheckedBeforeFitting:
 
     @pytest.mark.parametrize("command", ["robust", "report"])
     def test_no_default_truncation_start_fits(self, tmp_path, monkeypatch, capsys, command):
-        # 13 years: the first default start leaves 8 years, too few for k = 16.
+        # 13 years: the first default start leaves 8 years, too few for k = 15 or 16.
         obs, _ = generate(recovery_scenario(grid=YearGrid(1990, 2002)))
         data = tmp_path / "short.csv"
         write_series(obs, data)
@@ -716,8 +754,9 @@ class TestSettingsCheckedBeforeFitting:
         code = run_cli([command, "--data", str(data), "--out", str(tmp_path / "r")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "pass --truncation-starts" in err and "Traceback" not in err
-        assert not (tmp_path / "r").exists()
+        assert ("no default truncation start leaves a window long enough for "
+                f"{WINDOW_SPEC[command]}; pass --truncation-starts") in err
+        assert "Traceback" not in err and not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["robust", "--cutoffs", "1988"], "--cutoffs: window ending 1988 has 4 years, too short "
@@ -782,7 +821,7 @@ class TestSettingsCheckedBeforeFitting:
     @pytest.mark.parametrize("command", ["robust", "report"])
     def test_no_default_cutoff_fits(self, tmp_path, monkeypatch, capsys, command):
         # 1998-2006: the default cutoffs 2000 and 2005 leave 3 and 8 years,
-        # too few for k = 16.
+        # too few for k = 15 or 16.
         obs, _ = generate(recovery_scenario(grid=YearGrid(1998, 2006)))
         data = tmp_path / "short.csv"
         write_series(obs, data)
@@ -792,8 +831,74 @@ class TestSettingsCheckedBeforeFitting:
                         "--truncation-starts", "1998"])
         assert code == 1
         err = capsys.readouterr().err
-        assert "pass --cutoffs" in err and "Traceback" not in err
+        assert ("no default hindcast cutoff leaves a window long enough for "
+                f"{WINDOW_SPEC[command]}; pass --cutoffs") in err
+        assert "Traceback" not in err and not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("t_min, t_max, flags, message", [
+        # None of the default cutoffs 1990-2015 lies in 1800-1825.
+        (1800, 1825, [], "no default hindcast cutoff lies inside the data's years 1800-1825; "
+                         "pass --cutoffs"),
+        # The first default start, 1995, lies past the last year.
+        (1990, 1994, ["--spec", "0,0,none"],
+         "no default truncation start lies inside the data's years 1990-1994; "
+         "pass --truncation-starts"),
+    ], ids=["cutoffs", "truncation-starts"])
+    def test_no_default_year_inside_the_data(self, tmp_path, monkeypatch, capsys, t_min, t_max,
+                                             flags, message):
+        obs, _ = generate(recovery_scenario(grid=YearGrid(t_min, t_max)))
+        data = tmp_path / "old.csv"
+        write_series(obs, data)
+        monkeypatch.setattr(selection, "run_grid", self.refuse)
+        monkeypatch.setattr(estimation, "fit_lane_set", self.refuse)
+        code = run_cli(["robust", "--data", str(data), "--out", str(tmp_path / "r"), *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--truncation-starts", "2009", "--cutoffs", "2009"],
+         "--truncation-starts: window starting 2009 has 9 years, too short for k=16"),
+        (["--truncation-starts", "1997", "--cutoffs", "2000"],
+         "--cutoffs: window ending 2000 has 9 years, too short for k=16"),
+    ], ids=["truncation-starts", "cutoffs"])
+    def test_window_with_as_many_residuals_as_coefficients(self, tmp_path, monkeypatch, capsys,
+                                                          flags, message):
+        # 9 years leave N_eff = 16 = k fitted residuals: the grid would skip
+        # 2,2,intl on such a series, so a refit window of 9 years is refused too.
+        obs, _ = generate(recovery_scenario(grid=YearGrid(1992, 2017), p_intl=True))
+        data = tmp_path / "d26.csv"
+        write_series(obs, data)
+        monkeypatch.setattr(selection, "run_grid", self.refuse)
+        monkeypatch.setattr(estimation, "fit_lane_set", self.refuse)
+        code = run_cli(["robust", "--spec", "2,2,intl", "--data", str(data),
+                        "--out", str(tmp_path / "r"), *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "report"])
+    def test_data_years_are_bounded(self, tmp_path, monkeypatch, capsys, command):
+        # The lane kernel's workspace and the bands grow with the years: a
+        # data file spans at most MAX_SCENARIO_YEARS years, as a scenario does.
+        for module, name in ((selection, "run_grid"), (estimation, "fit_lane_set"),
+                             (estimation, "minimize_bfgs")):
+            monkeypatch.setattr(module, name, self.refuse)
+
+        def run(n_years):
+            data = tmp_path / f"long{n_years}.csv"
+            data.write_text("year,bachelors,masters,phd\n" + "".join(
+                f"{year},1000,100,10\n" for year in range(1000, 1000 + n_years)))
+            return run_cli([command, "--data", str(data), "--out", str(tmp_path / "r")])
+
+        assert run(cli.MAX_SCENARIO_YEARS + 1) == 1
+        err = capsys.readouterr().err
+        assert "data file spans 1001 years, more than MAX_SCENARIO_YEARS = 1000" in err
+        assert "Traceback" not in err and not (tmp_path / "r").exists()
+        with pytest.raises(AssertionError, match="fitting started"):
+            run(cli.MAX_SCENARIO_YEARS)
 
     def test_report_config_rescale(self, data_csv, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(selection, "run_grid", self.refuse)

@@ -19,8 +19,8 @@ from flowfit import (
     simulate,
     truncation_study,
 )
-from flowfit import diagnostics
-from flowfit.estimation import FitResult, LaneJob, fit_lane_set
+from flowfit import diagnostics, selection
+from flowfit.estimation import FitResult, LaneJob, covariance, fit_lane_set
 from flowfit.model import rescale_coefficients
 
 from _reference import N_TOTAL, PREFERRED_SSE
@@ -309,3 +309,30 @@ def test_predict_next_year_is_the_recurrence_one_year_on(rescale, forcing):
             assert (got.m_pred, got.p_pred) == pytest.approx(want, rel=1e-12, abs=0.0)
             assert (got.m_obs, got.p_obs) == (obs.m[i_next], obs.p[i_next])
             assert got.cutoff == cutoff and got.fit_sse == 1.0
+
+
+@pytest.mark.parametrize("spec", selection.enumerate_grid(), ids=ModelSpec.label)
+def test_refit_windows_follow_the_grids_size_rule(spec):
+    # One size rule for every window: a truncation start or a cutoff is
+    # accepted, and the covariance defined, exactly when the grid would fit
+    # the spec to the window the year leaves.
+    grid = YearGrid(1900, 1970)
+    for n_years in range(2, 61):
+        window = YearGrid(1900, 1899 + n_years)
+        ones = np.ones(n_years)
+        fits = selection.unfittable_reason(spec, ObservedSeries(window, ones, ones, ones,
+                                                                ones)) is None
+        for check, year in ((diagnostics.check_truncation_starts, grid.t_max - n_years + 1),
+                            (diagnostics.check_cutoffs, grid.t_min + n_years - 1)):
+            try:
+                check(grid, [year], spec)
+            except ValueError as exc:
+                assert not fits and "too short for k=" in str(exc), (check.__name__, n_years)
+            else:
+                assert fits, (check.__name__, n_years)
+        try:
+            covariance(np.eye(spec.n_params), 1.0, spec, window)
+        except ValueError as exc:
+            assert not fits and "residual variance undefined" in str(exc), n_years
+        else:
+            assert fits, n_years

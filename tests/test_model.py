@@ -233,6 +233,14 @@ class TestModelSpec:
         assert ModelSpec(2, 2, True).n_params == 16
         assert ModelSpec(0, 0, False).n_params == 5
 
+    @pytest.mark.parametrize("spec, shortest", [
+        (ModelSpec(2, 2, True), 10), (ModelSpec(2, 2, False), 9), (ModelSpec(0, 0, True), 5),
+        (ModelSpec(0, 0, False), 4)])
+    def test_fits_needs_more_fitted_residuals_than_coefficients(self, spec, shortest):
+        # N_eff = 2 * years - 2 > k: at N_eff = k (9 years for k = 16) the
+        # residual variance has no degrees of freedom left.
+        assert [spec.fits(n) for n in range(1, 13)] == [n >= shortest for n in range(1, 13)]
+
     def test_degree_validation(self):
         with pytest.raises(ValueError):
             ModelSpec(3, 0)
