@@ -43,6 +43,7 @@ from .selection import (
     information_criteria,
     run_grid,
     select_best,
+    spec_starts,
 )
 from .diagnostics import (
     HindcastResult,

@@ -239,7 +239,7 @@ SETTINGS = (
     Setting("n_starts", _data_commands(), "optimizer.n_starts", INTEGER, _FIT.n_starts,
             (1, MAX_N_STARTS), "multi-start count"),
     Setting("seed", _data_commands(), "optimizer.seed", INTEGER, _FIT.seed, (0, None),
-            "base seed for starts"),
+            "base seed for starts: a spec's starts are seeded this plus its index in the grid"),
     Setting("max_iter", _data_commands(), "optimizer.max_iter", INTEGER, _FIT.max_iter,
             (0, MAX_ITER), "iteration cap per start"),
     Setting("gtol", _data_commands(), "optimizer.gtol", NUMBER, _FIT.gtol, (0, None),
@@ -466,9 +466,8 @@ def _run_pipeline(command: str, values: dict) -> int:
                 raise estimation.NumericalError(str(exc)) from None
     if "fit" in stages:
         if entries is None:
-            starts = estimation.default_starts(spec, obs, n_starts=opts.n_starts, seed=opts.seed,
-                                               start_sd=opts.start_sd)
-            fit = estimation.minimize_bfgs(spec, obs, starts, opts)
+            fit = estimation.minimize_bfgs(spec, obs, selection.spec_starts(spec, obs, opts),
+                                           opts)
         else:   # the grid has fitted every spec it could, this one included
             fit = next(e.fit for e in entries if e.spec == spec)
         bundle = _fit_bundle(obs, spec, fit, n)

@@ -22,7 +22,6 @@ from .estimation import (
     FitOptions,
     LaneJob,
     NumericalError,
-    default_starts,
     fit_lane_set,
     residuals,
 )
@@ -35,6 +34,7 @@ from .model import (
     rescale_coefficients,
     simulate,
 )
+from .selection import spec_starts
 
 HISTOGRAM_EDGE = 0.12
 HISTOGRAM_BIN_WIDTH = 0.02
@@ -190,8 +190,9 @@ def robustness_jobs(
     One job per start year (the window from it through the end of the
     sample), then one per cutoff (the window from the first year through
     the cutoff), each with rescaled time anchored on its own window.
-    Every window has the whole-sample fit's starts (seed ``options.seed``),
-    with ``rescale='full'`` mapped from the full sample's time scale by
+    Every window has the starts of the whole-sample fit, and of the
+    grid's cell (:func:`~flowfit.selection.spec_starts`), with
+    ``rescale='full'`` mapped from the full sample's time scale by
     :func:`~flowfit.model.rescale_coefficients`: it picks the starts, not
     the model.  So no window's fit depends on the others, and the jobs are
     lanes whatever their number.  Their fits, in this order, make up
@@ -201,9 +202,7 @@ def robustness_jobs(
     check_truncation_starts(obs.grid, start_years, spec)
     if cutoffs:
         check_cutoffs(obs.grid, cutoffs, spec)
-    opts = options or FitOptions()
-    starts = np.stack(default_starts(spec, obs, n_starts=opts.n_starts, seed=opts.seed,
-                                     start_sd=opts.start_sd))
+    starts = spec_starts(spec, obs, options or FitOptions())
     windows = ([obs.window(start, obs.grid.t_max) for start in start_years]
                + [obs.window(obs.grid.t_min, cutoff) for cutoff in cutoffs])
     return [LaneJob(spec, window, starts if rescale == "window"

@@ -51,7 +51,9 @@ LINE_SEARCH_TRIES = 60
 
 # Most lanes one batched BFGS runs at once, and the unit of work of a lane
 # set's workers.  The kernel's cost per lane stops falling at about this
-# width, and it bounds the batch's memory whatever the start count.
+# width.  A lane set narrows its windows' inputs to a chunk's lanes only
+# when that chunk runs, so this bounds the set's lane inputs and workspace
+# whatever the start count.
 LANE_CHUNK = 256
 
 
@@ -617,9 +619,11 @@ class LaneJob:
 
 
 def _fit_chunk(args) -> LaneOutcomes:
-    kernel, options, x0, mask = args
-    return bfgs_lanes(kernel, x0, mask, gtol=options.gtol, ftol_rel=options.ftol_rel,
-                      max_iter=options.max_iter)
+    # The chunk's kernel is narrowed from the per-window stack here, in the
+    # worker that runs it, so it lives only while the chunk runs.
+    stack, window, options, x0, mask = args
+    return bfgs_lanes(stack.lanes(window), x0, mask, gtol=options.gtol,
+                      ftol_rel=options.ftol_rel, max_iter=options.max_iter)
 
 
 def fit_lane_set(
@@ -629,13 +633,14 @@ def fit_lane_set(
 ) -> list[FitResult]:
     """Fit every job: set each job's ``fit`` to the best of its starts and return the fits.
 
-    Every start of every job is one lane of one lane set, on a
-    :class:`LaneKernel` that binds each lane to its job's window
-    (:meth:`LaneKernel.of_windows`), so the window index lives only here.
-    The lanes, in job order, are cut into chunks of at most ``LANE_CHUNK``;
-    each chunk is one :func:`bfgs_lanes` run on the kernel narrowed to its
-    lanes.  ``workers`` > 1 runs the chunks in parallel, on at most one
-    worker per chunk and per CPU.  A lane's fit does not
+    Every start of every job is one lane of one lane set, bound to its
+    job's window, so the window index lives only here.  The windows'
+    inputs are stacked once (:meth:`LaneKernel.of_windows`).  The lanes,
+    in job order, are cut into chunks of at most ``LANE_CHUNK``; each
+    chunk is one :func:`bfgs_lanes` run on the stack narrowed to its lanes
+    when it runs, so the set holds one chunk's lane inputs at a time.
+    ``workers`` > 1 runs the chunks in parallel, on at most one worker per
+    chunk and per CPU.  A lane's fit does not
     depend on the lanes it runs with nor on its window's padding, so
     chunks, windows and workers never change a result, and a set of one
     lane runs as lanes too.  Each fit's SSE is its winning lane's kernel
@@ -651,9 +656,9 @@ def fit_lane_set(
     x0 = np.concatenate([embed(job.starts, job.spec) for job in jobs])
     mask = np.repeat([superset_mask(job.spec) for job in jobs], counts, axis=0)
     window = np.repeat([index[id(job.obs)] for job in jobs], counts)
-    kernel = LaneKernel.of_windows(list(windows.values()), window)
+    stack = LaneKernel.of_windows(list(windows.values()))
 
-    chunks = [(kernel.lanes(slice(i, i + LANE_CHUNK)), opts, x0[i:i + LANE_CHUNK],
+    chunks = [(stack, window[i:i + LANE_CHUNK], opts, x0[i:i + LANE_CHUNK],
                mask[i:i + LANE_CHUNK]) for i in range(0, len(x0), LANE_CHUNK)]
     # The pool starts all its workers up front, so never ask for more than
     # can run at once.

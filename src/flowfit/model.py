@@ -676,11 +676,16 @@ class LaneKernel:
         self._stack([obs])
 
     @classmethod
-    def of_windows(cls, windows: Sequence[ObservedSeries], window: np.ndarray) -> "LaneKernel":
-        """Lanes on several windows; lane i reads ``windows[window[i]]``."""
+    def of_windows(cls, windows: Sequence[ObservedSeries],
+                   window: Optional[np.ndarray] = None) -> "LaneKernel":
+        """Lanes on several windows; lane i reads ``windows[window[i]]``.
+
+        Without ``window`` lane w reads ``windows[w]``: each window's
+        inputs once, a stack that :meth:`lanes` narrows to any lanes.
+        """
         kernel = cls.__new__(cls)
         kernel._stack(windows)
-        return kernel.lanes(window)
+        return kernel if window is None else kernel.lanes(window)
 
     def _stack(self, windows: Sequence[ObservedSeries]) -> None:
         # Per-window inputs with the window as the last axis, padded to n years.

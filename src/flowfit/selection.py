@@ -1,8 +1,9 @@
 """Specification-grid fitting and information-criterion ranking.
 
 The grid crosses hazard degree {0,1,2} x routing degree {0,1,2} x forcing
-{off,on}: 18 candidate specifications.  Each is fitted with its own seeded
-multi-start, then ranked by AIC (BIC and parameter count break ties).
+{off,on}: 18 candidate specifications.  Each is fitted from its own seeded
+starts, those every fit of the spec runs from (:func:`spec_starts`), then
+ranked by AIC (BIC and parameter count break ties).
 Every start of every cell is one lane of a batched BFGS, and the lane set
 may carry other fits' lanes too (see :func:`run_grid`).
 """
@@ -63,6 +64,18 @@ def enumerate_grid() -> list[ModelSpec]:
             for forcing in (False, True)]
 
 
+def spec_starts(spec: ModelSpec, obs: ObservedSeries, options: FitOptions) -> np.ndarray:
+    """The ``(options.n_starts, k)`` starts every fit of ``spec`` runs from.
+
+    :func:`~flowfit.estimation.default_starts` seeded ``options.seed`` plus
+    ``spec``'s index in :func:`enumerate_grid`, so the grid's cell, the
+    one-spec fit and every refit window of ``spec`` start alike.
+    """
+    return np.stack(default_starts(spec, obs, n_starts=options.n_starts,
+                                   seed=options.seed + enumerate_grid().index(spec),
+                                   start_sd=options.start_sd))
+
+
 def unfittable_reason(spec: ModelSpec, obs: ObservedSeries) -> Optional[str]:
     """Why ``spec`` cannot be fitted to ``obs``, or None if it can.
 
@@ -90,7 +103,7 @@ def run_grid(
     coefficients as fitted residuals or more (:func:`unfittable_reason`).
     ``n`` is the observation count in the criteria, by default N = 2 * years.
 
-    Cell i's seeded starts (seed ``options.seed + i``) make one lane job.
+    Each cell's starts (:func:`spec_starts`) make one lane job.
     Every fittable cell's job is in one lane set
     (:func:`~flowfit.estimation.fit_lane_set`) on ``jobs`` workers, and so
     are ``refits``, further lane jobs whose ``fit`` this sets.  A lane's fit
@@ -104,14 +117,12 @@ def run_grid(
         n = 2 * obs.grid.n_years
     entries = [GridEntry(spec=spec, k=spec.n_params) for spec in enumerate_grid()]
     cells = []
-    for index, entry in enumerate(entries):
-        spec = entry.spec
-        reason = unfittable_reason(spec, obs)
+    for entry in entries:
+        reason = unfittable_reason(entry.spec, obs)
         if reason is not None:
             entry.status, entry.reason = "skipped", reason
             continue
-        cells.append(LaneJob(spec, obs, np.stack(default_starts(
-            spec, obs, n_starts=opts.n_starts, seed=opts.seed + index, start_sd=opts.start_sd))))
+        cells.append(LaneJob(entry.spec, obs, spec_starts(entry.spec, obs, opts)))
     fitted = [e for e in entries if e.status == "ok"]
     fit_lane_set(cells + list(refits), opts, workers=jobs)
     for entry, cell in zip(fitted, cells):

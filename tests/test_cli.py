@@ -1038,6 +1038,46 @@ class TestRefitsInOneLaneSet:
             assert tables["report"] == tables["robust"] == tables["picked"], name
 
 
+class TestOneFitPerSpec:
+    """Every command that fits spec S reports one fit of S: its grid cell's.
+
+    ``fit`` and ``bands`` start S from the seeded starts of S's grid cell,
+    as ``report --spec S`` does, so their files agree with the report's.
+    ``robust``'s tables are the report's too (:class:`TestRefitsInOneLaneSet`).
+    """
+
+    SPEC = "0,2,none"
+    FLAGS = {"optimizer": ["--n-starts", "2", "--max-iter", "150", "--seed", "2"],
+             "bands": ["--n-draws", "50"],
+             "robust": ["--truncation-starts", "1990", "--cutoffs", "1995"]}
+
+    @classmethod
+    def run(cls, command, data_csv, out, spec, stages=()):
+        flags = [flag for stage in ("optimizer", *stages) for flag in cls.FLAGS[stage]]
+        assert run_cli([command, "--data", str(data_csv), "--out", str(out), "--spec", spec,
+                        *flags]) in (0, 2)
+        return out
+
+    @pytest.fixture(scope="class")
+    def report(self, data_csv, tmp_path_factory):
+        return self.run("report", data_csv, tmp_path_factory.mktemp("report"), self.SPEC,
+                        ("bands", "robust"))
+
+    def test_fit_is_the_grid_row(self, data_csv, report, tmp_path):
+        with (report / "grid.csv").open() as handle:
+            rows = [row for row in csv.DictReader(handle) if row["status"] == "ok"]
+        assert len(rows) == 9
+        for row in rows:
+            spec = f"{row['deg_gamma']},{row['deg_rho']},{row['forcing']}"
+            out = self.run("fit", data_csv, tmp_path / spec, spec)
+            fit = json.loads((out / "run_report.json").read_text())["fit"]
+            assert fit["sse"] == float(row["sse"]), spec
+
+    def test_bands_trajectories_are_the_reports(self, data_csv, report, tmp_path):
+        out = self.run("bands", data_csv, tmp_path / "bands", self.SPEC, ("bands",))
+        assert (out / "trajectories.csv").read_bytes() == (report / "trajectories.csv").read_bytes()
+
+
 class TestDeterminism:
     def test_rerun_same_directory_byte_identical(self, data_csv, tmp_path):
         out = tmp_path / "out"

@@ -128,9 +128,9 @@ class TestTruncationStudy:
     def test_start_at_t_min_is_identity(self, small_noise_free, quick_options):
         obs, _ = small_noise_free
         rows = truncation_study(obs, RECOVERY_SPEC, [obs.grid.t_min], quick_options)
-        # The whole sample's fit from the fit stage's starts, one lane job as
+        # The whole sample's fit from the spec's starts, one lane job as
         # every refit window is.
-        starts = np.stack(default_starts(RECOVERY_SPEC, obs, n_starts=2, seed=0))
+        starts = selection.spec_starts(RECOVERY_SPEC, obs, quick_options)
         (full,) = fit_lane_set([LaneJob(RECOVERY_SPEC, obs, starts)], quick_options)
         assert rows[0].sse == full.sse
         assert rows[0].pooled_log_rmse == log_rmse(full.sse, 2 * obs.grid.n_years)
@@ -248,13 +248,13 @@ def test_dropping_a_window_leaves_the_others_unchanged(small_noise_free, quick_o
 @pytest.mark.parametrize("rescale", ["window", "full"])
 def test_rescale_picks_the_starts_and_labels_the_report(small_noise_free, quick_options,
                                                         rescale):
-    # Each window's job starts from the sample's starts, with 'full' mapped
-    # from the sample's time scale to the window's; the report labels its
-    # rows and its hindcast with the rescale it is given.
+    # Each window's job starts from the spec's starts on the sample, those
+    # of its grid cell, with 'full' mapped from the sample's time scale to
+    # the window's; the report labels its rows and its hindcast with the
+    # rescale it is given.
     obs, _ = small_noise_free
     jobs = diagnostics.robustness_jobs(obs, RECOVERY_SPEC, [1985], [1990], quick_options, rescale)
-    starts = np.stack(default_starts(RECOVERY_SPEC, obs, n_starts=quick_options.n_starts,
-                                     seed=quick_options.seed))
+    starts = selection.spec_starts(RECOVERY_SPEC, obs, quick_options)
     for job in jobs:
         want = (starts if rescale == "window"
                 else rescale_coefficients(starts, RECOVERY_SPEC, obs.grid, job.obs.grid))

@@ -200,13 +200,13 @@ def refit_windows(obs, start_years, cutoffs):
 @pytest.mark.parametrize("rescale", ["window", "full"])
 @pytest.mark.parametrize("n_starts", [1, 2, 3, 4])
 def test_refits_equal_per_window_fit_lane_set(n_starts, rescale):
-    # The studies fit all windows as one lane set, each from the fit
-    # stage's starts (with rescale='full' mapped from the sample's time
-    # scale to the window's); each window alone is a lane set of its own.
+    # The studies fit all windows as one lane set, each from the spec's
+    # starts (with rescale='full' mapped from the sample's time scale to
+    # the window's); each window alone is a lane set of its own.
     spec = ff.ModelSpec(1, 1, forcing=True)
     opts = ff.FitOptions(n_starts=n_starts, max_iter=60, seed=4)
     start_years, cutoffs = [1984, 1989], [1993, 1998, 2000]
-    starts = np.stack(ff.default_starts(spec, SMALL, n_starts=n_starts, seed=opts.seed))
+    starts = ff.spec_starts(spec, SMALL, opts)
 
     def job(window):
         return LaneJob(spec, window, starts if rescale == "window"
@@ -264,6 +264,22 @@ def test_lane_set_narrows_its_kernel_once_per_halving(monkeypatch):
     ff.run_grid(obs, opts, refits=refits)
     assert widths == [50]
     assert 2 <= len(narrowed) <= math.ceil(math.log2(50)) + 1
+
+
+def test_lane_set_holds_one_chunks_lane_inputs(monkeypatch):
+    # A set on several windows stacks each window's inputs once and narrows
+    # them to a chunk's lanes only when that chunk runs, so no kernel it
+    # builds has more lanes than a chunk: here 16 lanes on 4 windows.
+    monkeypatch.setattr(estimation, "LANE_CHUNK", 5)
+    picked = []
+    lanes = LaneKernel.lanes
+    monkeypatch.setattr(LaneKernel, "lanes", lambda kernel, index: picked.append(
+        np.arange(len(kernel.has_intl))[index].size) or lanes(kernel, index))
+    opts = ff.FitOptions(n_starts=4, max_iter=30)
+    jobs = ff.diagnostics.robustness_jobs(SMALL, ff.ModelSpec(1, 1, forcing=True),
+                                          [1984, 1989], [1993, 1998], opts)
+    fit_lane_set(jobs, opts)
+    assert len(picked) >= 4 and max(picked) <= 5
 
 
 def test_fit_lane_set_sets_and_returns_each_jobs_fit():

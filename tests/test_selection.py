@@ -8,9 +8,11 @@ from flowfit import (
     FitOptions,
     ModelSpec,
     YearGrid,
+    default_starts,
     enumerate_grid,
     generate,
     information_criteria,
+    minimize_bfgs,
     run_grid,
     select_best,
 )
@@ -298,3 +300,33 @@ class TestJobsBound:
         with pytest.raises(ValueError, match="jobs"):
             run_grid(small_obs_plain, tiny_options, jobs=jobs)
         assert requested == []
+
+
+class TestOneStartsRule:
+    """Every fit of a spec starts from its grid cell's seeded starts."""
+
+    OPTIONS = FitOptions(n_starts=3, max_iter=200)
+
+    @pytest.fixture(scope="class")
+    def obs_and_grid(self):
+        obs, _ = generate(recovery_scenario(p_intl=True, noise_sd=0.02, seed=1))
+        return obs, {entry.spec: entry.fit for entry in run_grid(obs, self.OPTIONS)}
+
+    def test_starts_are_seeded_by_the_specs_grid_index(self, obs_and_grid):
+        obs, _ = obs_and_grid
+        opts = FitOptions(n_starts=3, seed=7, start_sd=0.3)
+        for index, spec in enumerate(enumerate_grid()):
+            want = np.stack(default_starts(spec, obs, n_starts=3, seed=7 + index, start_sd=0.3))
+            assert np.array_equal(selection.spec_starts(spec, obs, opts), want)
+
+    @pytest.mark.parametrize("spec", enumerate_grid(), ids=ModelSpec.label)
+    def test_fit_stage_fit_is_the_grid_row(self, obs_and_grid, spec):
+        # The fit stage fits the spec alone from the rule's starts, the grid
+        # among every cell's lanes; a lane's fit does not depend on its batch.
+        obs, grid = obs_and_grid
+        fit = minimize_bfgs(spec, obs, selection.spec_starts(spec, obs, self.OPTIONS),
+                            self.OPTIONS)
+        row = grid[spec]
+        assert np.array_equal(fit.theta_hat, row.theta_hat)
+        assert (fit.sse, fit.n_iterations, fit.converged) == (
+            row.sse, row.n_iterations, row.converged)

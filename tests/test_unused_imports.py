@@ -5,7 +5,8 @@ Every private name a module defines at its top level is read by some
 module of the package.
 And no module runs ``bfgs_minimize``: every fit runs on lanes, and the
 sequential driver is the public BFGS on callables and the lanes' test
-reference only.
+reference only.  Only ``selection.spec_starts`` draws starts from
+``default_starts``, so every fit of a spec starts alike.
 """
 
 import ast
@@ -101,3 +102,12 @@ def test_finds_a_read():
                          ids=lambda path: path.name)
 def test_module_does_not_run_bfgs_minimize(path):
     assert reads_of(path.read_text(), "bfgs_minimize") == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(flowfit.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_only_the_starts_rule_reads_default_starts(path):
+    # The grid, the fit stage and the refits take a spec's starts from
+    # selection.spec_starts, the one module that reads default_starts.
+    want = 1 if path.name == "selection.py" else 0
+    assert len(reads_of(path.read_text(), "default_starts")) == want
