@@ -269,7 +269,9 @@ SETTINGS = (
     Setting("rescale", _data_commands("robust"), "robustness.rescale", CHOICE, "window",
             ("window", "full"), "time scale the refits' starts are drawn on"),
     Setting("jobs", _data_commands("grid"), "jobs", INTEGER, 1, (1, None),
-            "parallel workers for the grid's lane chunks"),
+            "parallel workers for the grid's lane chunks of at most "
+            f"{estimation.LANE_CHUNK} lanes; a worker pool starts only for a lane set "
+            f"of more than {estimation.LANE_CHUNK} lanes"),
     Setting("use_n_eff", _data_commands("grid"), "use_n_eff", BOOLEAN, False,
             help="use N_eff = 2*years - 2 in the criteria instead of N = 2*years"),
 )

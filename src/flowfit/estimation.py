@@ -8,10 +8,9 @@ a backtracking (Armijo) line search and the exact gradient.  One evaluator,
 every fit's SSE, the lanes of a multi-start BFGS and the Hessian (central
 differences of the exact gradient) are lanes of its calls.  Every fit,
 :func:`minimize_bfgs` included, is a lane set (:func:`fit_lane_set`) and
-runs as lanes of :func:`bfgs_lanes`.  :func:`bfgs_minimize` is the same
-BFGS on callables, one start at a time: the public driver for other
-objectives, and the sequential reference :func:`bfgs_lanes` is tested
-against.
+runs as lanes of :func:`bfgs_lanes`, the package's one BFGS:
+:func:`bfgs_minimize`, the public driver for other objectives, is one of
+its lanes on callables.
 """
 
 from __future__ import annotations
@@ -110,8 +109,16 @@ class FitOptions:
     max_iter: int = 2000
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.start_sd < math.inf:
-            raise ValueError(f"start_sd must be finite and nonnegative, got {self.start_sd!r}")
+        # A float count would fail in NumPy or cap a fit at its ceiling; a
+        # bool's type is not int, and NumPy's bool is no np.integer.
+        for name, least in (("n_starts", 1), ("max_iter", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not (type(value) is int or isinstance(value, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        for name in ("start_sd", "gtol", "ftol_rel"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 @dataclass
@@ -261,6 +268,30 @@ class OptimizeOutcome:
     converged: bool
 
 
+class _Callables:
+    """``f`` and its gradient ``grad`` as the kernel of :func:`bfgs_lanes`' lanes.
+
+    A call returns each row's value and gradient; where the value is not
+    finite it does not call ``grad`` and the gradient is nan, as a
+    :class:`LaneKernel` lane's is.  Every lane reads the same callables, so
+    narrowing keeps the kernel.
+    """
+
+    def __init__(self, f: Callable[[np.ndarray], float],
+                 grad: Callable[[np.ndarray], np.ndarray]):
+        self.f, self.grad = f, grad
+
+    def __call__(self, thetas: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values = np.array([self.f(theta) for theta in thetas], dtype=float)
+        grads = np.full(thetas.shape, np.nan)
+        for row in np.flatnonzero(np.isfinite(values)):
+            grads[row] = self.grad(thetas[row])
+        return values, grads
+
+    def lanes(self, index) -> "_Callables":
+        return self
+
+
 def bfgs_minimize(
     f: Callable[[np.ndarray], float],
     x0: np.ndarray,
@@ -271,67 +302,24 @@ def bfgs_minimize(
 ) -> OptimizeOutcome:
     """BFGS on ``f`` and its gradient ``grad``, with a backtracking Armijo line search.
 
-    Stops when the gradient max-norm drops to ``gtol`` (the only condition
-    that marks convergence), when the relative objective decrease over one
-    iteration falls to ``ftol_rel``, when the line search fails, or at the
-    iteration cap.  Accepted iterates have strictly decreasing objective.
+    One lane of :func:`bfgs_lanes`, so it takes a lane's steps bit for bit:
+    on :func:`loss` and :func:`loss_gradient` of the superset spec it
+    stops where that spec's lane of :class:`LaneKernel` stops.  Stops when
+    the gradient max-norm drops to ``gtol`` (the only condition that marks
+    convergence), when the relative objective decrease over one iteration
+    falls to ``ftol_rel``, when the line search fails, or at the iteration
+    cap.  Accepted iterates have strictly decreasing objective.  As a
+    lane's, ``grad`` is evaluated at every trial point whose value is
+    finite, accepted or not, and never at one whose value is not; a start
+    whose value is not finite stops unconverged after 0 iterations.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    fx = f(x)
-    g = grad(x)
-    n = x.size
-    h_inv = np.eye(n)
-    n_iter = 0
-    first_update = True
-    g_max = float(np.abs(g).max())
-    converged = g_max <= gtol
-    # An overflowing slope restarts the direction and an overflowing relative
-    # decrease is inf; neither needs a warning.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while not converged and n_iter < max_iter:
-            d = -h_inv @ g
-            slope = float(g @ d)
-            if not math.isfinite(slope) or slope >= 0.0:
-                # Curvature information went bad; restart from steepest descent.
-                h_inv = np.eye(n)
-                d = -g
-                slope = -float(g @ g)
-            alpha = 1.0
-            accepted = False
-            for _ in range(LINE_SEARCH_TRIES):
-                x_new = x + alpha * d
-                f_new = f(x_new)
-                if math.isfinite(f_new) and f_new <= fx + 1e-4 * alpha * slope:
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if not accepted:
-                break
-            g_new = grad(x_new)
-            s = x_new - x
-            y = g_new - g
-            sy = float(s @ y)
-            if first_update and sy > 0.0:
-                # Scale the initial inverse Hessian before the first update.
-                h_inv *= sy / float(y @ y)
-                first_update = False
-            if sy > 1e-10 * math.sqrt(s @ s) * math.sqrt(y @ y):
-                rho = 1.0 / sy
-                hy = h_inv @ y
-                yhy = float(y @ hy)
-                # Outer products by broadcasting: np.outer's result, without its overhead.
-                s_col = s[:, None]
-                h_inv += s_col * s * (rho * rho * yhy + rho) - rho * (hy[:, None] * s + s_col * hy)
-            n_iter += 1
-            rel_decrease = (fx - f_new) / max(abs(fx), 1e-300)
-            x, fx, g = x_new, f_new, g_new
-            g_max = float(np.abs(g).max())
-            if g_max <= gtol:
-                converged = True
-                break
-            if rel_decrease <= ftol_rel:
-                break
-    return OptimizeOutcome(x=x, fun=fx, n_iterations=n_iter, grad_max_norm=g_max, converged=converged)
+    x0 = np.asarray(x0, dtype=float)[None]
+    lane = bfgs_lanes(_Callables(f, grad), x0, np.ones(x0.shape, dtype=bool),
+                      gtol=gtol, ftol_rel=ftol_rel, max_iter=max_iter)
+    return OptimizeOutcome(x=lane.x[0], fun=float(lane.fun[0]),
+                           n_iterations=int(lane.n_iterations[0]),
+                           grad_max_norm=float(lane.grad_max_norm[0]),
+                           converged=bool(lane.converged[0]))
 
 
 # The fields of :class:`LaneOutcomes`, in order; :class:`OptimizeOutcome` has the same.
@@ -383,7 +371,7 @@ def _lane_matvec(h: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _bfgs_step(h: np.ndarray, s: np.ndarray, y: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Each lane's BFGS inverse-Hessian update, ``(L, k, k)``, for ``rho = 1 / s'y``.
 
-    :func:`bfgs_minimize`'s ``c s s' - rho (hy s' + s hy')`` with
+    The textbook ``c s s' - rho (hy s' + s hy')`` with
     ``c = rho^2 y'hy + rho`` (Nocedal & Wright, *Numerical Optimization*,
     2nd ed., 2006, sec. 6.1), formed as ``a + a'`` with ``a = s w'`` and
     ``w = (c/2) s - rho hy``: the same matrix in exact arithmetic, in three
@@ -405,17 +393,18 @@ def bfgs_lanes(
     ftol_rel: float = 1e-12,
     max_iter: int = 2000,
 ) -> LaneOutcomes:
-    """:func:`bfgs_minimize` from every row of ``x0`` at once, one lane per row.
+    """BFGS from every row of ``x0`` at once, one lane per row.
 
     ``x0`` holds ``(B, 16)`` superset start vectors and ``mask`` the
     coefficients each lane's spec has; ``kernel`` is bound to these lanes
     (see :class:`LaneKernel`), so the loop carries no window index.  Each lane
-    takes :func:`bfgs_minimize`'s steps in its spec's coefficients: the same
-    direction and steepest-descent restart, Armijo backtracking, scaled
-    first update, BFGS update and four stop rules, with a ``(B, 16, 16)``
-    stack of inverse Hessians that is 0 off the lane's coefficients.  A
-    lane whose start value is not finite (the kernel's gradient there is
-    nan) stops before the first tick, unconverged, after 0 iterations.
+    steps in its spec's coefficients: the quasi-Newton direction with a
+    steepest-descent restart, Armijo backtracking, a scaled first update,
+    the BFGS update and four stop rules (those of :func:`bfgs_minimize`,
+    which is one lane of this loop), with a ``(B, 16, 16)`` stack of
+    inverse Hessians that is 0 off the lane's coefficients.  A lane whose
+    start value is not finite (the kernel's gradient there is nan) stops
+    before the first tick, unconverged, after 0 iterations.
 
     Each tick evaluates one trial point of every lane in the batch, value
     and gradient in one kernel call.  A lane whose trial passes the Armijo

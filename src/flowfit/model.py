@@ -79,10 +79,16 @@ class ModelSpec:
     forcing: bool = False
 
     def __post_init__(self) -> None:
-        if self.deg_gamma not in (0, 1, 2):
-            raise ValueError(f"deg_gamma must be in {{0, 1, 2}}, got {self.deg_gamma}")
-        if self.deg_rho not in (0, 1, 2):
-            raise ValueError(f"deg_rho must be in {{0, 1, 2}}, got {self.deg_rho}")
+        # 2.0 == 2 and True == 1, but neither is a degree: a bool's type is
+        # not int, and NumPy's bool is no np.integer.
+        for name in ("deg_gamma", "deg_rho"):
+            degree = getattr(self, name)
+            if (not (type(degree) is int or isinstance(degree, np.integer))
+                    or degree not in (0, 1, 2)):
+                raise ValueError(f"{name} must be an integer in {{0, 1, 2}}, got {degree!r}")
+        # A NumPy bool would reach run_report.json, which JSON cannot write.
+        if type(self.forcing) is not bool:
+            raise ValueError(f"forcing must be a bool, got {self.forcing!r}")
 
     @property
     def n_params(self) -> int:

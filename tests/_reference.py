@@ -23,6 +23,10 @@ product with ``block_design`` and its recurrence is
 weight and the length check of a parameter vector, so it is the
 sequential oracle the lane kernel is held to.
 
+``sequential_bfgs`` is the BFGS loop the package ran one start at a time
+before ``bfgs_minimize`` became one lane of ``bfgs_lanes``: the oracle the
+lanes' steps are held to on toy objectives and on the kernel.
+
 ``sorted_bands`` is :func:`~flowfit.estimation.confidence_bands` by a full
 sort of each year's linear predictors, the oracle the bands' order
 statistic selection is held to.
@@ -31,11 +35,11 @@ statistic selection is held to.
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from flowfit.estimation import TrajectoryBands, _symmetrized
+from flowfit.estimation import LINE_SEARCH_TRIES, OptimizeOutcome, TrajectoryBands, _symmetrized
 from flowfit.model import (
     LAMBDA_RAW_FLOOR,
     LOGISTIC_CLAMP,
@@ -109,6 +113,85 @@ def fd_hessian(f, x, rel_step=1e-4):
                 f(x + e[i] + e[j]) - f(x + e[i] - e[j]) - f(x - e[i] + e[j]) + f(x - e[i] - e[j])
             ) / (4.0 * h[i] * h[j])
     return _symmetrized(hess)
+
+
+def sequential_bfgs(
+    f: Callable[[np.ndarray], float],
+    x0: np.ndarray,
+    grad: Callable[[np.ndarray], np.ndarray],
+    gtol: float = 1e-6,
+    ftol_rel: float = 1e-12,
+    max_iter: int = 2000,
+) -> OptimizeOutcome:
+    """The sequential BFGS oracle of a lane's steps, one start at a time, on callables.
+
+    A backtracking Armijo line search calls ``f`` alone, and ``grad`` runs
+    only at accepted points.  The products are BLAS on the coefficients
+    (``h_inv @ g``, ``g @ d``) and the update is
+    ``c s s' - rho (hy s' + s hy')`` by broadcast outer products, so the
+    iterates match :func:`~flowfit.estimation.bfgs_lanes`' to round-off, not
+    bit for bit.  Stops when the gradient max-norm drops to ``gtol`` (the
+    only condition that marks convergence), when the relative objective
+    decrease over one iteration falls to ``ftol_rel``, when the line search
+    fails, or at the iteration cap.  Accepted iterates have strictly
+    decreasing objective.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    fx = f(x)
+    g = grad(x)
+    n = x.size
+    h_inv = np.eye(n)
+    n_iter = 0
+    first_update = True
+    g_max = float(np.abs(g).max())
+    converged = g_max <= gtol
+    # An overflowing slope restarts the direction and an overflowing relative
+    # decrease is inf; neither needs a warning.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while not converged and n_iter < max_iter:
+            d = -h_inv @ g
+            slope = float(g @ d)
+            if not math.isfinite(slope) or slope >= 0.0:
+                # Curvature information went bad; restart from steepest descent.
+                h_inv = np.eye(n)
+                d = -g
+                slope = -float(g @ g)
+            alpha = 1.0
+            accepted = False
+            for _ in range(LINE_SEARCH_TRIES):
+                x_new = x + alpha * d
+                f_new = f(x_new)
+                if math.isfinite(f_new) and f_new <= fx + 1e-4 * alpha * slope:
+                    accepted = True
+                    break
+                alpha *= 0.5
+            if not accepted:
+                break
+            g_new = grad(x_new)
+            s = x_new - x
+            y = g_new - g
+            sy = float(s @ y)
+            if first_update and sy > 0.0:
+                # Scale the initial inverse Hessian before the first update.
+                h_inv *= sy / float(y @ y)
+                first_update = False
+            if sy > 1e-10 * math.sqrt(s @ s) * math.sqrt(y @ y):
+                rho = 1.0 / sy
+                hy = h_inv @ y
+                yhy = float(y @ hy)
+                # Outer products by broadcasting: np.outer's result, without its overhead.
+                s_col = s[:, None]
+                h_inv += s_col * s * (rho * rho * yhy + rho) - rho * (hy[:, None] * s + s_col * hy)
+            n_iter += 1
+            rel_decrease = (fx - f_new) / max(abs(fx), 1e-300)
+            x, fx, g = x_new, f_new, g_new
+            g_max = float(np.abs(g).max())
+            if g_max <= gtol:
+                converged = True
+                break
+            if rel_decrease <= ftol_rel:
+                break
+    return OptimizeOutcome(x=x, fun=fx, n_iterations=n_iter, grad_max_norm=g_max, converged=converged)
 
 
 def block_design(spec, grid, years=None):

@@ -39,7 +39,13 @@ from flowfit.estimation import (
 )
 
 from _reference import fd_hessian, sorted_bands
-from _scenarios import RECOVERY_SPEC, RECOVERY_THETA, random_instance, recovery_scenario
+from _scenarios import (
+    RECOVERY_SPEC,
+    RECOVERY_THETA,
+    random_instance,
+    random_theta,
+    recovery_scenario,
+)
 from test_kernel_properties import evaluators
 
 GRID = YearGrid(1969, 2017)
@@ -252,6 +258,31 @@ class TestBfgs:
         out = bfgs_minimize(f, rng.normal(size=5), grad=lambda z: fd_gradient(f, z), gtol=1e-9)
         assert np.max(np.abs(out.x)) < 1e-6
 
+    @pytest.mark.parametrize("wall", [np.inf, np.nan])
+    def test_grad_runs_at_every_finite_trial_and_nowhere_else(self, wall):
+        # Past x[0] = 2 the value is not finite.  The first full step from
+        # (-3, 1) lands past it, at (3, 0); grad runs at each trial whose
+        # value is finite, accepted or not, and at none of the others.
+        values, grad_points = [], []
+
+        def f(x):
+            values.append(float(x[0] ** 2 + 0.5 * x[1] ** 2) if x[0] < 2.0 else wall)
+            return values[-1]
+
+        def grad(x):
+            grad_points.append(x.copy())
+            return np.array([2.0 * x[0], x[1]])
+
+        out = bfgs_minimize(f, np.array([-3.0, 1.0]), grad, max_iter=50)
+        assert out.converged
+        assert not all(np.isfinite(values)) and len(grad_points) == np.isfinite(values).sum()
+        assert all(point[0] < 2.0 for point in grad_points)
+        values.clear()
+        grad_points.clear()
+        out = bfgs_minimize(f, np.array([3.0, 1.0]), grad)
+        assert (out.n_iterations, out.converged, len(values), grad_points) == (0, False, 1, [])
+        assert np.array_equal(out.x, [3.0, 1.0])
+
 
 class TestMinimizeBfgs:
     def test_recovers_generator_from_nearby_start(self, noise_free):
@@ -339,6 +370,32 @@ class TestDefaultStarts:
         with pytest.raises(ValueError, match="start_sd must be finite and nonnegative"):
             FitOptions(start_sd=start_sd)
         assert FitOptions(start_sd=0.0).start_sd == 0.0
+
+    @pytest.mark.parametrize("field, value, rule", [
+        ("n_starts", 0, "an integer of at least 1"),
+        ("n_starts", 2.5, "an integer of at least 1"),
+        ("n_starts", True, "an integer of at least 1"),
+        ("max_iter", -3, "an integer of at least 0"),
+        ("max_iter", 2.5, "an integer of at least 0"),
+        ("seed", -1, "an integer of at least 0"),
+        ("seed", 1.5, "an integer of at least 0"),
+        ("gtol", float("nan"), "finite and nonnegative"),
+        ("gtol", float("inf"), "finite and nonnegative"),
+        ("gtol", -1e-6, "finite and nonnegative"),
+        ("ftol_rel", float("nan"), "finite and nonnegative"),
+        ("ftol_rel", -1e-12, "finite and nonnegative"),
+    ])
+    def test_options_reject_a_bad_field(self, field, value, rule):
+        # Unchecked, a nan gtol never converges, a negative max_iter returns
+        # the start, a negative seed fails in NumPy only for some specs, a
+        # max_iter of 2.5 runs 3 iterations and a float n_starts or seed
+        # fails in NumPy.
+        with pytest.raises(ValueError, match=f"^{field} must be {rule}"):
+            FitOptions(**{field: value})
+
+    def test_options_accept_every_bound(self):
+        bounds = dict(n_starts=1, max_iter=0, seed=0, start_sd=0.0, gtol=0.0, ftol_rel=0.0)
+        assert vars(FitOptions(**bounds)) == bounds
 
 
 class TestNumericalHessian:
@@ -463,6 +520,22 @@ class TestConfidenceBands:
         for name, vals in traj.as_dict().items():
             assert np.allclose(bands.lower[name], vals, atol=1e-14)
             assert np.allclose(bands.upper[name], vals, atol=1e-14)
+
+    def test_zero_width_bands_are_the_trajectories_within_8_ulps(self):
+        # The bands form each predictor with a BLAS product and the
+        # trajectories as (c0 + c1 s) + c2 s^2, so the two round apart: with
+        # identical draws about half the arrays differ, by at most 8 ulps of
+        # the trajectory over these 18 x 50 random points.
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for spec in enumerate_grid():
+            for _ in range(50):
+                theta = random_theta(rng, spec)
+                bands = confidence_bands(np.tile(theta, (3, 1)), spec, GRID)
+                for name, vals in eval_param_trajectories(theta, spec, GRID).as_dict().items():
+                    for band in (bands.lower[name], bands.upper[name]):
+                        worst = max(worst, float(np.max(np.abs(band - vals) / np.spacing(vals))))
+        assert worst <= 8.0
 
     def test_bands_inside_unit_interval_and_ordered(self):
         rng = np.random.default_rng(0)

@@ -25,7 +25,7 @@ from flowfit import estimation, model
 from flowfit.estimation import bfgs_lanes, bfgs_minimize
 from flowfit.model import LaneKernel, embed, rescale_coefficients, superset_mask
 
-from _reference import _Objective
+from _reference import _Objective, sequential_bfgs
 from _scenarios import recovery_scenario
 from test_kernel_properties import KERNEL, OBS, SPECS, cases, pull_back
 
@@ -555,7 +555,7 @@ def test_lane_fit_matches_list_fit_from_each_start(obs49, spec):
                        np.tile(superset_mask(spec), (len(starts), 1)))
     objective = _Objective(spec, obs49, None)
     for lane, x0 in enumerate(starts):
-        want = bfgs_minimize(objective.value, x0, grad=objective.gradient)
+        want = sequential_bfgs(objective.value, x0, grad=objective.gradient)
         assert lanes.converged[lane] and want.converged
         assert lanes.grad_max_norm[lane] <= 1e-6
         # Both land on the same minimum from the same start (or the lane
@@ -563,6 +563,25 @@ def test_lane_fit_matches_list_fit_from_each_start(obs49, spec):
         # relative: 1-ulp changes to a start move the list fit that much.
         assert lanes.fun[lane] <= want.fun * (1.0 + 1e-8)
         assert np.all(lanes.x[lane][~superset_mask(spec)] == 0.0)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_bfgs_minimize_is_a_superset_lane_bit_for_bit(tmp_path, seed):
+    # bfgs_minimize on loss and loss_gradient of the superset spec is one
+    # lane of LaneKernel, so it stops where bfgs_lanes' lane stops, bit for
+    # bit, on a 26-year CSV as the CLI reads it.
+    obs, _ = ff.generate(recovery_scenario(p_intl=True, noise_sd=0.02, seed=seed))
+    ff.write_series(obs.window(1992, 2017), tmp_path / "series26.csv")
+    obs = ff.load_series(tmp_path / "series26.csv")
+    spec = model.SUPERSET_SPEC
+    options = dict(gtol=1e-2, max_iter=40)
+    for x0 in ff.default_starts(spec, obs, n_starts=4):
+        got = bfgs_minimize(lambda x: ff.loss(x, spec, obs), x0,
+                            lambda x: ff.loss_gradient(x, spec, obs), **options)
+        want = bfgs_lanes(LaneKernel(obs), x0[None], superset_mask(spec)[None], **options)
+        assert got.n_iterations > 0
+        for name in estimation._OUTCOME_FIELDS:
+            assert_bitwise(getattr(got, name), getattr(want, name)[0])
 
 
 def test_lanes_stop_at_max_iter_and_keep_start_at_zero(obs49):
@@ -714,10 +733,10 @@ def test_lane_that_moves_beside_rejected_lanes_equals_its_run_alone():
             row = together.rows(slice(lane, lane + 1))
             for name in estimation._OUTCOME_FIELDS:
                 assert_bitwise(getattr(row, name), getattr(alone, name))
-            # And the lane takes bfgs_minimize's steps, up to round-off.
+            # And the lane takes the sequential oracle's steps, up to round-off.
             objective = TOYS[names[kind[lane]]]
-            want = bfgs_minimize(lambda z: objective(z)[0], x0[lane],
-                                 grad=lambda z: np.pad(objective(z)[1], (0, 14)), max_iter=50)
+            want = sequential_bfgs(lambda z: objective(z)[0], x0[lane],
+                                   grad=lambda z: np.pad(objective(z)[1], (0, 14)), max_iter=50)
             assert (row.n_iterations[0], row.converged[0]) == (want.n_iterations,
                                                                want.converged)
             assert np.allclose(row.x[0], want.x, rtol=1e-9, atol=1e-12)
@@ -820,7 +839,7 @@ def test_tick_shortcuts_give_the_general_paths_bits(obs49):
 
 
 def test_bfgs_step_is_the_elementwise_update():
-    # The update formed as a + a', a = s w', equals bfgs_minimize's
+    # The update formed as a + a', a = s w', equals the sequential oracle's
     # c s s' - rho (hy s' + s hy') to round-off on lanes of every spec,
     # with s'y of either sign, and is exactly symmetric and 0 off the
     # lane's coefficients.
@@ -923,19 +942,21 @@ def test_lane_whose_slope_overflows_restarts(monkeypatch):
 
 
 def test_bfgs_minimize_overflows_without_warnings():
-    # ``steepens`` takes bfgs_minimize to an overflowing slope, -inf, as it
-    # takes bfgs_lanes; it restarts and moves on to max_iter.  From a start
-    # valued 0 the first step falls by 1e20, and the relative decrease,
-    # divided by 1e-300, overflows to inf.  Neither may warn.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for x0 in ((1.25, 1.0), (1.25, 1.5)):
-            got = bfgs_minimize(lambda x: steepens(x)[0], np.array(x0),
-                                lambda x: np.array(steepens(x)[1]), max_iter=50)
-            assert got.n_iterations == 50 and got.x[1] < -1e151
-        got = bfgs_minimize(lambda x: 1e10 * x[0], np.zeros(2),
-                            lambda x: np.array([1e10, 0.0]), max_iter=50)
-    assert got.n_iterations == 50 and got.x[0] == -5e11 and not got.converged
+    # ``steepens`` takes bfgs_minimize, and the sequential oracle, to an
+    # overflowing slope, -inf, as it takes bfgs_lanes; each restarts and
+    # moves on to max_iter.  From a start valued 0 the first step falls by
+    # 1e20, and the relative decrease, divided by 1e-300, overflows to inf.
+    # Neither may warn.
+    for driver in (bfgs_minimize, sequential_bfgs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x0 in ((1.25, 1.0), (1.25, 1.5)):
+                got = driver(lambda x: steepens(x)[0], np.array(x0),
+                             lambda x: np.array(steepens(x)[1]), max_iter=50)
+                assert got.n_iterations == 50 and got.x[1] < -1e151
+            got = driver(lambda x: 1e10 * x[0], np.zeros(2),
+                         lambda x: np.array([1e10, 0.0]), max_iter=50)
+        assert got.n_iterations == 50 and got.x[0] == -5e11 and not got.converged
 
 
 def test_minimize_bfgs_runs_every_start_count_on_lanes(obs49, monkeypatch):

@@ -247,6 +247,22 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(0, -1)
 
+    @pytest.mark.parametrize("args, field", [
+        ((2.0, 2), "deg_gamma"), ((2, 1.0), "deg_rho"), ((True, 2), "deg_gamma"),
+        ((2, False), "deg_rho"), ((2, "2"), "deg_rho"), ((2, 2, "no"), "forcing"),
+        ((2, 2, 1), "forcing"), ((2, 2, None), "forcing"), ((2, 2, np.bool_(True)), "forcing"),
+    ])
+    def test_rejects_a_field_of_the_wrong_type(self, args, field):
+        # A string forcing would be truthy, a bool degree would label itself
+        # True, a float degree would fail later in superset_mask, and a NumPy
+        # bool forcing would fail when run_report.json is written.
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ModelSpec(*args)
+
+    def test_accepts_numpy_integers(self):
+        spec = ModelSpec(np.int64(2), np.int8(1), True)
+        assert spec == ModelSpec(2, 1, True) and spec.label() == "2,1,intl"
+
     def test_theta_labels(self):
         labels = theta_labels(ModelSpec(1, 0, True))
         assert labels == ["rho_bm_0", "rho_bp_0", "rho_mp_0",

@@ -3,9 +3,9 @@
 ``__init__.py`` is left out: its imports are the package's public names.
 Every private name a module defines at its top level is read by some
 module of the package.
-And no module runs ``bfgs_minimize``: every fit runs on lanes, and the
-sequential driver is the public BFGS on callables and the lanes' test
-reference only.  Only ``selection.spec_starts`` draws starts from
+And no module runs ``bfgs_minimize``: every fit runs on lanes, and
+``bfgs_minimize``, one lane of ``bfgs_lanes`` on callables, is the public
+BFGS for other objectives only.  Only ``selection.spec_starts`` draws starts from
 ``default_starts``, so every fit of a spec starts alike.
 """
 
